@@ -21,7 +21,7 @@
 //!     "def m(c)\n  if c\n    x = 1\n  end\n  x + 1\nend\n",
 //! )
 //! .unwrap();
-//! let lints = analysis::lint_program(&p);
+//! let lints = analysis::lint_methods(&p.methods(), None, 1);
 //! assert_eq!(lints[0].findings[0].code, analysis::USE_BEFORE_DEF);
 //! ```
 
@@ -35,9 +35,8 @@ pub mod summaries;
 pub use cfg::{BasicBlock, BlockId, Cfg};
 pub use dataflow::{solve, DataflowProblem, Direction, Solution};
 pub use lints::{
-    lint_method, lint_method_with_summaries, lint_program, lint_program_parallel,
-    lint_program_parallel_with_summaries, lint_program_with_summaries, note_for, LintFinding,
-    MethodLints, DEAD_ASSIGNMENT, SQL_TAINT, UNREACHABLE_CODE, UNUSED_VARIABLE, USE_BEFORE_DEF,
+    lint_method, lint_method_with_summaries, lint_methods, note_for, LintFinding, MethodLints,
+    DEAD_ASSIGNMENT, SQL_TAINT, UNREACHABLE_CODE, UNUSED_VARIABLE, USE_BEFORE_DEF,
 };
 pub use summaries::{
     render_blame, MethodSummary, ProgramSummaries, Purity, SeedEffect, SeedMap, TaintSummary, Term,

@@ -33,7 +33,7 @@ use crate::cfg::Cfg;
 use crate::dataflow::{solve, DataflowProblem, Direction};
 use crate::summaries::ProgramSummaries;
 use diagnostics::{Diagnostic, Span};
-use ruby_syntax::{method_hash, Expr, ExprKind, LValue, MethodDef, Program};
+use ruby_syntax::{method_hash, Expr, ExprKind, LValue, MethodDef};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -804,44 +804,24 @@ pub fn lint_method_with_summaries(
     }
 }
 
-/// Lints every method of a program sequentially, in source order.
-pub fn lint_program(program: &Program) -> Vec<MethodLints> {
-    lint_program_with_summaries(program, None)
-}
-
-/// Lints every method sequentially, threading the program's effect
-/// summaries into `LINT0105` (see [`lint_method_with_summaries`]).
-pub fn lint_program_with_summaries(
-    program: &Program,
-    summaries: Option<&ProgramSummaries>,
-) -> Vec<MethodLints> {
-    program
-        .methods()
-        .into_iter()
-        .map(|(owner, def)| lint_method_with_summaries(&owner, def, summaries))
-        .collect()
-}
-
-/// Lints every method of a program across `threads` worker threads.
-///
-/// Work is claimed from an atomic index (the same scheme as
-/// `comprdl::TypeChecker::check_labeled_parallel`) and results are merged
-/// back in method-index order, so the output is byte-identical to
-/// [`lint_program`] regardless of scheduling.
-pub fn lint_program_parallel(program: &Program, threads: usize) -> Vec<MethodLints> {
-    lint_program_parallel_with_summaries(program, None, threads)
-}
-
-/// Parallel variant of [`lint_program_with_summaries`]; byte-identical to
-/// the sequential run regardless of scheduling.
-pub fn lint_program_parallel_with_summaries(
-    program: &Program,
+/// Lints the given `(owner, def)` methods — typically
+/// [`ruby_syntax::Program::methods`] or the subset an incremental driver
+/// could not replay — threading the program's effect summaries into
+/// `LINT0105` (see [`lint_method_with_summaries`]).  With `threads > 1` the
+/// work is claimed from an atomic index (the same scheme as
+/// `comprdl::TypeChecker::check_methods_parallel`) and results are merged
+/// back in `methods` order, so the output is byte-identical to a sequential
+/// run regardless of scheduling.
+pub fn lint_methods(
+    methods: &[(String, &MethodDef)],
     summaries: Option<&ProgramSummaries>,
     threads: usize,
 ) -> Vec<MethodLints> {
-    let methods = program.methods();
     if threads <= 1 || methods.len() <= 1 {
-        return lint_program_with_summaries(program, summaries);
+        return methods
+            .iter()
+            .map(|(owner, def)| lint_method_with_summaries(owner, def, summaries))
+            .collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<MethodLints>> = methods.iter().map(|_| None).collect();
@@ -1025,9 +1005,10 @@ mod tests {
     fn parallel_lint_is_byte_identical_to_sequential() {
         let src = "class A\n  def m(c)\n    if c\n      x = 1\n    end\n    x\n  end\n  def n()\n    waste = 1\n    2\n  end\n  def o(q)\n    A.where('title = ' + q)\n  end\nend\n";
         let p = parse_program_strict(src).expect("parse");
-        let seq = lint_program(&p);
+        let methods = p.methods();
+        let seq = lint_methods(&methods, None, 1);
         for threads in [2, 4, 7] {
-            assert_eq!(seq, lint_program_parallel(&p, threads), "threads={threads}");
+            assert_eq!(seq, lint_methods(&methods, None, threads), "threads={threads}");
         }
         assert!(seq.iter().any(|m| !m.findings.is_empty()));
     }
@@ -1042,12 +1023,12 @@ mod tests {
 
         // Blind without summaries: the callee sees a lone variable at the
         // sink, the caller sees no sink at all.
-        let blind = lint_program(&p);
+        let blind = lint_methods(&p.methods(), None, 1);
         assert!(blind.iter().all(|m| m.findings.is_empty()), "{blind:?}");
 
         let seed = crate::summaries::SeedMap::new();
         let sums = ProgramSummaries::infer(&p, &seed);
-        let seen = lint_program_with_summaries(&p, Some(&sums));
+        let seen = lint_methods(&p.methods(), Some(&sums), 1);
         let search = seen.iter().find(|m| m.name == "search").unwrap();
         assert_eq!(codes(&search.findings), vec![SQL_TAINT], "{seen:?}");
         assert!(search.findings[0].label.contains("title = ?"), "{}", search.findings[0].label);
@@ -1060,13 +1041,13 @@ mod tests {
     fn summary_return_transfer_untaints_sanitized_values() {
         let src = "def self.quote(q)\n  'quoted'\nend\ndef self.search(q)\n  Topic.where('title = ' + quote(q))\nend\n";
         let p = parse_program_strict(src).expect("parse");
-        let blind = lint_program(&p);
+        let blind = lint_methods(&p.methods(), None, 1);
         assert!(
             blind.iter().any(|m| codes(&m.findings) == vec![SQL_TAINT]),
             "conservatively tainted without summaries: {blind:?}"
         );
         let sums = ProgramSummaries::infer(&p, &crate::summaries::SeedMap::new());
-        let seen = lint_program_with_summaries(&p, Some(&sums));
+        let seen = lint_methods(&p.methods(), Some(&sums), 1);
         assert!(seen.iter().all(|m| m.findings.is_empty()), "{seen:?}");
     }
 
@@ -1075,9 +1056,10 @@ mod tests {
         let src = "def self.apply_filter(frag)\n  Topic.where(frag)\nend\ndef self.search(q)\n  apply_filter('title = ' + q)\nend\ndef m(c)\n  if c\n    x = 1\n  end\n  x\nend\n";
         let p = parse_program_strict(src).expect("parse");
         let sums = ProgramSummaries::infer(&p, &crate::summaries::SeedMap::new());
-        let seq = lint_program_with_summaries(&p, Some(&sums));
+        let methods = p.methods();
+        let seq = lint_methods(&methods, Some(&sums), 1);
         for threads in [2, 4, 8] {
-            let par = lint_program_parallel_with_summaries(&p, Some(&sums), threads);
+            let par = lint_methods(&methods, Some(&sums), threads);
             assert_eq!(seq, par, "threads={threads}");
         }
         assert!(seq.iter().any(|m| !m.findings.is_empty()));

@@ -26,8 +26,7 @@ fn checked_vs_unchecked(c: &mut Criterion) {
     // and byte-identical blame sequences per app — including between the
     // cold and warm shared-memo runs — erroring out otherwise.
     let overhead_memo = Arc::new(SharedMemo::new());
-    let rows =
-        corpus::table2_overhead_shared(&overhead_memo).expect("overhead harness correctness gate");
+    let rows = corpus::table2_overhead(&overhead_memo).expect("overhead harness correctness gate");
     println!("{}", corpus::format_overhead(&rows));
     println!("{}", corpus::format_memo_stats(&overhead_memo));
     assert_eq!(rows.len(), 8, "the grown corpus has eight apps");
@@ -67,7 +66,8 @@ fn checked_vs_unchecked(c: &mut Criterion) {
     // is what the warm overhead runs above and tests/shared_memo.rs
     // exercise.)
     let parallel_memo = Arc::new(SharedMemo::new());
-    let parallel_rows = corpus::table2_parallel_shared(&parallel_memo).expect("parallel harness");
+    let parallel_rows = corpus::table2_parallel(&parallel_memo, &corpus::FaultPlan::none())
+        .expect("parallel harness");
     assert_eq!(parallel_rows.len(), 8);
     println!("Parallel harness over one shared memo:");
     println!("{}", corpus::format_memo_stats(&parallel_memo));

@@ -8,7 +8,10 @@
 //! identical per-app error counts.  CI runs it with `BENCH_SMOKE=1` and
 //! fails on divergence.
 
+use comprdl::SharedMemo;
+use corpus::FaultPlan;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 
 const CHECK_THREADS: usize = 4;
 
@@ -18,7 +21,9 @@ fn parallel_vs_sequential(c: &mut Criterion) {
     // Correctness gate: identical diagnostics and byte-identical stable
     // output between the sequential and parallel harnesses.
     let sequential = corpus::table2().expect("sequential harness");
-    let parallel = corpus::table2_parallel().expect("parallel harness");
+    let table2_parallel =
+        || corpus::table2_parallel(&Arc::new(SharedMemo::new()), &FaultPlan::none());
+    let parallel = table2_parallel().expect("parallel harness");
     for (s, p) in sequential.iter().zip(parallel.iter()) {
         assert_eq!(
             (s.program.as_str(), s.errors()),
@@ -101,7 +106,7 @@ fn parallel_vs_sequential(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(corpus::table2().expect("harness")))
     });
     group.bench_function("parallel", |b| {
-        b.iter(|| std::hint::black_box(corpus::table2_parallel().expect("harness")))
+        b.iter(|| std::hint::black_box(table2_parallel().expect("harness")))
     });
     group.finish();
 }

@@ -26,7 +26,7 @@ pub fn check_app_uncached(app: &corpus::App) -> comprdl::ProgramCheckResult {
 /// Type checks one corpus app with `threads` per-method worker threads.
 pub fn check_app_parallel(app: &corpus::App, threads: usize) -> comprdl::ProgramCheckResult {
     let (env, program) = prepare_app(app);
-    TypeChecker::check_labeled_parallel(&env, &program, CheckOptions::default(), "app", threads)
+    check_prepared_parallel(&env, &program, threads)
 }
 
 /// Builds an app's environment and parses its source once, so benches can
@@ -55,7 +55,15 @@ pub fn check_prepared_parallel(
     program: &ruby_syntax::Program,
     threads: usize,
 ) -> comprdl::ProgramCheckResult {
-    TypeChecker::check_labeled_parallel(env, program, CheckOptions::default(), "app", threads)
+    let selected = TypeChecker::labeled_methods(env, program, "app");
+    TypeChecker::check_methods_parallel(
+        env,
+        program,
+        CheckOptions::default(),
+        &selected,
+        threads,
+        &[],
+    )
 }
 
 /// Number of timed samples per benchmark: 2 when `BENCH_SMOKE` is set in

@@ -165,6 +165,32 @@ pub struct MethodCheckResult {
     pub loc: usize,
 }
 
+impl MethodCheckResult {
+    /// Merges verdicts minted against another store: absorbs `from` into
+    /// `store`, shifts every inserted check's store-backed expected types by
+    /// the absorb's id shift, and moves each `(index, result)` into its
+    /// slot.  The parallel checker merges its worker stores this way, and
+    /// the corpus driver merges freshly checked methods into the store its
+    /// cache replays thawed into.
+    pub fn absorb_into(
+        slots: &mut [Option<MethodCheckResult>],
+        store: &mut TypeStore,
+        from: TypeStore,
+        results: impl IntoIterator<Item = (usize, MethodCheckResult)>,
+    ) {
+        let shift = store.absorb(from);
+        for (idx, mut result) in results {
+            for check in &mut result.checks {
+                check.expected_return = shift.apply(&check.expected_return);
+                if let Some(consistency) = &mut check.consistency {
+                    consistency.expected = shift.apply(&consistency.expected);
+                }
+            }
+            slots[idx] = Some(result);
+        }
+    }
+}
+
 /// Results for a whole checking run.
 #[derive(Debug)]
 pub struct ProgramCheckResult {
@@ -219,7 +245,7 @@ impl ProgramCheckResult {
 ///
 /// The environment (`env`) and program are shared, immutable inputs; the
 /// store, termination checker and comp-type cache are the run's mutable
-/// state.  A parallel run ([`TypeChecker::check_labeled_parallel`]) gives
+/// state.  A parallel run ([`TypeChecker::check_methods_parallel`]) gives
 /// every worker thread its own `TypeChecker` over the same shared inputs
 /// and merges the per-worker stores afterwards.
 pub struct TypeChecker<'a> {
@@ -305,18 +331,26 @@ impl<'a> TypeChecker<'a> {
     ) -> Vec<EffectViolation> {
         let mut inferred = crate::termination::EffectEnv::new();
         inferred.install_inferred(effects.iter().cloned());
-        let mut annotated: Vec<_> = env.annotations.iter().collect();
-        annotated.sort_by_key(|((class, kind, name), _)| {
-            (class.clone(), name.clone(), *kind == MethodKind::Singleton)
-        });
+        // One index over the program's methods; the first definition of an
+        // identity wins, as a front-to-back scan would find it.
+        let methods = program.methods();
+        let mut defs: HashMap<(&str, &str, bool), &MethodDef> =
+            HashMap::with_capacity(methods.len());
+        for (owner, def) in &methods {
+            defs.entry((owner.as_str(), def.name.as_str(), def.singleton)).or_insert(*def);
+        }
+        let mut annotated: Vec<_> = env
+            .annotations
+            .iter()
+            .map(|((class, kind, name), sig)| {
+                ((class.as_str(), name.as_str(), *kind == MethodKind::Singleton), sig)
+            })
+            .collect();
+        annotated.sort_by_key(|(key, _)| *key);
         let mut out = Vec::new();
-        for ((class, kind, name), sig) in annotated {
-            let singleton = *kind == MethodKind::Singleton;
-            let Some((_, def)) = program.methods().into_iter().find(|(owner, def)| {
-                def.name == *name && def.singleton == singleton && owner == class
-            }) else {
-                continue;
-            };
+        for (key, sig) in annotated {
+            let Some(def) = defs.get(&key) else { continue };
+            let name = key.1;
             let Some(inf) = inferred.inferred(name) else { continue };
             out.extend(crate::termination::annotation_conflicts(
                 name, sig.term, sig.purity, inf, def.span,
@@ -341,12 +375,15 @@ impl<'a> TypeChecker<'a> {
         h
     }
 
-    /// The methods `check_labeled` selects, in program order.  Poisoned
-    /// methods (parse recovery replaced their body with an error
+    /// The methods a `check_labeled(label)` run selects, in program order.
+    /// Poisoned methods (parse recovery replaced their body with an error
     /// placeholder) are excluded: their one `PARSE0002` diagnostic already
     /// covers them, and checking a placeholder body would only manufacture
-    /// spurious type errors on top of the syntax error.
-    fn select_labeled<'p>(
+    /// spurious type errors on top of the syntax error.  Exposed so drivers
+    /// (see `corpus::evaluate_app`) can partition the work list into
+    /// replayable and must-check subsets before handing the latter to
+    /// [`TypeChecker::check_methods_parallel`].
+    pub fn labeled_methods<'p>(
         env: &CompRdl,
         program: &'p Program,
         label: &str,
@@ -367,18 +404,6 @@ impl<'a> TypeChecker<'a> {
             .collect()
     }
 
-    /// The methods a `check_labeled(label)` run would select, in program
-    /// order.  Exposed so incremental drivers (see `corpus::incremental`)
-    /// can partition the work list into replayable and must-check subsets
-    /// before deciding what to hand to [`TypeChecker::check_methods`].
-    pub fn labeled_methods<'p>(
-        env: &CompRdl,
-        program: &'p Program,
-        label: &str,
-    ) -> Vec<(String, &'p MethodDef)> {
-        Self::select_labeled(env, program, label)
-    }
-
     /// Checks exactly the given `(owner, def)` methods, in the given order.
     ///
     /// This is the incremental entry point: a driver that replays cached
@@ -395,71 +420,50 @@ impl<'a> TypeChecker<'a> {
 
     /// Checks every method in the program that carries a `typecheck:` label
     /// in its annotation, mirroring `RDL.do_typecheck`.
-    pub fn check_labeled(mut self, label: &str) -> ProgramCheckResult {
-        let selected = Self::select_labeled(self.env, self.program, label);
-        let mut methods = Vec::new();
-        for (owner, def) in selected {
-            methods.push(self.check_method_def(&owner, def));
-        }
-        ProgramCheckResult { methods, store: self.store, cache_stats: self.cache.stats() }
+    pub fn check_labeled(self, label: &str) -> ProgramCheckResult {
+        let selected = Self::labeled_methods(self.env, self.program, label);
+        self.check_methods(&selected)
     }
 
-    /// Like [`TypeChecker::check_labeled`], but checks methods concurrently:
-    /// `threads` scoped workers pull methods off a shared work queue
-    /// (work stealing — a worker that finishes a cheap method immediately
-    /// grabs the next), each with its own [`TypeStore`] and comp-type cache,
-    /// while the class table, annotations and helpers are shared by
-    /// reference.  Per-worker stores are merged afterwards (shifting the
-    /// store ids referenced by the inserted dynamic checks), and the
-    /// per-method results are returned in program order, so the output is
-    /// deterministic regardless of how the work was distributed.
-    pub fn check_labeled_parallel(
+    /// Like [`TypeChecker::check_methods`] with `effects` installed (see
+    /// [`TypeChecker::install_inferred_effects`]), but on `threads` scoped
+    /// workers that pull methods off a shared work queue (work stealing — a
+    /// worker that finishes a cheap method immediately grabs the next).
+    /// Each worker has its own [`TypeStore`] and comp-type cache, while the
+    /// class table, annotations and helpers are shared by reference.  Worker
+    /// stores are merged afterwards ([`MethodCheckResult::absorb_into`]) and
+    /// results come back in `selected` order, so the output is deterministic
+    /// regardless of how the work was distributed.  With one thread (or one
+    /// method) the check runs on the calling thread.
+    pub fn check_methods_parallel(
         env: &CompRdl,
         program: &Program,
         options: CheckOptions,
-        label: &str,
-        threads: usize,
-    ) -> ProgramCheckResult {
-        Self::check_labeled_parallel_with_effects(env, program, options, label, threads, &[])
-    }
-
-    /// Like [`TypeChecker::check_labeled_parallel`], but installs the given
-    /// inferred effect summaries into every worker's effect environment
-    /// (below the explicit layer) before checking.  `CheckOptions` is a
-    /// `Copy` bag of flags, so the summaries travel as a separate argument
-    /// shared by reference across the worker threads.
-    pub fn check_labeled_parallel_with_effects(
-        env: &CompRdl,
-        program: &Program,
-        options: CheckOptions,
-        label: &str,
+        selected: &[(String, &MethodDef)],
         threads: usize,
         effects: &[InferredEffect],
     ) -> ProgramCheckResult {
-        let selected = Self::select_labeled(env, program, label);
         let workers = threads.clamp(1, selected.len().max(1));
-        if workers <= 1 {
+        if workers == 1 {
             let mut checker = TypeChecker::new(env, program, options);
             checker.install_inferred_effects(effects);
-            return checker.check_labeled(label);
+            return checker.check_methods(selected);
         }
 
         // One worker's output: indexed method results, its private store,
         // and its cache counters.
         type WorkerOutput = (Vec<(usize, MethodCheckResult)>, TypeStore, CacheStats);
         let next = AtomicUsize::new(0);
-        let selected_ref = &selected;
         let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
+                    scope.spawn(|| {
                         let mut checker = TypeChecker::new(env, program, options);
                         checker.install_inferred_effects(effects);
                         let mut out = Vec::new();
                         loop {
                             let idx = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((owner, def)) = selected_ref.get(idx) else { break };
+                            let Some((owner, def)) = selected.get(idx) else { break };
                             out.push((idx, checker.check_method_def(owner, def)));
                         }
                         (out, checker.store, checker.cache.stats())
@@ -471,22 +475,12 @@ impl<'a> TypeChecker<'a> {
 
         let mut store = TypeStore::new();
         let mut cache_stats = CacheStats::default();
-        let mut merged: Vec<Option<MethodCheckResult>> =
-            (0..selected.len()).map(|_| None).collect();
+        let mut slots: Vec<Option<MethodCheckResult>> = selected.iter().map(|_| None).collect();
         for (results, worker_store, worker_stats) in worker_outputs {
-            let shift = store.absorb(worker_store);
             cache_stats = cache_stats.merged(worker_stats);
-            for (idx, mut result) in results {
-                for check in &mut result.checks {
-                    check.expected_return = shift.apply(&check.expected_return);
-                    if let Some(consistency) = &mut check.consistency {
-                        consistency.expected = shift.apply(&consistency.expected);
-                    }
-                }
-                merged[idx] = Some(result);
-            }
+            MethodCheckResult::absorb_into(&mut slots, &mut store, worker_store, results);
         }
-        ProgramCheckResult { methods: merged.into_iter().flatten().collect(), store, cache_stats }
+        ProgramCheckResult { methods: slots.into_iter().flatten().collect(), store, cache_stats }
     }
 
     /// Checks all annotated methods defined in the program (any label).
@@ -1803,8 +1797,15 @@ mod tests {
 
         let sequential =
             TypeChecker::new(&env, &program, CheckOptions::default()).check_labeled("app");
-        let parallel =
-            TypeChecker::check_labeled_parallel(&env, &program, CheckOptions::default(), "app", 4);
+        let selected = TypeChecker::labeled_methods(&env, &program, "app");
+        let parallel = TypeChecker::check_methods_parallel(
+            &env,
+            &program,
+            CheckOptions::default(),
+            &selected,
+            4,
+            &[],
+        );
 
         assert_eq!(sequential.methods_checked(), parallel.methods_checked());
         let names =

@@ -68,9 +68,8 @@ fn panic_isolation_section() -> String {
     // The injected panic is expected; keep its backtrace out of the output.
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let rows =
-        corpus::table2_parallel_faulted(&std::sync::Arc::new(comprdl::SharedMemo::new()), &plan)
-            .expect("a worker panic must not abort the harness");
+    let rows = corpus::table2_parallel(&std::sync::Arc::new(comprdl::SharedMemo::new()), &plan)
+        .expect("a worker panic must not abort the harness");
     std::panic::set_hook(prev);
 
     let ice_rows: Vec<_> =

@@ -28,7 +28,7 @@ use rdl_types::{PurityEffect, TermEffect};
 use ruby_syntax::Program;
 
 /// `analysis::Term` → the `EffectRecord` wire encoding.
-pub fn term_to_u8(t: Term) -> u8 {
+fn term_to_u8(t: Term) -> u8 {
     match t {
         Term::Terminates => 0,
         Term::BlockDep => 1,
@@ -38,7 +38,7 @@ pub fn term_to_u8(t: Term) -> u8 {
 
 /// Wire encoding → `analysis::Term`.  Out-of-range values (impossible for
 /// records that passed `CheckCache::from_bytes` validation) pessimize.
-pub fn u8_to_term(v: u8) -> Term {
+fn u8_to_term(v: u8) -> Term {
     match v {
         0 => Term::Terminates,
         1 => Term::BlockDep,
@@ -123,7 +123,7 @@ pub fn summaries_to_inferred(summaries: &ProgramSummaries) -> Vec<InferredEffect
 
 /// Converts one summary into its persistence representation, stamped with
 /// the method's `semdep` Merkle hash (the replay key).
-pub fn summary_to_record(s: &MethodSummary, merkle: u64) -> EffectRecord {
+fn summary_to_record(s: &MethodSummary, merkle: u64) -> EffectRecord {
     EffectRecord {
         owner: s.owner.clone(),
         name: s.name.clone(),
@@ -144,7 +144,7 @@ pub fn summary_to_record(s: &MethodSummary, merkle: u64) -> EffectRecord {
 /// [`ProgramSummaries::infer_with_baseline`].  The SCC id is set to zero:
 /// baselines never carry SCC ids forward — inference always recomputes
 /// them from the current program so warm renders match cold ones.
-pub fn record_to_summary(r: &EffectRecord) -> MethodSummary {
+fn record_to_summary(r: &EffectRecord) -> MethodSummary {
     MethodSummary {
         owner: r.owner.clone(),
         name: r.name.clone(),

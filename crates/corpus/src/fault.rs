@@ -1,7 +1,7 @@
 //! Seeded fault injection for the parallel harness.
 //!
 //! A [`FaultPlan`] names corpus apps whose evaluation worker should panic
-//! mid-run.  [`crate::table2_parallel_faulted`] consults the plan inside
+//! mid-run.  [`crate::table2_parallel`] consults the plan inside
 //! each worker thread: a planned (or genuine) panic is caught with
 //! `catch_unwind` and converted into a placeholder [`crate::Table2Row`]
 //! carrying one `ICE0001` diagnostic, so one crashing app can never abort

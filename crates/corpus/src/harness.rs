@@ -1,11 +1,12 @@
 //! The evaluation harness: reproduces Table 1 and Table 2 of the paper.
 
 use crate::app::App;
+use crate::driver::{evaluate_app, run_checked_suite, run_plain_suite};
+use crate::fault::FaultPlan;
 use comprdl::{BlameDiagnostic, CheckConfig, CheckOptions, CompRdl, SharedMemo, TypeChecker};
 use diagnostics::{Diagnostic, DiagnosticBag};
-use ruby_interp::Interpreter;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One row of Table 1 (library methods with comp type definitions).
 #[derive(Debug, Clone)]
@@ -139,173 +140,6 @@ pub fn table1() -> (Vec<Table1Row>, usize) {
     (rows, env.helper_count())
 }
 
-/// Runs the full evaluation for one app, producing its Table 2 row.
-/// Checking runs sequentially; see [`evaluate_app_with`] for the threaded
-/// variant.
-///
-/// # Errors
-///
-/// Returns a [`HarnessError`] if the app fails to parse, its test suite hits
-/// a runtime error, or a dynamic check raises blame (none of which should
-/// happen for the shipped corpus).
-pub fn evaluate_app(app: &App) -> Result<Table2Row, HarnessError> {
-    evaluate_app_with(app, 1)
-}
-
-/// Runs the full evaluation for one app, type checking its methods with
-/// `check_threads` worker threads (1 = sequential) against a private
-/// runtime memo.  See [`evaluate_app_shared`].
-///
-/// # Errors
-///
-/// See [`evaluate_app`].
-pub fn evaluate_app_with(app: &App, check_threads: usize) -> Result<Table2Row, HarnessError> {
-    evaluate_app_shared(app, check_threads, &Arc::new(SharedMemo::new()))
-}
-
-/// Runs the full evaluation for one app, type checking its methods with
-/// `check_threads` worker threads (1 = sequential), with the checked test
-/// run recording into the given [`SharedMemo`] under the app's namespace.
-/// The diagnostics in the resulting row are sorted by span then code, so
-/// the row renders byte-identically regardless of how many threads checked
-/// it or in what order they finished; the runtime blames are kept in
-/// execution order (which is deterministic per app).
-///
-/// Blame is collected rather than raised (`CheckConfig::raise_blame` off)
-/// and lands in [`Table2Row::runtime_blames`] as span-carrying
-/// [`Diagnostic`]s, so a blaming suite still reports a complete row.
-///
-/// # Errors
-///
-/// See [`evaluate_app`].
-pub fn evaluate_app_shared(
-    app: &App,
-    check_threads: usize,
-    memo: &Arc<SharedMemo>,
-) -> Result<Table2Row, HarnessError> {
-    let err = |message: String, diagnostic: Option<Box<Diagnostic>>| HarnessError {
-        app: app.name.to_string(),
-        message,
-        diagnostic,
-    };
-
-    let env = app.build_env();
-    // Parse as a two-file program (app source + test suite, distinct span
-    // file ids) so dynamic-check sites cannot collide across files.  Parsing
-    // never fails: recovery diagnostics (poisoned methods, error statements)
-    // ride along and join the row's diagnostic bag below, so a broken method
-    // costs exactly its own diagnostic and nothing else.
-    let (program, _sources, parse_diags) = app.parse();
-
-    // Interprocedural effect summaries: inferred bottom-up over the call
-    // graph on the same worker budget, seeded from the environment the
-    // checker itself trusts.  They feed three consumers below — the
-    // checker's inferred effect layer, the taint-aware lint pass, and the
-    // TERM0004 annotation-conflict warnings.
-    let seed = crate::effects::seed_map(&env);
-    let summaries = crate::effects::effects_pass(&program, &seed, check_threads);
-    let inferred = crate::effects::summaries_to_inferred(&summaries);
-
-    // Static checking with comp types (timed), with the inferred
-    // summaries installed below the explicit annotation layer.
-    let started = Instant::now();
-    let comp_result = if check_threads > 1 {
-        TypeChecker::check_labeled_parallel_with_effects(
-            &env,
-            &program,
-            CheckOptions::default(),
-            "app",
-            check_threads,
-            &inferred,
-        )
-    } else {
-        let mut checker = TypeChecker::new(&env, &program, CheckOptions::default());
-        checker.install_inferred_effects(&inferred);
-        checker.check_labeled("app")
-    };
-    let check_time = started.elapsed();
-
-    // The dataflow lint pass over the same parse, split across the same
-    // worker budget as the checking run.  The split is output-invisible:
-    // results merge back into method order and sort canonically.  The
-    // summaries make `LINT0105` interprocedural.
-    let lints = crate::lints::lint_bag(&crate::lints::lint_pass_with_summaries(
-        &program,
-        Some(&summaries),
-        check_threads,
-    ));
-
-    // Static checking in plain-RDL mode (comp types disabled).
-    let rdl_result = TypeChecker::new(
-        &env,
-        &program,
-        CheckOptions { use_comp_types: false, ..CheckOptions::default() },
-    )
-    .check_labeled("app");
-
-    // Run the test suite without checks.
-    let plain = Interpreter::new(program.clone());
-    let started = Instant::now();
-    plain.eval_program().map_err(|e| {
-        err(format!("test suite failed without checks: {e}"), Some(Box::new(e.into())))
-    })?;
-    let test_time_no_chk = started.elapsed();
-
-    // Run the test suite with the inserted dynamic checks, collecting (not
-    // raising) blame so migrating suites like `apps::sequel` complete and
-    // report their full blame diagnostics.  Registering (rather than just
-    // deriving) the namespace labels the app's row in `format_memo_stats`.
-    let hook = comprdl::make_hook_shared(
-        comp_result.checks(),
-        comp_result.store.clone(),
-        env.classes.clone(),
-        env.helpers.clone(),
-        CheckConfig { raise_blame: false, ..CheckConfig::default() },
-        memo.clone(),
-        memo.register_namespace(app.name),
-    );
-    let mut checked = Interpreter::new(program.clone());
-    checked.set_hook(hook.clone());
-    let started = Instant::now();
-    checked.eval_program().map_err(|e| {
-        err(format!("test suite failed with dynamic checks: {e}"), Some(Box::new(e.into())))
-    })?;
-    let test_time_with_chk = started.elapsed();
-    let runtime_blames: DiagnosticBag =
-        hook.take_blames().into_iter().map(Diagnostic::from).collect();
-
-    // Canonical diagnostic order (span, then code): the checker already
-    // returns methods in program order, but sorting here guarantees the
-    // rendered output is stable even for aggregators that interleave.
-    // TERM0004 annotation-conflict warnings (annotated stronger than
-    // inferred) join the bag; they are warnings, so `Table2Row::errors`
-    // and the seeded-bug pins are unaffected.
-    let mut diagnostics: DiagnosticBag =
-        comp_result.errors().into_iter().cloned().map(Diagnostic::from).collect();
-    diagnostics.extend(
-        TypeChecker::effect_conflicts(&env, &program, &inferred).into_iter().map(Diagnostic::from),
-    );
-    diagnostics.extend(parse_diags);
-    diagnostics.sort_by_span_then_code();
-
-    Ok(Table2Row {
-        program: app.name.to_string(),
-        group: app.group.to_string(),
-        methods: comp_result.methods_checked(),
-        loc: ruby_syntax::count_loc(app.source),
-        extra_annotations: app.extra_annotations,
-        casts: comp_result.total_casts(),
-        casts_rdl: rdl_result.total_casts(),
-        check_time,
-        test_time_no_chk,
-        test_time_with_chk,
-        dynamic_checks_run: checked.checks_performed(),
-        diagnostics,
-        runtime_blames,
-        lints,
-    })
-}
-
 /// Aggregates diagnostics across evaluated rows: per app, the bag of every
 /// type error its comp-type checking run produced (the per-app error counts
 /// of the paper's Table 2, but carrying full span/code information).
@@ -336,63 +170,43 @@ pub fn format_diagnostic_summary(per_app: &[(String, DiagnosticBag)]) -> String 
     out
 }
 
-/// Runs the evaluation for every app in the corpus, sequentially, against
-/// one shared runtime memo.
+/// Runs the evaluation for every app in the corpus, sequentially and with no
+/// cache (see [`evaluate_app`]), against one shared runtime memo.
 ///
 /// # Errors
 ///
 /// Propagates the first [`HarnessError`] encountered.
 pub fn table2() -> Result<Vec<Table2Row>, HarnessError> {
     let memo = Arc::new(SharedMemo::new());
-    crate::apps::all().iter().map(|app| evaluate_app_shared(app, 1, &memo)).collect()
+    crate::apps::all().iter().map(|app| Ok(evaluate_app(app, None, 1, &memo, None)?.0)).collect()
 }
 
 /// Runs the evaluation for every app in the corpus concurrently: one scoped
 /// thread per app (the class table, annotations and helper registries are
 /// `Send + Sync`, so each thread assembles and uses its environment
 /// independently), with per-method work-stealing inside each app's checking
-/// run.  All per-app hooks record into **one** [`SharedMemo`]; a store
-/// mutation on any thread (e.g. the Sequel app's mid-suite migration) bumps
-/// the memo's global epoch, so no thread can replay a verdict recorded
-/// before it.  Rows come back in corpus order, each row's diagnostics are
-/// sorted canonically and its runtime blames are deterministic per app, so
-/// everything except the measured wall-clock timings is byte-identical to a
-/// [`table2`] run.
+/// and lint passes.  All per-app hooks record into **one** [`SharedMemo`],
+/// each under its own app namespace; a store mutation (e.g. the Sequel
+/// app's mid-suite migration) bumps only its own namespace's epoch, so no
+/// hook of that app can replay a verdict recorded before it, while every
+/// other app keeps its warm entries.  Rows come back in corpus order, each
+/// row's diagnostics are sorted canonically and its runtime blames are
+/// deterministic per app, so everything except the measured wall-clock
+/// timings is byte-identical to a [`table2`] run.
 ///
-/// # Errors
-///
-/// Propagates the [`HarnessError`] of the first app (in corpus order) that
-/// failed.
-pub fn table2_parallel() -> Result<Vec<Table2Row>, HarnessError> {
-    table2_parallel_shared(&Arc::new(SharedMemo::new()))
-}
-
-/// [`table2_parallel`] against a caller-provided [`SharedMemo`], so
-/// harnesses and benches can inspect shard occupancy and hit rates after
-/// the run.
-///
-/// # Errors
-///
-/// See [`table2_parallel`].
-pub fn table2_parallel_shared(memo: &Arc<SharedMemo>) -> Result<Vec<Table2Row>, HarnessError> {
-    table2_parallel_faulted(memo, &crate::fault::FaultPlan::none())
-}
-
-/// [`table2_parallel_shared`] with seeded fault injection: each app worker
-/// runs under `catch_unwind`, and a panic — injected by `plan` or genuine —
-/// degrades to a placeholder row carrying one `ICE0001` diagnostic instead
-/// of aborting the suite.  Every app not named by the plan evaluates exactly
-/// as it would under [`FaultPlan::none`](crate::fault::FaultPlan::none)
-/// (which is what [`table2_parallel_shared`] passes), so the healthy rows
-/// are byte-identical under [`stable_report`] either way.
+/// Each app worker runs under `catch_unwind`, and a panic — injected by
+/// `plan` or genuine — degrades to a placeholder row carrying one
+/// `ICE0001` diagnostic instead of aborting the suite.  Every app the plan
+/// does not name evaluates exactly as under [`FaultPlan::none`], so the
+/// healthy rows are byte-identical under [`stable_report`] either way.
 ///
 /// # Errors
 ///
 /// Propagates the [`HarnessError`] of the first app (in corpus order) whose
 /// evaluation *returned* an error.  Panics never propagate.
-pub fn table2_parallel_faulted(
+pub fn table2_parallel(
     memo: &Arc<SharedMemo>,
-    plan: &crate::fault::FaultPlan,
+    plan: &FaultPlan,
 ) -> Result<Vec<Table2Row>, HarnessError> {
     let apps = crate::apps::all();
     let per_app_threads = std::thread::available_parallelism()
@@ -411,7 +225,7 @@ pub fn table2_parallel_faulted(
                         if plan.panics_for(app.name) {
                             panic!("injected fault: {} worker", app.name);
                         }
-                        evaluate_app_shared(app, per_app_threads, memo)
+                        Ok(evaluate_app(app, None, per_app_threads, memo, None)?.0)
                     }));
                     run.unwrap_or_else(|payload| Ok(ice_row(app, &*payload)))
                 })
@@ -525,20 +339,11 @@ fn overhead_fraction(base: Duration, with: Duration) -> f64 {
     (with.as_secs_f64() - base) / base
 }
 
-/// Runs one app's test suite under the Table 2 overhead configurations
-/// against a private shared memo.  See [`evaluate_overhead_shared`].
-///
-/// # Errors
-///
-/// See [`evaluate_overhead_shared`].
-pub fn evaluate_overhead(app: &App) -> Result<OverheadRow, HarnessError> {
-    evaluate_overhead_shared(app, &Arc::new(SharedMemo::new()))
-}
-
 /// Runs one app's test suite under the four Table 2 overhead
 /// configurations — no hook, pay-at-every-hit, memoized against the given
 /// (cold for this app) [`SharedMemo`], and a **warm** memoized re-run
-/// against the same memo — and gates the result on run-to-run agreement:
+/// against the same memo — through the same two suite runs as
+/// [`evaluate_app`], and gates the result on run-to-run agreement:
 ///
 /// * the memoized and unmemoized runs must execute the same number of
 ///   checks and produce **byte-identical blame sequences** (not just sets:
@@ -552,112 +357,70 @@ pub fn evaluate_overhead(app: &App) -> Result<OverheadRow, HarnessError> {
 ///
 /// # Errors
 ///
-/// Returns a [`HarnessError`] on parse/runtime failure or when a
-/// correctness gate fails.
-pub fn evaluate_overhead_shared(
-    app: &App,
-    memo: &Arc<SharedMemo>,
-) -> Result<OverheadRow, HarnessError> {
-    let err = |message: String, diagnostic: Option<Box<Diagnostic>>| HarnessError {
-        app: app.name.to_string(),
-        message,
-        diagnostic,
-    };
+/// Returns a [`HarnessError`] on a runtime failure or when a correctness
+/// gate fails.
+pub fn evaluate_overhead(app: &App, memo: &Arc<SharedMemo>) -> Result<OverheadRow, HarnessError> {
+    let err =
+        |message: String| HarnessError { app: app.name.to_string(), message, diagnostic: None };
 
     let env = app.build_env();
     let (program, _sources, _parse_diags) = app.parse();
     let comp = TypeChecker::new(&env, &program, CheckOptions::default()).check_labeled("app");
-
-    // Baseline: no hook installed.
-    let plain = Interpreter::new(program.clone());
-    let started = Instant::now();
-    plain.eval_program().map_err(|e| {
-        err(format!("test suite failed without checks: {e}"), Some(Box::new(e.into())))
-    })?;
-    let no_hook = started.elapsed();
-
-    // One checked run; returns (time, checks, blames, stats, store size).
+    let no_hook = run_plain_suite(app, &program)?;
     let checked_run = |memoize: bool| {
-        let hook = comprdl::make_hook_shared(
-            comp.checks(),
-            comp.store.clone(),
-            env.classes.clone(),
-            env.helpers.clone(),
-            CheckConfig { memoize, raise_blame: false, ..CheckConfig::default() },
-            memo.clone(),
-            memo.register_namespace(app.name),
-        );
-        let mut interp = Interpreter::new(program.clone());
-        interp.set_hook(hook.clone());
-        let started = Instant::now();
-        interp.eval_program().map_err(|e| {
-            err(format!("test suite failed with dynamic checks: {e}"), Some(Box::new(e.into())))
-        })?;
-        let elapsed = started.elapsed();
-        Ok((
-            elapsed,
-            interp.checks_performed(),
-            hook.take_blames(),
-            hook.memo_stats(),
-            hook.store_size(),
-        ))
+        let config = CheckConfig { memoize, raise_blame: false, ..CheckConfig::default() };
+        run_checked_suite(app, &env, &program, &comp, memo, config)
     };
-    let (unmemoized, checks_unmemo, blames_unmemo, _, store_unmemoized) = checked_run(false)?;
-    let (memoized, checks_memo, blames_memo, memo_stats, store_memoized) = checked_run(true)?;
+    let unmemoized = checked_run(false)?;
+    let memoized = checked_run(true)?;
 
     // The correctness gate: memoization must not change observable
     // behaviour.
-    if checks_unmemo != checks_memo {
-        return Err(err(
-            format!(
-                "memoized run executed {checks_memo} dynamic checks, unmemoized {checks_unmemo}"
-            ),
-            None,
-        ));
+    if unmemoized.checks != memoized.checks {
+        return Err(err(format!(
+            "memoized run executed {} dynamic checks, unmemoized {}",
+            memoized.checks, unmemoized.checks
+        )));
     }
-    if blames_unmemo != blames_memo {
-        return Err(err(
-            blame_divergence("unmemoized", &blames_unmemo, "memoized", &blames_memo),
-            None,
-        ));
+    if unmemoized.blames != memoized.blames {
+        return Err(err(blame_divergence(
+            "unmemoized",
+            &unmemoized.blames,
+            "memoized",
+            &memoized.blames,
+        )));
     }
 
     // The warm-run gate: a second memoized run against the now-populated
     // shared memo must reproduce the cold run exactly.  A divergence here
     // means a verdict leaked across runs or namespaces (shared-memo
     // cross-talk) and fails loudly.
-    let (memoized_warm, checks_warm, blames_warm, warm_memo_stats, _) = checked_run(true)?;
-    if checks_warm != checks_memo {
-        return Err(err(
-            format!(
-                "shared-memo cross-talk: warm run executed {checks_warm} dynamic checks, cold \
-                 run {checks_memo}"
-            ),
-            None,
-        ));
+    let warm = checked_run(true)?;
+    if warm.checks != memoized.checks {
+        return Err(err(format!(
+            "shared-memo cross-talk: warm run executed {} dynamic checks, cold run {}",
+            warm.checks, memoized.checks
+        )));
     }
-    if blames_warm != blames_memo {
-        return Err(err(
-            format!(
-                "shared-memo cross-talk: {}",
-                blame_divergence("cold", &blames_memo, "warm", &blames_warm)
-            ),
-            None,
-        ));
+    if warm.blames != memoized.blames {
+        return Err(err(format!(
+            "shared-memo cross-talk: {}",
+            blame_divergence("cold", &memoized.blames, "warm", &warm.blames)
+        )));
     }
 
     Ok(OverheadRow {
         program: app.name.to_string(),
         no_hook,
-        unmemoized,
-        memoized,
-        memoized_warm,
-        checks_run: checks_memo,
-        blames: blames_memo.len(),
-        memo_stats,
-        warm_memo_stats,
-        store_unmemoized,
-        store_memoized,
+        unmemoized: unmemoized.time,
+        memoized: memoized.time,
+        memoized_warm: warm.time,
+        checks_run: memoized.checks,
+        blames: memoized.blames.len(),
+        memo_stats: memoized.memo_stats,
+        warm_memo_stats: warm.memo_stats,
+        store_unmemoized: unmemoized.store_size,
+        store_memoized: memoized.store_size,
     })
 }
 
@@ -683,24 +446,15 @@ fn blame_divergence(
 }
 
 /// Runs the Table 2 overhead evaluation for every app in the corpus against
-/// one shared memo (see [`evaluate_overhead_shared`]).
+/// one shared memo (see [`evaluate_overhead`]), so callers can report its
+/// shard hit/miss statistics after the run.
 ///
 /// # Errors
 ///
 /// Propagates the first [`HarnessError`] encountered — including a
 /// correctness-gate failure, which is what the CI smoke bench relies on.
-pub fn table2_overhead() -> Result<Vec<OverheadRow>, HarnessError> {
-    table2_overhead_shared(&Arc::new(SharedMemo::new()))
-}
-
-/// [`table2_overhead`] against a caller-provided [`SharedMemo`], so benches
-/// can report its shard hit/miss statistics after the run.
-///
-/// # Errors
-///
-/// See [`table2_overhead`].
-pub fn table2_overhead_shared(memo: &Arc<SharedMemo>) -> Result<Vec<OverheadRow>, HarnessError> {
-    crate::apps::all().iter().map(|app| evaluate_overhead_shared(app, memo)).collect()
+pub fn table2_overhead(memo: &Arc<SharedMemo>) -> Result<Vec<OverheadRow>, HarnessError> {
+    crate::apps::all().iter().map(|app| evaluate_overhead(app, memo)).collect()
 }
 
 /// Renders a [`SharedMemo`]'s statistics — aggregate hit / miss /

@@ -1,197 +1,23 @@
 //! Incremental re-checking of the corpus against a persistent
-//! [`CheckCache`].
+//! [`CheckCache`], plus the seeded source edits the incremental tests and
+//! benchmarks drive it with.
 //!
-//! A from-scratch corpus run ([`crate::table2`]) type checks every labeled
-//! method of every app.  The incremental driver here re-checks only the
-//! methods whose **Merkle dependency hash** moved since the cached run:
-//!
-//! 1. Parse the app (optionally with an edited source, see
-//!    [`crate::App::parse_with_source`]) and build its
-//!    [`comprdl::semdep::DepGraph`], which assigns every labeled method a
-//!    Merkle hash over its own structure plus everything its verdict depends
-//!    on (callees, annotation signatures, type-level helper bodies).
-//! 2. **Phase A (replay):** for each labeled method, ask the cache for a
-//!    verdict stored under the same `(app, env hash, method, Merkle hash)`;
-//!    hits are thawed into a fresh [`rdl_types::TypeStore`] with their spans
-//!    re-anchored against the *current* parse, so layout-only edits replay
-//!    byte-identically.
-//! 3. **Phase B (check):** the misses are checked for real via
-//!    [`TypeChecker::check_methods`]; the phase-B store is merged into the
-//!    replay store exactly like the parallel harness merges worker stores
-//!    (absorb + shift of every inserted check's store-backed types).
-//! 4. Both checking runs — comp types on, and the plain-RDL comparison run
-//!    (comp types off, cached under `"<app>::plain"`) — are recorded back
-//!    into the cache, which the caller persists with
-//!    [`CheckCache::save`].
-//!
-//! The resulting [`Table2Row`] is built by exactly the same recipe as
-//! [`crate::evaluate_app_shared`], so [`crate::stable_report`] over an
-//! incremental run is byte-identical to a from-scratch run — that equality
-//! is what makes replaying a cached verdict *sound to observe*: if it ever
-//! broke, the cache would be changing answers, not just saving work.
+//! An incremental run is the corpus driver ([`crate::evaluate_app`]) with
+//! a cache: it re-checks only the methods whose **Merkle dependency hash**
+//! moved since the cached run and replays the rest (see [`crate::driver`]
+//! for the two phases), so its [`crate::stable_report`] is byte-identical
+//! to a from-scratch run.
 
 use crate::app::App;
+use crate::driver::{evaluate_app, AppRecheck};
 use crate::harness::{HarnessError, Table2Row};
-use comprdl::persist::content_hash;
-use comprdl::semdep::{env_hash, DepGraph};
-use comprdl::{
-    CheckCache, CheckConfig, CheckOptions, CompRdl, MethodCheckResult, ProgramCheckResult,
-    SharedMemo, TypeChecker,
-};
-use diagnostics::{Diagnostic, DiagnosticBag};
-use rdl_types::TypeStore;
-use ruby_interp::Interpreter;
-use ruby_syntax::ast::MethodDef;
-use ruby_syntax::Program;
+use comprdl::{CheckCache, SharedMemo};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// How much of one checking pass was replayed from the cache versus
-/// re-checked for real.
-#[derive(Debug, Clone, Default)]
-pub struct RecheckStats {
-    /// Labeled methods in the pass.
-    pub total: usize,
-    /// Methods whose verdicts replayed from the cache.
-    pub replayed: usize,
-    /// Methods that had to be re-checked, as `(owner, name, singleton)`
-    /// identities in program order (`checked_methods.len()` is the re-check
-    /// count).
-    pub checked_methods: Vec<(String, String, bool)>,
-}
-
-impl RecheckStats {
-    /// Number of methods that had to be re-checked.
-    pub fn checked(&self) -> usize {
-        self.checked_methods.len()
-    }
-
-    /// True when every verdict came from the cache.
-    pub fn all_replayed(&self) -> bool {
-        self.replayed == self.total && self.checked_methods.is_empty()
-    }
-}
-
-/// Replay/re-check counters for one app's two checking passes.
-#[derive(Debug, Clone)]
-pub struct AppRecheck {
-    /// App name.
-    pub app: String,
-    /// The comp-type checking pass.
-    pub comp: RecheckStats,
-    /// The plain-RDL comparison pass (comp types disabled), cached under
-    /// `"<app>::plain"`.
-    pub plain: RecheckStats,
-    /// The dataflow lint pass.  Keyed by each method's **Merkle**
-    /// dependency hash — `LINT0105` follows taint through calls, so a lint
-    /// verdict depends on the method's transitive callees, exactly what
-    /// the Merkle hash covers.  Layout-only edits still replay every
-    /// finding (the hash is layout-invariant).
-    pub lint: RecheckStats,
-    /// The effect-summary inference pass (termination / purity / taint),
-    /// Merkle-keyed like the lints.  Replay is per-SCC: a component is
-    /// replayed only when every member's cached record matches.
-    pub effects: RecheckStats,
-}
-
-impl AppRecheck {
-    /// True when both checking passes, the lint pass and the effect
-    /// inference replayed every verdict.
-    pub fn all_replayed(&self) -> bool {
-        self.comp.all_replayed()
-            && self.plain.all_replayed()
-            && self.lint.all_replayed()
-            && self.effects.all_replayed()
-    }
-}
-
-/// One incremental checking pass: replay what the cache can prove unchanged,
-/// check the rest, and merge the two stores so the result is
-/// indistinguishable from a from-scratch [`TypeChecker::check_labeled`] run.
-#[allow(clippy::too_many_arguments)]
-fn check_incremental(
-    cache: &CheckCache,
-    cache_key: &str,
-    env: &CompRdl,
-    program: &Program,
-    options: CheckOptions,
-    env_h: u64,
-    files: &[u64],
-    graph: &DepGraph,
-    effects: &[comprdl::InferredEffect],
-) -> (ProgramCheckResult, RecheckStats) {
-    let selected = TypeChecker::labeled_methods(env, program, "app");
-    let total = selected.len();
-
-    // Phase A: replay.  Thawed types land in a fresh store, so phase B's
-    // absorbed ids never collide with replayed ones.
-    let mut store = TypeStore::new();
-    let mut slots: Vec<Option<MethodCheckResult>> = Vec::with_capacity(total);
-    let mut to_check: Vec<(usize, (String, &MethodDef))> = Vec::new();
-    for (idx, (owner, def)) in selected.iter().enumerate() {
-        let replayed = graph.merkle(owner, &def.name, def.singleton).and_then(|merkle| {
-            cache.replay(cache_key, env, env_h, files, owner, def, merkle, &mut store)
-        });
-        match replayed {
-            Some(result) => slots.push(Some(result)),
-            None => {
-                slots.push(None);
-                to_check.push((idx, (owner.clone(), *def)));
-            }
-        }
-    }
-    let replayed = total - to_check.len();
-    let checked_methods: Vec<(String, String, bool)> = to_check
-        .iter()
-        .map(|(_, (owner, def))| (owner.clone(), def.name.clone(), def.singleton))
-        .collect();
-
-    // Phase B: really check the misses, then merge their store into the
-    // replay store the same way the parallel harness merges worker stores.
-    let mut cache_stats = comprdl::CacheStats::default();
-    if !to_check.is_empty() {
-        let subset: Vec<(String, &MethodDef)> =
-            to_check.iter().map(|(_, pair)| pair.clone()).collect();
-        // Install the same inferred effect layer the from-scratch harness
-        // uses, so a re-checked method gets the same verdict it would get
-        // cold.  (Replayed verdicts already saw it: a summary can only
-        // change if some transitive callee changed, which moves the
-        // caller's Merkle hash and forces a re-check.)
-        let mut checker = TypeChecker::new(env, program, options);
-        checker.install_inferred_effects(effects);
-        let fresh = checker.check_methods(&subset);
-        cache_stats = fresh.cache_stats;
-        let shift = store.absorb(fresh.store);
-        for ((idx, _), mut result) in to_check.into_iter().zip(fresh.methods) {
-            for check in &mut result.checks {
-                check.expected_return = shift.apply(&check.expected_return);
-                if let Some(consistency) = &mut check.consistency {
-                    consistency.expected = shift.apply(&consistency.expected);
-                }
-            }
-            slots[idx] = Some(result);
-        }
-    }
-
-    let methods: Vec<MethodCheckResult> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(methods.len(), total);
-    (
-        ProgramCheckResult { methods, store, cache_stats },
-        RecheckStats { total, replayed, checked_methods },
-    )
-}
-
-/// Cache key for an app's plain-RDL (comp types disabled) checking pass.
-fn plain_key(app: &App) -> String {
-    format!("{}::plain", app.name)
-}
-
-/// Runs the full evaluation for one app **incrementally** against `cache`,
-/// optionally with its source replaced by `source_override` (the edited-file
-/// scenario).  Produces the same [`Table2Row`] as
-/// [`crate::evaluate_app_shared`] — byte-identical under
-/// [`crate::stable_report`] — plus the replay/re-check counters, and records
-/// the (possibly refreshed) verdicts back into `cache`.
+/// Runs the full evaluation for one app incrementally against `cache`
+/// (sequential checking), optionally with its source replaced by
+/// `source_override` (the edited-file scenario), and records the (possibly
+/// refreshed) verdicts back into `cache`.  See [`crate::evaluate_app`].
 ///
 /// # Errors
 ///
@@ -202,231 +28,7 @@ pub fn evaluate_app_incremental(
     cache: &mut CheckCache,
     memo: &Arc<SharedMemo>,
 ) -> Result<(Table2Row, AppRecheck), HarnessError> {
-    let err = |message: String, diagnostic: Option<Box<Diagnostic>>| HarnessError {
-        app: app.name.to_string(),
-        message,
-        diagnostic,
-    };
-
-    let source = source_override.unwrap_or(app.source);
-    let env = app.build_env();
-    // Parsing never fails; recovery diagnostics join the row's bag below,
-    // exactly as in `evaluate_app_shared`, so a warm run over a broken file
-    // renders byte-identically to a cold one.
-    let (program, _sources, parse_diags) = app.parse_with_source(source);
-
-    // The cache validators: content hashes of both files (indexed by span
-    // file id: app = 0, tests = 1), the environment hash, and the Merkle
-    // dependency hashes of every method.
-    let files = vec![content_hash(source), content_hash(app.test_suite)];
-    let env_h = env_hash(&env);
-    let graph = DepGraph::build(&env, &program);
-
-    // Interprocedural effect summaries, incrementally: every cached record
-    // whose Merkle hash still matches replays verbatim; the rest are
-    // inferred against that baseline (whole SCCs at a time — a component
-    // replays only when every member hits).  The summaries feed the same
-    // three consumers as in `evaluate_app_shared`: the checker's inferred
-    // effect layer, the taint-aware lint pass, and the TERM0004 warnings.
-    let seed = crate::effects::seed_map(&env);
-    let fixed = crate::effects::replay_baseline(cache, app.name, &program, &graph);
-    let (summaries, _) = analysis::ProgramSummaries::infer_with_baseline(&program, &seed, &fixed);
-    let all_methods = program.methods();
-    let resummarized_sccs: std::collections::BTreeSet<usize> = {
-        let mut members: std::collections::BTreeMap<usize, Vec<(String, String, bool)>> =
-            std::collections::BTreeMap::new();
-        for s in summaries.iter() {
-            members.entry(s.scc).or_default().push((s.owner.clone(), s.name.clone(), s.singleton));
-        }
-        members
-            .into_iter()
-            .filter(|(_, ids)| !ids.iter().all(|id| fixed.contains_key(id)))
-            .map(|(scc, _)| scc)
-            .collect()
-    };
-    let effect_checked: Vec<(String, String, bool)> = all_methods
-        .iter()
-        .filter(|(owner, def)| {
-            summaries
-                .get(owner, &def.name, def.singleton)
-                .is_some_and(|s| resummarized_sccs.contains(&s.scc))
-        })
-        .map(|(owner, def)| (owner.clone(), def.name.clone(), def.singleton))
-        .collect();
-    let effect_stats = RecheckStats {
-        total: all_methods.len(),
-        replayed: all_methods.len() - effect_checked.len(),
-        checked_methods: effect_checked,
-    };
-    let inferred = crate::effects::summaries_to_inferred(&summaries);
-
-    // Static checking with comp types (timed; replay + re-check).
-    let started = Instant::now();
-    let (comp_result, comp_stats) = check_incremental(
-        cache,
-        app.name,
-        &env,
-        &program,
-        CheckOptions::default(),
-        env_h,
-        &files,
-        &graph,
-        &inferred,
-    );
-    let check_time = started.elapsed();
-
-    // The lint pass, incrementally: replay any method whose **Merkle**
-    // hash matches the cached verdict (`LINT0105` follows taint through
-    // calls, so a lint verdict depends on the method's transitive callees
-    // — the semhash alone would replay stale findings after a callee
-    // edit), and lint the rest for real against the current summaries.
-    // This reads the cache *before* `record_app` below rebuilds the app
-    // entry against the current file table.  Replayed records render
-    // through the same code-derived notes as fresh findings, so the bag is
-    // byte-identical either way.
-    let mut lint_stats =
-        RecheckStats { total: all_methods.len(), replayed: 0, checked_methods: Vec::new() };
-    let mut lint_bag = DiagnosticBag::new();
-    let mut lint_records: Vec<(String, &MethodDef, u64, Vec<comprdl::LintRecord>)> =
-        Vec::with_capacity(all_methods.len());
-    for (owner, def) in &all_methods {
-        let merkle = graph
-            .merkle(owner, &def.name, def.singleton)
-            .unwrap_or_else(|| ruby_syntax::method_hash(def));
-        match cache.replay_lints(app.name, &files, owner, def, merkle) {
-            Some(records) => {
-                lint_stats.replayed += 1;
-                lint_bag.extend(records.iter().map(crate::lints::record_to_diagnostic));
-                lint_records.push((owner.clone(), *def, merkle, records));
-            }
-            None => {
-                lint_stats.checked_methods.push((owner.clone(), def.name.clone(), def.singleton));
-                let fresh = analysis::lint_method_with_summaries(owner, def, Some(&summaries));
-                lint_bag.extend(fresh.findings.iter().map(diagnostics::Diagnostic::from));
-                lint_records.push((
-                    owner.clone(),
-                    *def,
-                    merkle,
-                    crate::lints::findings_to_records(&fresh),
-                ));
-            }
-        }
-    }
-    lint_bag.sort_by_span_then_code();
-    let lint_files = files.clone();
-
-    // Static checking in plain-RDL mode, incrementally under its own key
-    // (same Merkle hashes: the dependency graph is options-independent).
-    let (rdl_result, plain_stats) = check_incremental(
-        cache,
-        &plain_key(app),
-        &env,
-        &program,
-        CheckOptions { use_comp_types: false, ..CheckOptions::default() },
-        env_h,
-        &files,
-        &graph,
-        &inferred,
-    );
-
-    // Record both passes back into the cache (replacing the app's entries)
-    // before the suites run, so a suite failure still leaves a fresh cache.
-    let selected = TypeChecker::labeled_methods(&env, &program, "app");
-    fn freeze_list<'a>(
-        selected: &[(String, &'a MethodDef)],
-        graph: &DepGraph,
-        result: &'a ProgramCheckResult,
-    ) -> Vec<(String, &'a MethodDef, u64, &'a MethodCheckResult)> {
-        selected
-            .iter()
-            .zip(&result.methods)
-            .map(|((owner, def), verdict)| {
-                let merkle = graph.merkle(owner, &def.name, def.singleton).unwrap_or(0);
-                (owner.clone(), *def, merkle, verdict)
-            })
-            .collect()
-    }
-    cache.record_app(
-        app.name,
-        env_h,
-        files.clone(),
-        &freeze_list(&selected, &graph, &comp_result),
-        &comp_result.store,
-    );
-    cache.record_app(
-        &plain_key(app),
-        env_h,
-        files,
-        &freeze_list(&selected, &graph, &rdl_result),
-        &rdl_result.store,
-    );
-
-    // Record the (possibly refreshed) lint and effect sections.  These
-    // must come after `record_app`, which rebuilds the app entry against
-    // the current file table (dropping any stale lint section along the
-    // way; the span-free effect section is preserved and replaced here).
-    cache.record_lints(app.name, lint_files, &lint_records);
-    cache.record_effects(app.name, crate::effects::summaries_to_records(&summaries, &graph));
-
-    // From here on the recipe is exactly `evaluate_app_shared`.
-    let plain = Interpreter::new(program.clone());
-    let started = Instant::now();
-    plain.eval_program().map_err(|e| {
-        err(format!("test suite failed without checks: {e}"), Some(Box::new(e.into())))
-    })?;
-    let test_time_no_chk = started.elapsed();
-
-    let hook = comprdl::make_hook_shared(
-        comp_result.checks(),
-        comp_result.store.clone(),
-        env.classes.clone(),
-        env.helpers.clone(),
-        CheckConfig { raise_blame: false, ..CheckConfig::default() },
-        memo.clone(),
-        memo.register_namespace(app.name),
-    );
-    let mut checked = Interpreter::new(program.clone());
-    checked.set_hook(hook.clone());
-    let started = Instant::now();
-    checked.eval_program().map_err(|e| {
-        err(format!("test suite failed with dynamic checks: {e}"), Some(Box::new(e.into())))
-    })?;
-    let test_time_with_chk = started.elapsed();
-    let runtime_blames: DiagnosticBag =
-        hook.take_blames().into_iter().map(Diagnostic::from).collect();
-
-    let mut diagnostics: DiagnosticBag =
-        comp_result.errors().into_iter().cloned().map(Diagnostic::from).collect();
-    diagnostics.extend(
-        TypeChecker::effect_conflicts(&env, &program, &inferred).into_iter().map(Diagnostic::from),
-    );
-    diagnostics.extend(parse_diags);
-    diagnostics.sort_by_span_then_code();
-
-    let row = Table2Row {
-        program: app.name.to_string(),
-        group: app.group.to_string(),
-        methods: comp_result.methods_checked(),
-        loc: ruby_syntax::count_loc(source),
-        extra_annotations: app.extra_annotations,
-        casts: comp_result.total_casts(),
-        casts_rdl: rdl_result.total_casts(),
-        check_time,
-        test_time_no_chk,
-        test_time_with_chk,
-        dynamic_checks_run: checked.checks_performed(),
-        diagnostics,
-        runtime_blames,
-        lints: lint_bag,
-    };
-    let stats = AppRecheck {
-        app: app.name.to_string(),
-        comp: comp_stats,
-        plain: plain_stats,
-        lint: lint_stats,
-        effects: effect_stats,
-    };
-    Ok((row, stats))
+    evaluate_app(app, source_override, 1, memo, Some(cache))
 }
 
 /// Runs the whole corpus incrementally against `cache` (all checked runs
@@ -441,14 +43,11 @@ pub fn table2_incremental(
     cache: &mut CheckCache,
 ) -> Result<(Vec<Table2Row>, Vec<AppRecheck>), HarnessError> {
     let memo = Arc::new(SharedMemo::new());
-    let mut rows = Vec::new();
-    let mut stats = Vec::new();
-    for app in crate::apps::all() {
-        let (row, app_stats) = evaluate_app_incremental(&app, None, cache, &memo)?;
-        rows.push(row);
-        stats.push(app_stats);
-    }
-    Ok((rows, stats))
+    let runs: Vec<(Table2Row, AppRecheck)> = crate::apps::all()
+        .iter()
+        .map(|app| evaluate_app(app, None, 1, &memo, Some(&mut *cache)))
+        .collect::<Result<_, _>>()?;
+    Ok(runs.into_iter().unzip())
 }
 
 // ---------------------------------------------------------------------------

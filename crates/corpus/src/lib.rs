@@ -9,7 +9,9 @@
 //! mid-run — and the harness that regenerates Table 1, Table 2 and the
 //! Table 2 dynamic-check overhead comparison
 //! ([`harness::table2_overhead`]), all checked runs sharing one concurrent
-//! runtime memo ([`comprdl::SharedMemo`]).
+//! runtime memo ([`comprdl::SharedMemo`]).  Every Table 2 row comes from one
+//! driver, [`evaluate_app`], whose batch, parallel and incremental uses
+//! differ only in thread count and whether a check cache is attached.
 //!
 //! Each app parses as a **two-file** program — source plus test suite, each
 //! with its own span file id (see [`App::parse`]) — so call-site identities
@@ -25,6 +27,7 @@
 
 pub mod app;
 pub mod apps;
+pub mod driver;
 pub mod effects;
 pub mod fault;
 pub mod harness;
@@ -32,25 +35,21 @@ pub mod incremental;
 pub mod lints;
 
 pub use app::App;
+pub use driver::{evaluate_app, AppRecheck, RecheckStats};
 pub use effects::{
-    effects_pass, record_to_summary, replay_baseline, seed_map, summaries_to_inferred,
-    summaries_to_records, summary_to_record,
+    effects_pass, replay_baseline, seed_map, summaries_to_inferred, summaries_to_records,
 };
 pub use fault::FaultPlan;
 pub use harness::{
-    corpus_diagnostics, evaluate_app, evaluate_app_shared, evaluate_app_with, evaluate_overhead,
-    evaluate_overhead_shared, format_diagnostic_summary, format_memo_stats, format_overhead,
-    format_table1, format_table2, render_runtime_blames, stable_report, table1, table2,
-    table2_overhead, table2_overhead_shared, table2_parallel, table2_parallel_faulted,
-    table2_parallel_shared, HarnessError, OverheadRow, Table1Row, Table2Row,
+    corpus_diagnostics, evaluate_overhead, format_diagnostic_summary, format_memo_stats,
+    format_overhead, format_table1, format_table2, render_runtime_blames, stable_report, table1,
+    table2, table2_overhead, table2_parallel, HarnessError, OverheadRow, Table1Row, Table2Row,
 };
 pub use incremental::{
     evaluate_app_incremental, table2_incremental, with_broken_method, with_layout_noise,
-    with_method_edit, AppRecheck, RecheckStats,
+    with_method_edit,
 };
-pub use lints::{
-    findings_to_records, lint_bag, lint_pass, lint_pass_with_summaries, record_to_diagnostic,
-};
+pub use lints::{findings_to_records, lint_bag, lint_pass_with_summaries, record_to_diagnostic};
 
 #[cfg(test)]
 mod tests {
@@ -121,7 +120,9 @@ mod tests {
     #[test]
     fn parallel_table2_output_is_byte_identical_to_sequential() {
         let sequential = table2().expect("sequential harness");
-        let parallel = table2_parallel().expect("parallel harness");
+        let parallel =
+            table2_parallel(&std::sync::Arc::new(comprdl::SharedMemo::new()), &FaultPlan::none())
+                .expect("parallel harness");
         assert_eq!(
             stable_report(&sequential),
             stable_report(&parallel),
@@ -131,7 +132,8 @@ mod tests {
 
     #[test]
     fn overhead_rows_cover_the_whole_corpus_and_pass_the_gate() {
-        let rows = table2_overhead().expect("overhead harness (includes the blame-set gate)");
+        let memo = std::sync::Arc::new(comprdl::SharedMemo::new());
+        let rows = table2_overhead(&memo).expect("overhead harness (includes the blame-set gate)");
         assert_eq!(rows.len(), 8, "eight apps: the paper's six plus Redmine and Sequel");
         for row in &rows {
             assert!(row.checks_run > 0, "{}: no dynamic checks executed", row.program);
@@ -254,8 +256,8 @@ mod tests {
         // A cold and then a warm memoized run against one shared memo must
         // both reproduce the baseline's rendered output byte for byte.
         let memo = std::sync::Arc::new(comprdl::SharedMemo::new());
-        let cold = evaluate_app_shared(&app, 1, &memo).expect("cold run");
-        let warm = evaluate_app_shared(&app, 1, &memo).expect("warm run");
+        let cold = evaluate_app(&app, None, 1, &memo, None).expect("cold run").0;
+        let warm = evaluate_app(&app, None, 1, &memo, None).expect("warm run").0;
         for (label, row) in [("cold", &cold), ("warm", &warm)] {
             assert_eq!(
                 render_runtime_blames(&app, row),

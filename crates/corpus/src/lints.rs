@@ -55,28 +55,19 @@ pub fn lint_bag(methods: &[MethodLints]) -> DiagnosticBag {
     bag
 }
 
-/// Runs the lint suite over a parsed program with `threads` workers
-/// (1 = sequential) and returns the per-method results.  The parallel
-/// splitting is output-invisible: [`analysis::lint_program_parallel`]
-/// merges worker results back into method-index order.
-pub fn lint_pass(program: &Program, threads: usize) -> Vec<MethodLints> {
-    lint_pass_with_summaries(program, None, threads)
-}
-
-/// Like [`lint_pass`], but threads interprocedural effect summaries into
-/// the suite so `LINT0105` follows taint through calls (a caller that
-/// concatenates user input and passes it to a callee whose summary says
-/// the parameter reaches a SQL sink is flagged at the call site).
+/// Runs the lint suite over every method of a parsed program with
+/// `threads` workers (1 = sequential) and returns the per-method results.
+/// The parallel splitting is output-invisible: [`analysis::lint_methods`]
+/// merges worker results back into method order.  With `summaries`,
+/// `LINT0105` follows taint through calls (a caller that concatenates user
+/// input and passes it to a callee whose summary says the parameter
+/// reaches a SQL sink is flagged at the call site).
 pub fn lint_pass_with_summaries(
     program: &Program,
     summaries: Option<&analysis::ProgramSummaries>,
     threads: usize,
 ) -> Vec<MethodLints> {
-    if threads > 1 {
-        analysis::lint_program_parallel_with_summaries(program, summaries, threads)
-    } else {
-        analysis::lint_program_with_summaries(program, summaries)
-    }
+    analysis::lint_methods(&program.methods(), summaries, threads)
 }
 
 #[cfg(test)]
@@ -87,7 +78,7 @@ mod tests {
     fn record_round_trip_renders_byte_identically() {
         let program =
             ruby_syntax::parse_program_strict("def leftover(a)\n  unused = a\n  a\nend\n").unwrap();
-        let fresh = lint_pass(&program, 1);
+        let fresh = lint_pass_with_summaries(&program, None, 1);
         let bag = lint_bag(&fresh);
         assert_eq!(bag.warning_count(), 1, "{bag}");
 

@@ -321,3 +321,99 @@ fn disk_cache_replays_byte_identical_and_edits_invalidate_minimally() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One step of a seeded edit script.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    /// A semantic edit to one labeled method of the current source.
+    Edit,
+    /// Layout-only noise over the current source.
+    Noise,
+    /// Back to the pristine source.
+    Revert,
+}
+
+/// Multi-step edit scripts against one on-disk cache: per app, a seeded
+/// script of four steps drawn from method edits, layout noise and reverts.
+/// After every step the incremental row is byte-identical to an
+/// empty-cache run of the same source, and both checking passes re-check
+/// exactly the labeled methods whose Merkle hash moved since the previous
+/// step — nothing at all after a layout-only step.
+#[test]
+fn seeded_edit_scripts_match_from_scratch_runs_at_every_step() {
+    let dir = temp_dir("script");
+    let render = |row: &corpus::Table2Row| stable_report(std::slice::from_ref(row));
+    let fresh_memo = || Arc::new(comprdl::SharedMemo::new());
+    for (app_idx, app) in corpus::apps::all().iter().enumerate() {
+        let env = app.build_env();
+        let (program, _, _) = app.parse();
+        let mut editable: Vec<String> = TypeChecker::labeled_methods(&env, &program, "app")
+            .into_iter()
+            .map(|(_, def)| def.name.clone())
+            .filter(|name| with_method_edit(app.source, name).is_some())
+            .collect();
+        editable.sort();
+        editable.dedup();
+        assert!(!editable.is_empty(), "{}: no editable labeled method", app.name);
+        // The labeled methods of a source, with their Merkle hashes.
+        let labeled_merkles = |source: &str| -> BTreeMap<MethodId, u64> {
+            let (program, _, _) = app.parse_with_source(source);
+            let merkles: BTreeMap<_, _> =
+                DepGraph::build(&env, &program).method_merkles().into_iter().collect();
+            TypeChecker::labeled_methods(&env, &program, "app")
+                .into_iter()
+                .map(|(owner, def)| {
+                    let id = (owner, def.name.clone(), def.singleton);
+                    let merkle = merkles[&id];
+                    (id, merkle)
+                })
+                .collect()
+        };
+
+        let path = dir.join(format!("{app_idx}.bin"));
+        let mut cache = CheckCache::new();
+        evaluate_app_incremental(app, None, &mut cache, &fresh_memo()).expect("cold run");
+        cache.save(&path).expect("save cache");
+
+        let mut rng = test_rng::Rng::new(0x5eed_0000 + ((app_idx as u64) << 1) + 1);
+        let mut current = app.source.to_string();
+        for step_no in 0..4 {
+            let step = [Step::Edit, Step::Noise, Step::Revert][rng.below(3) as usize];
+            let next = match step {
+                Step::Edit => {
+                    let name = &editable[rng.below(editable.len() as u64) as usize];
+                    with_method_edit(&current, name).expect("edits keep every def line")
+                }
+                Step::Noise => with_layout_noise(&current, rng.next_u64()),
+                Step::Revert => app.source.to_string(),
+            };
+            let at = format!("{} step {step_no} ({step:?})", app.name);
+
+            let mut cache = CheckCache::load(&path);
+            let (row, stats) =
+                evaluate_app_incremental(app, Some(&next), &mut cache, &fresh_memo())
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+            cache.save(&path).expect("save cache");
+            let (scratch, _) =
+                evaluate_app_incremental(app, Some(&next), &mut CheckCache::new(), &fresh_memo())
+                    .unwrap_or_else(|e| panic!("{at}: from-scratch run: {e}"));
+            assert_eq!(render(&row), render(&scratch), "{at}: diverged from a from-scratch run");
+
+            let before = labeled_merkles(&current);
+            let moved: BTreeSet<MethodId> = labeled_merkles(&next)
+                .into_iter()
+                .filter(|(id, merkle)| before.get(id) != Some(merkle))
+                .map(|(id, _)| id)
+                .collect();
+            if step == Step::Noise {
+                assert!(moved.is_empty(), "{at}: layout noise moved a Merkle hash: {moved:?}");
+            }
+            for (pass, stats) in [("comp", &stats.comp), ("plain", &stats.plain)] {
+                let checked: BTreeSet<MethodId> = stats.checked_methods.iter().cloned().collect();
+                assert_eq!(checked, moved, "{at}: {pass} re-check set must be the Merkle diff");
+            }
+            current = next;
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

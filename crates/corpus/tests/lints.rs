@@ -5,7 +5,10 @@
 
 use comprdl::persist::content_hash;
 use comprdl::CheckCache;
-use corpus::{findings_to_records, lint_bag, lint_pass, record_to_diagnostic, with_layout_noise};
+use corpus::{
+    findings_to_records, lint_bag, lint_pass_with_summaries, record_to_diagnostic,
+    with_layout_noise,
+};
 use diagnostics::DiagnosticBag;
 
 const SEEDS: [u64; 3] = [3, 0x5eed, 0xdead_beef];
@@ -28,12 +31,12 @@ fn parallel_lint_findings_are_byte_identical_to_sequential() {
     let mut total_findings = 0usize;
     for app in corpus::apps::all() {
         let (program, _, _) = app.parse();
-        let baseline = lint_bag(&lint_pass(&program, 1));
+        let baseline = lint_bag(&lint_pass_with_summaries(&program, None, 1));
         total_findings += baseline.len();
         for threads in [2, 3, 4, 8] {
             assert_eq!(
                 render(&baseline),
-                render(&lint_bag(&lint_pass(&program, threads))),
+                render(&lint_bag(&lint_pass_with_summaries(&program, None, threads))),
                 "{} with {threads} workers: parallel lint output diverged",
                 app.name
             );
@@ -98,7 +101,7 @@ fn layout_noise_replays_every_lint_verdict_through_a_real_cache_file() {
             replayed.sort_by_span_then_code();
 
             // The oracle: lint the noisy parse from scratch.
-            let fresh = lint_bag(&lint_pass(&noisy, 1));
+            let fresh = lint_bag(&lint_pass_with_summaries(&noisy, None, 1));
             assert_eq!(
                 render(&fresh),
                 render(&replayed),

@@ -5,8 +5,8 @@
 //! harness, and incremental break/repair/corruption durability.
 
 use corpus::{
-    evaluate_app_incremental, evaluate_app_shared, stable_report, table2_parallel_faulted,
-    table2_parallel_shared, with_broken_method, App, FaultPlan,
+    evaluate_app, evaluate_app_incremental, stable_report, table2_parallel, with_broken_method,
+    App, FaultPlan,
 };
 use std::sync::Arc;
 
@@ -222,23 +222,13 @@ fn one_broken_method_per_app_leaves_every_other_verdict_byte_identical() {
         );
 
         // Sequential vs parallel over the *broken* source: the recovery
-        // path must be as deterministic as the healthy one.  (The app's
-        // `source` field is `&'static str`; leaking the broken variant is
-        // the test-only price of reusing the production harness entry.)
-        let broken_app = App {
-            name: app.name,
-            group: app.group,
-            db: app.db.clone(),
-            annotate: app.annotate,
-            source: Box::leak(broken_src.into_boxed_str()),
-            test_suite: app.test_suite,
-            extra_annotations: app.extra_annotations,
-            expected_errors: app.expected_errors,
-        };
-        let seq = evaluate_app_shared(&broken_app, 1, &fresh_memo())
-            .unwrap_or_else(|e| panic!("{}: sequential broken run failed: {e:?}", app.name));
-        let par = evaluate_app_shared(&broken_app, 4, &fresh_memo())
-            .unwrap_or_else(|e| panic!("{}: parallel broken run failed: {e:?}", app.name));
+        // path must be as deterministic as the healthy one.
+        let seq = evaluate_app(&app, Some(&broken_src), 1, &fresh_memo(), None)
+            .unwrap_or_else(|e| panic!("{}: sequential broken run failed: {e:?}", app.name))
+            .0;
+        let par = evaluate_app(&app, Some(&broken_src), 4, &fresh_memo(), None)
+            .unwrap_or_else(|e| panic!("{}: parallel broken run failed: {e:?}", app.name))
+            .0;
         assert_eq!(
             stable_report(std::slice::from_ref(&seq)),
             stable_report(std::slice::from_ref(&par)),
@@ -254,11 +244,10 @@ fn one_broken_method_per_app_leaves_every_other_verdict_byte_identical() {
 /// single distinctly-rendered `ICE0001` diagnostic.
 #[test]
 fn injected_worker_panics_degrade_to_ice_rows_without_aborting() {
-    let baseline = table2_parallel_shared(&fresh_memo()).expect("unfaulted parallel run");
+    let baseline = table2_parallel(&fresh_memo(), &FaultPlan::none()).expect("unfaulted run");
     let plan = FaultPlan::seeded(0xf001, 2);
     assert_eq!(plan.len(), 2);
-    let faulted =
-        table2_parallel_faulted(&fresh_memo(), &plan).expect("a worker panic must not abort");
+    let faulted = table2_parallel(&fresh_memo(), &plan).expect("a worker panic must not abort");
     assert_eq!(faulted.len(), baseline.len());
 
     for (healthy, row) in baseline.iter().zip(&faulted) {

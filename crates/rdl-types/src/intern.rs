@@ -793,13 +793,20 @@ mod tests {
     fn interning_is_idempotent_and_counts_hits() {
         let t = Type::array(Type::nominal("Float"));
         let first = intern(&t);
-        let before = stats();
-        for _ in 0..10 {
-            assert_eq!(intern(&t), first);
-        }
-        let after = stats();
-        assert_eq!(after.nodes, before.nodes, "re-interning must not grow the arena");
-        assert!(after.hits >= before.hits + 10);
+        // The arena is global and other tests intern into it concurrently,
+        // so the node count can move between two reads for reasons that
+        // have nothing to do with `t`.  One quiet window out of a few shows
+        // that re-interning itself adds nothing.
+        let quiet = (0..20).any(|_| {
+            let before = stats();
+            for _ in 0..10 {
+                assert_eq!(intern(&t), first);
+            }
+            let after = stats();
+            assert!(after.hits >= before.hits + 10);
+            after.nodes == before.nodes
+        });
+        assert!(quiet, "re-interning must not grow the arena");
     }
 
     #[test]

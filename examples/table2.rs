@@ -23,8 +23,8 @@ fn main() {
     // app's mid-suite migration bumping *its own* namespace epoch while
     // every other app's stays at zero (per-namespace isolation).
     let memo = Arc::new(comprdl::SharedMemo::new());
-    let rows =
-        corpus::table2_parallel_shared(&memo).unwrap_or_else(|e| panic!("harness failed: {e}"));
+    let rows = corpus::table2_parallel(&memo, &corpus::FaultPlan::none())
+        .unwrap_or_else(|e| panic!("harness failed: {e}"));
     println!("{}", corpus::format_table2(&rows));
     println!("{}", corpus::format_diagnostic_summary(&corpus::corpus_diagnostics(&rows)));
     println!("{}", corpus::format_memo_stats(&memo));
@@ -44,7 +44,8 @@ fn main() {
     // paper's way (pay at every hit), checked through a cold shared memo,
     // and re-run warm.  The harness itself enforces that every checked run
     // executes the same checks and produces byte-identical blame sequences.
-    let overhead = corpus::table2_overhead().unwrap_or_else(|e| panic!("overhead gate: {e}"));
+    let overhead = corpus::table2_overhead(&Arc::new(comprdl::SharedMemo::new()))
+        .unwrap_or_else(|e| panic!("overhead gate: {e}"));
     println!("{}", corpus::format_overhead(&overhead));
 
     // The deterministic view: every column above except the wall-clock

@@ -1,11 +1,12 @@
-//! Seeded property tests for the comp-type evaluation cache and the
-//! parallel checker: across the full corpus, under randomized option
-//! combinations, app orders and thread counts, the cached / parallel
-//! checker must produce **byte-identical** diagnostic bags to the
+//! Seeded property tests for the comp-type evaluation cache, the parallel
+//! checker and the corpus driver: across the full corpus, under randomized
+//! option combinations, app orders, thread counts and check-cache states,
+//! the cached / parallel runs must produce **byte-identical** output to the
 //! uncached / sequential baseline.
 
-use comprdl::{CheckOptions, TypeChecker};
+use comprdl::{CheckCache, CheckOptions, SharedMemo, TypeChecker};
 use diagnostics::DiagnosticBag;
+use std::sync::Arc;
 use test_rng::Rng;
 
 /// Canonical byte rendering of a check result's diagnostics (code, message
@@ -82,12 +83,14 @@ fn parallel_checking_is_byte_identical_to_sequential_across_the_corpus() {
                 ruby_syntax::parse_program_strict(&app.full_source()).expect("corpus app parses");
             let sequential =
                 TypeChecker::new(&env, &program, CheckOptions::default()).check_labeled("app");
-            let parallel = TypeChecker::check_labeled_parallel(
+            let selected = TypeChecker::labeled_methods(&env, &program, "app");
+            let parallel = TypeChecker::check_methods_parallel(
                 &env,
                 &program,
                 CheckOptions::default(),
-                "app",
+                &selected,
                 threads,
+                &[],
             );
             assert_eq!(
                 fingerprint(&sequential),
@@ -101,19 +104,47 @@ fn parallel_checking_is_byte_identical_to_sequential_across_the_corpus() {
 
 #[test]
 fn evaluate_app_rows_render_identically_for_any_thread_count() {
-    // The harness-level guarantee behind `table2_parallel`: a Table 2 row's
-    // deterministic columns and sorted diagnostics do not depend on how
-    // many threads checked the app.
-    let apps = corpus::apps::all();
-    // Journey: the app with two seeded bugs.
-    let app = apps.iter().find(|a| a.name == "Journey").expect("journey app");
-    let base = corpus::evaluate_app(app).expect("evaluate");
-    for threads in [2, 4, 8] {
-        let row = corpus::evaluate_app_with(app, threads).expect("evaluate");
-        assert_eq!(
-            corpus::stable_report(std::slice::from_ref(&base)),
-            corpus::stable_report(std::slice::from_ref(&row)),
-            "thread count {threads} changed the rendered row"
-        );
+    // The driver-level guarantee behind `table2_parallel` and the check
+    // cache: a Table 2 row's deterministic columns and sorted diagnostics
+    // depend neither on how many threads checked the app nor on whether
+    // (and how warmly) a cache replayed its verdicts.  Grid per app:
+    // threads {1, 4} x {no cache, empty cache, warm cache + one edit}.
+    let render = |row: &corpus::Table2Row| corpus::stable_report(std::slice::from_ref(row));
+    let run = |app: &corpus::App,
+               source: Option<&str>,
+               threads: usize,
+               cache: Option<&mut CheckCache>| {
+        corpus::evaluate_app(app, source, threads, &Arc::new(SharedMemo::new()), cache)
+            .unwrap_or_else(|e| panic!("{}: {e}", app.name))
+    };
+    let mut parallel_merges = 0usize;
+    for app in corpus::apps::all() {
+        let env = app.build_env();
+        let (program, _, _) = app.parse();
+        // Edit the last editable labeled method, so the re-checked misses
+        // are not a prefix of the replayed slots.
+        let edited = TypeChecker::labeled_methods(&env, &program, "app")
+            .iter()
+            .rev()
+            .find_map(|(_, def)| corpus::with_method_edit(app.source, &def.name))
+            .expect("some labeled method has an editable def line");
+        let pristine = render(&run(&app, None, 1, None).0);
+        let edited_ref = render(&run(&app, Some(&edited), 1, None).0);
+        for threads in [1, 4] {
+            let cell = format!("{} threads={threads}", app.name);
+            assert_eq!(render(&run(&app, None, threads, None).0), pristine, "{cell}, no cache");
+
+            let mut cache = CheckCache::new();
+            let (row, stats) = run(&app, None, threads, Some(&mut cache));
+            assert_eq!(render(&row), pristine, "{cell}, empty cache");
+            assert_eq!(stats.comp.replayed, 0, "{cell}: an empty cache replays nothing");
+
+            let (row, stats) = run(&app, Some(&edited), threads, Some(&mut cache));
+            assert_eq!(render(&row), edited_ref, "{cell}, warm cache + one edit");
+            if threads > 1 && stats.comp.replayed > 0 && stats.comp.checked() > 0 {
+                parallel_merges += 1;
+            }
+        }
     }
+    assert!(parallel_merges > 0, "some edit must mix replay with a parallel re-check");
 }
