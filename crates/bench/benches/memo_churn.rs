@@ -1,8 +1,7 @@
 //! The migration-churn workload for the shared run-time check memo
 //! ([`comprdl::SharedMemo`]): generated migration *sequences* — many
 //! epochs per run — measuring how warm hit rate degrades with mutation
-//! frequency, for the lock-free seqlock read path against the mutex
-//! baseline (`SharedMemo::with_settings(.., locked_reads = true)`).
+//! frequency on the lock-free seqlock read path.
 //!
 //! Besides timing, this bench is a correctness/regression gate:
 //!
@@ -13,14 +12,8 @@
 //!   counter).
 //! * **Bounded shards** — the eviction-pressure scenario must actually
 //!   evict (and never grow past capacity).
-//! * **Uncontended warm reads** — the seqlock path must beat the mutex
-//!   path (asserted in full mode only; two-sample smoke timings on a
-//!   shared CI runner would flake).
-//! * **The type core** — the hash-consed subtype / fingerprint / render
-//!   fast paths must produce outputs identical to the structural-walk
-//!   oracles, beat them on the warm path (full mode only), and leave the
-//!   full eight-app corpus evaluation byte-identical with the verdict
-//!   cache on and off.
+//! * **Uncontended warm reads** — a pre-populated memo answers every
+//!   lookup from a slot.
 //!
 //! Every scenario's median ns + hit/miss/invalidation/eviction counts are
 //! persisted to `BENCH_SHARED_MEMO.json` at the repo root
@@ -34,7 +27,7 @@ use comprdl::{
     MemoTable, SharedMemo,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rdl_types::{verdict_cache, ClassTable, HashKey, Subtyper, Type, TypeStore};
+use rdl_types::{ClassTable, Type, TypeStore};
 use ruby_interp::{DynamicCheckHook, Value};
 use ruby_syntax::Span;
 use std::sync::Arc;
@@ -111,16 +104,12 @@ struct ChurnOutcome {
     memo: MemoStats,
 }
 
-fn run_churn(migrate_every: usize, locked_reads: bool, global_bump: bool) -> ChurnOutcome {
+fn run_churn(migrate_every: usize, global_bump: bool) -> ChurnOutcome {
     let samples = bench::sample_size(7);
     let mut timings = Vec::with_capacity(samples);
     let mut last: Option<ChurnOutcome> = None;
     for _ in 0..samples {
-        let memo = Arc::new(SharedMemo::with_settings(
-            SharedMemo::DEFAULT_SHARDS,
-            SharedMemo::DEFAULT_CAPACITY,
-            locked_reads,
-        ));
+        let memo = Arc::new(SharedMemo::new());
         let namespaces: Vec<u64> =
             (0..APPS).map(|i| memo.register_namespace(&format!("app-{i}"))).collect();
         let hooks: Vec<CompRdlHook> = namespaces.iter().map(|ns| hook_on(&memo, *ns)).collect();
@@ -160,13 +149,9 @@ fn run_churn(migrate_every: usize, locked_reads: bool, global_bump: bool) -> Chu
 }
 
 /// Median ns per fully-warm lookup (single namespace, memo pre-populated,
-/// every call a hit) on the seqlock or mutex path.
-fn run_warm_read(locked_reads: bool) -> (u128, MemoStats) {
-    let memo = Arc::new(SharedMemo::with_settings(
-        SharedMemo::DEFAULT_SHARDS,
-        SharedMemo::DEFAULT_CAPACITY,
-        locked_reads,
-    ));
+/// every call a hit).
+fn run_warm_read() -> (u128, MemoStats) {
+    let memo = Arc::new(SharedMemo::new());
     let hook = hook_on(&memo, memo.register_namespace("warm"));
     let values = schedule_values();
     // Populate: one pass over every (site, value) pair.
@@ -191,15 +176,11 @@ fn run_warm_read(locked_reads: bool) -> (u128, MemoStats) {
 }
 
 /// Median ns per bare memo lookup (no hook, no value fingerprinting): the
-/// isolated read-path cost the seqlock rework targets.  The hook-level
-/// warm-read scenario above it measures the end-to-end call, where
-/// fingerprinting and check dispatch dilute the lock's share.
-fn run_memo_read(locked_reads: bool) -> (u128, MemoStats) {
-    let memo = SharedMemo::with_settings(
-        SharedMemo::DEFAULT_SHARDS,
-        SharedMemo::DEFAULT_CAPACITY,
-        locked_reads,
-    );
+/// isolated read-path cost.  The hook-level warm-read scenario above it
+/// measures the end-to-end call, where fingerprinting and check dispatch
+/// surround the lookup.
+fn run_memo_read() -> (u128, MemoStats) {
+    let memo = SharedMemo::new();
     let ns_id = memo.register_namespace("probe");
     let ns = memo.namespace_state(ns_id);
     let keys: Vec<MemoKey> =
@@ -222,7 +203,7 @@ fn run_memo_read(locked_reads: bool) -> (u128, MemoStats) {
 /// Eviction pressure: a one-shard, minimum-capacity memo driven over many
 /// more distinct value shapes than it can hold.
 fn run_eviction_pressure() -> MemoStats {
-    let memo = Arc::new(SharedMemo::with_settings(1, 8, false));
+    let memo = Arc::new(SharedMemo::with_settings(1, 8));
     let check = InsertedCheck {
         site: site(9),
         description: "Integer#succ".to_string(),
@@ -247,252 +228,31 @@ fn run_eviction_pressure() -> MemoStats {
     memo.stats()
 }
 
-/// The type-core working set: signature-shaped store-free types (the kind
-/// the checker compares thousands of times per run) plus store-backed
-/// schema hashes, tuples and const strings, which bypass the interner and
-/// exercise the per-store caches instead.
-fn type_core_workload(store: &mut TypeStore) -> Vec<Type> {
-    let string = Type::nominal("String");
-    let integer = Type::nominal("Integer");
-    let symbol = Type::nominal("Symbol");
-    let mut set = vec![
-        string.clone(),
-        integer.clone(),
-        symbol.clone(),
-        Type::nominal("Numeric"),
-        Type::nominal("Object"),
-        Type::Bool,
-        Type::nil(),
-        Type::sym("emails"),
-        Type::int(42),
-        Type::array(integer.clone()),
-        Type::array(Type::union([string.clone(), symbol.clone()])),
-        Type::hash(symbol.clone(), string.clone()),
-        Type::union([string.clone(), symbol.clone()]),
-        Type::union([integer.clone(), Type::nominal("Float"), Type::nil()]),
-        Type::Optional(Box::new(integer.clone())),
-        Type::Vararg(Box::new(string.clone())),
-        Type::class_of("User"),
-        Type::array(Type::array(Type::union([integer.clone(), Type::nil()]))),
-    ];
-    // The shapes the checker actually spends its time on: wide unions
-    // (structural subtyping scans all × any members) and deep generic
-    // nests, where one warm verdict-cache probe replaces a quadratic walk.
-    let row = |name: &str| {
-        Type::union([
-            Type::hash(symbol.clone(), Type::union([string.clone(), integer.clone(), Type::nil()])),
-            Type::array(Type::nominal(name)),
-            Type::nominal(name),
-            Type::nil(),
-        ])
-    };
-    let wide_a = Type::union([
-        row("User"),
-        row("Post"),
-        row("Topic"),
-        Type::array(Type::hash(symbol.clone(), string.clone())),
-        integer.clone(),
-    ]);
-    let wide_b = Type::union([
-        row("User"),
-        row("Post"),
-        row("Topic"),
-        row("Badge"),
-        Type::array(Type::hash(symbol.clone(), Type::union([string.clone(), symbol.clone()]))),
-        Type::union([integer.clone(), Type::nominal("Float")]),
-    ]);
-    let mut deep = Type::hash(symbol.clone(), wide_a.clone());
-    for _ in 0..4 {
-        deep = Type::array(Type::hash(symbol.clone(), Type::union([deep, Type::nil()])));
-    }
-    set.extend([wide_a, wide_b, deep]);
-    set.push(store.new_finite_hash(vec![
-        (HashKey::Sym("id".into()), integer.clone()),
-        (HashKey::Sym("name".into()), string.clone()),
-    ]));
-    set.push(store.new_finite_hash(vec![
-        (HashKey::Sym("id".into()), integer.clone()),
-        (HashKey::Sym("email".into()), string.clone()),
-        (HashKey::Sym("age".into()), Type::union([integer, Type::nil()])),
-    ]));
-    set.push(store.new_tuple(vec![string.clone(), Type::Bool]));
-    set.push(store.new_const_string("SELECT 1"));
-    set
-}
-
-/// One full pass over the working set on either the structural (`uncached`
-/// oracle APIs) or the cached path: every pairwise subtype query plus a
-/// fingerprint and a render per type.  Returns the observable outputs so
-/// the two paths can be gated byte-identical before they are timed.
-fn type_core_pass(
-    sub: &Subtyper<'_>,
-    store: &TypeStore,
-    set: &[Type],
-    structural: bool,
-) -> (Vec<bool>, Vec<u64>, Vec<String>) {
-    let mut verdicts = Vec::with_capacity(set.len() * set.len());
-    for a in set {
-        for b in set {
-            verdicts.push(if structural {
-                sub.is_subtype_uncached(store, a, b)
-            } else {
-                sub.is_subtype(store, a, b)
-            });
-        }
-    }
-    let digests = set
-        .iter()
-        .map(|t| if structural { store.fingerprint_uncached(t) } else { store.fingerprint(t) })
-        .collect();
-    let renders = set
-        .iter()
-        .map(|t| if structural { store.render_uncached(t) } else { store.render(t) })
-        .collect();
-    (verdicts, digests, renders)
-}
-
-/// Times the type-core workload on both paths (median ns per operation,
-/// warm) and returns the two scenario rows.  The interned row carries the
-/// verdict-cache counter deltas of its timed passes.
-fn run_type_core(smoke: bool) -> (Scenario, Scenario) {
-    let classes = ClassTable::with_builtins();
-    let sub = Subtyper::new(&classes);
-    let mut store = TypeStore::new();
-    let set = type_core_workload(&mut store);
-    let ops = (set.len() * set.len() + 2 * set.len()) as u128;
-
-    // The observational gate: before timing anything, both paths must
-    // agree on every verdict, digest and rendering.
-    let structural_out = type_core_pass(&sub, &store, &set, true);
-    let cached_out = type_core_pass(&sub, &store, &set, false);
-    assert_eq!(structural_out, cached_out, "cached type-core outputs diverged from structural");
-
-    let samples = bench::sample_size(30);
-    let time_path = |structural: bool| {
-        let mut timings = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let started = Instant::now();
-            black_box(type_core_pass(&sub, &store, &set, structural));
-            timings.push(started.elapsed().as_nanos() / ops);
-        }
-        bench::results::median_ns(timings)
-    };
-    // Structural first; the gate pass above already warmed the interner and
-    // the verdict cache, so the cached timings measure the warm path.
-    let structural_ns = time_path(true);
-    let before = verdict_cache::stats();
-    let interned_ns = time_path(false);
-    let after = verdict_cache::stats();
-
-    println!(
-        "type core (pairwise subtype + fingerprint + render): structural {structural_ns} ns/op, \
-         interned {interned_ns} ns/op ({:.2}x)",
-        structural_ns as f64 / interned_ns.max(1) as f64
-    );
-    if !smoke {
-        assert!(
-            interned_ns < structural_ns,
-            "the warm interned path must beat the structural walk (interned {interned_ns} ns/op \
-             vs structural {structural_ns} ns/op)"
-        );
-    }
-    let structural_row = Scenario {
-        name: "type_core/structural".to_string(),
-        median_ns: structural_ns,
-        hits: 0,
-        misses: 0,
-        invalidations: 0,
-        evictions: 0,
-    };
-    let interned_row = Scenario {
-        name: "type_core/interned".to_string(),
-        median_ns: interned_ns,
-        hits: after.hits - before.hits,
-        misses: after.misses - before.misses,
-        invalidations: 0,
-        evictions: after.evictions - before.evictions,
-    };
-    (structural_row, interned_row)
-}
-
-/// The corpus-level gate from the issue: the verdict cache (and with it the
-/// id fast path) must not change a byte of the full eight-app evaluation's
-/// deterministic output — diagnostics, blame renderings, cast counts.
-fn assert_type_core_invisible_at_corpus_scale() {
-    let rendered = |rows: &[corpus::Table2Row]| -> String {
-        let mut out = corpus::stable_report(rows);
-        for (app, row) in corpus::apps::all().iter().zip(rows) {
-            out.push_str(&corpus::render_runtime_blames(app, row));
-        }
-        out
-    };
-    let was = verdict_cache::set_enabled(false);
-    let uncached = corpus::table2().expect("uncached corpus run");
-    verdict_cache::set_enabled(true);
-    let cached = corpus::table2().expect("cached corpus run");
-    verdict_cache::set_enabled(was);
-    assert_eq!(
-        rendered(&cached),
-        rendered(&uncached),
-        "the verdict cache changed observable corpus output"
-    );
-}
-
 fn memo_churn(_c: &mut Criterion) {
     let mut scenarios = Vec::new();
-    let smoke = std::env::var_os("BENCH_SMOKE").is_some();
 
-    // Uncontended warm reads, measured twice (acceptance (a)):
-    //
-    // * bare memo lookups, where the lock cost is undiluted — the strict
-    //   seqlock-beats-mutex assertion runs here, and
-    // * full hook calls, where value fingerprinting and check dispatch
-    //   surround the lookup — reported for the end-to-end view.
-    let (probe_seqlock_ns, probe_seqlock_stats) = run_memo_read(false);
-    let (probe_mutex_ns, probe_mutex_stats) = run_memo_read(true);
-    println!(
-        "memo read (bare lookup, all hits): seqlock {probe_seqlock_ns} ns, mutex \
-         {probe_mutex_ns} ns ({:.2}x)",
-        probe_mutex_ns as f64 / probe_seqlock_ns.max(1) as f64
-    );
-    if !smoke {
-        assert!(
-            probe_seqlock_ns < probe_mutex_ns,
-            "lock-free warm reads must beat the mutex path (seqlock {probe_seqlock_ns} ns vs \
-             mutex {probe_mutex_ns} ns)"
-        );
-    }
-    scenarios.push(Scenario::from_stats(
-        "memo_read/seqlock",
-        probe_seqlock_ns,
-        probe_seqlock_stats,
-    ));
-    scenarios.push(Scenario::from_stats("memo_read/mutex", probe_mutex_ns, probe_mutex_stats));
+    // Uncontended warm reads, measured twice: bare memo lookups, where
+    // the read path is undiluted, and full hook calls, where value
+    // fingerprinting and check dispatch surround the lookup.
+    let (probe_ns, probe_stats) = run_memo_read();
+    println!("memo read (bare lookup, all hits): {probe_ns} ns");
+    scenarios.push(Scenario::from_stats("memo_read/seqlock", probe_ns, probe_stats));
 
-    let (seqlock_ns, seqlock_stats) = run_warm_read(false);
-    let (mutex_ns, mutex_stats) = run_warm_read(true);
-    println!(
-        "warm read (full hook call, all hits): seqlock {seqlock_ns} ns/call, mutex {mutex_ns} \
-         ns/call ({:.2}x)",
-        mutex_ns as f64 / seqlock_ns.max(1) as f64
-    );
-    assert!(
-        seqlock_stats.hits >= WARM_PASS as u64,
-        "warm-read runs must be all hits: {seqlock_stats:?}"
-    );
-    scenarios.push(Scenario::from_stats("warm_read/seqlock", seqlock_ns, seqlock_stats));
-    scenarios.push(Scenario::from_stats("warm_read/mutex", mutex_ns, mutex_stats));
+    let (warm_ns, warm_stats) = run_warm_read();
+    println!("warm read (full hook call, all hits): {warm_ns} ns/call");
+    assert!(warm_stats.hits >= WARM_PASS as u64, "warm-read runs must be all hits: {warm_stats:?}");
+    scenarios.push(Scenario::from_stats("warm_read/seqlock", warm_ns, warm_stats));
 
     // Hit rate vs mutation frequency: app 0 migrates every m steps; apps
     // 1..3 never do.  Per-namespace epochs mean their counters must be
     // *identical* to the no-migration run (acceptance (b)).
-    let baseline = run_churn(0, false, false);
+    let baseline = run_churn(0, false);
     let others_baseline: Vec<comprdl::CacheStats> = baseline.per_app[1..].to_vec();
     println!("churn m=0: {} ns/call, memo {:?}", baseline.ns_per_call, baseline.memo);
     scenarios.push(Scenario::from_stats("churn/m0", baseline.ns_per_call, baseline.memo));
     let mut m25_other_hits = 0u64;
     for migrate_every in [100, 25, 8] {
-        let outcome = run_churn(migrate_every, false, false);
+        let outcome = run_churn(migrate_every, false);
         if migrate_every == 25 {
             m25_other_hits = outcome.per_app[1..].iter().map(|s| s.hits).sum();
         }
@@ -522,7 +282,7 @@ fn memo_churn(_c: &mut Criterion) {
     // semantics): every migration flushes all four namespaces, so the
     // non-migrating apps must lose hits — the cost per-namespace epochs
     // remove.
-    let global = run_churn(25, false, true);
+    let global = run_churn(25, true);
     let per_ns_hits = m25_other_hits;
     let global_hits: u64 = global.per_app[1..].iter().map(|s| s.hits).sum();
     println!(
@@ -537,15 +297,6 @@ fn memo_churn(_c: &mut Criterion) {
     );
     scenarios.push(Scenario::from_stats("churn/m25_global_epoch", global.ns_per_call, global.memo));
 
-    // The mutex baseline under churn, for the timing comparison.
-    let mutex_churn = run_churn(25, true, false);
-    println!("churn m=25 mutex reads: {} ns/call", mutex_churn.ns_per_call);
-    scenarios.push(Scenario::from_stats(
-        "churn/m25_mutex",
-        mutex_churn.ns_per_call,
-        mutex_churn.memo,
-    ));
-
     // Bounded shards: overflow must evict, not grow.
     let pressure = run_eviction_pressure();
     println!("eviction pressure: {pressure:?}");
@@ -555,16 +306,6 @@ fn memo_churn(_c: &mut Criterion) {
     // Sanity: registration hands back the same id the hooks derive, so the
     // churn scenarios really recorded under the labeled namespaces.
     assert_eq!(SharedMemo::new().register_namespace("app-0"), memo_namespace("app-0"));
-
-    // The type-core rows: the hash-consed fast paths (id short-circuit +
-    // verdict cache + precomputed digests + cached renders) against the
-    // structural-walk oracles on a signature-shaped working set, gated on
-    // identical outputs and on the full corpus being byte-identical with
-    // the cache on and off.
-    let (type_core_structural, type_core_interned) = run_type_core(smoke);
-    scenarios.push(type_core_structural);
-    scenarios.push(type_core_interned);
-    assert_type_core_invisible_at_corpus_scale();
 
     let path = bench::results::record("memo_churn", &scenarios).expect("persist bench results");
     println!("results written to {}", path.display());

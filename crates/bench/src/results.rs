@@ -28,8 +28,10 @@ use std::path::{Path, PathBuf};
 /// summaries-aware; 6 = the `recheck_latency` section carries the
 /// `parse/recovering` and `parse/strict` rows (the error-recovering front
 /// end vs its strict fail-stop wrapper over the clean corpus, feeding the
-/// 5%-regression gate).
-pub const SCHEMA_VERSION: u32 = 6;
+/// 5%-regression gate); 7 = `memo_churn` no longer carries the
+/// `type_core` rows or the mutex-baseline rows (`memo_read/mutex`,
+/// `warm_read/mutex`, `churn/m25_mutex`).
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// One measured scenario: a stable name, the median wall-clock per
 /// operation, and the memo counters the run ended with.

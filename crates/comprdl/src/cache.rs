@@ -21,15 +21,16 @@
 //! ([`crate::persist`]): an entry survives a restart exactly as long as
 //! nothing it depends on was edited.
 //!
-//! Store-backed bindings are keyed by a *structural* digest (via
-//! [`TypeStore::fingerprint`] — cheaper than building the
+//! Every binding is keyed by its structural digest
+//! ([`TypeStore::fingerprint`] — cheaper than building the
 //! [`TypeStore::render`] string, and inducing the same equivalence up to
-//! the ~2⁻⁶⁴-per-pair collision probability of a 64-bit digest) rather
-//! than their raw ids: every call site allocates fresh ids for literal
-//! hashes and tuples, so id-based keys would never match, while
-//! structurally identical inputs are exactly the ones that evaluate
-//! identically.  A weak update changes the structure and therefore the
-//! key, so mutated receivers never match stale entries.
+//! the ~2⁻⁶⁴-per-pair collision probability of a 64-bit digest).
+//! Store-backed bindings digest their content rather than their raw ids:
+//! every call site allocates fresh ids for literal hashes and tuples, so
+//! id-based keys would never match, while structurally identical inputs
+//! are exactly the ones that evaluate identically.  A weak update changes
+//! the structure and therefore the key, so mutated receivers never match
+//! stale entries.
 //!
 //! ## Invalidation
 //!
@@ -43,7 +44,7 @@
 //! stale — at worst a mutation costs one re-evaluation per affected key.
 
 use crate::tlc::{TlcError, TlcValue};
-use rdl_types::{Type, TypeId, TypeStore};
+use rdl_types::{Type, TypeStore};
 use std::collections::HashMap;
 
 /// Which comp-type slot of a signature an evaluation belongs to.
@@ -53,19 +54,6 @@ pub enum CompPosition {
     Param(u8),
     /// The comp type of the return position.
     Ret,
-}
-
-/// One binding's contribution to a cache key: store-free types compare by
-/// their interned id (hash-consing makes id equality structural equality,
-/// so hashing and comparing a key is integer work instead of a tree walk —
-/// see `rdl_types::intern`), store-backed types compare by their structural
-/// digest so fresh ids with identical content match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum KeyType {
-    /// The interned id of a type with no store-backed parts.
-    Interned(TypeId),
-    /// The [`TypeStore::fingerprint`] digest of a store-backed type.
-    Structural(u64),
 }
 
 /// The identity of one comp-type evaluation.  See the module docs for why
@@ -80,8 +68,9 @@ pub struct CacheKey {
     /// expression or any helper it can reach changes this value, so stale
     /// entries simply stop matching instead of needing eager eviction.
     semantic: u64,
-    /// `(name, keyed type)` bindings in sorted name order.
-    bindings: Vec<(String, KeyType)>,
+    /// `(name, digest)` bindings in sorted name order, each digest the
+    /// binding's [`TypeStore::fingerprint`].
+    bindings: Vec<(String, u64)>,
     /// Whether any binding mentioned a store-backed type (used for
     /// generation guarding).
     store_backed_inputs: bool,
@@ -101,17 +90,12 @@ impl CacheKey {
         store: &TypeStore,
     ) -> Option<CacheKey> {
         let mut store_backed_inputs = false;
-        let mut resolved: Vec<(String, KeyType)> = Vec::with_capacity(bindings.len());
+        let mut resolved: Vec<(String, u64)> = Vec::with_capacity(bindings.len());
         for (name, value) in bindings {
             match value {
                 TlcValue::Type(t) => {
-                    let keyed = if t.contains_store_backed() {
-                        store_backed_inputs = true;
-                        KeyType::Structural(store.fingerprint(t))
-                    } else {
-                        KeyType::Interned(rdl_types::intern(t))
-                    };
-                    resolved.push((name.clone(), keyed));
+                    store_backed_inputs |= t.contains_store_backed();
+                    resolved.push((name.clone(), store.fingerprint(t)));
                 }
                 _ => return None,
             }

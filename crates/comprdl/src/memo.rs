@@ -56,10 +56,6 @@
 //! and the evicted entry simply costs its next reader a re-evaluation —
 //! eviction can never change a verdict, only the hit rate.  Long-lived
 //! runs therefore hold memo memory constant.
-//!
-//! The baseline mutex path is still available behind
-//! [`SharedMemo::with_settings`]'s `locked_reads` flag so the `memo_churn`
-//! bench can measure the seqlock win against the exact same table.
 
 use crate::runtime::BlameDiagnostic;
 use rdl_types::Fingerprint;
@@ -394,10 +390,6 @@ impl Shard {
 pub struct SharedMemo {
     shards: Box<[Shard]>,
     namespaces: Mutex<HashMap<u64, Arc<NamespaceState>>>,
-    /// Bench-only baseline: when set, lookups take the shard write mutex
-    /// (the PR 4 behaviour) instead of the seqlock read path, so
-    /// `memo_churn` can measure the lock's cost against the same table.
-    locked_reads: bool,
 }
 
 impl SharedMemo {
@@ -414,13 +406,13 @@ impl SharedMemo {
     /// A memo with [`SharedMemo::DEFAULT_SHARDS`] shards and
     /// [`SharedMemo::DEFAULT_CAPACITY`] capacity.
     pub fn new() -> Self {
-        SharedMemo::with_settings(Self::DEFAULT_SHARDS, Self::DEFAULT_CAPACITY, false)
+        SharedMemo::with_settings(Self::DEFAULT_SHARDS, Self::DEFAULT_CAPACITY)
     }
 
     /// A memo with `shards` shards (clamped to at least 1) at the default
     /// capacity.
     pub fn with_shards(shards: usize) -> Self {
-        SharedMemo::with_settings(shards, Self::DEFAULT_CAPACITY, false)
+        SharedMemo::with_settings(shards, Self::DEFAULT_CAPACITY)
     }
 
     /// A memo bounded to roughly `entries` recorded verdicts across the
@@ -428,33 +420,24 @@ impl SharedMemo {
     /// second-chance eviction, never by refusing inserts: overflow costs
     /// hit rate, not correctness.
     pub fn with_capacity(entries: usize) -> Self {
-        SharedMemo::with_settings(Self::DEFAULT_SHARDS, entries, false)
+        SharedMemo::with_settings(Self::DEFAULT_SHARDS, entries)
     }
 
-    /// Full-control constructor: `shards` shards (≥ 1), a total capacity
-    /// of roughly `entries` slots (rounded up to a power of two per shard,
-    /// at least the probe window), and — for the bench baseline only —
-    /// `locked_reads`, which routes every lookup through the shard write
-    /// mutex the way the pre-seqlock memo did.
-    pub fn with_settings(shards: usize, entries: usize, locked_reads: bool) -> Self {
+    /// Full-control constructor: `shards` shards (≥ 1) and a total
+    /// capacity of roughly `entries` slots (rounded up to a power of two
+    /// per shard, at least the probe window).
+    pub fn with_settings(shards: usize, entries: usize) -> Self {
         let shards = shards.max(1);
         let per_shard = entries.div_ceil(shards).next_power_of_two().max(PROBE_WINDOW);
         SharedMemo {
             shards: (0..shards).map(|_| Shard::new(per_shard)).collect(),
             namespaces: Mutex::new(HashMap::new()),
-            locked_reads,
         }
     }
 
     /// Total slot capacity (the hard bound on recorded entries).
     pub fn capacity(&self) -> usize {
         self.shards.iter().map(|s| s.slots.len()).sum()
-    }
-
-    /// True when lookups take the shard mutex (the bench baseline path)
-    /// instead of the lock-free read path.
-    pub fn locked_reads(&self) -> bool {
-        self.locked_reads
     }
 
     /// Number of shards.
@@ -595,13 +578,6 @@ impl SharedMemo {
         let shard = self.shard_for(hash);
         let base = Self::slot_index(shard, hash);
         let epoch = ns.epoch();
-        // The bench baseline: hold the shard write mutex across the whole
-        // probe, exactly like the pre-seqlock memo did.
-        let guard = if self.locked_reads {
-            Some(shard.writer.lock().unwrap_or_else(|e| e.into_inner()))
-        } else {
-            None
-        };
         for i in 0..PROBE_WINDOW {
             let slot = &shard.slots[(base + i) & shard.mask];
             let snap = match slot.read() {
@@ -610,10 +586,8 @@ impl SharedMemo {
                 // the whole spin budget (e.g. it was preempted).  Wait it
                 // out behind the shard write mutex — once acquired no
                 // writer is active, so the re-read is consistent — keeping
-                // hit/miss counts deterministic under contention.  (In
-                // locked mode the guard is already held and a slot can
-                // never read torn, so this arm is unreachable there.)
-                None if guard.is_none() => {
+                // hit/miss counts deterministic under contention.
+                None => {
                     let held = shard.writer.lock().unwrap_or_else(|e| e.into_inner());
                     let reread = slot.read();
                     drop(held);
@@ -622,7 +596,6 @@ impl SharedMemo {
                         None => continue,
                     }
                 }
-                None => continue,
             };
             if !Slot::snapshot_matches(&snap, table, key) {
                 continue;
@@ -638,14 +611,9 @@ impl SharedMemo {
             }
             // Stale stamps: remove the entry under the shard lock (unless
             // a sibling refreshed it in the meantime).
-            let removed = if guard.is_some() {
-                Self::remove_if_stale(shard, base, table, key, generation, ns)
-            } else {
-                let held = shard.writer.lock().unwrap_or_else(|e| e.into_inner());
-                let removed = Self::remove_if_stale(shard, base, table, key, generation, ns);
-                drop(held);
-                removed
-            };
+            let held = shard.writer.lock().unwrap_or_else(|e| e.into_inner());
+            let removed = Self::remove_if_stale(shard, base, table, key, generation, ns);
+            drop(held);
             ns.misses.fetch_add(1, Ordering::Relaxed);
             if removed {
                 ns.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -783,7 +751,6 @@ impl std::fmt::Debug for SharedMemo {
             .field("shards", &self.shards.len())
             .field("capacity", &self.capacity())
             .field("len", &self.len())
-            .field("locked_reads", &self.locked_reads)
             .finish()
     }
 }
@@ -863,7 +830,7 @@ mod tests {
     #[test]
     fn capacity_overflow_evicts_instead_of_growing() {
         // One shard, minimal capacity: the probe window *is* the shard.
-        let memo = SharedMemo::with_settings(1, PROBE_WINDOW, false);
+        let memo = SharedMemo::with_settings(1, PROBE_WINDOW);
         assert_eq!(memo.capacity(), PROBE_WINDOW);
         let ns = memo.namespace_state(7);
         // All keys share one site so fingerprints alone vary: they still
@@ -887,7 +854,7 @@ mod tests {
 
     #[test]
     fn second_chance_prefers_unreferenced_victims() {
-        let memo = SharedMemo::with_settings(1, PROBE_WINDOW, false);
+        let memo = SharedMemo::with_settings(1, PROBE_WINDOW);
         let ns = memo.namespace_state(7);
         for fp in 0..PROBE_WINDOW as u64 {
             memo.insert(MemoTable::After, &key(7, 1, fp), 0, 0, &Ok(()));
@@ -914,7 +881,7 @@ mod tests {
         // free): the reader exhausts its spin budget, takes the lock
         // fallback, finds the slot still torn, and reports a sound miss
         // instead of spinning forever or returning torn data.
-        let memo = SharedMemo::with_settings(1, PROBE_WINDOW, false);
+        let memo = SharedMemo::with_settings(1, PROBE_WINDOW);
         let ns = memo.namespace_state(7);
         let k = key(7, 1, 11);
         memo.insert(MemoTable::After, &k, 0, 0, &Ok(()));
@@ -948,18 +915,5 @@ mod tests {
         assert_eq!((rows[0].stats.hits, rows[0].epoch), (1, 0));
         assert_eq!(rows[1].label, "app-b");
         assert_eq!((rows[1].stats.hits, rows[1].epoch), (0, 1));
-    }
-
-    #[test]
-    fn locked_reads_baseline_behaves_identically() {
-        let memo = SharedMemo::with_settings(4, 64, true);
-        assert!(memo.locked_reads());
-        let ns = memo.namespace_state(7);
-        let k = key(7, 1, 11);
-        memo.insert(MemoTable::After, &k, 0, 0, &Err(blame("b")));
-        let (got, _) = memo.lookup(MemoTable::After, &k, 0, &ns);
-        assert_eq!(got, Some(Err(blame("b"))));
-        ns.bump_epoch();
-        assert_eq!(memo.lookup(MemoTable::After, &k, 0, &ns), (None, true));
     }
 }

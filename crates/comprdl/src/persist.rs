@@ -27,7 +27,7 @@
 //! Verdicts must replay **byte-identical** to a from-scratch check even
 //! when an edit elsewhere in the file shifted this method's byte offsets.
 //! Raw offsets are therefore never the primary encoding: each span is
-//! stored as a [`SpanRef`] against the method's canonical node table
+//! stored as a `SpanRef` against the method's canonical node table
 //! ([`ruby_syntax::method_span_nodes`]) — "node 7" or "node 7, +3 bytes"
 //! — and resolved against the *new* parse at replay time.  Since a replay
 //! requires an unchanged semantic hash, the two parses walk isomorphic

@@ -399,10 +399,9 @@ impl From<BlameDiagnostic> for Diagnostic {
 }
 
 /// A cached [`type_of_value`] result, reused while the store generation is
-/// unchanged so repeated hits stop allocating fresh store ids.  (Distinct
-/// from `rdl_types::intern`, which globally hash-conses *store-free* type
-/// structure; this table maps run-time **values** to store-backed types
-/// minted in this hook's own store.)
+/// unchanged so repeated hits stop allocating fresh store ids.  The table
+/// maps run-time **values** to store-backed types minted in this hook's
+/// own store.
 #[derive(Debug, Clone)]
 struct CachedValueType {
     ty: Type,

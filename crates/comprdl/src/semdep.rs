@@ -257,30 +257,7 @@ impl Builder {
     fn add_annotation(&mut self, key: &(String, MethodKind, String), sig: &MethodSig) -> usize {
         let mut h = SemHasher::new();
         h.write_str("annotation");
-        h.write_str(&key.0);
-        h.write_u8(kind_tag(key.1));
-        h.write_str(&key.2);
-        h.write_str(&sig.source);
-        match &sig.typecheck_label {
-            Some(l) => {
-                h.write_u8(1);
-                h.write_str(l);
-            }
-            None => h.write_u8(0),
-        }
-        // The declared effects are *not* part of `sig.source`, but effect
-        // summaries (and verdicts built on them) are seeded from the
-        // claims, so an effect-only annotation change must move every
-        // dependent Merkle hash.
-        h.write_u8(match sig.term {
-            rdl_types::TermEffect::Terminates => 0,
-            rdl_types::TermEffect::BlockDep => 1,
-            rdl_types::TermEffect::MayDiverge => 2,
-        });
-        h.write_u8(match sig.purity {
-            rdl_types::PurityEffect::Pure => 0,
-            rdl_types::PurityEffect::Impure => 1,
-        });
+        write_annotation(&mut h, key, sig);
         let idx = self.nodes.len();
         self.nodes.push(Node { base: h.finish(), deps: Vec::new() });
         self.annotations.insert(ann_key(key), idx);
@@ -292,6 +269,35 @@ impl Builder {
         self.nodes.push(Node { base, deps: Vec::new() });
         self.methods.insert(id, idx);
     }
+}
+
+/// Hashes one method annotation: its identity, signature source, typecheck
+/// label and declared effects.  Shared by annotation nodes and
+/// [`env_hash`].
+fn write_annotation(h: &mut SemHasher, key: &(String, MethodKind, String), sig: &MethodSig) {
+    h.write_str(&key.0);
+    h.write_u8(kind_tag(key.1));
+    h.write_str(&key.2);
+    h.write_str(&sig.source);
+    match &sig.typecheck_label {
+        Some(l) => {
+            h.write_u8(1);
+            h.write_str(l);
+        }
+        None => h.write_u8(0),
+    }
+    // The declared effects are *not* part of `sig.source`, but effect
+    // summaries (and verdicts built on them) are seeded from the claims, so
+    // an effect-only annotation change must move every dependent hash.
+    h.write_u8(match sig.term {
+        rdl_types::TermEffect::Terminates => 0,
+        rdl_types::TermEffect::BlockDep => 1,
+        rdl_types::TermEffect::MayDiverge => 2,
+    });
+    h.write_u8(match sig.purity {
+        rdl_types::PurityEffect::Pure => 0,
+        rdl_types::PurityEffect::Impure => 1,
+    });
 }
 
 fn ann_key(key: &(String, MethodKind, String)) -> (String, u8, String) {
@@ -450,31 +456,15 @@ pub fn env_hash(env: &CompRdl) -> u64 {
     annots.sort_by_key(|(k, _)| (k.0.clone(), kind_tag(k.1), k.2.clone()));
     h.write_usize(annots.len());
     for (key, sig) in annots {
-        h.write_str(&key.0);
-        h.write_u8(kind_tag(key.1));
-        h.write_str(&key.2);
-        h.write_str(&sig.source);
-        match &sig.typecheck_label {
-            Some(l) => {
-                h.write_u8(1);
-                h.write_str(l);
-            }
-            None => h.write_u8(0),
-        }
-        // Declared effects live outside `sig.source`; see `add_annotation`.
-        h.write_u8(match sig.term {
-            rdl_types::TermEffect::Terminates => 0,
-            rdl_types::TermEffect::BlockDep => 1,
-            rdl_types::TermEffect::MayDiverge => 2,
-        });
-        h.write_u8(match sig.purity {
-            rdl_types::PurityEffect::Pure => 0,
-            rdl_types::PurityEffect::Impure => 1,
-        });
+        write_annotation(&mut h, key, sig);
     }
-    // Ivar/gvar annotations are keyed per class; probe the classes we know.
-    // (The table offers no global iterator; classes() covers every declared
-    // class, which is where ivars can live.)
+    let vars: Vec<_> = env.annotations.var_types().collect();
+    h.write_usize(vars.len());
+    for (owner, name, ty) in vars {
+        h.write_str(owner);
+        h.write_str(name);
+        h.write_str(&ty.to_string());
+    }
     h.finish()
 }
 
@@ -594,5 +584,20 @@ mod tests {
         let mut e3 = env_with_helpers();
         e3.type_sig("Widget", "other", "(Integer) -> Integer", None);
         assert_ne!(env_hash(&e1), env_hash(&e3));
+    }
+
+    #[test]
+    fn env_hash_tracks_ivar_and_gvar_annotations() {
+        let typed = |ivar: &str, gvar: &str| {
+            let mut env = env_with_helpers();
+            env.var_type("Widget", "name", ivar);
+            env.global_type("$mode", gvar);
+            env_hash(&env)
+        };
+        let base = typed("String", "Symbol");
+        assert_eq!(base, typed("String", "Symbol"), "equal annotations hash equally");
+        assert_ne!(base, env_hash(&env_with_helpers()), "adding a var annotation moves it");
+        assert_ne!(base, typed("Integer", "Symbol"), "a var_type change moves it");
+        assert_ne!(base, typed("String", "Integer"), "a global_type change moves it");
     }
 }

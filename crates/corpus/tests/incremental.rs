@@ -417,3 +417,40 @@ fn seeded_edit_scripts_match_from_scratch_runs_at_every_step() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Twitter's annotations with the `@handle` instance variable retyped.
+fn twitter_with_retyped_handle(env: &mut comprdl::CompRdl) {
+    (corpus::apps::twitter::app().annotate)(env);
+    env.var_type("TwitterStream", "handle", "String or Symbol");
+}
+
+/// A `var_type` edit moves the environment hash, so a warm run against a
+/// cache recorded under the old annotation re-checks every method instead
+/// of replaying verdicts computed against the old ivar type, and renders
+/// the same row as an empty-cache run.
+#[test]
+fn var_type_edit_rechecks_every_method() {
+    let memo = || Arc::new(comprdl::SharedMemo::new());
+    let pristine = corpus::apps::twitter::app();
+    let mut cache = CheckCache::new();
+    evaluate_app_incremental(&pristine, None, &mut cache, &memo()).expect("cold run");
+    let (_, warm) =
+        evaluate_app_incremental(&pristine, None, &mut cache, &memo()).expect("warm run");
+    assert!(warm.all_replayed(), "the unedited app must replay: {warm:?}");
+
+    let edited =
+        corpus::App { annotate: twitter_with_retyped_handle, ..corpus::apps::twitter::app() };
+    let (row, stats) =
+        evaluate_app_incremental(&edited, None, &mut cache, &memo()).expect("edited run");
+    for (pass, s) in [("comp", &stats.comp), ("plain", &stats.plain)] {
+        assert!(s.total > 0, "{pass}: no labeled methods");
+        assert_eq!((s.replayed, s.checked()), (0, s.total), "{pass}: every method re-checked");
+    }
+    let (scratch, _) = evaluate_app_incremental(&edited, None, &mut CheckCache::new(), &memo())
+        .expect("from-scratch run");
+    assert_eq!(
+        stable_report(std::slice::from_ref(&row)),
+        stable_report(std::slice::from_ref(&scratch)),
+        "the re-checked row diverged from an empty-cache run"
+    );
+}

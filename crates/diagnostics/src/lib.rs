@@ -7,7 +7,7 @@
 //! checker (`comprdl`), the interpreter (`ruby-interp`) and the SQL checker
 //! (`sql-tc`) — defines its own error type, and each of those converts into
 //! a single [`Diagnostic`] carrying a severity, a stable code, labelled
-//! [`Span`]s and notes. [`SourceMap`] + [`render`] turn a diagnostic back
+//! [`Span`]s and notes. [`SourceMap`] + [`render()`] turn a diagnostic back
 //! into a rustc-style annotated source snippet; [`DiagnosticBag`] aggregates
 //! diagnostics for corpus-wide reporting.
 //!

@@ -6,17 +6,6 @@
 //! lattice with `Obj` as top).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Allocates a process-globally unique class-table stamp.  Stamps are
-/// never reused — not even across independently built tables — so a
-/// `(sub, sup, stamp)` subtype verdict cached by one table can never be
-/// misread as valid for another table that happens to share a counter
-/// value.
-fn fresh_stamp() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Information recorded about a class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,31 +27,10 @@ impl Default for ClassInfo {
 }
 
 /// The class hierarchy: class name → [`ClassInfo`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassTable {
     classes: BTreeMap<String, ClassInfo>,
-    /// Identity stamp for subtype-verdict caching: globally unique,
-    /// re-allocated on every mutation, so a stamp value pins one exact
-    /// hierarchy for the life of the process.  (A clone keeps its
-    /// source's stamp — same stamp, same content — and restamps itself on
-    /// its first own mutation.)
-    stamp: u64,
 }
-
-impl Default for ClassTable {
-    fn default() -> Self {
-        ClassTable { classes: BTreeMap::new(), stamp: fresh_stamp() }
-    }
-}
-
-impl PartialEq for ClassTable {
-    fn eq(&self, other: &Self) -> bool {
-        // The stamp is a cache identity, not part of the hierarchy.
-        self.classes == other.classes
-    }
-}
-
-impl Eq for ClassTable {}
 
 impl ClassTable {
     /// An empty class table containing only `Object`.
@@ -73,14 +41,6 @@ impl ClassTable {
             ClassInfo { superclass: None, type_params: vec![], is_model: false },
         );
         ct
-    }
-
-    /// This table's identity stamp.  Two lookups return the same stamp
-    /// only if no mutation happened in between, and no two hierarchies
-    /// ever share a stamp, so `(query, stamp)` keys are safe to cache
-    /// globally.
-    pub fn stamp(&self) -> u64 {
-        self.stamp
     }
 
     /// A class table pre-populated with the Ruby core classes CompRDL's
@@ -134,7 +94,6 @@ impl ClassTable {
 
     /// Adds (or replaces) a class.
     pub fn add_class(&mut self, name: &str, superclass: Option<&str>) {
-        self.stamp = fresh_stamp();
         self.classes.insert(
             name.to_string(),
             ClassInfo {
@@ -147,7 +106,6 @@ impl ClassTable {
 
     /// Adds a class with generic type parameters.
     pub fn add_generic_class(&mut self, name: &str, superclass: Option<&str>, params: &[&str]) {
-        self.stamp = fresh_stamp();
         self.classes.insert(
             name.to_string(),
             ClassInfo {
@@ -160,7 +118,6 @@ impl ClassTable {
 
     /// Marks a class as a DB-backed model class.
     pub fn add_model_class(&mut self, name: &str, superclass: &str) {
-        self.stamp = fresh_stamp();
         self.classes.insert(
             name.to_string(),
             ClassInfo {
@@ -271,23 +228,6 @@ mod tests {
         let ct = ClassTable::with_builtins();
         assert_eq!(ct.get("Hash").unwrap().type_params, vec!["k", "v"]);
         assert_eq!(ct.get("Array").unwrap().type_params, vec!["a"]);
-    }
-
-    #[test]
-    fn stamps_pin_one_hierarchy() {
-        let mut a = ClassTable::with_builtins();
-        let b = ClassTable::with_builtins();
-        // Equal content, but distinct identities: verdicts cached for one
-        // must not leak to the other, because either may mutate next.
-        assert_eq!(a, b);
-        assert_ne!(a.stamp(), b.stamp());
-        let before = a.stamp();
-        a.add_class("Widget", Some("Object"));
-        assert_ne!(a.stamp(), before, "mutation must restamp");
-        let clone = a.clone();
-        assert_eq!(clone.stamp(), a.stamp(), "a clone shares content and stamp");
-        a.add_model_class("User", "ActiveRecord::Base");
-        assert_ne!(a.stamp(), clone.stamp(), "...until one of them mutates");
     }
 
     #[test]

@@ -378,6 +378,20 @@ impl AnnotationTable {
         self.methods.iter()
     }
 
+    /// Every variable type annotation as `(owner, name, type)`, sorted by
+    /// owner then name: instance variables under their class, globals
+    /// under the empty owner.
+    pub fn var_types(&self) -> impl Iterator<Item = (&str, &str, &TypeExpr)> {
+        let mut vars: Vec<(&str, &str, &TypeExpr)> = self
+            .ivars
+            .iter()
+            .map(|((class, name), ty)| (class.as_str(), name.as_str(), ty))
+            .chain(self.gvars.iter().map(|(name, ty)| ("", name.as_str(), ty)))
+            .collect();
+        vars.sort_by_key(|&(owner, name, _)| (owner, name));
+        vars.into_iter()
+    }
+
     /// Merges all annotations from `other` into `self` (later registrations
     /// win).
     pub fn merge(&mut self, other: &AnnotationTable) {

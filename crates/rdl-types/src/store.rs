@@ -16,8 +16,7 @@
 
 use crate::fingerprint::Fingerprint;
 use crate::ty::{ConstStringId, FiniteHashId, HashKey, SingVal, TupleId, Type};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
 
 /// A recorded subtyping constraint `lhs <= rhs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,55 +71,8 @@ pub struct ConstStringData {
     pub constraints: Vec<Constraint>,
 }
 
-/// Per-store digest / render caches for store-backed ids, keyed on
-/// `(kind, raw id)` and stamped with the generation they were computed
-/// under: any promotion, weak update or named-slot change bumps the
-/// generation and implicitly drops every entry.  (Store-*free* types never
-/// land here — their digests and renders are precomputed by the global
-/// interner, see [`crate::intern`].)
-#[derive(Default)]
-struct StoreCaches {
-    digests: Mutex<HashMap<(u8, u32), (u64, u64)>>,
-    renders: Mutex<RenderMap>,
-}
-
-/// Generation-stamped rendered strings, keyed like `digests`.
-type RenderMap = HashMap<(u8, u32), (u64, Arc<str>)>;
-
-impl StoreCaches {
-    fn get_digest(&self, key: (u8, u32), generation: u64) -> Option<u64> {
-        let map = self.digests.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(&key).filter(|(g, _)| *g == generation).map(|(_, d)| *d)
-    }
-
-    fn put_digest(&self, key: (u8, u32), generation: u64, digest: u64) {
-        let mut map = self.digests.lock().unwrap_or_else(|e| e.into_inner());
-        map.insert(key, (generation, digest));
-    }
-
-    fn get_render(&self, key: (u8, u32), generation: u64) -> Option<Arc<str>> {
-        let map = self.renders.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(&key).filter(|(g, _)| *g == generation).map(|(_, s)| s.clone())
-    }
-
-    fn put_render(&self, key: (u8, u32), generation: u64, rendered: &str) {
-        let mut map = self.renders.lock().unwrap_or_else(|e| e.into_inner());
-        map.insert(key, (generation, rendered.into()));
-    }
-}
-
-/// The `(kind, raw id)` cache key of a bare store-backed type, if any.
-fn store_cache_key(ty: &Type) -> Option<(u8, u32)> {
-    match ty {
-        Type::Tuple(id) => Some((0, id.0)),
-        Type::FiniteHash(id) => Some((1, id.0)),
-        Type::ConstString(id) => Some((2, id.0)),
-        _ => None,
-    }
-}
-
 /// The store of mutable (tuple / finite hash / const string) types.
-#[derive(Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TypeStore {
     tuples: Vec<TupleData>,
     hashes: Vec<FiniteHashData>,
@@ -138,46 +90,6 @@ pub struct TypeStore {
     /// results can never go stale (plain allocation does not bump it — a
     /// fresh id cannot alter the meaning of an existing one).
     generation: u64,
-    /// Generation-stamped digest / render caches (identity, not content:
-    /// excluded from `Clone`, `PartialEq` and `Debug`).
-    caches: StoreCaches,
-}
-
-impl Clone for TypeStore {
-    fn clone(&self) -> Self {
-        // The clone starts with cold caches: sound unconditionally, and
-        // clones (worker forks, snapshots) rarely re-render the same ids.
-        TypeStore {
-            tuples: self.tuples.clone(),
-            hashes: self.hashes.clone(),
-            strings: self.strings.clone(),
-            named: self.named.clone(),
-            generation: self.generation,
-            caches: StoreCaches::default(),
-        }
-    }
-}
-
-impl PartialEq for TypeStore {
-    fn eq(&self, other: &Self) -> bool {
-        self.tuples == other.tuples
-            && self.hashes == other.hashes
-            && self.strings == other.strings
-            && self.named == other.named
-            && self.generation == other.generation
-    }
-}
-
-impl std::fmt::Debug for TypeStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TypeStore")
-            .field("tuples", &self.tuples)
-            .field("hashes", &self.hashes)
-            .field("strings", &self.strings)
-            .field("named", &self.named)
-            .field("generation", &self.generation)
-            .finish_non_exhaustive()
-    }
 }
 
 /// Id offsets returned by [`TypeStore::absorb`]: how far the absorbed
@@ -295,23 +207,21 @@ impl TypeStore {
     /// const string resolves to its promoted type, everything else resolves
     /// to itself.
     pub fn resolve(&self, ty: &Type) -> Type {
+        self.resolved(ty).into_owned()
+    }
+
+    /// [`TypeStore::resolve`] without the copy: only a promoted const
+    /// string needs a fresh value, everything else is borrowed.
+    pub(crate) fn resolved<'a>(&'a self, ty: &'a Type) -> Cow<'a, Type> {
         match ty {
-            Type::Tuple(id) => match &self.tuple(*id).promoted {
-                Some(p) => p.clone(),
-                None => ty.clone(),
-            },
-            Type::FiniteHash(id) => match &self.finite_hash(*id).promoted {
-                Some(p) => p.clone(),
-                None => ty.clone(),
-            },
-            Type::ConstString(id) => {
-                if self.const_string(*id).promoted {
-                    Type::nominal("String")
-                } else {
-                    ty.clone()
-                }
+            Type::Tuple(id) => Cow::Borrowed(self.tuple(*id).promoted.as_ref().unwrap_or(ty)),
+            Type::FiniteHash(id) => {
+                Cow::Borrowed(self.finite_hash(*id).promoted.as_ref().unwrap_or(ty))
             }
-            other => other.clone(),
+            Type::ConstString(id) if self.const_string(*id).promoted => {
+                Cow::Owned(Type::nominal("String"))
+            }
+            _ => Cow::Borrowed(ty),
         }
     }
 
@@ -509,32 +419,13 @@ impl TypeStore {
     /// independent of allocation order, so diagnostics built from it are
     /// byte-identical across cached / uncached and parallel / sequential
     /// runs.
-    ///
-    /// Store-free types take a fast path through the global interner's
-    /// per-id string cache; store-backed ids hit a per-store cache stamped
-    /// with the current generation.  Both produce exactly the bytes the
-    /// structural walk ([`TypeStore::render_uncached`]) produces.
     pub fn render(&self, ty: &Type) -> String {
-        if !ty.contains_store_backed() {
-            let info = crate::intern::info(crate::intern::intern(ty));
-            return info.render().expect("store-free types always render").to_string();
-        }
         let mut out = String::new();
-        self.render_into(ty, &mut Vec::new(), &mut out, true);
+        self.render_into(ty, &mut Vec::new(), &mut out);
         out
     }
 
-    /// [`TypeStore::render`] without the interner or per-store caches: the
-    /// plain structural walk, kept public as the oracle the cached path is
-    /// property-tested against (and as the baseline the `type_core` bench
-    /// measures).
-    pub fn render_uncached(&self, ty: &Type) -> String {
-        let mut out = String::new();
-        self.render_into(ty, &mut Vec::new(), &mut out, false);
-        out
-    }
-
-    fn render_into(&self, ty: &Type, visiting: &mut Vec<Type>, out: &mut String, caches: bool) {
+    fn render_into(&self, ty: &Type, visiting: &mut Vec<Type>, out: &mut String) {
         use std::fmt::Write;
         // Weak updates can make a store-backed type reference itself
         // (`a[0] = a`); fall back to the raw id display on re-entry.
@@ -542,20 +433,7 @@ impl TypeStore {
             let _ = write!(out, "{ty}");
             return;
         }
-        // Cached strings are only consulted for store-backed ids reached
-        // with an empty visiting stack: a standalone render of such an id
-        // sees exactly the same cycle structure, so splicing it in is
-        // byte-equivalent.  (Deeper in, a subtree may reference an id on
-        // the outer stack, which a standalone render cannot know about.)
-        let cache_key = if caches && visiting.is_empty() { store_cache_key(ty) } else { None };
-        if let Some(key) = cache_key {
-            if let Some(s) = self.caches.get_render(key, self.generation) {
-                out.push_str(&s);
-                return;
-            }
-        }
-        let start = out.len();
-        match &self.resolve(ty) {
+        match &*self.resolved(ty) {
             Type::Tuple(id) => {
                 visiting.push(ty.clone());
                 out.push('[');
@@ -563,7 +441,7 @@ impl TypeStore {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    self.render_into(e, visiting, out, caches);
+                    self.render_into(e, visiting, out);
                 }
                 out.push(']');
                 visiting.pop();
@@ -577,7 +455,7 @@ impl TypeStore {
                         out.push_str(", ");
                     }
                     let _ = write!(out, "{k} ");
-                    self.render_into(v, visiting, out, caches);
+                    self.render_into(v, visiting, out);
                 }
                 if data.entries.is_empty() {
                     // `{  }` reads badly; normalise the empty hash.
@@ -599,7 +477,7 @@ impl TypeStore {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    self.render_into(a, visiting, out, caches);
+                    self.render_into(a, visiting, out);
                 }
                 out.push('>');
             }
@@ -608,23 +486,20 @@ impl TypeStore {
                     if i > 0 {
                         out.push_str(" or ");
                     }
-                    self.render_into(t, visiting, out, caches);
+                    self.render_into(t, visiting, out);
                 }
             }
             Type::Optional(t) => {
                 out.push('?');
-                self.render_into(t, visiting, out, caches);
+                self.render_into(t, visiting, out);
             }
             Type::Vararg(t) => {
                 out.push('*');
-                self.render_into(t, visiting, out, caches);
+                self.render_into(t, visiting, out);
             }
             other => {
                 let _ = write!(out, "{other}");
             }
-        }
-        if let Some(key) = cache_key {
-            self.caches.put_render(key, self.generation, &out[start..]);
         }
     }
 
@@ -633,37 +508,20 @@ impl TypeStore {
     /// freshly allocated ids with identical structure digest identically),
     /// while any weak update or promotion changes the digest.  Cheaper than
     /// building the [`TypeStore::render`] string when only an identity is
-    /// needed; the comp-type evaluation cache keys store-backed bindings on
-    /// it.  Being a 64-bit digest, distinct structures *can* collide
-    /// (probability ~2⁻⁶⁴ per pair) — acceptable for cache keys, not for
-    /// anything security-sensitive.
+    /// needed; the comp-type evaluation cache keys every binding on it.
+    /// Being a 64-bit digest, distinct structures *can* collide (probability
+    /// ~2⁻⁶⁴ per pair) — acceptable for cache keys, not for anything
+    /// security-sensitive.
     ///
     /// The digest is *Merkle-composable*: each node digests its own tag and
     /// payload plus the **digests** of its children (written as `u64`s),
-    /// rather than splicing child bytes into one flat stream.  That makes
-    /// the digest of every store-free node a pure function of its
-    /// structure, which is exactly what lets the global interner precompute
-    /// it once per distinct node ([`crate::intern`]) and lets this method
-    /// answer store-free queries with a field read and store-backed ids
-    /// from a generation-stamped per-store cache.
+    /// rather than splicing child bytes into one flat stream, so the digest
+    /// of every store-free node is a pure function of its structure.
     pub fn fingerprint(&self, ty: &Type) -> u64 {
-        if !ty.contains_store_backed() {
-            let info = crate::intern::info(crate::intern::intern(ty));
-            return info.digest().expect("store-free types always carry a digest");
-        }
-        self.digest_of(ty, &mut Vec::new(), true)
+        self.digest_of(ty, &mut Vec::new())
     }
 
-    /// [`TypeStore::fingerprint`] as the plain structural walk, bypassing
-    /// the interner and the per-store caches.  Kept public as the oracle
-    /// the cached path is property-tested against and as the baseline the
-    /// `type_core` bench measures; always returns the same value as
-    /// `fingerprint`.
-    pub fn fingerprint_uncached(&self, ty: &Type) -> u64 {
-        self.digest_of(ty, &mut Vec::new(), false)
-    }
-
-    fn digest_of(&self, ty: &Type, visiting: &mut Vec<Type>, caches: bool) -> u64 {
+    fn digest_of(&self, ty: &Type, visiting: &mut Vec<Type>) -> u64 {
         // Weak updates can make a store-backed type reference itself; digest
         // the raw id on re-entry, mirroring `render_into`.
         if ty.is_store_backed() && visiting.contains(ty) {
@@ -672,17 +530,8 @@ impl TypeStore {
             fp.write_str(&ty.to_string());
             return fp.finish();
         }
-        // Same empty-stack rule as `render_into`: a standalone digest of a
-        // store-backed id is only splice-equivalent when no enclosing
-        // store-backed node is mid-visit.
-        let cache_key = if caches && visiting.is_empty() { store_cache_key(ty) } else { None };
-        if let Some(key) = cache_key {
-            if let Some(d) = self.caches.get_digest(key, self.generation) {
-                return d;
-            }
-        }
         let mut fp = Fingerprint::new();
-        match &self.resolve(ty) {
+        match &*self.resolved(ty) {
             Type::Top => fp.write_u8(0),
             Type::Bot => fp.write_u8(1),
             Type::Bool => fp.write_u8(2),
@@ -724,7 +573,7 @@ impl TypeStore {
                 fp.write_str(base);
                 fp.write_usize(args.len());
                 for a in args {
-                    let d = self.digest_of(a, visiting, caches);
+                    let d = self.digest_of(a, visiting);
                     fp.write_u64(d);
                 }
             }
@@ -732,18 +581,18 @@ impl TypeStore {
                 fp.write_u8(8);
                 fp.write_usize(ts.len());
                 for t in ts {
-                    let d = self.digest_of(t, visiting, caches);
+                    let d = self.digest_of(t, visiting);
                     fp.write_u64(d);
                 }
             }
             Type::Optional(t) => {
                 fp.write_u8(9);
-                let d = self.digest_of(t, visiting, caches);
+                let d = self.digest_of(t, visiting);
                 fp.write_u64(d);
             }
             Type::Vararg(t) => {
                 fp.write_u8(10);
-                let d = self.digest_of(t, visiting, caches);
+                let d = self.digest_of(t, visiting);
                 fp.write_u64(d);
             }
             Type::Tuple(id) => {
@@ -752,7 +601,7 @@ impl TypeStore {
                 let data = self.tuple(*id);
                 fp.write_usize(data.elems.len());
                 for e in &data.elems {
-                    let d = self.digest_of(e, visiting, caches);
+                    let d = self.digest_of(e, visiting);
                     fp.write_u64(d);
                 }
                 visiting.pop();
@@ -777,13 +626,13 @@ impl TypeStore {
                             fp.write_i64(*i);
                         }
                     }
-                    let d = self.digest_of(v, visiting, caches);
+                    let d = self.digest_of(v, visiting);
                     fp.write_u64(d);
                 }
                 match &data.rest {
                     Some(rest) => {
                         fp.write_u8(1);
-                        let d = self.digest_of(rest, visiting, caches);
+                        let d = self.digest_of(rest, visiting);
                         fp.write_u64(d);
                     }
                     None => fp.write_u8(0),
@@ -802,11 +651,7 @@ impl TypeStore {
                 }
             },
         }
-        let digest = fp.finish();
-        if let Some(key) = cache_key {
-            self.caches.put_digest(key, self.generation, digest);
-        }
-        digest
+        fp.finish()
     }
 
     // ---- constraints ----------------------------------------------------
@@ -1185,47 +1030,6 @@ mod tests {
         assert_eq!(store.fingerprint(&h), 0x4a0dfba4b90988d6);
         let s = store.new_const_string("SELECT 1");
         assert_eq!(store.fingerprint(&s), 0xc0a6ae7c1b2c25bb);
-        // The uncached walk pins to the same constants.
-        assert_eq!(store.fingerprint_uncached(&array_union), 0xd5ba11b112b3d7db);
-        assert_eq!(store.fingerprint_uncached(&h), 0x4a0dfba4b90988d6);
-    }
-
-    #[test]
-    fn cached_paths_match_the_structural_walk() {
-        let mut store = TypeStore::new();
-        let s = store.new_const_string("SELECT 1");
-        let t = store.new_tuple(vec![Type::nominal("Integer"), s.clone()]);
-        let h = store.new_finite_hash(vec![
-            (HashKey::Sym("items".into()), t.clone()),
-            (HashKey::Str("raw".into()), s.clone()),
-        ]);
-        let mixed = Type::union([Type::array(h.clone()), Type::Optional(Box::new(t.clone()))]);
-        let cyc = store.new_tuple(vec![]);
-        let Type::Tuple(cid) = cyc else { panic!() };
-        store.weak_update_tuple(cid, 0, cyc.clone());
-        let wrapped_cycle = Type::array(cyc.clone());
-        for ty in [&s, &t, &h, &mixed, &cyc, &wrapped_cycle, &Type::array(Type::nominal("User"))] {
-            // Twice, so the second round reads the populated caches.
-            for round in 0..2 {
-                assert_eq!(
-                    store.fingerprint(ty),
-                    store.fingerprint_uncached(ty),
-                    "digest mismatch for {ty} (round {round})"
-                );
-                assert_eq!(
-                    store.render(ty),
-                    store.render_uncached(ty),
-                    "render mismatch for {ty} (round {round})"
-                );
-            }
-        }
-        // Mutations invalidate: the cached digest must track new content.
-        let Type::Tuple(tid) = t else { panic!() };
-        let before = store.fingerprint(&t);
-        store.weak_update_tuple(tid, 0, Type::nominal("Float"));
-        assert_ne!(store.fingerprint(&t), before);
-        assert_eq!(store.fingerprint(&t), store.fingerprint_uncached(&t));
-        assert_eq!(store.render(&t), store.render_uncached(&t));
     }
 
     #[test]
