@@ -3,7 +3,9 @@
 //!
 //! The table itself is printed to stdout when the benchmark runs, so
 //! `cargo bench --bench table1` both reproduces the paper's rows and
-//! measures annotation-registration cost.
+//! measures annotation-registration cost.  The libraries are parsed once
+//! per process, on first use, so the registration rows measure what every
+//! further environment pays: merging the shared signatures and helpers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -2,9 +2,11 @@
 //!
 //! This mirrors RDL's global state populated by `type`, `var_type` and
 //! `global_type` calls.  Library annotation sets (the Ruby core library in
-//! [`crate::stdlib`], the database DSLs in the `db-types` crate) register
-//! themselves into a [`CompRdl`] value, and applications add their own
-//! annotations for the methods they want checked.
+//! [`crate::stdlib`], the database DSLs in the `db-types` crate) are each
+//! parsed once per process into a [`CompRdl`] value that
+//! [`CompRdl::merge_library`] shares into every environment, and
+//! applications add their own annotations for the methods they want
+//! checked.
 
 use crate::tlc::{HelperRegistry, TlcCtx, TlcResult, TlcValue};
 use rdl_types::{
@@ -162,6 +164,22 @@ impl CompRdl {
     /// Panics if the helper source does not parse.
     pub fn register_helpers_ruby(&mut self, src: &str) {
         self.helpers.register_ruby(src).unwrap_or_else(|e| panic!("invalid helper methods: {e}"));
+    }
+
+    // ---- shared libraries -------------------------------------------------
+
+    /// Merges a library environment into this one.  Signatures and helpers
+    /// are shared as `Arc` clones, later registrations win, and the
+    /// library's Table 1 LoC adds to this environment's, so the result
+    /// equals registering the library's annotations here directly.
+    ///
+    /// A library declares no classes, so classes are not merged.
+    pub fn merge_library(&mut self, library: &CompRdl) {
+        self.annotations.merge(&library.annotations);
+        self.helpers.merge(&library.helpers);
+        for (class, loc) in &library.loc_per_library {
+            *self.loc_per_library.entry(class.clone()).or_default() += loc;
+        }
     }
 
     // ---- statistics (Table 1) ---------------------------------------------

@@ -21,7 +21,8 @@
 //!   [`runtime::CompRdlHook`] that enforces inserted checks when a program
 //!   runs under [`ruby_interp`],
 //! * [`stdlib`] — comp-type annotation sets for the Ruby core library
-//!   (Array, Hash, String, Integer, Float; paper Table 1).
+//!   (Array, Hash, String, Integer, Float; paper Table 1), parsed once per
+//!   process and shared by every environment.
 //!
 //! ## Quick start
 //!

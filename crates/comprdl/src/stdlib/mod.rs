@@ -16,6 +16,7 @@ pub mod string;
 use crate::env::CompRdl;
 use crate::tlc::{TlcError, TlcValue};
 use rdl_types::{SingVal, Type};
+use std::sync::OnceLock;
 
 /// Shared type-level helper methods written in the Ruby subset.  These are
 /// the analogue of the paper's 83 helper methods and are counted in Table 1.
@@ -301,13 +302,22 @@ pub fn register_native_helpers(env: &mut CompRdl) {
 }
 
 /// Registers every core-library annotation set plus the shared helpers.
+///
+/// The functions above build the library once per process, on first use;
+/// every call then merges it into `env` with [`CompRdl::merge_library`], so
+/// all environments share one copy of its signatures and helpers.
 pub fn register_all(env: &mut CompRdl) {
-    register_native_helpers(env);
-    env.register_helpers_ruby(RUBY_HELPERS);
-    array::register(env);
-    hash::register(env);
-    string::register(env);
-    numeric::register(env);
+    static CORE: OnceLock<CompRdl> = OnceLock::new();
+    env.merge_library(CORE.get_or_init(|| {
+        let mut core = CompRdl::new();
+        register_native_helpers(&mut core);
+        core.register_helpers_ruby(RUBY_HELPERS);
+        array::register(&mut core);
+        hash::register(&mut core);
+        string::register(&mut core);
+        numeric::register(&mut core);
+        core
+    }));
 }
 
 /// The per-library rows of Table 1 for the core libraries registered here.

@@ -277,6 +277,19 @@ impl HelperRegistry {
         Ok(())
     }
 
+    /// Merges every helper of `other` into `self` (later registrations
+    /// win).  Helpers are shared with `other`, not copied, and `other`'s
+    /// Ruby helper LoC adds to this registry's.
+    pub fn merge(&mut self, other: &HelperRegistry) {
+        for (name, f) in &other.native {
+            self.native.insert(name.clone(), Arc::clone(f));
+        }
+        for (name, def) in &other.ruby {
+            self.ruby.insert(name.clone(), Arc::clone(def));
+        }
+        self.ruby_loc += other.ruby_loc;
+    }
+
     /// Number of registered helper methods.
     pub fn len(&self) -> usize {
         self.native.len() + self.ruby.len()

@@ -99,6 +99,11 @@ impl App {
     /// Builds the CompRDL environment for this app: core library
     /// annotations, DB DSL annotations (when the app uses a database), and
     /// the app's own annotations.
+    ///
+    /// The core library and the DB DSL annotation sets are parsed once per
+    /// process and shared with every other environment (see
+    /// [`CompRdl::merge_library`]); the model classes, the DB helpers over
+    /// this app's schema and the app's own annotations are built per call.
     pub fn build_env(&self) -> CompRdl {
         let mut env = CompRdl::new();
         comprdl::stdlib::register_all(&mut env);

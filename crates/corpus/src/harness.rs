@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// One row of Table 1 (library methods with comp type definitions).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1Row {
     /// Library name.
     pub library: String,

@@ -21,6 +21,7 @@ use crate::ty::{HashKey, Type};
 use ruby_syntax::Expr;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Termination effect of a method (paper §4, Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -294,9 +295,14 @@ impl MethodSig {
 /// The global annotation table: method signatures plus variable type
 /// annotations, mirroring RDL's global tables populated by `type`, `var_type`
 /// and `global_type` calls.
+///
+/// Signatures are held behind [`Arc`], so [`AnnotationTable::merge`] shares
+/// them rather than copying their trees: library annotation sets parsed
+/// once can back any number of tables.  Lookups hand out `&MethodSig`,
+/// and equality compares signatures by value.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnnotationTable {
-    methods: HashMap<(String, MethodKind, String), MethodSig>,
+    methods: HashMap<(String, MethodKind, String), Arc<MethodSig>>,
     ivars: HashMap<(String, String), TypeExpr>,
     gvars: HashMap<String, TypeExpr>,
 }
@@ -309,12 +315,14 @@ impl AnnotationTable {
 
     /// Registers an instance method signature (`A#m`).
     pub fn add_instance(&mut self, class: &str, method: &str, sig: MethodSig) {
-        self.methods.insert((class.to_string(), MethodKind::Instance, method.to_string()), sig);
+        self.methods
+            .insert((class.to_string(), MethodKind::Instance, method.to_string()), Arc::new(sig));
     }
 
     /// Registers a class method signature (`A.m`).
     pub fn add_singleton(&mut self, class: &str, method: &str, sig: MethodSig) {
-        self.methods.insert((class.to_string(), MethodKind::Singleton, method.to_string()), sig);
+        self.methods
+            .insert((class.to_string(), MethodKind::Singleton, method.to_string()), Arc::new(sig));
     }
 
     /// Registers an instance variable type (`var_type :@x, "T"`).
@@ -329,7 +337,7 @@ impl AnnotationTable {
 
     /// Looks up a method signature declared *exactly* on `class`.
     pub fn get_exact(&self, class: &str, kind: MethodKind, method: &str) -> Option<&MethodSig> {
-        self.methods.get(&(class.to_string(), kind, method.to_string()))
+        self.methods.get(&(class.to_string(), kind, method.to_string())).map(|sig| &**sig)
     }
 
     /// Looks up a method signature on `class` or any of its ancestors.
@@ -375,7 +383,7 @@ impl AnnotationTable {
 
     /// Iterates over every registered method signature.
     pub fn iter(&self) -> impl Iterator<Item = (&(String, MethodKind, String), &MethodSig)> {
-        self.methods.iter()
+        self.methods.iter().map(|(key, sig)| (key, &**sig))
     }
 
     /// Every variable type annotation as `(owner, name, type)`, sorted by
@@ -393,10 +401,10 @@ impl AnnotationTable {
     }
 
     /// Merges all annotations from `other` into `self` (later registrations
-    /// win).
+    /// win).  Method signatures are shared with `other`, not copied.
     pub fn merge(&mut self, other: &AnnotationTable) {
         for (k, v) in &other.methods {
-            self.methods.insert(k.clone(), v.clone());
+            self.methods.insert(k.clone(), Arc::clone(v));
         }
         for (k, v) in &other.ivars {
             self.ivars.insert(k.clone(), v.clone());
@@ -505,5 +513,10 @@ mod tests {
         assert_eq!(a.method_count(), 2);
         assert_eq!(a.method_count_for("Hash"), 2);
         assert!(a.gvar("$schema").is_some());
+        // Merged signatures are shared, not copied.
+        assert!(std::ptr::eq(
+            a.get_exact("Hash", MethodKind::Instance, "keys").unwrap(),
+            b.get_exact("Hash", MethodKind::Instance, "keys").unwrap(),
+        ));
     }
 }

@@ -236,7 +236,7 @@ impl Interpreter {
     pub fn eval_program(&self) -> Result<Value, RubyError> {
         let frame = Frame::top_level();
         let mut last = Value::Nil;
-        for item in &self.program.items.clone() {
+        for item in &self.program.items {
             if let Item::Expr(e) = item {
                 match self.eval(&frame, e) {
                     Ok(v) => last = v,
