@@ -10,11 +10,13 @@
 //! rebuilt fragments with [`sql_tc::parse_condition`].
 //!
 //! Findings render as [`diagnostics::Severity::Warning`] diagnostics with
-//! stable `LINT01xx` codes; the corpus harness runs the suite inside its
-//! parallel worker threads and freezes verdicts — keyed by
-//! [`ruby_syntax::method_hash`] — into the persistent check cache so a
-//! warm incremental run re-lints nothing (see `comprdl::persist` and
-//! `corpus::incremental`).
+//! stable `LINT01xx` codes; the corpus driver runs the suite across its
+//! worker threads and freezes verdicts into the persistent check cache so
+//! a warm incremental run re-lints nothing (see `comprdl::persist` and
+//! `corpus::driver`).  A verdict is keyed by the method's Merkle hash
+//! from `comprdl::semdep`, which covers everything the method calls
+//! (`LINT0105` follows taint through calls); [`ruby_syntax::method_hash`]
+//! keys only a method the dependency graph lacks.
 //!
 //! ```
 //! let p = ruby_syntax::parse_program_strict(

@@ -12,7 +12,7 @@
 //! app's mid-suite migration to blame exactly as the baseline does, and the
 //! parallel corpus harness to sustain a non-trivial hit count on one shared
 //! memo.  CI runs it with `BENCH_SMOKE=1` (two samples) and fails on
-//! divergence; the shared memo's shard hit/miss statistics are printed so
+//! divergence; the shared memo's hit/miss statistics are printed so
 //! regressions in cross-thread hit rate show up in CI logs.
 
 use bench::results::Scenario;
@@ -211,17 +211,17 @@ fn checked_vs_unchecked(c: &mut Criterion) {
         Scenario::from_stats(
             "redmine_suite/no_hook",
             no_hook_median,
-            comprdl::MemoStats::default(),
+            comprdl::CacheStats::default(),
         ),
         Scenario::from_stats(
             "redmine_suite/unmemoized",
             unmemoized_median,
-            comprdl::MemoStats::default(),
+            comprdl::CacheStats::default(),
         ),
         Scenario::from_stats(
             "redmine_suite/memoized",
             memoized_median,
-            comprdl::MemoStats::default(),
+            comprdl::CacheStats::default(),
         ),
         Scenario::from_stats("redmine_suite/shared_warm", warm_median, warm_stats),
         Scenario::from_stats("corpus/overhead_harness", 0, overhead_memo.stats()),

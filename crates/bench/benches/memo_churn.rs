@@ -1,19 +1,19 @@
 //! The migration-churn workload for the shared run-time check memo
 //! ([`comprdl::SharedMemo`]): generated migration *sequences* — many
 //! epochs per run — measuring how warm hit rate degrades with mutation
-//! frequency on the lock-free seqlock read path.
+//! frequency.
 //!
 //! Besides timing, this bench is a correctness/regression gate:
 //!
 //! * **Namespace isolation** — under a one-app migration sequence, the
 //!   *other* namespaces' hit/miss counters must be *exactly* those of the
 //!   no-migration run (per-namespace epochs; the emulated global-epoch
-//!   scenario shows the hit rate they would have lost under PR 4's global
-//!   counter).
-//! * **Bounded shards** — the eviction-pressure scenario must actually
-//!   evict (and never grow past capacity).
+//!   scenario shows the hit rate they would lose to one memo-wide epoch).
+//! * **Bounded namespaces** — the eviction-pressure scenario drives one
+//!   namespace past [`SharedMemo::NAMESPACE_CAPACITY`] distinct keys and
+//!   must evict (and never grow past the bound).
 //! * **Uncontended warm reads** — a pre-populated memo answers every
-//!   lookup from a slot.
+//!   lookup from its table.
 //!
 //! Every scenario's median ns + hit/miss/invalidation/eviction counts are
 //! persisted to `BENCH_SHARED_MEMO.json` at the repo root
@@ -23,7 +23,7 @@
 
 use bench::results::Scenario;
 use comprdl::{
-    memo_namespace, CheckConfig, CompRdlHook, HelperRegistry, InsertedCheck, MemoKey, MemoStats,
+    memo_namespace, CacheStats, CheckConfig, CompRdlHook, HelperRegistry, InsertedCheck, MemoKey,
     MemoTable, SharedMemo,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -47,8 +47,8 @@ fn site(n: usize) -> Span {
 }
 
 /// Two return-checked sites; the value schedule cycles three shapes per
-/// site, one of which blames — so warm replays cover both the inline `Ok`
-/// fast path and the per-slot blame payload path.
+/// site, one of which blames — so warm replays cover both `Ok` and blame
+/// verdicts.
 fn checks() -> Vec<InsertedCheck> {
     vec![
         InsertedCheck {
@@ -95,13 +95,13 @@ fn hook_on(memo: &Arc<SharedMemo>, namespace: u64) -> CompRdlHook {
 /// One churn run: `APPS` hooks interleaved round-robin over the schedule;
 /// app 0 migrates (a `mutate_store` flipping [`MODE_SLOT`]) every
 /// `migrate_every` steps (0 = never).  With `global_bump`, every other
-/// namespace's epoch is bumped alongside — emulating PR 4's global epoch
+/// namespace's epoch is bumped alongside — emulating one memo-wide epoch
 /// so its cross-app flush cost is measurable against the per-namespace
 /// behaviour.
 struct ChurnOutcome {
     ns_per_call: u128,
-    per_app: Vec<comprdl::CacheStats>,
-    memo: MemoStats,
+    per_app: Vec<CacheStats>,
+    memo: CacheStats,
 }
 
 fn run_churn(migrate_every: usize, global_bump: bool) -> ChurnOutcome {
@@ -150,7 +150,7 @@ fn run_churn(migrate_every: usize, global_bump: bool) -> ChurnOutcome {
 
 /// Median ns per fully-warm lookup (single namespace, memo pre-populated,
 /// every call a hit).
-fn run_warm_read() -> (u128, MemoStats) {
+fn run_warm_read() -> (u128, CacheStats) {
     let memo = Arc::new(SharedMemo::new());
     let hook = hook_on(&memo, memo.register_namespace("warm"));
     let values = schedule_values();
@@ -179,31 +179,29 @@ fn run_warm_read() -> (u128, MemoStats) {
 /// isolated read-path cost.  The hook-level warm-read scenario above it
 /// measures the end-to-end call, where fingerprinting and check dispatch
 /// surround the lookup.
-fn run_memo_read() -> (u128, MemoStats) {
+fn run_memo_read() -> (u128, CacheStats) {
     let memo = SharedMemo::new();
-    let ns_id = memo.register_namespace("probe");
-    let ns = memo.namespace_state(ns_id);
-    let keys: Vec<MemoKey> =
-        (0..8u64).map(|i| (ns_id, site(1), 0x9E37_79B9 ^ (i * 0x10001))).collect();
+    let ns = memo.namespace_state(memo.register_namespace("probe"));
+    let keys: Vec<MemoKey> = (0..8u64).map(|i| (site(1), 0x9E37_79B9 ^ (i * 0x10001))).collect();
     for key in &keys {
-        memo.insert(MemoTable::After, key, 0, 0, &Ok(()));
+        ns.insert(MemoTable::After, key, 0, 0, &Ok(()));
     }
     let samples = bench::sample_size(30);
     let mut timings = Vec::with_capacity(samples);
     for _ in 0..samples {
         let started = Instant::now();
         for i in 0..WARM_PASS {
-            black_box(memo.lookup(MemoTable::After, &keys[i % keys.len()], 0, &ns));
+            black_box(ns.lookup(MemoTable::After, &keys[i % keys.len()], 0));
         }
         timings.push(started.elapsed().as_nanos() / WARM_PASS as u128);
     }
     (bench::results::median_ns(timings), memo.stats())
 }
 
-/// Eviction pressure: a one-shard, minimum-capacity memo driven over many
-/// more distinct value shapes than it can hold.
-fn run_eviction_pressure() -> MemoStats {
-    let memo = Arc::new(SharedMemo::with_settings(1, 8));
+/// Eviction pressure: one namespace driven over half again as many
+/// distinct value shapes as [`SharedMemo::NAMESPACE_CAPACITY`] holds.
+fn run_eviction_pressure() -> CacheStats {
+    let memo = Arc::new(SharedMemo::new());
     let check = InsertedCheck {
         site: site(9),
         description: "Integer#succ".to_string(),
@@ -219,12 +217,13 @@ fn run_eviction_pressure() -> MemoStats {
         memo.clone(),
         memo.register_namespace("pressure"),
     );
+    let shapes = (SharedMemo::NAMESPACE_CAPACITY * 3 / 2) as i64;
     for _pass in 0..3 {
-        for i in 0..32i64 {
+        for i in 0..shapes {
             let _ = hook.after_call(site(9), &Value::Int(i));
         }
     }
-    assert!(memo.len() <= memo.capacity(), "capacity is a hard bound");
+    assert!(memo.len() <= SharedMemo::NAMESPACE_CAPACITY, "capacity is a hard bound");
     memo.stats()
 }
 
@@ -236,18 +235,18 @@ fn memo_churn(_c: &mut Criterion) {
     // fingerprinting and check dispatch surround the lookup.
     let (probe_ns, probe_stats) = run_memo_read();
     println!("memo read (bare lookup, all hits): {probe_ns} ns");
-    scenarios.push(Scenario::from_stats("memo_read/seqlock", probe_ns, probe_stats));
+    scenarios.push(Scenario::from_stats("memo_read", probe_ns, probe_stats));
 
     let (warm_ns, warm_stats) = run_warm_read();
     println!("warm read (full hook call, all hits): {warm_ns} ns/call");
     assert!(warm_stats.hits >= WARM_PASS as u64, "warm-read runs must be all hits: {warm_stats:?}");
-    scenarios.push(Scenario::from_stats("warm_read/seqlock", warm_ns, warm_stats));
+    scenarios.push(Scenario::from_stats("warm_read", warm_ns, warm_stats));
 
     // Hit rate vs mutation frequency: app 0 migrates every m steps; apps
     // 1..3 never do.  Per-namespace epochs mean their counters must be
     // *identical* to the no-migration run (acceptance (b)).
     let baseline = run_churn(0, false);
-    let others_baseline: Vec<comprdl::CacheStats> = baseline.per_app[1..].to_vec();
+    let others_baseline: Vec<CacheStats> = baseline.per_app[1..].to_vec();
     println!("churn m=0: {} ns/call, memo {:?}", baseline.ns_per_call, baseline.memo);
     scenarios.push(Scenario::from_stats("churn/m0", baseline.ns_per_call, baseline.memo));
     let mut m25_other_hits = 0u64;
@@ -278,10 +277,9 @@ fn memo_churn(_c: &mut Criterion) {
         ));
     }
 
-    // The same one-app churn under an emulated global epoch (PR 4
-    // semantics): every migration flushes all four namespaces, so the
-    // non-migrating apps must lose hits — the cost per-namespace epochs
-    // remove.
+    // The same one-app churn under an emulated memo-wide epoch: every
+    // migration flushes all four namespaces, so the non-migrating apps
+    // must lose hits — the cost per-namespace epochs remove.
     let global = run_churn(25, true);
     let per_ns_hits = m25_other_hits;
     let global_hits: u64 = global.per_app[1..].iter().map(|s| s.hits).sum();
@@ -297,10 +295,10 @@ fn memo_churn(_c: &mut Criterion) {
     );
     scenarios.push(Scenario::from_stats("churn/m25_global_epoch", global.ns_per_call, global.memo));
 
-    // Bounded shards: overflow must evict, not grow.
+    // Bounded namespaces: overflow must evict, not grow.
     let pressure = run_eviction_pressure();
     println!("eviction pressure: {pressure:?}");
-    assert!(pressure.evictions > 0, "the tiny table must evict: {pressure:?}");
+    assert!(pressure.evictions > 0, "the full namespace must evict: {pressure:?}");
     scenarios.push(Scenario::from_stats("eviction_pressure", 0, pressure));
 
     // Sanity: registration hands back the same id the hooks derive, so the

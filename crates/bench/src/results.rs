@@ -30,14 +30,17 @@ use std::path::{Path, PathBuf};
 /// end vs its strict fail-stop wrapper over the clean corpus, feeding the
 /// 5%-regression gate); 7 = `memo_churn` no longer carries the
 /// `type_core` rows or the mutex-baseline rows (`memo_read/mutex`,
-/// `warm_read/mutex`, `churn/m25_mutex`).
-pub const SCHEMA_VERSION: u32 = 7;
+/// `warm_read/mutex`, `churn/m25_mutex`); 8 = the seqlock read path is
+/// gone, so `memo_churn`'s read rows are `memo_read` and `warm_read` (were
+/// `memo_read/seqlock` and `warm_read/seqlock`), and `eviction_pressure`
+/// drives one namespace past the memo's fixed per-namespace capacity.
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// One measured scenario: a stable name, the median wall-clock per
 /// operation, and the memo counters the run ended with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
-    /// Stable scenario id, e.g. `warm_read/seqlock` or `churn/m25`.
+    /// Stable scenario id, e.g. `warm_read` or `churn/m25`.
     pub name: String,
     /// Median nanoseconds per measured operation.
     pub median_ns: u128,
@@ -54,7 +57,7 @@ pub struct Scenario {
 impl Scenario {
     /// Builds a scenario row from a memo's counter snapshot, so benches
     /// never transcribe the four counters by hand.
-    pub fn from_stats(name: &str, median_ns: u128, stats: comprdl::MemoStats) -> Self {
+    pub fn from_stats(name: &str, median_ns: u128, stats: comprdl::CacheStats) -> Self {
         Scenario {
             name: name.to_string(),
             median_ns,
@@ -67,7 +70,7 @@ impl Scenario {
 
     /// Hit rate of the recorded run, in percent.
     pub fn hit_rate_pct(&self) -> f64 {
-        comprdl::MemoStats {
+        comprdl::CacheStats {
             hits: self.hits,
             misses: self.misses,
             invalidations: self.invalidations,
@@ -463,11 +466,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bench-results-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("results.json");
-        record_at(&path, "memo_churn", &[scenario("warm_read/seqlock")]).expect("first write");
+        record_at(&path, "memo_churn", &[scenario("memo_read")]).expect("first write");
         record_at(&path, "checked_vs_unchecked", &[scenario("Redmine/memoized")])
             .expect("second write");
         // Overwrite the first section; the second must survive.
-        record_at(&path, "memo_churn", &[scenario("warm_read/mutex")]).expect("third write");
+        record_at(&path, "memo_churn", &[scenario("warm_read")]).expect("third write");
         let text = std::fs::read_to_string(&path).expect("readable");
         let Json::Obj(root) = parse(&text).expect("parses") else { panic!("not an object") };
         assert!(root.contains_key("memo_churn"));
@@ -478,8 +481,8 @@ mod tests {
             Json::Num(SCHEMA_VERSION.to_string()),
             "every section must carry the schema version"
         );
-        assert!(text.contains("warm_read/mutex"));
-        assert!(!text.contains("warm_read/seqlock"), "replaced section must not linger");
+        assert!(text.contains("warm_read"));
+        assert!(!text.contains("memo_read"), "replaced section must not linger");
         assert!(text.contains("Redmine/memoized"));
         assert!(text.contains("\"hit_rate_pct\": 90.00"));
         let _ = std::fs::remove_dir_all(&dir);

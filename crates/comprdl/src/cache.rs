@@ -125,25 +125,48 @@ struct CacheEntry {
     generation: u64,
 }
 
-/// Hit / miss / invalidation counters, exposed so benches and tests can
-/// verify the cache is actually doing work.
+/// Hit / miss / invalidation / eviction counters of the comp-type cache and
+/// of the run-time check memo ([`crate::SharedMemo`]), exposed so benches
+/// and tests can verify a cache is actually doing work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that fell through to evaluation.
     pub misses: u64,
-    /// Entries evicted because the store generation moved past them.
+    /// Entries removed because a stamp (the store generation, or a memo
+    /// namespace's epoch) moved past them; every invalidation is also
+    /// counted as a miss.
     pub invalidations: u64,
+    /// Entries dropped because a memo namespace reached its capacity (the
+    /// comp-type cache never evicts).
+    pub evictions: u64,
 }
 
 impl CacheStats {
-    /// Sums two stat blocks (used when merging parallel workers).
+    /// Sums two stat blocks (used when merging parallel workers or memo
+    /// namespaces).
     pub fn merged(self, other: CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
             invalidations: self.invalidations + other.invalidations,
+            evictions: self.evictions + other.evictions,
+        }
+    }
+
+    /// Total lookups (hits + misses).
+    pub fn lookups(&self) -> u64 {
+        self.hits + self.misses
+    }
+
+    /// Hit rate as a fraction in `[0, 1]` (0 when no lookups happened).
+    pub fn hit_rate(&self) -> f64 {
+        let lookups = self.lookups();
+        if lookups == 0 {
+            0.0
+        } else {
+            self.hits as f64 / lookups as f64
         }
     }
 }
@@ -256,7 +279,10 @@ mod tests {
         assert!(cache.lookup(&key, &store).is_none());
         cache.insert(key.clone(), Ok(Type::nominal("String")), &store);
         assert_eq!(cache.lookup(&key, &store), Some(Ok(Type::nominal("String"))));
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, invalidations: 0 });
+        assert_eq!(
+            cache.stats(),
+            CacheStats { hits: 1, misses: 1, invalidations: 0, evictions: 0 }
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use checker::{
     CheckOptions, ErrorCategory, MethodCheckResult, ProgramCheckResult, TypeChecker, TypeErrorInfo,
 };
 pub use env::CompRdl;
-pub use memo::{memo_namespace, MemoKey, MemoStats, MemoTable, NamespaceStats, SharedMemo};
+pub use memo::{memo_namespace, MemoKey, MemoTable, NamespaceStats, SharedMemo};
 pub use persist::{corrupt, CheckCache, EffectRecord, LintRecord};
 pub use runtime::{
     make_hook, make_hook_shared, type_of_value, value_fingerprint, value_matches, BlameDiagnostic,

@@ -26,12 +26,12 @@
 //!
 //! ## Sharing the memo across hooks
 //!
-//! The memo itself lives in a [`SharedMemo`]: a sharded, bounded,
-//! `Send + Sync` table — lock-free on the warm read path, see the
-//! [`crate::memo`] module docs — that any number of hooks (e.g. the
+//! The memo itself lives in a [`SharedMemo`]: a `Send + Sync` registry
+//! of bounded per-namespace tables, each behind its own lock (see the
+//! [`crate::memo`] module docs), that any number of hooks (e.g. the
 //! per-app hooks of the parallel corpus harness, or the warm re-runs of
-//! the overhead harness) can share through an [`Arc`].  Entries are keyed
-//! on `(namespace, site, value fingerprint)`; hooks that must never
+//! the overhead harness) can share through an [`Arc`].  Each namespace
+//! keys its entries on `(site, value fingerprint)`; hooks that must never
 //! exchange verdicts (different programs whose spans collide) use
 //! different namespaces, while replays of the *same* program reuse one
 //! namespace so a warm memo serves every run.
@@ -427,9 +427,9 @@ pub struct CompRdlHook {
     blames: RefCell<Vec<BlameDiagnostic>>,
     memo: Arc<SharedMemo>,
     namespace: u64,
-    /// The memo-shared state of this hook's namespace — its epoch and its
-    /// aggregate counters — resolved once at construction so the per-call
-    /// paths never touch the memo's namespace registry.
+    /// The memo-shared state of this hook's namespace — its verdicts, epoch
+    /// and aggregate counters — resolved once at construction so the
+    /// per-call paths never touch the memo's namespace registry.
     ns: Arc<NamespaceState>,
     /// Value-fingerprint → cached type.  Per-hook, *not* shared: the cached
     /// [`Type`]s hold ids of this hook's own store, which mean nothing to a
@@ -712,12 +712,11 @@ impl DynamicCheckHook for CompRdlHook {
             for a in args {
                 hash_value(&mut fp, a);
             }
-            (self.namespace, site, fp.finish())
+            (site, fp.finish())
         });
         let stamp = key.map(|_| (self.store.borrow().generation(), self.ns.epoch()));
         if let (Some(key), Some((generation, _))) = (&key, stamp) {
-            let (cached, invalidated) =
-                self.memo.lookup(MemoTable::Before, key, generation, &self.ns);
+            let (cached, invalidated) = self.ns.lookup(MemoTable::Before, key, generation);
             match cached {
                 Some(outcome) => {
                     self.note_hit();
@@ -746,7 +745,7 @@ impl DynamicCheckHook for CompRdlHook {
             // the stamp and replay it — so the only safe entry is no entry.
             // The next call re-evaluates, exactly like the unmemoized
             // baseline.
-            self.memo.insert(MemoTable::Before, &key, generation, epoch, &outcome);
+            self.ns.insert(MemoTable::Before, &key, generation, epoch, &outcome);
         }
         self.deliver(outcome)
     }
@@ -757,11 +756,10 @@ impl DynamicCheckHook for CompRdlHook {
         }
         let Some(check) = self.checks.get(&site) else { return Ok(()) };
 
-        let key = self.config.memoize.then(|| (self.namespace, site, value_fingerprint(ret)));
+        let key = self.config.memoize.then(|| (site, value_fingerprint(ret)));
         let stamp = key.map(|_| (self.store.borrow().generation(), self.ns.epoch()));
         if let (Some(key), Some((generation, _))) = (&key, stamp) {
-            let (cached, invalidated) =
-                self.memo.lookup(MemoTable::After, key, generation, &self.ns);
+            let (cached, invalidated) = self.ns.lookup(MemoTable::After, key, generation);
             match cached {
                 Some(outcome) => {
                     self.note_hit();
@@ -788,7 +786,7 @@ impl DynamicCheckHook for CompRdlHook {
         };
         drop(store);
         if let (Some(key), Some((generation, epoch))) = (key, stamp) {
-            self.memo.insert(MemoTable::After, &key, generation, epoch, &outcome);
+            self.ns.insert(MemoTable::After, &key, generation, epoch, &outcome);
         }
         self.deliver(outcome)
     }
@@ -1284,20 +1282,22 @@ mod tests {
         let bad = Value::Int(9);
         assert!(cold.after_call(site, &good).is_ok());
         assert!(cold.after_call(site, &bad).is_ok(), "raise_blame off records instead");
-        assert_eq!(cold.memo_stats(), CacheStats { hits: 0, misses: 2, invalidations: 0 });
+        assert_eq!(
+            cold.memo_stats(),
+            CacheStats { hits: 0, misses: 2, invalidations: 0, evictions: 0 }
+        );
 
         let warm = hook_on(&memo, memo_namespace("app"), site);
         assert!(warm.after_call(site, &good).is_ok());
         assert!(warm.after_call(site, &bad).is_ok());
         assert_eq!(
             warm.memo_stats(),
-            CacheStats { hits: 2, misses: 0, invalidations: 0 },
+            CacheStats { hits: 2, misses: 0, invalidations: 0, evictions: 0 },
             "a warm re-run must be served entirely from the shared memo"
         );
         assert_eq!(&*warm.blames(), &*cold.blames(), "replayed blame is byte-identical");
         assert_eq!(memo.stats().hits, 2);
         assert_eq!(memo.len(), 2);
-        assert_eq!(memo.shard_sizes().iter().sum::<usize>(), memo.len());
     }
 
     #[test]
@@ -1314,7 +1314,7 @@ mod tests {
         assert!(b.after_call(site, &value).is_ok());
         assert_eq!(
             b.memo_stats(),
-            CacheStats { hits: 0, misses: 1, invalidations: 0 },
+            CacheStats { hits: 0, misses: 1, invalidations: 0, evictions: 0 },
             "a different namespace must not hit app-a's entry"
         );
         assert_eq!(memo.len(), 2, "one entry per namespace");
@@ -1333,7 +1333,10 @@ mod tests {
         let value = Value::array(vec![Value::str("x")]);
         assert!(a.after_call(site, &value).is_ok());
         assert!(b.after_call(site, &value).is_ok());
-        assert_eq!(b.memo_stats(), CacheStats { hits: 1, misses: 0, invalidations: 0 });
+        assert_eq!(
+            b.memo_stats(),
+            CacheStats { hits: 1, misses: 0, invalidations: 0, evictions: 0 }
+        );
 
         a.mutate_store(|s| {
             let t = s.new_tuple(vec![Type::nominal("Integer")]);
@@ -1345,7 +1348,7 @@ mod tests {
         assert!(b.after_call(site, &value).is_ok());
         assert_eq!(
             b.memo_stats(),
-            CacheStats { hits: 1, misses: 1, invalidations: 1 },
+            CacheStats { hits: 1, misses: 1, invalidations: 1, evictions: 0 },
             "b's pre-mutation entry was evicted, not replayed"
         );
         // A no-op mutate_store (generation unchanged) must not thrash the
@@ -1378,7 +1381,7 @@ mod tests {
         assert!(b.after_call(site, &value).is_ok());
         assert_eq!(
             b.memo_stats(),
-            CacheStats { hits: 1, misses: 1, invalidations: 0 },
+            CacheStats { hits: 1, misses: 1, invalidations: 0, evictions: 0 },
             "b's warm entry must survive a's migration"
         );
         // A's own entry is gone, exactly as before.
@@ -1436,7 +1439,7 @@ mod tests {
         assert!(hook.before_call(site, &recv, &[]).is_ok());
         assert_eq!(
             hook.memo_stats(),
-            CacheStats { hits: 1, misses: 2, invalidations: 1 },
+            CacheStats { hits: 1, misses: 2, invalidations: 1, evictions: 0 },
             "the entry recorded just before the concurrent bump must be rejected"
         );
         assert_eq!(hook.blames().len(), 0, "the verdicts themselves are consistent");

@@ -447,7 +447,7 @@ fn blame_divergence(
 
 /// Runs the Table 2 overhead evaluation for every app in the corpus against
 /// one shared memo (see [`evaluate_overhead`]), so callers can report its
-/// shard hit/miss statistics after the run.
+/// hit/miss statistics after the run.
 ///
 /// # Errors
 ///
@@ -457,25 +457,17 @@ pub fn table2_overhead(memo: &Arc<SharedMemo>) -> Result<Vec<OverheadRow>, Harne
     crate::apps::all().iter().map(|app| evaluate_overhead(app, memo)).collect()
 }
 
-/// Renders a [`SharedMemo`]'s statistics — aggregate hit / miss /
-/// invalidation / eviction counters, hit rate, per-shard occupancy, and one
-/// row per registered namespace (epoch and counters per app) — as the
-/// block the CI smoke benches print, so regressions in cross-thread hit
-/// rate or in namespace isolation are visible in CI logs.
+/// Renders a [`SharedMemo`]'s statistics — entry count, aggregate hit /
+/// miss / invalidation / eviction counters, hit rate, and one row per
+/// registered namespace (epoch and counters per app) — as the block the
+/// CI smoke benches print, so regressions in cross-thread hit rate or in
+/// namespace isolation are visible in CI logs.
 pub fn format_memo_stats(memo: &SharedMemo) -> String {
     let stats = memo.stats();
-    // One pass over the shards: the headline total must agree with the
-    // per-shard list even if hooks are still recording concurrently.
-    let sizes = memo.shard_sizes();
-    let total: usize = sizes.iter().sum();
-    let rendered: Vec<String> = sizes.iter().map(usize::to_string).collect();
     let mut out = format!(
-        "SharedMemo: {total} entries across {} shards (capacity {}) [{}]\n\
-         SharedMemo: {} hits / {} misses / {} invalidations / {} evictions \
+        "SharedMemo: {} entries, {} hits / {} misses / {} invalidations / {} evictions \
          ({:.1}% hit rate)\n",
-        memo.shard_count(),
-        memo.capacity(),
-        rendered.join(" "),
+        memo.len(),
         stats.hits,
         stats.misses,
         stats.invalidations,

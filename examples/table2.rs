@@ -17,11 +17,11 @@ fn main() {
     let (rows, helpers) = corpus::table1();
     println!("{}", corpus::format_table1(&rows, helpers));
 
-    // One shared memo serves every app thread; its stats show the
-    // cross-thread hit rate, per-shard occupancy against the bounded
-    // capacity, and one row per app — whose epoch column shows the Sequel
-    // app's mid-suite migration bumping *its own* namespace epoch while
-    // every other app's stays at zero (per-namespace isolation).
+    // One shared memo serves every app thread; its stats show the entry
+    // count, the aggregate hit rate, and one row per app — whose epoch
+    // column shows the Sequel app's mid-suite migration bumping *its own*
+    // namespace epoch while every other app's stays at zero
+    // (per-namespace isolation).
     let memo = Arc::new(comprdl::SharedMemo::new());
     let rows = corpus::table2_parallel(&memo, &corpus::FaultPlan::none())
         .unwrap_or_else(|e| panic!("harness failed: {e}"));

@@ -12,18 +12,20 @@
 //! whenever any hook of that namespace's store mutates in between.  The
 //! flip side — one namespace's migrations must *not* flush another's warm
 //! entries, since namespaces never share keys — is property-tested here
-//! too, as are the lock-free read path's failure modes: evictions under
-//! capacity pressure and torn reads under concurrent slot rewrites, neither
-//! of which may ever change a verdict.
+//! too, as is the bound on each namespace's table: capacity pressure
+//! clears only the full namespace's entries, concurrent rewrites of one
+//! entry stay consistent, and neither may ever change a verdict.
 
+use comprdl::memo::NamespaceState;
 use comprdl::{
     memo_namespace, BlameDiagnostic, CheckConfig, CompRdlHook, ConsistencyCheck, HelperRegistry,
-    InsertedCheck, SharedMemo,
+    InsertedCheck, MemoTable, SharedMemo,
 };
 use diagnostics::Diagnostic;
 use rdl_types::{ClassTable, Type, TypeStore};
 use ruby_interp::{DynamicCheckHook, Value};
 use ruby_syntax::Span;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use test_rng::Rng;
 
@@ -170,6 +172,15 @@ fn run_schedule_with(
 
 const CALLS: usize = 300;
 
+/// A call site no workload check uses: verdicts recorded there fill a
+/// namespace's table without ever answering one of the workload's lookups.
+const FLOOD_SITE: Span = Span { start: 90_000, end: 90_005, line: 99, file: 0 };
+
+/// Records an `Ok` verdict for flood key `fp` into `ns`.
+fn flood_one(ns: &NamespaceState, fp: u64) {
+    ns.insert(MemoTable::After, &(FLOOD_SITE, fp), 0, ns.epoch(), &Ok(()));
+}
+
 /// The sequential baseline for `seed`, checked against the pay-at-every-hit
 /// configuration for good measure.
 fn baseline(seed: u64) -> Vec<BlameDiagnostic> {
@@ -224,11 +235,9 @@ fn k_threads_with_interleaved_migrations_never_observe_a_stale_verdict() {
             stats.invalidations > 0,
             "seed {seed:#x}: migrations must invalidate shared entries: {stats:?}"
         );
-        assert_eq!(
-            memo.shard_sizes().iter().sum::<usize>(),
-            memo.len(),
-            "shard occupancy must account for every entry"
-        );
+        let rows = memo.namespace_stats();
+        assert_eq!(rows.len(), 1, "seed {seed:#x}: every hook shares one namespace");
+        assert_eq!(rows[0].stats, stats, "seed {seed:#x}: the namespace counts every lookup");
     }
 }
 
@@ -312,49 +321,113 @@ fn one_apps_migration_churn_leaves_other_namespaces_hit_rate_intact() {
 
 #[test]
 fn capacity_pressure_evicts_mid_read_without_changing_any_verdict() {
-    // A deliberately tiny memo (one shard at the minimum slot count) under
-    // K hammering threads: inserts constantly displace entries mid-read.
-    // Eviction may cost hits, never correctness — every thread must still
-    // produce the sequential baseline's exact blame sequence, and the
+    // K hammering threads share one namespace that starts one entry short
+    // of its bound, so the hooks' own first new keys fill it and clear it
+    // mid-run.  Once that first clear is seen, a flooder records distinct
+    // verdicts into the namespace until every thread is done (and at least
+    // twice the bound), clearing the table under the readers again and
+    // again.  Eviction may cost hits, never correctness — every thread must
+    // still produce the sequential baseline's exact blame sequence, and the
     // table must never exceed its capacity.
     const K: usize = 4;
+    const CAP: usize = SharedMemo::NAMESPACE_CAPACITY;
     let seed = 0x5CA1Eu64;
     let expected = baseline(seed);
-    let memo = Arc::new(SharedMemo::with_settings(1, 8));
-    assert_eq!(memo.capacity(), 8);
+    let memo = Arc::new(SharedMemo::new());
     let namespace = memo_namespace("prop-app");
-    let results: Vec<Vec<BlameDiagnostic>> = std::thread::scope(|scope| {
+    let ns = memo.namespace_state(namespace);
+    let evictions = || memo.namespace_stats()[0].stats.evictions;
+    for fp in 0..CAP as u64 - 1 {
+        flood_one(&ns, fp);
+    }
+    assert_eq!((memo.len(), evictions()), (CAP - 1, 0));
+    let finished = AtomicUsize::new(0);
+    let results: Vec<(Vec<BlameDiagnostic>, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..K)
             .map(|_| {
-                let memo = &memo;
+                let (memo, finished, evictions) = (&memo, &finished, &evictions);
                 scope.spawn(move || {
                     let (hook, sites) = hook_sharing(memo, namespace, true);
-                    run_schedule(seed, CALLS, &hook, &sites)
+                    let blames = run_schedule(seed, CALLS, &hook, &sites);
+                    let seen = evictions();
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    (blames, seen)
                 })
             })
             .collect();
+        let (ns, finished, evictions) = (&ns, &finished, &evictions);
+        scope.spawn(move || {
+            while evictions() == 0 && finished.load(Ordering::SeqCst) < K {
+                std::thread::yield_now();
+            }
+            let mut fp = CAP as u64;
+            while finished.load(Ordering::SeqCst) < K || fp < 3 * CAP as u64 {
+                flood_one(ns, fp);
+                fp += 1;
+            }
+        });
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     });
-    for (i, blames) in results.iter().enumerate() {
-        assert_eq!(
-            blames, &expected,
-            "thread {i}: an eviction or torn read changed a verdict at capacity"
-        );
+    for (i, (blames, seen)) in results.iter().enumerate() {
+        assert_eq!(blames, &expected, "thread {i}: an eviction changed a verdict at capacity");
+        assert!(*seen > 0, "thread {i} finished before the hooks' inserts cleared the namespace");
     }
-    assert!(memo.len() <= memo.capacity(), "capacity is a hard bound");
+    assert!(memo.len() <= CAP, "capacity is a hard bound");
     let stats = memo.stats();
-    assert!(stats.evictions > 0, "the tiny table must have evicted under pressure: {stats:?}");
+    assert!(stats.evictions >= 2 * CAP as u64, "the flooder must clear the table again: {stats:?}");
+}
+
+#[test]
+fn capacity_pressure_stays_inside_its_namespace() {
+    // App A floods its namespace past the per-namespace bound — first
+    // while app B's cold run records its entries, then again while B's
+    // entries sit warm.  The bound is per namespace, so A's evictions never
+    // touch B: B's cold and warm runs must count exactly the hits and
+    // misses (and blame exactly as) a solo run against a private memo.
+    const CAP: usize = SharedMemo::NAMESPACE_CAPACITY;
+    let seed_b = 0xB1A5u64;
+    let run_b = |memo: &Arc<SharedMemo>| {
+        let (hook, sites) = hook_sharing(memo, memo.register_namespace("app-b"), true);
+        let blames = run_schedule_with(seed_b, CALLS, &hook, &sites, false);
+        (blames, hook.memo_stats())
+    };
+    let solo_memo = Arc::new(SharedMemo::new());
+    let solo_cold = run_b(&solo_memo);
+    let solo_warm = run_b(&solo_memo);
+    assert!(solo_warm.1.hits > solo_cold.1.hits, "the warm run must replay: {solo_warm:?}");
+
+    let memo = Arc::new(SharedMemo::new());
+    let ns_a = memo.namespace_state(memo.register_namespace("app-a"));
+    let flood = |from: u64| {
+        for fp in from..from + 2 * CAP as u64 {
+            flood_one(&ns_a, fp);
+        }
+    };
+    let cold = std::thread::scope(|scope| {
+        scope.spawn(|| flood(0));
+        scope.spawn(|| run_b(&memo)).join().expect("b")
+    });
+    flood(2 * CAP as u64);
+    let warm = run_b(&memo);
+    assert_eq!(cold, solo_cold, "app A's capacity pressure changed app B's cold run");
+    assert_eq!(warm, solo_warm, "app A's capacity pressure evicted app B's warm entries");
+    let rows = memo.namespace_stats();
+    let row_a = rows.iter().find(|r| r.label == "app-a").expect("registered row for app-a");
+    let row_b = rows.iter().find(|r| r.label == "app-b").expect("registered row for app-b");
+    assert!(row_a.stats.evictions >= 3 * CAP as u64, "{row_a:?}");
+    assert_eq!(row_b.stats.evictions, 0, "{row_b:?}");
+    assert!(memo.len() <= 2 * CAP, "each namespace stays within its bound");
 }
 
 #[test]
 fn concurrent_rewrites_of_one_slot_never_tear_a_read() {
-    // Torn-read regression: reader threads hammer a single (site, value)
-    // key — one slot — while a migrator thread keeps bumping the
-    // namespace epoch, so the slot is invalidated and rewritten under the
-    // readers continuously.  A torn read that survived validation would
-    // surface as a bogus blame (the value always inhabits the expected
-    // type) or a panic; neither may happen.
-    let memo = Arc::new(SharedMemo::with_settings(1, 8));
+    // Concurrent-rewrite regression: reader threads hammer a single
+    // (site, value) key — one entry — while a migrator thread keeps bumping
+    // the namespace epoch, so the entry is invalidated and rewritten under
+    // the readers continuously.  A reader that saw a half-written entry
+    // would surface as a bogus blame (the value always inhabits the
+    // expected type) or a panic; neither may happen.
+    let memo = Arc::new(SharedMemo::new());
     let namespace = memo_namespace("torn");
     std::thread::scope(|scope| {
         for _ in 0..3 {
@@ -382,7 +455,7 @@ fn concurrent_rewrites_of_one_slot_never_tear_a_read() {
                     }
                     assert!(hook.after_call(sites[0], &value).is_ok());
                 }
-                assert_eq!(hook.blame_count(), 0, "a torn read produced a bogus verdict");
+                assert_eq!(hook.blame_count(), 0, "a rewrite produced a bogus verdict");
             });
         }
         let memo = &memo;
