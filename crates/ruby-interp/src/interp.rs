@@ -1060,4 +1060,72 @@ twice() { |x| x * 10 }
         let interp = Interpreter::new(prog);
         assert_eq!(interp.call("M", true, "f", vec![Value::Int(41)]).unwrap(), Value::Int(42));
     }
+
+    #[test]
+    fn user_methods_on_builtin_classes_win_over_corelib() {
+        let src = "class Integer\n def twice()\n self * 2\n end\nend\n3.twice()";
+        assert_eq!(run_ok(src), Value::Int(6));
+        let src = "class Integer\n def to_s()\n 'mine'\n end\nend\n3.to_s()";
+        assert_eq!(run_ok(src), Value::str("mine"));
+    }
+
+    #[test]
+    fn builtin_receivers_see_only_their_own_class() {
+        let src = "def helper()\n 1\nend\n3.helper()";
+        assert_eq!(run(src).unwrap_err().kind, ErrorKind::NoMethod);
+        let src = "class Numeric\n def twice()\n self * 2\n end\nend\n3.twice()";
+        assert_eq!(run(src).unwrap_err().kind, ErrorKind::NoMethod);
+    }
+
+    #[test]
+    fn singleton_and_instance_methods_of_one_name_stay_apart() {
+        let src = r#"
+class K
+  def self.f()
+    'class'
+  end
+  def f()
+    'instance'
+  end
+end
+[K.f(), K.new().f()]
+"#;
+        assert_eq!(run_ok(src), Value::array(vec![Value::str("class"), Value::str("instance")]));
+    }
+
+    #[test]
+    fn inherited_attr_reader_reads_but_does_not_write() {
+        let classes = r#"
+class A
+  attr_reader(:x)
+  def initialize()
+    @x = 5
+  end
+end
+class B < A
+end
+b = B.new()
+"#;
+        assert_eq!(run_ok(&format!("{classes}b.x")), Value::Int(5));
+        assert_eq!(run(&format!("{classes}b.x = 6")).unwrap_err().kind, ErrorKind::NoMethod);
+    }
+
+    #[test]
+    fn is_a_follows_superclasses_and_the_numeric_tower() {
+        let src = "class A\nend\nclass B < A\nend\nclass C < B\nend\nC.new().is_a?(A)";
+        assert_eq!(run_ok(src), Value::Bool(true));
+        assert_eq!(run_ok("[3.is_a?(Numeric), 3.5.is_a?(Numeric)]"), run_ok("[true, true]"));
+        let src = "class A\nend\nA.new().is_a?(Numeric)";
+        assert_eq!(run_ok(src), Value::Bool(false));
+    }
+
+    #[test]
+    fn superclass_cycles_end_the_ancestor_walk() {
+        let cycle = "class A < B\nend\nclass B < A\nend\n";
+        assert_eq!(
+            run(&format!("{cycle}A.new().missing()")).unwrap_err().kind,
+            ErrorKind::NoMethod
+        );
+        assert_eq!(run_ok(&format!("{cycle}A.new().is_a?(String)")), Value::Bool(false));
+    }
 }
