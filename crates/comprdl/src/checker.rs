@@ -699,7 +699,7 @@ impl<'a> TypeChecker<'a> {
                 if let Some(t) = ctx.block_param_types.get(name) {
                     return t.clone();
                 }
-                self.infer_call(ctx, expr, None, name, &[], &None)
+                self.infer_call(ctx, expr, None, name, &[], None)
             }
             ExprKind::IVar(name) => match self.env.annotations.ivar(&ctx.class, name) {
                 Some(te) => {
@@ -747,7 +747,7 @@ impl<'a> TypeChecker<'a> {
                 new_ty
             }
             ExprKind::Call { recv, name, args, block } => {
-                self.infer_call(ctx, expr, recv.as_deref(), name, args, block)
+                self.infer_call(ctx, expr, recv.as_deref(), name, args, block.as_deref())
             }
             ExprKind::BoolOp { op, lhs, rhs } => {
                 let l = self.infer(ctx, lhs);
@@ -1064,7 +1064,7 @@ impl<'a> TypeChecker<'a> {
         recv: Option<&Expr>,
         name: &str,
         args: &[Expr],
-        block: &Option<ruby_syntax::Block>,
+        block: Option<&ruby_syntax::Block>,
     ) -> Type {
         // `Klass.new` constructs an instance.
         let recv_ty = match recv {
@@ -1257,7 +1257,7 @@ impl<'a> TypeChecker<'a> {
         recv_ty: &Type,
         args: &[Expr],
         arg_types: &[Type],
-        block: &Option<ruby_syntax::Block>,
+        block: Option<&ruby_syntax::Block>,
     ) -> Type {
         // Arity.
         if !sig.accepts_arity(args.len()) {
@@ -1477,7 +1477,7 @@ impl<'a> TypeChecker<'a> {
     fn infer_block_body(
         &mut self,
         ctx: &mut MethodCtx,
-        block: &Option<ruby_syntax::Block>,
+        block: Option<&ruby_syntax::Block>,
         elem_ty: &Type,
     ) {
         if let Some(b) = block {

@@ -819,7 +819,7 @@ fn lambda_method(
 ) -> EvalResult<Option<Value>> {
     match name {
         "call" | "()" | "yield" => Ok(Some(interp.call_closure(closure, args, span)?)),
-        "arity" => Ok(Some(Value::Int(closure.params.len() as i64))),
+        "arity" => Ok(Some(Value::Int(closure.block.params.len() as i64))),
         _ => Ok(None),
     }
 }

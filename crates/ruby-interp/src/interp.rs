@@ -6,8 +6,9 @@ use crate::error::{Control, ErrorKind, EvalResult, RubyError};
 use crate::value::{Closure, Value};
 use ruby_syntax::{BinOp, Block, Expr, ExprKind, Item, LValue, MethodDef, Program, Span};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Default evaluation fuel (one unit per AST node evaluated).
 const DEFAULT_FUEL: u64 = 20_000_000;
@@ -20,120 +21,172 @@ enum AccessorKind {
     Both,
 }
 
-/// Table of user-defined classes and methods extracted from a [`Program`].
+/// Superclass steps a dispatch walk follows before it stops, so a
+/// superclass cycle ends the walk instead of hanging it.
+const MAX_SUPERCLASS_STEPS: usize = 64;
+
+/// What user code defines on one class: a declared (or reopened) class, or
+/// `Object` as the owner of top-level methods.
+#[derive(Default)]
+struct ClassEntry {
+    /// The superclass (`Object` when omitted); `None` if no `class` item
+    /// declares this name.
+    superclass: Option<String>,
+    /// Instance methods by name.
+    instance: HashMap<String, MethodDef>,
+    /// Singleton (`def self.`) methods by name.
+    singleton: HashMap<String, MethodDef>,
+    /// `attr_*` declarations by attribute.
+    accessors: HashMap<String, AccessorKind>,
+}
+
+/// The user-defined classes, methods and accessors of a [`Program`], moved
+/// out of it.  The table never changes after it is built, so lookups borrow
+/// from it and allocate nothing.
 #[derive(Default)]
 struct MethodTable {
-    /// (class, is_singleton, name) → definition.
-    methods: HashMap<(String, bool, String), Rc<MethodDef>>,
-    /// class → superclass.
-    superclasses: HashMap<String, String>,
-    /// (class, attribute) → accessor kind.
-    accessors: HashMap<(String, String), AccessorKind>,
+    /// Per-class definitions.
+    classes: HashMap<String, ClassEntry>,
+    /// Every user-defined method name and accessor attribute.  A call on
+    /// any other name (most builtin calls, `assert`, `[]`, `==`) cannot
+    /// reach user code, so it skips the ancestor walk.
+    names: HashSet<String>,
 }
 
 impl MethodTable {
-    fn from_program(program: &Program) -> Self {
+    /// Builds the table from `program`'s classes and methods; returns it
+    /// with the top-level expressions, in order.
+    fn from_program(program: Program) -> (Self, Vec<Expr>) {
         let mut table = MethodTable::default();
-        table.collect("Object", &program.items);
-        table
+        let mut top_level = Vec::new();
+        for item in program.items {
+            match item {
+                Item::Expr(e) => top_level.push(e),
+                member => table.add("Object", member),
+            }
+        }
+        (table, top_level)
     }
 
-    fn collect(&mut self, owner: &str, items: &[Item]) {
-        for item in items {
-            match item {
-                Item::Method(m) => {
-                    self.methods.insert(
-                        (owner.to_string(), m.singleton, m.name.clone()),
-                        Rc::new(m.clone()),
-                    );
-                }
-                Item::Class(c) => {
-                    let sup = c.superclass.clone().unwrap_or_else(|| "Object".to_string());
-                    self.superclasses.insert(c.name.clone(), sup);
-                    self.collect(&c.name, &c.body);
-                    // attr_accessor / attr_reader / attr_writer declarations.
-                    for body_item in &c.body {
-                        if let Item::Expr(e) = body_item {
-                            if let ExprKind::Call { recv: None, name, args, .. } = &e.kind {
-                                let kind = match name.as_str() {
-                                    "attr_accessor" => Some(AccessorKind::Both),
-                                    "attr_reader" => Some(AccessorKind::Reader),
-                                    "attr_writer" => Some(AccessorKind::Writer),
-                                    _ => None,
-                                };
-                                if let Some(kind) = kind {
-                                    for arg in args {
-                                        if let ExprKind::Sym(attr) = &arg.kind {
-                                            self.accessors
-                                                .insert((c.name.clone(), attr.clone()), kind);
-                                        }
-                                    }
-                                }
-                            }
-                        }
+    fn add(&mut self, owner: &str, item: Item) {
+        match item {
+            Item::Method(m) => {
+                self.names.insert(m.name.clone());
+                let entry = self.classes.entry(owner.to_string()).or_default();
+                let methods = if m.singleton { &mut entry.singleton } else { &mut entry.instance };
+                methods.insert(m.name.clone(), m);
+            }
+            Item::Class(c) => {
+                self.classes.entry(c.name.clone()).or_default().superclass =
+                    Some(c.superclass.unwrap_or_else(|| "Object".to_string()));
+                for member in c.body {
+                    match member {
+                        Item::Expr(e) => self.add_accessors(&c.name, &e),
+                        member => self.add(&c.name, member),
                     }
                 }
-                Item::Expr(_) => {}
             }
+            Item::Expr(_) => {}
         }
     }
 
-    fn ancestors(&self, class: &str) -> Vec<String> {
-        let mut out = vec![class.to_string()];
-        let mut current = class.to_string();
-        let mut fuel = 64;
-        while fuel > 0 {
-            fuel -= 1;
-            match self.superclasses.get(&current) {
-                Some(sup) => {
-                    out.push(sup.clone());
-                    current = sup.clone();
-                }
-                None => break,
-            }
-        }
-        // Builtin numeric tower fallbacks.
-        match class {
-            "Integer" | "Float" => out.push("Numeric".to_string()),
-            _ => {}
-        }
-        if !out.contains(&"Object".to_string()) {
-            out.push("Object".to_string());
-        }
-        out
-    }
-
-    fn lookup(&self, class: &str, singleton: bool, name: &str) -> Option<Rc<MethodDef>> {
-        for anc in self.ancestors(class) {
-            if let Some(m) = self.methods.get(&(anc, singleton, name.to_string())) {
-                return Some(m.clone());
-            }
-        }
-        None
-    }
-
-    fn accessor(&self, class: &str, name: &str) -> Option<(AccessorKind, String)> {
-        let (attr, is_writer) = match name.strip_suffix('=') {
-            Some(base) => (base.to_string(), true),
-            None => (name.to_string(), false),
+    /// Records an `attr_accessor` / `attr_reader` / `attr_writer` call in
+    /// `class`'s body; other class-body expressions never run.
+    fn add_accessors(&mut self, class: &str, expr: &Expr) {
+        let ExprKind::Call { recv: None, name, args, .. } = &expr.kind else { return };
+        let kind = match name.as_str() {
+            "attr_accessor" => AccessorKind::Both,
+            "attr_reader" => AccessorKind::Reader,
+            "attr_writer" => AccessorKind::Writer,
+            _ => return,
         };
-        for anc in self.ancestors(class) {
-            if let Some(kind) = self.accessors.get(&(anc, attr.clone())) {
-                let ok = match kind {
-                    AccessorKind::Both => true,
-                    AccessorKind::Reader => !is_writer,
-                    AccessorKind::Writer => is_writer,
-                };
-                if ok {
-                    return Some((*kind, attr));
-                }
+        for arg in args {
+            if let ExprKind::Sym(attr) = &arg.kind {
+                self.names.insert(attr.clone());
+                let entry = self.classes.entry(class.to_string()).or_default();
+                entry.accessors.insert(attr.clone(), kind);
             }
         }
-        None
     }
 
+    /// Calls `visit` on each ancestor of `class` in dispatch order and
+    /// returns its first `Some`.  The order is the class, its superclass
+    /// chain (at most [`MAX_SUPERCLASS_STEPS`] steps), `Numeric` for
+    /// `Integer` and `Float`, then `Object` unless the chain reached it.
+    /// `visit` also gets the ancestor's entry, if user code defines one.
+    fn find_ancestor<'a, T>(
+        &'a self,
+        class: &str,
+        mut visit: impl FnMut(&str, Option<&'a ClassEntry>) -> Option<T>,
+    ) -> Option<T> {
+        let mut name = class;
+        let mut entry = self.classes.get(class);
+        let mut saw_object = false;
+        for _ in 0..=MAX_SUPERCLASS_STEPS {
+            saw_object |= name == "Object";
+            if let Some(found) = visit(name, entry) {
+                return Some(found);
+            }
+            let Some(superclass) = entry.and_then(|e| e.superclass.as_deref()) else { break };
+            name = superclass;
+            entry = self.classes.get(superclass);
+        }
+        if matches!(class, "Integer" | "Float") {
+            if let Some(found) = visit("Numeric", self.classes.get("Numeric")) {
+                return Some(found);
+            }
+        }
+        if saw_object {
+            return None;
+        }
+        visit("Object", self.classes.get("Object"))
+    }
+
+    /// The method `name` that a `class` receiver (or, with `singleton`, the
+    /// class object itself) dispatches to.
+    fn lookup(&self, class: &str, singleton: bool, name: &str) -> Option<&MethodDef> {
+        if !self.names.contains(name) {
+            return None;
+        }
+        self.find_ancestor(class, |_, entry| {
+            let entry = entry?;
+            if singleton { &entry.singleton } else { &entry.instance }.get(name)
+        })
+    }
+
+    /// The method `name` defined on the builtin `class` itself.  Builtin
+    /// receivers see only their own class: a top-level `def` or a
+    /// `class Numeric` method does not reach `3`.
+    fn builtin_method(&self, class: &str, name: &str) -> Option<&MethodDef> {
+        self.classes.get(class)?.instance.get(name)
+    }
+
+    /// If `name` is a reader (or, ending in `=`, a writer) that `class` or
+    /// an ancestor declares, the attribute and whether `name` writes it.
+    fn accessor<'n>(&self, class: &str, name: &'n str) -> Option<(&'n str, bool)> {
+        let (attr, writes) = match name.strip_suffix('=') {
+            Some(attr) => (attr, true),
+            None => (name, false),
+        };
+        if !self.names.contains(attr) {
+            return None;
+        }
+        self.find_ancestor(class, |_, entry| match entry?.accessors.get(attr)? {
+            AccessorKind::Both => Some(()),
+            AccessorKind::Reader => (!writes).then_some(()),
+            AccessorKind::Writer => writes.then_some(()),
+        })?;
+        Some((attr, writes))
+    }
+
+    /// True if `ancestor` is `class` or one of its ancestors.
+    fn is_a(&self, class: &str, ancestor: &str) -> bool {
+        self.find_ancestor(class, |name, _| (name == ancestor).then_some(())).is_some()
+    }
+
+    /// True if a `class` item declares `name`.
     fn is_class(&self, name: &str) -> bool {
-        self.superclasses.contains_key(name)
+        self.classes.get(name).is_some_and(|e| e.superclass.is_some())
     }
 }
 
@@ -163,7 +216,7 @@ impl Frame {
 /// The Ruby-subset interpreter.
 pub struct Interpreter {
     table: MethodTable,
-    program: Program,
+    top_level: Vec<Expr>,
     globals: RefCell<HashMap<String, Value>>,
     constants: RefCell<HashMap<String, Value>>,
     class_ivars: RefCell<HashMap<(String, String), Value>>,
@@ -175,12 +228,13 @@ pub struct Interpreter {
 
 impl Interpreter {
     /// Creates an interpreter for `program` (class and method definitions
-    /// are registered immediately; top-level expressions run when
+    /// move into the method table; top-level expressions run when
     /// [`Interpreter::eval_program`] is called).
     pub fn new(program: Program) -> Self {
+        let (table, top_level) = MethodTable::from_program(program);
         Interpreter {
-            table: MethodTable::from_program(&program),
-            program,
+            table,
+            top_level,
             globals: RefCell::new(HashMap::new()),
             constants: RefCell::new(HashMap::new()),
             class_ivars: RefCell::new(HashMap::new()),
@@ -236,13 +290,11 @@ impl Interpreter {
     pub fn eval_program(&self) -> Result<Value, RubyError> {
         let frame = Frame::top_level();
         let mut last = Value::Nil;
-        for item in &self.program.items {
-            if let Item::Expr(e) = item {
-                match self.eval(&frame, e) {
-                    Ok(v) => last = v,
-                    Err(Control::Return(v)) => return Ok(v),
-                    Err(c) => return Err(crate::error::into_error(c)),
-                }
+        for e in &self.top_level {
+            match self.eval(&frame, e) {
+                Ok(v) => last = v,
+                Err(Control::Return(v)) => return Ok(v),
+                Err(c) => return Err(crate::error::into_error(c)),
             }
         }
         Ok(last)
@@ -468,7 +520,7 @@ impl Interpreter {
         Ok(last)
     }
 
-    fn make_closure(&self, frame: &Frame, block: &Block) -> Rc<Closure> {
+    fn make_closure(&self, frame: &Frame, block: &Arc<Block>) -> Rc<Closure> {
         Rc::new(Closure::from_block(block, frame.locals.clone(), frame.self_val.clone()))
     }
 
@@ -481,7 +533,7 @@ impl Interpreter {
         self.burn(span)?;
         {
             let mut locals = closure.locals.borrow_mut();
-            for (i, p) in closure.params.iter().enumerate() {
+            for (i, p) in closure.block.params.iter().enumerate() {
                 locals.insert(p.clone(), args.get(i).cloned().unwrap_or(Value::Nil));
             }
         }
@@ -491,7 +543,7 @@ impl Interpreter {
             block: None,
         };
         let mut last = Value::Nil;
-        for e in &closure.body {
+        for e in &closure.block.body {
             match self.eval(&frame, e) {
                 Ok(v) => last = v,
                 Err(Control::Next(v)) => return Ok(v),
@@ -604,8 +656,8 @@ impl Interpreter {
     ) -> EvalResult {
         // Kernel-level helpers take priority only when the receiver class
         // does not define the method.
-        let recv = frame.self_val.clone();
-        match self.try_invoke(span, &recv, name, &args, &block)? {
+        let recv = &frame.self_val;
+        match self.try_invoke(span, recv, name, &args, &block)? {
             Some(v) => Ok(v),
             None => match self.kernel_call(span, name, &args, &block)? {
                 Some(v) => Ok(v),
@@ -664,13 +716,13 @@ impl Interpreter {
                 if name == "new" {
                     let obj = Value::new_object(class.clone());
                     if let Some(init) = self.table.lookup(class, false, "initialize") {
-                        self.run_method_def(&init, obj.clone(), args, block.clone(), span)?;
+                        self.run_method_def(init, obj.clone(), args, block.clone(), span)?;
                     }
                     return Ok(Some(obj));
                 }
                 if let Some(def) = self.table.lookup(class, true, name) {
                     return Ok(Some(self.run_method_def(
-                        &def,
+                        def,
                         recv.clone(),
                         args,
                         block.clone(),
@@ -681,40 +733,42 @@ impl Interpreter {
                 corelib::dispatch(self, span, recv, name, args, block.as_deref())
             }
             Value::Object(obj) => {
-                let class = obj.borrow().class.clone();
-                if let Some(def) = self.table.lookup(&class, false, name) {
+                // Each borrow ends with its statement: the method body may
+                // write this object's ivars.
+                let method = self.table.lookup(&obj.borrow().class, false, name);
+                if let Some(def) = method {
                     return Ok(Some(self.run_method_def(
-                        &def,
+                        def,
                         recv.clone(),
                         args,
                         block.clone(),
                         span,
                     )?));
                 }
-                if let Some((_, attr)) = self.table.accessor(&class, name) {
-                    if name.ends_with('=') {
+                let accessor = self.table.accessor(&obj.borrow().class, name);
+                if let Some((attr, writes)) = accessor {
+                    if writes {
                         let value = args.first().cloned().unwrap_or(Value::Nil);
-                        self.write_ivar(recv, &attr, value.clone());
+                        self.write_ivar(recv, attr, value.clone());
                         return Ok(Some(value));
                     }
-                    return Ok(Some(self.read_ivar(recv, &attr)));
+                    return Ok(Some(self.read_ivar(recv, attr)));
                 }
                 corelib::dispatch(self, span, recv, name, args, block.as_deref())
             }
-            other => {
+            builtin => {
                 // User code may monkey-patch builtin classes; check user
                 // definitions first, then the native core library.
-                let class = other.class_name();
-                if let Some(def) = self.table.lookup(&class, false, name) {
-                    if self.table.methods.contains_key(&(class, false, name.to_string())) {
-                        return Ok(Some(self.run_method_def(
-                            &def,
-                            recv.clone(),
-                            args,
-                            block.clone(),
-                            span,
-                        )?));
-                    }
+                let method =
+                    builtin.builtin_class_name().and_then(|c| self.table.builtin_method(c, name));
+                if let Some(def) = method {
+                    return Ok(Some(self.run_method_def(
+                        def,
+                        recv.clone(),
+                        args,
+                        block.clone(),
+                        span,
+                    )?));
                 }
                 corelib::dispatch(self, span, recv, name, args, block.as_deref())
             }
@@ -729,34 +783,35 @@ impl Interpreter {
         block: Option<Rc<Closure>>,
         span: Span,
     ) -> EvalResult {
-        let locals: HashMap<String, Value> = HashMap::new();
-        let frame = Frame { locals: Rc::new(RefCell::new(locals)), self_val, block };
-        // Bind parameters.
-        let mut arg_iter = args.iter();
-        for p in &def.params {
-            if p.block {
-                continue;
-            }
-            let value = match arg_iter.next() {
-                Some(v) => v.clone(),
-                None => match &p.default {
-                    Some(d) => self.eval(&frame, d)?,
-                    None => Value::Nil,
-                },
-            };
-            frame.locals.borrow_mut().insert(p.name.clone(), value);
-        }
-        if args.len() > def.params.iter().filter(|p| !p.block).count() {
+        let positional = def.params.iter().filter(|p| !p.block).count();
+        if args.len() > positional {
             return Err(Control::error(
                 ErrorKind::Argument,
                 format!(
-                    "wrong number of arguments for `{}` (given {}, expected {})",
+                    "wrong number of arguments for `{}` (given {}, expected {positional})",
                     def.name,
                     args.len(),
-                    def.params.len()
                 ),
                 span,
             ));
+        }
+        let locals: HashMap<String, Value> = HashMap::new();
+        let frame = Frame { locals: Rc::new(RefCell::new(locals)), self_val, block };
+        // Bind parameters; a `&blk` parameter binds the passed block.
+        let mut arg_iter = args.iter();
+        for p in &def.params {
+            let value = if p.block {
+                frame.block.clone().map_or(Value::Nil, Value::Lambda)
+            } else {
+                match arg_iter.next() {
+                    Some(v) => v.clone(),
+                    None => match &p.default {
+                        Some(d) => self.eval(&frame, d)?,
+                        None => Value::Nil,
+                    },
+                }
+            };
+            frame.locals.borrow_mut().insert(p.name.clone(), value);
         }
         match self.eval_body(&frame, &def.body) {
             Ok(v) => Ok(v),
@@ -832,18 +887,19 @@ impl Interpreter {
 
     /// True if `value` is an instance of `class` (or a subclass).
     pub fn value_is_a(&self, value: &Value, class: &str) -> bool {
-        let actual = value.class_name();
-        if actual == class || class == "Object" {
+        let pseudo = match value {
+            // Boolean pseudo-class.
+            Value::Bool(_) => class == "Boolean",
+            Value::Int(_) | Value::Float(_) => class == "Numeric",
+            _ => false,
+        };
+        if pseudo || class == "Object" {
             return true;
         }
-        // Boolean pseudo-class.
-        if class == "Boolean" && matches!(value, Value::Bool(_)) {
-            return true;
+        match value {
+            Value::Object(o) => self.table.is_a(&o.borrow().class, class),
+            builtin => builtin.builtin_class_name().is_some_and(|c| self.table.is_a(c, class)),
         }
-        if class == "Numeric" && matches!(value, Value::Int(_) | Value::Float(_)) {
-            return true;
-        }
-        self.table.ancestors(&actual).iter().any(|a| a == class)
     }
 }
 
@@ -1117,6 +1173,38 @@ b = B.new()
         assert_eq!(run_ok("[3.is_a?(Numeric), 3.5.is_a?(Numeric)]"), run_ok("[true, true]"));
         let src = "class A\nend\nA.new().is_a?(Numeric)";
         assert_eq!(run_ok(src), Value::Bool(false));
+    }
+
+    #[test]
+    fn block_parameters_bind_the_passed_block_or_nil() {
+        let def = "def f(a, &blk)\n blk.call(a)\nend\n";
+        assert_eq!(run_ok(&format!("{def}f(1) {{ |x| x + 1 }}")), Value::Int(2));
+        assert_eq!(run_ok("def g(&blk)\n blk\nend\ng()"), Value::Nil);
+    }
+
+    #[test]
+    fn arity_errors_do_not_count_the_block_parameter() {
+        let err = run("def f(a, &blk)\n a\nend\nf(1, 2)").unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Argument);
+        assert!(err.message.contains("(given 2, expected 1)"), "{}", err.message);
+    }
+
+    #[test]
+    fn lambdas_from_one_literal_keep_separate_captures() {
+        let src = "def make(n)\n ->(x) { x + n }\nend\n[make(1).call(1), make(10).call(1)]";
+        assert_eq!(run_ok(src), Value::array(vec![Value::Int(2), Value::Int(11)]));
+    }
+
+    #[test]
+    fn blocks_write_their_defining_frame_locals() {
+        assert_eq!(run_ok("sum = 0\n[1, 2, 3].each { |x| sum = sum + x }\nsum"), Value::Int(6));
+    }
+
+    #[test]
+    fn nested_blocks_and_proc_arity_read_the_shared_block() {
+        let src = "[1, 2].map { |x| [10, 20].map { |y| x + y } }";
+        assert_eq!(run_ok(src), run_ok("[[11, 21], [12, 22]]"));
+        assert_eq!(run_ok("->(a, b) { a }.arity()"), Value::Int(2));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Runtime values of the Ruby-subset interpreter.
 
-use ruby_syntax::{Block, Expr};
+use ruby_syntax::Block;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Shared mutable string contents.
 pub type StrRef = Rc<RefCell<String>>;
@@ -27,10 +28,9 @@ pub struct ObjectData {
 /// A lambda or block closure.
 #[derive(Debug, Clone)]
 pub struct Closure {
-    /// Parameter names.
-    pub params: Vec<String>,
-    /// Body expressions.
-    pub body: Vec<Expr>,
+    /// The block literal (parameter names and body), shared with the AST
+    /// rather than copied for each evaluation of the literal.
+    pub block: Arc<Block>,
     /// The captured local scope (shared with the defining frame, as in Ruby).
     pub locals: Rc<RefCell<HashMap<String, Value>>>,
     /// The captured `self`.
@@ -40,17 +40,17 @@ pub struct Closure {
 impl Closure {
     /// Builds a closure from a literal block.
     pub fn from_block(
-        block: &Block,
+        block: &Arc<Block>,
         locals: Rc<RefCell<HashMap<String, Value>>>,
         self_val: Value,
     ) -> Self {
-        Closure { params: block.params.clone(), body: block.body.clone(), locals, self_val }
+        Closure { block: Arc::clone(block), locals, self_val }
     }
 }
 
 impl PartialEq for Closure {
     fn eq(&self, other: &Self) -> bool {
-        Rc::ptr_eq(&self.locals, &other.locals) && self.params == other.params
+        Rc::ptr_eq(&self.locals, &other.locals) && self.block.params == other.block.params
     }
 }
 
@@ -113,19 +113,28 @@ impl Value {
     /// The name of the value's class.
     pub fn class_name(&self) -> String {
         match self {
-            Value::Nil => "NilClass".to_string(),
-            Value::Bool(true) => "TrueClass".to_string(),
-            Value::Bool(false) => "FalseClass".to_string(),
-            Value::Int(_) => "Integer".to_string(),
-            Value::Float(_) => "Float".to_string(),
-            Value::Str(_) => "String".to_string(),
-            Value::Sym(_) => "Symbol".to_string(),
-            Value::Array(_) => "Array".to_string(),
-            Value::Hash(_) => "Hash".to_string(),
             Value::Object(o) => o.borrow().class.clone(),
-            Value::Class(_) => "Class".to_string(),
-            Value::Lambda(_) => "Proc".to_string(),
+            builtin => builtin.builtin_class_name().unwrap_or_default().to_string(),
         }
+    }
+
+    /// The class name of a builtin value, without allocating; `None` for an
+    /// instance of a user-defined class.
+    pub fn builtin_class_name(&self) -> Option<&'static str> {
+        Some(match self {
+            Value::Nil => "NilClass",
+            Value::Bool(true) => "TrueClass",
+            Value::Bool(false) => "FalseClass",
+            Value::Int(_) => "Integer",
+            Value::Float(_) => "Float",
+            Value::Str(_) => "String",
+            Value::Sym(_) => "Symbol",
+            Value::Array(_) => "Array",
+            Value::Hash(_) => "Hash",
+            Value::Object(_) => return None,
+            Value::Class(_) => "Class",
+            Value::Lambda(_) => "Proc",
+        })
     }
 
     /// Ruby `==` (structural for strings/arrays/hashes, identity for

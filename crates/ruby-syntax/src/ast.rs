@@ -8,6 +8,7 @@
 //! attribute assignment) and `return`.
 
 use crate::span::Span;
+use std::sync::Arc;
 
 /// A whole source file: a sequence of top-level items.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,8 +236,8 @@ pub enum ExprKind {
         name: String,
         /// Positional arguments.
         args: Vec<Expr>,
-        /// Optional literal block.
-        block: Option<Block>,
+        /// Optional literal block, shared (not copied) by clones of the tree.
+        block: Option<Arc<Block>>,
     },
     /// Short-circuit boolean operation.
     BoolOp { op: BinOp, lhs: Box<Expr>, rhs: Box<Expr> },
@@ -268,8 +269,8 @@ pub enum ExprKind {
     Break,
     /// `next`.
     Next,
-    /// A stabby lambda `->(x) { body }`.
-    Lambda(Block),
+    /// A stabby lambda `->(x) { body }`, shared like a call's block.
+    Lambda(Arc<Block>),
     /// A type cast `RDL.type_cast(e, "T")`, preserved specially so the
     /// checker can count casts.  `ty` is the annotation source text.
     TypeCast { expr: Box<Expr>, ty: String },
@@ -472,6 +473,34 @@ mod tests {
         let e =
             Expr::call(Expr::synth(ExprKind::Ident("page".into())), "[]", vec![Expr::sym("info")]);
         assert_eq!(e.node_count(), 3);
+    }
+
+    #[test]
+    fn clones_share_every_block() {
+        fn blocks(program: &Program) -> Vec<Arc<Block>> {
+            let mut out = Vec::new();
+            let mut visit = |e: &Expr| {
+                if let ExprKind::Call { block: Some(b), .. } | ExprKind::Lambda(b) = &e.kind {
+                    out.push(Arc::clone(b));
+                }
+            };
+            for (_, m) in program.methods() {
+                m.body.iter().for_each(|e| e.walk(&mut visit));
+            }
+            for item in &program.items {
+                if let Item::Expr(e) = item {
+                    e.walk(&mut visit);
+                }
+            }
+            out
+        }
+        let src = "def f(xs)\n xs.map { |x| ->(y) { x + y } }\nend\n[1].each { |i| i }";
+        let program = crate::parse_program_strict(src).unwrap();
+        let original = blocks(&program);
+        let cloned = blocks(&program.clone());
+        assert_eq!(original.len(), 3);
+        assert_eq!(cloned.len(), original.len());
+        assert!(original.iter().zip(&cloned).all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]

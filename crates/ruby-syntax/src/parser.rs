@@ -15,6 +15,7 @@ use crate::span::Span;
 use crate::token::{Kw, Token, TokenKind};
 use diagnostics::Diagnostic;
 use std::fmt;
+use std::sync::Arc;
 
 /// An error produced while parsing.
 #[derive(Debug, Clone, PartialEq)]
@@ -958,7 +959,7 @@ impl Parser {
         recv: Option<Box<Expr>>,
         name: String,
         args: Vec<Expr>,
-        block: Option<Block>,
+        block: Option<Arc<Block>>,
         span: Span,
     ) -> Expr {
         // Recognize `RDL.type_cast(e, "T")` so the checker can count casts.
@@ -1001,14 +1002,14 @@ impl Parser {
         Ok(args)
     }
 
-    fn parse_optional_block(&mut self) -> PResult<Option<Block>> {
+    fn parse_optional_block(&mut self) -> PResult<Option<Arc<Block>>> {
         if self.check(&TokenKind::LBrace) {
             self.advance();
             let params = self.parse_block_params()?;
             let body = self.parse_body(&[])?;
             self.skip_newlines();
             self.expect(&TokenKind::RBrace)?;
-            return Ok(Some(Block { params, body }));
+            return Ok(Some(Arc::new(Block { params, body })));
         }
         if self.check_kw(Kw::Do) {
             self.advance();
@@ -1016,7 +1017,7 @@ impl Parser {
             self.skip_newlines();
             let body = self.parse_body(&[Kw::End])?;
             self.expect_kw(Kw::End)?;
-            return Ok(Some(Block { params, body }));
+            return Ok(Some(Arc::new(Block { params, body })));
         }
         Ok(None)
     }
@@ -1220,7 +1221,7 @@ impl Parser {
                 let body = self.parse_body(&[])?;
                 self.skip_newlines();
                 let end = self.expect(&TokenKind::RBrace)?.span;
-                Ok(Expr::new(ExprKind::Lambda(Block { params, body }), span.to(end)))
+                Ok(Expr::new(ExprKind::Lambda(Arc::new(Block { params, body })), span.to(end)))
             }
             other => Err(self.error(format!("unexpected {}", other.describe()))),
         }
