@@ -219,7 +219,8 @@ pub struct Interpreter {
     top_level: Vec<Expr>,
     globals: RefCell<HashMap<String, Value>>,
     constants: RefCell<HashMap<String, Value>>,
-    class_ivars: RefCell<HashMap<(String, String), Value>>,
+    /// Class-level instance variables: class → ivar → value.
+    class_ivars: RefCell<HashMap<String, HashMap<String, Value>>>,
     hook: Option<Rc<dyn DynamicCheckHook>>,
     fuel: Cell<u64>,
     checks_performed: Cell<u64>,
@@ -394,9 +395,10 @@ impl Interpreter {
                 Ok(new)
             }
             ExprKind::Call { recv, name, args, block } => {
+                // `None` is a call on `self`, which is borrowed, not cloned.
                 let recv_val = match recv {
-                    Some(r) => self.eval(frame, r)?,
-                    None => frame.self_val.clone(),
+                    Some(r) => Some(self.eval(frame, r)?),
+                    None => None,
                 };
                 let mut arg_vals = Vec::with_capacity(args.len());
                 for a in args {
@@ -409,13 +411,13 @@ impl Interpreter {
                 if checked {
                     self.checks_performed.set(self.checks_performed.get() + 1);
                     let hook = self.hook.as_ref().expect("checked implies hook");
-                    hook.before_call(expr.span, &recv_val, &arg_vals)
+                    let recv = recv_val.as_ref().unwrap_or(&frame.self_val);
+                    hook.before_call(expr.span, recv, &arg_vals)
                         .map_err(|msg| Control::error(ErrorKind::Blame, msg, expr.span))?;
                 }
-                let result = if recv.is_none() {
-                    self.invoke_self_call(expr.span, frame, name, arg_vals, closure)?
-                } else {
-                    self.invoke_method(expr.span, &recv_val, name, arg_vals, closure)?
+                let result = match &recv_val {
+                    None => self.invoke_self_call(expr.span, frame, name, arg_vals, closure)?,
+                    Some(recv) => self.invoke_method(expr.span, recv, name, arg_vals, closure)?,
                 };
                 if checked {
                     let hook = self.hook.as_ref().expect("checked implies hook");
@@ -561,7 +563,8 @@ impl Interpreter {
             Value::Class(c) => self
                 .class_ivars
                 .borrow()
-                .get(&(c.clone(), name.to_string()))
+                .get(c)
+                .and_then(|ivars| ivars.get(name))
                 .cloned()
                 .unwrap_or(Value::Nil),
             _ => Value::Nil,
@@ -574,7 +577,8 @@ impl Interpreter {
                 o.borrow_mut().ivars.insert(name.to_string(), value);
             }
             Value::Class(c) => {
-                self.class_ivars.borrow_mut().insert((c.clone(), name.to_string()), value);
+                let mut class_ivars = self.class_ivars.borrow_mut();
+                class_ivars.entry(c.clone()).or_default().insert(name.to_string(), value);
             }
             _ => {}
         }
