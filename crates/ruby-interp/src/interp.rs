@@ -6,7 +6,7 @@ use crate::error::{Control, ErrorKind, EvalResult, RubyError};
 use crate::value::{Closure, Value};
 use ruby_syntax::{BinOp, Block, Expr, ExprKind, Item, LValue, MethodDef, Program, Span};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -47,10 +47,6 @@ struct ClassEntry {
 struct MethodTable {
     /// Per-class definitions.
     classes: HashMap<String, ClassEntry>,
-    /// Every user-defined method name and accessor attribute.  A call on
-    /// any other name (most builtin calls, `assert`, `[]`, `==`) cannot
-    /// reach user code, so it skips the ancestor walk.
-    names: HashSet<String>,
 }
 
 impl MethodTable {
@@ -71,7 +67,6 @@ impl MethodTable {
     fn add(&mut self, owner: &str, item: Item) {
         match item {
             Item::Method(m) => {
-                self.names.insert(m.name.clone());
                 let entry = self.classes.entry(owner.to_string()).or_default();
                 let methods = if m.singleton { &mut entry.singleton } else { &mut entry.instance };
                 methods.insert(m.name.clone(), m);
@@ -102,7 +97,6 @@ impl MethodTable {
         };
         for arg in args {
             if let ExprKind::Sym(attr) = &arg.kind {
-                self.names.insert(attr.clone());
                 let entry = self.classes.entry(class.to_string()).or_default();
                 entry.accessors.insert(attr.clone(), kind);
             }
@@ -145,9 +139,6 @@ impl MethodTable {
     /// The method `name` that a `class` receiver (or, with `singleton`, the
     /// class object itself) dispatches to.
     fn lookup(&self, class: &str, singleton: bool, name: &str) -> Option<&MethodDef> {
-        if !self.names.contains(name) {
-            return None;
-        }
         self.find_ancestor(class, |_, entry| {
             let entry = entry?;
             if singleton { &entry.singleton } else { &entry.instance }.get(name)
@@ -168,9 +159,6 @@ impl MethodTable {
             Some(attr) => (attr, true),
             None => (name, false),
         };
-        if !self.names.contains(attr) {
-            return None;
-        }
         self.find_ancestor(class, |_, entry| match entry?.accessors.get(attr)? {
             AccessorKind::Both => Some(()),
             AccessorKind::Reader => (!writes).then_some(()),

@@ -16,14 +16,13 @@
 //!
 //! [`Interpreter::new`] moves the program's classes and methods into an
 //! immutable method table and keeps only the top-level expressions.  The
-//! table holds per-class instance and singleton method maps plus the set of
-//! every user-defined method and accessor name, so a call on any other name
-//! goes straight to the native core library.  A user-object or class
-//! receiver searches its ancestors in a fixed order: the class, its
-//! superclass chain (at most 64 steps, so a cycle ends the walk), `Numeric`
-//! for `Integer` and `Float`, then `Object`.  A builtin receiver (`3`,
-//! `"s"`, `[]`, ...) sees only methods that user code defines on its own
-//! class.  No lookup allocates.  Closures share their block's parameters
+//! table holds per-class instance and singleton method maps and `attr_*`
+//! declarations.  A user-object or class receiver searches its ancestors
+//! in a fixed order: the class, its superclass chain (at most 64 steps, so
+//! a cycle ends the walk), `Numeric` for `Integer` and `Float`, then
+//! `Object`.  A builtin receiver (`3`, `"s"`, `[]`, ...) sees only methods
+//! that user code defines on its own class.  A call no user method matches
+//! goes to the native core library.  No lookup allocates.  Closures share their block's parameters
 //! and body with the AST (`Arc<Block>`) instead of copying them.  Fuel
 //! counts one unit per AST node evaluated (plus one per `while` iteration
 //! and block call), so a suite's fuel is a deterministic measure of its
