@@ -8,6 +8,7 @@ use comprdl::semdep::{env_hash, DepGraph};
 use comprdl::{stdlib, CompRdl};
 use corpus::App;
 use rdl_types::{MethodKind, MethodSig};
+use ruby_syntax::SemHasher;
 use std::sync::Arc;
 
 /// The Table 1 classes: the five core classes, ActiveRecord's `Table` and
@@ -92,5 +93,44 @@ fn library_signatures_are_shared_and_app_signatures_are_not() {
                 app.name
             );
         }
+    }
+}
+
+/// One digest of every app method's Merkle hash, in `method_merkles` order.
+fn merkle_pin(app: &App) -> (u64, usize) {
+    let merkles = DepGraph::build(&app.build_env(), &app.parse().0).method_merkles();
+    let mut h = SemHasher::new();
+    for ((owner, name, singleton), merkle) in &merkles {
+        h.write_str(owner);
+        h.write_str(name);
+        h.write_bool(*singleton);
+        h.write_u64(*merkle);
+    }
+    (h.finish(), merkles.len())
+}
+
+/// Pins every corpus app's Merkle hashes.  The on-disk check cache replays
+/// a verdict only while a method's Merkle hash is unchanged, so a moved pin
+/// means a moved on-disk cache key: every cache written before it misses.
+/// Update a pin only in a commit that moves it on purpose, and give the
+/// reason in that commit.
+#[test]
+fn merkle_hashes_are_pinned_per_app() {
+    let pins: [(&str, u64, usize); 8] = [
+        ("Wikipedia", 0xcaec79f18ba7d8ca, 14),
+        ("Twitter", 0xcafa43c480cc14b0, 6),
+        ("Discourse", 0xef019e4cf0a5376e, 22),
+        ("Huginn", 0xe64ca7555e1b6979, 10),
+        ("Code.org", 0xa0093385dfd27e90, 11),
+        ("Journey", 0x5afab2228cdcecaa, 13),
+        ("Redmine", 0x971456c4847683d5, 18),
+        ("Sequel", 0xb4d49c1c74e971e4, 20),
+    ];
+    let apps = corpus::apps::all();
+    assert_eq!(apps.len(), pins.len());
+    for (app, (name, pin, methods)) in apps.iter().zip(pins) {
+        assert_eq!(app.name, name);
+        let (got, count) = merkle_pin(app);
+        assert_eq!((got, count), (pin, methods), "{name}: got {got:#018x} over {count} methods");
     }
 }
