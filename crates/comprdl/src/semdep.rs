@@ -22,6 +22,16 @@
 //! edge to each.  Over-approximation costs a spurious re-check; it never
 //! costs soundness.
 //!
+//! Nothing the shared libraries contribute is hashed per build.  Every
+//! annotation's digest ([`rdl_types::MethodSig::digest`]) and every
+//! helper's hash ([`HelperRegistry::ruby_helper`],
+//! [`HelperRegistry::native_hash`]) is computed when it is registered and
+//! stored with it, and the core and DB-DSL libraries are registered once
+//! per process.  A build hashes the program's methods, adds nodes only for
+//! the annotations and helpers their calls can reach, and computes Merkle
+//! hashes for program methods only.  A native helper has no AST, so its
+//! hash is its name plus [`NATIVE_HELPER_REVISION`].
+//!
 //! [`env_hash`] digests the rest of the environment (class hierarchy,
 //! method/ivar/gvar annotations).  Helper *bodies* are intentionally
 //! excluded from it: a helper edit must invalidate only the methods that
@@ -29,9 +39,9 @@
 
 use crate::env::CompRdl;
 use crate::tlc::HelperRegistry;
-use rdl_types::{MethodKind, MethodSig, TypeExpr};
+use rdl_types::{MethodSig, TypeExpr};
 use ruby_syntax::{method_hash, Expr, ExprKind, MethodDef, Program, SemHasher};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Bump when the behaviour of any *native* (Rust) helper changes in a way
 /// that affects check verdicts.  Native helpers have no AST to hash, so this
@@ -44,8 +54,8 @@ pub type MethodId = (String, String, bool);
 /// One node of the graph — a program method, an annotated library-method
 /// signature, or a comp-type helper.  The three kinds share a
 /// representation; what distinguishes them is which index map
-/// (`DepGraph::methods` / `helpers` / `Builder::annotations`) points at
-/// them.
+/// (`DepGraph::methods` / `helpers`) points at them, or, for annotations,
+/// that a method's call edge does.
 #[derive(Debug)]
 struct Node {
     /// Structural hash of this node alone (no dependencies).
@@ -58,79 +68,63 @@ struct Node {
 /// environment.  See the module docs for the invalidation model.
 #[derive(Debug)]
 pub struct DepGraph {
+    /// Program method nodes come first: indices `0..merkles.len()`.
     nodes: Vec<Node>,
     methods: BTreeMap<MethodId, usize>,
+    /// The helpers some program method reaches.
     helpers: BTreeMap<String, usize>,
-    /// Memoized reachable-base-hash sets per node.
+    /// The Merkle hash of every program method node, by node index.
     merkles: Vec<u64>,
 }
 
 impl DepGraph {
     /// Builds the dependency graph for `program` checked under `env`.
     pub fn build(env: &CompRdl, program: &Program) -> DepGraph {
-        let mut b = Builder::default();
+        let mut b = Builder { registry: &env.helpers, nodes: Vec::new(), helpers: BTreeMap::new() };
 
-        // Helper nodes first: Ruby helpers hash structurally, native helpers
-        // by name + revision tag.
-        for (name, def) in env.helpers.ruby_defs() {
-            b.add_helper(name, method_hash(def));
+        // Program method nodes, with the names each body may call.
+        let methods = program.methods();
+        let mut method_idx = BTreeMap::new();
+        let mut calls = Vec::with_capacity(methods.len());
+        for (owner, def) in &methods {
+            let idx = b.add_node(method_hash(def));
+            method_idx.insert((owner.clone(), def.name.clone(), def.singleton), idx);
+            calls.push(called_names(def));
         }
-        for name in env.helpers.native_names() {
-            let mut h = SemHasher::new();
-            h.write_str("native-helper");
-            h.write_str(name);
-            h.write_u64(u64::from(NATIVE_HELPER_REVISION));
-            b.add_helper(name, h.finish());
+        let method_count = b.nodes.len();
+
+        // Called-name → candidate-node index.  Only annotations whose method
+        // name some body calls are reachable, so only they get nodes.  An
+        // annotation's base is its stored digest; its edges point at every
+        // helper its comp exprs mention.
+        let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
+        for ((_, name, _), &idx) in &method_idx {
+            by_name.entry(name.as_str()).or_default().push(idx);
         }
-        // Helper → helper edges (Ruby bodies only; natives are leaves).
-        for (name, def) in env.helpers.ruby_defs() {
-            let from = b.helpers[name];
-            for callee in called_names(def) {
-                if let Some(&to) = b.helpers.get(callee.as_str()) {
-                    b.nodes[from].deps.push(to);
-                }
+        let called: HashSet<&str> = calls.iter().flatten().map(String::as_str).collect();
+        for ((_, _, name), sig, digest) in env.annotations.iter_digests() {
+            if !called.contains(name.as_str()) {
+                continue;
             }
-        }
-
-        // Annotation nodes: one per annotated method signature.  Base hash
-        // covers the signature source (which embeds the comp exprs) plus its
-        // identity; edges point at every helper its comp exprs mention.
-        let mut annots: Vec<(&(String, MethodKind, String), &MethodSig)> =
-            env.annotations.iter().collect();
-        annots.sort_by_key(|(k, _)| (k.0.clone(), kind_tag(k.1), k.2.clone()));
-        for (key, sig) in &annots {
-            let idx = b.add_annotation(key, sig);
+            let idx = b.add_node(digest);
             let mut helper_names = BTreeSet::new();
             for_each_comp_expr(sig, &mut |expr| {
                 collect_helper_refs(expr, &env.helpers, &mut helper_names);
             });
             for hn in helper_names {
-                let to = b.helpers[&hn];
+                let to = b.helper(&hn).expect("collected helper refs are registered");
                 b.nodes[idx].deps.push(to);
             }
-        }
-
-        // Program method nodes, then name-based call edges.
-        let methods = program.methods();
-        for (owner, def) in &methods {
-            b.add_method((owner.clone(), def.name.clone(), def.singleton), method_hash(def));
-        }
-        // Called-name → candidate-node index, computed once.
-        let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
-        for ((_, name, _), &idx) in &b.methods {
             by_name.entry(name.as_str()).or_default().push(idx);
         }
-        for (key, _) in &annots {
-            by_name.entry(key.2.as_str()).or_default().push(b.annotations[&ann_key(key)]);
-        }
-        for (owner, def) in &methods {
-            let from = b.methods[&(owner.clone(), def.name.clone(), def.singleton)];
-            for callee in called_names(def) {
-                if let Some(cands) = by_name.get(callee.as_str()) {
-                    for &to in cands {
-                        if to != from {
-                            b.nodes[from].deps.push(to);
-                        }
+
+        // Name-based call edges.
+        for ((owner, def), callees) in methods.iter().zip(&calls) {
+            let from = method_idx[&(owner.clone(), def.name.clone(), def.singleton)];
+            for callee in callees {
+                for &to in by_name.get(callee.as_str()).into_iter().flatten() {
+                    if to != from {
+                        b.nodes[from].deps.push(to);
                     }
                 }
             }
@@ -139,10 +133,10 @@ impl DepGraph {
         let mut g = DepGraph {
             merkles: Vec::new(),
             nodes: b.nodes,
-            methods: b.methods,
+            methods: method_idx,
             helpers: b.helpers,
         };
-        g.merkles = (0..g.nodes.len()).map(|i| g.compute_merkle(i)).collect();
+        g.merkles = (0..method_count).map(|i| g.compute_merkle(i)).collect();
         g
     }
 
@@ -153,9 +147,9 @@ impl DepGraph {
         let mut seen = vec![false; self.nodes.len()];
         let mut stack = vec![start];
         seen[start] = true;
-        let mut bases = BTreeSet::new();
+        let mut bases = Vec::new();
         while let Some(i) = stack.pop() {
-            bases.insert(self.nodes[i].base);
+            bases.push(self.nodes[i].base);
             for &d in &self.nodes[i].deps {
                 if !seen[d] {
                     seen[d] = true;
@@ -163,6 +157,8 @@ impl DepGraph {
                 }
             }
         }
+        bases.sort_unstable();
+        bases.dedup();
         let mut h = SemHasher::new();
         h.write_usize(bases.len());
         for base in bases {
@@ -184,7 +180,6 @@ impl DepGraph {
     pub fn method_merkles(&self) -> Vec<(MethodId, u64)> {
         self.methods.iter().map(|(id, &i)| (id.clone(), self.merkles[i])).collect()
     }
-
     /// The name-resolved method→method call edges of the program, as
     /// deduplicated `(caller, callee)` id pairs in sorted order.  These are
     /// the same edges the `analysis` crate's effect-summary inference
@@ -239,76 +234,56 @@ impl DepGraph {
     }
 }
 
-#[derive(Default)]
-struct Builder {
+struct Builder<'e> {
+    registry: &'e HelperRegistry,
     nodes: Vec<Node>,
-    methods: BTreeMap<MethodId, usize>,
     helpers: BTreeMap<String, usize>,
-    annotations: BTreeMap<(String, u8, String), usize>,
 }
 
-impl Builder {
-    fn add_helper(&mut self, name: &str, base: u64) {
-        let idx = self.nodes.len();
+impl Builder<'_> {
+    fn add_node(&mut self, base: u64) -> usize {
         self.nodes.push(Node { base, deps: Vec::new() });
-        self.helpers.insert(name.to_string(), idx);
+        self.nodes.len() - 1
     }
 
-    fn add_annotation(&mut self, key: &(String, MethodKind, String), sig: &MethodSig) -> usize {
-        let mut h = SemHasher::new();
-        h.write_str("annotation");
-        write_annotation(&mut h, key, sig);
-        let idx = self.nodes.len();
-        self.nodes.push(Node { base: h.finish(), deps: Vec::new() });
-        self.annotations.insert(ann_key(key), idx);
-        idx
-    }
-
-    fn add_method(&mut self, id: MethodId, base: u64) {
-        let idx = self.nodes.len();
-        self.nodes.push(Node { base, deps: Vec::new() });
-        self.methods.insert(id, idx);
-    }
-}
-
-/// Hashes one method annotation: its identity, signature source, typecheck
-/// label and declared effects.  Shared by annotation nodes and
-/// [`env_hash`].
-fn write_annotation(h: &mut SemHasher, key: &(String, MethodKind, String), sig: &MethodSig) {
-    h.write_str(&key.0);
-    h.write_u8(kind_tag(key.1));
-    h.write_str(&key.2);
-    h.write_str(&sig.source);
-    match &sig.typecheck_label {
-        Some(l) => {
-            h.write_u8(1);
-            h.write_str(l);
+    /// The node of helper `name`, added on first reach with its stored hash
+    /// as base and, for a Ruby helper, its helper → helper edges (native
+    /// helpers are leaves).  `None` if no such helper is registered.
+    fn helper(&mut self, name: &str) -> Option<usize> {
+        if let Some(&idx) = self.helpers.get(name) {
+            return Some(idx);
         }
-        None => h.write_u8(0),
+        // Natives first, as `TlcCtx::call_helper` resolves them.
+        let (base, def) = match self.registry.native_hash(name) {
+            Some(base) => (base, None),
+            None => {
+                let (def, base) = self.registry.ruby_helper(name)?;
+                (base, Some(def))
+            }
+        };
+        let idx = self.add_node(base);
+        self.helpers.insert(name.to_string(), idx);
+        for callee in def.map(called_names).unwrap_or_default() {
+            if let Some(to) = self.helper(&callee) {
+                self.nodes[idx].deps.push(to);
+            }
+        }
+        Some(idx)
     }
-    // The declared effects are *not* part of `sig.source`, but effect
-    // summaries (and verdicts built on them) are seeded from the claims, so
-    // an effect-only annotation change must move every dependent hash.
-    h.write_u8(match sig.term {
-        rdl_types::TermEffect::Terminates => 0,
-        rdl_types::TermEffect::BlockDep => 1,
-        rdl_types::TermEffect::MayDiverge => 2,
-    });
-    h.write_u8(match sig.purity {
-        rdl_types::PurityEffect::Pure => 0,
-        rdl_types::PurityEffect::Impure => 1,
-    });
 }
 
-fn ann_key(key: &(String, MethodKind, String)) -> (String, u8, String) {
-    (key.0.clone(), kind_tag(key.1), key.2.clone())
-}
-
-fn kind_tag(kind: MethodKind) -> u8 {
-    match kind {
-        MethodKind::Instance => 0,
-        MethodKind::Singleton => 1,
+/// The dependency-graph hash of native helper `name`: its name and
+/// [`NATIVE_HELPER_REVISION`].  [`HelperRegistry`] computes it once, when
+/// the helper is registered.
+pub fn native_helper_hash(name: &str, state: Option<u64>) -> u64 {
+    let mut h = SemHasher::new();
+    h.write_str("native-helper");
+    h.write_str(name);
+    h.write_u64(u64::from(NATIVE_HELPER_REVISION));
+    if let Some(state) = state {
+        h.write_u64(state);
     }
+    h.finish()
 }
 
 /// The names a method body may invoke: every `Call` name plus every bare
@@ -390,13 +365,12 @@ fn collect_helper_refs(expr: &Expr, helpers: &HelperRegistry, out: &mut BTreeSet
 /// [`crate::cache::CacheKey`]: a cached comp-type evaluation is only valid
 /// while the expression and its helper closure are unchanged.
 pub fn comp_semantic_hash(expr: &Expr, helpers: &HelperRegistry) -> u64 {
-    let mut todo: Vec<String> = Vec::new();
     let mut seen = BTreeSet::new();
     collect_helper_refs(expr, helpers, &mut seen);
-    todo.extend(seen.iter().cloned());
+    let mut todo: Vec<String> = seen.iter().cloned().collect();
     // Chase helper → helper references to a fixpoint.
     while let Some(name) = todo.pop() {
-        if let Some(def) = helpers.ruby_defs().iter().find(|(n, _)| *n == name).map(|(_, d)| *d) {
+        if let Some((def, _)) = helpers.ruby_helper(&name) {
             let mut refs = BTreeSet::new();
             collect_helper_refs_in_def(def, helpers, &mut refs);
             for r in refs {
@@ -412,12 +386,8 @@ pub fn comp_semantic_hash(expr: &Expr, helpers: &HelperRegistry) -> u64 {
     h.write_usize(seen.len());
     for name in &seen {
         h.write_str(name);
-        let body = helpers
-            .ruby_defs()
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, d)| method_hash(d))
-            .unwrap_or(u64::from(NATIVE_HELPER_REVISION));
+        let body =
+            helpers.ruby_helper(name).map_or(u64::from(NATIVE_HELPER_REVISION), |(_, hash)| hash);
         h.write_u64(body);
     }
     h.finish()
@@ -451,12 +421,13 @@ pub fn env_hash(env: &CompRdl) -> u64 {
         }
         h.write_bool(env.classes.is_model(name));
     }
-    let mut annots: Vec<(&(String, MethodKind, String), &MethodSig)> =
-        env.annotations.iter().collect();
-    annots.sort_by_key(|(k, _)| (k.0.clone(), kind_tag(k.1), k.2.clone()));
-    h.write_usize(annots.len());
-    for (key, sig) in annots {
-        write_annotation(&mut h, key, sig);
+    // Annotation digests were computed at registration; sorting them as
+    // integers makes the fold independent of the table's `HashMap` order.
+    let mut digests: Vec<u64> = env.annotations.iter_digests().map(|(_, _, d)| d).collect();
+    digests.sort_unstable();
+    h.write_usize(digests.len());
+    for digest in digests {
+        h.write_u64(digest);
     }
     let vars: Vec<_> = env.annotations.var_types().collect();
     h.write_usize(vars.len());

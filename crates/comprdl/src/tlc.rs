@@ -228,13 +228,29 @@ pub type NativeHelper = Arc<dyn Fn(&mut TlcCtx<'_>, &[TlcValue]) -> TlcResult + 
 
 /// The registry of helper methods usable inside comp types (Table 1 counts
 /// these per library).
+///
+/// Each helper is stored with its dependency-graph hash, computed once when
+/// it is registered (see [`crate::semdep`]): a Ruby helper's structural
+/// [`ruby_syntax::method_hash`], a native helper's name, revision tag and
+/// captured-state digest.  [`HelperRegistry::merge`] shares helpers and
+/// their hashes by `Arc`, so a library registered once is hashed once.
 #[derive(Default, Clone)]
 pub struct HelperRegistry {
-    native: HashMap<String, NativeHelper>,
-    ruby: HashMap<String, Arc<MethodDef>>,
+    native: HashMap<String, Arc<NativeEntry>>,
+    ruby: HashMap<String, Arc<RubyEntry>>,
     /// Lines of type-level Ruby code contributed by registered Ruby helpers
     /// (used for Table 1 LoC accounting).
     ruby_loc: usize,
+}
+
+struct NativeEntry {
+    f: NativeHelper,
+    hash: u64,
+}
+
+struct RubyEntry {
+    def: MethodDef,
+    hash: u64,
 }
 
 impl fmt::Debug for HelperRegistry {
@@ -252,13 +268,20 @@ impl HelperRegistry {
         HelperRegistry::default()
     }
 
-    /// Registers a native (Rust) helper.
+    /// Registers a native (Rust) helper that captures no state: its
+    /// behaviour is fixed by its code, which
+    /// [`crate::semdep::NATIVE_HELPER_REVISION`] stands in for.
     pub fn register_native(
         &mut self,
         name: &str,
         f: impl Fn(&mut TlcCtx<'_>, &[TlcValue]) -> TlcResult + Send + Sync + 'static,
     ) {
-        self.native.insert(name.to_string(), Arc::new(f));
+        self.insert_native(name, None, Arc::new(f));
+    }
+
+    fn insert_native(&mut self, name: &str, state: Option<u64>, f: NativeHelper) {
+        let hash = crate::semdep::native_helper_hash(name, state);
+        self.native.insert(name.to_string(), Arc::new(NativeEntry { f, hash }));
     }
 
     /// Registers helper methods written in the Ruby subset; `src` is parsed
@@ -272,20 +295,21 @@ impl HelperRegistry {
             .map_err(|e| TlcError::new(format!("helper source does not parse: {e}")))?;
         self.ruby_loc += ruby_syntax::count_loc(src);
         for (_, m) in program.methods() {
-            self.ruby.insert(m.name.clone(), Arc::new(m.clone()));
+            let hash = ruby_syntax::method_hash(m);
+            self.ruby.insert(m.name.clone(), Arc::new(RubyEntry { def: m.clone(), hash }));
         }
         Ok(())
     }
 
     /// Merges every helper of `other` into `self` (later registrations
-    /// win).  Helpers are shared with `other`, not copied, and `other`'s
-    /// Ruby helper LoC adds to this registry's.
+    /// win).  Helpers and their hashes are shared with `other`, not copied,
+    /// and `other`'s Ruby helper LoC adds to this registry's.
     pub fn merge(&mut self, other: &HelperRegistry) {
-        for (name, f) in &other.native {
-            self.native.insert(name.clone(), Arc::clone(f));
+        for (name, entry) in &other.native {
+            self.native.insert(name.clone(), Arc::clone(entry));
         }
-        for (name, def) in &other.ruby {
-            self.ruby.insert(name.clone(), Arc::clone(def));
+        for (name, entry) in &other.ruby {
+            self.ruby.insert(name.clone(), Arc::clone(entry));
         }
         self.ruby_loc += other.ruby_loc;
     }
@@ -313,12 +337,8 @@ impl HelperRegistry {
         self.ruby_loc
     }
 
-    fn get_native(&self, name: &str) -> Option<NativeHelper> {
-        self.native.get(name).cloned()
-    }
-
-    fn get_ruby(&self, name: &str) -> Option<Arc<MethodDef>> {
-        self.ruby.get(name).cloned()
+    fn get_native(&self, name: &str) -> Option<&NativeHelper> {
+        self.native.get(name).map(|entry| &entry.f)
     }
 
     /// Whether a helper with the given name exists.
@@ -326,25 +346,17 @@ impl HelperRegistry {
         self.native.contains_key(name) || self.ruby.contains_key(name)
     }
 
-    /// The Ruby-subset helper definitions, sorted by name.
-    ///
-    /// Used by `semdep` to hash helper bodies structurally and chase
-    /// helper-to-helper calls when building the dependency graph.
-    pub fn ruby_defs(&self) -> Vec<(&str, &MethodDef)> {
-        let mut out: Vec<(&str, &MethodDef)> =
-            self.ruby.iter().map(|(n, m)| (n.as_str(), &**m)).collect();
-        out.sort_by_key(|(n, _)| *n);
-        out
+    /// A Ruby-subset helper's definition and its structural hash
+    /// ([`ruby_syntax::method_hash`]), computed when it was registered.
+    pub fn ruby_helper(&self, name: &str) -> Option<(&MethodDef, u64)> {
+        self.ruby.get(name).map(|entry| (&entry.def, entry.hash))
     }
 
-    /// The names of the native (Rust) helpers, sorted.
-    ///
-    /// Native helpers have no AST to hash; `semdep` identifies them by name
-    /// plus the crate-level native helper revision tag.
-    pub fn native_names(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self.native.keys().map(String::as_str).collect();
-        out.sort();
-        out
+    /// A native helper's dependency-graph hash
+    /// ([`crate::semdep::native_helper_hash`]), computed when it was
+    /// registered.
+    pub fn native_hash(&self, name: &str) -> Option<u64> {
+        self.native.get(name).map(|entry| entry.hash)
     }
 }
 
@@ -571,10 +583,11 @@ impl<'a> TlcCtx<'a> {
     ///
     /// Returns a [`TlcError`] if the helper is unknown or fails.
     pub fn call_helper(&mut self, name: &str, args: &[TlcValue]) -> TlcResult {
-        if let Some(f) = self.helpers.get_native(name) {
+        let helpers = self.helpers;
+        if let Some(f) = helpers.get_native(name) {
             return f(self, args);
         }
-        if let Some(def) = self.helpers.get_ruby(name) {
+        if let Some((def, _)) = helpers.ruby_helper(name) {
             if self.depth >= MAX_HELPER_DEPTH {
                 return Err(TlcError::new(format!(
                     "type-level computation exceeded its step budget in helper `{name}` \
@@ -595,7 +608,7 @@ impl<'a> TlcCtx<'a> {
                 };
                 self.bindings.insert(p.name.clone(), v);
             }
-            let result = self.eval_body(&def.body.clone());
+            let result = self.eval_body(&def.body);
             self.bindings = saved;
             self.helper_stack.pop();
             self.depth -= 1;

@@ -18,7 +18,7 @@
 use crate::class::ClassTable;
 use crate::store::TypeStore;
 use crate::ty::{HashKey, Type};
-use ruby_syntax::Expr;
+use ruby_syntax::{Expr, SemHasher};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -290,21 +290,66 @@ impl MethodSig {
         self.typecheck_label = Some(label.to_string());
         self
     }
+
+    /// The digest of this signature registered as `class`'s `method`: its
+    /// identity, source text (which embeds every comp expression),
+    /// typecheck label and declared effects.  [`AnnotationTable`] computes
+    /// it once per registration and hands it out with the signature; it is
+    /// stable across processes, so cache keys may be built from it.
+    pub fn digest(&self, class: &str, kind: MethodKind, method: &str) -> u64 {
+        let mut h = SemHasher::new();
+        h.write_str("annotation");
+        h.write_str(class);
+        h.write_u8(match kind {
+            MethodKind::Instance => 0,
+            MethodKind::Singleton => 1,
+        });
+        h.write_str(method);
+        h.write_str(&self.source);
+        match &self.typecheck_label {
+            Some(l) => {
+                h.write_u8(1);
+                h.write_str(l);
+            }
+            None => h.write_u8(0),
+        }
+        // The declared effects are *not* part of `source`, but effect
+        // summaries (and verdicts built on them) are seeded from the claims,
+        // so an effect-only annotation change must move the digest.
+        h.write_u8(match self.term {
+            TermEffect::Terminates => 0,
+            TermEffect::BlockDep => 1,
+            TermEffect::MayDiverge => 2,
+        });
+        h.write_u8(match self.purity {
+            PurityEffect::Pure => 0,
+            PurityEffect::Impure => 1,
+        });
+        h.finish()
+    }
 }
 
 /// The global annotation table: method signatures plus variable type
 /// annotations, mirroring RDL's global tables populated by `type`, `var_type`
 /// and `global_type` calls.
 ///
-/// Signatures are held behind [`Arc`], so [`AnnotationTable::merge`] shares
-/// them rather than copying their trees: library annotation sets parsed
-/// once can back any number of tables.  Lookups hand out `&MethodSig`,
-/// and equality compares signatures by value.
+/// Signatures are held behind [`Arc`], together with their
+/// [`MethodSig::digest`], so [`AnnotationTable::merge`] shares both rather
+/// than copying trees or re-hashing: library annotation sets parsed and
+/// digested once can back any number of tables.  Lookups hand out
+/// `&MethodSig`, and equality compares signatures by value.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnnotationTable {
-    methods: HashMap<(String, MethodKind, String), Arc<MethodSig>>,
+    methods: HashMap<(String, MethodKind, String), Arc<Annotation>>,
     ivars: HashMap<(String, String), TypeExpr>,
     gvars: HashMap<String, TypeExpr>,
+}
+
+/// A registered signature and its digest, computed at registration.
+#[derive(Debug, PartialEq)]
+struct Annotation {
+    sig: MethodSig,
+    digest: u64,
 }
 
 impl AnnotationTable {
@@ -315,14 +360,20 @@ impl AnnotationTable {
 
     /// Registers an instance method signature (`A#m`).
     pub fn add_instance(&mut self, class: &str, method: &str, sig: MethodSig) {
-        self.methods
-            .insert((class.to_string(), MethodKind::Instance, method.to_string()), Arc::new(sig));
+        self.add(class, MethodKind::Instance, method, sig);
     }
 
     /// Registers a class method signature (`A.m`).
     pub fn add_singleton(&mut self, class: &str, method: &str, sig: MethodSig) {
-        self.methods
-            .insert((class.to_string(), MethodKind::Singleton, method.to_string()), Arc::new(sig));
+        self.add(class, MethodKind::Singleton, method, sig);
+    }
+
+    fn add(&mut self, class: &str, kind: MethodKind, method: &str, sig: MethodSig) {
+        let digest = sig.digest(class, kind, method);
+        self.methods.insert(
+            (class.to_string(), kind, method.to_string()),
+            Arc::new(Annotation { sig, digest }),
+        );
     }
 
     /// Registers an instance variable type (`var_type :@x, "T"`).
@@ -337,7 +388,7 @@ impl AnnotationTable {
 
     /// Looks up a method signature declared *exactly* on `class`.
     pub fn get_exact(&self, class: &str, kind: MethodKind, method: &str) -> Option<&MethodSig> {
-        self.methods.get(&(class.to_string(), kind, method.to_string())).map(|sig| &**sig)
+        self.methods.get(&(class.to_string(), kind, method.to_string())).map(|a| &a.sig)
     }
 
     /// Looks up a method signature on `class` or any of its ancestors.
@@ -378,12 +429,20 @@ impl AnnotationTable {
 
     /// Number of registered signatures for a class that use comp types.
     pub fn comp_count_for(&self, class: &str) -> usize {
-        self.methods.iter().filter(|((c, _, _), sig)| c == class && sig.is_comp()).count()
+        self.methods.iter().filter(|((c, _, _), a)| c == class && a.sig.is_comp()).count()
     }
 
     /// Iterates over every registered method signature.
     pub fn iter(&self) -> impl Iterator<Item = (&(String, MethodKind, String), &MethodSig)> {
-        self.methods.iter().map(|(key, sig)| (key, &**sig))
+        self.methods.iter().map(|(key, a)| (key, &a.sig))
+    }
+
+    /// Iterates over every registered method signature together with its
+    /// [`MethodSig::digest`], which was computed when it was registered.
+    pub fn iter_digests(
+        &self,
+    ) -> impl Iterator<Item = (&(String, MethodKind, String), &MethodSig, u64)> {
+        self.methods.iter().map(|(key, a)| (key, &a.sig, a.digest))
     }
 
     /// Every variable type annotation as `(owner, name, type)`, sorted by
@@ -401,7 +460,8 @@ impl AnnotationTable {
     }
 
     /// Merges all annotations from `other` into `self` (later registrations
-    /// win).  Method signatures are shared with `other`, not copied.
+    /// win).  Method signatures and their digests are shared with `other`,
+    /// not copied or recomputed.
     pub fn merge(&mut self, other: &AnnotationTable) {
         for (k, v) in &other.methods {
             self.methods.insert(k.clone(), Arc::clone(v));
