@@ -30,7 +30,12 @@
 //! per process.  A build hashes the program's methods, adds nodes only for
 //! the annotations and helpers their calls can reach, and computes Merkle
 //! hashes for program methods only.  A native helper has no AST, so its
-//! hash is its name plus [`NATIVE_HELPER_REVISION`].
+//! hash is its name plus [`NATIVE_HELPER_REVISION`].  A native helper that
+//! captures state — each DB helper captures its app's schema — is
+//! registered with a digest of that state
+//! ([`HelperRegistry::register_native_with_state`]), and its hash covers
+//! it: a schema edit moves the Merkle hash of exactly the methods that
+//! reach a schema-reading helper.
 //!
 //! [`env_hash`] digests the rest of the environment (class hierarchy,
 //! method/ivar/gvar annotations).  Helper *bodies* are intentionally
@@ -272,9 +277,10 @@ impl Builder<'_> {
     }
 }
 
-/// The dependency-graph hash of native helper `name`: its name and
-/// [`NATIVE_HELPER_REVISION`].  [`HelperRegistry`] computes it once, when
-/// the helper is registered.
+/// The dependency-graph hash of native helper `name`: its name,
+/// [`NATIVE_HELPER_REVISION`] and, for a helper that captures state, the
+/// digest of that state.  [`HelperRegistry`] computes it once, when the
+/// helper is registered.
 pub fn native_helper_hash(name: &str, state: Option<u64>) -> u64 {
     let mut h = SemHasher::new();
     h.write_str("native-helper");

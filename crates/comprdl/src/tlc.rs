@@ -279,6 +279,19 @@ impl HelperRegistry {
         self.insert_native(name, None, Arc::new(f));
     }
 
+    /// Registers a native helper whose results also depend on state it
+    /// captures (a DB schema, say); `state` is a stable digest of that
+    /// state.  The helper's dependency-graph hash covers `state`, so an
+    /// edit to the state re-checks exactly the methods that reach it.
+    pub fn register_native_with_state(
+        &mut self,
+        name: &str,
+        state: u64,
+        f: impl Fn(&mut TlcCtx<'_>, &[TlcValue]) -> TlcResult + Send + Sync + 'static,
+    ) {
+        self.insert_native(name, Some(state), Arc::new(f));
+    }
+
     fn insert_native(&mut self, name: &str, state: Option<u64>, f: NativeHelper) {
         let hash = crate::semdep::native_helper_hash(name, state);
         self.native.insert(name.to_string(), Arc::new(NativeEntry { f, hash }));

@@ -8,8 +8,9 @@ use comprdl::semdep::{env_hash, DepGraph, MethodId};
 use comprdl::{CheckCache, CheckOptions, TypeChecker};
 use corpus::{
     evaluate_app_incremental, stable_report, table2_incremental, with_layout_noise,
-    with_method_edit,
+    with_method_edit, App,
 };
+use db_types::ColumnType;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -453,4 +454,80 @@ fn var_type_edit_rechecks_every_method() {
         stable_report(std::slice::from_ref(&scratch)),
         "the re-checked row diverged from an empty-cache run"
     );
+}
+
+/// `app` with one column of its DB schema retyped.
+fn with_column_type(app: &App, table: &str, column: &str, ty: ColumnType) -> App {
+    let mut db = app.db.clone().expect("a DB-backed app");
+    let columns = db.columns(table).expect("a known table").to_vec();
+    assert!(columns.iter().any(|(c, t)| c == column && *t != ty), "{table}.{column} must change");
+    let retyped: Vec<(&str, ColumnType)> =
+        columns.iter().map(|(c, t)| (c.as_str(), if c == column { ty } else { *t })).collect();
+    db.add_table(table, &retyped);
+    App { db: Some(db), ..*app }
+}
+
+/// A DB schema edit invalidates cached verdicts like any other input.  The
+/// DB helpers read the schema, so each is registered with a digest of it
+/// and their graph nodes hash that digest.  Retyping Discourse's
+/// `users.staged` from Boolean to String must re-check every method whose
+/// from-scratch verdict changes, replay output identical to a from-scratch
+/// run, and move the Merkle hash of exactly the methods that reach a
+/// schema-reading helper.
+#[test]
+fn db_schema_edit_rechecks_the_methods_that_read_the_schema() {
+    let apps = corpus::apps::all();
+    let app = apps.iter().find(|a| a.name == "Discourse").expect("Discourse app");
+    let edited = with_column_type(app, "users", "staged", ColumnType::String);
+    let memo = || Arc::new(comprdl::SharedMemo::new());
+    let render = |row: &corpus::Table2Row| stable_report(std::slice::from_ref(row));
+    let from_scratch = |app: &App| {
+        evaluate_app_incremental(app, None, &mut CheckCache::new(), &memo()).expect("scratch run")
+    };
+
+    let mut cache = CheckCache::new();
+    evaluate_app_incremental(app, None, &mut cache, &memo()).expect("cold run");
+    let (warm, stats) = evaluate_app_incremental(&edited, None, &mut cache, &memo()).expect("warm");
+    let (scratch, _) = from_scratch(&edited);
+    assert!(scratch.errors() > from_scratch(app).0.errors(), "the edit must add type errors");
+    assert_eq!(render(&warm), render(&scratch), "warm run diverged from a from-scratch run");
+
+    let verdicts = |app: &App| -> BTreeMap<MethodId, Vec<String>> {
+        let env = app.build_env();
+        let (program, _, _) = app.parse();
+        TypeChecker::new(&env, &program, CheckOptions::default())
+            .check_labeled("app")
+            .methods
+            .into_iter()
+            .map(|m| {
+                let messages = m.errors.iter().map(|e| e.message.clone()).collect();
+                ((m.class, m.method, m.singleton), messages)
+            })
+            .collect()
+    };
+    let (before, after) = (verdicts(app), verdicts(&edited));
+    let changed: BTreeSet<MethodId> = before
+        .iter()
+        .filter(|(id, v)| after.get(*id) != Some(*v))
+        .map(|(id, _)| id.clone())
+        .collect();
+    assert!(!changed.is_empty(), "the edit must change some verdict");
+    let rechecked: BTreeSet<MethodId> = stats.comp.checked_methods.iter().cloned().collect();
+    assert!(changed.is_subset(&rechecked), "changed {changed:?}, re-checked {rechecked:?}");
+
+    let (program, _, _) = app.parse();
+    let (g1, g2) = (
+        DepGraph::build(&app.build_env(), &program),
+        DepGraph::build(&edited.build_env(), &program),
+    );
+    let readers: BTreeSet<MethodId> =
+        ["schema_type", "db_schema", "table_of", "joins_type", "sql_typecheck"]
+            .iter()
+            .flat_map(|helper| g1.helper_dependents(helper))
+            .collect();
+    let merkles = g1.method_merkles().into_iter().zip(g2.method_merkles());
+    assert!(!readers.is_empty() && readers.len() < merkles.len());
+    for ((id, m1), (_, m2)) in merkles {
+        assert_eq!(m1 != m2, readers.contains(&id), "{id:?} moves iff it reads the schema");
+    }
 }

@@ -6,7 +6,7 @@
 //! an in-memory registry exercises exactly the same type-level code paths
 //! the paper's `RDL.db_schema` table does.
 
-use rdl_types::{HashKey, Type, TypeStore};
+use rdl_types::{Fingerprint, HashKey, Type, TypeStore};
 use sql_tc::{SqlSchema, SqlType};
 use std::collections::BTreeMap;
 
@@ -147,6 +147,36 @@ impl DbRegistry {
             .map(|(name, ty)| (HashKey::Sym(name.clone()), ty.to_rdl_type()))
             .collect();
         Some(store.new_finite_hash(entries))
+    }
+
+    /// A digest of everything the DB helpers read: every table with its
+    /// column names and types, the model → table map and the associations.
+    /// It is stable across processes (the tables and models are kept in
+    /// `BTreeMap`s, the associations in declaration order), so the helpers'
+    /// cache keys can cover it.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fingerprint::new();
+        h.write_usize(self.tables.len());
+        for (table, columns) in &self.tables {
+            h.write_str(table);
+            h.write_usize(columns.len());
+            for (column, ty) in columns {
+                h.write_str(column);
+                h.write_u8(*ty as u8);
+            }
+        }
+        h.write_usize(self.models.len());
+        for (class, table) in &self.models {
+            h.write_str(class);
+            h.write_str(table);
+        }
+        h.write_usize(self.associations.len());
+        for a in &self.associations {
+            h.write_str(&a.from_class);
+            h.write_str(&a.name);
+            h.write_str(&a.target_table);
+        }
+        h.finish()
     }
 
     /// Converts the registry into the schema format used by the raw-SQL
