@@ -16,10 +16,10 @@
 //! helper closure ([`crate::semdep::comp_semantic_hash`]).  Two call sites
 //! with the same key run the same expression — *the same text, backed by
 //! the same helper bodies* — over the same inputs and must produce the same
-//! result.  Keying on the semantic hash instead of a process-lifetime
-//! counter is what lets these entries round-trip through the on-disk cache
-//! ([`crate::persist`]): an entry survives a restart exactly as long as
-//! nothing it depends on was edited.
+//! result.  A [`CompTypeCache`] lives inside one `TypeChecker` and dies
+//! with it: the on-disk cache ([`crate::persist`]) stores whole method
+//! verdicts, never these entries, and within one checker the environment
+//! does not change.
 //!
 //! Every binding is keyed by its structural digest
 //! ([`TypeStore::fingerprint`] — cheaper than building the

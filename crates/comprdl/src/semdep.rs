@@ -413,6 +413,7 @@ fn collect_helper_refs_in_def(
 /// hierarchy and every method / ivar / gvar annotation.  A persisted check
 /// cache is only replayable against an environment with the same hash;
 /// helper edits are tracked at method granularity by [`DepGraph`] instead.
+/// Method annotations enter as their stored digests, sorted as integers.
 pub fn env_hash(env: &CompRdl) -> u64 {
     let mut h = SemHasher::new();
     h.write_str("env");
@@ -448,6 +449,7 @@ pub fn env_hash(env: &CompRdl) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdl_types::{PurityEffect, TermEffect};
 
     fn env_with_helpers() -> CompRdl {
         let mut env = CompRdl::new();
@@ -561,6 +563,39 @@ mod tests {
         let mut e3 = env_with_helpers();
         e3.type_sig("Widget", "other", "(Integer) -> Integer", None);
         assert_ne!(env_hash(&e1), env_hash(&e3));
+
+        // The fold sorts the stored digests, so the order annotations were
+        // registered in (and hence the table's `HashMap` order) cannot
+        // leak into it.
+        let registered = |order: &mut dyn Iterator<Item = usize>| {
+            let mut env = env_with_helpers();
+            for i in order {
+                env.type_sig("Widget", &format!("m{i}"), "(Integer) -> Integer", None);
+            }
+            env_hash(&env)
+        };
+        assert_eq!(registered(&mut (0..64)), registered(&mut (0..64).rev()));
+
+        // A change to only the label, `terminates:` or `pure:` moves it.
+        let annotated = |label: Option<&str>, term: TermEffect, purity: PurityEffect| {
+            let mut sig = rdl_types::parse_method_sig("(Integer) -> Integer")
+                .unwrap()
+                .with_term(term)
+                .with_purity(purity);
+            sig.typecheck_label = label.map(str::to_string);
+            let mut env = env_with_helpers();
+            env.annotations.add_instance("Widget", "other", sig);
+            env_hash(&env)
+        };
+        let base = annotated(None, TermEffect::Terminates, PurityEffect::Pure);
+        assert_eq!(base, annotated(None, TermEffect::Terminates, PurityEffect::Pure));
+        for (what, moved) in [
+            ("label", annotated(Some("app"), TermEffect::Terminates, PurityEffect::Pure)),
+            ("terminates:", annotated(None, TermEffect::MayDiverge, PurityEffect::Pure)),
+            ("pure:", annotated(None, TermEffect::Terminates, PurityEffect::Impure)),
+        ] {
+            assert_ne!(base, moved, "a {what}-only change must move env_hash");
+        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! library directly into a fresh `CompRdl`, down to the Table 1 LoC and the
 //! hashes the on-disk check cache keys on.
 
-use comprdl::semdep::{env_hash, DepGraph};
+use comprdl::semdep::{env_hash, DepGraph, MethodId};
 use comprdl::{stdlib, CompRdl};
 use corpus::App;
 use rdl_types::{MethodKind, MethodSig};
-use ruby_syntax::SemHasher;
+use ruby_syntax::{Expr, ExprKind, MethodDef, SemHasher};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The Table 1 classes: the five core classes, ActiveRecord's `Table` and
@@ -133,4 +134,82 @@ fn merkle_hashes_are_pinned_per_app() {
         let (got, count) = merkle_pin(app);
         assert_eq!((got, count), (pin, methods), "{name}: got {got:#018x} over {count} methods");
     }
+}
+
+/// Whether `def`'s body may call `name`: a call, or a bare identifier
+/// (a zero-argument self-call in Ruby).
+fn may_call(def: &MethodDef, name: &str) -> bool {
+    let mut found = false;
+    let mut visit = |e: &Expr| {
+        if let ExprKind::Call { name: n, .. } | ExprKind::Ident(n) = &e.kind {
+            found |= n == name;
+        }
+    };
+    for e in &def.body {
+        e.walk(&mut visit);
+    }
+    for p in &def.params {
+        if let Some(d) = &p.default {
+            d.walk(&mut visit);
+        }
+    }
+    found
+}
+
+/// An app that re-registers a library signature overrides the shared
+/// entry, and the override's own digest is what the cache keys see.
+/// Giving `Array#first` another return bound (same comp expression, same
+/// helpers) moves `env_hash` and the Merkle hash of exactly the methods
+/// whose call graph reaches a call named `first`.  Re-registering the
+/// identical signature moves nothing.
+#[test]
+fn overriding_a_library_signature_moves_exactly_its_callers() {
+    let mut reached = 0;
+    for app in corpus::apps::all() {
+        let env = app.build_env();
+        let (program, _, _) = app.parse();
+        let library = env.annotations.get_exact("Array", MethodKind::Instance, "first").unwrap();
+
+        let mut same = app.build_env();
+        same.annotations.add_instance("Array", "first", library.clone());
+        // Another bound, the same comp expression: only the digest differs.
+        let retyped = library.source.replace("/ a", "/ String");
+        assert_ne!(retyped, library.source);
+        let mut other = app.build_env();
+        other.type_sig_with_effects("Array", "first", &retyped, library.term, library.purity);
+
+        let graph = DepGraph::build(&env, &program);
+        assert_eq!(env_hash(&same), env_hash(&env), "{}", app.name);
+        assert_eq!(DepGraph::build(&same, &program).method_merkles(), graph.method_merkles());
+        assert_ne!(env_hash(&other), env_hash(&env), "{}", app.name);
+
+        // The methods that call `first`, then their transitive callers.
+        let mut callers: BTreeSet<MethodId> = program
+            .methods()
+            .into_iter()
+            .filter(|(_, def)| may_call(def, "first"))
+            .map(|(owner, def)| (owner, def.name.clone(), def.singleton))
+            .collect();
+        let edges = graph.method_call_edges();
+        loop {
+            let before = callers.len();
+            for (caller, callee) in &edges {
+                if callers.contains(callee) {
+                    callers.insert(caller.clone());
+                }
+            }
+            if callers.len() == before {
+                break;
+            }
+        }
+        reached += callers.len();
+        let moved = graph
+            .method_merkles()
+            .into_iter()
+            .zip(DepGraph::build(&other, &program).method_merkles());
+        for ((id, m1), (_, m2)) in moved {
+            assert_eq!(m1 != m2, callers.contains(&id), "{}: {id:?}", app.name);
+        }
+    }
+    assert!(reached > 0, "some corpus method must reach `first`");
 }

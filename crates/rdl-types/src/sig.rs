@@ -578,5 +578,9 @@ mod tests {
             a.get_exact("Hash", MethodKind::Instance, "keys").unwrap(),
             b.get_exact("Hash", MethodKind::Instance, "keys").unwrap(),
         ));
+        // Each stored digest is the one its signature computes.
+        for ((class, kind, method), sig, digest) in a.iter_digests() {
+            assert_eq!(digest, sig.digest(class, *kind, method));
+        }
     }
 }
