@@ -157,18 +157,6 @@ impl CompRdl {
         self.helpers.register_native(name, f);
     }
 
-    /// Registers a native helper whose results also depend on state it
-    /// captures; `state` is a stable digest of that state (see
-    /// [`HelperRegistry::register_native_with_state`]).
-    pub fn register_helper_native_with_state(
-        &mut self,
-        name: &str,
-        state: u64,
-        f: impl Fn(&mut TlcCtx<'_>, &[TlcValue]) -> TlcResult + Send + Sync + 'static,
-    ) {
-        self.helpers.register_native_with_state(name, state, f);
-    }
-
     /// Registers helper methods written in the Ruby subset.
     ///
     /// # Panics

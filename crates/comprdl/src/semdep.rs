@@ -24,18 +24,17 @@
 //!
 //! Nothing the shared libraries contribute is hashed per build.  Every
 //! annotation's digest ([`rdl_types::MethodSig::digest`]) and every
-//! helper's hash ([`HelperRegistry::ruby_helper`],
-//! [`HelperRegistry::native_hash`]) is computed when it is registered and
-//! stored with it, and the core and DB-DSL libraries are registered once
-//! per process.  A build hashes the program's methods, adds nodes only for
-//! the annotations and helpers their calls can reach, and computes Merkle
-//! hashes for program methods only.  A native helper has no AST, so its
-//! hash is its name plus [`NATIVE_HELPER_REVISION`].  A native helper that
-//! captures state — each DB helper captures its app's schema — is
-//! registered with a digest of that state
-//! ([`HelperRegistry::register_native_with_state`]), and its hash covers
-//! it: a schema edit moves the Merkle hash of exactly the methods that
-//! reach a schema-reading helper.
+//! helper's hash is computed when it is registered and stored with it
+//! ([`rdl_types::AnnotationTable`], [`HelperRegistry`]), and the core and
+//! DB-DSL libraries are registered once per process.  A build hashes the
+//! program's methods, adds nodes only for the annotations and helpers
+//! their calls can reach, and computes Merkle hashes for program methods
+//! only.  A native helper has no AST, so its hash is its name plus
+//! [`NATIVE_HELPER_REVISION`].  A native helper that captures state — each
+//! DB helper captures its app's schema — is registered with a digest of
+//! that state ([`HelperRegistry::register_native_with_state`]), and its
+//! hash covers it: a schema edit moves the Merkle hash of exactly the
+//! methods that reach a schema-reading helper.
 //!
 //! [`env_hash`] digests the rest of the environment (class hierarchy,
 //! method/ivar/gvar annotations).  Helper *bodies* are intentionally
@@ -185,6 +184,7 @@ impl DepGraph {
     pub fn method_merkles(&self) -> Vec<(MethodId, u64)> {
         self.methods.iter().map(|(id, &i)| (id.clone(), self.merkles[i])).collect()
     }
+
     /// The name-resolved method→method call edges of the program, as
     /// deduplicated `(caller, callee)` id pairs in sorted order.  These are
     /// the same edges the `analysis` crate's effect-summary inference
@@ -281,7 +281,7 @@ impl Builder<'_> {
 /// [`NATIVE_HELPER_REVISION`] and, for a helper that captures state, the
 /// digest of that state.  [`HelperRegistry`] computes it once, when the
 /// helper is registered.
-pub fn native_helper_hash(name: &str, state: Option<u64>) -> u64 {
+pub(crate) fn native_helper_hash(name: &str, state: Option<u64>) -> u64 {
     let mut h = SemHasher::new();
     h.write_str("native-helper");
     h.write_str(name);

@@ -361,14 +361,14 @@ impl HelperRegistry {
 
     /// A Ruby-subset helper's definition and its structural hash
     /// ([`ruby_syntax::method_hash`]), computed when it was registered.
-    pub fn ruby_helper(&self, name: &str) -> Option<(&MethodDef, u64)> {
+    pub(crate) fn ruby_helper(&self, name: &str) -> Option<(&MethodDef, u64)> {
         self.ruby.get(name).map(|entry| (&entry.def, entry.hash))
     }
 
     /// A native helper's dependency-graph hash
     /// ([`crate::semdep::native_helper_hash`]), computed when it was
     /// registered.
-    pub fn native_hash(&self, name: &str) -> Option<u64> {
+    pub(crate) fn native_hash(&self, name: &str) -> Option<u64> {
         self.native.get(name).map(|entry| entry.hash)
     }
 }

@@ -23,7 +23,7 @@ pub fn register_helpers(env: &mut CompRdl, db: Arc<DbRegistry>) {
     // query hashes may mention any subset of columns); anything else →
     // Hash<Symbol, Object>.
     let registry = db.clone();
-    env.register_helper_native_with_state("schema_type", schema, move |ctx, args| {
+    env.helpers.register_native_with_state("schema_type", schema, move |ctx, args| {
         let t = expect_type(args, 0)?;
         let resolved = ctx.store.resolve(&t);
         match resolved {
@@ -45,7 +45,7 @@ pub fn register_helpers(env: &mut CompRdl, db: Arc<DbRegistry>) {
 
     // db_schema(name) — the raw `RDL.db_schema` lookup used by helper code.
     let registry = db.clone();
-    env.register_helper_native_with_state("db_schema", schema, move |ctx, args| {
+    env.helpers.register_native_with_state("db_schema", schema, move |ctx, args| {
         let name = match args.first() {
             Some(TlcValue::Sym(s)) => s.clone(),
             Some(TlcValue::Str(s)) => s.clone(),
@@ -57,7 +57,7 @@ pub fn register_helpers(env: &mut CompRdl, db: Arc<DbRegistry>) {
 
     // table_of(t) — Table<schema_type(t)>.
     let registry = db.clone();
-    env.register_helper_native_with_state("table_of", schema, move |ctx, args| {
+    env.helpers.register_native_with_state("table_of", schema, move |ctx, args| {
         let t = expect_type(args, 0)?;
         let resolved = ctx.store.resolve(&t);
         let schema = match resolved {
@@ -89,7 +89,7 @@ pub fn register_helpers(env: &mut CompRdl, db: Arc<DbRegistry>) {
     // the association check: joining is only allowed when the receiver model
     // declared an association with the argument's name.
     let registry = db.clone();
-    env.register_helper_native_with_state("joins_type", schema, move |ctx, args| {
+    env.helpers.register_native_with_state("joins_type", schema, move |ctx, args| {
         let tself = expect_type(args, 0)?;
         let t = expect_type(args, 1)?;
         let t = ctx.store.resolve(&t);
@@ -125,7 +125,7 @@ pub fn register_helpers(env: &mut CompRdl, db: Arc<DbRegistry>) {
     // fragment against the schema; a well-typed fragment simply has type
     // String, a mistyped one aborts type checking with a detailed message.
     let registry = db;
-    env.register_helper_native_with_state("sql_typecheck", schema, move |ctx, args| {
+    env.helpers.register_native_with_state("sql_typecheck", schema, move |ctx, args| {
         let t = expect_type(args, 1)?;
         let fragment = match ctx.store.resolve(&t) {
             Type::ConstString(id) => match ctx.store.const_string_value(id) {
