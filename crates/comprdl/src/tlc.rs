@@ -350,8 +350,12 @@ impl HelperRegistry {
         self.ruby_loc
     }
 
-    fn get_native(&self, name: &str) -> Option<&NativeHelper> {
-        self.native.get(name).map(|entry| &entry.f)
+    fn get_native(&self, name: &str) -> Option<NativeHelper> {
+        self.native.get(name).map(|entry| Arc::clone(&entry.f))
+    }
+
+    fn get_ruby(&self, name: &str) -> Option<Arc<RubyEntry>> {
+        self.ruby.get(name).cloned()
     }
 
     /// Whether a helper with the given name exists.
@@ -596,11 +600,11 @@ impl<'a> TlcCtx<'a> {
     ///
     /// Returns a [`TlcError`] if the helper is unknown or fails.
     pub fn call_helper(&mut self, name: &str, args: &[TlcValue]) -> TlcResult {
-        let helpers = self.helpers;
-        if let Some(f) = helpers.get_native(name) {
+        if let Some(f) = self.helpers.get_native(name) {
             return f(self, args);
         }
-        if let Some((def, _)) = helpers.ruby_helper(name) {
+        if let Some(helper) = self.helpers.get_ruby(name) {
+            let def = &helper.def;
             if self.depth >= MAX_HELPER_DEPTH {
                 return Err(TlcError::new(format!(
                     "type-level computation exceeded its step budget in helper `{name}` \
@@ -621,7 +625,7 @@ impl<'a> TlcCtx<'a> {
                 };
                 self.bindings.insert(p.name.clone(), v);
             }
-            let result = self.eval_body(&def.body);
+            let result = self.eval_body(&def.body.clone());
             self.bindings = saved;
             self.helper_stack.pop();
             self.depth -= 1;
