@@ -19,7 +19,9 @@
 use crate::cache::{CacheKey, CacheStats, CompPosition, CompTypeCache};
 use crate::env::CompRdl;
 use crate::runtime::{ConsistencyCheck, InsertedCheck};
-use crate::termination::{EffectViolation, InferredEffect, TerminationChecker};
+use crate::termination::{
+    explicit_effects, EffectEnv, EffectViolation, InferredEffect, TerminationChecker,
+};
 use crate::tlc::{eval_comp_type, TlcError, TlcValue};
 use rdl_types::{
     HashKey, MethodKind, MethodSig, ParamSig, SingVal, Subtyper, Type, TypeExpr, TypeStore,
@@ -276,25 +278,16 @@ struct MethodCtx {
 
 impl<'a> TypeChecker<'a> {
     /// Creates a checker for `program` using the annotations, helpers and
-    /// class table in `env`.
+    /// class table in `env`.  Its effect environment starts from
+    /// [`explicit_effects`]`(env)`, the same table the summary inference
+    /// is seeded with.
     pub fn new(env: &'a CompRdl, program: &'a Program, options: CheckOptions) -> Self {
-        let mut termination = TerminationChecker::with_builtins();
-        for ((_, _, name), sig) in env.annotations.iter() {
-            termination.env_mut().set(name, sig.term, sig.purity);
-        }
-        for name in env.helpers.names() {
-            termination.env_mut().set(
-                &name,
-                rdl_types::TermEffect::Terminates,
-                rdl_types::PurityEffect::Pure,
-            );
-        }
         TypeChecker {
             env,
             program,
             options,
             store: TypeStore::new(),
-            termination,
+            termination: TerminationChecker::new(EffectEnv::from_explicit(explicit_effects(env))),
             cache: CompTypeCache::new(),
             slot_semantics: HashMap::new(),
         }
@@ -329,7 +322,7 @@ impl<'a> TypeChecker<'a> {
         program: &Program,
         effects: &[InferredEffect],
     ) -> Vec<EffectViolation> {
-        let mut inferred = crate::termination::EffectEnv::new();
+        let mut inferred = EffectEnv::new();
         inferred.install_inferred(effects.iter().cloned());
         // One index over the program's methods; the first definition of an
         // identity wins, as a front-to-back scan would find it.

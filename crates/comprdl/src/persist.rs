@@ -45,7 +45,9 @@
 use crate::checker::{ErrorCategory, MethodCheckResult, TypeErrorInfo};
 use crate::env::CompRdl;
 use crate::runtime::{ConsistencyCheck, InsertedCheck};
-use rdl_types::{HashKey, MethodKind, SingVal, Type, TypeExpr, TypeStore};
+use rdl_types::{
+    HashKey, MethodKind, PurityEffect, SingVal, TermEffect, Type, TypeExpr, TypeStore,
+};
 use ruby_syntax::{method_span_nodes, Expr, MethodDef, SemHasher, Span};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -216,14 +218,15 @@ pub struct EffectRecord {
     /// The method's Merkle hash at summary time; unchanged hash ⇔ unchanged
     /// transitive dependency closure ⇔ the summary is replayable.
     pub merkle: u64,
-    /// Termination verdict: 0 = terminates, 1 = block-dependent,
-    /// 2 = may diverge.
-    pub term: u8,
-    /// Purity verdict: 0 = pure, 1 = impure.
-    pub purity: u8,
-    /// Call chain to the divergence root cause (empty when `term != 2`).
+    /// Termination verdict, stored as its [`TermEffect::tag`].
+    pub term: TermEffect,
+    /// Purity verdict, stored as its [`PurityEffect::tag`].
+    pub purity: PurityEffect,
+    /// Call chain to the divergence root cause (empty unless `term` is
+    /// [`TermEffect::MayDiverge`]).
     pub term_blame: Vec<String>,
-    /// Call chain to the impurity root cause (empty when `purity == 0`).
+    /// Call chain to the impurity root cause (empty when `purity` is
+    /// [`PurityEffect::Pure`]).
     pub purity_blame: Vec<String>,
     /// Parameter indices that flow into the return value.
     pub taint_return: Vec<u32>,
@@ -597,8 +600,8 @@ impl CheckCache {
                 w.put_str(&e.name);
                 w.put_u8(u8::from(e.singleton));
                 w.put_u64(e.merkle);
-                w.put_u8(e.term);
-                w.put_u8(e.purity);
+                w.put_u8(e.term.tag());
+                w.put_u8(e.purity.tag());
                 put_str_list(&mut w, &e.term_blame);
                 put_str_list(&mut w, &e.purity_blame);
                 put_u32_list(&mut w, &e.taint_return);
@@ -716,11 +719,8 @@ impl CheckCache {
                 let ename = r.get_str()?;
                 let singleton = r.get_u8()? != 0;
                 let merkle = r.get_u64()?;
-                let term = r.get_u8()?;
-                let purity = r.get_u8()?;
-                if term > 2 || purity > 1 {
-                    return None;
-                }
+                let term = TermEffect::from_tag(r.get_u8()?)?;
+                let purity = PurityEffect::from_tag(r.get_u8()?)?;
                 effects.push(EffectRecord {
                     owner,
                     name: ename,
@@ -1741,8 +1741,8 @@ mod tests {
                 name: "helper".into(),
                 singleton: false,
                 merkle: 0xdead_beef,
-                term: 0,
-                purity: 0,
+                term: TermEffect::Terminates,
+                purity: PurityEffect::Pure,
                 ..EffectRecord::default()
             },
             EffectRecord {
@@ -1750,8 +1750,8 @@ mod tests {
                 name: "spin".into(),
                 singleton: true,
                 merkle: 42,
-                term: 2,
-                purity: 1,
+                term: TermEffect::MayDiverge,
+                purity: PurityEffect::Impure,
                 term_blame: vec!["spin".into(), "while loop".into()],
                 purity_blame: vec!["spin".into(), "inner".into(), "@x=".into()],
                 taint_return: vec![0, 2],
@@ -1782,6 +1782,29 @@ mod tests {
         assert!(loaded.replay_effects("unit", "Talk", "spin", true, 43).is_none());
         // Wrong kind misses.
         assert!(loaded.replay_effects("unit", "Talk", "spin", false, 42).is_none());
+    }
+
+    #[test]
+    fn an_effect_record_with_an_unknown_tag_loads_empty() {
+        let mut cache = CheckCache::new();
+        cache.record_effects("unit", vec![EffectRecord::default()]);
+        let bytes = cache.to_bytes();
+        assert_eq!(CheckCache::from_bytes(&bytes), Some(cache));
+        // The record ends the body: its two tags, four empty lists and two
+        // flags come right before the checksum.
+        let body_len = bytes.len() - CHECKSUM_LEN;
+        let term_at = body_len - 2 - 4 * 4 - 2;
+        let patched = |at: usize, tag: u8| {
+            let mut body = bytes[..body_len].to_vec();
+            body[at] = tag;
+            let checksum = bytes_hash(&body);
+            body.extend_from_slice(&checksum.to_le_bytes());
+            CheckCache::from_bytes(&body).map(|c| c.apps["unit"].effects[0].clone())
+        };
+        assert_eq!(patched(term_at, 1).map(|e| e.term), Some(TermEffect::BlockDep));
+        assert_eq!(patched(term_at + 1, 0).map(|e| e.purity), Some(PurityEffect::Pure));
+        assert_eq!(patched(term_at, 3), None);
+        assert_eq!(patched(term_at + 1, 2), None);
     }
 
     #[test]

@@ -11,19 +11,23 @@
 //! * recursion in type-level code is assumed absent (and cut off at run time
 //!   by the evaluator's depth bound).
 //!
-//! The effect environment has two layers: *explicit* effects (builtins,
-//! `terminates:`/`pure:` annotations and registered helpers) and *inferred*
-//! effects ([`InferredEffect`] summaries computed interprocedurally by the
-//! `analysis` crate and installed via
-//! [`EffectEnv::install_inferred`]).  Explicit entries always win; inferred
-//! entries fill in for un-annotated methods; names present in neither layer
-//! stay pessimistic (`:-` / impure), and their violations say so
-//! ("no summary and no annotation for …") instead of reading like a proven
-//! divergence.  When an explicit annotation claims a *stronger* effect than
-//! the inferred summary, [`annotation_conflicts`] reports a `TERM0004`
-//! warning rendering the inferred blame chain.
+//! The effect environment has two layers: *explicit* effects and
+//! *inferred* effects ([`InferredEffect`] summaries computed
+//! interprocedurally by the `analysis` crate and installed via
+//! [`EffectEnv::install_inferred`]).  [`explicit_effects`] builds the
+//! explicit layer, which the summary inference is seeded with too: the
+//! builtins, overridden by `terminates:`/`pure:` annotations, overridden in
+//! turn by registered helpers.  Annotations that share a bare name are
+//! joined pessimistically, not overwritten.  Explicit entries always win;
+//! inferred entries fill in for un-annotated methods; names present in
+//! neither layer stay pessimistic (`:-` / impure), and their violations
+//! say so ("no summary and no annotation for …") instead of reading like a
+//! proven divergence.  When an explicit annotation claims a *stronger*
+//! effect than the inferred summary, [`annotation_conflicts`] reports a
+//! `TERM0004` warning rendering the inferred blame chain.
 
-use rdl_types::{PurityEffect, TermEffect};
+use crate::env::CompRdl;
+use rdl_types::{EffectTable, PurityEffect, TermEffect};
 use ruby_syntax::{Expr, ExprKind, MethodDef, Span};
 use std::collections::HashMap;
 use std::fmt;
@@ -141,31 +145,15 @@ pub enum EffectSource {
     Unknown,
 }
 
-/// The effect environment: method name → (termination, purity).
-///
-/// Effects are looked up by bare method name, mirroring how the paper's
-/// annotations attach `terminates:` / `pure:` labels to methods.  Lookup
-/// precedence is explicit → inferred → pessimistic default.
-#[derive(Debug, Clone, Default)]
-pub struct EffectEnv {
-    effects: HashMap<String, (TermEffect, PurityEffect)>,
-    inferred: HashMap<String, InferredEffect>,
-}
-
-impl EffectEnv {
-    /// Creates an empty environment.
-    pub fn new() -> Self {
-        EffectEnv::default()
-    }
-
-    /// An environment pre-populated with the effects of the core library
-    /// methods and type-level reflection methods used by the standard
-    /// annotations.
-    pub fn with_builtins() -> Self {
-        let mut env = EffectEnv::new();
-        // Pure, terminating reflection / query methods usable in type-level
-        // code.
-        for m in [
+/// The core library and type-level reflection methods the standard
+/// annotations use, with their effects.
+const BUILTINS: [(TermEffect, PurityEffect, &[&str]); 3] = [
+    // Pure, terminating reflection / query methods usable in type-level
+    // code.
+    (
+        TermEffect::Terminates,
+        PurityEffect::Pure,
+        &[
             "is_a?",
             "kind_of?",
             "instance_of?",
@@ -216,11 +204,13 @@ impl EffectEnv {
             "dig",
             "freeze",
             "class",
-        ] {
-            env.set(m, TermEffect::Terminates, PurityEffect::Pure);
-        }
-        // Iterators terminate iff their block does and is pure.
-        for m in [
+        ],
+    ),
+    // Iterators terminate iff their block does and is pure.
+    (
+        TermEffect::BlockDep,
+        PurityEffect::Pure,
+        &[
             "map",
             "each",
             "select",
@@ -239,17 +229,85 @@ impl EffectEnv {
             "each_with_index",
             "times",
             "upto",
-        ] {
-            env.set(m, TermEffect::BlockDep, PurityEffect::Pure);
-        }
-        // Mutators are impure (and must not appear inside pure blocks).
-        for m in [
+        ],
+    ),
+    // Mutators are impure (and must not appear inside pure blocks).
+    (
+        TermEffect::Terminates,
+        PurityEffect::Impure,
+        &[
             "push", "<<", "pop", "shift", "unshift", "concat", "store", "[]=", "delete", "merge!",
             "update", "gsub!", "sub!", "clear",
-        ] {
-            env.set(m, TermEffect::Terminates, PurityEffect::Impure);
+        ],
+    ),
+];
+
+/// Builds the explicit effect layer for `env`: the builtins, then every
+/// `terminates:`/`pure:` annotation, then every registered type-level
+/// helper (trusted to terminate and be pure), each layer overriding the
+/// one before it.  Effects are keyed by bare name, so a name annotated on
+/// several classes gets the pessimistic join of its annotations
+/// ([`TermEffect::join`], [`PurityEffect::join`]) and the table does not
+/// depend on the annotation table's iteration order.
+///
+/// [`TypeChecker::new`](crate::TypeChecker::new) and the corpus's summary
+/// inference seed both start from this table, so the checker and the
+/// inference trust exactly the same effects.
+pub fn explicit_effects(env: &CompRdl) -> EffectTable {
+    let mut table = EffectTable::with_capacity(env.annotations.method_count());
+    for ((_, _, name), sig) in env.annotations.iter() {
+        match table.get_mut(name.as_str()) {
+            Some((term, purity)) => {
+                *term = term.join(sig.term);
+                *purity = purity.join(sig.purity);
+            }
+            None => {
+                table.insert(name.clone(), (sig.term, sig.purity));
+            }
         }
-        env
+    }
+    // The builtins are the bottom layer: they fill in only the names no
+    // annotation claims, so the join above never mixes one in.
+    for (term, purity, names) in BUILTINS {
+        for &name in names {
+            if !table.contains_key(name) {
+                table.insert(name.to_string(), (term, purity));
+            }
+        }
+    }
+    for name in env.helpers.names() {
+        table.insert(name, (TermEffect::Terminates, PurityEffect::Pure));
+    }
+    table
+}
+
+/// The effect environment: method name → (termination, purity).
+///
+/// Effects are looked up by bare method name, mirroring how the paper's
+/// annotations attach `terminates:` / `pure:` labels to methods.  Lookup
+/// precedence is explicit → inferred → pessimistic default.
+#[derive(Debug, Clone, Default)]
+pub struct EffectEnv {
+    effects: EffectTable,
+    inferred: HashMap<String, InferredEffect>,
+}
+
+impl EffectEnv {
+    /// Creates an empty environment.
+    pub fn new() -> Self {
+        EffectEnv::default()
+    }
+
+    /// An environment holding only the builtin effects: the explicit layer
+    /// of an environment with no annotations and no helpers.
+    pub fn with_builtins() -> Self {
+        EffectEnv::from_explicit(explicit_effects(&CompRdl::new()))
+    }
+
+    /// An environment whose explicit layer is `effects` (see
+    /// [`explicit_effects`]) and whose inferred layer is empty.
+    pub fn from_explicit(effects: EffectTable) -> Self {
+        EffectEnv { effects, inferred: HashMap::new() }
     }
 
     /// Sets the explicit effects for a method name.
@@ -268,12 +326,12 @@ impl EffectEnv {
                 }
                 std::collections::hash_map::Entry::Occupied(mut o) => {
                     let cur = o.get_mut();
-                    if term_rank(e.term) > term_rank(cur.term) {
+                    if e.term > cur.term {
                         cur.term = e.term;
                         cur.term_blame = e.term_blame;
                     }
-                    if cur.purity == PurityEffect::Pure && e.purity == PurityEffect::Impure {
-                        cur.purity = PurityEffect::Impure;
+                    if e.purity > cur.purity {
+                        cur.purity = e.purity;
                         cur.purity_blame = e.purity_blame;
                     }
                 }
@@ -324,13 +382,6 @@ impl EffectEnv {
         self.inferred.get(method)
     }
 
-    /// Iterates the explicit entries (builtins, annotations, helpers) —
-    /// used to seed the `analysis` crate's summary inference so both sides
-    /// agree on the base environment.
-    pub fn explicit_effects(&self) -> impl Iterator<Item = (&str, TermEffect, PurityEffect)> {
-        self.effects.iter().map(|(n, (t, p))| (n.as_str(), *t, *p))
-    }
-
     /// Number of explicitly annotated methods.
     pub fn len(&self) -> usize {
         self.effects.len()
@@ -344,15 +395,6 @@ impl EffectEnv {
     /// True if no explicit effects are registered.
     pub fn is_empty(&self) -> bool {
         self.effects.is_empty()
-    }
-}
-
-/// Pessimism order for the join in [`EffectEnv::install_inferred`].
-fn term_rank(t: TermEffect) -> u8 {
-    match t {
-        TermEffect::Terminates => 0,
-        TermEffect::BlockDep => 1,
-        TermEffect::MayDiverge => 2,
     }
 }
 

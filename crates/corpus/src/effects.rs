@@ -2,96 +2,39 @@
 //!
 //! The summary pass ([`analysis::ProgramSummaries`]) runs over each app's
 //! parsed two-file program and infers termination, purity and taint facts
-//! for every method bottom-up over the condensed call graph.  Three
-//! conversions live here because neither neighbouring crate may depend on
-//! the other:
+//! for every method bottom-up over the condensed call graph.  It is seeded
+//! with the type checker's own explicit effect layer
+//! ([`comprdl::explicit_effects`]), so a method the checker already trusts
+//! is never "re-discovered" pessimistically.  Both sides speak
+//! `rdl_types`' effect vocabulary, so the one conversion left here is
+//! between [`analysis::MethodSummary`] and `comprdl`'s two views of it,
+//! which are field copies:
 //!
-//! * [`CompRdl`] → [`SeedMap`] — the trusted base effects the inference
-//!   starts from, built **exactly** the way `TypeChecker::new` seeds its
-//!   own [`comprdl::EffectEnv`] (builtins, then `terminates:`/`pure:`
-//!   annotations, then registered helpers), so a method the checker
-//!   already trusts is never "re-discovered" pessimistically;
-//! * [`analysis::MethodSummary`] → [`comprdl::InferredEffect`] — installs
-//!   the inferred layer *below* the explicit one in the type checker, and
-//! * [`analysis::MethodSummary`] ↔ [`comprdl::EffectRecord`] — the
-//!   persistence representation.  Records are keyed on `semdep` Merkle
-//!   hashes (hash of the method's transitive dependency closure), which is
-//!   precisely the soundness condition
+//! * [`comprdl::InferredEffect`] — installs the inferred layer *below* the
+//!   explicit one in the type checker, and
+//! * [`comprdl::EffectRecord`] — the persistence representation.  Records
+//!   are keyed on `semdep` Merkle hashes (hash of the method's transitive
+//!   dependency closure), which is precisely the soundness condition
 //!   [`ProgramSummaries::infer_with_baseline`] requires of fixed
 //!   summaries.
 
 use std::collections::BTreeMap;
 
-use analysis::{MethodSummary, ProgramSummaries, Purity, SeedEffect, SeedMap, TaintSummary, Term};
-use comprdl::{CompRdl, EffectEnv, EffectRecord, InferredEffect};
-use rdl_types::{PurityEffect, TermEffect};
+use analysis::{MethodSummary, ProgramSummaries, TaintSummary};
+use comprdl::{CompRdl, EffectRecord, InferredEffect};
+use rdl_types::EffectTable;
 use ruby_syntax::Program;
 
-/// `analysis::Term` → the `EffectRecord` wire encoding.
-fn term_to_u8(t: Term) -> u8 {
-    match t {
-        Term::Terminates => 0,
-        Term::BlockDep => 1,
-        Term::MayDiverge => 2,
-    }
-}
-
-/// Wire encoding → `analysis::Term`.  Out-of-range values (impossible for
-/// records that passed `CheckCache::from_bytes` validation) pessimize.
-fn u8_to_term(v: u8) -> Term {
-    match v {
-        0 => Term::Terminates,
-        1 => Term::BlockDep,
-        _ => Term::MayDiverge,
-    }
-}
-
-fn term_to_effect(t: Term) -> TermEffect {
-    match t {
-        Term::Terminates => TermEffect::Terminates,
-        Term::BlockDep => TermEffect::BlockDep,
-        Term::MayDiverge => TermEffect::MayDiverge,
-    }
-}
-
-fn effect_to_term(t: TermEffect) -> Term {
-    match t {
-        TermEffect::Terminates => Term::Terminates,
-        TermEffect::BlockDep => Term::BlockDep,
-        TermEffect::MayDiverge => Term::MayDiverge,
-    }
-}
-
-/// Builds the trusted seed effects for summary inference, mirroring the
-/// seeding in `TypeChecker::new`: builtins from
-/// [`EffectEnv::with_builtins`], every `terminates:`/`pure:` annotation,
-/// and every registered type-level helper (blanket-trusted, as the checker
-/// does).  Using the same base environment on both sides means the
-/// checker's explicit layer and the inference's seeds can never disagree
-/// about a name they both know.
-pub fn seed_map(env: &CompRdl) -> SeedMap {
-    let mut effects = EffectEnv::with_builtins();
-    for ((_, _, name), sig) in env.annotations.iter() {
-        effects.set(name, sig.term, sig.purity);
-    }
-    for name in env.helpers.names() {
-        effects.set(&name, TermEffect::Terminates, PurityEffect::Pure);
-    }
-    effects
-        .explicit_effects()
-        .map(|(name, term, purity)| {
-            (
-                name.to_string(),
-                SeedEffect { term: effect_to_term(term), pure: purity == PurityEffect::Pure },
-            )
-        })
-        .collect()
+/// The trusted seed effects for summary inference: the explicit layer
+/// [`comprdl::explicit_effects`] builds for the type checker.
+pub fn seed_map(env: &CompRdl) -> EffectTable {
+    comprdl::explicit_effects(env)
 }
 
 /// Infers summaries for every method of `program` with `threads` workers
 /// (1 = sequential).  The parallel fact extraction is output-invisible:
 /// the fixpoint itself is deterministic over the condensed call graph.
-pub fn effects_pass(program: &Program, seed: &SeedMap, threads: usize) -> ProgramSummaries {
+pub fn effects_pass(program: &Program, seed: &EffectTable, threads: usize) -> ProgramSummaries {
     if threads > 1 {
         ProgramSummaries::infer_parallel(program, seed, threads)
     } else {
@@ -102,19 +45,16 @@ pub fn effects_pass(program: &Program, seed: &SeedMap, threads: usize) -> Progra
 /// Converts the inferred summaries into the checker-facing layer:
 /// one [`InferredEffect`] per summarized method.  Same-named methods on
 /// different owners each contribute an entry;
-/// [`EffectEnv::install_inferred`] joins duplicates pessimistically, which
-/// matches the checker's name-keyed (not owner-keyed) effect lookups.
+/// [`comprdl::EffectEnv::install_inferred`] joins duplicates
+/// pessimistically, which matches the checker's name-keyed (not
+/// owner-keyed) effect lookups.
 pub fn summaries_to_inferred(summaries: &ProgramSummaries) -> Vec<InferredEffect> {
     summaries
         .iter()
         .map(|s| InferredEffect {
             name: s.name.clone(),
-            term: term_to_effect(s.term),
-            purity: if s.purity == Purity::Pure {
-                PurityEffect::Pure
-            } else {
-                PurityEffect::Impure
-            },
+            term: s.term,
+            purity: s.purity,
             term_blame: s.term_blame.clone(),
             purity_blame: s.purity_blame.clone(),
         })
@@ -129,8 +69,8 @@ fn summary_to_record(s: &MethodSummary, merkle: u64) -> EffectRecord {
         name: s.name.clone(),
         singleton: s.singleton,
         merkle,
-        term: term_to_u8(s.term),
-        purity: if s.purity == Purity::Pure { 0 } else { 1 },
+        term: s.term,
+        purity: s.purity,
         term_blame: s.term_blame.clone(),
         purity_blame: s.purity_blame.clone(),
         taint_return: s.taint.params_to_return.iter().map(|&i| i as u32).collect(),
@@ -149,8 +89,8 @@ fn record_to_summary(r: &EffectRecord) -> MethodSummary {
         owner: r.owner.clone(),
         name: r.name.clone(),
         singleton: r.singleton,
-        term: u8_to_term(r.term),
-        purity: if r.purity == 0 { Purity::Pure } else { Purity::Impure },
+        term: r.term,
+        purity: r.purity,
         term_blame: r.term_blame.clone(),
         purity_blame: r.purity_blame.clone(),
         taint: TaintSummary {
@@ -202,6 +142,7 @@ pub fn replay_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdl_types::{PurityEffect, TermEffect};
 
     fn sample_program() -> Program {
         ruby_syntax::parse_program_strict(
@@ -214,27 +155,61 @@ mod tests {
 
     #[test]
     fn seed_map_mirrors_the_checker_seeding() {
+        use PurityEffect::{Impure, Pure};
+        use TermEffect::{BlockDep, MayDiverge, Terminates};
+
         let mut env = CompRdl::new();
         comprdl::stdlib::register_all(&mut env);
-        env.type_sig_with_effects(
-            "Object",
-            "fast",
-            "() -> Integer",
-            TermEffect::Terminates,
-            PurityEffect::Pure,
-        );
+        env.type_sig_with_effects("Object", "fast", "() -> Integer", Terminates, Pure);
         let seed = seed_map(&env);
         // A builtin, an annotation, and the pessimistic default all agree
         // with what `TypeChecker::new` would install explicitly.
-        assert_eq!(seed.get("length").map(|s| s.term), Some(Term::Terminates));
-        assert_eq!(seed.get("fast"), Some(&SeedEffect { term: Term::Terminates, pure: true }));
+        assert_eq!(seed.get("length").map(|s| s.0), Some(Terminates));
+        assert_eq!(seed.get("fast"), Some(&(Terminates, Pure)));
         assert!(!seed.contains_key("no_such_method"));
+
+        // Same-named annotations join to a verdict neither one states, in
+        // every env: each builds its annotation table with a fresh hasher,
+        // so their iteration orders differ.
+        for _ in 0..32 {
+            let mut env = CompRdl::new();
+            env.type_sig_with_effects("A", "m", "() -> Integer", Terminates, Impure);
+            env.type_sig_with_effects("B", "m", "() -> Integer", BlockDep, Pure);
+            assert_eq!(seed_map(&env).get("m"), Some(&(BlockDep, Impure)));
+        }
+
+        // The shipped libraries annotate these names on several classes
+        // with different effects.
+        let discourse = crate::apps::discourse::app();
+        let seed = seed_map(&discourse.build_env());
+        for name in ["<<", "delete"] {
+            assert_eq!(seed[name].1, Impure, "{name}");
+        }
+        for name in ["any?", "filter", "find", "partition", "select"] {
+            assert_eq!(seed[name].0, BlockDep, "{name}");
+        }
+        let program =
+            ruby_syntax::parse_program_strict("def drop_key(h, k)\n  h.delete(k)\nend\n").unwrap();
+        for _ in 0..32 {
+            let sums = effects_pass(&program, &seed_map(&discourse.build_env()), 1);
+            assert_eq!(sums.get("Object", "drop_key", false).unwrap().purity, Impure);
+        }
+
+        // An annotation overrides a builtin; a helper overrides an
+        // annotation.
+        let mut env = CompRdl::new();
+        env.register_helpers_ruby("def my_helper(t)\n  t\nend\n");
+        env.type_sig_with_effects("X", "length", "() -> Integer", MayDiverge, Impure);
+        env.type_sig_with_effects("X", "my_helper", "() -> Integer", MayDiverge, Impure);
+        let seed = seed_map(&env);
+        assert_eq!(seed["length"], (MayDiverge, Impure));
+        assert_eq!(seed["my_helper"], (Terminates, Pure));
     }
 
     #[test]
     fn record_round_trip_preserves_everything_but_scc() {
         let program = sample_program();
-        let sums = effects_pass(&program, &SeedMap::new(), 1);
+        let sums = effects_pass(&program, &EffectTable::new(), 1);
         for s in sums.iter() {
             let rec = summary_to_record(s, 42);
             assert_eq!(rec.merkle, 42);
@@ -250,7 +225,7 @@ mod tests {
     #[test]
     fn inferred_layer_carries_the_blame_chains() {
         let program = sample_program();
-        let sums = effects_pass(&program, &SeedMap::new(), 1);
+        let sums = effects_pass(&program, &EffectTable::new(), 1);
         let inferred = summaries_to_inferred(&sums);
         let spin = inferred.iter().find(|e| e.name == "spin").unwrap();
         assert_eq!(spin.term, TermEffect::MayDiverge);

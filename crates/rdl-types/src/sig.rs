@@ -24,28 +24,82 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Termination effect of a method (paper §4, Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+///
+/// Each discriminant is the effect's byte tag ([`TermEffect::tag`]), which
+/// [`MethodSig::digest`] and the check cache's effect section write, so
+/// changing one moves every annotation digest and changes the cache
+/// format.  Variants are declared from most to least certain: the derived
+/// order is the pessimism order and [`TermEffect::join`] is its maximum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(u8)]
 pub enum TermEffect {
     /// `:+` — the method always terminates.
-    Terminates,
-    /// `:-` — the method may diverge.
-    #[default]
-    MayDiverge,
+    Terminates = 0,
     /// `:blockdep` — an iterator that terminates iff its block terminates
     /// and is pure.
-    BlockDep,
+    BlockDep = 1,
+    /// `:-` — the method may diverge.
+    #[default]
+    MayDiverge = 2,
+}
+
+impl TermEffect {
+    /// The byte tag: 0 terminates, 1 block-dependent, 2 may diverge.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The effect whose [`tag`](Self::tag) is `tag`, or `None` for a byte
+    /// that is no tag.
+    pub fn from_tag(tag: u8) -> Option<TermEffect> {
+        [TermEffect::Terminates, TermEffect::BlockDep, TermEffect::MayDiverge]
+            .into_iter()
+            .find(|e| e.tag() == tag)
+    }
+
+    /// The pessimistic join: the less certain of the two effects.
+    pub fn join(self, other: TermEffect) -> TermEffect {
+        self.max(other)
+    }
 }
 
 /// Purity effect of a method (paper §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+///
+/// Tags and order work as for [`TermEffect`]: the discriminant is the byte
+/// tag, and `Pure` sorts before `Impure`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(u8)]
 pub enum PurityEffect {
     /// `:+` — the method writes no instance/class/global state and calls
     /// only pure methods.
-    Pure,
+    Pure = 0,
     /// `:-` — the method may mutate state.
     #[default]
-    Impure,
+    Impure = 1,
 }
+
+impl PurityEffect {
+    /// The byte tag: 0 pure, 1 impure.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The effect whose [`tag`](Self::tag) is `tag`, or `None` for a byte
+    /// that is no tag.
+    pub fn from_tag(tag: u8) -> Option<PurityEffect> {
+        [PurityEffect::Pure, PurityEffect::Impure].into_iter().find(|e| e.tag() == tag)
+    }
+
+    /// The pessimistic join: impure if either effect is.
+    pub fn join(self, other: PurityEffect) -> PurityEffect {
+        self.max(other)
+    }
+}
+
+/// Trusted effects keyed by bare method name: the explicit layer that the
+/// checker's effect environment and the interprocedural summary inference
+/// both start from (built by `comprdl::termination::explicit_effects`).
+pub type EffectTable = HashMap<String, (TermEffect, PurityEffect)>;
 
 /// A type-level computation: a Ruby-subset expression evaluated during type
 /// checking to produce a type.
@@ -316,15 +370,8 @@ impl MethodSig {
         // The declared effects are *not* part of `source`, but effect
         // summaries (and verdicts built on them) are seeded from the claims,
         // so an effect-only annotation change must move the digest.
-        h.write_u8(match self.term {
-            TermEffect::Terminates => 0,
-            TermEffect::BlockDep => 1,
-            TermEffect::MayDiverge => 2,
-        });
-        h.write_u8(match self.purity {
-            PurityEffect::Pure => 0,
-            PurityEffect::Impure => 1,
-        });
+        h.write_u8(self.term.tag());
+        h.write_u8(self.purity.tag());
         h.finish()
     }
 }
