@@ -110,29 +110,32 @@ fn merkle_pin(app: &App) -> (u64, usize) {
     (h.finish(), merkles.len())
 }
 
-/// Pins every corpus app's Merkle hashes.  The on-disk check cache replays
-/// a verdict only while a method's Merkle hash is unchanged, so a moved pin
-/// means a moved on-disk cache key: every cache written before it misses.
-/// Update a pin only in a commit that moves it on purpose, and give the
-/// reason in that commit.
+/// Pins every corpus app's Merkle hashes and `env_hash`.  The on-disk
+/// check cache replays a verdict only while the method's Merkle hash and
+/// the environment's `env_hash` are unchanged, so a moved pin means a moved
+/// on-disk cache key: every cache written before it misses.  Update a pin
+/// only in a commit that moves it on purpose, and give the reason in that
+/// commit.
 #[test]
 fn merkle_hashes_are_pinned_per_app() {
-    let pins: [(&str, u64, usize); 8] = [
-        ("Wikipedia", 0xcaec79f18ba7d8ca, 14),
-        ("Twitter", 0xcafa43c480cc14b0, 6),
-        ("Discourse", 0xe8d7e788a994ebb5, 22),
-        ("Huginn", 0xfe139ce61eda716d, 10),
-        ("Code.org", 0x8cc919e14734272b, 11),
-        ("Journey", 0xcf706233662642b5, 13),
-        ("Redmine", 0x75041070bef41482, 18),
-        ("Sequel", 0x9717e0de8bd8684a, 20),
+    let pins: [(&str, u64, usize, u64); 8] = [
+        ("Wikipedia", 0xcaec79f18ba7d8ca, 14, 0x6e9e711a0fa8e49a),
+        ("Twitter", 0xcafa43c480cc14b0, 6, 0x9812392de37f7d36),
+        ("Discourse", 0xe8d7e788a994ebb5, 22, 0xc0ad0314193e0354),
+        ("Huginn", 0xfe139ce61eda716d, 10, 0xb061a4e7733a7c47),
+        ("Code.org", 0x8cc919e14734272b, 11, 0x5e57d6a12574089b),
+        ("Journey", 0xcf706233662642b5, 13, 0xddf3a83abec7b94a),
+        ("Redmine", 0x75041070bef41482, 18, 0xe701b40f3887a8c0),
+        ("Sequel", 0x9717e0de8bd8684a, 20, 0x203b429bb8c2a18a),
     ];
     let apps = corpus::apps::all();
     assert_eq!(apps.len(), pins.len());
-    for (app, (name, pin, methods)) in apps.iter().zip(pins) {
+    for (app, (name, pin, methods, env_pin)) in apps.iter().zip(pins) {
         assert_eq!(app.name, name);
         let (got, count) = merkle_pin(app);
         assert_eq!((got, count), (pin, methods), "{name}: got {got:#018x} over {count} methods");
+        let env = env_hash(&app.build_env());
+        assert_eq!(env, env_pin, "{name}: got env_hash {env:#018x}");
     }
 }
 
