@@ -230,13 +230,47 @@ mod tests {
         assert_eq!(ct.get("Array").unwrap().type_params, vec!["a"]);
     }
 
+    /// `name`'s whole ancestor chain, for exact comparisons.
+    fn chain(ct: &ClassTable, name: &str) -> Vec<String> {
+        ct.ancestors(name)
+    }
+
     #[test]
     fn ancestors_terminate_on_cycles() {
         let mut ct = ClassTable::new();
         ct.add_class("A", Some("B"));
         ct.add_class("B", Some("A"));
-        // Must not loop forever.
-        let anc = ct.ancestors("A");
-        assert!(anc.len() <= 66);
+        // The class itself, then 64 superclass steps around the cycle.
+        let expected: Vec<&str> = (0..65).map(|i| if i % 2 == 0 { "A" } else { "B" }).collect();
+        assert_eq!(chain(&ct, "A"), expected);
+        assert!(ct.is_subclass("A", "B"));
+        assert!(ct.is_subclass("B", "A"));
+        assert!(!ct.is_subclass("A", "C"));
+        assert_eq!(ct.common_ancestor("A", "B"), "A");
+        assert_eq!(ct.common_ancestor("B", "A"), "B");
+        assert_eq!(ct.common_ancestor("A", "C"), "Object");
+    }
+
+    #[test]
+    fn ancestor_chains_are_exact() {
+        // C0 < C1 < ... < C69 < Object: the walk stops after 64 steps.
+        let mut ct = ClassTable::new();
+        for i in 0..70 {
+            let sup = if i == 69 { "Object".to_string() } else { format!("C{}", i + 1) };
+            ct.add_class(&format!("C{i}"), Some(&sup));
+        }
+        let expected: Vec<String> = (0..=64).map(|i| format!("C{i}")).collect();
+        assert_eq!(chain(&ct, "C0"), expected);
+        assert_eq!(chain(&ct, "C68"), ["C68", "C69", "Object"]);
+        // An unknown class falls back to `Object`; `Object` is its own chain.
+        assert_eq!(chain(&ct, "X"), ["X", "Object"]);
+        assert_eq!(chain(&ct, "Object"), ["Object"]);
+        assert_eq!(chain(&ClassTable::default(), "Object"), ["Object"]);
+        // A known class stops at an unregistered superclass, with no fallback.
+        ct.add_class("Orphan", Some("Missing"));
+        assert_eq!(chain(&ct, "Orphan"), ["Orphan", "Missing"]);
+        assert!(!ct.is_subclass("Orphan", "C0"));
+        assert_eq!(ct.common_ancestor("Orphan", "C0"), "Object");
+        assert_eq!(ct.common_ancestor("C3", "C0"), "C3");
     }
 }
