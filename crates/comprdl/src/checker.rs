@@ -335,9 +335,7 @@ impl<'a> TypeChecker<'a> {
         let mut annotated: Vec<_> = env
             .annotations
             .iter()
-            .map(|((class, kind, name), sig)| {
-                ((class.as_str(), name.as_str(), *kind == MethodKind::Singleton), sig)
-            })
+            .map(|((class, kind, name), sig)| ((class, name, kind == MethodKind::Singleton), sig))
             .collect();
         annotated.sort_by_key(|(key, _)| *key);
         let mut out = Vec::new();
@@ -504,11 +502,9 @@ impl<'a> TypeChecker<'a> {
 
     fn check_method_def(&mut self, owner: &str, def: &MethodDef) -> MethodCheckResult {
         let kind = if def.singleton { MethodKind::Singleton } else { MethodKind::Instance };
-        let sig = self
-            .env
-            .annotations
-            .lookup(&self.env.classes, owner, kind, &def.name)
-            .map(|(_, sig)| sig.clone());
+        // The signature is borrowed from the env, which outlives the checker.
+        let env = self.env;
+        let sig = env.annotations.lookup(&env.classes, owner, kind, &def.name).map(|(_, sig)| sig);
 
         let mut ctx = MethodCtx {
             class: owner.to_string(),
@@ -524,7 +520,7 @@ impl<'a> TypeChecker<'a> {
         };
 
         // Bind parameters from the signature (or Dynamic when unannotated).
-        let declared_ret = match &sig {
+        let declared_ret = match sig {
             Some(sig) => {
                 for (i, p) in def.params.iter().enumerate() {
                     let ty = sig
@@ -1021,29 +1017,31 @@ impl<'a> TypeChecker<'a> {
         }
     }
 
+    /// The signature a call of `name` on `recv_ty` is checked against, with
+    /// its declaring class and kind.  Both are borrowed from the env, which
+    /// outlives the checker, so a call site copies nothing.
     fn lookup_signature(
         &mut self,
         recv_ty: &Type,
         name: &str,
-    ) -> Option<(String, MethodKind, MethodSig)> {
+    ) -> Option<(&'a str, MethodKind, &'a MethodSig)> {
+        let env = self.env;
         let (class, kind) = self.receiver_class(recv_ty)?;
-        if let Some((owner, sig)) =
-            self.env.annotations.lookup(&self.env.classes, &class, kind, name)
-        {
-            return Some((owner, kind, sig.clone()));
+        if let Some((owner, sig)) = env.annotations.lookup(&env.classes, &class, kind, name) {
+            return Some((owner, kind, sig));
         }
         // DB query methods: a model class's singleton methods and a
         // `Table<T>` relation's instance methods are both typed via the
         // `Table` annotations (paper §2.1: `tself` may be a class singleton
         // or a Table type).
-        let is_model_class = kind == MethodKind::Singleton && self.env.classes.is_model(&class);
+        let is_model_class = kind == MethodKind::Singleton && env.classes.is_model(&class);
         let is_table = class == "Table" || class == "Sequel::Dataset";
         if is_model_class || is_table {
             for dsl in ["Table", "Sequel::Dataset"] {
                 if let Some((owner, sig)) =
-                    self.env.annotations.lookup(&self.env.classes, dsl, MethodKind::Instance, name)
+                    env.annotations.lookup(&env.classes, dsl, MethodKind::Instance, name)
                 {
-                    return Some((owner, MethodKind::Instance, sig.clone()));
+                    return Some((owner, MethodKind::Instance, sig));
                 }
             }
         }
@@ -1080,7 +1078,7 @@ impl<'a> TypeChecker<'a> {
 
         let result = match sig {
             Some((owner, kind, sig)) => self.check_against_signature(
-                ctx, expr, &owner, kind, name, &sig, &recv_ty, args, &arg_types, block,
+                ctx, expr, owner, kind, name, sig, &recv_ty, args, &arg_types, block,
             ),
             None => {
                 // Unannotated method: if the program defines it, treat the

@@ -107,7 +107,7 @@ impl DepGraph {
         }
         let called: HashSet<&str> = calls.iter().flatten().map(String::as_str).collect();
         for ((_, _, name), sig, digest) in env.annotations.iter_digests() {
-            if !called.contains(name.as_str()) {
+            if !called.contains(name) {
                 continue;
             }
             let idx = b.add_node(digest);
@@ -119,7 +119,7 @@ impl DepGraph {
                 let to = b.helper(&hn).expect("collected helper refs are registered");
                 b.nodes[idx].deps.push(to);
             }
-            by_name.entry(name.as_str()).or_default().push(idx);
+            by_name.entry(name).or_default().push(idx);
         }
 
         // Name-based call edges.
@@ -421,9 +421,8 @@ pub fn env_hash(env: &CompRdl) -> u64 {
     h.write_usize(class_names.len());
     for name in &class_names {
         h.write_str(name);
-        let ancestors = env.classes.ancestors(name);
-        h.write_usize(ancestors.len());
-        for a in &ancestors {
+        h.write_usize(env.classes.ancestors(name).count());
+        for a in env.classes.ancestors(name) {
             h.write_str(a);
         }
         h.write_bool(env.classes.is_model(name));

@@ -256,13 +256,13 @@ const BUILTINS: [(TermEffect, PurityEffect, &[&str]); 3] = [
 pub fn explicit_effects(env: &CompRdl) -> EffectTable {
     let mut table = EffectTable::with_capacity(env.annotations.method_count());
     for ((_, _, name), sig) in env.annotations.iter() {
-        match table.get_mut(name.as_str()) {
+        match table.get_mut(name) {
             Some((term, purity)) => {
                 *term = term.join(sig.term);
                 *purity = purity.join(sig.purity);
             }
             None => {
-                table.insert(name.clone(), (sig.term, sig.purity));
+                table.insert(name.to_string(), (sig.term, sig.purity));
             }
         }
     }

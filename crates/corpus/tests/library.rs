@@ -89,7 +89,7 @@ fn library_signatures_are_shared_and_app_signatures_are_not() {
         assert!(!own.is_empty(), "{}: no labeled app signatures", app.name);
         for ((class, kind, method), sig) in own {
             assert!(
-                !std::ptr::eq(sig, sig_ptr(&b, class, *kind, method)),
+                !std::ptr::eq(sig, sig_ptr(&b, class, kind, method)),
                 "{}: {class} {method} is shared between two build_env calls",
                 app.name
             );

@@ -26,6 +26,9 @@ impl Default for ClassInfo {
     }
 }
 
+/// How many superclass steps [`ClassTable::ancestors`] takes at most.
+const MAX_SUPERCLASS_STEPS: usize = 64;
+
 /// The class hierarchy: class name → [`ClassInfo`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassTable {
@@ -148,28 +151,20 @@ impl ClassTable {
         self.classes.keys().map(|s| s.as_str())
     }
 
-    /// The superclass chain of `name`, starting with `name` itself and
-    /// ending with `Object`.  Unknown classes get the chain `[name,
-    /// "Object"]` so user code referencing unregistered classes still type
-    /// checks against `Object`.
-    pub fn ancestors(&self, name: &str) -> Vec<String> {
-        let mut out = vec![name.to_string()];
-        let mut current = name.to_string();
-        let mut fuel = 64;
-        while fuel > 0 {
-            fuel -= 1;
-            match self.classes.get(&current).and_then(|c| c.superclass.clone()) {
-                Some(sup) => {
-                    out.push(sup.clone());
-                    current = sup;
-                }
-                None => break,
-            }
-        }
-        if !self.classes.contains_key(name) && !out.contains(&"Object".to_string()) {
-            out.push("Object".to_string());
-        }
-        out
+    /// The superclass chain of `name`: `name` itself, then its superclass,
+    /// and so on for at most 64 steps, so a cyclic hierarchy still ends.
+    /// The chain ends early at a class with no superclass or at an
+    /// unregistered one.  An unknown `name` gets the chain `[name,
+    /// "Object"]`, so user code referencing unregistered classes still
+    /// type checks against `Object`.
+    ///
+    /// The walk borrows every name from `name` or from the table and
+    /// allocates nothing; a caller that needs a `Vec` collects it.
+    pub fn ancestors<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        let fallback = (name != "Object" && !self.classes.contains_key(name)).then_some("Object");
+        std::iter::successors(Some(name), |class| self.classes.get(*class)?.superclass.as_deref())
+            .take(MAX_SUPERCLASS_STEPS + 1)
+            .chain(fallback)
     }
 
     /// True if `sub` is `sup` or a (transitive) subclass of it.
@@ -177,18 +172,16 @@ impl ClassTable {
         if sup == "Object" || sub == sup {
             return true;
         }
-        self.ancestors(sub).iter().any(|a| a == sup)
+        self.ancestors(sub).any(|a| a == sup)
     }
 
-    /// The nearest common ancestor of two classes.
+    /// The nearest common ancestor of two classes: the first of `a`'s
+    /// ancestors that is also one of `b`'s, else `Object`.
     pub fn common_ancestor(&self, a: &str, b: &str) -> String {
-        let bs = self.ancestors(b);
-        for anc in self.ancestors(a) {
-            if bs.contains(&anc) {
-                return anc;
-            }
-        }
-        "Object".to_string()
+        self.ancestors(a)
+            .find(|anc| self.ancestors(b).any(|x| x == *anc))
+            .unwrap_or("Object")
+            .to_string()
     }
 }
 
@@ -220,7 +213,7 @@ mod tests {
     fn unknown_classes_default_to_object() {
         let ct = ClassTable::with_builtins();
         assert!(ct.is_subclass("SomethingUnknown", "Object"));
-        assert_eq!(ct.ancestors("SomethingUnknown"), vec!["SomethingUnknown", "Object"]);
+        assert_eq!(chain(&ct, "SomethingUnknown"), ["SomethingUnknown", "Object"]);
     }
 
     #[test]
@@ -231,8 +224,8 @@ mod tests {
     }
 
     /// `name`'s whole ancestor chain, for exact comparisons.
-    fn chain(ct: &ClassTable, name: &str) -> Vec<String> {
-        ct.ancestors(name)
+    fn chain<'a>(ct: &'a ClassTable, name: &'a str) -> Vec<&'a str> {
+        ct.ancestors(name).collect()
     }
 
     #[test]

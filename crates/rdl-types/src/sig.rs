@@ -383,14 +383,25 @@ impl MethodSig {
 /// Signatures are held behind [`Arc`], together with their
 /// [`MethodSig::digest`], so [`AnnotationTable::merge`] shares both rather
 /// than copying trees or re-hashing: library annotation sets parsed and
-/// digested once can back any number of tables.  Lookups hand out
-/// `&MethodSig`, and equality compares signatures by value.
+/// digested once can back any number of tables.  Equality compares
+/// signatures by value.
+///
+/// **Lookups borrow.**  Signatures are keyed class → method name → kind,
+/// and variable types class → name, so every probe takes `&str` names and
+/// allocates nothing, on a hit or a miss.  [`AnnotationTable::lookup`]
+/// walks [`ClassTable::ancestors`] and hands out the declaring class and
+/// the `&MethodSig` as borrows of this table, so a caller holding the
+/// table for `'a` can keep both for `'a` instead of copying them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnnotationTable {
-    methods: HashMap<(String, MethodKind, String), Arc<Annotation>>,
-    ivars: HashMap<(String, String), TypeExpr>,
+    methods: HashMap<String, HashMap<String, KindSlots>>,
+    ivars: HashMap<String, HashMap<String, TypeExpr>>,
     gvars: HashMap<String, TypeExpr>,
 }
+
+/// One method name's signatures on one class, indexed by
+/// `MethodKind as usize`: instance, then singleton.
+type KindSlots = [Option<Arc<Annotation>>; 2];
 
 /// A registered signature and its digest, computed at registration.
 #[derive(Debug, PartialEq)]
@@ -417,15 +428,18 @@ impl AnnotationTable {
 
     fn add(&mut self, class: &str, kind: MethodKind, method: &str, sig: MethodSig) {
         let digest = sig.digest(class, kind, method);
-        self.methods.insert(
-            (class.to_string(), kind, method.to_string()),
-            Arc::new(Annotation { sig, digest }),
-        );
+        let slots: &mut KindSlots = self
+            .methods
+            .entry(class.to_string())
+            .or_default()
+            .entry(method.to_string())
+            .or_default();
+        slots[kind as usize] = Some(Arc::new(Annotation { sig, digest }));
     }
 
     /// Registers an instance variable type (`var_type :@x, "T"`).
     pub fn add_ivar(&mut self, class: &str, name: &str, ty: TypeExpr) {
-        self.ivars.insert((class.to_string(), name.to_string()), ty);
+        self.ivars.entry(class.to_string()).or_default().insert(name.to_string(), ty);
     }
 
     /// Registers a global variable type.
@@ -435,28 +449,31 @@ impl AnnotationTable {
 
     /// Looks up a method signature declared *exactly* on `class`.
     pub fn get_exact(&self, class: &str, kind: MethodKind, method: &str) -> Option<&MethodSig> {
-        self.methods.get(&(class.to_string(), kind, method.to_string())).map(|a| &a.sig)
+        let annotation = self.methods.get(class)?.get(method)?[kind as usize].as_deref()?;
+        Some(&annotation.sig)
     }
 
-    /// Looks up a method signature on `class` or any of its ancestors.
-    pub fn lookup(
-        &self,
+    /// Looks up a method signature on `class` or the nearest of its
+    /// [`ClassTable::ancestors`] that declares one, and returns it with the
+    /// declaring class.  Both are borrowed from this table; the probe
+    /// allocates nothing.
+    pub fn lookup<'t>(
+        &'t self,
         classes: &ClassTable,
         class: &str,
         kind: MethodKind,
         method: &str,
-    ) -> Option<(String, &MethodSig)> {
-        for anc in classes.ancestors(class) {
-            if let Some(sig) = self.get_exact(&anc, kind, method) {
-                return Some((anc, sig));
-            }
-        }
-        None
+    ) -> Option<(&'t str, &'t MethodSig)> {
+        classes.ancestors(class).find_map(|anc| {
+            let (owner, by_name) = self.methods.get_key_value(anc)?;
+            let annotation = by_name.get(method)?[kind as usize].as_deref()?;
+            Some((owner.as_str(), &annotation.sig))
+        })
     }
 
     /// Looks up an instance variable type.
     pub fn ivar(&self, class: &str, name: &str) -> Option<&TypeExpr> {
-        self.ivars.get(&(class.to_string(), name.to_string()))
+        self.ivars.get(class)?.get(name)
     }
 
     /// Looks up a global variable type.
@@ -466,30 +483,44 @@ impl AnnotationTable {
 
     /// Total number of method signatures registered.
     pub fn method_count(&self) -> usize {
-        self.methods.len()
+        self.entries().count()
     }
 
     /// Number of method signatures registered for a specific class.
     pub fn method_count_for(&self, class: &str) -> usize {
-        self.methods.keys().filter(|(c, _, _)| c == class).count()
+        self.entries().filter(|((c, _, _), _)| *c == class).count()
     }
 
     /// Number of registered signatures for a class that use comp types.
     pub fn comp_count_for(&self, class: &str) -> usize {
-        self.methods.iter().filter(|((c, _, _), a)| c == class && a.sig.is_comp()).count()
+        self.entries().filter(|((c, _, _), a)| *c == class && a.sig.is_comp()).count()
+    }
+
+    /// Every registered signature with its `(class, kind, method)` key, in
+    /// no particular order.
+    fn entries(&self) -> impl Iterator<Item = ((&str, MethodKind, &str), &Annotation)> {
+        self.methods.iter().flat_map(|(class, by_name)| {
+            by_name.iter().flat_map(move |(method, slots)| {
+                [MethodKind::Instance, MethodKind::Singleton].into_iter().zip(slots).filter_map(
+                    move |(kind, slot)| {
+                        Some(((class.as_str(), kind, method.as_str()), slot.as_deref()?))
+                    },
+                )
+            })
+        })
     }
 
     /// Iterates over every registered method signature.
-    pub fn iter(&self) -> impl Iterator<Item = (&(String, MethodKind, String), &MethodSig)> {
-        self.methods.iter().map(|(key, a)| (key, &a.sig))
+    pub fn iter(&self) -> impl Iterator<Item = ((&str, MethodKind, &str), &MethodSig)> {
+        self.entries().map(|(key, a)| (key, &a.sig))
     }
 
     /// Iterates over every registered method signature together with its
     /// [`MethodSig::digest`], which was computed when it was registered.
     pub fn iter_digests(
         &self,
-    ) -> impl Iterator<Item = (&(String, MethodKind, String), &MethodSig, u64)> {
-        self.methods.iter().map(|(key, a)| (key, &a.sig, a.digest))
+    ) -> impl Iterator<Item = ((&str, MethodKind, &str), &MethodSig, u64)> {
+        self.entries().map(|(key, a)| (key, &a.sig, a.digest))
     }
 
     /// Every variable type annotation as `(owner, name, type)`, sorted by
@@ -499,7 +530,9 @@ impl AnnotationTable {
         let mut vars: Vec<(&str, &str, &TypeExpr)> = self
             .ivars
             .iter()
-            .map(|((class, name), ty)| (class.as_str(), name.as_str(), ty))
+            .flat_map(|(class, by_name)| {
+                by_name.iter().map(move |(name, ty)| (class.as_str(), name.as_str(), ty))
+            })
             .chain(self.gvars.iter().map(|(name, ty)| ("", name.as_str(), ty)))
             .collect();
         vars.sort_by_key(|&(owner, name, _)| (owner, name));
@@ -510,11 +543,22 @@ impl AnnotationTable {
     /// win).  Method signatures and their digests are shared with `other`,
     /// not copied or recomputed.
     pub fn merge(&mut self, other: &AnnotationTable) {
-        for (k, v) in &other.methods {
-            self.methods.insert(k.clone(), Arc::clone(v));
+        for (class, by_name) in &other.methods {
+            let mine = self.methods.entry(class.clone()).or_default();
+            for (method, slots) in by_name {
+                let mine = mine.entry(method.clone()).or_default();
+                for (mine, theirs) in mine.iter_mut().zip(slots) {
+                    if let Some(theirs) = theirs {
+                        *mine = Some(Arc::clone(theirs));
+                    }
+                }
+            }
         }
-        for (k, v) in &other.ivars {
-            self.ivars.insert(k.clone(), v.clone());
+        for (class, by_name) in &other.ivars {
+            let mine = self.ivars.entry(class.clone()).or_default();
+            for (name, ty) in by_name {
+                mine.insert(name.clone(), ty.clone());
+            }
         }
         for (k, v) in &other.gvars {
             self.gvars.insert(k.clone(), v.clone());
@@ -627,7 +671,17 @@ mod tests {
         ));
         // Each stored digest is the one its signature computes.
         for ((class, kind, method), sig, digest) in a.iter_digests() {
-            assert_eq!(digest, sig.digest(class, *kind, method));
+            assert_eq!(digest, sig.digest(class, kind, method));
         }
+        // Merging one kind of a name keeps the other kind.
+        let mut c = AnnotationTable::new();
+        c.add_singleton("Hash", "keys", sig_returning(TypeExpr::nominal("Integer")));
+        a.merge(&c);
+        assert_eq!((a.method_count(), a.method_count_for("Hash")), (3, 3));
+        assert!(std::ptr::eq(
+            a.get_exact("Hash", MethodKind::Instance, "keys").unwrap(),
+            b.get_exact("Hash", MethodKind::Instance, "keys").unwrap(),
+        ));
+        assert!(a.get_exact("Hash", MethodKind::Singleton, "keys").is_some());
     }
 }
