@@ -8,10 +8,15 @@
 //! | `LINT0104` | unreachable code after `return`/`raise`/`break`/`next`     |
 //! | `LINT0105` | parameter-derived value concatenated into a SQL fragment   |
 //!
-//! Every lint is deterministic: facts are `BTreeSet`s, blocks are scanned
-//! in id order, and findings are sorted with the same span-then-code key
-//! as [`diagnostics::DiagnosticBag::sort_by_span_then_code`], so a
-//! sequential and a parallel run render byte-identical output.  Findings
+//! Dataflow facts are `BTreeSet<&str>`s of local names borrowed from the
+//! method body, and block-parameter scopes are borrowed parameter lists,
+//! so building, joining and comparing facts copies no name.
+//!
+//! Every lint is deterministic: facts are `BTreeSet`s (a `&str` set
+//! iterates in the same order as a `String` set), blocks are scanned in id
+//! order, and findings are sorted with the same span-then-code key as
+//! [`diagnostics::DiagnosticBag::sort_by_span_then_code`], so a sequential
+//! and a parallel run render byte-identical output.  Findings
 //! carry the method's [`semhash`](ruby_syntax::method_hash) so the corpus
 //! pipeline can freeze them into the on-disk check cache and replay them
 //! without re-linting (see `comprdl::persist`).
@@ -37,7 +42,8 @@ use ruby_syntax::{method_hash, Expr, ExprKind, LValue, MethodDef};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-type Names = BTreeSet<String>;
+/// A dataflow fact: a set of local names borrowed from the method body.
+type Names<'a> = BTreeSet<&'a str>;
 
 /// Use before definition.
 pub const USE_BEFORE_DEF: &str = "LINT0101";
@@ -124,12 +130,16 @@ impl From<LintFinding> for Diagnostic {
 // ---------------------------------------------------------------------------
 
 /// Receives local-variable uses and definitions during an in-order walk.
-trait NameSink {
-    fn on_use(&mut self, _e: &Expr, _name: &str) {}
-    fn on_def(&mut self, _e: &Expr, _name: &str) {}
+trait NameSink<'a> {
+    fn on_use(&mut self, _e: &'a Expr, _name: &'a str) {}
+    fn on_def(&mut self, _e: &'a Expr, _name: &'a str) {}
 }
 
-fn shadowed(shadow: &[Vec<String>], name: &str) -> bool {
+/// The block and lambda parameter lists in scope, innermost last, each
+/// borrowed from its block.
+type Shadow<'a> = Vec<&'a [String]>;
+
+fn shadowed(shadow: &[&[String]], name: &str) -> bool {
     shadow.iter().any(|frame| frame.iter().any(|p| p == name))
 }
 
@@ -137,8 +147,8 @@ fn shadowed(shadow: &[Vec<String>], name: &str) -> bool {
 /// (optimistically, including nested ones) local definitions.  Block and
 /// lambda parameters shadow method locals of the same name for the
 /// duration of their body.
-fn walk_names(e: &Expr, shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink) {
-    let walk_all = |exprs: &[Expr], shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink| {
+fn walk_names<'a>(e: &'a Expr, shadow: &mut Shadow<'a>, sink: &mut dyn NameSink<'a>) {
+    let walk_all = |exprs: &'a [Expr], shadow: &mut Shadow<'a>, sink: &mut dyn NameSink<'a>| {
         for e in exprs {
             walk_names(e, shadow, sink);
         }
@@ -190,13 +200,13 @@ fn walk_names(e: &Expr, shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink) 
             }
             walk_all(args, shadow, sink);
             if let Some(b) = block {
-                shadow.push(b.params.clone());
+                shadow.push(&b.params);
                 walk_all(&b.body, shadow, sink);
                 shadow.pop();
             }
         }
         ExprKind::Lambda(b) => {
-            shadow.push(b.params.clone());
+            shadow.push(&b.params);
             walk_all(&b.body, shadow, sink);
             shadow.pop();
         }
@@ -240,11 +250,11 @@ fn walk_names(e: &Expr, shadow: &mut Vec<Vec<String>>, sink: &mut dyn NameSink) 
 
 /// Every local assigned anywhere in the body, with the span of its first
 /// assignment, in walk order.
-fn assigned_locals(body: &[Expr]) -> BTreeMap<String, Span> {
-    struct Defs(BTreeMap<String, Span>);
-    impl NameSink for Defs {
-        fn on_def(&mut self, e: &Expr, name: &str) {
-            self.0.entry(name.to_string()).or_insert(e.span);
+fn assigned_locals(body: &[Expr]) -> BTreeMap<&str, Span> {
+    struct Defs<'a>(BTreeMap<&'a str, Span>);
+    impl<'a> NameSink<'a> for Defs<'a> {
+        fn on_def(&mut self, e: &'a Expr, name: &'a str) {
+            self.0.entry(name).or_insert(e.span);
         }
     }
     let mut sink = Defs(BTreeMap::new());
@@ -255,11 +265,11 @@ fn assigned_locals(body: &[Expr]) -> BTreeMap<String, Span> {
 }
 
 /// Every local read anywhere in the body.
-fn used_locals(body: &[Expr]) -> Names {
-    struct Uses(Names);
-    impl NameSink for Uses {
-        fn on_use(&mut self, _e: &Expr, name: &str) {
-            self.0.insert(name.to_string());
+fn used_locals(body: &[Expr]) -> Names<'_> {
+    struct Uses<'a>(Names<'a>);
+    impl<'a> NameSink<'a> for Uses<'a> {
+        fn on_use(&mut self, _e: &'a Expr, name: &'a str) {
+            self.0.insert(name);
         }
     }
     let mut sink = Uses(Names::new());
@@ -273,33 +283,33 @@ fn used_locals(body: &[Expr]) -> Names {
 // LINT0101: definite assignment (forward must-analysis)
 // ---------------------------------------------------------------------------
 
-struct DefiniteAssign {
-    universe: Names,
-    params: Names,
+struct DefiniteAssign<'a> {
+    universe: Names<'a>,
+    params: Names<'a>,
 }
 
-struct InsertDefs<'f>(&'f mut Names);
-impl NameSink for InsertDefs<'_> {
-    fn on_def(&mut self, _e: &Expr, name: &str) {
-        self.0.insert(name.to_string());
+struct InsertDefs<'f, 'a>(&'f mut Names<'a>);
+impl<'a> NameSink<'a> for InsertDefs<'_, 'a> {
+    fn on_def(&mut self, _e: &'a Expr, name: &'a str) {
+        self.0.insert(name);
     }
 }
 
-impl<'a> DataflowProblem<'a> for DefiniteAssign {
-    type Fact = Names;
+impl<'a> DataflowProblem<'a> for DefiniteAssign<'a> {
+    type Fact = Names<'a>;
     fn direction(&self) -> Direction {
         Direction::Forward
     }
-    fn boundary(&self) -> Names {
+    fn boundary(&self) -> Names<'a> {
         self.params.clone()
     }
-    fn top(&self) -> Names {
+    fn top(&self) -> Names<'a> {
         self.universe.clone()
     }
-    fn join(&self, into: &mut Names, from: &Names) {
+    fn join(&self, into: &mut Names<'a>, from: &Names<'a>) {
         into.retain(|n| from.contains(n));
     }
-    fn transfer(&self, stmt: &'a Expr, fact: &mut Names) {
+    fn transfer(&self, stmt: &'a Expr, fact: &mut Names<'a>) {
         walk_names(stmt, &mut Vec::new(), &mut InsertDefs(fact));
     }
 }
@@ -310,32 +320,32 @@ impl<'a> DataflowProblem<'a> for DefiniteAssign {
 
 struct Liveness;
 
-struct InsertUses<'f>(&'f mut Names);
-impl NameSink for InsertUses<'_> {
-    fn on_use(&mut self, _e: &Expr, name: &str) {
-        self.0.insert(name.to_string());
+struct InsertUses<'f, 'a>(&'f mut Names<'a>);
+impl<'a> NameSink<'a> for InsertUses<'_, 'a> {
+    fn on_use(&mut self, _e: &'a Expr, name: &'a str) {
+        self.0.insert(name);
     }
 }
 
 impl<'a> DataflowProblem<'a> for Liveness {
-    type Fact = Names;
+    type Fact = Names<'a>;
     fn direction(&self) -> Direction {
         Direction::Backward
     }
-    fn boundary(&self) -> Names {
+    fn boundary(&self) -> Names<'a> {
         Names::new()
     }
-    fn top(&self) -> Names {
+    fn top(&self) -> Names<'a> {
         Names::new()
     }
-    fn join(&self, into: &mut Names, from: &Names) {
-        into.extend(from.iter().cloned());
+    fn join(&self, into: &mut Names<'a>, from: &Names<'a>) {
+        into.extend(from.iter().copied());
     }
-    fn transfer(&self, stmt: &'a Expr, fact: &mut Names) {
+    fn transfer(&self, stmt: &'a Expr, fact: &mut Names<'a>) {
         // Only a statement-position `x = v` kills `x`; nested assignments
         // conservatively leave liveness alone.
         if let ExprKind::Assign { target: LValue::Local(n), value } = &stmt.kind {
-            fact.remove(n);
+            fact.remove(n.as_str());
             walk_names(value, &mut Vec::new(), &mut InsertUses(fact));
         } else {
             walk_names(stmt, &mut Vec::new(), &mut InsertUses(fact));
@@ -347,26 +357,26 @@ impl<'a> DataflowProblem<'a> for Liveness {
 // LINT0105: SQL interpolation taint (forward may-analysis)
 // ---------------------------------------------------------------------------
 
-struct TaintWithParams<'s> {
-    params: Names,
+struct TaintWithParams<'s, 'a> {
+    params: Names<'a>,
     summaries: Option<&'s ProgramSummaries>,
 }
 
-impl<'a> DataflowProblem<'a> for TaintWithParams<'_> {
-    type Fact = Names;
+impl<'a> DataflowProblem<'a> for TaintWithParams<'_, 'a> {
+    type Fact = Names<'a>;
     fn direction(&self) -> Direction {
         Direction::Forward
     }
-    fn boundary(&self) -> Names {
+    fn boundary(&self) -> Names<'a> {
         self.params.clone()
     }
-    fn top(&self) -> Names {
+    fn top(&self) -> Names<'a> {
         Names::new()
     }
-    fn join(&self, into: &mut Names, from: &Names) {
-        into.extend(from.iter().cloned());
+    fn join(&self, into: &mut Names<'a>, from: &Names<'a>) {
+        into.extend(from.iter().copied());
     }
-    fn transfer(&self, stmt: &'a Expr, fact: &mut Names) {
+    fn transfer(&self, stmt: &'a Expr, fact: &mut Names<'a>) {
         taint_eval(stmt, fact, &mut Vec::new(), self.summaries, &mut |_, _, _| {});
     }
 }
@@ -376,15 +386,15 @@ impl<'a> DataflowProblem<'a> for TaintWithParams<'_> {
 /// `on_sink(call, arg_index, fact)` on every sink argument — the first
 /// argument of a literal SQL-sink call, plus (when `summaries` are
 /// supplied) every argument a callee's summary routes into a sink.
-fn taint_eval(
-    e: &Expr,
-    fact: &mut Names,
-    shadow: &mut Vec<Vec<String>>,
+fn taint_eval<'a>(
+    e: &'a Expr,
+    fact: &mut Names<'a>,
+    shadow: &mut Shadow<'a>,
     summaries: Option<&ProgramSummaries>,
-    on_sink: &mut dyn FnMut(&Expr, usize, &Names),
+    on_sink: &mut dyn FnMut(&'a Expr, usize, &Names<'a>),
 ) -> bool {
     match &e.kind {
-        ExprKind::Ident(n) => !shadowed(shadow, n) && fact.contains(n),
+        ExprKind::Ident(n) => !shadowed(shadow, n) && fact.contains(n.as_str()),
         ExprKind::Array(items) => {
             let mut t = false;
             for item in items {
@@ -415,9 +425,9 @@ fn taint_eval(
             if let LValue::Local(n) = target {
                 if !shadowed(shadow, n) {
                     if t {
-                        fact.insert(n.clone());
+                        fact.insert(n);
                     } else {
-                        fact.remove(n);
+                        fact.remove(n.as_str());
                     }
                 }
             }
@@ -427,9 +437,9 @@ fn taint_eval(
             let mut t = taint_eval(value, fact, shadow, summaries, on_sink);
             if let LValue::Local(n) = target {
                 if !shadowed(shadow, n) {
-                    t |= fact.contains(n);
+                    t |= fact.contains(n.as_str());
                     if t {
-                        fact.insert(n.clone());
+                        fact.insert(n);
                     }
                 }
             }
@@ -441,7 +451,7 @@ fn taint_eval(
             let arg_t: Vec<bool> =
                 args.iter().map(|a| taint_eval(a, fact, shadow, summaries, on_sink)).collect();
             if let Some(b) = block {
-                shadow.push(b.params.clone());
+                shadow.push(&b.params);
                 for stmt in &b.body {
                     taint_eval(stmt, fact, shadow, summaries, on_sink);
                 }
@@ -528,7 +538,7 @@ fn taint_eval(
             false
         }
         ExprKind::Lambda(b) => {
-            shadow.push(b.params.clone());
+            shadow.push(&b.params);
             for stmt in &b.body {
                 taint_eval(stmt, fact, shadow, summaries, on_sink);
             }
@@ -554,7 +564,7 @@ fn concat_parts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
 /// Whether `e`'s value derives from a tainted name — evaluated with the
 /// same summary-aware rules as the taint facts themselves, against a
 /// scratch copy of `fact` so sink callbacks and assignments don't reenter.
-fn reads_tainted(e: &Expr, fact: &Names, summaries: Option<&ProgramSummaries>) -> bool {
+fn reads_tainted(e: &Expr, fact: &Names<'_>, summaries: Option<&ProgramSummaries>) -> bool {
     let mut scratch = fact.clone();
     taint_eval(e, &mut scratch, &mut Vec::new(), summaries, &mut |_, _, _| {})
 }
@@ -565,7 +575,7 @@ fn reads_tainted(e: &Expr, fact: &Names, summaries: Option<&ProgramSummaries>) -
 fn check_sql_sink(
     call: &Expr,
     arg: usize,
-    fact: &Names,
+    fact: &Names<'_>,
     summaries: Option<&ProgramSummaries>,
     findings: &mut Vec<LintFinding>,
 ) {
@@ -652,7 +662,7 @@ pub fn lint_method_with_summaries(
     let reachable = cfg.reachable();
     let mut findings = Vec::new();
 
-    let params: Names = def.params.iter().map(|p| p.name.clone()).collect();
+    let params: Names = def.params.iter().map(|p| p.name.as_str()).collect();
     let assigned = assigned_locals(&def.body);
     let used = used_locals(&def.body);
 
@@ -674,22 +684,22 @@ pub fn lint_method_with_summaries(
     // identifier that is never assigned is a method call on `self` in this
     // subset, not a variable.
     {
-        let mut universe: Names = assigned.keys().cloned().collect();
-        universe.extend(params.iter().cloned());
+        let mut universe: Names = assigned.keys().copied().collect();
+        universe.extend(params.iter().copied());
         let sol = solve(&cfg, &DefiniteAssign { universe, params: params.clone() });
-        struct Report<'x> {
-            fact: Names,
-            assigned: &'x BTreeMap<String, Span>,
-            params: &'x Names,
-            reported: BTreeSet<String>,
+        struct Report<'x, 'a> {
+            fact: Names<'a>,
+            assigned: &'x BTreeMap<&'a str, Span>,
+            params: &'x Names<'a>,
+            reported: Names<'a>,
             findings: Vec<LintFinding>,
         }
-        impl NameSink for Report<'_> {
-            fn on_use(&mut self, e: &Expr, name: &str) {
+        impl<'a> NameSink<'a> for Report<'_, 'a> {
+            fn on_use(&mut self, e: &'a Expr, name: &'a str) {
                 if self.assigned.contains_key(name)
                     && !self.params.contains(name)
                     && !self.fact.contains(name)
-                    && self.reported.insert(name.to_string())
+                    && self.reported.insert(name)
                 {
                     self.findings.push(LintFinding {
                         code: USE_BEFORE_DEF.to_string(),
@@ -699,15 +709,15 @@ pub fn lint_method_with_summaries(
                     });
                 }
             }
-            fn on_def(&mut self, _e: &Expr, name: &str) {
-                self.fact.insert(name.to_string());
+            fn on_def(&mut self, _e: &'a Expr, name: &'a str) {
+                self.fact.insert(name);
             }
         }
         let mut report = Report {
             fact: Names::new(),
             assigned: &assigned,
             params: &params,
-            reported: BTreeSet::new(),
+            reported: Names::new(),
             findings: Vec::new(),
         };
         for (b, block) in cfg.blocks.iter().enumerate() {
@@ -735,8 +745,8 @@ pub fn lint_method_with_summaries(
             let mut live = sol.block_out[b].clone();
             for stmt in block.stmts.iter().rev() {
                 if let ExprKind::Assign { target: LValue::Local(n), value } = &stmt.kind {
-                    if used.contains(n)
-                        && !live.contains(n)
+                    if used.contains(n.as_str())
+                        && !live.contains(n.as_str())
                         && !n.starts_with('_')
                         && Some(*stmt as *const Expr) != tail
                     {
@@ -748,7 +758,7 @@ pub fn lint_method_with_summaries(
                             span: stmt.span,
                         });
                     }
-                    live.remove(n);
+                    live.remove(n.as_str());
                     walk_names(value, &mut Vec::new(), &mut InsertUses(&mut live));
                 } else {
                     walk_names(stmt, &mut Vec::new(), &mut InsertUses(&mut live));
@@ -776,7 +786,7 @@ pub fn lint_method_with_summaries(
 
     // LINT0105: parameter-derived values concatenated into SQL fragments.
     let taint_seed: Names =
-        def.params.iter().filter(|p| !p.block).map(|p| p.name.clone()).collect();
+        def.params.iter().filter(|p| !p.block).map(|p| p.name.as_str()).collect();
     if !taint_seed.is_empty() {
         let sol = solve(&cfg, &TaintWithParams { params: taint_seed, summaries });
         let mut sink_findings = Vec::new();

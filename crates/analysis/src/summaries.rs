@@ -122,7 +122,9 @@ struct LocalFacts {
     writes: Vec<String>,
 }
 
-fn shadowed(shadow: &[Vec<String>], name: &str) -> bool {
+/// Whether a block or lambda parameter in scope (`shadow`, innermost last,
+/// each list borrowed from its block) hides the method local `name`.
+fn shadowed(shadow: &[&[String]], name: &str) -> bool {
     shadow.iter().any(|frame| frame.iter().any(|p| p == name))
 }
 
@@ -156,7 +158,7 @@ fn collect_facts(def: &MethodDef) -> LocalFacts {
     }
     let locals = assigned_locals(&def.body);
     let params: BTreeSet<String> = def.params.iter().map(|p| p.name.clone()).collect();
-    let mut shadow: Vec<Vec<String>> = Vec::new();
+    let mut shadow = Vec::new();
     let mut seen_calls = BTreeSet::new();
     for stmt in &def.body {
         walk_facts(stmt, &locals, &params, &mut shadow, &mut seen_calls, &mut facts);
@@ -164,16 +166,16 @@ fn collect_facts(def: &MethodDef) -> LocalFacts {
     facts
 }
 
-fn walk_facts(
-    e: &Expr,
+fn walk_facts<'d>(
+    e: &'d Expr,
     locals: &BTreeSet<String>,
     params: &BTreeSet<String>,
-    shadow: &mut Vec<Vec<String>>,
+    shadow: &mut Vec<&'d [String]>,
     seen: &mut BTreeSet<String>,
     facts: &mut LocalFacts,
 ) {
-    let walk_all = |exprs: &[Expr],
-                    shadow: &mut Vec<Vec<String>>,
+    let walk_all = |exprs: &'d [Expr],
+                    shadow: &mut Vec<&'d [String]>,
                     seen: &mut BTreeSet<String>,
                     facts: &mut LocalFacts| {
         for e in exprs {
@@ -228,13 +230,13 @@ fn walk_facts(
             }
             walk_all(args, shadow, seen, facts);
             if let Some(b) = block {
-                shadow.push(b.params.clone());
+                shadow.push(&b.params);
                 walk_all(&b.body, shadow, seen, facts);
                 shadow.pop();
             }
         }
         ExprKind::Lambda(b) => {
-            shadow.push(b.params.clone());
+            shadow.push(&b.params);
             walk_all(&b.body, shadow, seen, facts);
             shadow.pop();
         }
@@ -853,9 +855,10 @@ enum Origin {
 
 type Origins = BTreeSet<Origin>;
 
-struct TaintCtx<'c> {
-    params: BTreeMap<String, usize>,
-    locals: BTreeMap<String, Origins>,
+/// One method's taint state; names are borrowed from its body (`'d`).
+struct TaintCtx<'c, 'd> {
+    params: BTreeMap<&'d str, usize>,
+    locals: BTreeMap<&'d str, Origins>,
     sink: Origins,
     ret: Origins,
     lookup: &'c dyn Fn(&str) -> Option<TaintSummary>,
@@ -864,7 +867,8 @@ struct TaintCtx<'c> {
 /// Computes the taint transfer of one method body given `lookup` for the
 /// (current) summaries of called program methods.  Flow-insensitive: the
 /// body is re-walked until the local origin sets stop growing, which makes
-/// the result a may-over-approximation on loops and branches.
+/// the result a may-over-approximation on loops and branches.  The sets
+/// only grow, so each round compares against one snapshot taken before it.
 fn method_taint(def: &MethodDef, lookup: &dyn Fn(&str) -> Option<TaintSummary>) -> TaintSummary {
     // Unknown body ⇒ conservative pass-through: every argument and the
     // receiver may reach the return value.  Sinks stay clear — claiming a
@@ -884,12 +888,12 @@ fn method_taint(def: &MethodDef, lookup: &dyn Fn(&str) -> Option<TaintSummary>) 
             self_to_sink: false,
         };
     }
-    let params: BTreeMap<String, usize> = def
+    let params = def
         .params
         .iter()
         .enumerate()
         .filter(|(_, p)| !p.block)
-        .map(|(i, p)| (p.name.clone(), i))
+        .map(|(i, p)| (p.name.as_str(), i))
         .collect();
     let mut ctx = TaintCtx {
         params,
@@ -899,8 +903,8 @@ fn method_taint(def: &MethodDef, lookup: &dyn Fn(&str) -> Option<TaintSummary>) 
         lookup,
     };
     loop {
-        let before = (ctx.locals.clone(), ctx.sink.clone(), ctx.ret.clone());
-        let mut shadow: Vec<Vec<String>> = Vec::new();
+        let (locals, sink, ret) = (ctx.locals.clone(), ctx.sink.clone(), ctx.ret.clone());
+        let mut shadow = Vec::new();
         for (i, stmt) in def.body.iter().enumerate() {
             let o = taint_origins(stmt, &mut ctx, &mut shadow);
             if i + 1 == def.body.len() {
@@ -908,7 +912,7 @@ fn method_taint(def: &MethodDef, lookup: &dyn Fn(&str) -> Option<TaintSummary>) 
                 ctx.ret.extend(o);
             }
         }
-        if (ctx.locals.clone(), ctx.sink.clone(), ctx.ret.clone()) == before {
+        if ctx.locals == locals && ctx.sink == sink && ctx.ret == ret {
             break;
         }
     }
@@ -928,14 +932,18 @@ fn method_taint(def: &MethodDef, lookup: &dyn Fn(&str) -> Option<TaintSummary>) 
     }
 }
 
-fn taint_origins(e: &Expr, ctx: &mut TaintCtx<'_>, shadow: &mut Vec<Vec<String>>) -> Origins {
+fn taint_origins<'d>(
+    e: &'d Expr,
+    ctx: &mut TaintCtx<'_, 'd>,
+    shadow: &mut Vec<&'d [String]>,
+) -> Origins {
     match &e.kind {
         ExprKind::Ident(n) => {
             if shadowed(shadow, n) {
                 Origins::new()
-            } else if let Some(&i) = ctx.params.get(n) {
+            } else if let Some(&i) = ctx.params.get(n.as_str()) {
                 [Origin::Param(i)].into()
-            } else if let Some(o) = ctx.locals.get(n) {
+            } else if let Some(o) = ctx.locals.get(n.as_str()) {
                 o.clone()
             } else {
                 // A bare call on `self`.
@@ -967,10 +975,10 @@ fn taint_origins(e: &Expr, ctx: &mut TaintCtx<'_>, shadow: &mut Vec<Vec<String>>
             let mut o = taint_origins(value, ctx, shadow);
             if let LValue::Local(n) = target {
                 if !shadowed(shadow, n) {
-                    if let Some(prev) = ctx.locals.get(n) {
+                    if let Some(prev) = ctx.locals.get(n.as_str()) {
                         o.extend(prev.iter().copied());
                     }
-                    if let Some(&i) = ctx.params.get(n) {
+                    if let Some(&i) = ctx.params.get(n.as_str()) {
                         o.insert(Origin::Param(i));
                     }
                 }
@@ -982,7 +990,7 @@ fn taint_origins(e: &Expr, ctx: &mut TaintCtx<'_>, shadow: &mut Vec<Vec<String>>
             let recv_o = recv.as_ref().map(|r| taint_origins(r, ctx, shadow));
             let arg_o: Vec<Origins> = args.iter().map(|a| taint_origins(a, ctx, shadow)).collect();
             if let Some(b) = block {
-                shadow.push(b.params.clone());
+                shadow.push(&b.params);
                 for stmt in &b.body {
                     taint_origins(stmt, ctx, shadow);
                 }
@@ -1044,7 +1052,7 @@ fn taint_origins(e: &Expr, ctx: &mut TaintCtx<'_>, shadow: &mut Vec<Vec<String>>
             Origins::new()
         }
         ExprKind::Lambda(b) => {
-            shadow.push(b.params.clone());
+            shadow.push(&b.params);
             for stmt in &b.body {
                 taint_origins(stmt, ctx, shadow);
             }
@@ -1055,15 +1063,15 @@ fn taint_origins(e: &Expr, ctx: &mut TaintCtx<'_>, shadow: &mut Vec<Vec<String>>
     }
 }
 
-fn assign_target(
-    target: &LValue,
+fn assign_target<'d>(
+    target: &'d LValue,
     origins: &Origins,
-    ctx: &mut TaintCtx<'_>,
-    shadow: &[Vec<String>],
+    ctx: &mut TaintCtx<'_, 'd>,
+    shadow: &[&[String]],
 ) {
     if let LValue::Local(n) = target {
         if !shadowed(shadow, n) {
-            ctx.locals.entry(n.clone()).or_default().extend(origins.iter().copied());
+            ctx.locals.entry(n).or_default().extend(origins.iter().copied());
         }
     }
 }
@@ -1073,7 +1081,7 @@ fn call_result(
     recv: Option<Origins>,
     name: &str,
     args: &[Origins],
-    ctx: &mut TaintCtx<'_>,
+    ctx: &mut TaintCtx<'_, '_>,
 ) -> Origins {
     match (ctx.lookup)(name) {
         Some(sum) => {
