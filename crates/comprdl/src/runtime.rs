@@ -205,6 +205,16 @@ fn hash_value_guarded(fp: &mut Fingerprint, value: &Value, visiting: &mut Vec<*c
     }
 }
 
+/// Whether `value`'s class is `class` or a subclass of it.  A builtin value
+/// names a static class and an object lends its own, so no class name is
+/// copied.
+fn is_instance_of(value: &Value, class: &str, classes: &ClassTable) -> bool {
+    match value {
+        Value::Object(o) => classes.is_subclass(&o.borrow().class, class),
+        builtin => classes.is_subclass(builtin.builtin_class_name().unwrap_or_default(), class),
+    }
+}
+
 /// Checks whether a runtime value inhabits a type.  This is the membership
 /// test used by the inserted dynamic checks (`⌈A⌉e.m(e)` in λC).
 pub fn value_matches(value: &Value, ty: &Type, store: &TypeStore, classes: &ClassTable) -> bool {
@@ -238,7 +248,7 @@ pub fn value_matches(value: &Value, ty: &Type, store: &TypeStore, classes: &Clas
             if matches!(value, Value::Nil) {
                 return true;
             }
-            classes.is_subclass(&value.class_name(), class)
+            is_instance_of(value, class, classes)
                 || (class == "Boolean" && matches!(value, Value::Bool(_)))
         }
         Type::Generic { base, args } => match (base.as_str(), value) {
@@ -257,7 +267,7 @@ pub fn value_matches(value: &Value, ty: &Type, store: &TypeStore, classes: &Clas
             // returns (a relation object or an array of rows).
             ("Table", _) => true,
             ("Enumerator", Value::Array(_)) => true,
-            (other, v) => matches!(v, Value::Nil) || classes.is_subclass(&v.class_name(), other),
+            (other, v) => matches!(v, Value::Nil) || is_instance_of(v, other, classes),
         },
         Type::Tuple(id) => match value {
             Value::Array(items) => {
