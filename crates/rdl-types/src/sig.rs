@@ -386,7 +386,7 @@ impl MethodSig {
 /// digested once can back any number of tables.  Equality compares
 /// signatures by value.
 ///
-/// **Lookups borrow.**  Signatures are keyed class → method name → kind,
+/// **Lookups borrow.**  Signatures are keyed kind → class → method name,
 /// and variable types class → name, so every probe takes `&str` names and
 /// allocates nothing, on a hit or a miss.  [`AnnotationTable::lookup`]
 /// walks [`ClassTable::ancestors`] and hands out the declaring class and
@@ -394,14 +394,25 @@ impl MethodSig {
 /// table for `'a` can keep both for `'a` instead of copying them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnnotationTable {
-    methods: HashMap<String, HashMap<String, KindSlots>>,
-    ivars: HashMap<String, HashMap<String, TypeExpr>>,
+    /// Indexed by `MethodKind as usize`: instance, then singleton methods.
+    methods: [ByClass<Arc<Annotation>>; 2],
+    ivars: ByClass<TypeExpr>,
     gvars: HashMap<String, TypeExpr>,
 }
 
-/// One method name's signatures on one class, indexed by
-/// `MethodKind as usize`: instance, then singleton.
-type KindSlots = [Option<Arc<Annotation>>; 2];
+/// Class name → member name → `T`.
+type ByClass<T> = HashMap<String, HashMap<String, T>>;
+
+/// Merges `from` into `into`, `from`'s entries winning.  An `Arc` value is
+/// shared, not copied.
+fn merge_by_class<T: Clone>(into: &mut ByClass<T>, from: &ByClass<T>) {
+    for (class, by_name) in from {
+        let mine = into.entry(class.clone()).or_default();
+        for (name, value) in by_name {
+            mine.insert(name.clone(), value.clone());
+        }
+    }
+}
 
 /// A registered signature and its digest, computed at registration.
 #[derive(Debug, PartialEq)]
@@ -428,13 +439,8 @@ impl AnnotationTable {
 
     fn add(&mut self, class: &str, kind: MethodKind, method: &str, sig: MethodSig) {
         let digest = sig.digest(class, kind, method);
-        let slots: &mut KindSlots = self
-            .methods
-            .entry(class.to_string())
-            .or_default()
-            .entry(method.to_string())
-            .or_default();
-        slots[kind as usize] = Some(Arc::new(Annotation { sig, digest }));
+        let by_name = self.methods[kind as usize].entry(class.to_string()).or_default();
+        by_name.insert(method.to_string(), Arc::new(Annotation { sig, digest }));
     }
 
     /// Registers an instance variable type (`var_type :@x, "T"`).
@@ -449,8 +455,7 @@ impl AnnotationTable {
 
     /// Looks up a method signature declared *exactly* on `class`.
     pub fn get_exact(&self, class: &str, kind: MethodKind, method: &str) -> Option<&MethodSig> {
-        let annotation = self.methods.get(class)?.get(method)?[kind as usize].as_deref()?;
-        Some(&annotation.sig)
+        self.methods[kind as usize].get(class)?.get(method).map(|a| &a.sig)
     }
 
     /// Looks up a method signature on `class` or the nearest of its
@@ -464,10 +469,10 @@ impl AnnotationTable {
         kind: MethodKind,
         method: &str,
     ) -> Option<(&'t str, &'t MethodSig)> {
+        let by_class = &self.methods[kind as usize];
         classes.ancestors(class).find_map(|anc| {
-            let (owner, by_name) = self.methods.get_key_value(anc)?;
-            let annotation = by_name.get(method)?[kind as usize].as_deref()?;
-            Some((owner.as_str(), &annotation.sig))
+            let (owner, by_name) = by_class.get_key_value(anc)?;
+            Some((owner.as_str(), &by_name.get(method)?.sig))
         })
     }
 
@@ -483,29 +488,37 @@ impl AnnotationTable {
 
     /// Total number of method signatures registered.
     pub fn method_count(&self) -> usize {
-        self.entries().count()
+        self.methods.iter().flat_map(HashMap::values).map(HashMap::len).sum()
+    }
+
+    /// The signatures registered for `class`, of both kinds.
+    fn declared_on<'t>(&'t self, class: &'t str) -> impl Iterator<Item = &'t Annotation> {
+        self.methods
+            .iter()
+            .filter_map(move |m| m.get(class))
+            .flat_map(HashMap::values)
+            .map(|a| &**a)
     }
 
     /// Number of method signatures registered for a specific class.
     pub fn method_count_for(&self, class: &str) -> usize {
-        self.entries().filter(|((c, _, _), _)| *c == class).count()
+        self.declared_on(class).count()
     }
 
     /// Number of registered signatures for a class that use comp types.
     pub fn comp_count_for(&self, class: &str) -> usize {
-        self.entries().filter(|((c, _, _), a)| *c == class && a.sig.is_comp()).count()
+        self.declared_on(class).filter(|a| a.sig.is_comp()).count()
     }
 
     /// Every registered signature with its `(class, kind, method)` key, in
     /// no particular order.
     fn entries(&self) -> impl Iterator<Item = ((&str, MethodKind, &str), &Annotation)> {
-        self.methods.iter().flat_map(|(class, by_name)| {
-            by_name.iter().flat_map(move |(method, slots)| {
-                [MethodKind::Instance, MethodKind::Singleton].into_iter().zip(slots).filter_map(
-                    move |(kind, slot)| {
-                        Some(((class.as_str(), kind, method.as_str()), slot.as_deref()?))
-                    },
-                )
+        let kinds = [MethodKind::Instance, MethodKind::Singleton];
+        kinds.into_iter().zip(&self.methods).flat_map(|(kind, by_class)| {
+            by_class.iter().flat_map(move |(class, by_name)| {
+                by_name
+                    .iter()
+                    .map(move |(method, a)| ((class.as_str(), kind, method.as_str()), &**a))
             })
         })
     }
@@ -543,23 +556,10 @@ impl AnnotationTable {
     /// win).  Method signatures and their digests are shared with `other`,
     /// not copied or recomputed.
     pub fn merge(&mut self, other: &AnnotationTable) {
-        for (class, by_name) in &other.methods {
-            let mine = self.methods.entry(class.clone()).or_default();
-            for (method, slots) in by_name {
-                let mine = mine.entry(method.clone()).or_default();
-                for (mine, theirs) in mine.iter_mut().zip(slots) {
-                    if let Some(theirs) = theirs {
-                        *mine = Some(Arc::clone(theirs));
-                    }
-                }
-            }
+        for (mine, theirs) in self.methods.iter_mut().zip(&other.methods) {
+            merge_by_class(mine, theirs);
         }
-        for (class, by_name) in &other.ivars {
-            let mine = self.ivars.entry(class.clone()).or_default();
-            for (name, ty) in by_name {
-                mine.insert(name.clone(), ty.clone());
-            }
-        }
+        merge_by_class(&mut self.ivars, &other.ivars);
         for (k, v) in &other.gvars {
             self.gvars.insert(k.clone(), v.clone());
         }
