@@ -867,8 +867,7 @@ struct TaintCtx<'c, 'd> {
 /// Computes the taint transfer of one method body given `lookup` for the
 /// (current) summaries of called program methods.  Flow-insensitive: the
 /// body is re-walked until the local origin sets stop growing, which makes
-/// the result a may-over-approximation on loops and branches.  The sets
-/// only grow, so each round compares against one snapshot taken before it.
+/// the result a may-over-approximation on loops and branches.
 fn method_taint(def: &MethodDef, lookup: &dyn Fn(&str) -> Option<TaintSummary>) -> TaintSummary {
     // Unknown body ⇒ conservative pass-through: every argument and the
     // receiver may reach the return value.  Sinks stay clear — claiming a
