@@ -1126,24 +1126,20 @@ impl<'a> TypeChecker<'a> {
     fn call_target_defined(&mut self, recv_ty: &Type, name: &str) -> bool {
         let Some((class, kind)) = self.receiver_class(recv_ty) else { return false };
         let singleton = kind == MethodKind::Singleton;
+        let methods = self.program.methods();
+        let classes = self.program.classes();
         // Walk program classes and their superclasses.
-        let mut current = Some(class);
-        let mut fuel = 16;
-        while let Some(c) = current {
-            if fuel == 0 {
-                break;
-            }
-            fuel -= 1;
-            if self.program.find_method(&c, name).map(|m| m.singleton == singleton).unwrap_or(false)
+        let mut current = Some(class.as_str());
+        for _ in 0..16 {
+            let Some(c) = current else { break };
+            if methods
+                .iter()
+                .any(|(owner, m)| owner == c && m.name == name && m.singleton == singleton)
             {
                 return true;
             }
-            current = self
-                .program
-                .classes()
-                .iter()
-                .find(|cd| cd.name == c)
-                .and_then(|cd| cd.superclass.clone());
+            current =
+                classes.iter().find(|cd| cd.name == c).and_then(|cd| cd.superclass.as_deref());
         }
         false
     }
@@ -1820,6 +1816,29 @@ mod tests {
             .map(|c| format!("{} -> {}", c.description, parallel.store.render(&c.expected_return)))
             .collect();
         assert_eq!(seq_checks, par_checks);
+    }
+
+    #[test]
+    fn a_same_named_singleton_method_does_not_hide_the_instance_method() {
+        // `run` calls the instance method `helper` on self, whose type
+        // `Object` is imprecise.  The program defines that method, so the
+        // call is unchecked: no cast and no error, whichever of the two
+        // same-named definitions comes first.
+        let mut env = env_with_stdlib();
+        env.type_sig("Object", "run", "() -> Object", Some("app"));
+        let singleton = "def self.helper()\n  1\nend\n";
+        let instance = "def helper()\n  2\nend\n";
+        for defs in [[singleton, instance], [instance, singleton]] {
+            let src = format!("{}{}def run()\n  helper\nend\n", defs[0], defs[1]);
+            for count_implicit_casts in [true, false] {
+                let options = CheckOptions { count_implicit_casts, ..CheckOptions::default() };
+                let res = check_src(&env, &src, options);
+                let case = format!("{src:?} with {options:?}");
+                assert_eq!(res.methods_checked(), 1, "{case}");
+                assert!(res.errors().is_empty(), "{case}: {:?}", res.errors());
+                assert_eq!(res.total_casts(), 0, "{case}");
+            }
+        }
     }
 
     #[test]
