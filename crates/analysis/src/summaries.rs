@@ -160,8 +160,10 @@ fn collect_facts(def: &MethodDef) -> LocalFacts {
     let params: BTreeSet<String> = def.params.iter().map(|p| p.name.clone()).collect();
     let mut shadow = Vec::new();
     let mut seen_calls = BTreeSet::new();
-    for stmt in &def.body {
-        walk_facts(stmt, &locals, &params, &mut shadow, &mut seen_calls, &mut facts);
+    // Parameter defaults run before the body, on every call that omits them.
+    let defaults = def.params.iter().filter_map(|p| p.default.as_ref());
+    for e in defaults.chain(&def.body) {
+        walk_facts(e, &locals, &params, &mut shadow, &mut seen_calls, &mut facts);
     }
     facts
 }
@@ -1247,6 +1249,23 @@ mod tests {
         assert_eq!(m.purity, PurityEffect::Impure);
         assert_eq!(render_blame(&m.purity_blame), "m \u{2192} `push` (annotated impure)");
         assert_eq!(m.term, TermEffect::Terminates, "push terminates");
+    }
+
+    #[test]
+    fn a_diverging_call_in_a_parameter_default_may_diverge() {
+        let s =
+            infer_src("def spin()\n  while true\n    1\n  end\nend\ndef m(x = spin())\n  x\nend\n");
+        let m = s.get("Object", "m", false).unwrap();
+        assert_eq!(m.term, TermEffect::MayDiverge);
+        assert_eq!(render_blame(&m.term_blame), "m \u{2192} spin \u{2192} while loop");
+    }
+
+    #[test]
+    fn an_impure_call_in_a_parameter_default_is_impure() {
+        let s = infer_src("def w(a, b = a.push(1))\n  b\nend\n");
+        let w = s.get("Object", "w", false).unwrap();
+        assert_eq!(w.purity, PurityEffect::Impure);
+        assert_eq!(render_blame(&w.purity_blame), "w \u{2192} `push` (annotated impure)");
     }
 
     #[test]
