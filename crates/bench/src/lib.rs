@@ -219,4 +219,21 @@ mod tests {
         assert_eq!(run_app_suite(app, None), 0);
         assert!(run_app_suite(app, Some(CheckConfig::default())) > 0);
     }
+
+    #[test]
+    fn the_eval_cache_agrees_with_uncached_checking_and_hits_on_the_scale_workload() {
+        let (env, program) = scale_workload(40);
+        let cached = check_prepared(&env, &program, CheckOptions::default());
+        let uncached = check_prepared(
+            &env,
+            &program,
+            CheckOptions { use_eval_cache: false, ..CheckOptions::default() },
+        );
+        let shape = |r: &comprdl::ProgramCheckResult| {
+            let errors: Vec<String> = r.errors().iter().map(|e| e.to_string()).collect();
+            (errors, r.total_casts(), r.methods_checked())
+        };
+        assert_eq!(shape(&cached), shape(&uncached));
+        assert!(cached.cache_stats.hits > cached.cache_stats.misses, "{:?}", cached.cache_stats);
+    }
 }

@@ -50,6 +50,7 @@ fn cached_checking_is_byte_identical_to_uncached_across_the_corpus() {
             check_termination: rng.below(2) == 0,
             ..CheckOptions::default()
         };
+        let mut hits = 0;
         for &i in &shuffled(&mut rng, apps.len()) {
             let app = &apps[i];
             let env = app.build_env();
@@ -66,7 +67,12 @@ fn cached_checking_is_byte_identical_to_uncached_across_the_corpus() {
                  (options {options:?})",
                 app.name
             );
+            hits += cached.cache_stats.hits;
         }
+        assert!(
+            hits > 0,
+            "round {round}: the eval cache never hit across the corpus ({options:?})"
+        );
     }
 }
 
