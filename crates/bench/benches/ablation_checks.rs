@@ -1,4 +1,4 @@
-//! Ablation: cost of the two categories of dynamic checks (DESIGN.md §4.2).
+//! Ablation: cost of the two categories of dynamic checks.
 //!
 //! The paper inserts (a) return-type checks at every comp-typed library call
 //! and (b) a consistency re-evaluation of the comp type on the call's actual

@@ -1,6 +1,6 @@
 //! Ablation: native (Rust) vs interpreted (Ruby-subset) type-level helper
-//! methods (DESIGN.md §4.1), plus the cost of a single comp-type evaluation
-//! of the Figure 1 `joins` computation.
+//! methods, plus the cost of a single comp-type evaluation of the Figure 1
+//! `joins` computation.
 
 use comprdl::{CompRdl, TlcValue};
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,8 +1,8 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The actual benchmarks live under `benches/`; each one regenerates a
-//! table or an ablation from the paper's evaluation (see DESIGN.md §3 for
-//! the experiment index and EXPERIMENTS.md for measured results).
+//! The benchmarks under `benches/` time the paper's tables and ablations
+//! and single layers of the checker.  Correctness gates live in
+//! `cargo test`, and the end-to-end benchmark is `perfbench/`.
 
 #![warn(missing_docs)]
 
@@ -15,18 +15,6 @@ use ruby_interp::Interpreter;
 pub fn check_app(app: &corpus::App, options: CheckOptions) -> comprdl::ProgramCheckResult {
     let (env, program) = prepare_app(app);
     check_prepared(&env, &program, options)
-}
-
-/// Type checks one corpus app with the comp-type evaluation cache disabled
-/// (the paper's re-evaluate-at-every-call-site baseline).
-pub fn check_app_uncached(app: &corpus::App) -> comprdl::ProgramCheckResult {
-    check_app(app, CheckOptions { use_eval_cache: false, ..CheckOptions::default() })
-}
-
-/// Type checks one corpus app with `threads` per-method worker threads.
-pub fn check_app_parallel(app: &corpus::App, threads: usize) -> comprdl::ProgramCheckResult {
-    let (env, program) = prepare_app(app);
-    check_prepared_parallel(&env, &program, threads)
 }
 
 /// Builds an app's environment and parses its source once, so benches can

@@ -130,8 +130,8 @@ pub struct CheckOptions {
     pub check_termination: bool,
     /// Memoize comp-type evaluations keyed on (method, resolved receiver
     /// type, resolved argument types); see [`crate::cache`].  Disable to get
-    /// the paper's re-evaluate-at-every-call-site behaviour (the baseline
-    /// the `cached_vs_uncached` bench compares against).
+    /// the paper's re-evaluate-at-every-call-site behaviour, the reference
+    /// that tests compare cached checking against.
     pub use_eval_cache: bool,
 }
 
@@ -488,16 +488,6 @@ impl<'a> TypeChecker<'a> {
             }
         }
         ProgramCheckResult { methods, store: self.store, cache_stats: self.cache.stats() }
-    }
-
-    /// Checks a single method definition.
-    pub fn check_single(mut self, owner: &str, def: &MethodDef) -> ProgramCheckResult {
-        let result = self.check_method_def(owner, def);
-        ProgramCheckResult {
-            methods: vec![result],
-            store: self.store,
-            cache_stats: self.cache.stats(),
-        }
     }
 
     fn check_method_def(&mut self, owner: &str, def: &MethodDef) -> MethodCheckResult {
