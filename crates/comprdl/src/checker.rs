@@ -307,8 +307,8 @@ impl<'a> TypeChecker<'a> {
     /// against the inferred summaries and returns the `TERM0004`
     /// annotation-conflict warnings (annotated strictly stronger than
     /// inferred), each anchored at the annotated method's definition span.
-    /// Output is sorted by (class, method) so it is deterministic
-    /// regardless of annotation-table iteration order.
+    /// Output is sorted by (class, method, singleton) so it is
+    /// deterministic regardless of program and annotation-table order.
     ///
     /// Only annotations whose `(class, kind, name)` the program *defines*
     /// are compared: a core-library annotation (say, a pure `where`) must
@@ -324,27 +324,26 @@ impl<'a> TypeChecker<'a> {
     ) -> Vec<EffectViolation> {
         let mut inferred = EffectEnv::new();
         inferred.install_inferred(effects.iter().cloned());
-        // One index over the program's methods; the first definition of an
-        // identity wins, as a front-to-back scan would find it.
+        // Probe the annotation table once per program method, so the cost
+        // tracks the program rather than the shared libraries.
         let methods = program.methods();
-        let mut defs: HashMap<(&str, &str, bool), &MethodDef> =
-            HashMap::with_capacity(methods.len());
-        for (owner, def) in &methods {
-            defs.entry((owner.as_str(), def.name.as_str(), def.singleton)).or_insert(*def);
-        }
-        let mut annotated: Vec<_> = env
-            .annotations
+        let mut annotated: Vec<_> = methods
             .iter()
-            .map(|((class, kind, name), sig)| ((class, name, kind == MethodKind::Singleton), sig))
+            .filter_map(|(owner, def)| {
+                let kind = if def.singleton { MethodKind::Singleton } else { MethodKind::Instance };
+                let sig = env.annotations.get_exact(owner, kind, &def.name)?;
+                Some(((owner.as_str(), def.name.as_str(), def.singleton), sig, def.span))
+            })
             .collect();
-        annotated.sort_by_key(|(key, _)| *key);
+        // The sort is stable, so among redefinitions of one identity the
+        // first definition stays first and survives the dedup.
+        annotated.sort_by_key(|(key, ..)| *key);
+        annotated.dedup_by_key(|(key, ..)| *key);
         let mut out = Vec::new();
-        for (key, sig) in annotated {
-            let Some(def) = defs.get(&key) else { continue };
-            let name = key.1;
+        for ((_, name, _), sig, span) in annotated {
             let Some(inf) = inferred.inferred(name) else { continue };
             out.extend(crate::termination::annotation_conflicts(
-                name, sig.term, sig.purity, inf, def.span,
+                name, sig.term, sig.purity, inf, span,
             ));
         }
         out
@@ -1590,6 +1589,73 @@ mod tests {
         }];
         assert!(TypeChecker::effect_conflicts(&env, &program, &agreeing).is_empty());
         assert!(TypeChecker::effect_conflicts(&env, &program, &[]).is_empty());
+    }
+
+    #[test]
+    fn effect_conflicts_are_pinned_across_classes_kinds_and_redefinitions() {
+        use rdl_types::{PurityEffect, TermEffect};
+        let mut env = env_with_stdlib();
+        let strong = |sig: &str| {
+            rdl_types::parse_method_sig(sig)
+                .expect("sig parses")
+                .with_term(TermEffect::Terminates)
+                .with_purity(PurityEffect::Pure)
+        };
+        env.annotations.add_instance("Zed", "run", strong("() -> Integer"));
+        env.annotations.add_singleton("Zed", "run", strong("() -> Integer"));
+        env.annotations.add_instance("Alpha", "run", strong("() -> Integer"));
+        env.annotations.add_instance("Alpha", "save", strong("() -> Integer"));
+        // Neither `Beta#run` nor any `Gamma` method is annotated as above:
+        // a same-named method on another class stays silent, and so does
+        // an annotated class the program does not define.
+        env.annotations.add_instance("Gamma", "run", strong("() -> Integer"));
+        // Program order differs from the (class, name, singleton) output
+        // order, the singleton `Zed.run` comes before the instance one, and
+        // `Alpha#save` is defined twice: the first definition anchors it.
+        let program = ruby_syntax::parse_program_strict(
+            "class Zed\n  def self.run()\n    0\n  end\n  def run()\n    1\n  end\nend\n\
+             class Alpha\n  def save()\n    @x = 1\n  end\n  def run()\n    2\n  end\n  \
+             def save()\n    3\n  end\nend\n\
+             class Beta\n  def run()\n    4\n  end\nend\n",
+        )
+        .expect("parse");
+        let effects = [
+            InferredEffect {
+                name: "run".into(),
+                term: TermEffect::MayDiverge,
+                purity: PurityEffect::Impure,
+                term_blame: vec!["run".into(), "while loop".into()],
+                purity_blame: vec!["run".into(), "@n=".into()],
+            },
+            InferredEffect {
+                name: "save".into(),
+                term: TermEffect::Terminates,
+                purity: PurityEffect::Impure,
+                term_blame: Vec::new(),
+                purity_blame: vec!["save".into(), "@x=".into()],
+            },
+        ];
+        let rendered: Vec<String> = TypeChecker::effect_conflicts(&env, &program, &effects)
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let term = "`run` is annotated `terminates: :+` but inferred non-terminating via \
+                    run \u{2192} while loop";
+        let run_impure = "`run` is annotated `pure: :+` but inferred impure via run \u{2192} @n=";
+        let save_impure =
+            "`save` is annotated `pure: :+` but inferred impure via save \u{2192} @x=";
+        assert_eq!(
+            rendered,
+            [
+                format!("line 13: {term}"),
+                format!("line 13: {run_impure}"),
+                format!("line 10: {save_impure}"),
+                format!("line 5: {term}"),
+                format!("line 5: {run_impure}"),
+                format!("line 2: {term}"),
+                format!("line 2: {run_impure}"),
+            ]
+        );
     }
 
     #[test]
