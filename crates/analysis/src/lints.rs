@@ -1037,7 +1037,7 @@ mod tests {
         assert!(blind.iter().all(|m| m.findings.is_empty()), "{blind:?}");
 
         let seed = rdl_types::EffectTable::new();
-        let sums = ProgramSummaries::infer(&p, &seed);
+        let sums = ProgramSummaries::infer(&p, &seed, 1);
         let seen = lint_methods(&p.methods(), Some(&sums), 1);
         let search = seen.iter().find(|m| m.name == "search").unwrap();
         assert_eq!(codes(&search.findings), vec![SQL_TAINT], "{seen:?}");
@@ -1056,7 +1056,7 @@ mod tests {
             blind.iter().any(|m| codes(&m.findings) == vec![SQL_TAINT]),
             "conservatively tainted without summaries: {blind:?}"
         );
-        let sums = ProgramSummaries::infer(&p, &rdl_types::EffectTable::new());
+        let sums = ProgramSummaries::infer(&p, &rdl_types::EffectTable::new(), 1);
         let seen = lint_methods(&p.methods(), Some(&sums), 1);
         assert!(seen.iter().all(|m| m.findings.is_empty()), "{seen:?}");
     }
@@ -1065,7 +1065,7 @@ mod tests {
     fn parallel_lint_with_summaries_is_byte_identical() {
         let src = "def self.apply_filter(frag)\n  Topic.where(frag)\nend\ndef self.search(q)\n  apply_filter('title = ' + q)\nend\ndef m(c)\n  if c\n    x = 1\n  end\n  x\nend\n";
         let p = parse_program_strict(src).expect("parse");
-        let sums = ProgramSummaries::infer(&p, &rdl_types::EffectTable::new());
+        let sums = ProgramSummaries::infer(&p, &rdl_types::EffectTable::new(), 1);
         let methods = p.methods();
         let seq = lint_methods(&methods, Some(&sums), 1);
         for threads in [2, 4, 8] {

@@ -388,19 +388,11 @@ pub struct ProgramSummaries {
 
 impl ProgramSummaries {
     /// Infers summaries for every method of `program`, trusting `seed` for
-    /// names the program does not define.
-    pub fn infer(program: &Program, seed: &EffectTable) -> ProgramSummaries {
-        Self::solve(program, seed, &collect_all_facts(program, 1), &BTreeMap::new()).0
-    }
-
-    /// Like [`infer`](Self::infer) but extracts per-method local facts on
-    /// `threads` worker threads (atomic work claiming, results merged in
-    /// method-index order) — byte-identical to the sequential run.
-    pub fn infer_parallel(
-        program: &Program,
-        seed: &EffectTable,
-        threads: usize,
-    ) -> ProgramSummaries {
+    /// names the program does not define.  Per-method local facts are
+    /// extracted on `threads` worker threads (1 = on the calling thread;
+    /// atomic work claiming, results merged in method-index order), so
+    /// every thread count renders byte-identically.
+    pub fn infer(program: &Program, seed: &EffectTable, threads: usize) -> ProgramSummaries {
         Self::solve(program, seed, &collect_all_facts(program, threads), &BTreeMap::new()).0
     }
 
@@ -1149,7 +1141,7 @@ mod tests {
 
     fn infer_src(src: &str) -> ProgramSummaries {
         let p = parse_program_strict(src).expect("parse");
-        ProgramSummaries::infer(&p, &seed())
+        ProgramSummaries::infer(&p, &seed(), 1)
     }
 
     #[test]
@@ -1351,9 +1343,9 @@ mod tests {
     fn parallel_inference_is_byte_identical() {
         let src = "def a(x)\n  b(x)\nend\ndef b(x)\n  c(x)\nend\ndef c(x)\n  while x\n    x = x\n  end\nend\ndef self.search(q)\n  Topic.where('t = ' + q)\nend\ndef even(n)\n  odd(n)\nend\ndef odd(n)\n  even(n)\nend\n";
         let p = parse_program_strict(src).expect("parse");
-        let seq = ProgramSummaries::infer(&p, &seed());
+        let seq = ProgramSummaries::infer(&p, &seed(), 1);
         for threads in [2, 4, 8] {
-            let par = ProgramSummaries::infer_parallel(&p, &seed(), threads);
+            let par = ProgramSummaries::infer(&p, &seed(), threads);
             assert_eq!(seq.render(), par.render(), "threads={threads}");
         }
     }
@@ -1362,7 +1354,7 @@ mod tests {
     fn baseline_replay_skips_fixed_methods_and_renders_identically() {
         let src = "def a(x)\n  b(x)\nend\ndef b(x)\n  @x = x\nend\ndef lone(y)\n  y + 1\nend\n";
         let p = parse_program_strict(src).expect("parse");
-        let cold = ProgramSummaries::infer(&p, &seed());
+        let cold = ProgramSummaries::infer(&p, &seed(), 1);
         // Freeze everything, replay everything: 0 re-summarized.
         let fixed: BTreeMap<_, _> = cold
             .iter()

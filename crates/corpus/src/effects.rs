@@ -35,11 +35,7 @@ pub fn seed_map(env: &CompRdl) -> EffectTable {
 /// (1 = sequential).  The parallel fact extraction is output-invisible:
 /// the fixpoint itself is deterministic over the condensed call graph.
 pub fn effects_pass(program: &Program, seed: &EffectTable, threads: usize) -> ProgramSummaries {
-    if threads > 1 {
-        ProgramSummaries::infer_parallel(program, seed, threads)
-    } else {
-        ProgramSummaries::infer(program, seed)
-    }
+    ProgramSummaries::infer(program, seed, threads)
 }
 
 /// Converts the inferred summaries into the checker-facing layer:

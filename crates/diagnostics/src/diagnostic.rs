@@ -86,11 +86,6 @@ impl Diagnostic {
         Diagnostic { severity: Severity::Warning, ..Diagnostic::error(code, message) }
     }
 
-    /// Starts a note diagnostic.
-    pub fn note_diag(code: impl Into<String>, message: impl Into<String>) -> Self {
-        Diagnostic { severity: Severity::Note, ..Diagnostic::error(code, message) }
-    }
-
     /// Adds a primary label.
     pub fn with_label(mut self, span: Span, message: impl Into<String>) -> Self {
         self.labels.push(Label::primary(span, message));

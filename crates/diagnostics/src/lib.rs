@@ -34,6 +34,6 @@ pub mod span;
 
 pub use bag::DiagnosticBag;
 pub use diagnostic::{Diagnostic, Label, Severity, ToDiagnostic};
-pub use render::{render, render_all, render_in};
+pub use render::{render, render_in};
 pub use source::{SourceMap, SourceSet};
 pub use span::Span;

@@ -73,11 +73,6 @@ pub fn render(sm: &SourceMap, diag: &Diagnostic) -> String {
     out
 }
 
-/// Renders a batch of diagnostics separated by blank lines.
-pub fn render_all(sm: &SourceMap, diags: &[Diagnostic]) -> String {
-    diags.iter().map(|d| render(sm, d)).collect::<Vec<_>>().join("\n")
-}
-
 /// Renders one diagnostic of a multi-file program: the snippet is drawn
 /// against the file of the primary label's span, and any label that points
 /// into a *different* file is appended as a `file:line:col` note (a single

@@ -50,11 +50,6 @@ impl Fingerprint {
         }
     }
 
-    /// Feeds a `u32` (little-endian).
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
     /// Feeds a `u64` (little-endian).
     pub fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());

@@ -670,16 +670,6 @@ impl TypeStore {
         }
     }
 
-    /// All constraints recorded against a store-backed type.
-    pub fn constraints_on(&self, ty: &Type) -> Vec<Constraint> {
-        match ty {
-            Type::Tuple(id) => self.tuple(*id).constraints.clone(),
-            Type::FiniteHash(id) => self.finite_hash(*id).constraints.clone(),
-            Type::ConstString(id) => self.const_string(*id).constraints.clone(),
-            _ => Vec::new(),
-        }
-    }
-
     // ---- promotion ------------------------------------------------------
 
     /// Promotes a tuple to `Array<T>` where `T` is the union of its element

@@ -240,11 +240,6 @@ impl Interpreter {
         self.hook = Some(hook);
     }
 
-    /// Removes any installed hook (runs the program unchecked).
-    pub fn clear_hook(&mut self) {
-        self.hook = None;
-    }
-
     /// Overrides the evaluation fuel (number of AST nodes evaluated before
     /// the interpreter reports a timeout).
     pub fn set_fuel(&mut self, fuel: u64) {
@@ -259,16 +254,6 @@ impl Interpreter {
     /// Lines printed by `puts` during evaluation.
     pub fn output(&self) -> Vec<String> {
         self.output.borrow().clone()
-    }
-
-    /// Defines a global constant (e.g. a fixture object).
-    pub fn define_constant(&self, name: &str, value: Value) {
-        self.constants.borrow_mut().insert(name.to_string(), value);
-    }
-
-    /// Defines a global variable.
-    pub fn define_global(&self, name: &str, value: Value) {
-        self.globals.borrow_mut().insert(name.to_string(), value);
     }
 
     /// Evaluates every top-level expression of the program in order.
