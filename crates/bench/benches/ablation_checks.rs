@@ -4,7 +4,9 @@
 //! and (b) a consistency re-evaluation of the comp type on the call's actual
 //! inputs (§4, "Heap Mutation").  This benchmark runs the Discourse
 //! analogue's test suite under: no checks, return checks only, and
-//! return + consistency checks, quantifying what each layer costs.
+//! return + consistency checks, quantifying what each layer costs.  The
+//! environment, program and check result are prepared once, so each row
+//! times the suite run alone.
 
 use comprdl::CheckConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -12,36 +14,28 @@ use criterion::{criterion_group, criterion_main, Criterion};
 fn ablation_checks(c: &mut Criterion) {
     let apps = corpus::apps::all();
     let discourse = apps.iter().find(|a| a.name == "Discourse").expect("discourse app");
+    let (env, program) = bench::prepare_app(discourse);
+    let checked = bench::check_prepared(&env, &program, comprdl::CheckOptions::default());
+    let run = |config: Option<CheckConfig>| {
+        std::hint::black_box(bench::run_prepared_suite(&env, &program, &checked, config))
+    };
 
     let mut group = c.benchmark_group("check_ablation");
     group.sample_size(10);
 
-    group.bench_function("no_checks", |b| {
-        b.iter(|| std::hint::black_box(bench::run_app_suite(discourse, None)))
-    });
+    group.bench_function("no_checks", |b| b.iter(|| run(None)));
     group.bench_function("return_checks_only", |b| {
-        b.iter(|| {
-            std::hint::black_box(bench::run_app_suite(
-                discourse,
-                Some(CheckConfig {
-                    return_checks: true,
-                    consistency_checks: false,
-                    ..CheckConfig::default()
-                }),
-            ))
-        })
+        let config = CheckConfig {
+            return_checks: true,
+            consistency_checks: false,
+            ..CheckConfig::default()
+        };
+        b.iter(|| run(Some(config)))
     });
     group.bench_function("return_and_consistency_checks", |b| {
-        b.iter(|| {
-            std::hint::black_box(bench::run_app_suite(
-                discourse,
-                Some(CheckConfig {
-                    return_checks: true,
-                    consistency_checks: true,
-                    ..CheckConfig::default()
-                }),
-            ))
-        })
+        let config =
+            CheckConfig { return_checks: true, consistency_checks: true, ..CheckConfig::default() };
+        b.iter(|| run(Some(config)))
     });
 
     group.finish();

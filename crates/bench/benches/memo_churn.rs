@@ -1,30 +1,20 @@
-//! The migration-churn workload for the shared run-time check memo
-//! ([`comprdl::SharedMemo`]): generated migration *sequences* — many
-//! epochs per run — measuring how warm hit rate degrades with mutation
-//! frequency.
+//! The memo layer bench for the shared run-time check memo
+//! ([`comprdl::SharedMemo`]): bare and hook-level warm reads, generated
+//! migration *sequences* — many epochs per run — charting how warm hit
+//! rate degrades with mutation frequency, the same churn under an emulated
+//! memo-wide epoch, and one namespace driven past
+//! [`SharedMemo::NAMESPACE_CAPACITY`] distinct keys.
 //!
-//! Besides timing, this bench is a correctness/regression gate:
-//!
-//! * **Namespace isolation** — under a one-app migration sequence, the
-//!   *other* namespaces' hit/miss counters must be *exactly* those of the
-//!   no-migration run (per-namespace epochs; the emulated global-epoch
-//!   scenario shows the hit rate they would lose to one memo-wide epoch).
-//! * **Bounded namespaces** — the eviction-pressure scenario drives one
-//!   namespace past [`SharedMemo::NAMESPACE_CAPACITY`] distinct keys and
-//!   must evict (and never grow past the bound).
-//! * **Uncontended warm reads** — a pre-populated memo answers every
-//!   lookup from its table.
-//!
-//! Every scenario's median ns + hit/miss/invalidation/eviction counts are
-//! persisted to `BENCH_SHARED_MEMO.json` at the repo root
-//! ([`bench::results`]), so future PRs diff perf instead of re-reading CI
-//! logs.  CI runs this bench with `BENCH_SMOKE=1` and then fails if the
-//! file is missing or unparseable.
+//! It only times and counts; the memo's behaviour (namespace isolation
+//! under churn, bounded eviction, warm hits) is gated by `cargo test`.
+//! Every scenario's median ns and hit/miss/invalidation/eviction counts
+//! are persisted to `BENCH_SHARED_MEMO.json` at the repo root
+//! ([`bench::results`]), so the trajectory can be diffed across commits.
 
 use bench::results::Scenario;
 use comprdl::{
-    memo_namespace, CacheStats, CheckConfig, CompRdlHook, HelperRegistry, InsertedCheck, MemoKey,
-    MemoTable, SharedMemo,
+    CacheStats, CheckConfig, CompRdlHook, HelperRegistry, InsertedCheck, MemoKey, MemoTable,
+    SharedMemo,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rdl_types::{ClassTable, Type, TypeStore};
@@ -105,7 +95,7 @@ struct ChurnOutcome {
 }
 
 fn run_churn(migrate_every: usize, global_bump: bool) -> ChurnOutcome {
-    let samples = bench::sample_size(7);
+    let samples = 7;
     let mut timings = Vec::with_capacity(samples);
     let mut last: Option<ChurnOutcome> = None;
     for _ in 0..samples {
@@ -159,7 +149,7 @@ fn run_warm_read() -> (u128, CacheStats) {
         let which = i % 2;
         let _ = hook.after_call(site(which + 1), &values[which][(i / 2) % 3]);
     }
-    let samples = bench::sample_size(30);
+    let samples = 30;
     let mut timings = Vec::with_capacity(samples);
     for _ in 0..samples {
         let started = Instant::now();
@@ -186,7 +176,7 @@ fn run_memo_read() -> (u128, CacheStats) {
     for key in &keys {
         ns.insert(MemoTable::After, key, 0, 0, &Ok(()));
     }
-    let samples = bench::sample_size(30);
+    let samples = 30;
     let mut timings = Vec::with_capacity(samples);
     for _ in 0..samples {
         let started = Instant::now();
@@ -223,7 +213,6 @@ fn run_eviction_pressure() -> CacheStats {
             let _ = hook.after_call(site(9), &Value::Int(i));
         }
     }
-    assert!(memo.len() <= SharedMemo::NAMESPACE_CAPACITY, "capacity is a hard bound");
     memo.stats()
 }
 
@@ -239,36 +228,15 @@ fn memo_churn(_c: &mut Criterion) {
 
     let (warm_ns, warm_stats) = run_warm_read();
     println!("warm read (full hook call, all hits): {warm_ns} ns/call");
-    assert!(warm_stats.hits >= WARM_PASS as u64, "warm-read runs must be all hits: {warm_stats:?}");
     scenarios.push(Scenario::from_stats("warm_read", warm_ns, warm_stats));
 
     // Hit rate vs mutation frequency: app 0 migrates every m steps; apps
-    // 1..3 never do.  Per-namespace epochs mean their counters must be
-    // *identical* to the no-migration run (acceptance (b)).
-    let baseline = run_churn(0, false);
-    let others_baseline: Vec<CacheStats> = baseline.per_app[1..].to_vec();
-    println!("churn m=0: {} ns/call, memo {:?}", baseline.ns_per_call, baseline.memo);
-    scenarios.push(Scenario::from_stats("churn/m0", baseline.ns_per_call, baseline.memo));
-    let mut m25_other_hits = 0u64;
-    for migrate_every in [100, 25, 8] {
+    // 1..3 never do.
+    for migrate_every in [0, 100, 25, 8] {
         let outcome = run_churn(migrate_every, false);
-        if migrate_every == 25 {
-            m25_other_hits = outcome.per_app[1..].iter().map(|s| s.hits).sum();
-        }
         println!(
             "churn m={migrate_every}: {} ns/call, memo {:?} (app-0 {:?})",
             outcome.ns_per_call, outcome.memo, outcome.per_app[0]
-        );
-        assert!(
-            outcome.per_app[0].invalidations > 0,
-            "the migrating app must churn its own entries: {:?}",
-            outcome.per_app[0]
-        );
-        assert_eq!(
-            &outcome.per_app[1..],
-            others_baseline.as_slice(),
-            "m={migrate_every}: app 0's migrations changed another namespace's hit/miss \
-             counters (per-namespace epoch isolation broken)"
         );
         scenarios.push(Scenario::from_stats(
             &format!("churn/m{migrate_every}"),
@@ -279,31 +247,19 @@ fn memo_churn(_c: &mut Criterion) {
 
     // The same one-app churn under an emulated memo-wide epoch: every
     // migration flushes all four namespaces, so the non-migrating apps
-    // must lose hits — the cost per-namespace epochs remove.
+    // lose the hits that per-namespace epochs keep.
     let global = run_churn(25, true);
-    let per_ns_hits = m25_other_hits;
     let global_hits: u64 = global.per_app[1..].iter().map(|s| s.hits).sum();
     println!(
-        "churn m=25 global epoch: {} ns/call, other-app hits {global_hits} (vs {per_ns_hits} \
-         with per-namespace epochs)",
+        "churn m=25 global epoch: {} ns/call, other-app hits {global_hits}",
         global.ns_per_call
-    );
-    assert!(
-        global_hits < per_ns_hits,
-        "the emulated global epoch must cost the non-migrating apps hits \
-         ({global_hits} vs {per_ns_hits})"
     );
     scenarios.push(Scenario::from_stats("churn/m25_global_epoch", global.ns_per_call, global.memo));
 
-    // Bounded namespaces: overflow must evict, not grow.
+    // Bounded namespaces: overflow evicts rather than grows.
     let pressure = run_eviction_pressure();
     println!("eviction pressure: {pressure:?}");
-    assert!(pressure.evictions > 0, "the full namespace must evict: {pressure:?}");
     scenarios.push(Scenario::from_stats("eviction_pressure", 0, pressure));
-
-    // Sanity: registration hands back the same id the hooks derive, so the
-    // churn scenarios really recorded under the labeled namespaces.
-    assert_eq!(SharedMemo::new().register_namespace("app-0"), memo_namespace("app-0"));
 
     let path = bench::results::record("memo_churn", &scenarios).expect("persist bench results");
     println!("results written to {}", path.display());

@@ -1,7 +1,9 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The benchmarks under `benches/` time the paper's tables and ablations
-//! and single layers of the checker.  Correctness gates live in
+//! The benchmarks under `benches/` time the paper's tables and ablations,
+//! the threaded checker and the shared run-time check memo; `memo_churn`
+//! also records its medians and memo counters in `BENCH_SHARED_MEMO.json`
+//! ([`results`]).  The benches only time: correctness gates live in
 //! `cargo test`, and the end-to-end benchmark is `perfbench/`.
 
 #![warn(missing_docs)]
@@ -10,12 +12,6 @@ pub mod results;
 
 use comprdl::{CheckConfig, CheckOptions, TypeChecker};
 use ruby_interp::Interpreter;
-
-/// Type checks one corpus app with the given options and returns the result.
-pub fn check_app(app: &corpus::App, options: CheckOptions) -> comprdl::ProgramCheckResult {
-    let (env, program) = prepare_app(app);
-    check_prepared(&env, &program, options)
-}
 
 /// Builds an app's environment and parses its source once, so benches can
 /// time the *checking* phase alone (environment assembly re-parses hundreds
@@ -52,17 +48,6 @@ pub fn check_prepared_parallel(
         threads,
         &[],
     )
-}
-
-/// Number of timed samples per benchmark: 2 when `BENCH_SMOKE` is set in
-/// the environment (CI runs the benches as a correctness smoke test), the
-/// given default otherwise.
-pub fn sample_size(default: usize) -> usize {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        2
-    } else {
-        default
-    }
 }
 
 /// Builds a Discourse-schema workload with `methods` checked methods, each
@@ -120,77 +105,27 @@ pub fn scale_workload(methods: usize) -> (comprdl::CompRdl, ruby_syntax::Program
     (env, program)
 }
 
-/// Runs one corpus app's test suite under the given dynamic-check
-/// configuration (or completely unchecked when `config` is `None`),
-/// returning the number of dynamic checks executed.
-///
-/// The `None` path deliberately skips static checking entirely: it is the
-/// "no checks" baseline the overhead benches compare against, so it must
-/// not pay for the checker inside a timed iteration.
-pub fn run_app_suite(app: &corpus::App, config: Option<CheckConfig>) -> u64 {
-    if config.is_some() {
-        let (env, program) = prepare_app(app);
-        let result = check_prepared(&env, &program, CheckOptions::default());
-        run_prepared_suite(&env, &program, &result, config)
-    } else {
-        // No environment assembly either: `build_env` re-parses hundreds of
-        // annotation strings, which the unchecked run never consumes.
-        let (program, _sources, _diags) = app.parse();
-        let interp = Interpreter::new(program);
-        interp.eval_program().expect("suite passes");
-        interp.checks_performed()
-    }
-}
-
 /// Runs a prepared app's test suite (environment, program and checking
-/// result built once via [`prepare_app`] + the checker), so benches can time
-/// the suite run alone.  Returns the number of dynamic checks executed.
+/// result built once via [`prepare_app`] + [`check_prepared`]), so benches
+/// time the suite run alone.  With `config`, the checker's inserted dynamic
+/// checks run through a hook with a private memo; with `None`, no hook is
+/// installed.  Returns the number of dynamic checks executed.
 pub fn run_prepared_suite(
     env: &comprdl::CompRdl,
     program: &ruby_syntax::Program,
     checked: &comprdl::ProgramCheckResult,
     config: Option<CheckConfig>,
 ) -> u64 {
-    match config {
-        Some(config) => run_prepared_suite_shared(
-            env,
-            program,
-            checked,
-            config,
-            &std::sync::Arc::new(comprdl::SharedMemo::new()),
-            0,
-        ),
-        None => {
-            let interp = Interpreter::new(program.clone());
-            interp.eval_program().expect("suite passes");
-            interp.checks_performed()
-        }
-    }
-}
-
-/// Like [`run_prepared_suite`], but the hook records into the given
-/// [`comprdl::SharedMemo`] under `namespace` — so repeated iterations (and
-/// other apps' runs) replay from one warm memo, the configuration the
-/// `checked_vs_unchecked` bench measures and CI smoke-tests.
-pub fn run_prepared_suite_shared(
-    env: &comprdl::CompRdl,
-    program: &ruby_syntax::Program,
-    checked: &comprdl::ProgramCheckResult,
-    config: CheckConfig,
-    memo: &std::sync::Arc<comprdl::SharedMemo>,
-    namespace: u64,
-) -> u64 {
     let mut interp = Interpreter::new(program.clone());
-    let hook = comprdl::make_hook_shared(
-        checked.checks(),
-        checked.store.clone(),
-        env.classes.clone(),
-        env.helpers.clone(),
-        config,
-        memo.clone(),
-        namespace,
-    );
-    interp.set_hook(hook);
+    if let Some(config) = config {
+        interp.set_hook(comprdl::make_hook(
+            checked.checks(),
+            checked.store.clone(),
+            env.classes.clone(),
+            env.helpers.clone(),
+            config,
+        ));
+    }
     interp.eval_program().expect("suite passes");
     interp.checks_performed()
 }
@@ -201,11 +136,11 @@ mod tests {
 
     #[test]
     fn helpers_drive_the_corpus() {
-        let app = &corpus::apps::all()[0];
-        let result = check_app(app, CheckOptions::default());
+        let (env, program) = prepare_app(&corpus::apps::all()[0]);
+        let result = check_prepared(&env, &program, CheckOptions::default());
         assert!(result.methods_checked() > 0);
-        assert_eq!(run_app_suite(app, None), 0);
-        assert!(run_app_suite(app, Some(CheckConfig::default())) > 0);
+        assert_eq!(run_prepared_suite(&env, &program, &result, None), 0);
+        assert!(run_prepared_suite(&env, &program, &result, Some(CheckConfig::default())) > 0);
     }
 
     #[test]
@@ -217,11 +152,23 @@ mod tests {
             &program,
             CheckOptions { use_eval_cache: false, ..CheckOptions::default() },
         );
+        let parallel = check_prepared_parallel(&env, &program, 4);
+        // The workload type checks cleanly, so the inserted checks (site and
+        // rendered expected type, in program order) carry the comparison.
         let shape = |r: &comprdl::ProgramCheckResult| {
             let errors: Vec<String> = r.errors().iter().map(|e| e.to_string()).collect();
-            (errors, r.total_casts(), r.methods_checked())
+            let checks: Vec<_> = r
+                .methods
+                .iter()
+                .flat_map(|m| &m.checks)
+                .map(|c| (c.site, r.store.render(&c.expected_return)))
+                .collect();
+            (errors, r.total_casts(), r.methods_checked(), checks)
         };
-        assert_eq!(shape(&cached), shape(&uncached));
+        let sequential = shape(&cached);
+        assert_eq!(sequential.3.len(), 280, "seven inserted checks per method");
+        assert_eq!(shape(&uncached), sequential, "the eval cache changed the result");
+        assert_eq!(shape(&parallel), sequential, "4-thread checking changed the result");
         assert!(cached.cache_stats.hits > cached.cache_stats.misses, "{:?}", cached.cache_stats);
     }
 }

@@ -1,10 +1,10 @@
 //! Machine-readable bench results, persisted to `BENCH_SHARED_MEMO.json`
-//! at the repository root so future PRs can diff performance numbers
-//! instead of re-reading CI logs.
+//! at the repository root so bench numbers can be diffed across commits.
 //!
-//! The file is one JSON object with a top-level key per bench (e.g.
-//! `memo_churn`, `checked_vs_unchecked`); [`record`] read-modify-writes it
-//! so each bench replaces only its own section.  The container has no
+//! The file is one JSON object with a top-level key per recording bench;
+//! `memo_churn` is the only one, and a test here requires the committed
+//! file to hold exactly its section.  [`record`] read-modify-writes the
+//! file so each bench replaces only its own section.  The build has no
 //! crates.io access, so the (tiny) JSON reader/writer lives here — it
 //! supports exactly the JSON this module emits plus tolerant parsing of
 //! hand edits.
@@ -15,8 +15,8 @@ use std::path::{Path, PathBuf};
 
 /// Version of the per-bench section layout this module writes.  Bumped
 /// whenever a field is added, removed or re-interpreted, so downstream
-/// tooling (and CI's "persisted and parseable" gate) can tell a stale file
-/// from a current one instead of guessing from the field set.
+/// tooling (and the committed-file test below) can tell a stale file from
+/// a current one instead of guessing from the field set.
 ///
 /// History: 1 = the original `smoke` + `scenarios` layout; 2 = sections
 /// carry `schema_version` and the `type_core` scenarios exist; 3 = the
@@ -33,8 +33,11 @@ use std::path::{Path, PathBuf};
 /// `warm_read/mutex`, `churn/m25_mutex`); 8 = the seqlock read path is
 /// gone, so `memo_churn`'s read rows are `memo_read` and `warm_read` (were
 /// `memo_read/seqlock` and `warm_read/seqlock`), and `eviction_pressure`
-/// drives one namespace past the memo's fixed per-namespace capacity.
-pub const SCHEMA_VERSION: u32 = 8;
+/// drives one namespace past the memo's fixed per-namespace capacity;
+/// 9 = sections no longer carry the `smoke` flag (the `BENCH_SMOKE`
+/// two-sample knob is gone, so every recorded run is a full-mode run), and
+/// the `checked_vs_unchecked` section is gone with its bench.
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// One measured scenario: a stable name, the median wall-clock per
 /// operation, and the memo counters the run ended with.
@@ -351,15 +354,13 @@ pub fn results_path() -> PathBuf {
 
 /// Replaces `bench`'s section of the results file at `path` with the given
 /// scenarios (read-modify-write: other benches' sections are preserved).
-/// The section also records whether the run was a `BENCH_SMOKE` smoke run,
-/// since smoke timings are not comparable to full ones.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.  A missing file is fine (first write),
 /// but an existing file that fails to parse is an **error**: silently
 /// rewriting it would drop the other benches' sections and hide the
-/// broken write from CI's "persisted and parseable" gate.
+/// broken write.
 pub fn record_at(path: &Path, bench: &str, scenarios: &[Scenario]) -> std::io::Result<()> {
     let mut root = match std::fs::read_to_string(path) {
         Ok(text) => match parse(&text) {
@@ -394,7 +395,6 @@ pub fn record_at(path: &Path, bench: &str, scenarios: &[Scenario]) -> std::io::R
         .collect();
     let mut section = BTreeMap::new();
     section.insert("schema_version".to_string(), Json::Num(SCHEMA_VERSION.to_string()));
-    section.insert("smoke".to_string(), Json::Bool(std::env::var_os("BENCH_SMOKE").is_some()));
     section.insert("scenarios".to_string(), Json::Arr(rows));
     root.insert(bench.to_string(), Json::Obj(section));
     // Atomic replace: a crash mid-write must never leave a truncated file
@@ -467,14 +467,13 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("results.json");
         record_at(&path, "memo_churn", &[scenario("memo_read")]).expect("first write");
-        record_at(&path, "checked_vs_unchecked", &[scenario("Redmine/memoized")])
-            .expect("second write");
+        record_at(&path, "other_bench", &[scenario("Redmine/memoized")]).expect("second write");
         // Overwrite the first section; the second must survive.
         record_at(&path, "memo_churn", &[scenario("warm_read")]).expect("third write");
         let text = std::fs::read_to_string(&path).expect("readable");
         let Json::Obj(root) = parse(&text).expect("parses") else { panic!("not an object") };
         assert!(root.contains_key("memo_churn"));
-        assert!(root.contains_key("checked_vs_unchecked"));
+        assert!(root.contains_key("other_bench"));
         let Json::Obj(section) = &root["memo_churn"] else { panic!("section not an object") };
         assert_eq!(
             section["schema_version"],
@@ -486,6 +485,38 @@ mod tests {
         assert!(text.contains("Redmine/memoized"));
         assert!(text.contains("\"hit_rate_pct\": 90.00"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_committed_results_file_holds_exactly_the_memo_churn_section() {
+        let text = std::fs::read_to_string(results_path()).expect("the results file is committed");
+        let Json::Obj(root) = parse(&text).expect("parses") else { panic!("not an object") };
+        let sections: Vec<&str> = root.keys().map(String::as_str).collect();
+        assert_eq!(sections, ["memo_churn"], "a section no bench records is a leftover");
+        let Json::Obj(section) = &root["memo_churn"] else { panic!("section not an object") };
+        let fields: Vec<&str> = section.keys().map(String::as_str).collect();
+        assert_eq!(fields, ["scenarios", "schema_version"]);
+        assert_eq!(section["schema_version"], Json::Num(SCHEMA_VERSION.to_string()));
+        let Json::Arr(rows) = &section["scenarios"] else { panic!("scenarios not an array") };
+        let names: Vec<&Json> = rows
+            .iter()
+            .map(|row| match row {
+                Json::Obj(row) => &row["name"],
+                other => panic!("scenario row is not an object: {other:?}"),
+            })
+            .collect();
+        let expected = [
+            "memo_read",
+            "warm_read",
+            "churn/m0",
+            "churn/m100",
+            "churn/m25",
+            "churn/m8",
+            "churn/m25_global_epoch",
+            "eviction_pressure",
+        ]
+        .map(|name| Json::Str(name.to_string()));
+        assert_eq!(names, expected.iter().collect::<Vec<_>>(), "memo_churn writes these rows");
     }
 
     #[test]

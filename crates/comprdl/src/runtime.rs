@@ -343,7 +343,7 @@ pub struct CheckConfig {
     pub consistency_checks: bool,
     /// Memoize per-site check outcomes keyed on value fingerprints (see the
     /// module docs).  Disable to get the paper's pay-at-every-hit baseline
-    /// that the `checked_vs_unchecked` bench measures against.
+    /// that `corpus::table2_overhead` measures against.
     pub memoize: bool,
     /// Raise blame as an error at the call site (`true`, the λC semantics)
     /// or record it and let execution continue (`false`, used by the

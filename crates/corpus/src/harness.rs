@@ -452,7 +452,8 @@ fn blame_divergence(
 /// # Errors
 ///
 /// Propagates the first [`HarnessError`] encountered — including a
-/// correctness-gate failure, which is what the CI smoke bench relies on.
+/// correctness-gate failure, which is what the `table2` example and the
+/// `overhead_rows_cover_the_whole_corpus_and_pass_the_gate` test rely on.
 pub fn table2_overhead(memo: &Arc<SharedMemo>) -> Result<Vec<OverheadRow>, HarnessError> {
     crate::apps::all().iter().map(|app| evaluate_overhead(app, memo)).collect()
 }
@@ -460,8 +461,8 @@ pub fn table2_overhead(memo: &Arc<SharedMemo>) -> Result<Vec<OverheadRow>, Harne
 /// Renders a [`SharedMemo`]'s statistics — entry count, aggregate hit /
 /// miss / invalidation / eviction counters, hit rate, and one row per
 /// registered namespace (epoch and counters per app) — as the block the
-/// CI smoke benches print, so regressions in cross-thread hit rate or in
-/// namespace isolation are visible in CI logs.
+/// `table2` example prints, so regressions in cross-thread hit rate or in
+/// namespace isolation are visible in its output.
 pub fn format_memo_stats(memo: &SharedMemo) -> String {
     let stats = memo.stats();
     let mut out = format!(
@@ -558,7 +559,7 @@ pub fn format_overhead(rows: &[OverheadRow]) -> String {
 /// diagnostic summary) — everything in Table 2 except the measured
 /// wall-clock timings.  Sequential and parallel runs over the same corpus
 /// must produce byte-identical output from this function; the test suite
-/// and the CI smoke bench enforce that.
+/// enforces that.
 pub fn stable_report(rows: &[Table2Row]) -> String {
     let mut out = String::new();
     out.push_str(&format!(

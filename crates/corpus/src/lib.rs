@@ -132,13 +132,17 @@ mod tests {
     #[test]
     fn parallel_table2_output_is_byte_identical_to_sequential() {
         let sequential = table2().expect("sequential harness");
-        let parallel =
-            table2_parallel(&std::sync::Arc::new(comprdl::SharedMemo::new()), &FaultPlan::none())
-                .expect("parallel harness");
+        let memo = std::sync::Arc::new(comprdl::SharedMemo::new());
+        let parallel = table2_parallel(&memo, &FaultPlan::none()).expect("parallel harness");
         assert_eq!(
             stable_report(&sequential),
             stable_report(&parallel),
             "sequential and parallel corpus runs must agree on every deterministic column"
+        );
+        assert!(
+            memo.stats().hits > 0,
+            "the parallel harness must hit its memo: {:?}",
+            memo.stats()
         );
     }
 
@@ -180,6 +184,17 @@ mod tests {
             redmine.store_memoized,
             redmine.store_unmemoized
         );
+        // The warm run replays the cold run's verdicts from the shared memo.
+        assert!(
+            redmine.warm_memo_stats.hits >= redmine.memo_stats.hits
+                && redmine.warm_memo_stats.hits > redmine.warm_memo_stats.misses,
+            "the warm run must hit at least as often as the cold one and mostly hit: \
+             warm {:?}, cold {:?}",
+            redmine.warm_memo_stats,
+            redmine.memo_stats
+        );
+        // Sequel's mid-suite migration must invalidate its shared entries.
+        assert!(memo.stats().invalidations > 0, "no invalidations: {:?}", memo.stats());
         let rendered = format_overhead(&rows);
         assert!(rendered.contains("Redmine"), "{rendered}");
         assert!(rendered.contains("Overhead across the corpus"), "{rendered}");
