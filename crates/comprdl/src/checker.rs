@@ -1605,9 +1605,9 @@ mod tests {
         env.annotations.add_singleton("Zed", "run", strong("() -> Integer"));
         env.annotations.add_instance("Alpha", "run", strong("() -> Integer"));
         env.annotations.add_instance("Alpha", "save", strong("() -> Integer"));
-        // Neither `Beta#run` nor any `Gamma` method is annotated as above:
-        // a same-named method on another class stays silent, and so does
-        // an annotated class the program does not define.
+        // `Beta#run` below has no annotation, so it stays silent although
+        // `run` is inferred weaker; `Gamma#run` is annotated, but the
+        // program defines no `Gamma`.
         env.annotations.add_instance("Gamma", "run", strong("() -> Integer"));
         // Program order differs from the (class, name, singleton) output
         // order, the singleton `Zed.run` comes before the instance one, and
