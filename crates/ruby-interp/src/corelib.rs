@@ -874,6 +874,11 @@ mod tests {
         assert_eq!(run("a = [1]\na.push(2)\na.length()"), Value::Int(2));
         assert_eq!(run("a = [1, 'foo']\na[0] = 'one'\na[0]"), Value::str("one"));
         assert_eq!(run("a = [1, 2]\nb = a\nb.push(3)\na.length()"), Value::Int(3));
+        // Block-taking methods iterate over a copy of the receiver, so a
+        // block that grows it does not extend the iteration.
+        assert_eq!(run("a = [1, 2]\na.each { |x| a.push(x) }\na.length()"), Value::Int(4));
+        assert_eq!(run("a = [1, 2]\na.map { |x| a.push(x) }\na.length()"), Value::Int(4));
+        assert_eq!(run("h = { a: 1 }\nh.each { |k, v| h[:b] = 2 }\nh.length()"), Value::Int(2));
     }
 
     #[test]

@@ -955,6 +955,8 @@ mod tests {
         assert_eq!(v, Value::Int(5));
         let v = run_ok("def greet(name = 'world')\n 'hello ' + name\nend\ngreet()");
         assert_eq!(v, Value::str("hello world"));
+        // A default sees the parameters before it.
+        assert_eq!(run_ok("def g(a, b = a + 1)\n b\nend\ng(1)"), Value::Int(2));
     }
 
     #[test]
@@ -1049,6 +1051,8 @@ twice() { |x| x * 10 }
         assert_eq!(run("UndefinedConst").unwrap_err().kind, ErrorKind::Name);
         assert_eq!(run("raise('boom')").unwrap_err().kind, ErrorKind::Raised);
         assert_eq!(run("assert(1 == 2)").unwrap_err().kind, ErrorKind::AssertionFailed);
+        // A local that was never bound falls back to a call on `self`.
+        assert_eq!(run("if false; x = 1; end; x").unwrap_err().kind, ErrorKind::NoMethod);
     }
 
     #[test]
@@ -1065,6 +1069,8 @@ twice() { |x| x * 10 }
         assert_eq!(run_ok("x = 1\nx += 4\nx"), Value::Int(5));
         assert_eq!(run_ok("x = nil\nx ||= 'default'\nx"), Value::str("default"));
         assert_eq!(run_ok("x = 'set'\nx ||= 'default'\nx"), Value::str("set"));
+        // The right side runs before `x` is bound, so it calls the method.
+        assert_eq!(run_ok("def x()\n 7\nend\nx = x\nx"), Value::Int(7));
     }
 
     #[test]
@@ -1077,6 +1083,9 @@ twice() { |x| x * 10 }
     fn lambdas_are_values() {
         let src = "double = ->(x) { x * 2 }\ndouble.call(21)";
         assert_eq!(run_ok(src), Value::Int(42));
+        // A lambda sees a later write to a local it captured.
+        let src = "n = 1\nadd = ->(x) { x + n }\nn = 10\nadd.call(1)";
+        assert_eq!(run_ok(src), Value::Int(11));
     }
 
     #[test]
@@ -1175,6 +1184,9 @@ b = B.new()
     #[test]
     fn blocks_write_their_defining_frame_locals() {
         assert_eq!(run_ok("sum = 0\n[1, 2, 3].each { |x| sum = sum + x }\nsum"), Value::Int(6));
+        // Block parameters and locals first bound in a block stay visible
+        // in the defining scope after the block returns.
+        assert_eq!(run_ok("[1].each { |y| z = y }\n[y, z]"), run_ok("[1, 1]"));
     }
 
     #[test]
