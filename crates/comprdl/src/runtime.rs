@@ -84,7 +84,7 @@ pub fn type_of_value(value: &Value, store: &mut TypeStore) -> Type {
         Value::Bool(false) => Type::Singleton(SingVal::False),
         Value::Int(i) => Type::int(*i),
         Value::Float(f) => Type::Singleton(SingVal::float(*f)),
-        Value::Sym(s) => Type::sym(s.clone()),
+        Value::Sym(s) => Type::sym(&**s),
         Value::Str(s) => store.new_const_string(s.borrow().clone()),
         Value::Array(items) => {
             let elems = items.borrow().iter().map(|v| type_of_value(v, store)).collect();
@@ -95,7 +95,7 @@ pub fn type_of_value(value: &Value, store: &mut TypeStore) -> Type {
             let mut irregular = false;
             for (k, v) in pairs.borrow().iter() {
                 let key = match k {
-                    Value::Sym(s) => HashKey::Sym(s.clone()),
+                    Value::Sym(s) => HashKey::Sym(s.to_string()),
                     Value::Str(s) => HashKey::Str(s.borrow().clone()),
                     Value::Int(i) => HashKey::Int(*i),
                     _ => {
@@ -111,8 +111,8 @@ pub fn type_of_value(value: &Value, store: &mut TypeStore) -> Type {
                 store.new_finite_hash(entries)
             }
         }
-        Value::Object(o) => Type::nominal(o.borrow().class.clone()),
-        Value::Class(c) => Type::class_of(c.clone()),
+        Value::Object(_) => Type::nominal(value.class_name()),
+        Value::Class(c) => Type::class_of(&**c),
         Value::Lambda(_) => Type::nominal("Proc"),
     }
 }
@@ -192,9 +192,9 @@ fn hash_value_guarded(fp: &mut Fingerprint, value: &Value, visiting: &mut Vec<*c
         // Only the class name matters: `type_of_value` maps objects to their
         // nominal type, `value_matches` only consults the class, and
         // `inspect` prints `#<Class>`.
-        Value::Object(o) => {
+        Value::Object(_) => {
             fp.write_u8(9);
-            fp.write_str(&o.borrow().class);
+            fp.write_str(&value.object_class().unwrap_or_default());
         }
         Value::Class(c) => {
             fp.write_u8(10);
@@ -209,9 +209,9 @@ fn hash_value_guarded(fp: &mut Fingerprint, value: &Value, visiting: &mut Vec<*c
 /// names a static class and an object lends its own, so no class name is
 /// copied.
 fn is_instance_of(value: &Value, class: &str, classes: &ClassTable) -> bool {
-    match value {
-        Value::Object(o) => classes.is_subclass(&o.borrow().class, class),
-        builtin => classes.is_subclass(builtin.builtin_class_name().unwrap_or_default(), class),
+    match value.object_class() {
+        Some(own) => classes.is_subclass(&own, class),
+        None => classes.is_subclass(value.builtin_class_name().unwrap_or_default(), class),
     }
 }
 
@@ -233,8 +233,8 @@ pub fn value_matches(value: &Value, ty: &Type, store: &TypeStore, classes: &Clas
             (SingVal::False, Value::Bool(false)) => true,
             (SingVal::Int(i), Value::Int(j)) => i == j,
             (SingVal::FloatBits(b), Value::Float(f)) => f64::from_bits(*b) == *f,
-            (SingVal::Sym(s), Value::Sym(t)) => s == t,
-            (SingVal::Class(c), Value::Class(d)) => c == d,
+            (SingVal::Sym(s), Value::Sym(t)) => **s == **t,
+            (SingVal::Class(c), Value::Class(d)) => **c == **d,
             _ => false,
         },
         Type::ConstString(id) => match (store.const_string_value(*id), value) {
@@ -287,7 +287,7 @@ pub fn value_matches(value: &Value, ty: &Type, store: &TypeStore, classes: &Clas
                 let data = store.finite_hash(*id);
                 data.entries.iter().all(|(k, t)| {
                     let key = match k {
-                        HashKey::Sym(s) => Value::Sym(s.clone()),
+                        HashKey::Sym(s) => Value::Sym(s.as_str().into()),
                         HashKey::Str(s) => Value::str(s.clone()),
                         HashKey::Int(i) => Value::Int(*i),
                     };

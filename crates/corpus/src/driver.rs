@@ -49,11 +49,12 @@ use comprdl::{
 };
 use diagnostics::{Diagnostic, DiagnosticBag};
 use rdl_types::TypeStore;
-use ruby_interp::{Interpreter, RubyError};
+use ruby_interp::{Interpreter, ResolvedProgram, RubyError};
 use ruby_syntax::ast::MethodDef;
 use ruby_syntax::Program;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -393,9 +394,11 @@ pub fn evaluate_app(
             .record_effects(app.name, crate::effects::summaries_to_records(&summaries, &r.graph));
     }
 
-    let test_time_no_chk = run_plain_suite(app, &program)?;
+    // Both suite runs share one resolved program.
+    let suite = Rc::new(ResolvedProgram::new(&program));
+    let test_time_no_chk = run_plain_suite(app, &suite)?;
     let config = CheckConfig { raise_blame: false, ..CheckConfig::default() };
-    let checked = run_checked_suite(app, &env, &program, &comp, memo, config)?;
+    let checked = run_checked_suite(app, &env, &suite, &comp, memo, config)?;
 
     // TERM0004 annotation-conflict warnings join the error bag; they are
     // warnings, so `Table2Row::errors` and the seeded-bug pins are
@@ -443,8 +446,11 @@ fn suite_error(app: &App, with: &str, e: RubyError) -> HarnessError {
 }
 
 /// Runs the app's test suite with no hook installed; returns its wall time.
-pub(crate) fn run_plain_suite(app: &App, program: &Program) -> Result<Duration, HarnessError> {
-    let plain = Interpreter::new(program.clone());
+pub(crate) fn run_plain_suite(
+    app: &App,
+    program: &Rc<ResolvedProgram>,
+) -> Result<Duration, HarnessError> {
+    let plain = Interpreter::with_program(program.clone());
     let started = Instant::now();
     plain.eval_program().map_err(|e| suite_error(app, "without checks", e))?;
     Ok(started.elapsed())
@@ -471,7 +477,7 @@ pub(crate) struct CheckedRun {
 pub(crate) fn run_checked_suite(
     app: &App,
     env: &CompRdl,
-    program: &Program,
+    program: &Rc<ResolvedProgram>,
     comp: &ProgramCheckResult,
     memo: &Arc<SharedMemo>,
     config: CheckConfig,
@@ -485,7 +491,7 @@ pub(crate) fn run_checked_suite(
         memo.clone(),
         memo.register_namespace(app.name),
     );
-    let mut interp = Interpreter::new(program.clone());
+    let mut interp = Interpreter::with_program(program.clone());
     interp.set_hook(hook.clone());
     let started = Instant::now();
     interp.eval_program().map_err(|e| suite_error(app, "with dynamic checks", e))?;

@@ -5,6 +5,8 @@ use crate::driver::{evaluate_app, run_checked_suite, run_plain_suite};
 use crate::fault::FaultPlan;
 use comprdl::{BlameDiagnostic, CheckConfig, CheckOptions, CompRdl, SharedMemo, TypeChecker};
 use diagnostics::{Diagnostic, DiagnosticBag};
+use ruby_interp::ResolvedProgram;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -366,10 +368,12 @@ pub fn evaluate_overhead(app: &App, memo: &Arc<SharedMemo>) -> Result<OverheadRo
     let env = app.build_env();
     let (program, _sources, _parse_diags) = app.parse();
     let comp = TypeChecker::new(&env, &program, CheckOptions::default()).check_labeled("app");
-    let no_hook = run_plain_suite(app, &program)?;
+    // All four runs share one resolved program.
+    let suite = Rc::new(ResolvedProgram::new(&program));
+    let no_hook = run_plain_suite(app, &suite)?;
     let checked_run = |memoize: bool| {
         let config = CheckConfig { memoize, raise_blame: false, ..CheckConfig::default() };
-        run_checked_suite(app, &env, &program, &comp, memo, config)
+        run_checked_suite(app, &env, &suite, &comp, memo, config)
     };
     let unmemoized = checked_run(false)?;
     let memoized = checked_run(true)?;

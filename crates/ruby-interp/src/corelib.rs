@@ -11,6 +11,7 @@ use crate::error::{Control, ErrorKind, EvalResult};
 use crate::interp::Interpreter;
 use crate::value::{Closure, Value};
 use ruby_syntax::Span;
+use std::rc::Rc;
 
 /// Attempts to dispatch `recv.name(args)` to a native implementation.
 /// Returns `Ok(None)` if no native method with that name exists for the
@@ -80,7 +81,10 @@ fn object_method(
             Value::Class(c) => Value::Bool(interp.value_is_a(recv, &c)),
             _ => Value::Bool(false),
         },
-        "class" => Value::Class(recv.class_name()),
+        "class" => Value::Class(match recv.object_class() {
+            Some(class) => class,
+            None => recv.class_name().into(),
+        }),
         "to_s" => Value::str(recv.to_display_string()),
         "inspect" => Value::str(recv.inspect()),
         "freeze" | "dup" | "clone" | "itself" => recv.clone(),
@@ -122,11 +126,14 @@ fn array_method(
     block: Option<&Closure>,
 ) -> EvalResult<Option<Value>> {
     let Value::Array(items_ref) = recv else { return Ok(None) };
-    let items = items_ref.borrow().clone();
+    // Queries borrow the receiver for one statement.  Mutators take their
+    // mutable borrow with no other borrow held, and block-taking methods
+    // iterate over a copy, because the block may mutate the receiver.
+    let items = || items_ref.borrow();
     let v = match name {
         "[]" | "at" | "slice" => {
             let idx = int_arg(args, 0, span)?;
-            index_array(&items, idx)
+            index_array(&items(), idx)
         }
         "[]=" => {
             let idx = int_arg(args, 0, span)?;
@@ -140,10 +147,10 @@ fn array_method(
             items[idx] = value.clone();
             value
         }
-        "first" => items.first().cloned().unwrap_or(Value::Nil),
-        "last" => items.last().cloned().unwrap_or(Value::Nil),
-        "length" | "size" | "count" => Value::Int(items.len() as i64),
-        "empty?" => Value::Bool(items.is_empty()),
+        "first" => items().first().cloned().unwrap_or(Value::Nil),
+        "last" => items().last().cloned().unwrap_or(Value::Nil),
+        "length" | "size" | "count" => Value::Int(items().len() as i64),
+        "empty?" => Value::Bool(items().is_empty()),
         "push" | "append" | "<<" => {
             items_ref.borrow_mut().extend(args.iter().cloned());
             recv.clone()
@@ -164,24 +171,24 @@ fn array_method(
             }
             recv.clone()
         }
-        "include?" | "member?" => Value::Bool(items.iter().any(|v| v.ruby_eq(&arg(args, 0)))),
-        "index" | "find_index" => match items.iter().position(|v| v.ruby_eq(&arg(args, 0))) {
+        "include?" | "member?" => Value::Bool(items().iter().any(|v| v.ruby_eq(&arg(args, 0)))),
+        "index" | "find_index" => match items().iter().position(|v| v.ruby_eq(&arg(args, 0))) {
             Some(i) => Value::Int(i as i64),
             None => Value::Nil,
         },
         "join" => {
             let sep = args.first().and_then(|a| a.as_str()).unwrap_or_default();
-            Value::str(items.iter().map(|v| v.to_display_string()).collect::<Vec<_>>().join(&sep))
+            Value::str(items().iter().map(|v| v.to_display_string()).collect::<Vec<_>>().join(&sep))
         }
-        "reverse" => Value::array(items.iter().rev().cloned().collect()),
+        "reverse" => Value::array(items().iter().rev().cloned().collect()),
         "sort" => {
-            let mut sorted = items.clone();
+            let mut sorted = items().clone();
             sorted.sort_by(compare_values);
             Value::array(sorted)
         }
         "uniq" => {
             let mut out: Vec<Value> = Vec::new();
-            for v in &items {
+            for v in items().iter() {
                 if !out.iter().any(|o| o.ruby_eq(v)) {
                     out.push(v.clone());
                 }
@@ -189,7 +196,7 @@ fn array_method(
             Value::array(out)
         }
         "compact" => {
-            Value::array(items.iter().filter(|v| !matches!(v, Value::Nil)).cloned().collect())
+            Value::array(items().iter().filter(|v| !matches!(v, Value::Nil)).cloned().collect())
         }
         "flatten" => {
             fn flat(items: &[Value], out: &mut Vec<Value>) {
@@ -201,12 +208,12 @@ fn array_method(
                 }
             }
             let mut out = Vec::new();
-            flat(&items, &mut out);
+            flat(&items(), &mut out);
             Value::array(out)
         }
         "+" | "concat" => match arg(args, 0) {
             Value::Array(other) => {
-                let mut out = items.clone();
+                let mut out = items().clone();
                 out.extend(other.borrow().iter().cloned());
                 Value::array(out)
             }
@@ -222,7 +229,11 @@ fn array_method(
             Value::Array(other) => {
                 let other = other.borrow();
                 Value::array(
-                    items.iter().filter(|v| !other.iter().any(|o| o.ruby_eq(v))).cloned().collect(),
+                    items()
+                        .iter()
+                        .filter(|v| !other.iter().any(|o| o.ruby_eq(v)))
+                        .cloned()
+                        .collect(),
                 )
             }
             _ => {
@@ -235,29 +246,33 @@ fn array_method(
         },
         "take" => {
             let n = int_arg(args, 0, span)?.max(0) as usize;
-            Value::array(items.iter().take(n).cloned().collect())
+            Value::array(items().iter().take(n).cloned().collect())
         }
         "drop" => {
             let n = int_arg(args, 0, span)?.max(0) as usize;
-            Value::array(items.iter().skip(n).cloned().collect())
+            Value::array(items().iter().skip(n).cloned().collect())
         }
-        "max" => items.iter().cloned().max_by(compare_values).unwrap_or(Value::Nil),
-        "min" => items.iter().cloned().min_by(compare_values).unwrap_or(Value::Nil),
+        "max" => items().iter().cloned().max_by(compare_values).unwrap_or(Value::Nil),
+        "min" => items().iter().cloned().min_by(compare_values).unwrap_or(Value::Nil),
         "sum" => {
             let mut acc = Value::Int(0);
-            for v in &items {
+            for v in items().iter() {
                 acc = numeric_binop(&acc, v, "+", span)?;
             }
             acc
         }
         "delete" => {
+            // Compare first, then write: an element may hold the receiver.
             let target = arg(args, 0);
-            items_ref.borrow_mut().retain(|v| !v.ruby_eq(&target));
+            let kept: Vec<Value> =
+                items().iter().filter(|v| !v.ruby_eq(&target)).cloned().collect();
+            *items_ref.borrow_mut() = kept;
             target
         }
         "to_a" => recv.clone(),
         "map" | "collect" => {
             let block = require_block(block, span, "map")?;
+            let items = items().clone();
             let mut out = Vec::with_capacity(items.len());
             for v in &items {
                 out.push(interp.call_closure(block, std::slice::from_ref(v), span)?);
@@ -266,17 +281,15 @@ fn array_method(
         }
         "each" => {
             let block = require_block(block, span, "each")?;
+            let items = items().clone();
             for v in &items {
-                match interp.call_closure(block, std::slice::from_ref(v), span) {
-                    Ok(_) => {}
-                    Err(Control::Break(v)) => return Ok(Some(v)),
-                    Err(other) => return Err(other),
-                }
+                interp.call_closure(block, std::slice::from_ref(v), span)?;
             }
             recv.clone()
         }
         "each_with_index" => {
             let block = require_block(block, span, "each_with_index")?;
+            let items = items().clone();
             for (i, v) in items.iter().enumerate() {
                 interp.call_closure(block, &[v.clone(), Value::Int(i as i64)], span)?;
             }
@@ -284,6 +297,7 @@ fn array_method(
         }
         "select" | "filter" => {
             let block = require_block(block, span, "select")?;
+            let items = items().clone();
             let mut out = Vec::new();
             for v in &items {
                 if interp.call_closure(block, std::slice::from_ref(v), span)?.truthy() {
@@ -294,6 +308,7 @@ fn array_method(
         }
         "reject" => {
             let block = require_block(block, span, "reject")?;
+            let items = items().clone();
             let mut out = Vec::new();
             for v in &items {
                 if !interp.call_closure(block, std::slice::from_ref(v), span)?.truthy() {
@@ -304,6 +319,7 @@ fn array_method(
         }
         "find" | "detect" => {
             let block = require_block(block, span, "find")?;
+            let items = items().clone();
             let mut found = Value::Nil;
             for v in &items {
                 if interp.call_closure(block, std::slice::from_ref(v), span)?.truthy() {
@@ -317,6 +333,7 @@ fn array_method(
             let mut result = false;
             match block {
                 Some(b) => {
+                    let items = items().clone();
                     for v in &items {
                         if interp.call_closure(b, std::slice::from_ref(v), span)?.truthy() {
                             result = true;
@@ -324,12 +341,13 @@ fn array_method(
                         }
                     }
                 }
-                None => result = !items.is_empty(),
+                None => result = !items().is_empty(),
             }
             Value::Bool(result)
         }
         "all?" => {
             let block = require_block(block, span, "all?")?;
+            let items = items().clone();
             let mut result = true;
             for v in &items {
                 if !interp.call_closure(block, std::slice::from_ref(v), span)?.truthy() {
@@ -341,6 +359,7 @@ fn array_method(
         }
         "none?" => {
             let block = require_block(block, span, "none?")?;
+            let items = items().clone();
             let mut result = true;
             for v in &items {
                 if interp.call_closure(block, std::slice::from_ref(v), span)?.truthy() {
@@ -352,6 +371,7 @@ fn array_method(
         }
         "reduce" | "inject" => {
             let block = require_block(block, span, "reduce")?;
+            let items = items().clone();
             let mut acc = arg(args, 0);
             let mut iter = items.iter();
             if matches!(acc, Value::Nil) {
@@ -364,21 +384,23 @@ fn array_method(
         }
         "sort_by" => {
             let block = require_block(block, span, "sort_by")?;
+            let items = items().clone();
             let mut keyed: Vec<(Value, Value)> = Vec::with_capacity(items.len());
-            for v in &items {
-                keyed.push((interp.call_closure(block, std::slice::from_ref(v), span)?, v.clone()));
+            for v in items {
+                keyed.push((interp.call_closure(block, std::slice::from_ref(&v), span)?, v));
             }
             keyed.sort_by(|a, b| compare_values(&a.0, &b.0));
             Value::array(keyed.into_iter().map(|(_, v)| v).collect())
         }
         "group_by" => {
             let block = require_block(block, span, "group_by")?;
+            let items = items().clone();
             let out = Value::hash(vec![]);
-            for v in &items {
-                let key = interp.call_closure(block, std::slice::from_ref(v), span)?;
+            for v in items {
+                let key = interp.call_closure(block, std::slice::from_ref(&v), span)?;
                 match out.hash_get(&key) {
-                    Some(Value::Array(existing)) => existing.borrow_mut().push(v.clone()),
-                    _ => out.hash_set(key, Value::array(vec![v.clone()])),
+                    Some(Value::Array(existing)) => existing.borrow_mut().push(v),
+                    _ => out.hash_set(key, Value::array(vec![v])),
                 }
             }
             out
@@ -432,7 +454,8 @@ fn hash_method(
     block: Option<&Closure>,
 ) -> EvalResult<Option<Value>> {
     let Value::Hash(pairs_ref) = recv else { return Ok(None) };
-    let pairs = pairs_ref.borrow().clone();
+    // Borrowed and copied as in `array_method`.
+    let pairs = || pairs_ref.borrow();
     let v = match name {
         "[]" => recv.hash_get(&arg(args, 0)).unwrap_or(Value::Nil),
         "[]=" | "store" => {
@@ -457,18 +480,21 @@ fn hash_method(
         "key?" | "has_key?" | "include?" | "member?" => {
             Value::Bool(recv.hash_get(&arg(args, 0)).is_some())
         }
-        "keys" => Value::array(pairs.iter().map(|(k, _)| k.clone()).collect()),
-        "values" => Value::array(pairs.iter().map(|(_, v)| v.clone()).collect()),
-        "length" | "size" | "count" => Value::Int(pairs.len() as i64),
-        "empty?" => Value::Bool(pairs.is_empty()),
+        "keys" => Value::array(pairs().iter().map(|(k, _)| k.clone()).collect()),
+        "values" => Value::array(pairs().iter().map(|(_, v)| v.clone()).collect()),
+        "length" | "size" | "count" => Value::Int(pairs().len() as i64),
+        "empty?" => Value::Bool(pairs().is_empty()),
         "delete" => {
+            // Compare first, then write: a key may hold the receiver.
             let key = arg(args, 0);
             let removed = recv.hash_get(&key).unwrap_or(Value::Nil);
-            pairs_ref.borrow_mut().retain(|(k, _)| !k.ruby_eq(&key));
+            let kept: Vec<(Value, Value)> =
+                pairs().iter().filter(|(k, _)| !k.ruby_eq(&key)).cloned().collect();
+            *pairs_ref.borrow_mut() = kept;
             removed
         }
         "merge" => {
-            let out = Value::hash(pairs.clone());
+            let out = Value::hash(pairs().clone());
             if let Value::Hash(other) = arg(args, 0) {
                 for (k, v) in other.borrow().iter() {
                     out.hash_set(k.clone(), v.clone());
@@ -477,59 +503,69 @@ fn hash_method(
             out
         }
         "merge!" | "update" => {
+            // Merging a hash into itself changes nothing, and reading the
+            // argument while writing the receiver would borrow one hash
+            // twice.
             if let Value::Hash(other) = arg(args, 0) {
-                for (k, v) in other.borrow().iter() {
-                    recv.hash_set(k.clone(), v.clone());
+                if !Rc::ptr_eq(&other, pairs_ref) {
+                    for (k, v) in other.borrow().iter() {
+                        recv.hash_set(k.clone(), v.clone());
+                    }
                 }
             }
             recv.clone()
         }
         "to_a" => Value::array(
-            pairs.iter().map(|(k, v)| Value::array(vec![k.clone(), v.clone()])).collect(),
+            pairs().iter().map(|(k, v)| Value::array(vec![k.clone(), v.clone()])).collect(),
         ),
         "each" | "each_pair" => {
             let block = require_block(block, span, "each")?;
-            for (k, v) in &pairs {
-                interp.call_closure(block, &[k.clone(), v.clone()], span)?;
+            let pairs = pairs().clone();
+            for (k, v) in pairs {
+                interp.call_closure(block, &[k, v], span)?;
             }
             recv.clone()
         }
         "map" | "collect" => {
             let block = require_block(block, span, "map")?;
+            let pairs = pairs().clone();
             let mut out = Vec::with_capacity(pairs.len());
-            for (k, v) in &pairs {
-                out.push(interp.call_closure(block, &[k.clone(), v.clone()], span)?);
+            for (k, v) in pairs {
+                out.push(interp.call_closure(block, &[k, v], span)?);
             }
             Value::array(out)
         }
         "select" | "filter" => {
             let block = require_block(block, span, "select")?;
+            let pairs = pairs().clone();
             let mut out = Vec::new();
-            for (k, v) in &pairs {
+            for (k, v) in pairs {
                 if interp.call_closure(block, &[k.clone(), v.clone()], span)?.truthy() {
-                    out.push((k.clone(), v.clone()));
+                    out.push((k, v));
                 }
             }
             Value::hash(out)
         }
         "any?" => match block {
             Some(b) => {
+                let pairs = pairs().clone();
                 let mut result = false;
-                for (k, v) in &pairs {
-                    if interp.call_closure(b, &[k.clone(), v.clone()], span)?.truthy() {
+                for (k, v) in pairs {
+                    if interp.call_closure(b, &[k, v], span)?.truthy() {
                         result = true;
                         break;
                     }
                 }
                 Value::Bool(result)
             }
-            None => Value::Bool(!pairs.is_empty()),
+            None => Value::Bool(!pairs().is_empty()),
         },
         "all?" => {
             let block = require_block(block, span, "all?")?;
+            let pairs = pairs().clone();
             let mut result = true;
-            for (k, v) in &pairs {
-                if !interp.call_closure(block, &[k.clone(), v.clone()], span)?.truthy() {
+            for (k, v) in pairs {
+                if !interp.call_closure(block, &[k, v], span)?.truthy() {
                     result = false;
                     break;
                 }
@@ -538,9 +574,10 @@ fn hash_method(
         }
         "none?" => {
             let block = require_block(block, span, "none?")?;
+            let pairs = pairs().clone();
             let mut result = true;
-            for (k, v) in &pairs {
-                if interp.call_closure(block, &[k.clone(), v.clone()], span)?.truthy() {
+            for (k, v) in pairs {
+                if interp.call_closure(block, &[k, v], span)?.truthy() {
                     result = false;
                     break;
                 }
@@ -573,7 +610,15 @@ fn string_method(
     args: &[Value],
 ) -> EvalResult<Option<Value>> {
     let Value::Str(s_ref) = recv else { return Ok(None) };
-    let s = s_ref.borrow().clone();
+    if let "<<" | "concat" = name {
+        // The argument is copied before the receiver is borrowed mutably,
+        // so `s << s` appends a copy of `s`.
+        if let Some(other) = arg(args, 0).as_str() {
+            s_ref.borrow_mut().push_str(&other);
+        }
+        return Ok(Some(recv.clone()));
+    }
+    let s = s_ref.borrow();
     let v = match name {
         "+" => match arg(args, 0) {
             Value::Str(other) => Value::str(format!("{}{}", s, other.borrow())),
@@ -586,12 +631,6 @@ fn string_method(
             }
         },
         "*" => Value::str(s.repeat(int_arg(args, 0, span)?.max(0) as usize)),
-        "<<" | "concat" => {
-            if let Some(other) = arg(args, 0).as_str() {
-                s_ref.borrow_mut().push_str(&other);
-            }
-            recv.clone()
-        }
         "length" | "size" => Value::Int(s.chars().count() as i64),
         "empty?" => Value::Bool(s.is_empty()),
         "upcase" => Value::str(s.to_uppercase()),
@@ -642,7 +681,7 @@ fn string_method(
         "to_s" | "to_str" => recv.clone(),
         "to_i" => Value::Int(s.trim().parse::<i64>().unwrap_or(0)),
         "to_f" => Value::Float(s.trim().parse::<f64>().unwrap_or(0.0)),
-        "to_sym" => Value::Sym(s),
+        "to_sym" => Value::Sym(s.as_str().into()),
         "chars" => Value::array(s.chars().map(|c| Value::str(c.to_string())).collect()),
         "==" => Value::Bool(recv.ruby_eq(&arg(args, 0))),
         "<=>" => match arg(args, 0).as_str() {
@@ -789,11 +828,11 @@ fn numeric_method(
 fn symbol_method(recv: &Value, name: &str) -> EvalResult<Option<Value>> {
     let Value::Sym(s) = recv else { return Ok(None) };
     let v = match name {
-        "to_s" => Value::str(s.clone()),
+        "to_s" => Value::str(&**s),
         "to_sym" => recv.clone(),
         "length" | "size" => Value::Int(s.chars().count() as i64),
-        "upcase" => Value::Sym(s.to_uppercase()),
-        "downcase" => Value::Sym(s.to_lowercase()),
+        "upcase" => Value::Sym(s.to_uppercase().into()),
+        "downcase" => Value::Sym(s.to_lowercase().into()),
         _ => return Ok(None),
     };
     Ok(Some(v))
@@ -813,7 +852,7 @@ fn nil_method(_recv: &Value, name: &str) -> EvalResult<Option<Value>> {
 fn lambda_method(
     interp: &Interpreter,
     span: Span,
-    closure: &std::rc::Rc<Closure>,
+    closure: &Rc<Closure>,
     name: &str,
     args: &[Value],
 ) -> EvalResult<Option<Value>> {
@@ -941,6 +980,63 @@ mod tests {
         let prog = parse_program_strict("1 / 0").unwrap();
         let interp = Interpreter::new(prog);
         assert!(interp.eval_program().is_err());
+    }
+
+    /// Every Array, Hash and String method [`dispatch`] knows, with the
+    /// receiver literal and a block body that mutates the receiver `r`.
+    /// `<<` is left out: the subset has no syntax that calls it.
+    const SWEEP: [(&str, &str, &str); 3] = [
+        (
+            "[1, 2]",
+            "r.push(3)",
+            "[] at slice []= first last length size count empty? push append pop shift \
+             unshift prepend include? member? index find_index join reverse sort uniq compact \
+             flatten + concat - take drop max min sum delete to_a map collect each \
+             each_with_index select filter reject find detect any? all? none? reduce inject \
+             sort_by group_by",
+        ),
+        (
+            "{ a: 1 }",
+            "r[:b] = 2",
+            "[] []= store fetch key? has_key? include? member? keys values length size count \
+             empty? delete merge merge! update to_a each each_pair map collect select filter \
+             any? all? none? dig",
+        ),
+        (
+            "'ab'",
+            "r.concat('c')",
+            "+ * concat length size empty? upcase downcase capitalize strip chomp reverse \
+             include? start_with? end_with? split sub gsub [] slice to_s to_str to_i to_f \
+             to_sym chars == <=> freeze",
+        ),
+    ];
+
+    #[test]
+    fn a_receiver_passed_to_its_own_methods_never_panics() {
+        let mut programs = 0;
+        let mut panics = Vec::new();
+        for (literal, mutate, names) in SWEEP {
+            for name in names.split_whitespace() {
+                // Operators and indexing have no call syntax, so no block.
+                let calls = match name {
+                    "[]" => vec!["r[r]".to_string()],
+                    "[]=" => vec!["r[r] = r".to_string()],
+                    "+" | "-" | "*" | "==" | "<=>" => vec![format!("r {name} r")],
+                    _ => vec![format!("r.{name}(r)"), format!("r.{name}(r) {{ |x, y| {mutate} }}")],
+                };
+                for call in calls {
+                    programs += 1;
+                    let src = format!("r = {literal}\n{call}");
+                    let prog = parse_program_strict(&src).expect("parse");
+                    let outcome =
+                        std::panic::catch_unwind(|| Interpreter::new(prog).eval_program().is_ok());
+                    if outcome.is_err() {
+                        panics.push(src);
+                    }
+                }
+            }
+        }
+        assert!(panics.is_empty(), "{} of {programs} programs panicked: {panics:#?}", panics.len());
     }
 
     #[test]

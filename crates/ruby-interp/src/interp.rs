@@ -1,214 +1,52 @@
-//! The tree-walking interpreter.
+//! The tree-walking interpreter.  It walks the resolved tree of
+//! [`crate::resolve`], never the AST.
 
 use crate::contracts::DynamicCheckHook;
 use crate::corelib;
 use crate::error::{Control, ErrorKind, EvalResult, RubyError};
-use crate::value::{Closure, Value};
-use ruby_syntax::{BinOp, Block, Expr, ExprKind, Item, LValue, MethodDef, Program, Span};
+use crate::resolve::{Block, Method, Node, NodeKind, ResolvedProgram, Slots, Target};
+use crate::value::{Closure, Ivars, Value};
+use ruby_syntax::{BinOp, Program, Span};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Default evaluation fuel (one unit per AST node evaluated).
 const DEFAULT_FUEL: u64 = 20_000_000;
 
-/// How attr accessor helpers behave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AccessorKind {
-    Reader,
-    Writer,
-    Both,
-}
-
-/// Superclass steps a dispatch walk follows before it stops, so a
-/// superclass cycle ends the walk instead of hanging it.
-const MAX_SUPERCLASS_STEPS: usize = 64;
-
-/// What user code defines on one class: a declared (or reopened) class, or
-/// `Object` as the owner of top-level methods.
-#[derive(Default)]
-struct ClassEntry {
-    /// The superclass (`Object` when omitted); `None` if no `class` item
-    /// declares this name.
-    superclass: Option<String>,
-    /// Instance methods by name.
-    instance: HashMap<String, MethodDef>,
-    /// Singleton (`def self.`) methods by name.
-    singleton: HashMap<String, MethodDef>,
-    /// `attr_*` declarations by attribute.
-    accessors: HashMap<String, AccessorKind>,
-}
-
-/// The user-defined classes, methods and accessors of a [`Program`], moved
-/// out of it.  The table never changes after it is built, so lookups borrow
-/// from it and allocate nothing.
-#[derive(Default)]
-struct MethodTable {
-    /// Per-class definitions.
-    classes: HashMap<String, ClassEntry>,
-}
-
-impl MethodTable {
-    /// Builds the table from `program`'s classes and methods; returns it
-    /// with the top-level expressions, in order.
-    fn from_program(program: Program) -> (Self, Vec<Expr>) {
-        let mut table = MethodTable::default();
-        let mut top_level = Vec::new();
-        for item in program.items {
-            match item {
-                Item::Expr(e) => top_level.push(e),
-                member => table.add("Object", member),
-            }
-        }
-        (table, top_level)
-    }
-
-    fn add(&mut self, owner: &str, item: Item) {
-        match item {
-            Item::Method(m) => {
-                let entry = self.classes.entry(owner.to_string()).or_default();
-                let methods = if m.singleton { &mut entry.singleton } else { &mut entry.instance };
-                methods.insert(m.name.clone(), m);
-            }
-            Item::Class(c) => {
-                self.classes.entry(c.name.clone()).or_default().superclass =
-                    Some(c.superclass.unwrap_or_else(|| "Object".to_string()));
-                for member in c.body {
-                    match member {
-                        Item::Expr(e) => self.add_accessors(&c.name, &e),
-                        member => self.add(&c.name, member),
-                    }
-                }
-            }
-            Item::Expr(_) => {}
-        }
-    }
-
-    /// Records an `attr_accessor` / `attr_reader` / `attr_writer` call in
-    /// `class`'s body; other class-body expressions never run.
-    fn add_accessors(&mut self, class: &str, expr: &Expr) {
-        let ExprKind::Call { recv: None, name, args, .. } = &expr.kind else { return };
-        let kind = match name.as_str() {
-            "attr_accessor" => AccessorKind::Both,
-            "attr_reader" => AccessorKind::Reader,
-            "attr_writer" => AccessorKind::Writer,
-            _ => return,
-        };
-        for arg in args {
-            if let ExprKind::Sym(attr) = &arg.kind {
-                let entry = self.classes.entry(class.to_string()).or_default();
-                entry.accessors.insert(attr.clone(), kind);
-            }
-        }
-    }
-
-    /// Calls `visit` on each ancestor of `class` in dispatch order and
-    /// returns its first `Some`.  The order is the class, its superclass
-    /// chain (at most [`MAX_SUPERCLASS_STEPS`] steps), `Numeric` for
-    /// `Integer` and `Float`, then `Object` unless the chain reached it.
-    /// `visit` also gets the ancestor's entry, if user code defines one.
-    fn find_ancestor<'a, T>(
-        &'a self,
-        class: &str,
-        mut visit: impl FnMut(&str, Option<&'a ClassEntry>) -> Option<T>,
-    ) -> Option<T> {
-        let mut name = class;
-        let mut entry = self.classes.get(class);
-        let mut saw_object = false;
-        for _ in 0..=MAX_SUPERCLASS_STEPS {
-            saw_object |= name == "Object";
-            if let Some(found) = visit(name, entry) {
-                return Some(found);
-            }
-            let Some(superclass) = entry.and_then(|e| e.superclass.as_deref()) else { break };
-            name = superclass;
-            entry = self.classes.get(superclass);
-        }
-        if matches!(class, "Integer" | "Float") {
-            if let Some(found) = visit("Numeric", self.classes.get("Numeric")) {
-                return Some(found);
-            }
-        }
-        if saw_object {
-            return None;
-        }
-        visit("Object", self.classes.get("Object"))
-    }
-
-    /// The method `name` that a `class` receiver (or, with `singleton`, the
-    /// class object itself) dispatches to.
-    fn lookup(&self, class: &str, singleton: bool, name: &str) -> Option<&MethodDef> {
-        self.find_ancestor(class, |_, entry| {
-            let entry = entry?;
-            if singleton { &entry.singleton } else { &entry.instance }.get(name)
-        })
-    }
-
-    /// The method `name` defined on the builtin `class` itself.  Builtin
-    /// receivers see only their own class: a top-level `def` or a
-    /// `class Numeric` method does not reach `3`.
-    fn builtin_method(&self, class: &str, name: &str) -> Option<&MethodDef> {
-        self.classes.get(class)?.instance.get(name)
-    }
-
-    /// If `name` is a reader (or, ending in `=`, a writer) that `class` or
-    /// an ancestor declares, the attribute and whether `name` writes it.
-    fn accessor<'n>(&self, class: &str, name: &'n str) -> Option<(&'n str, bool)> {
-        let (attr, writes) = match name.strip_suffix('=') {
-            Some(attr) => (attr, true),
-            None => (name, false),
-        };
-        self.find_ancestor(class, |_, entry| match entry?.accessors.get(attr)? {
-            AccessorKind::Both => Some(()),
-            AccessorKind::Reader => (!writes).then_some(()),
-            AccessorKind::Writer => writes.then_some(()),
-        })?;
-        Some((attr, writes))
-    }
-
-    /// True if `ancestor` is `class` or one of its ancestors.
-    fn is_a(&self, class: &str, ancestor: &str) -> bool {
-        self.find_ancestor(class, |name, _| (name == ancestor).then_some(())).is_some()
-    }
-
-    /// True if a `class` item declares `name`.
-    fn is_class(&self, name: &str) -> bool {
-        self.classes.get(name).is_some_and(|e| e.superclass.is_some())
-    }
-}
-
-/// A call frame: local variables, `self`, and the block passed to the
-/// current method (for `yield`).
-#[derive(Clone)]
-pub struct Frame {
-    /// Local variables, shared with any blocks created in this frame.
-    pub locals: Rc<RefCell<HashMap<String, Value>>>,
+/// A call frame: local slots, `self`, and the block passed to the current
+/// method (for `yield`).
+struct Frame {
+    /// Local slots, shared with any blocks created in this frame.
+    locals: Slots,
     /// The current `self`.
-    pub self_val: Value,
+    self_val: Value,
     /// The block passed to the current method, if any.
-    pub block: Option<Rc<Closure>>,
+    block: Option<Rc<Closure>>,
 }
 
 impl Frame {
-    /// A fresh top-level frame with `self` bound to the "main" object.
-    pub fn top_level() -> Self {
-        Frame {
-            locals: Rc::new(RefCell::new(HashMap::new())),
-            self_val: Value::new_object("Object"),
-            block: None,
-        }
+    /// A frame with `slots` unset locals.
+    fn new(slots: usize, self_val: Value, block: Option<Rc<Closure>>) -> Self {
+        Frame { locals: Rc::new(RefCell::new(vec![None; slots])), self_val, block }
+    }
+
+    fn local(&self, slot: usize) -> Option<Value> {
+        self.locals.borrow()[slot].clone()
+    }
+
+    fn set_local(&self, slot: usize, value: Value) {
+        self.locals.borrow_mut()[slot] = Some(value);
     }
 }
 
 /// The Ruby-subset interpreter.
 pub struct Interpreter {
-    table: MethodTable,
-    top_level: Vec<Expr>,
-    globals: RefCell<HashMap<String, Value>>,
-    constants: RefCell<HashMap<String, Value>>,
+    program: Rc<ResolvedProgram>,
+    globals: RefCell<HashMap<Rc<str>, Value>>,
+    constants: RefCell<HashMap<Rc<str>, Value>>,
     /// Class-level instance variables: class → ivar → value.
-    class_ivars: RefCell<HashMap<String, HashMap<String, Value>>>,
+    class_ivars: RefCell<HashMap<Rc<str>, Ivars>>,
     hook: Option<Rc<dyn DynamicCheckHook>>,
     fuel: Cell<u64>,
     checks_performed: Cell<u64>,
@@ -216,14 +54,19 @@ pub struct Interpreter {
 }
 
 impl Interpreter {
-    /// Creates an interpreter for `program` (class and method definitions
-    /// move into the method table; top-level expressions run when
-    /// [`Interpreter::eval_program`] is called).
+    /// Creates an interpreter for `program`: resolves it (see
+    /// [`ResolvedProgram::new`]) and runs it with
+    /// [`Interpreter::with_program`].
     pub fn new(program: Program) -> Self {
-        let (table, top_level) = MethodTable::from_program(program);
+        Interpreter::with_program(Rc::new(ResolvedProgram::new(&program)))
+    }
+
+    /// Creates an interpreter for an already resolved program, which
+    /// several interpreters may share.  Top-level expressions run when
+    /// [`Interpreter::eval_program`] is called.
+    pub fn with_program(program: Rc<ResolvedProgram>) -> Self {
         Interpreter {
-            table,
-            top_level,
+            program,
             globals: RefCell::new(HashMap::new()),
             constants: RefCell::new(HashMap::new()),
             class_ivars: RefCell::new(HashMap::new()),
@@ -262,9 +105,10 @@ impl Interpreter {
     ///
     /// Returns the first runtime error (including blame) encountered.
     pub fn eval_program(&self) -> Result<Value, RubyError> {
-        let frame = Frame::top_level();
+        let program = &*self.program;
+        let frame = Frame::new(program.top_level_slots, Value::new_object("Object"), None);
         let mut last = Value::Nil;
-        for e in &self.top_level {
+        for e in &program.top_level {
             match self.eval(&frame, e) {
                 Ok(v) => last = v,
                 Err(Control::Return(v)) => return Ok(v),
@@ -287,8 +131,7 @@ impl Interpreter {
         name: &str,
         args: Vec<Value>,
     ) -> Result<Value, RubyError> {
-        let recv =
-            if singleton { Value::Class(class.to_string()) } else { Value::new_object(class) };
+        let recv = if singleton { Value::Class(class.into()) } else { Value::new_object(class) };
         self.invoke_method(Span::dummy(), &recv, name, args, None).map_err(crate::error::into_error)
     }
 
@@ -304,54 +147,49 @@ impl Interpreter {
     }
 
     /// Evaluates a single expression in the given frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns runtime errors or control-flow signals.
-    pub fn eval(&self, frame: &Frame, expr: &Expr) -> EvalResult {
+    fn eval(&self, frame: &Frame, expr: &Node) -> EvalResult {
         self.burn(expr.span)?;
         match &expr.kind {
-            ExprKind::Nil => Ok(Value::Nil),
-            ExprKind::True => Ok(Value::Bool(true)),
-            ExprKind::False => Ok(Value::Bool(false)),
-            ExprKind::Int(i) => Ok(Value::Int(*i)),
-            ExprKind::Float(f) => Ok(Value::Float(*f)),
-            ExprKind::Str(s) => Ok(Value::str(s.clone())),
-            ExprKind::Sym(s) => Ok(Value::Sym(s.clone())),
-            ExprKind::Array(items) => {
+            NodeKind::Nil | NodeKind::Error => Ok(Value::Nil),
+            NodeKind::True => Ok(Value::Bool(true)),
+            NodeKind::False => Ok(Value::Bool(false)),
+            NodeKind::Int(i) => Ok(Value::Int(*i)),
+            NodeKind::Float(f) => Ok(Value::Float(*f)),
+            NodeKind::Str(s) => Ok(Value::str(&**s)),
+            NodeKind::Sym(s) => Ok(Value::Sym(s.clone())),
+            NodeKind::Array(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for item in items {
                     out.push(self.eval(frame, item)?);
                 }
                 Ok(Value::array(out))
             }
-            ExprKind::Hash(pairs) => {
+            NodeKind::Hash(pairs) => {
                 let mut out = Vec::with_capacity(pairs.len());
                 for (k, v) in pairs {
                     out.push((self.eval(frame, k)?, self.eval(frame, v)?));
                 }
                 Ok(Value::hash(out))
             }
-            ExprKind::SelfExpr => Ok(frame.self_val.clone()),
-            ExprKind::Ident(name) => {
-                if let Some(v) = frame.locals.borrow().get(name) {
-                    return Ok(v.clone());
-                }
-                self.invoke_method(expr.span, &frame.self_val, name, vec![], frame.block.clone())
-            }
-            ExprKind::IVar(name) => Ok(self.read_ivar(&frame.self_val, name)),
-            ExprKind::GVar(name) => {
+            NodeKind::SelfExpr => Ok(frame.self_val.clone()),
+            NodeKind::Local { slot, name } => match frame.local(*slot) {
+                Some(v) => Ok(v),
+                None => self.call_self(expr.span, frame, name),
+            },
+            NodeKind::SelfCall(name) => self.call_self(expr.span, frame, name),
+            NodeKind::IVar(name) => Ok(self.read_ivar(&frame.self_val, name)),
+            NodeKind::GVar(name) => {
                 Ok(self.globals.borrow().get(name).cloned().unwrap_or(Value::Nil))
             }
-            ExprKind::Const(path) => self.read_const(expr.span, path),
-            ExprKind::Assign { target, value } => {
+            NodeKind::Const(path) => self.read_const(expr.span, path),
+            NodeKind::Assign { target, value } => {
                 let v = self.eval(frame, value)?;
                 self.assign(frame, expr.span, target, v.clone())?;
                 Ok(v)
             }
-            ExprKind::OpAssign { target, op, value } => {
-                let current = self.read_lvalue(frame, expr.span, target)?;
-                let new = match op.as_str() {
+            NodeKind::OpAssign { target, op, value } => {
+                let current = self.read_target(frame, expr.span, target)?;
+                let new = match &**op {
                     "||" => {
                         if current.truthy() {
                             current
@@ -367,7 +205,7 @@ impl Interpreter {
                 self.assign(frame, expr.span, target, new.clone())?;
                 Ok(new)
             }
-            ExprKind::Call { recv, name, args, block } => {
+            NodeKind::Call { recv, name, args, block } => {
                 // `None` is a call on `self`, which is borrowed, not cloned.
                 let recv_val = match recv {
                     Some(r) => Some(self.eval(frame, r)?),
@@ -378,8 +216,6 @@ impl Interpreter {
                     arg_vals.push(self.eval(frame, a)?);
                 }
                 let closure = block.as_ref().map(|b| self.make_closure(frame, b));
-                // When there is no explicit receiver and no matching method,
-                // fall back to kernel-level helpers (puts, raise, assert...).
                 let checked = self.hook.as_ref().map(|h| h.has_check(expr.span)).unwrap_or(false);
                 if checked {
                     self.checks_performed.set(self.checks_performed.get() + 1);
@@ -388,9 +224,19 @@ impl Interpreter {
                     hook.before_call(expr.span, recv, &arg_vals)
                         .map_err(|msg| Control::error(ErrorKind::Blame, msg, expr.span))?;
                 }
-                let result = match &recv_val {
-                    None => self.invoke_self_call(expr.span, frame, name, arg_vals, closure)?,
-                    Some(recv) => self.invoke_method(expr.span, recv, name, arg_vals, closure)?,
+                let outcome = match &recv_val {
+                    // When there is no explicit receiver and no matching
+                    // method, fall back to kernel-level helpers (puts,
+                    // raise, assert...).
+                    None => self.invoke_self_call(expr.span, frame, name, arg_vals, closure),
+                    Some(recv) => self.invoke_method(expr.span, recv, name, arg_vals, closure),
+                };
+                // A `break` in the block literal ends the call the block
+                // was passed to, with the break's value as its result.
+                let result = match outcome {
+                    Ok(v) => v,
+                    Err(Control::Break(v)) if block.is_some() => v,
+                    Err(other) => return Err(other),
                 };
                 if checked {
                     let hook = self.hook.as_ref().expect("checked implies hook");
@@ -399,7 +245,7 @@ impl Interpreter {
                 }
                 Ok(result)
             }
-            ExprKind::BoolOp { op, lhs, rhs } => {
+            NodeKind::BoolOp { op, lhs, rhs } => {
                 let l = self.eval(frame, lhs)?;
                 match op {
                     BinOp::And => {
@@ -418,33 +264,33 @@ impl Interpreter {
                     }
                 }
             }
-            ExprKind::Not(inner) => {
+            NodeKind::Not(inner) => {
                 let v = self.eval(frame, inner)?;
                 Ok(Value::Bool(!v.truthy()))
             }
-            ExprKind::If { arms, else_body } => {
-                for arm in arms {
-                    if self.eval(frame, &arm.cond)?.truthy() {
-                        return self.eval_body(frame, &arm.body);
+            NodeKind::If { arms, else_body } => {
+                for (cond, body) in arms {
+                    if self.eval(frame, cond)?.truthy() {
+                        return self.eval_body(frame, body);
                     }
                 }
                 self.eval_body(frame, else_body)
             }
-            ExprKind::Case { subject, arms, else_body } => {
+            NodeKind::Case { subject, arms, else_body } => {
                 let subject = self.eval(frame, subject)?;
-                for arm in arms {
-                    let cond = self.eval(frame, &arm.cond)?;
+                for (cond, body) in arms {
+                    let cond = self.eval(frame, cond)?;
                     let matched = match &cond {
                         Value::Class(c) => self.value_is_a(&subject, c),
                         other => other.ruby_eq(&subject),
                     };
                     if matched {
-                        return self.eval_body(frame, &arm.body);
+                        return self.eval_body(frame, body);
                     }
                 }
                 self.eval_body(frame, else_body)
             }
-            ExprKind::While { cond, body } => {
+            NodeKind::While { cond, body } => {
                 let mut result = Value::Nil;
                 while self.eval(frame, cond)?.truthy() {
                     self.burn(expr.span)?;
@@ -457,14 +303,14 @@ impl Interpreter {
                 }
                 Ok(result)
             }
-            ExprKind::Return(v) => {
+            NodeKind::Return(v) => {
                 let value = match v {
                     Some(e) => self.eval(frame, e)?,
                     None => Value::Nil,
                 };
                 Err(Control::Return(value))
             }
-            ExprKind::Yield(args) => {
+            NodeKind::Yield(args) => {
                 let mut arg_vals = Vec::with_capacity(args.len());
                 for a in args {
                     arg_vals.push(self.eval(frame, a)?);
@@ -476,18 +322,14 @@ impl Interpreter {
                     }
                 }
             }
-            ExprKind::Break => Err(Control::Break(Value::Nil)),
-            ExprKind::Next => Err(Control::Next(Value::Nil)),
-            ExprKind::Lambda(block) => Ok(Value::Lambda(self.make_closure(frame, block))),
-            ExprKind::TypeCast { expr: inner, .. } => self.eval(frame, inner),
-            // Recovery placeholder for source that failed to parse: evaluates
-            // to nil so a poisoned method can still be *defined* (calling it
-            // is the caller's bug, not the interpreter's).
-            ExprKind::Error => Ok(Value::Nil),
+            NodeKind::Break => Err(Control::Break(Value::Nil)),
+            NodeKind::Next => Err(Control::Next(Value::Nil)),
+            NodeKind::Lambda(block) => Ok(Value::Lambda(self.make_closure(frame, block))),
+            NodeKind::TypeCast(inner) => self.eval(frame, inner),
         }
     }
 
-    fn eval_body(&self, frame: &Frame, body: &[Expr]) -> EvalResult {
+    fn eval_body(&self, frame: &Frame, body: &[Node]) -> EvalResult {
         let mut last = Value::Nil;
         for e in body {
             last = self.eval(frame, e)?;
@@ -495,28 +337,31 @@ impl Interpreter {
         Ok(last)
     }
 
-    fn make_closure(&self, frame: &Frame, block: &Arc<Block>) -> Rc<Closure> {
-        Rc::new(Closure::from_block(block, frame.locals.clone(), frame.self_val.clone()))
+    /// An identifier that is not a bound local: a call on `self` that
+    /// passes the current method's block along.
+    fn call_self(&self, span: Span, frame: &Frame, name: &str) -> EvalResult {
+        self.invoke_method(span, &frame.self_val, name, vec![], frame.block.clone())
+    }
+
+    fn make_closure(&self, frame: &Frame, block: &Rc<Block>) -> Rc<Closure> {
+        Rc::new(Closure {
+            block: Rc::clone(block),
+            locals: frame.locals.clone(),
+            self_val: frame.self_val.clone(),
+        })
     }
 
     /// Invokes a block/lambda closure with the given arguments.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors raised by the closure body.
-    pub fn call_closure(&self, closure: &Closure, args: &[Value], span: Span) -> EvalResult {
+    pub(crate) fn call_closure(&self, closure: &Closure, args: &[Value], span: Span) -> EvalResult {
         self.burn(span)?;
-        {
-            let mut locals = closure.locals.borrow_mut();
-            for (i, p) in closure.block.params.iter().enumerate() {
-                locals.insert(p.clone(), args.get(i).cloned().unwrap_or(Value::Nil));
-            }
-        }
         let frame = Frame {
             locals: closure.locals.clone(),
             self_val: closure.self_val.clone(),
             block: None,
         };
+        for (i, &slot) in closure.block.params.iter().enumerate() {
+            frame.set_local(slot, args.get(i).cloned().unwrap_or(Value::Nil));
+        }
         let mut last = Value::Nil;
         for e in &closure.block.body {
             match self.eval(&frame, e) {
@@ -544,78 +389,69 @@ impl Interpreter {
         }
     }
 
-    fn write_ivar(&self, self_val: &Value, name: &str, value: Value) {
+    fn write_ivar(&self, self_val: &Value, name: &Rc<str>, value: Value) {
         match self_val {
             Value::Object(o) => {
-                o.borrow_mut().ivars.insert(name.to_string(), value);
+                o.borrow_mut().ivars.insert(name.clone(), value);
             }
             Value::Class(c) => {
                 let mut class_ivars = self.class_ivars.borrow_mut();
-                class_ivars.entry(c.clone()).or_default().insert(name.to_string(), value);
+                class_ivars.entry(c.clone()).or_default().insert(name.clone(), value);
             }
             _ => {}
         }
     }
 
-    fn read_const(&self, span: Span, path: &[String]) -> EvalResult {
-        let joined = path.join("::");
-        if let Some(v) = self.constants.borrow().get(&joined) {
+    /// Reads the constant `path` (joined with `::`): an assigned constant,
+    /// else a user or builtin class.
+    fn read_const(&self, span: Span, path: &Rc<str>) -> EvalResult {
+        if let Some(v) = self.constants.borrow().get(path) {
             return Ok(v.clone());
         }
-        if self.table.is_class(&joined) || BUILTIN_CLASSES.contains(&joined.as_str()) {
-            return Ok(Value::Class(joined));
+        if self.program.table.is_class(path) || BUILTIN_CLASSES.contains(&&**path) {
+            return Ok(Value::Class(path.clone()));
         }
-        // Single-segment constant defined at top level?
-        if path.len() == 1 {
-            if let Some(v) = self.constants.borrow().get(&path[0]) {
-                return Ok(v.clone());
-            }
-        }
-        Err(Control::error(ErrorKind::Name, format!("uninitialized constant {joined}"), span))
+        Err(Control::error(ErrorKind::Name, format!("uninitialized constant {path}"), span))
     }
 
-    fn read_lvalue(&self, frame: &Frame, span: Span, target: &LValue) -> EvalResult {
+    fn read_target(&self, frame: &Frame, span: Span, target: &Target) -> EvalResult {
         match target {
-            LValue::Local(name) => {
-                Ok(frame.locals.borrow().get(name).cloned().unwrap_or(Value::Nil))
-            }
-            LValue::IVar(name) => Ok(self.read_ivar(&frame.self_val, name)),
-            LValue::GVar(name) => {
+            Target::Local(slot) => Ok(frame.local(*slot).unwrap_or(Value::Nil)),
+            Target::IVar(name) => Ok(self.read_ivar(&frame.self_val, name)),
+            Target::GVar(name) => {
                 Ok(self.globals.borrow().get(name).cloned().unwrap_or(Value::Nil))
             }
-            LValue::Const(name) => self.read_const(span, std::slice::from_ref(name)),
-            LValue::Index { recv, index } => {
+            Target::Const(name) => self.read_const(span, name),
+            Target::Index { recv, index } => {
                 let r = self.eval(frame, recv)?;
                 let i = self.eval(frame, index)?;
                 self.invoke_method(span, &r, "[]", vec![i], None)
             }
-            LValue::Attr { recv, name } => {
+            Target::Attr { recv, reader, .. } => {
                 let r = self.eval(frame, recv)?;
-                self.invoke_method(span, &r, name, vec![], None)
+                self.invoke_method(span, &r, reader, vec![], None)
             }
         }
     }
 
-    fn assign(&self, frame: &Frame, span: Span, target: &LValue, value: Value) -> EvalResult<()> {
+    fn assign(&self, frame: &Frame, span: Span, target: &Target, value: Value) -> EvalResult<()> {
         match target {
-            LValue::Local(name) => {
-                frame.locals.borrow_mut().insert(name.clone(), value);
-            }
-            LValue::IVar(name) => self.write_ivar(&frame.self_val, name, value),
-            LValue::GVar(name) => {
+            Target::Local(slot) => frame.set_local(*slot, value),
+            Target::IVar(name) => self.write_ivar(&frame.self_val, name, value),
+            Target::GVar(name) => {
                 self.globals.borrow_mut().insert(name.clone(), value);
             }
-            LValue::Const(name) => {
+            Target::Const(name) => {
                 self.constants.borrow_mut().insert(name.clone(), value);
             }
-            LValue::Index { recv, index } => {
+            Target::Index { recv, index } => {
                 let r = self.eval(frame, recv)?;
                 let i = self.eval(frame, index)?;
                 self.invoke_method(span, &r, "[]=", vec![i, value], None)?;
             }
-            LValue::Attr { recv, name } => {
+            Target::Attr { recv, writer, .. } => {
                 let r = self.eval(frame, recv)?;
-                self.invoke_method(span, &r, &format!("{name}="), vec![value], None)?;
+                self.invoke_method(span, &r, writer, vec![value], None)?;
             }
         }
         Ok(())
@@ -648,11 +484,7 @@ impl Interpreter {
     }
 
     /// Invokes `name` on `recv`, raising `NoMethodError` if undefined.
-    ///
-    /// # Errors
-    ///
-    /// Returns runtime errors raised by the method body.
-    pub fn invoke_method(
+    fn invoke_method(
         &self,
         span: Span,
         recv: &Value,
@@ -685,6 +517,7 @@ impl Interpreter {
         args: &[Value],
         block: &Option<Rc<Closure>>,
     ) -> EvalResult<Option<Value>> {
+        let table = &self.program.table;
         // `nil` receivers produce blame-like NoMethod errors except for the
         // few methods NilClass actually has (handled in corelib).
         match recv {
@@ -692,13 +525,13 @@ impl Interpreter {
                 // `new` constructs an instance and runs `initialize`.
                 if name == "new" {
                     let obj = Value::new_object(class.clone());
-                    if let Some(init) = self.table.lookup(class, false, "initialize") {
-                        self.run_method_def(init, obj.clone(), args, block.clone(), span)?;
+                    if let Some(init) = table.lookup(class, false, "initialize") {
+                        self.run_method(init, obj.clone(), args, block.clone(), span)?;
                     }
                     return Ok(Some(obj));
                 }
-                if let Some(def) = self.table.lookup(class, true, name) {
-                    return Ok(Some(self.run_method_def(
+                if let Some(def) = table.lookup(class, true, name) {
+                    return Ok(Some(self.run_method(
                         def,
                         recv.clone(),
                         args,
@@ -712,9 +545,9 @@ impl Interpreter {
             Value::Object(obj) => {
                 // Each borrow ends with its statement: the method body may
                 // write this object's ivars.
-                let method = self.table.lookup(&obj.borrow().class, false, name);
+                let method = table.lookup(&obj.borrow().class, false, name);
                 if let Some(def) = method {
-                    return Ok(Some(self.run_method_def(
+                    return Ok(Some(self.run_method(
                         def,
                         recv.clone(),
                         args,
@@ -722,14 +555,14 @@ impl Interpreter {
                         span,
                     )?));
                 }
-                let accessor = self.table.accessor(&obj.borrow().class, name);
-                if let Some((attr, writes)) = accessor {
+                let accessor = table.accessor(&obj.borrow().class, name);
+                if let Some((ivar, writes)) = accessor {
                     if writes {
                         let value = args.first().cloned().unwrap_or(Value::Nil);
-                        self.write_ivar(recv, attr, value.clone());
+                        self.write_ivar(recv, ivar, value.clone());
                         return Ok(Some(value));
                     }
-                    return Ok(Some(self.read_ivar(recv, attr)));
+                    return Ok(Some(self.read_ivar(recv, ivar)));
                 }
                 corelib::dispatch(self, span, recv, name, args, block.as_deref())
             }
@@ -737,9 +570,9 @@ impl Interpreter {
                 // User code may monkey-patch builtin classes; check user
                 // definitions first, then the native core library.
                 let method =
-                    builtin.builtin_class_name().and_then(|c| self.table.builtin_method(c, name));
+                    builtin.builtin_class_name().and_then(|c| table.builtin_method(c, name));
                 if let Some(def) = method {
-                    return Ok(Some(self.run_method_def(
+                    return Ok(Some(self.run_method(
                         def,
                         recv.clone(),
                         args,
@@ -752,28 +585,27 @@ impl Interpreter {
         }
     }
 
-    fn run_method_def(
+    fn run_method(
         &self,
-        def: &MethodDef,
+        def: &Method,
         self_val: Value,
         args: &[Value],
         block: Option<Rc<Closure>>,
         span: Span,
     ) -> EvalResult {
-        let positional = def.params.iter().filter(|p| !p.block).count();
-        if args.len() > positional {
+        if args.len() > def.positional {
             return Err(Control::error(
                 ErrorKind::Argument,
                 format!(
-                    "wrong number of arguments for `{}` (given {}, expected {positional})",
+                    "wrong number of arguments for `{}` (given {}, expected {})",
                     def.name,
                     args.len(),
+                    def.positional,
                 ),
                 span,
             ));
         }
-        let locals: HashMap<String, Value> = HashMap::new();
-        let frame = Frame { locals: Rc::new(RefCell::new(locals)), self_val, block };
+        let frame = Frame::new(def.slots, self_val, block);
         // Bind parameters; a `&blk` parameter binds the passed block.
         let mut arg_iter = args.iter();
         for p in &def.params {
@@ -788,7 +620,7 @@ impl Interpreter {
                     },
                 }
             };
-            frame.locals.borrow_mut().insert(p.name.clone(), value);
+            frame.set_local(p.slot, value);
         }
         match self.eval_body(&frame, &def.body) {
             Ok(v) => Ok(v),
@@ -863,7 +695,7 @@ impl Interpreter {
     }
 
     /// True if `value` is an instance of `class` (or a subclass).
-    pub fn value_is_a(&self, value: &Value, class: &str) -> bool {
+    pub(crate) fn value_is_a(&self, value: &Value, class: &str) -> bool {
         let pseudo = match value {
             // Boolean pseudo-class.
             Value::Bool(_) => class == "Boolean",
@@ -873,9 +705,10 @@ impl Interpreter {
         if pseudo || class == "Object" {
             return true;
         }
+        let table = &self.program.table;
         match value {
-            Value::Object(o) => self.table.is_a(&o.borrow().class, class),
-            builtin => builtin.builtin_class_name().is_some_and(|c| self.table.is_a(c, class)),
+            Value::Object(o) => table.is_a(&o.borrow().class, class),
+            builtin => builtin.builtin_class_name().is_some_and(|c| table.is_a(c, class)),
         }
     }
 }
@@ -1194,6 +1027,54 @@ b = B.new()
         let src = "[1, 2].map { |x| [10, 20].map { |y| x + y } }";
         assert_eq!(run_ok(src), run_ok("[[11, 21], [12, 22]]"));
         assert_eq!(run_ok("->(a, b) { a }.arity()"), Value::Int(2));
+    }
+
+    #[test]
+    fn break_ends_the_call_its_block_was_passed_to() {
+        let yields = "def f()\n yield(1)\n 99\nend\n";
+        let cases = [
+            ("[1, 2, 3].map { |x| break }".to_string(), Value::Nil),
+            ("3.times { |i| break }".to_string(), Value::Nil),
+            ("{ a: 1 }.each { |k, v| break }".to_string(), Value::Nil),
+            (format!("{yields}f() {{ |x| break }}"), Value::Nil),
+            ("n = 0\n[1, 2, 3].each { |x| n = x; break if x == 2 }\nn".to_string(), Value::Int(2)),
+            // The break ends the `map`, not the loop around it.
+            (
+                "i = 0\nwhile i < 3\n i = i + 1\n [1].map { |x| break }\nend\ni".to_string(),
+                Value::Int(3),
+            ),
+        ];
+        for (src, expected) in cases {
+            assert_eq!(run(&src).unwrap_or_else(|e| panic!("{src}: {e}")), expected, "{src}");
+        }
+    }
+
+    #[test]
+    fn a_checked_call_ended_by_break_checks_the_break_value() {
+        struct Record(RefCell<Vec<Value>>);
+        impl DynamicCheckHook for Record {
+            fn has_check(&self, _site: Span) -> bool {
+                true
+            }
+            fn before_call(
+                &self,
+                _site: Span,
+                _recv: &Value,
+                _args: &[Value],
+            ) -> Result<(), String> {
+                Ok(())
+            }
+            fn after_call(&self, _site: Span, ret: &Value) -> Result<(), String> {
+                self.0.borrow_mut().push(ret.clone());
+                Ok(())
+            }
+        }
+        let hook = Rc::new(Record(RefCell::new(Vec::new())));
+        let mut interp =
+            Interpreter::new(parse_program_strict("[1, 2].map { |x| break }").unwrap());
+        interp.set_hook(hook.clone());
+        assert_eq!(interp.eval_program().unwrap(), Value::Nil);
+        assert_eq!(*hook.0.borrow(), vec![Value::Nil]);
     }
 
     #[test]

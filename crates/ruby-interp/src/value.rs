@@ -1,11 +1,10 @@
 //! Runtime values of the Ruby-subset interpreter.
 
-use ruby_syntax::Block;
+use crate::resolve::{Block, Slots};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Shared mutable string contents.
 pub type StrRef = Rc<RefCell<String>>;
@@ -15,37 +14,33 @@ pub type ArrayRef = Rc<RefCell<Vec<Value>>>;
 pub type HashRef = Rc<RefCell<Vec<(Value, Value)>>>;
 /// Shared mutable object state.
 pub type ObjectRef = Rc<RefCell<ObjectData>>;
+/// Instance variables (`@x` → value), keyed by the handles the resolved
+/// program holds, so a write copies no name.
+pub(crate) type Ivars = HashMap<Rc<str>, Value>;
 
-/// The instance state of a user-defined object.
+/// The instance state of a user-defined object.  The type is public only
+/// so that [`Value::Object`] can be matched outside this crate; no path
+/// names it there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectData {
     /// The object's class name.
-    pub class: String,
-    /// Instance variables (`@x` → value).
-    pub ivars: HashMap<String, Value>,
+    pub(crate) class: Rc<str>,
+    /// Instance variables.
+    pub(crate) ivars: Ivars,
 }
 
-/// A lambda or block closure.
+/// A lambda or block closure, public only as [`ObjectData`] is.
 #[derive(Debug, Clone)]
 pub struct Closure {
-    /// The block literal (parameter names and body), shared with the AST
-    /// rather than copied for each evaluation of the literal.
-    pub block: Arc<Block>,
-    /// The captured local scope (shared with the defining frame, as in Ruby).
-    pub locals: Rc<RefCell<HashMap<String, Value>>>,
+    /// The resolved block literal (parameter slots and body), shared with
+    /// the resolved program rather than copied for each evaluation of the
+    /// literal.
+    pub(crate) block: Rc<Block>,
+    /// The captured local slots (shared with the defining frame, as in
+    /// Ruby).
+    pub(crate) locals: Slots,
     /// The captured `self`.
-    pub self_val: Value,
-}
-
-impl Closure {
-    /// Builds a closure from a literal block.
-    pub fn from_block(
-        block: &Arc<Block>,
-        locals: Rc<RefCell<HashMap<String, Value>>>,
-        self_val: Value,
-    ) -> Self {
-        Closure { block: Arc::clone(block), locals, self_val }
-    }
+    pub(crate) self_val: Value,
 }
 
 impl PartialEq for Closure {
@@ -67,8 +62,8 @@ pub enum Value {
     Float(f64),
     /// A (mutable, shared) string.
     Str(StrRef),
-    /// A symbol.
-    Sym(String),
+    /// A symbol; literals share one handle per literal.
+    Sym(Rc<str>),
     /// A (mutable, shared) array.
     Array(ArrayRef),
     /// A (mutable, shared) hash.
@@ -76,7 +71,7 @@ pub enum Value {
     /// An instance of a user-defined class.
     Object(ObjectRef),
     /// A class object (the value of a constant such as `User`).
-    Class(String),
+    Class(Rc<str>),
     /// A lambda / proc.
     Lambda(Rc<Closure>),
 }
@@ -98,7 +93,7 @@ impl Value {
     }
 
     /// Builds a new instance of `class` with no instance variables.
-    pub fn new_object(class: impl Into<String>) -> Value {
+    pub fn new_object(class: impl Into<Rc<str>>) -> Value {
         Value::Object(Rc::new(RefCell::new(ObjectData {
             class: class.into(),
             ivars: HashMap::new(),
@@ -113,8 +108,17 @@ impl Value {
     /// The name of the value's class.
     pub fn class_name(&self) -> String {
         match self {
-            Value::Object(o) => o.borrow().class.clone(),
+            Value::Object(o) => o.borrow().class.to_string(),
             builtin => builtin.builtin_class_name().unwrap_or_default().to_string(),
+        }
+    }
+
+    /// The object's class name, without copying it; `None` for a builtin
+    /// value.
+    pub fn object_class(&self) -> Option<Rc<str>> {
+        match self {
+            Value::Object(o) => Some(o.borrow().class.clone()),
+            _ => None,
         }
     }
 
@@ -191,7 +195,7 @@ impl Value {
                 format!("{{{}}}", inner.join(", "))
             }
             Value::Object(o) => format!("#<{}>", o.borrow().class),
-            Value::Class(c) => c.clone(),
+            Value::Class(c) => c.to_string(),
             Value::Lambda(_) => "#<Proc>".to_string(),
         }
     }
@@ -200,7 +204,7 @@ impl Value {
     pub fn to_display_string(&self) -> String {
         match self {
             Value::Str(s) => s.borrow().clone(),
-            Value::Sym(s) => s.clone(),
+            Value::Sym(s) => s.to_string(),
             Value::Nil => String::new(),
             other => other.inspect(),
         }
@@ -232,14 +236,16 @@ impl Value {
         }
     }
 
-    /// Inserts/overwrites a key in a hash value.
+    /// Inserts/overwrites a key in a hash value.  The keys are compared
+    /// before the hash is borrowed mutably, so a key that holds the hash
+    /// itself does not conflict with the write.
     pub fn hash_set(&self, key: Value, value: Value) {
         if let Value::Hash(pairs) = self {
+            let found = pairs.borrow().iter().position(|(k, _)| k.ruby_eq(&key));
             let mut pairs = pairs.borrow_mut();
-            if let Some(slot) = pairs.iter_mut().find(|(k, _)| k.ruby_eq(&key)) {
-                slot.1 = value;
-            } else {
-                pairs.push((key, value));
+            match found {
+                Some(i) => pairs[i].1 = value,
+                None => pairs.push((key, value)),
             }
         }
     }
