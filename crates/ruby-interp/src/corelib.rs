@@ -987,7 +987,7 @@ mod tests {
     /// `<<` is left out: the subset has no syntax that calls it.
     const SWEEP: [(&str, &str, &str); 3] = [
         (
-            "[1, 2]",
+            "[[1], 2]",
             "r.push(3)",
             "[] at slice []= first last length size count empty? push append pop shift \
              unshift prepend include? member? index find_index join reverse sort uniq compact \

@@ -172,11 +172,18 @@ impl Interpreter {
                 Ok(Value::hash(out))
             }
             NodeKind::SelfExpr => Ok(frame.self_val.clone()),
-            NodeKind::Local { slot, name } => match frame.local(*slot) {
+            NodeKind::Ident { slot, name } => match slot.and_then(|slot| frame.local(slot)) {
                 Some(v) => Ok(v),
-                None => self.call_self(expr.span, frame, name),
+                // Not a bound local: a call on `self` that passes the
+                // current method's block along.
+                None => self.invoke_method(
+                    expr.span,
+                    &frame.self_val,
+                    name,
+                    vec![],
+                    frame.block.clone(),
+                ),
             },
-            NodeKind::SelfCall(name) => self.call_self(expr.span, frame, name),
             NodeKind::IVar(name) => Ok(self.read_ivar(&frame.self_val, name)),
             NodeKind::GVar(name) => {
                 Ok(self.globals.borrow().get(name).cloned().unwrap_or(Value::Nil))
@@ -335,12 +342,6 @@ impl Interpreter {
             last = self.eval(frame, e)?;
         }
         Ok(last)
-    }
-
-    /// An identifier that is not a bound local: a call on `self` that
-    /// passes the current method's block along.
-    fn call_self(&self, span: Span, frame: &Frame, name: &str) -> EvalResult {
-        self.invoke_method(span, &frame.self_val, name, vec![], frame.block.clone())
     }
 
     fn make_closure(&self, frame: &Frame, block: &Rc<Block>) -> Rc<Closure> {

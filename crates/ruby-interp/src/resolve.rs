@@ -52,14 +52,13 @@ pub(crate) enum NodeKind {
     Array(Vec<Node>),
     Hash(Vec<(Node, Node)>),
     SelfExpr,
-    /// An identifier that names a slot of its scope; while the slot is
-    /// unset it is a call on `self` named `name`.
-    Local {
-        slot: usize,
+    /// An identifier: the local in `slot` once it is bound, else a call on
+    /// `self` named `name`.  `slot` is `None` when nothing in the scope
+    /// binds the name.
+    Ident {
+        slot: Option<usize>,
         name: Box<str>,
     },
-    /// An identifier that nothing in its scope binds: a call on `self`.
-    SelfCall(Box<str>),
     IVar(Rc<str>),
     GVar(Rc<str>),
     /// A constant read; the path is joined with `::`.
@@ -539,9 +538,9 @@ impl Scope {
                 pairs.iter().map(|(k, v)| (self.resolve(k), self.resolve(v))).collect(),
             ),
             ExprKind::SelfExpr => NodeKind::SelfExpr,
-            ExprKind::Ident(name) => match self.slots.get(name.as_str()) {
-                Some(&slot) => NodeKind::Local { slot, name: name.as_str().into() },
-                None => NodeKind::SelfCall(name.as_str().into()),
+            ExprKind::Ident(name) => NodeKind::Ident {
+                slot: self.slots.get(name.as_str()).copied(),
+                name: name.as_str().into(),
             },
             ExprKind::IVar(name) => NodeKind::IVar(name.as_str().into()),
             ExprKind::GVar(name) => NodeKind::GVar(name.as_str().into()),
