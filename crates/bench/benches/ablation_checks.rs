@@ -10,14 +10,17 @@
 
 use comprdl::CheckConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
+use ruby_interp::ResolvedProgram;
+use std::rc::Rc;
 
 fn ablation_checks(c: &mut Criterion) {
     let apps = corpus::apps::all();
     let discourse = apps.iter().find(|a| a.name == "Discourse").expect("discourse app");
     let (env, program) = bench::prepare_app(discourse);
     let checked = bench::check_prepared(&env, &program, comprdl::CheckOptions::default());
+    let suite = Rc::new(ResolvedProgram::new(&program));
     let run = |config: Option<CheckConfig>| {
-        std::hint::black_box(bench::run_prepared_suite(&env, &program, &checked, config))
+        std::hint::black_box(bench::run_prepared_suite(&env, &suite, &checked, config))
     };
 
     let mut group = c.benchmark_group("check_ablation");

@@ -11,7 +11,8 @@
 pub mod results;
 
 use comprdl::{CheckConfig, CheckOptions, TypeChecker};
-use ruby_interp::Interpreter;
+use ruby_interp::{Interpreter, ResolvedProgram};
+use std::rc::Rc;
 
 /// Builds an app's environment and parses its source once, so benches can
 /// time the *checking* phase alone (environment assembly re-parses hundreds
@@ -105,18 +106,19 @@ pub fn scale_workload(methods: usize) -> (comprdl::CompRdl, ruby_syntax::Program
     (env, program)
 }
 
-/// Runs a prepared app's test suite (environment, program and checking
-/// result built once via [`prepare_app`] + [`check_prepared`]), so benches
-/// time the suite run alone.  With `config`, the checker's inserted dynamic
+/// Runs a prepared app's test suite (environment, resolved program and
+/// checking result built once via [`prepare_app`], [`ResolvedProgram::new`]
+/// and [`check_prepared`]), so benches time the suite run alone, as the
+/// corpus driver does.  With `config`, the checker's inserted dynamic
 /// checks run through a hook with a private memo; with `None`, no hook is
 /// installed.  Returns the number of dynamic checks executed.
 pub fn run_prepared_suite(
     env: &comprdl::CompRdl,
-    program: &ruby_syntax::Program,
+    suite: &Rc<ResolvedProgram>,
     checked: &comprdl::ProgramCheckResult,
     config: Option<CheckConfig>,
 ) -> u64 {
-    let mut interp = Interpreter::new(program.clone());
+    let mut interp = Interpreter::with_program(suite.clone());
     if let Some(config) = config {
         interp.set_hook(comprdl::make_hook(
             checked.checks(),
@@ -139,8 +141,9 @@ mod tests {
         let (env, program) = prepare_app(&corpus::apps::all()[0]);
         let result = check_prepared(&env, &program, CheckOptions::default());
         assert!(result.methods_checked() > 0);
-        assert_eq!(run_prepared_suite(&env, &program, &result, None), 0);
-        assert!(run_prepared_suite(&env, &program, &result, Some(CheckConfig::default())) > 0);
+        let suite = Rc::new(ResolvedProgram::new(&program));
+        assert_eq!(run_prepared_suite(&env, &suite, &result, None), 0);
+        assert!(run_prepared_suite(&env, &suite, &result, Some(CheckConfig::default())) > 0);
     }
 
     #[test]

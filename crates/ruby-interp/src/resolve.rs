@@ -378,39 +378,39 @@ fn resolve_method(def: &ast::MethodDef) -> Method {
     }
 }
 
-/// One scope's local names and their slots.
+/// One scope's local names, borrowed from the AST, and their slots.
 #[derive(Default)]
-struct Scope {
-    slots: HashMap<String, usize>,
+struct Scope<'a> {
+    slots: HashMap<&'a str, usize>,
 }
 
-impl Scope {
-    fn bind(&mut self, name: &str) {
-        if !self.slots.contains_key(name) {
-            let slot = self.slots.len();
-            self.slots.insert(name.to_string(), slot);
-        }
+impl<'a> Scope<'a> {
+    fn bind(&mut self, name: &'a str) {
+        let next = self.slots.len();
+        self.slots.entry(name).or_insert(next);
     }
 
     fn slot(&self, name: &str) -> usize {
         self.slots[name]
     }
 
+    fn bind_body(&mut self, body: &'a [ast::Expr]) {
+        for e in body {
+            self.bind_in(e);
+        }
+    }
+
+    fn bind_block(&mut self, block: &'a ast::Block) {
+        for p in &block.params {
+            self.bind(p);
+        }
+        self.bind_body(&block.body);
+    }
+
     /// Binds every name that `expr` binds, in blocks and lambdas too.
-    fn bind_in(&mut self, expr: &ast::Expr) {
-        let bind_body = |scope: &mut Scope, body: &[ast::Expr]| {
-            for e in body {
-                scope.bind_in(e);
-            }
-        };
-        let bind_block = |scope: &mut Scope, block: &ast::Block| {
-            for p in &block.params {
-                scope.bind(p);
-            }
-            bind_body(scope, &block.body);
-        };
+    fn bind_in(&mut self, expr: &'a ast::Expr) {
         match &expr.kind {
-            ExprKind::Array(items) | ExprKind::Yield(items) => bind_body(self, items),
+            ExprKind::Array(items) | ExprKind::Yield(items) => self.bind_body(items),
             ExprKind::Hash(pairs) => {
                 for (k, v) in pairs {
                     self.bind_in(k);
@@ -433,9 +433,9 @@ impl Scope {
                 if let Some(r) = recv {
                     self.bind_in(r);
                 }
-                bind_body(self, args);
+                self.bind_body(args);
                 if let Some(b) = block {
-                    bind_block(self, b);
+                    self.bind_block(b);
                 }
             }
             ExprKind::BoolOp { lhs, rhs, .. } => {
@@ -451,23 +451,23 @@ impl Scope {
             ExprKind::If { arms, else_body } => {
                 for arm in arms {
                     self.bind_in(&arm.cond);
-                    bind_body(self, &arm.body);
+                    self.bind_body(&arm.body);
                 }
-                bind_body(self, else_body);
+                self.bind_body(else_body);
             }
             ExprKind::Case { subject, arms, else_body } => {
                 self.bind_in(subject);
                 for arm in arms {
                     self.bind_in(&arm.cond);
-                    bind_body(self, &arm.body);
+                    self.bind_body(&arm.body);
                 }
-                bind_body(self, else_body);
+                self.bind_body(else_body);
             }
             ExprKind::While { cond, body } => {
                 self.bind_in(cond);
-                bind_body(self, body);
+                self.bind_body(body);
             }
-            ExprKind::Lambda(block) => bind_block(self, block),
+            ExprKind::Lambda(block) => self.bind_block(block),
             ExprKind::Nil
             | ExprKind::True
             | ExprKind::False
