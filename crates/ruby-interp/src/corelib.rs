@@ -81,10 +81,7 @@ fn object_method(
             Value::Class(c) => Value::Bool(interp.value_is_a(recv, &c)),
             _ => Value::Bool(false),
         },
-        "class" => Value::Class(match recv.object_class() {
-            Some(class) => class,
-            None => recv.class_name().into(),
-        }),
+        "class" => Value::Class(recv.object_class().unwrap_or_else(|| recv.class_name().into())),
         "to_s" => Value::str(recv.to_display_string()),
         "inspect" => Value::str(recv.inspect()),
         "freeze" | "dup" | "clone" | "itself" => recv.clone(),
@@ -262,7 +259,8 @@ fn array_method(
             acc
         }
         "delete" => {
-            // Compare first, then write: an element may hold the receiver.
+            // Compare first, then write: comparing borrows the argument,
+            // which may be the receiver.
             let target = arg(args, 0);
             let kept: Vec<Value> =
                 items().iter().filter(|v| !v.ruby_eq(&target)).cloned().collect();
@@ -485,7 +483,8 @@ fn hash_method(
         "length" | "size" | "count" => Value::Int(pairs().len() as i64),
         "empty?" => Value::Bool(pairs().is_empty()),
         "delete" => {
-            // Compare first, then write: a key may hold the receiver.
+            // Compare first, then write: comparing borrows the key, which
+            // may be the receiver.
             let key = arg(args, 0);
             let removed = recv.hash_get(&key).unwrap_or(Value::Nil);
             let kept: Vec<(Value, Value)> =
