@@ -9,8 +9,8 @@
 //!   assignment anywhere in it binds; blocks and lambdas share their
 //!   defining scope's slots.  A frame holds one slot per name, and an
 //!   identifier that names a slot reads it.  A slot that is still unset at
-//!   run time falls back to a call on `self`, exactly as a name missing
-//!   from a map of locals would.
+//!   run time falls back to a call on `self`, as an identifier that names
+//!   no local does.
 //! * **Names become handles.**  Symbol literals, instance-variable names,
 //!   global names and constant paths (pre-joined with `::`) are `Rc<str>`
 //!   handles built here, so evaluating one clones a pointer.
@@ -356,14 +356,12 @@ fn resolve_method(def: &ast::MethodDef) -> Method {
             scope.bind_in(d);
         }
     }
-    for e in &def.body {
-        scope.bind_in(e);
-    }
+    scope.bind_body(&def.body);
     let params = def
         .params
         .iter()
         .map(|p| Param {
-            slot: scope.slots[p.name.as_str()],
+            slot: scope.slot(&p.name),
             default: p.default.as_ref().map(|d| scope.resolve(d)),
             block: p.block,
         })
