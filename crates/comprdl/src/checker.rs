@@ -126,8 +126,6 @@ pub struct CheckOptions {
     /// a programmer would have to insert and is how the "Casts (RDL)" column
     /// is produced.
     pub count_implicit_casts: bool,
-    /// Run the termination checker on every comp type evaluated.
-    pub check_termination: bool,
     /// Memoize comp-type evaluations keyed on (method, resolved receiver
     /// type, resolved argument types); see [`crate::cache`].  Disable to get
     /// the paper's re-evaluate-at-every-call-site behaviour, the reference
@@ -137,12 +135,7 @@ pub struct CheckOptions {
 
 impl Default for CheckOptions {
     fn default() -> Self {
-        CheckOptions {
-            use_comp_types: true,
-            count_implicit_casts: true,
-            check_termination: true,
-            use_eval_cache: true,
-        }
+        CheckOptions { use_comp_types: true, count_implicit_casts: true, use_eval_cache: true }
     }
 }
 
@@ -1395,9 +1388,6 @@ impl<'a> TypeChecker<'a> {
     }
 
     fn run_termination_check(&mut self, ctx: &mut MethodCtx, span: Span, expr: &Expr) {
-        if !self.options.check_termination {
-            return;
-        }
         for violation in self.termination.check_expr(expr) {
             self.error(
                 ctx,

@@ -435,8 +435,6 @@ pub struct CompRdlHook {
     helpers: HelperRegistry,
     config: CheckConfig,
     blames: RefCell<Vec<BlameDiagnostic>>,
-    memo: Arc<SharedMemo>,
-    namespace: u64,
     /// The memo-shared state of this hook's namespace — its verdicts, epoch
     /// and aggregate counters — resolved once at construction so the
     /// per-call paths never touch the memo's namespace registry.
@@ -494,27 +492,10 @@ impl CompRdlHook {
             helpers,
             config,
             blames: RefCell::new(Vec::new()),
-            memo,
-            namespace,
             ns,
             value_types: RefCell::new(HashMap::new()),
             stats: Cell::new(CacheStats::default()),
         }
-    }
-
-    /// Number of checked call sites.
-    pub fn check_count(&self) -> usize {
-        self.checks.len()
-    }
-
-    /// The memo this hook records into.
-    pub fn shared_memo(&self) -> &Arc<SharedMemo> {
-        &self.memo
-    }
-
-    /// The namespace this hook's memo entries are keyed under.
-    pub fn namespace(&self) -> u64 {
-        self.namespace
     }
 
     /// Borrows the blame diagnostics produced so far, in execution order

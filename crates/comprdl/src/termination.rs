@@ -370,12 +370,6 @@ impl EffectEnv {
         }
     }
 
-    /// True if either layer has an entry for `method` (a violation on an
-    /// unknown name is worded differently — see module docs).
-    pub fn knows(&self, method: &str) -> bool {
-        self.source(method) != EffectSource::Unknown
-    }
-
     /// The installed inferred summary for `method`, if any (the explicit
     /// layer may still shadow it for lookups).
     pub fn inferred(&self, method: &str) -> Option<&InferredEffect> {

@@ -6,7 +6,7 @@
 //! an in-memory registry exercises exactly the same type-level code paths
 //! the paper's `RDL.db_schema` table does.
 
-use rdl_types::{Fingerprint, HashKey, Type, TypeStore};
+use rdl_types::{Fingerprint, Type};
 use sql_tc::{SqlSchema, SqlType};
 use std::collections::BTreeMap;
 
@@ -138,17 +138,6 @@ impl DbRegistry {
         self.models.keys().cloned().collect()
     }
 
-    /// Builds the finite hash type describing a table's columns (the `T` of
-    /// `Table<T>` in §2.1).
-    pub fn schema_finite_hash(&self, table: &str, store: &mut TypeStore) -> Option<Type> {
-        let columns = self.tables.get(table)?;
-        let entries = columns
-            .iter()
-            .map(|(name, ty)| (HashKey::Sym(name.clone()), ty.to_rdl_type()))
-            .collect();
-        Some(store.new_finite_hash(entries))
-    }
-
     /// A digest of everything the DB helpers read: every table with its
     /// column names and types, the model → table map and the associations.
     /// It is stable across processes (the tables and models are kept in
@@ -213,6 +202,7 @@ pub fn pluralize(word: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdl_types::{HashKey, TypeStore};
 
     fn sample() -> DbRegistry {
         let mut db = DbRegistry::new();
@@ -258,17 +248,31 @@ mod tests {
         assert_eq!(pluralize("box"), "boxes");
     }
 
+    /// Evaluates `schema_type(t)` for the class singleton `class`, as the
+    /// checker does at a query's call site.
+    fn schema_type(env: &comprdl::CompRdl, store: &mut TypeStore, class: &str) -> Type {
+        let expr = ruby_syntax::parse_expr("schema_type(t)").unwrap();
+        let bindings = [("t".to_string(), comprdl::TlcValue::Type(Type::class_of(class)))].into();
+        comprdl::eval_comp_type(store, &env.classes, &env.helpers, bindings, &expr).unwrap()
+    }
+
     #[test]
-    fn schema_finite_hash_has_all_columns() {
-        let db = sample();
+    fn schema_type_makes_every_column_optional() {
+        let mut env = comprdl::CompRdl::new();
+        crate::helpers::register_helpers(&mut env, std::sync::Arc::new(sample()));
         let mut store = TypeStore::new();
-        let t = db.schema_finite_hash("users", &mut store).unwrap();
-        let Type::FiniteHash(id) = t else { panic!() };
+        let Type::FiniteHash(id) = schema_type(&env, &mut store, "User") else { panic!() };
         let data = store.finite_hash(id);
+        let optional = |name: &str| Type::Optional(Box::new(Type::nominal(name)));
         assert_eq!(data.entries.len(), 3);
-        assert_eq!(data.get(&HashKey::Sym("username".into())), Some(&Type::nominal("String")));
-        assert_eq!(data.get(&HashKey::Sym("staged".into())), Some(&Type::Bool));
-        assert!(db.schema_finite_hash("missing", &mut store).is_none());
+        assert_eq!(data.get(&HashKey::Sym("id".into())), Some(&optional("Integer")));
+        assert_eq!(data.get(&HashKey::Sym("username".into())), Some(&optional("String")));
+        assert_eq!(
+            data.get(&HashKey::Sym("staged".into())),
+            Some(&Type::Optional(Box::new(Type::Bool)))
+        );
+        let no_table = schema_type(&env, &mut store, "Widget");
+        assert_eq!(no_table, Type::hash(Type::nominal("Symbol"), Type::object()));
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl SourceMap {
         &self.src
     }
 
-    /// Number of lines in the buffer.
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
-
     /// 1-based line number containing byte `offset`.
     pub fn line_of(&self, offset: usize) -> u32 {
         match self.line_starts.binary_search(&offset) {
@@ -129,7 +124,6 @@ mod tests {
     #[test]
     fn line_and_column_lookup() {
         let sm = SourceMap::new("t.rb", "abc\ndef\n\nxyz");
-        assert_eq!(sm.line_count(), 4);
         assert_eq!(sm.line_of(0), 1);
         assert_eq!(sm.line_of(3), 1); // the newline byte belongs to line 1
         assert_eq!(sm.line_of(4), 2);

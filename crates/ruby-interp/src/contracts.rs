@@ -10,7 +10,6 @@
 
 use crate::value::Value;
 use ruby_syntax::Span;
-use std::cell::Cell;
 
 /// Callbacks invoked by the interpreter around checked call sites.
 pub trait DynamicCheckHook {
@@ -34,109 +33,4 @@ pub trait DynamicCheckHook {
     ///
     /// Returning `Err` raises blame at the call site.
     fn after_call(&self, site: Span, ret: &Value) -> Result<(), String>;
-}
-
-/// A hook that performs no checks (used to measure baseline test time).
-#[derive(Debug, Default, Clone)]
-pub struct NullHook;
-
-impl DynamicCheckHook for NullHook {
-    fn has_check(&self, _site: Span) -> bool {
-        false
-    }
-
-    fn before_call(&self, _site: Span, _recv: &Value, _args: &[Value]) -> Result<(), String> {
-        Ok(())
-    }
-
-    fn after_call(&self, _site: Span, _ret: &Value) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-/// A hook wrapper that counts how many checks were executed; useful in tests
-/// and in the overhead benchmarks.
-pub struct CountingHook<H> {
-    inner: H,
-    before: Cell<u64>,
-    after: Cell<u64>,
-}
-
-impl<H> CountingHook<H> {
-    /// Wraps `inner`.
-    pub fn new(inner: H) -> Self {
-        CountingHook { inner, before: Cell::new(0), after: Cell::new(0) }
-    }
-
-    /// Number of `before_call` checks executed.
-    pub fn before_count(&self) -> u64 {
-        self.before.get()
-    }
-
-    /// Number of `after_call` checks executed.
-    pub fn after_count(&self) -> u64 {
-        self.after.get()
-    }
-
-    /// The wrapped hook.
-    pub fn inner(&self) -> &H {
-        &self.inner
-    }
-}
-
-impl<H: DynamicCheckHook> DynamicCheckHook for CountingHook<H> {
-    fn has_check(&self, site: Span) -> bool {
-        self.inner.has_check(site)
-    }
-
-    fn before_call(&self, site: Span, recv: &Value, args: &[Value]) -> Result<(), String> {
-        self.before.set(self.before.get() + 1);
-        self.inner.before_call(site, recv, args)
-    }
-
-    fn after_call(&self, site: Span, ret: &Value) -> Result<(), String> {
-        self.after.set(self.after.get() + 1);
-        self.inner.after_call(site, ret)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_hook_never_checks() {
-        let h = NullHook;
-        assert!(!h.has_check(Span::dummy()));
-        assert!(h.before_call(Span::dummy(), &Value::Nil, &[]).is_ok());
-        assert!(h.after_call(Span::dummy(), &Value::Nil).is_ok());
-    }
-
-    struct AlwaysCheck;
-    impl DynamicCheckHook for AlwaysCheck {
-        fn has_check(&self, _s: Span) -> bool {
-            true
-        }
-        fn before_call(&self, _s: Span, _r: &Value, _a: &[Value]) -> Result<(), String> {
-            Ok(())
-        }
-        fn after_call(&self, _s: Span, ret: &Value) -> Result<(), String> {
-            if ret.truthy() {
-                Ok(())
-            } else {
-                Err("expected a truthy value".to_string())
-            }
-        }
-    }
-
-    #[test]
-    fn counting_hook_counts_and_delegates() {
-        let h = CountingHook::new(AlwaysCheck);
-        assert!(h.has_check(Span::dummy()));
-        h.before_call(Span::dummy(), &Value::Nil, &[]).unwrap();
-        assert!(h.after_call(Span::dummy(), &Value::Int(1)).is_ok());
-        assert!(h.after_call(Span::dummy(), &Value::Nil).is_err());
-        assert_eq!(h.before_count(), 1);
-        assert_eq!(h.after_count(), 2);
-    }
 }

@@ -118,23 +118,6 @@ impl Interpreter {
         Ok(last)
     }
 
-    /// Calls a user-defined method by name, e.g. `call("User", true,
-    /// "available?", args)` for `User.available?`.
-    ///
-    /// # Errors
-    ///
-    /// Returns runtime errors raised during the call.
-    pub fn call(
-        &self,
-        class: &str,
-        singleton: bool,
-        name: &str,
-        args: Vec<Value>,
-    ) -> Result<Value, RubyError> {
-        let recv = if singleton { Value::Class(class.into()) } else { Value::new_object(class) };
-        self.invoke_method(Span::dummy(), &recv, name, args, None).map_err(crate::error::into_error)
-    }
-
     // ---- evaluation -----------------------------------------------------
 
     fn burn(&self, span: Span) -> EvalResult<()> {
@@ -928,13 +911,6 @@ twice() { |x| x * 10 }
         let interp = Interpreter::new(prog);
         interp.eval_program().unwrap();
         assert_eq!(interp.output(), vec!["hello".to_string(), "42".to_string()]);
-    }
-
-    #[test]
-    fn call_entry_point() {
-        let prog = parse_program_strict("class M\n def self.f(x)\n x + 1\n end\nend").unwrap();
-        let interp = Interpreter::new(prog);
-        assert_eq!(interp.call("M", true, "f", vec![Value::Int(41)]).unwrap(), Value::Int(42));
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod interp;
 mod resolve;
 mod value;
 
-pub use contracts::{CountingHook, DynamicCheckHook, NullHook};
+pub use contracts::DynamicCheckHook;
 pub use error::{Control, ErrorKind, EvalResult, RubyError};
 pub use interp::Interpreter;
 pub use resolve::ResolvedProgram;

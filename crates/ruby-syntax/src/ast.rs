@@ -327,21 +327,6 @@ impl Expr {
         Expr::synth(ExprKind::Int(value))
     }
 
-    /// True if the expression is a literal `nil`/`true`/`false`/number/
-    /// string/symbol.
-    pub fn is_literal(&self) -> bool {
-        matches!(
-            self.kind,
-            ExprKind::Nil
-                | ExprKind::True
-                | ExprKind::False
-                | ExprKind::Int(_)
-                | ExprKind::Float(_)
-                | ExprKind::Str(_)
-                | ExprKind::Sym(_)
-        )
-    }
-
     /// Walks the expression tree, invoking `f` on every node (pre-order).
     pub fn walk(&self, f: &mut dyn FnMut(&Expr)) {
         f(self);
@@ -501,12 +486,5 @@ mod tests {
         assert_eq!(original.len(), 3);
         assert_eq!(cloned.len(), original.len());
         assert!(original.iter().zip(&cloned).all(|(a, b)| Arc::ptr_eq(a, b)));
-    }
-
-    #[test]
-    fn literals_are_literals() {
-        assert!(Expr::int(3).is_literal());
-        assert!(Expr::sym("x").is_literal());
-        assert!(!Expr::synth(ExprKind::Ident("x".into())).is_literal());
     }
 }

@@ -133,19 +133,6 @@ pub fn parse_expr(src: &str) -> PResult<Expr> {
     Ok(e)
 }
 
-/// Parses a sequence of statements (e.g. a method body fragment).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] when the source is malformed.
-pub fn parse_stmts(src: &str) -> PResult<Vec<Expr>> {
-    let tokens = lex_strict(src)?;
-    let mut p = Parser::new(tokens);
-    let body = p.parse_body(&[])?;
-    p.expect_eof()?;
-    Ok(body)
-}
-
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,

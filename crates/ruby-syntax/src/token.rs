@@ -174,11 +174,6 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// True for tokens that terminate a statement.
-    pub fn is_terminator(&self) -> bool {
-        matches!(self, TokenKind::Newline | TokenKind::Eof)
-    }
-
     /// A short human readable description used in parse errors.
     pub fn describe(&self) -> String {
         match self {
@@ -273,12 +268,5 @@ mod tests {
         assert!(TokenKind::Ident("foo".into()).describe().contains("foo"));
         assert!(TokenKind::Symbol("emails".into()).describe().contains("emails"));
         assert_eq!(TokenKind::Plus.describe(), "`+`");
-    }
-
-    #[test]
-    fn terminator_classification() {
-        assert!(TokenKind::Newline.is_terminator());
-        assert!(TokenKind::Eof.is_terminator());
-        assert!(!TokenKind::Comma.is_terminator());
     }
 }

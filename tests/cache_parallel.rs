@@ -45,11 +45,8 @@ fn cached_checking_is_byte_identical_to_uncached_across_the_corpus() {
     let apps = corpus::apps::all();
     let mut rng = Rng::new(0xCAFE01);
     for round in 0..4 {
-        let options = CheckOptions {
-            count_implicit_casts: rng.below(2) == 0,
-            check_termination: rng.below(2) == 0,
-            ..CheckOptions::default()
-        };
+        let options =
+            CheckOptions { count_implicit_casts: rng.below(2) == 0, ..CheckOptions::default() };
         let mut hits = 0;
         for &i in &shuffled(&mut rng, apps.len()) {
             let app = &apps[i];
