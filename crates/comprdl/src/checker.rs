@@ -1903,4 +1903,25 @@ mod tests {
         assert!(descriptions.iter().any(|d| d.contains("first")));
         assert!(!descriptions.iter().any(|d| d.contains("checked_helper")));
     }
+
+    #[test]
+    fn a_shovel_call_gets_a_dynamic_check_as_push_does() {
+        let mut env = env_with_stdlib();
+        env.type_sig_singleton(
+            "Object",
+            "add",
+            "(Array<Integer>, Integer) -> Array<Integer>",
+            None,
+        );
+        for (call, description) in [("xs << v", "Array#<<"), ("xs.push(v)", "Array#push")] {
+            let src = format!("def self.add(xs, v)\n  {call}\nend\n");
+            let res = check_src(&env, &src, CheckOptions::default());
+            assert!(res.errors().is_empty(), "{call}: {:?}", res.errors());
+            let start = src.find(call).unwrap();
+            let checks = res.checks();
+            let sites: Vec<_> =
+                checks.iter().map(|c| (c.description.as_str(), c.site.start)).collect();
+            assert_eq!(sites, [(description, start)], "{call}");
+        }
+    }
 }

@@ -75,9 +75,33 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
+/// The containers a walk over a runtime value is inside of, innermost
+/// first.  Runtime values can be self-referential (`a = [1]; a << a`), so a
+/// walk that meets a container already on its path stops there.  Each link
+/// lives in the frame of the walk's call that entered it, so the guard
+/// never allocates.
+struct Path<'a> {
+    here: *const (),
+    up: Option<&'a Path<'a>>,
+}
+
+impl Path<'_> {
+    /// Whether the container `id` is on the path that ends at `path`.
+    fn contains(path: Option<&Path<'_>>, id: *const ()) -> bool {
+        std::iter::successors(path, |p| p.up).any(|p| p.here == id)
+    }
+}
+
 /// Computes the (precise) RDL type of a runtime value.  Containers produce
 /// store-backed tuple / finite hash types; strings produce const strings.
+/// A container met again inside itself types as its promoted form,
+/// `Array<Object>` or `Hash<Object, Object>`, which [`value_matches`]
+/// accepts for it.
 pub fn type_of_value(value: &Value, store: &mut TypeStore) -> Type {
+    type_of_value_on(value, store, None)
+}
+
+fn type_of_value_on(value: &Value, store: &mut TypeStore, path: Option<&Path<'_>>) -> Type {
     match value {
         Value::Nil => Type::nil(),
         Value::Bool(true) => Type::Singleton(SingVal::True),
@@ -87,10 +111,20 @@ pub fn type_of_value(value: &Value, store: &mut TypeStore) -> Type {
         Value::Sym(s) => Type::sym(&**s),
         Value::Str(s) => store.new_const_string(s.borrow().clone()),
         Value::Array(items) => {
-            let elems = items.borrow().iter().map(|v| type_of_value(v, store)).collect();
+            let here = Rc::as_ptr(items).cast();
+            if Path::contains(path, here) {
+                return Type::array(Type::object());
+            }
+            let path = Some(&Path { here, up: path });
+            let elems = items.borrow().iter().map(|v| type_of_value_on(v, store, path)).collect();
             store.new_tuple(elems)
         }
         Value::Hash(pairs) => {
+            let here = Rc::as_ptr(pairs).cast();
+            if Path::contains(path, here) {
+                return Type::hash(Type::object(), Type::object());
+            }
+            let path = Some(&Path { here, up: path });
             let mut entries = Vec::new();
             let mut irregular = false;
             for (k, v) in pairs.borrow().iter() {
@@ -103,7 +137,7 @@ pub fn type_of_value(value: &Value, store: &mut TypeStore) -> Type {
                         break;
                     }
                 };
-                entries.push((key, type_of_value(v, store)));
+                entries.push((key, type_of_value_on(v, store, path)));
             }
             if irregular {
                 Type::hash(Type::object(), Type::object())
@@ -125,19 +159,18 @@ pub fn type_of_value(value: &Value, store: &mut TypeStore) -> Type {
 /// content, so an in-place mutation changes the fingerprint.
 pub fn value_fingerprint(value: &Value) -> u64 {
     let mut fp = Fingerprint::new();
-    hash_value_guarded(&mut fp, value, &mut Vec::new());
+    hash_value(&mut fp, value);
     fp.finish()
 }
 
 fn hash_value(fp: &mut Fingerprint, value: &Value) {
-    hash_value_guarded(fp, value, &mut Vec::new());
+    hash_value_on(fp, value, None);
 }
 
-/// `visiting` holds the container `Rc`s on the current recursion path:
-/// runtime values can be self-referential (`a = []; a << a`), and the
-/// digest must terminate on them (re-entry digests as a back-reference
-/// marker, mirroring `TypeStore::fingerprint_into`).
-fn hash_value_guarded(fp: &mut Fingerprint, value: &Value, visiting: &mut Vec<*const ()>) {
+/// A container met again inside itself digests as a back-reference marker
+/// for its kind, so the digest terminates, and values that
+/// [`type_of_value`] promotes differently digest differently.
+fn hash_value_on(fp: &mut Fingerprint, value: &Value, path: Option<&Path<'_>>) {
     match value {
         Value::Nil => fp.write_u8(0),
         Value::Bool(false) => fp.write_u8(1),
@@ -159,35 +192,33 @@ fn hash_value_guarded(fp: &mut Fingerprint, value: &Value, visiting: &mut Vec<*c
             fp.write_str(&s.borrow());
         }
         Value::Array(items) => {
-            let ptr = Rc::as_ptr(items) as *const ();
-            if visiting.contains(&ptr) {
+            let here = Rc::as_ptr(items).cast();
+            if Path::contains(path, here) {
                 fp.write_u8(0xFE);
                 return;
             }
-            visiting.push(ptr);
+            let path = Some(&Path { here, up: path });
             fp.write_u8(7);
             let items = items.borrow();
             fp.write_usize(items.len());
             for v in items.iter() {
-                hash_value_guarded(fp, v, visiting);
+                hash_value_on(fp, v, path);
             }
-            visiting.pop();
         }
         Value::Hash(pairs) => {
-            let ptr = Rc::as_ptr(pairs) as *const ();
-            if visiting.contains(&ptr) {
-                fp.write_u8(0xFE);
+            let here = Rc::as_ptr(pairs).cast();
+            if Path::contains(path, here) {
+                fp.write_u8(0xFD);
                 return;
             }
-            visiting.push(ptr);
+            let path = Some(&Path { here, up: path });
             fp.write_u8(8);
             let pairs = pairs.borrow();
             fp.write_usize(pairs.len());
             for (k, v) in pairs.iter() {
-                hash_value_guarded(fp, k, visiting);
-                hash_value_guarded(fp, v, visiting);
+                hash_value_on(fp, k, path);
+                hash_value_on(fp, v, path);
             }
-            visiting.pop();
         }
         // Only the class name matters: `type_of_value` maps objects to their
         // nominal type, `value_matches` only consults the class, and
@@ -838,6 +869,39 @@ mod tests {
         ));
         assert_eq!(type_of_value(&Value::new_object("User"), &mut store), Type::nominal("User"));
         assert_eq!(type_of_value(&Value::Class("User".into()), &mut store), Type::class_of("User"));
+    }
+
+    #[test]
+    fn self_referential_containers_type_as_their_promoted_form() {
+        let mut store = TypeStore::new();
+        let classes = classes();
+        let push = |array: &Value, item: Value| {
+            let Value::Array(items) = array else { unreachable!() };
+            items.borrow_mut().push(item);
+        };
+        // a = [1]; a.push(a)
+        let a = Value::array(vec![Value::Int(1)]);
+        push(&a, a.clone());
+        let ty = type_of_value(&a, &mut store);
+        let Type::Tuple(id) = ty else { panic!("{ty}") };
+        assert_eq!(store.tuple(id).elems, [Type::int(1), Type::array(Type::object())]);
+        assert!(value_matches(&a, &ty, &store, &classes));
+        // h = {}; h[:a] = h
+        let h = Value::hash(vec![]);
+        h.hash_set(Value::Sym("a".into()), h.clone());
+        let ty = type_of_value(&h, &mut store);
+        let Type::FiniteHash(id) = ty else { panic!("{ty}") };
+        let promoted = Type::hash(Type::object(), Type::object());
+        assert_eq!(store.finite_hash(id).get(&HashKey::Sym("a".into())), Some(&promoted));
+        assert!(value_matches(&h, &ty, &store, &classes));
+        // [{a: <the array>}] and [<h>] meet different containers again, so
+        // they type apart and must digest apart.
+        let x = Value::array(vec![]);
+        push(&x, Value::hash(vec![(Value::Sym("a".into()), x.clone())]));
+        let y = Value::array(vec![h.clone()]);
+        let (tx, ty) = (type_of_value(&x, &mut store), type_of_value(&y, &mut store));
+        assert_ne!(store.render(&tx), store.render(&ty));
+        assert_ne!(value_fingerprint(&x), value_fingerprint(&y));
     }
 
     #[test]

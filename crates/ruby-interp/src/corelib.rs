@@ -9,7 +9,7 @@
 
 use crate::error::{Control, ErrorKind, EvalResult};
 use crate::interp::Interpreter;
-use crate::value::{Closure, Value};
+use crate::value::{container_id, Closure, Path, Value};
 use ruby_syntax::Span;
 use std::rc::Rc;
 
@@ -196,16 +196,29 @@ fn array_method(
             Value::array(items().iter().filter(|v| !matches!(v, Value::Nil)).cloned().collect())
         }
         "flatten" => {
-            fn flat(items: &[Value], out: &mut Vec<Value>) {
-                for v in items {
-                    match v {
-                        Value::Array(inner) => flat(&inner.borrow(), out),
-                        other => out.push(other.clone()),
+            /// Appends the leaves of `items` to `out`; `false` if an array
+            /// on `path` is met again.
+            fn flat(items: &[Value], path: &Path<'_, *const ()>, out: &mut Vec<Value>) -> bool {
+                items.iter().all(|v| match v {
+                    Value::Array(inner) => {
+                        let id = container_id(inner);
+                        !Path::contains(Some(path), id)
+                            && flat(&inner.borrow(), &Path::enter(id, Some(path)), out)
                     }
-                }
+                    other => {
+                        out.push(other.clone());
+                        true
+                    }
+                })
             }
             let mut out = Vec::new();
-            flat(&items(), &mut out);
+            if !flat(&items(), &Path::enter(container_id(items_ref), None), &mut out) {
+                return Err(Control::error(
+                    ErrorKind::Argument,
+                    "tried to flatten recursive array",
+                    span,
+                ));
+            }
             Value::array(out)
         }
         "+" | "concat" => match arg(args, 0) {
@@ -749,6 +762,18 @@ fn numeric_binop(a: &Value, b: &Value, op: &str, span: Span) -> EvalResult {
     }
 }
 
+/// `Integer#<<`: `a` shifted left by `n` bits, or right for a negative
+/// `n`.  The subset has no big integers, so a shift that overflows `i64`
+/// raises.
+fn shift_left(a: i64, n: i64, span: Span) -> EvalResult {
+    match n {
+        ..=-1 => Ok(Value::Int(a >> n.unsigned_abs().min(63))),
+        0..=63 if (a << n) >> n == a => Ok(Value::Int(a << n)),
+        _ if a == 0 => Ok(Value::Int(0)),
+        _ => Err(Control::error(ErrorKind::Raised, format!("{a} << {n} overflows Integer"), span)),
+    }
+}
+
 fn numeric_method(
     span: Span,
     recv: &Value,
@@ -780,6 +805,10 @@ fn numeric_method(
             })
         }
         "==" => Value::Bool(recv.ruby_eq(&arg(args, 0))),
+        "<<" => match recv {
+            Value::Int(a) => shift_left(*a, int_arg(args, 0, span)?, span)?,
+            _ => return Ok(None),
+        },
         "abs" => match recv {
             Value::Int(i) => Value::Int(i.abs()),
             _ => Value::Float(x.abs()),
@@ -983,13 +1012,12 @@ mod tests {
 
     /// Every Array, Hash and String method [`dispatch`] knows, with the
     /// receiver literal and a block body that mutates the receiver `r`.
-    /// `<<` is left out: the subset has no syntax that calls it.
     const SWEEP: [(&str, &str, &str); 3] = [
         (
             "[[1], 2]",
             "r.push(3)",
             "[] at slice []= first last length size count empty? push append pop shift \
-             unshift prepend include? member? index find_index join reverse sort uniq compact \
+             << unshift prepend include? member? index find_index join reverse sort uniq compact \
              flatten + concat - take drop max min sum delete to_a map collect each \
              each_with_index select filter reject find detect any? all? none? reduce inject \
              sort_by group_by",
@@ -1004,7 +1032,7 @@ mod tests {
         (
             "'ab'",
             "r.concat('c')",
-            "+ * concat length size empty? upcase downcase capitalize strip chomp reverse \
+            "+ * << concat length size empty? upcase downcase capitalize strip chomp reverse \
              include? start_with? end_with? split sub gsub [] slice to_s to_str to_i to_f \
              to_sym chars == <=> freeze",
         ),
@@ -1020,7 +1048,7 @@ mod tests {
                 let calls = match name {
                     "[]" => vec!["r[r]".to_string()],
                     "[]=" => vec!["r[r] = r".to_string()],
-                    "+" | "-" | "*" | "==" | "<=>" => vec![format!("r {name} r")],
+                    "+" | "-" | "*" | "==" | "<=>" | "<<" => vec![format!("r {name} r")],
                     _ => vec![format!("r.{name}(r)"), format!("r.{name}(r) {{ |x, y| {mutate} }}")],
                 };
                 for call in calls {

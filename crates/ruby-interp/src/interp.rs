@@ -914,6 +914,35 @@ twice() { |x| x * 10 }
     }
 
     #[test]
+    fn self_referential_containers_give_a_value_or_a_ruby_error() {
+        let a = "a = [1]\na.push(a)\n";
+        let cases = [
+            (format!("{a}a.inspect()"), Ok(Value::str("[1, [...]]"))),
+            (format!("{a}b = [1]\nb.push(b)\na == b"), Ok(Value::Bool(true))),
+            (format!("{a}a.flatten()"), Err(ErrorKind::Argument)),
+            ("h = {}\nh[:a] = h\nh.inspect()".to_string(), Ok(Value::str("{:a => {...}}"))),
+        ];
+        for (src, expected) in cases {
+            assert_eq!(run(&src).map_err(|e| e.kind), expected, "{src}");
+        }
+        let err = run(&format!("{a}a.flatten()")).unwrap_err();
+        assert_eq!(err.message, "tried to flatten recursive array");
+    }
+
+    #[test]
+    fn shovel_appends_and_shifts() {
+        assert_eq!(run_ok("xs = [1]\nxs << 2 << 3\nxs"), run_ok("[1, 2, 3]"));
+        assert_eq!(run_ok("s = 'a'\ns << 'b'\ns"), Value::str("ab"));
+        assert_eq!(run_ok("1 << 3"), Value::Int(8));
+        assert_eq!(run_ok("-8 << -1"), Value::Int(-4));
+        assert_eq!(run_ok("1 << 2 + 1"), Value::Int(8));
+        assert_eq!(run("1 << 63").unwrap_err().kind, ErrorKind::Raised);
+        assert_eq!(run("1.5 << 1").unwrap_err().kind, ErrorKind::NoMethod);
+        let src = "class Log\n def <<(line)\n line * 2\n end\nend\nLog.new() << 4";
+        assert_eq!(run_ok(src), Value::Int(8));
+    }
+
+    #[test]
     fn user_methods_on_builtin_classes_win_over_corelib() {
         let src = "class Integer\n def twice()\n self * 2\n end\nend\n3.twice()";
         assert_eq!(run_ok(src), Value::Int(6));

@@ -49,6 +49,32 @@ impl PartialEq for Closure {
     }
 }
 
+/// The containers a walk over a value is inside of, innermost first.  An
+/// array or hash can hold itself (`a.push(a)`), so a walk that meets a
+/// container already on its path stops there.  Each link lives in the
+/// frame of the walk's call that entered it, so the guard never allocates.
+pub(crate) struct Path<'a, T> {
+    here: T,
+    up: Option<&'a Path<'a, T>>,
+}
+
+impl<'a, T: Copy + PartialEq> Path<'a, T> {
+    /// The path `up` extended by `here`.
+    pub(crate) fn enter(here: T, up: Option<&'a Path<'a, T>>) -> Self {
+        Path { here, up }
+    }
+
+    /// Whether `item` is on the path that ends at `path`.
+    pub(crate) fn contains(path: Option<&Path<'_, T>>, item: T) -> bool {
+        std::iter::successors(path, |p| p.up).any(|p| p.here == item)
+    }
+}
+
+/// A container's identity, as [`Path`] records it.
+pub(crate) fn container_id<T>(rc: &Rc<T>) -> *const () {
+    Rc::as_ptr(rc).cast()
+}
+
 /// A runtime value.
 #[derive(Debug, Clone)]
 pub enum Value {
@@ -142,8 +168,14 @@ impl Value {
     }
 
     /// Ruby `==` (structural for strings/arrays/hashes, identity for
-    /// objects).
+    /// objects).  As in Ruby, a container equals itself, and a pair of
+    /// containers met again inside their own comparison counts as equal,
+    /// so two self-referential arrays built alike are `==`.
     pub fn ruby_eq(&self, other: &Value) -> bool {
+        self.eq_on(other, None)
+    }
+
+    fn eq_on(&self, other: &Value, path: Option<&Path<'_, (*const (), *const ())>>) -> bool {
         match (self, other) {
             (Value::Nil, Value::Nil) => true,
             (Value::Bool(a), Value::Bool(b)) => a == b,
@@ -156,16 +188,27 @@ impl Value {
             (Value::Sym(a), Value::Sym(b)) => a == b,
             (Value::Class(a), Value::Class(b)) => a == b,
             (Value::Array(a), Value::Array(b)) => {
+                let pair = (container_id(a), container_id(b));
+                if Rc::ptr_eq(a, b) || Path::contains(path, pair) {
+                    return true;
+                }
+                let path = Some(&Path::enter(pair, path));
                 let a = a.borrow();
                 let b = b.borrow();
-                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.ruby_eq(y))
+                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.eq_on(y, path))
             }
             (Value::Hash(a), Value::Hash(b)) => {
+                let pair = (container_id(a), container_id(b));
+                if Rc::ptr_eq(a, b) || Path::contains(path, pair) {
+                    return true;
+                }
+                let path = Some(&Path::enter(pair, path));
                 let a = a.borrow();
                 let b = b.borrow();
                 a.len() == b.len()
-                    && a.iter()
-                        .all(|(k, v)| b.iter().any(|(k2, v2)| k.ruby_eq(k2) && v.ruby_eq(v2)))
+                    && a.iter().all(|(k, v)| {
+                        b.iter().any(|(k2, v2)| k.eq_on(k2, path) && v.eq_on(v2, path))
+                    })
             }
             (Value::Object(a), Value::Object(b)) => Rc::ptr_eq(a, b),
             (Value::Lambda(a), Value::Lambda(b)) => Rc::ptr_eq(a, b),
@@ -173,8 +216,13 @@ impl Value {
         }
     }
 
-    /// `inspect`-style rendering (strings quoted).
+    /// `inspect`-style rendering (strings quoted).  An array or hash met
+    /// again inside itself prints as `[...]` or `{...}`, as in Ruby.
     pub fn inspect(&self) -> String {
+        self.inspect_on(None)
+    }
+
+    fn inspect_on(&self, path: Option<&Path<'_, *const ()>>) -> String {
         match self {
             Value::Nil => "nil".to_string(),
             Value::Bool(b) => b.to_string(),
@@ -183,14 +231,25 @@ impl Value {
             Value::Str(s) => format!("{:?}", s.borrow()),
             Value::Sym(s) => format!(":{s}"),
             Value::Array(items) => {
-                let inner: Vec<String> = items.borrow().iter().map(|v| v.inspect()).collect();
+                let id = container_id(items);
+                if Path::contains(path, id) {
+                    return "[...]".to_string();
+                }
+                let path = Some(&Path::enter(id, path));
+                let inner: Vec<String> =
+                    items.borrow().iter().map(|v| v.inspect_on(path)).collect();
                 format!("[{}]", inner.join(", "))
             }
             Value::Hash(pairs) => {
+                let id = container_id(pairs);
+                if Path::contains(path, id) {
+                    return "{...}".to_string();
+                }
+                let path = Some(&Path::enter(id, path));
                 let inner: Vec<String> = pairs
                     .borrow()
                     .iter()
-                    .map(|(k, v)| format!("{} => {}", k.inspect(), v.inspect()))
+                    .map(|(k, v)| format!("{} => {}", k.inspect_on(path), v.inspect_on(path)))
                     .collect();
                 format!("{{{}}}", inner.join(", "))
             }

@@ -407,11 +407,11 @@ impl<'src> Lexer<'src> {
                     self.push(TokenKind::Symbol("[]".to_string()), start, line);
                 }
             }
-            // Operator symbols such as :+, :**, :<=, :==, :<=>.
+            // Operator symbols such as :+, :**, :<=, :==, :<=>, :<<.
             Some(b'+') | Some(b'-') | Some(b'*') | Some(b'/') | Some(b'%') | Some(b'<')
             | Some(b'>') | Some(b'=') => {
                 let rest = &self.src[self.pos + 1..];
-                let op = ["<=>", "**", "<=", ">=", "==", "+", "-", "*", "/", "%", "<", ">"]
+                let op = ["<=>", "**", "<<", "<=", ">=", "==", "+", "-", "*", "/", "%", "<", ">"]
                     .iter()
                     .find(|op| rest.starts_with(**op))
                     .copied();
@@ -484,6 +484,7 @@ impl<'src> Lexer<'src> {
             (b'!', Some(b'='), _) => (TokenKind::NotEq, 2),
             (b'<', Some(b'='), Some(b'>')) => (TokenKind::Spaceship, 3),
             (b'<', Some(b'='), _) => (TokenKind::Le, 2),
+            (b'<', Some(b'<'), _) => (TokenKind::Shl, 2),
             (b'>', Some(b'='), _) => (TokenKind::Ge, 2),
             (b'&', Some(b'&'), _) => (TokenKind::AndAnd, 2),
             (b'|', Some(b'|'), Some(b'=')) => (TokenKind::OrOrAssign, 3),
@@ -640,6 +641,29 @@ mod tests {
         assert!(k.contains(&T::Symbol("[]=".into())));
         assert!(k.contains(&T::Symbol("+".into())));
         assert!(k.contains(&T::Symbol("-".into())));
+    }
+
+    #[test]
+    fn lexes_shovel_apart_from_the_comparisons() {
+        let k = kinds("a << b < c <= d <=> e :<< :<");
+        assert_eq!(
+            k,
+            vec![
+                T::Ident("a".into()),
+                T::Shl,
+                T::Ident("b".into()),
+                T::Lt,
+                T::Ident("c".into()),
+                T::Le,
+                T::Ident("d".into()),
+                T::Spaceship,
+                T::Ident("e".into()),
+                T::Symbol("<<".into()),
+                T::Symbol("<".into()),
+                T::Newline,
+                T::Eof
+            ]
+        );
     }
 
     #[test]

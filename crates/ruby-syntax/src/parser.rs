@@ -524,18 +524,19 @@ impl Parser {
                 }
                 return Ok(n);
             }
-            TokenKind::EqEq => return Ok("==".to_string()),
-            TokenKind::Plus => return Ok("+".to_string()),
-            TokenKind::Minus => return Ok("-".to_string()),
-            TokenKind::Star => return Ok("*".to_string()),
-            TokenKind::Slash => return Ok("/".to_string()),
-            TokenKind::Percent => return Ok("%".to_string()),
-            TokenKind::Pow => return Ok("**".to_string()),
-            TokenKind::Lt => return Ok("<".to_string()),
-            TokenKind::Gt => return Ok(">".to_string()),
-            TokenKind::Le => return Ok("<=".to_string()),
-            TokenKind::Ge => return Ok(">=".to_string()),
-            TokenKind::Spaceship => return Ok("<=>".to_string()),
+            op @ (TokenKind::EqEq
+            | TokenKind::Plus
+            | TokenKind::Minus
+            | TokenKind::Star
+            | TokenKind::Slash
+            | TokenKind::Percent
+            | TokenKind::Pow
+            | TokenKind::Lt
+            | TokenKind::Gt
+            | TokenKind::Le
+            | TokenKind::Ge
+            | TokenKind::Spaceship
+            | TokenKind::Shl) => return Ok(op.symbol_str().to_string()),
             other => {
                 return Err(self.error(format!("expected method name, found {}", other.describe())))
             }
@@ -764,20 +765,18 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn parse_comparison(&mut self) -> PResult<Expr> {
-        let mut lhs = self.parse_additive()?;
-        loop {
-            let name = match self.peek() {
-                TokenKind::Lt => "<",
-                TokenKind::Gt => ">",
-                TokenKind::Le => "<=",
-                TokenKind::Ge => ">=",
-                TokenKind::Spaceship => "<=>",
-                _ => break,
-            }
-            .to_string();
-            self.advance();
-            let rhs = self.parse_additive()?;
+    /// Parses a left-associative chain of the binary operators `ops`, each
+    /// a call of the method the operator names on its left operand;
+    /// `operand` parses the next tighter level.
+    fn parse_binary(
+        &mut self,
+        ops: &[TokenKind],
+        operand: fn(&mut Self) -> PResult<Expr>,
+    ) -> PResult<Expr> {
+        let mut lhs = operand(self)?;
+        while ops.contains(self.peek()) {
+            let name = self.advance().kind.symbol_str().to_string();
+            let rhs = operand(self)?;
             let span = lhs.span.to(rhs.span);
             lhs = Expr::new(
                 ExprKind::Call { recv: Some(Box::new(lhs)), name, args: vec![rhs], block: None },
@@ -785,47 +784,26 @@ impl Parser {
             );
         }
         Ok(lhs)
+    }
+
+    fn parse_comparison(&mut self) -> PResult<Expr> {
+        use TokenKind::{Ge, Gt, Le, Lt, Spaceship};
+        self.parse_binary(&[Lt, Gt, Le, Ge, Spaceship], Self::parse_shift)
+    }
+
+    /// `<<` binds tighter than the comparisons and looser than `+`, as in
+    /// Ruby.
+    fn parse_shift(&mut self) -> PResult<Expr> {
+        self.parse_binary(&[TokenKind::Shl], Self::parse_additive)
     }
 
     fn parse_additive(&mut self) -> PResult<Expr> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let name = match self.peek() {
-                TokenKind::Plus => "+",
-                TokenKind::Minus => "-",
-                _ => break,
-            }
-            .to_string();
-            self.advance();
-            let rhs = self.parse_multiplicative()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Call { recv: Some(Box::new(lhs)), name, args: vec![rhs], block: None },
-                span,
-            );
-        }
-        Ok(lhs)
+        self.parse_binary(&[TokenKind::Plus, TokenKind::Minus], Self::parse_multiplicative)
     }
 
     fn parse_multiplicative(&mut self) -> PResult<Expr> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let name = match self.peek() {
-                TokenKind::Star => "*",
-                TokenKind::Slash => "/",
-                TokenKind::Percent => "%",
-                _ => break,
-            }
-            .to_string();
-            self.advance();
-            let rhs = self.parse_unary()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Call { recv: Some(Box::new(lhs)), name, args: vec![rhs], block: None },
-                span,
-            );
-        }
-        Ok(lhs)
+        use TokenKind::{Percent, Slash, Star};
+        self.parse_binary(&[Star, Slash, Percent], Self::parse_unary)
     }
 
     fn parse_unary(&mut self) -> PResult<Expr> {
@@ -1464,6 +1442,28 @@ end
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn parses_shovel_between_comparison_and_additive() {
+        fn split(e: &Expr) -> (&str, &Expr, &Expr) {
+            match &e.kind {
+                ExprKind::Call { recv: Some(recv), name, args, .. } => (name, recv, &args[0]),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let e = parse_expr("a << b + 1").unwrap();
+        let (op, _, rhs) = split(&e);
+        assert_eq!((op, split(rhs).0), ("<<", "+"));
+        let e = parse_expr("a < b << 1").unwrap();
+        let (op, _, rhs) = split(&e);
+        assert_eq!((op, split(rhs).0), ("<", "<<"));
+        let e = parse_expr("a << b << c").unwrap();
+        let (op, lhs, _) = split(&e);
+        assert_eq!((op, split(lhs).0), ("<<", "<<"));
+        let prog =
+            parse_program_strict("class Log\n  def <<(line)\n    line\n  end\nend\n").unwrap();
+        assert_eq!(prog.methods()[0].1.name, "<<");
     }
 
     #[test]

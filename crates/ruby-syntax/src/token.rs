@@ -143,6 +143,8 @@ pub enum TokenKind {
     Le,
     Ge,
     Spaceship,
+    /// `<<`, a method call (`Array#<<`, `Integer#<<`).
+    Shl,
     AndAnd,
     OrOr,
     Bang,
@@ -193,7 +195,7 @@ impl TokenKind {
         }
     }
 
-    fn symbol_str(&self) -> &'static str {
+    pub(crate) fn symbol_str(&self) -> &'static str {
         match self {
             TokenKind::Plus => "+",
             TokenKind::Minus => "-",
@@ -208,6 +210,7 @@ impl TokenKind {
             TokenKind::Le => "<=",
             TokenKind::Ge => ">=",
             TokenKind::Spaceship => "<=>",
+            TokenKind::Shl => "<<",
             TokenKind::AndAnd => "&&",
             TokenKind::OrOr => "||",
             TokenKind::Bang => "!",
