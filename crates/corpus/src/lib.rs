@@ -35,15 +35,15 @@ pub mod incremental;
 pub mod lints;
 
 pub use app::App;
-pub use driver::{evaluate_app, AppRecheck, RecheckStats};
+pub use driver::evaluate_app;
 pub use effects::{
     effects_pass, replay_baseline, seed_map, summaries_to_inferred, summaries_to_records,
 };
 pub use fault::FaultPlan;
 pub use harness::{
-    corpus_diagnostics, evaluate_overhead, format_diagnostic_summary, format_memo_stats,
-    format_overhead, format_table1, format_table2, render_runtime_blames, stable_report, table1,
-    table2, table2_overhead, table2_parallel, HarnessError, OverheadRow, Table1Row, Table2Row,
+    corpus_diagnostics, format_diagnostic_summary, format_memo_stats, format_overhead,
+    format_table1, format_table2, render_runtime_blames, stable_report, table1, table2,
+    table2_overhead, table2_parallel, Table2Row,
 };
 pub use incremental::{
     evaluate_app_incremental, table2_incremental, with_broken_method, with_layout_noise,
