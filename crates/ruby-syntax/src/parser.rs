@@ -133,6 +133,20 @@ pub fn parse_expr(src: &str) -> PResult<Expr> {
     Ok(e)
 }
 
+/// The precedence of a binary operator token, tightest highest: the
+/// comparisons, then `<<` (as in Ruby, between the comparisons and `+`),
+/// then `+`/`-`, then `*`, `/` and `%`.
+fn binding(token: &TokenKind) -> Option<u8> {
+    use TokenKind::*;
+    Some(match token {
+        Lt | Gt | Le | Ge | Spaceship => 0,
+        Shl => 1,
+        Plus | Minus => 2,
+        Star | Slash | Percent => 3,
+        _ => return None,
+    })
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -741,7 +755,7 @@ impl Parser {
     }
 
     fn parse_equality(&mut self) -> PResult<Expr> {
-        let mut lhs = self.parse_comparison()?;
+        let mut lhs = self.parse_binary(0)?;
         loop {
             let negate = match self.peek() {
                 TokenKind::EqEq => false,
@@ -749,7 +763,7 @@ impl Parser {
                 _ => break,
             };
             self.advance();
-            let rhs = self.parse_comparison()?;
+            let rhs = self.parse_binary(0)?;
             let span = lhs.span.to(rhs.span);
             let eq = Expr::new(
                 ExprKind::Call {
@@ -765,18 +779,15 @@ impl Parser {
         Ok(lhs)
     }
 
-    /// Parses a left-associative chain of the binary operators `ops`, each
-    /// a call of the method the operator names on its left operand;
-    /// `operand` parses the next tighter level.
-    fn parse_binary(
-        &mut self,
-        ops: &[TokenKind],
-        operand: fn(&mut Self) -> PResult<Expr>,
-    ) -> PResult<Expr> {
-        let mut lhs = operand(self)?;
-        while ops.contains(self.peek()) {
+    /// Parses a chain of the binary operators that bind at least as tightly
+    /// as `min`, each a call of the method the operator names on its left
+    /// operand.  The operators are left-associative; [`binding`] gives
+    /// their precedence.
+    fn parse_binary(&mut self, min: u8) -> PResult<Expr> {
+        let mut lhs = self.parse_unary()?;
+        while let Some(prec) = binding(self.peek()).filter(|&p| p >= min) {
             let name = self.advance().kind.symbol_str().to_string();
-            let rhs = operand(self)?;
+            let rhs = self.parse_binary(prec + 1)?;
             let span = lhs.span.to(rhs.span);
             lhs = Expr::new(
                 ExprKind::Call { recv: Some(Box::new(lhs)), name, args: vec![rhs], block: None },
@@ -784,26 +795,6 @@ impl Parser {
             );
         }
         Ok(lhs)
-    }
-
-    fn parse_comparison(&mut self) -> PResult<Expr> {
-        use TokenKind::{Ge, Gt, Le, Lt, Spaceship};
-        self.parse_binary(&[Lt, Gt, Le, Ge, Spaceship], Self::parse_shift)
-    }
-
-    /// `<<` binds tighter than the comparisons and looser than `+`, as in
-    /// Ruby.
-    fn parse_shift(&mut self) -> PResult<Expr> {
-        self.parse_binary(&[TokenKind::Shl], Self::parse_additive)
-    }
-
-    fn parse_additive(&mut self) -> PResult<Expr> {
-        self.parse_binary(&[TokenKind::Plus, TokenKind::Minus], Self::parse_multiplicative)
-    }
-
-    fn parse_multiplicative(&mut self) -> PResult<Expr> {
-        use TokenKind::{Percent, Slash, Star};
-        self.parse_binary(&[Star, Slash, Percent], Self::parse_unary)
     }
 
     fn parse_unary(&mut self) -> PResult<Expr> {
