@@ -1920,8 +1920,8 @@ mod tests {
             let start = src.find(call).unwrap();
             let checks = res.checks();
             let sites: Vec<_> =
-                checks.iter().map(|c| (c.description.as_str(), c.site.start)).collect();
-            assert_eq!(sites, [(description, start)], "{call}");
+                checks.iter().map(|c| (c.description.as_str(), c.site.start, c.site.end)).collect();
+            assert_eq!(sites, [(description, start, start + call.len())], "{call}");
         }
     }
 }

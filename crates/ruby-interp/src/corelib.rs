@@ -75,7 +75,7 @@ fn object_method(
     let v = match name {
         "==" => Value::Bool(recv.ruby_eq(&arg(args, 0))),
         "!=" => Value::Bool(!recv.ruby_eq(&arg(args, 0))),
-        "equal?" => Value::Bool(recv.ruby_eq(&arg(args, 0))),
+        "equal?" => Value::Bool(recv.identical(&arg(args, 0))),
         "nil?" => Value::Bool(matches!(recv, Value::Nil)),
         "is_a?" | "kind_of?" | "instance_of?" => match arg(args, 0) {
             Value::Class(c) => Value::Bool(interp.value_is_a(recv, &c)),
@@ -84,7 +84,8 @@ fn object_method(
         "class" => Value::Class(recv.object_class().unwrap_or_else(|| recv.class_name().into())),
         "to_s" => Value::str(recv.to_display_string()),
         "inspect" => Value::str(recv.inspect()),
-        "freeze" | "dup" | "clone" | "itself" => recv.clone(),
+        "dup" | "clone" => recv.shallow_copy(),
+        "freeze" | "itself" => recv.clone(),
         "frozen?" => Value::Bool(false),
         "respond_to?" => Value::Bool(true),
         "hash" => Value::Int(recv.inspect().len() as i64),

@@ -943,6 +943,21 @@ twice() { |x| x * 10 }
     }
 
     #[test]
+    fn dup_and_clone_copy_and_equal_tests_identity() {
+        let cases = [
+            ("a = [1]\nb = a.dup\nb.push(2)\na.length", Value::Int(1)),
+            ("s = 'x'\nt = s.clone\nt << 'y'\ns", Value::str("x")),
+            ("h = {a: 1}\ng = h.dup\ng[:b] = 2\nh.length", Value::Int(1)),
+            ("[1].equal?([1])", Value::Bool(false)),
+            ("'x'.equal?('x')", Value::Bool(false)),
+            ("a = [1]\na.equal?(a)", Value::Bool(true)),
+        ];
+        for (src, want) in cases {
+            assert_eq!(run_ok(src), want, "{src}");
+        }
+    }
+
+    #[test]
     fn user_methods_on_builtin_classes_win_over_corelib() {
         let src = "class Integer\n def twice()\n self * 2\n end\nend\n3.twice()";
         assert_eq!(run_ok(src), Value::Int(6));

@@ -216,6 +216,39 @@ impl Value {
         }
     }
 
+    /// Ruby `equal?`: object identity.  Strings, arrays, hashes, objects
+    /// and lambdas are the same object only when they share one `Rc`;
+    /// `nil`, booleans, integers, floats (by bits), symbols and class names
+    /// are immediates, identical when their values are.
+    pub fn identical(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Nil, Value::Nil) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Sym(a), Value::Sym(b)) | (Value::Class(a), Value::Class(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => Rc::ptr_eq(a, b),
+            (Value::Array(a), Value::Array(b)) => Rc::ptr_eq(a, b),
+            (Value::Hash(a), Value::Hash(b)) => Rc::ptr_eq(a, b),
+            (Value::Object(a), Value::Object(b)) => Rc::ptr_eq(a, b),
+            (Value::Lambda(a), Value::Lambda(b)) => Rc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// Ruby `dup` / `clone`: a string, array, hash or object gets a new
+    /// `Rc` holding the same element values (a shallow copy); any other
+    /// value is returned as is.
+    pub fn shallow_copy(&self) -> Value {
+        match self {
+            Value::Str(s) => Value::str(s.borrow().clone()),
+            Value::Array(a) => Value::array(a.borrow().clone()),
+            Value::Hash(h) => Value::hash(h.borrow().clone()),
+            Value::Object(o) => Value::Object(Rc::new(RefCell::new(o.borrow().clone()))),
+            other => other.clone(),
+        }
+    }
+
     /// `inspect`-style rendering (strings quoted).  An array or hash met
     /// again inside itself prints as `[...]` or `{...}`, as in Ruby.
     pub fn inspect(&self) -> String {

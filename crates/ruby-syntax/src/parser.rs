@@ -170,6 +170,15 @@ impl Parser {
         self.tokens[self.pos.min(self.tokens.len() - 1)].span
     }
 
+    /// The span of the last consumed token, where a construct that ends
+    /// with it ends (the current token's span before anything is consumed).
+    fn prev_span(&self) -> Span {
+        match self.pos.checked_sub(1) {
+            Some(prev) => self.tokens[prev].span,
+            None => self.span(),
+        }
+    }
+
     fn advance(&mut self) -> Token {
         let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
         if self.pos < self.tokens.len() - 1 {
@@ -858,7 +867,7 @@ impl Parser {
                         Vec::new()
                     };
                     let block = self.parse_optional_block()?;
-                    let span = e.span.to(self.span());
+                    let span = e.span.to(self.prev_span());
                     e = self.make_call(Some(Box::new(e)), name, args, block, span);
                 }
                 TokenKind::ColonColon => {
@@ -875,7 +884,7 @@ impl Parser {
                                 )))
                             }
                         }
-                        let span = e.span.to(self.span());
+                        let span = e.span.to(self.prev_span());
                         e = Expr::new(ExprKind::Const(path), span);
                     } else {
                         break;
@@ -1455,6 +1464,19 @@ end
         let prog =
             parse_program_strict("class Log\n  def <<(line)\n    line\n  end\nend\n").unwrap();
         assert_eq!(prog.methods()[0].1.name, "<<");
+    }
+
+    #[test]
+    fn a_dot_call_and_a_constant_path_end_at_their_last_token() {
+        let src = "xs.push(v) + 1";
+        let e = parse_expr(src).unwrap();
+        let ExprKind::Call { recv: Some(call), .. } = &e.kind else { panic!("{e:?}") };
+        assert_eq!((call.span.start, call.span.end), (0, 10));
+        let src = "def m(xs)\n  xs.push(1)\n  xs.size\n  A::B\nend\n";
+        let prog = parse_program_strict(src).unwrap();
+        let texts: Vec<&str> =
+            prog.methods()[0].1.body.iter().map(|e| &src[e.span.start..e.span.end]).collect();
+        assert_eq!(texts, ["xs.push(1)", "xs.size", "A::B"]);
     }
 
     #[test]
