@@ -28,9 +28,10 @@
 //!
 //! Verdicts use `rdl_types`' effect vocabulary ([`TermEffect`],
 //! [`PurityEffect`]).  The seed, the trusted effects of names the program
-//! does not define, is an [`EffectTable`]: in the corpus, the type
-//! checker's own explicit layer (`comprdl::explicit_effects`).  It is only
-//! looked up, never iterated, so its hash order cannot reach the output.
+//! does not define, is any [`EffectLookup`]: in the corpus, the type
+//! checker's own explicit layer (`comprdl::explicit_effects`), read by
+//! reference.  It is only looked up, never iterated, so no hash order can
+//! reach the output.
 //!
 //! Every non-`Terminates`/non-`Pure` verdict carries a *blame chain*: the
 //! call path from the method to the root cause, rendered as
@@ -42,7 +43,7 @@
 //! [`infer`]: ProgramSummaries::infer
 //! [`render`]: ProgramSummaries::render
 
-use rdl_types::{EffectTable, PurityEffect, TermEffect};
+use rdl_types::{EffectLookup, PurityEffect, TermEffect};
 use ruby_syntax::{Expr, ExprKind, LValue, MethodDef, Program};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -392,7 +393,7 @@ impl ProgramSummaries {
     /// extracted on `threads` worker threads (1 = on the calling thread;
     /// atomic work claiming, results merged in method-index order), so
     /// every thread count renders byte-identically.
-    pub fn infer(program: &Program, seed: &EffectTable, threads: usize) -> ProgramSummaries {
+    pub fn infer(program: &Program, seed: &dyn EffectLookup, threads: usize) -> ProgramSummaries {
         Self::solve(program, seed, &collect_all_facts(program, threads), &BTreeMap::new()).0
     }
 
@@ -409,7 +410,7 @@ impl ProgramSummaries {
     /// run renders byte-identically to a cold run.
     pub fn infer_with_baseline(
         program: &Program,
-        seed: &EffectTable,
+        seed: &dyn EffectLookup,
         fixed: &BTreeMap<(String, String, bool), MethodSummary>,
     ) -> (ProgramSummaries, usize) {
         Self::solve(program, seed, &collect_all_facts(program, 1), fixed)
@@ -417,7 +418,7 @@ impl ProgramSummaries {
 
     fn solve(
         program: &Program,
-        seed: &EffectTable,
+        seed: &dyn EffectLookup,
         facts: &[LocalFacts],
         fixed: &BTreeMap<(String, String, bool), MethodSummary>,
     ) -> (ProgramSummaries, usize) {
@@ -457,8 +458,8 @@ impl ProgramSummaries {
                 }
                 let r = match by_name.get(name) {
                     Some(targets) => Resolved::Methods(targets.clone()),
-                    None => match seed.get(name) {
-                        Some(&(term, purity)) => Resolved::Seed(term, purity),
+                    None => match seed.effects(name) {
+                        Some((term, purity)) => Resolved::Seed(term, purity),
                         None => Resolved::Unknown,
                     },
                 };
@@ -1127,6 +1128,7 @@ fn call_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdl_types::EffectTable;
     use ruby_syntax::parse_program_strict;
 
     fn seed() -> EffectTable {

@@ -168,10 +168,18 @@ impl CompRdl {
 
     // ---- shared libraries -------------------------------------------------
 
-    /// Merges a library environment into this one.  Signatures and helpers
-    /// are shared as `Arc` clones, later registrations win, and the
-    /// library's Table 1 LoC adds to this environment's, so the result
-    /// equals registering the library's annotations here directly.
+    /// Merges a library environment into this one.  Later registrations
+    /// win, and the library's Table 1 LoC adds to this environment's, so
+    /// the result equals registering the library's annotations here
+    /// directly.
+    ///
+    /// Nothing per entry is copied: each annotated class's signature map,
+    /// each helper map and the annotations' effect join (see
+    /// [`AnnotationTable`]) are shared by one `Arc` clone where this
+    /// environment has none yet.  A class or map both sides hold is copied
+    /// once and merged entry by entry, and a later registration copies
+    /// only the class it touches.  So a library's maps and effect join are
+    /// built once per process, in the `OnceLock` that holds it.
     ///
     /// A library declares no classes, so classes are not merged.
     pub fn merge_library(&mut self, library: &CompRdl) {

@@ -68,7 +68,7 @@ pub use runtime::{
 };
 pub use semdep::{comp_semantic_hash, env_hash, DepGraph};
 pub use termination::{
-    annotation_conflicts, explicit_effects, EffectEnv, EffectSource, EffectViolation,
-    InferredEffect, TerminationChecker, ViolationKind,
+    annotation_conflicts, builtin_effects, explicit_effects, EffectEnv, EffectSource,
+    EffectViolation, ExplicitEffects, InferredEffect, TerminationChecker, ViolationKind,
 };
 pub use tlc::{eval_comp_type, HelperRegistry, MetaKind, TlcCtx, TlcError, TlcValue};

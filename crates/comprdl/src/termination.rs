@@ -14,11 +14,13 @@
 //! The effect environment has two layers: *explicit* effects and
 //! *inferred* effects ([`InferredEffect`] summaries computed
 //! interprocedurally by the `analysis` crate and installed via
-//! [`EffectEnv::install_inferred`]).  [`explicit_effects`] builds the
+//! [`EffectEnv::install_inferred`]).  [`explicit_effects`] hands out the
 //! explicit layer, which the summary inference is seeded with too: the
 //! builtins, overridden by `terminates:`/`pure:` annotations, overridden in
 //! turn by registered helpers.  Annotations that share a bare name are
-//! joined pessimistically, not overwritten.  Explicit entries always win;
+//! joined pessimistically, not overwritten; the annotation table keeps
+//! that join as it is filled, so the layer is read by reference and never
+//! rebuilt per environment.  Explicit entries always win;
 //! inferred entries fill in for un-annotated methods; names present in
 //! neither layer stay pessimistic (`:-` / impure), and their violations
 //! say so ("no summary and no annotation for …") instead of reading like a
@@ -27,10 +29,12 @@
 //! `TERM0004` warning rendering the inferred blame chain.
 
 use crate::env::CompRdl;
-use rdl_types::{EffectTable, PurityEffect, TermEffect};
+use crate::tlc::HelperRegistry;
+use rdl_types::{EffectJoin, EffectLookup, EffectTable, PurityEffect, TermEffect};
 use ruby_syntax::{Expr, ExprKind, MethodDef, Span};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// What kind of effect restriction a violation breaks; each kind has its
 /// own stable diagnostic code so tooling can filter and count them.
@@ -242,53 +246,112 @@ const BUILTINS: [(TermEffect, PurityEffect, &[&str]); 3] = [
     ),
 ];
 
-/// Builds the explicit effect layer for `env`: the builtins, then every
+/// The builtin effects by name, the bottom of every explicit layer; built
+/// once per process.
+pub fn builtin_effects() -> &'static HashMap<&'static str, (TermEffect, PurityEffect)> {
+    static TABLE: OnceLock<HashMap<&'static str, (TermEffect, PurityEffect)>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = HashMap::new();
+        for (term, purity, names) in BUILTINS {
+            for &name in names {
+                table.entry(name).or_insert((term, purity));
+            }
+        }
+        table
+    })
+}
+
+/// What a registered type-level helper is trusted to be.
+const HELPER_EFFECTS: (TermEffect, PurityEffect) = (TermEffect::Terminates, PurityEffect::Pure);
+
+/// The explicit effect layer of an environment, read by reference: a
+/// registered type-level helper is trusted to terminate and be pure; any
+/// other name takes the pessimistic join of the `terminates:`/`pure:`
+/// annotations registered under it (the annotation table's
+/// [`EffectJoin`]); a name neither claims falls back to the builtins.
+///
+/// It holds the environment's helper maps and effect join by `Arc`, so
+/// building one copies no name, and a lookup is a probe per layer.
+#[derive(Debug, Clone, Default)]
+pub struct ExplicitEffects {
+    helpers: HelperRegistry,
+    annotations: EffectJoin,
+}
+
+impl ExplicitEffects {
+    /// The layer of a helper registry on its own: its helpers over the
+    /// builtins.
+    pub(crate) fn of_helpers(helpers: &HelperRegistry) -> Self {
+        ExplicitEffects { helpers: helpers.clone(), annotations: EffectJoin::default() }
+    }
+
+    /// The explicit effects of `name`, if any layer knows it.
+    pub fn get(&self, name: &str) -> Option<&(TermEffect, PurityEffect)> {
+        if self.helpers.contains(name) {
+            return Some(&HELPER_EFFECTS);
+        }
+        self.annotations.get(name).or_else(|| builtin_effects().get(name))
+    }
+
+    /// Whether any layer knows `name`.
+    pub fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+}
+
+impl std::ops::Index<&str> for ExplicitEffects {
+    type Output = (TermEffect, PurityEffect);
+
+    /// # Panics
+    ///
+    /// Panics if no layer knows `name`.
+    fn index(&self, name: &str) -> &Self::Output {
+        self.get(name).unwrap_or_else(|| panic!("no explicit effects for `{name}`"))
+    }
+}
+
+impl EffectLookup for ExplicitEffects {
+    fn effects(&self, name: &str) -> Option<(TermEffect, PurityEffect)> {
+        self.get(name).copied()
+    }
+}
+
+/// The explicit effect layer of `env`: the builtins, then every
 /// `terminates:`/`pure:` annotation, then every registered type-level
 /// helper (trusted to terminate and be pure), each layer overriding the
 /// one before it.  Effects are keyed by bare name, so a name annotated on
 /// several classes gets the pessimistic join of its annotations
-/// ([`TermEffect::join`], [`PurityEffect::join`]) and the table does not
-/// depend on the annotation table's iteration order.
+/// ([`TermEffect::join`], [`PurityEffect::join`]), whatever the annotation
+/// table's iteration order.
+///
+/// The join is kept by the annotation table ([`EffectJoin`]) as signatures
+/// are registered and merged, so a shared library's is computed once per
+/// process.  This call only clones the `Arc`s of `env`'s helper maps and
+/// join; it copies no name.
 ///
 /// [`TypeChecker::new`](crate::TypeChecker::new) and the corpus's summary
-/// inference seed both start from this table, so the checker and the
+/// inference seed both start from this layer, so the checker and the
 /// inference trust exactly the same effects.
-pub fn explicit_effects(env: &CompRdl) -> EffectTable {
-    let mut table = EffectTable::with_capacity(env.annotations.method_count());
-    for ((_, _, name), sig) in env.annotations.iter() {
-        match table.get_mut(name) {
-            Some((term, purity)) => {
-                *term = term.join(sig.term);
-                *purity = purity.join(sig.purity);
-            }
-            None => {
-                table.insert(name.to_string(), (sig.term, sig.purity));
-            }
-        }
+pub fn explicit_effects(env: &CompRdl) -> ExplicitEffects {
+    ExplicitEffects {
+        helpers: env.helpers.clone(),
+        annotations: env.annotations.effect_join().clone(),
     }
-    // The builtins are the bottom layer: they fill in only the names no
-    // annotation claims, so the join above never mixes one in.
-    for (term, purity, names) in BUILTINS {
-        for &name in names {
-            if !table.contains_key(name) {
-                table.insert(name.to_string(), (term, purity));
-            }
-        }
-    }
-    for name in env.helpers.names() {
-        table.insert(name, (TermEffect::Terminates, PurityEffect::Pure));
-    }
-    table
 }
 
 /// The effect environment: method name → (termination, purity).
 ///
 /// Effects are looked up by bare method name, mirroring how the paper's
 /// annotations attach `terminates:` / `pure:` labels to methods.  Lookup
-/// precedence is explicit → inferred → pessimistic default.
+/// precedence is explicit → inferred → pessimistic default.  The explicit
+/// layer is an [`ExplicitEffects`], read by reference, under any names
+/// [`EffectEnv::set`] one at a time.
 #[derive(Debug, Clone, Default)]
 pub struct EffectEnv {
-    effects: EffectTable,
+    /// Names set one at a time; they shadow `explicit`.
+    set: EffectTable,
+    /// The explicit layer; `None` in an empty environment.
+    explicit: Option<ExplicitEffects>,
     inferred: HashMap<String, InferredEffect>,
 }
 
@@ -301,18 +364,23 @@ impl EffectEnv {
     /// An environment holding only the builtin effects: the explicit layer
     /// of an environment with no annotations and no helpers.
     pub fn with_builtins() -> Self {
-        EffectEnv::from_explicit(explicit_effects(&CompRdl::new()))
+        EffectEnv::from_explicit(ExplicitEffects::default())
     }
 
     /// An environment whose explicit layer is `effects` (see
     /// [`explicit_effects`]) and whose inferred layer is empty.
-    pub fn from_explicit(effects: EffectTable) -> Self {
-        EffectEnv { effects, inferred: HashMap::new() }
+    pub fn from_explicit(effects: ExplicitEffects) -> Self {
+        EffectEnv { explicit: Some(effects), ..EffectEnv::default() }
     }
 
     /// Sets the explicit effects for a method name.
     pub fn set(&mut self, method: &str, term: TermEffect, purity: PurityEffect) {
-        self.effects.insert(method.to_string(), (term, purity));
+        self.set.insert(method.to_string(), (term, purity));
+    }
+
+    /// The explicit effects of `method`, if any.
+    fn explicit(&self, method: &str) -> Option<&(TermEffect, PurityEffect)> {
+        self.set.get(method).or_else(|| self.explicit.as_ref()?.get(method))
     }
 
     /// Installs interprocedural effect summaries below the explicit layer.
@@ -342,8 +410,7 @@ impl EffectEnv {
     /// The termination effect for a method (explicit wins over inferred;
     /// unknown methods default to `:-`, may diverge).
     pub fn termination(&self, method: &str) -> TermEffect {
-        self.effects
-            .get(method)
+        self.explicit(method)
             .map(|(t, _)| *t)
             .or_else(|| self.inferred.get(method).map(|e| e.term))
             .unwrap_or(TermEffect::MayDiverge)
@@ -352,8 +419,7 @@ impl EffectEnv {
     /// The purity effect for a method (explicit wins over inferred;
     /// unknown methods default to impure).
     pub fn purity(&self, method: &str) -> PurityEffect {
-        self.effects
-            .get(method)
+        self.explicit(method)
             .map(|(_, p)| *p)
             .or_else(|| self.inferred.get(method).map(|e| e.purity))
             .unwrap_or(PurityEffect::Impure)
@@ -361,7 +427,7 @@ impl EffectEnv {
 
     /// Where the verdict for `method` comes from.
     pub fn source(&self, method: &str) -> EffectSource {
-        if self.effects.contains_key(method) {
+        if self.explicit(method).is_some() {
             EffectSource::Explicit
         } else if self.inferred.contains_key(method) {
             EffectSource::Inferred
@@ -376,19 +442,9 @@ impl EffectEnv {
         self.inferred.get(method)
     }
 
-    /// Number of explicitly annotated methods.
-    pub fn len(&self) -> usize {
-        self.effects.len()
-    }
-
     /// Number of installed inferred summaries.
     pub fn inferred_len(&self) -> usize {
         self.inferred.len()
-    }
-
-    /// True if no explicit effects are registered.
-    pub fn is_empty(&self) -> bool {
-        self.effects.is_empty()
     }
 }
 
@@ -674,7 +730,8 @@ mod tests {
         assert_eq!(env.purity("unknown_method"), PurityEffect::Impure);
         assert_eq!(env.termination("map"), TermEffect::BlockDep);
         assert_eq!(env.purity("push"), PurityEffect::Impure);
-        assert!(!env.is_empty());
+        assert_eq!(env.source("map"), EffectSource::Explicit);
+        assert_eq!(EffectEnv::new().source("map"), EffectSource::Unknown);
     }
 
     /// Each violation kind has its own stable diagnostic code; pin the

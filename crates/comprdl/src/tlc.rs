@@ -12,7 +12,10 @@
 //! helper calls either to native Rust helpers or to helpers written in the
 //! Ruby subset and registered with the [`HelperRegistry`].
 
-use rdl_types::{ClassTable, HashKey, SingVal, Subtyper, Type, TypeStore};
+use crate::termination::{EffectEnv, ExplicitEffects, TerminationChecker};
+use rdl_types::{
+    ClassTable, HashKey, PurityEffect, SingVal, Subtyper, TermEffect, Type, TypeStore,
+};
 use ruby_syntax::{BinOp, Expr, ExprKind, MethodDef, Span};
 use std::collections::HashMap;
 use std::fmt;
@@ -236,11 +239,29 @@ pub type NativeHelper = Arc<dyn Fn(&mut TlcCtx<'_>, &[TlcValue]) -> TlcResult + 
 /// their hashes by `Arc`, so a library registered once is hashed once.
 #[derive(Default, Clone)]
 pub struct HelperRegistry {
-    native: HashMap<String, Arc<NativeEntry>>,
-    ruby: HashMap<String, Arc<RubyEntry>>,
+    native: Shared<NativeEntry>,
+    ruby: Shared<RubyEntry>,
     /// Lines of type-level Ruby code contributed by registered Ruby helpers
     /// (used for Table 1 LoC accounting).
     ruby_loc: usize,
+}
+
+/// Helper name → entry, shared by [`Arc`] between the registries a
+/// library is merged into; a registration copies the map only while it is
+/// shared ([`Arc::make_mut`]).
+type Shared<E> = Arc<HashMap<String, Arc<E>>>;
+
+/// Merges `from` into `into`, `from`'s entries winning.  An empty `into`
+/// takes `from`'s map by one `Arc` clone.
+fn merge_shared<E>(into: &mut Shared<E>, from: &Shared<E>) {
+    if into.is_empty() {
+        *into = Arc::clone(from);
+    } else if !from.is_empty() && !Arc::ptr_eq(into, from) {
+        let into = Arc::make_mut(into);
+        for (name, entry) in from.iter() {
+            into.insert(name.clone(), Arc::clone(entry));
+        }
+    }
 }
 
 struct NativeEntry {
@@ -294,36 +315,68 @@ impl HelperRegistry {
 
     fn insert_native(&mut self, name: &str, state: Option<u64>, f: NativeHelper) {
         let hash = crate::semdep::native_helper_hash(name, state);
-        self.native.insert(name.to_string(), Arc::new(NativeEntry { f, hash }));
+        Arc::make_mut(&mut self.native).insert(name.to_string(), Arc::new(NativeEntry { f, hash }));
     }
 
     /// Registers helper methods written in the Ruby subset; `src` is parsed
     /// and each top-level `def` becomes a callable helper.
     ///
+    /// Type-level code must terminate and be pure (paper §4), so each
+    /// helper body is checked as comp types are
+    /// ([`TerminationChecker::check_helper`] with purity required) against
+    /// the builtin effects, with every helper already registered and every
+    /// `def` in `src` trusted to terminate and be pure.  Recursion between
+    /// helpers is therefore trusted here; evaluation fuel cuts it off at
+    /// run time instead.
+    ///
     /// # Errors
     ///
-    /// Returns a [`TlcError`] if `src` does not parse.
+    /// Returns a [`TlcError`] if `src` does not parse, or naming the helper
+    /// and its violations if a body may loop, calls a method not known to
+    /// terminate or be pure, or writes non-local state.
     pub fn register_ruby(&mut self, src: &str) -> TlcResult<()> {
         let program = ruby_syntax::parse_program_strict(src)
             .map_err(|e| TlcError::new(format!("helper source does not parse: {e}")))?;
+        let methods = program.methods();
+        self.check_bodies(&methods)?;
         self.ruby_loc += ruby_syntax::count_loc(src);
-        for (_, m) in program.methods() {
+        let ruby = Arc::make_mut(&mut self.ruby);
+        for (_, m) in methods {
             let hash = ruby_syntax::method_hash(m);
-            self.ruby.insert(m.name.clone(), Arc::new(RubyEntry { def: m.clone(), hash }));
+            ruby.insert(m.name.clone(), Arc::new(RubyEntry { def: m.clone(), hash }));
+        }
+        Ok(())
+    }
+
+    /// Checks that every body of `defs` terminates and is pure, trusting
+    /// the builtins, the helpers registered so far and `defs` themselves.
+    fn check_bodies(&self, defs: &[(String, &MethodDef)]) -> TlcResult<()> {
+        let mut effects = EffectEnv::from_explicit(ExplicitEffects::of_helpers(self));
+        for (_, def) in defs {
+            effects.set(&def.name, TermEffect::Terminates, PurityEffect::Pure);
+        }
+        let checker = TerminationChecker::new(effects);
+        for (_, def) in defs {
+            let violations: Vec<String> =
+                checker.check_helper(def, true).iter().map(ToString::to_string).collect();
+            if !violations.is_empty() {
+                return Err(TlcError::new(format!(
+                    "helper `{}` must terminate and be pure: {}",
+                    def.name,
+                    violations.join("; ")
+                )));
+            }
         }
         Ok(())
     }
 
     /// Merges every helper of `other` into `self` (later registrations
-    /// win).  Helpers and their hashes are shared with `other`, not copied,
-    /// and `other`'s Ruby helper LoC adds to this registry's.
+    /// win).  Helpers and their hashes are shared with `other`, not copied:
+    /// a map `self` has no entries in yet takes `other`'s by one `Arc`
+    /// clone.  `other`'s Ruby helper LoC adds to this registry's.
     pub fn merge(&mut self, other: &HelperRegistry) {
-        for (name, entry) in &other.native {
-            self.native.insert(name.clone(), Arc::clone(entry));
-        }
-        for (name, entry) in &other.ruby {
-            self.ruby.insert(name.clone(), Arc::clone(entry));
-        }
+        merge_shared(&mut self.native, &other.native);
+        merge_shared(&mut self.ruby, &other.ruby);
         self.ruby_loc += other.ruby_loc;
     }
 
@@ -1413,6 +1466,35 @@ mod tests {
             err.message
         );
         assert!(err.span.is_some());
+    }
+
+    #[test]
+    fn helper_bodies_must_terminate_and_be_pure() {
+        let rejected = [
+            ("def spin(t)\n  while true\n    t\n  end\nend\n", "spin", 1),
+            ("def calls_out(t)\n  mystery(t)\nend\n", "calls_out", 2),
+            ("def remembers(t)\n  @seen = t\n  t\nend\n", "remembers", 1),
+        ];
+        for (src, name, violations) in rejected {
+            let mut helpers = HelperRegistry::new();
+            let err = helpers.register_ruby(src).unwrap_err();
+            assert!(err.message.contains(&format!("helper `{name}`")), "{}", err.message);
+            assert_eq!(err.message.matches("line ").count(), violations, "{}", err.message);
+            assert!(helpers.is_empty(), "{name}: a rejected source registers nothing");
+        }
+        // Builtins, helpers registered before and defs of the same source
+        // may all be called, recursively too.
+        let mut helpers = HelperRegistry::new();
+        helpers.register_native("always_string", |_ctx, _args| {
+            Ok(TlcValue::Type(Type::nominal("String")))
+        });
+        helpers
+            .register_ruby(
+                "def outer(t)\n  n = t.length\n  inner(always_string(n))\nend\n\
+                 def inner(t)\n  outer(t)\nend\n",
+            )
+            .unwrap();
+        assert_eq!(helpers.len(), 3);
     }
 
     #[test]

@@ -21,20 +21,24 @@
 use std::collections::BTreeMap;
 
 use analysis::{MethodSummary, ProgramSummaries, TaintSummary};
-use comprdl::{CompRdl, EffectRecord, InferredEffect};
-use rdl_types::EffectTable;
+use comprdl::{CompRdl, EffectRecord, ExplicitEffects, InferredEffect};
+use rdl_types::EffectLookup;
 use ruby_syntax::Program;
 
 /// The trusted seed effects for summary inference: the explicit layer
-/// [`comprdl::explicit_effects`] builds for the type checker.
-pub fn seed_map(env: &CompRdl) -> EffectTable {
+/// [`comprdl::explicit_effects`] hands the type checker, read by reference.
+pub fn seed_map(env: &CompRdl) -> ExplicitEffects {
     comprdl::explicit_effects(env)
 }
 
 /// Infers summaries for every method of `program` with `threads` workers
 /// (1 = sequential).  The parallel fact extraction is output-invisible:
 /// the fixpoint itself is deterministic over the condensed call graph.
-pub fn effects_pass(program: &Program, seed: &EffectTable, threads: usize) -> ProgramSummaries {
+pub fn effects_pass(
+    program: &Program,
+    seed: &dyn EffectLookup,
+    threads: usize,
+) -> ProgramSummaries {
     ProgramSummaries::infer(program, seed, threads)
 }
 
@@ -138,7 +142,7 @@ pub fn replay_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdl_types::{PurityEffect, TermEffect};
+    use rdl_types::{EffectTable, PurityEffect, TermEffect};
 
     fn sample_program() -> Program {
         ruby_syntax::parse_program_strict(

@@ -44,8 +44,8 @@ pub use class::{ClassInfo, ClassTable};
 pub use fingerprint::Fingerprint;
 pub use parse::{parse_method_sig, parse_type_expr, SigParseError};
 pub use sig::{
-    AnnotationTable, CompSpec, EffectTable, MethodKind, MethodSig, ParamSig, PurityEffect,
-    TermEffect, TypeExpr,
+    AnnotationTable, CompSpec, EffectJoin, EffectLookup, EffectTable, MethodKind, MethodSig,
+    ParamSig, PurityEffect, TermEffect, TypeExpr,
 };
 pub use store::{ConstStringData, Constraint, FiniteHashData, StoreShift, TupleData, TypeStore};
 pub use subtype::Subtyper;

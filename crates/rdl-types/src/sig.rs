@@ -96,10 +96,83 @@ impl PurityEffect {
     }
 }
 
-/// Trusted effects keyed by bare method name: the explicit layer that the
-/// checker's effect environment and the interprocedural summary inference
-/// both start from (built by `comprdl::termination::explicit_effects`).
+/// Trusted effects keyed by bare method name, built one name at a time
+/// (a test's seed, say).  The explicit layer the checker and the summary
+/// inference share is read by reference instead (see [`EffectLookup`]).
 pub type EffectTable = HashMap<String, (TermEffect, PurityEffect)>;
+
+/// A source of trusted effects, looked up by bare method name: what the
+/// interprocedural summary inference is seeded with.  An [`EffectTable`]
+/// is one; so is `comprdl`'s explicit layer, which reads an environment's
+/// helpers, its [`EffectJoin`] and the builtins by reference.
+pub trait EffectLookup {
+    /// The trusted effects of `name`, if this source knows the name.
+    fn effects(&self, name: &str) -> Option<(TermEffect, PurityEffect)>;
+}
+
+impl EffectLookup for EffectTable {
+    fn effects(&self, name: &str) -> Option<(TermEffect, PurityEffect)> {
+        self.get(name).copied()
+    }
+}
+
+/// Bare method name → the pessimistic join ([`TermEffect::join`],
+/// [`PurityEffect::join`]) of the declared effects of every signature an
+/// [`AnnotationTable`] registers under that name, on any class and of
+/// either kind.  The table keeps it up to date as signatures are added and
+/// merged.  The map is shared by [`Arc`]: cloning it, or merging a table
+/// into an empty one, copies nothing, so a library's join is computed once
+/// and read by every environment it is merged into.
+#[derive(Debug, Clone, Default)]
+pub struct EffectJoin(Arc<HashMap<Arc<str>, (TermEffect, PurityEffect)>>);
+
+impl EffectJoin {
+    /// The joined effects of the signatures named `name`, if any.
+    pub fn get(&self, name: &str) -> Option<&(TermEffect, PurityEffect)> {
+        self.0.get(name)
+    }
+
+    /// Joins one more signature's effects into `name`'s.
+    fn add(&mut self, name: &str, effects: (TermEffect, PurityEffect)) {
+        let map = Arc::make_mut(&mut self.0);
+        match map.get_mut(name) {
+            Some(joined) => *joined = join_effects(*joined, effects),
+            None => {
+                map.insert(name.into(), effects);
+            }
+        }
+    }
+
+    /// Sets `name`'s join to `effects`, recomputed from scratch.
+    fn set(&mut self, name: &str, effects: (TermEffect, PurityEffect)) {
+        if self.get(name) != Some(&effects) {
+            Arc::make_mut(&mut self.0).insert(name.into(), effects);
+        }
+    }
+
+    /// Joins every name of `other` into this join.  Into an empty join,
+    /// `other`'s map is shared rather than copied.
+    fn merge(&mut self, other: &EffectJoin) {
+        if self.0.is_empty() {
+            self.0 = Arc::clone(&other.0);
+        } else if !other.0.is_empty() && !Arc::ptr_eq(&self.0, &other.0) {
+            let map = Arc::make_mut(&mut self.0);
+            for (name, &effects) in other.0.iter() {
+                map.entry(Arc::clone(name))
+                    .and_modify(|joined| *joined = join_effects(*joined, effects))
+                    .or_insert(effects);
+            }
+        }
+    }
+}
+
+/// The pessimistic join of two `(termination, purity)` pairs.
+fn join_effects(
+    (term, purity): (TermEffect, PurityEffect),
+    (other_term, other_purity): (TermEffect, PurityEffect),
+) -> (TermEffect, PurityEffect) {
+    (term.join(other_term), purity.join(other_purity))
+}
 
 /// A type-level computation: a Ruby-subset expression evaluated during type
 /// checking to produce a type.
@@ -380,11 +453,21 @@ impl MethodSig {
 /// annotations, mirroring RDL's global tables populated by `type`, `var_type`
 /// and `global_type` calls.
 ///
-/// Signatures are held behind [`Arc`], together with their
-/// [`MethodSig::digest`], so [`AnnotationTable::merge`] shares both rather
-/// than copying trees or re-hashing: library annotation sets parsed and
-/// digested once can back any number of tables.  Equality compares
-/// signatures by value.
+/// **Shared by reference.**  Signatures are held behind [`Arc`], together
+/// with their [`MethodSig::digest`], and each class's name → signature map
+/// (and name → variable type map) is an `Arc` of its own.
+/// [`AnnotationTable::merge`] therefore clones one `Arc` per class rather
+/// than copying entries or re-hashing, and a later registration on a
+/// shared class copies only that class's map ([`Arc::make_mut`]): library
+/// annotation sets parsed and digested once can back any number of tables.
+///
+/// **The effect join.**  Next to the maps, the table keeps the
+/// [`EffectJoin`] of its signatures' declared effects by bare name.
+/// Registering a new key joins its effects in; replacing a
+/// `(class, kind, name)` key with one whose effects differ re-joins that
+/// name over the entries that remain, so the join is exact however the
+/// table was filled.  Equality compares the signatures and variable types
+/// by value; the join follows from them.
 ///
 /// **Lookups borrow.**  Signatures are keyed kind → class → method name,
 /// and variable types class → name, so every probe takes `&str` names and
@@ -392,24 +475,60 @@ impl MethodSig {
 /// walks [`ClassTable::ancestors`] and hands out the declaring class and
 /// the `&MethodSig` as borrows of this table, so a caller holding the
 /// table for `'a` can keep both for `'a` instead of copying them.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct AnnotationTable {
     /// Indexed by `MethodKind as usize`: instance, then singleton methods.
     methods: [ByClass<Arc<Annotation>>; 2],
     ivars: ByClass<TypeExpr>,
     gvars: HashMap<String, TypeExpr>,
+    effects: EffectJoin,
 }
 
-/// Class name → member name → `T`.
-type ByClass<T> = HashMap<String, HashMap<String, T>>;
+impl PartialEq for AnnotationTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.methods == other.methods && self.ivars == other.ivars && self.gvars == other.gvars
+    }
+}
 
-/// Merges `from` into `into`, `from`'s entries winning.  An `Arc` value is
-/// shared, not copied.
-fn merge_by_class<T: Clone>(into: &mut ByClass<T>, from: &ByClass<T>) {
-    for (class, by_name) in from {
-        let mine = into.entry(class.clone()).or_default();
-        for (name, value) in by_name {
-            mine.insert(name.clone(), value.clone());
+/// Class name → that class's member name → `T`, shared by [`Arc`].
+type ByClass<T> = HashMap<String, Arc<HashMap<String, T>>>;
+
+/// The member map of `class`, created if absent and copied first if it is
+/// shared with another table.
+fn class_map_mut<'t, T: Clone>(
+    by_class: &'t mut ByClass<T>,
+    class: &str,
+) -> &'t mut HashMap<String, T> {
+    if !by_class.contains_key(class) {
+        by_class.insert(class.to_string(), Arc::default());
+    }
+    Arc::make_mut(by_class.get_mut(class).expect("inserted above"))
+}
+
+/// Merges `from` into `into`, `from`'s entries winning.  A class `into`
+/// lacks, or holds as the very same map, takes `from`'s `Arc`; only a
+/// class both sides declare differently is copied and merged entry by
+/// entry, and `replaced` sees each entry that overwrites one of `into`'s
+/// as `(name, old, new)`.
+fn merge_by_class<T: Clone>(
+    into: &mut ByClass<T>,
+    from: &ByClass<T>,
+    mut replaced: impl FnMut(&str, &T, &T),
+) {
+    for (class, theirs) in from {
+        match into.get_mut(class.as_str()) {
+            None => {
+                into.insert(class.clone(), Arc::clone(theirs));
+            }
+            Some(mine) if Arc::ptr_eq(mine, theirs) => {}
+            Some(mine) => {
+                let mine = Arc::make_mut(mine);
+                for (name, value) in theirs.iter() {
+                    if let Some(old) = mine.insert(name.clone(), value.clone()) {
+                        replaced(name, &old, value);
+                    }
+                }
+            }
         }
     }
 }
@@ -419,6 +538,12 @@ fn merge_by_class<T: Clone>(into: &mut ByClass<T>, from: &ByClass<T>) {
 struct Annotation {
     sig: MethodSig,
     digest: u64,
+}
+
+impl Annotation {
+    fn effects(&self) -> (TermEffect, PurityEffect) {
+        (self.sig.term, self.sig.purity)
+    }
 }
 
 impl AnnotationTable {
@@ -439,13 +564,33 @@ impl AnnotationTable {
 
     fn add(&mut self, class: &str, kind: MethodKind, method: &str, sig: MethodSig) {
         let digest = sig.digest(class, kind, method);
-        let by_name = self.methods[kind as usize].entry(class.to_string()).or_default();
-        by_name.insert(method.to_string(), Arc::new(Annotation { sig, digest }));
+        let annotation = Arc::new(Annotation { sig, digest });
+        let effects = annotation.effects();
+        let by_name = class_map_mut(&mut self.methods[kind as usize], class);
+        match by_name.insert(method.to_string(), annotation) {
+            None => self.effects.add(method, effects),
+            Some(old) if old.effects() == effects => {}
+            Some(_) => self.rejoin(method),
+        }
+    }
+
+    /// Recomputes `name`'s effect join over every signature registered
+    /// under that name (after one of them was replaced).
+    fn rejoin(&mut self, name: &str) {
+        let joined = self
+            .methods
+            .iter()
+            .flat_map(HashMap::values)
+            .filter_map(|by_name| by_name.get(name))
+            .map(|a| a.effects())
+            .reduce(join_effects);
+        // A replacement leaves the replacing signature, so the name stays.
+        self.effects.set(name, joined.expect("a replaced name keeps its replacement"));
     }
 
     /// Registers an instance variable type (`var_type :@x, "T"`).
     pub fn add_ivar(&mut self, class: &str, name: &str, ty: TypeExpr) {
-        self.ivars.entry(class.to_string()).or_default().insert(name.to_string(), ty);
+        class_map_mut(&mut self.ivars, class).insert(name.to_string(), ty);
     }
 
     /// Registers a global variable type.
@@ -476,6 +621,11 @@ impl AnnotationTable {
         })
     }
 
+    /// The declared effects of every signature, joined by bare name.
+    pub fn effect_join(&self) -> &EffectJoin {
+        &self.effects
+    }
+
     /// Looks up an instance variable type.
     pub fn ivar(&self, class: &str, name: &str) -> Option<&TypeExpr> {
         self.ivars.get(class)?.get(name)
@@ -488,7 +638,7 @@ impl AnnotationTable {
 
     /// Total number of method signatures registered.
     pub fn method_count(&self) -> usize {
-        self.methods.iter().flat_map(HashMap::values).map(HashMap::len).sum()
+        self.methods.iter().flat_map(HashMap::values).map(|by_name| by_name.len()).sum()
     }
 
     /// The signatures registered for `class`, of both kinds.
@@ -496,7 +646,7 @@ impl AnnotationTable {
         self.methods
             .iter()
             .filter_map(move |m| m.get(class))
-            .flat_map(HashMap::values)
+            .flat_map(|by_name| by_name.values())
             .map(|a| &**a)
     }
 
@@ -553,15 +703,27 @@ impl AnnotationTable {
     }
 
     /// Merges all annotations from `other` into `self` (later registrations
-    /// win).  Method signatures and their digests are shared with `other`,
-    /// not copied or recomputed.
+    /// win).  Each class map `self` lacks is shared with `other` by one
+    /// `Arc` clone, and so is the effect join when `self` has none yet;
+    /// signatures and their digests are never copied or recomputed.  A
+    /// name whose signature was replaced by one with other effects is
+    /// re-joined.
     pub fn merge(&mut self, other: &AnnotationTable) {
+        let mut rejoin: Vec<String> = Vec::new();
         for (mine, theirs) in self.methods.iter_mut().zip(&other.methods) {
-            merge_by_class(mine, theirs);
+            merge_by_class(mine, theirs, |name, old, new| {
+                if old.effects() != new.effects() {
+                    rejoin.push(name.to_string());
+                }
+            });
         }
-        merge_by_class(&mut self.ivars, &other.ivars);
+        merge_by_class(&mut self.ivars, &other.ivars, |_, _, _| {});
         for (k, v) in &other.gvars {
             self.gvars.insert(k.clone(), v.clone());
+        }
+        self.effects.merge(&other.effects);
+        for name in rejoin {
+            self.rejoin(&name);
         }
     }
 }
@@ -683,5 +845,36 @@ mod tests {
             b.get_exact("Hash", MethodKind::Instance, "keys").unwrap(),
         ));
         assert!(a.get_exact("Hash", MethodKind::Singleton, "keys").is_some());
+    }
+
+    #[test]
+    fn a_merged_library_is_shared_per_class_until_written() {
+        use PurityEffect::{Impure, Pure};
+        use TermEffect::{MayDiverge, Terminates};
+        let with = |term, purity| {
+            sig_returning(TypeExpr::nominal("Object")).with_term(term).with_purity(purity)
+        };
+        let mut lib = AnnotationTable::new();
+        lib.add_instance("Hash", "first", with(Terminates, Pure));
+        lib.add_instance("Array", "first", with(Terminates, Pure));
+        lib.add_ivar("Hash", "@size", TypeExpr::nominal("Integer"));
+        let mut app = AnnotationTable::new();
+        app.merge(&lib);
+        let shared = |app: &AnnotationTable, class: &str| {
+            Arc::ptr_eq(&app.methods[0][class], &lib.methods[0][class])
+        };
+        assert!(shared(&app, "Hash") && shared(&app, "Array"));
+        assert!(Arc::ptr_eq(&app.ivars["Hash"], &lib.ivars["Hash"]));
+        assert!(Arc::ptr_eq(&app.effects.0, &lib.effects.0));
+
+        // A write copies the class it touches and the join, nothing else,
+        // and re-joins a replaced name over what remains.
+        app.add_instance("Array", "first", with(MayDiverge, Impure));
+        assert!(shared(&app, "Hash") && !shared(&app, "Array"));
+        assert_eq!(app.effect_join().get("first"), Some(&(MayDiverge, Impure)));
+        assert_eq!(lib.effect_join().get("first"), Some(&(Terminates, Pure)));
+        app.add_instance("Array", "first", with(Terminates, Pure));
+        assert_eq!(app.effect_join().get("first"), Some(&(Terminates, Pure)));
+        assert_eq!(app, lib);
     }
 }
