@@ -173,13 +173,13 @@ impl CompRdl {
     /// the result equals registering the library's annotations here
     /// directly.
     ///
-    /// Nothing per entry is copied: each annotated class's signature map,
-    /// each helper map and the annotations' effect join (see
-    /// [`AnnotationTable`]) are shared by one `Arc` clone where this
-    /// environment has none yet.  A class or map both sides hold is copied
-    /// once and merged entry by entry, and a later registration copies
-    /// only the class it touches.  So a library's maps and effect join are
-    /// built once per process, in the `OnceLock` that holds it.
+    /// Where this environment has none yet, each annotated class's
+    /// signature map, each helper map and the annotations' effect join (see
+    /// [`AnnotationTable`]) are shared by one `Arc` clone.  A class or map
+    /// both sides hold is copied once and merged entry by entry, and a
+    /// later registration copies only the class it touches.  So a
+    /// library's maps and effect join are built once per process, in the
+    /// `OnceLock` that holds it.
     ///
     /// A library declares no classes, so classes are not merged.
     pub fn merge_library(&mut self, library: &CompRdl) {

@@ -271,7 +271,8 @@ const HELPER_EFFECTS: (TermEffect, PurityEffect) = (TermEffect::Terminates, Puri
 /// [`EffectJoin`]); a name neither claims falls back to the builtins.
 ///
 /// It holds the environment's helper maps and effect join by `Arc`, so
-/// building one copies no name, and a lookup is a probe per layer.
+/// building one copies no name, and a lookup probes at most the two helper
+/// maps, the join and the builtin table.
 #[derive(Debug, Clone, Default)]
 pub struct ExplicitEffects {
     helpers: HelperRegistry,
