@@ -8,18 +8,18 @@
 //!
 //! ## Key
 //!
-//! An evaluation is identified by `(owner class, method name, position)` —
-//! position being a parameter index or the return slot, which pins down the
-//! comp-type *expression* — plus the **resolved** binding environment the
-//! expression runs under (`tself` and each binder, in sorted name order),
-//! plus the **semantic hash** of the comp expression and its transitive
-//! helper closure ([`crate::semdep::comp_semantic_hash`]).  Two call sites
-//! with the same key run the same expression — *the same text, backed by
-//! the same helper bodies* — over the same inputs and must produce the same
-//! result.  A [`CompTypeCache`] lives inside one `TypeChecker` and dies
-//! with it: the on-disk cache ([`crate::persist`]) stores whole method
-//! verdicts, never these entries, and within one checker the environment
-//! does not change.
+//! An evaluation is identified by its **slot** — the `«…»` expression of
+//! one parameter or return position of one signature — plus the
+//! **resolved** binding environment the expression runs under (`tself`,
+//! then each binder in parameter order).  The cache lives inside one
+//! `TypeChecker` and dies with it; the checker borrows its environment
+//! immutably for its whole life, so every slot is an expression at a fixed
+//! address and the cache compares slots by that address.  Two call sites
+//! with the same key run the same expression, backed by the same helper
+//! bodies, over the same inputs, and must produce the same result.  Two
+//! signatures whose comp types read alike are still two slots.  The
+//! on-disk cache ([`crate::persist`]) stores whole method verdicts, never
+//! these entries.
 //!
 //! Every binding is keyed by its structural digest
 //! ([`TypeStore::fingerprint`] — cheaper than building the
@@ -32,6 +32,13 @@
 //! the structure and therefore the key, so mutated receivers never match
 //! stale entries.
 //!
+//! ## Adaptivity
+//!
+//! Building a key costs a fingerprint per binding, which is pure overhead
+//! for a slot evaluated only once — the common case in small programs.  So
+//! the keyed cache engages for a slot only from its second evaluation on;
+//! the first goes straight to the evaluator and counts as a miss.
+//!
 //! ## Invalidation
 //!
 //! Store-backed types (tuples, finite hashes, const strings) are mutable:
@@ -43,76 +50,59 @@
 //! generation evicts it and reports a miss, so cached results can never go
 //! stale — at worst a mutation costs one re-evaluation per affected key.
 
-use crate::tlc::{TlcError, TlcValue};
+use crate::tlc::TlcError;
 use rdl_types::{Type, TypeStore};
-use std::collections::HashMap;
+use ruby_syntax::Expr;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
-/// Which comp-type slot of a signature an evaluation belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CompPosition {
-    /// The comp type of the `i`-th parameter.
-    Param(u8),
-    /// The comp type of the return position.
-    Ret,
+/// A comp-type slot, compared and hashed by the address of its expression.
+#[derive(Clone, Copy)]
+struct Slot<'a>(&'a Expr);
+
+impl PartialEq for Slot<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Slot<'_> {}
+
+impl Hash for Slot<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::ptr::hash(self.0, state);
+    }
 }
 
 /// The identity of one comp-type evaluation.  See the module docs for why
 /// these fields pin down the result.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    owner: String,
-    method: String,
-    position: CompPosition,
-    /// Semantic hash of the comp expression plus its transitive helper
-    /// closure ([`crate::semdep::comp_semantic_hash`]).  An edit to the
-    /// expression or any helper it can reach changes this value, so stale
-    /// entries simply stop matching instead of needing eager eviction.
-    semantic: u64,
-    /// `(name, digest)` bindings in sorted name order, each digest the
-    /// binding's [`TypeStore::fingerprint`].
-    bindings: Vec<(String, u64)>,
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) struct CacheKey<'a> {
+    slot: Slot<'a>,
+    /// Each binding's [`TypeStore::fingerprint`], in the order the slot's
+    /// signature fixes (`tself`, then each binder).
+    bindings: Vec<u64>,
     /// Whether any binding mentioned a store-backed type (used for
     /// generation guarding).
     store_backed_inputs: bool,
 }
 
-impl CacheKey {
-    /// Builds a key from the binding environment handed to the evaluator.
-    /// Returns `None` when a binding holds a non-type value (no such
-    /// bindings are produced by the checker today, but native helpers could
-    /// see richer environments; refusing to cache keeps this conservative).
-    pub fn build(
-        owner: &str,
-        method: &str,
-        position: CompPosition,
-        semantic: u64,
-        bindings: &HashMap<String, TlcValue>,
+impl<'a> CacheKey<'a> {
+    /// Builds the key of evaluating `slot` under the resolved `bindings`.
+    pub(crate) fn build<'t>(
+        slot: &'a Expr,
+        bindings: impl IntoIterator<Item = &'t Type>,
         store: &TypeStore,
-    ) -> Option<CacheKey> {
+    ) -> CacheKey<'a> {
         let mut store_backed_inputs = false;
-        let mut resolved: Vec<(String, u64)> = Vec::with_capacity(bindings.len());
-        for (name, value) in bindings {
-            match value {
-                TlcValue::Type(t) => {
-                    store_backed_inputs |= t.contains_store_backed();
-                    resolved.push((name.clone(), store.fingerprint(t)));
-                }
-                _ => return None,
-            }
-        }
-        resolved.sort_by(|a, b| a.0.cmp(&b.0));
-        Some(CacheKey {
-            owner: owner.to_string(),
-            method: method.to_string(),
-            position,
-            semantic,
-            bindings: resolved,
-            store_backed_inputs,
-        })
-    }
-
-    fn depends_on_store(&self) -> bool {
-        self.store_backed_inputs
+        let bindings = bindings
+            .into_iter()
+            .map(|t| {
+                store_backed_inputs |= t.contains_store_backed();
+                store.fingerprint(t)
+            })
+            .collect();
+        CacheKey { slot: Slot(slot), bindings, store_backed_inputs }
     }
 }
 
@@ -174,45 +164,35 @@ impl CacheStats {
 /// The memoization table for comp-type evaluations, owned by one checking
 /// run (parallel workers each own their own cache alongside their own
 /// [`TypeStore`]).
-#[derive(Debug, Clone, Default)]
-pub struct CompTypeCache {
-    entries: HashMap<CacheKey, CacheEntry>,
-    /// Per-slot evaluation counts, linearly scanned (a program uses a few
-    /// dozen comp-type slots at most).  Keying a lookup costs allocations
-    /// (binding clones, fingerprints), which is pure overhead for slots
-    /// that are only ever evaluated once — the common case in small
-    /// programs — so the keyed machinery only engages from a slot's second
-    /// evaluation on.
-    slots: Vec<(String, String, CompPosition, u32)>,
+#[derive(Default)]
+pub(crate) struct CompTypeCache<'a> {
+    entries: HashMap<CacheKey<'a>, CacheEntry>,
+    /// The slots evaluated so far (see "Adaptivity" in the module docs).
+    seen: HashSet<Slot<'a>>,
     stats: CacheStats,
 }
 
-impl CompTypeCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        CompTypeCache::default()
-    }
-
-    /// Records one evaluation of the `(owner, method, position)` slot and
-    /// reports whether the keyed cache should engage for it: `false` for
-    /// the slot's first evaluation (no repetition proven yet — the caller
-    /// should evaluate directly and skip key building), `true` afterwards.
-    pub fn note_evaluation(&mut self, owner: &str, method: &str, position: CompPosition) -> bool {
-        for (o, m, p, count) in &mut self.slots {
-            if *p == position && o == owner && m == method {
-                *count += 1;
-                return true;
-            }
+impl<'a> CompTypeCache<'a> {
+    /// Records one evaluation of `slot` and reports whether the keyed cache
+    /// should engage for it: `false` for the slot's first evaluation (the
+    /// caller evaluates directly and builds no key), `true` afterwards.
+    pub(crate) fn note_evaluation(&mut self, slot: &'a Expr) -> bool {
+        if self.seen.insert(Slot(slot)) {
+            self.stats.misses += 1;
+            false
+        } else {
+            true
         }
-        self.slots.push((owner.to_string(), method.to_string(), position, 1));
-        self.stats.misses += 1;
-        false
     }
 
     /// Looks up a previous evaluation.  Store-dependent entries whose
     /// generation no longer matches `store` are evicted and reported as
     /// misses.
-    pub fn lookup(&mut self, key: &CacheKey, store: &TypeStore) -> Option<Result<Type, TlcError>> {
+    pub(crate) fn lookup(
+        &mut self,
+        key: &CacheKey<'a>,
+        store: &TypeStore,
+    ) -> Option<Result<Type, TlcError>> {
         match self.entries.get(key) {
             Some(entry) if entry.store_dependent && entry.generation != store.generation() => {
                 self.entries.remove(key);
@@ -232,25 +212,20 @@ impl CompTypeCache {
     }
 
     /// Records the result of an evaluation under `key`.
-    pub fn insert(&mut self, key: CacheKey, result: Result<Type, TlcError>, store: &TypeStore) {
+    pub(crate) fn insert(
+        &mut self,
+        key: CacheKey<'a>,
+        result: Result<Type, TlcError>,
+        store: &TypeStore,
+    ) {
         let store_dependent =
-            key.depends_on_store() || matches!(&result, Ok(t) if t.contains_store_backed());
+            key.store_backed_inputs || matches!(&result, Ok(t) if t.contains_store_backed());
         self.entries
             .insert(key, CacheEntry { result, store_dependent, generation: store.generation() });
     }
 
-    /// The number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Counters accumulated so far.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 }
@@ -258,52 +233,52 @@ impl CompTypeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdl_types::HashKey;
+    use rdl_types::{HashKey, TypeExpr};
 
-    fn key_for(store: &TypeStore, tself: &Type) -> CacheKey {
-        key_for_sem(store, tself, 0xfeed)
+    /// The return comp type of a freshly parsed signature: every call
+    /// parses a new expression, so every call yields a distinct slot.
+    fn slot() -> Expr {
+        let sig = rdl_types::parse_method_sig("(t<:Object) -> «idx(tself, t)»").unwrap();
+        let TypeExpr::Comp(spec) = sig.ret else { panic!("a comp return type") };
+        spec.expr
     }
 
-    fn key_for_sem(store: &TypeStore, tself: &Type, semantic: u64) -> CacheKey {
-        let mut bindings = HashMap::new();
-        bindings.insert("tself".to_string(), TlcValue::Type(tself.clone()));
-        CacheKey::build("Table", "where", CompPosition::Param(0), semantic, &bindings, store)
-            .unwrap()
+    fn key_for<'a>(slot: &'a Expr, store: &TypeStore, tself: &Type) -> CacheKey<'a> {
+        CacheKey::build(slot, [tself], store)
     }
 
     #[test]
     fn hit_after_insert_and_stats() {
-        let store = TypeStore::new();
-        let mut cache = CompTypeCache::new();
-        let key = key_for(&store, &Type::class_of("User"));
+        let mut store = TypeStore::new();
+        let mut cache = CompTypeCache::default();
+        let (this, other) = (slot(), slot());
+        assert!(this == other, "two slots with identical text");
+        let hash = store.new_finite_hash(vec![(HashKey::Sym("id".into()), Type::int(1))]);
+        let key = key_for(&this, &store, &hash);
         assert!(cache.lookup(&key, &store).is_none());
-        cache.insert(key.clone(), Ok(Type::nominal("String")), &store);
+        cache.insert(key, Ok(Type::nominal("String")), &store);
+        // The other slot reads alike but belongs to another annotation, so
+        // it shares no entry with this one.
+        assert!(cache.lookup(&key_for(&other, &store, &hash), &store).is_none());
+        // This slot hits under structurally equal bindings: a fresh hash
+        // with the same content.
+        let equal = store.new_finite_hash(vec![(HashKey::Sym("id".into()), Type::int(1))]);
+        let key = key_for(&this, &store, &equal);
         assert_eq!(cache.lookup(&key, &store), Some(Ok(Type::nominal("String"))));
         assert_eq!(
             cache.stats(),
-            CacheStats { hits: 1, misses: 1, invalidations: 0, evictions: 0 }
+            CacheStats { hits: 1, misses: 2, invalidations: 0, evictions: 0 }
         );
     }
 
     #[test]
-    fn non_type_bindings_refuse_to_build_a_key() {
-        let store = TypeStore::new();
-        let mut bindings = HashMap::new();
-        bindings.insert("tself".to_string(), TlcValue::Sym("x".to_string()));
-        assert!(CacheKey::build("Hash", "[]", CompPosition::Ret, 0, &bindings, &store).is_none());
-    }
-
-    #[test]
-    fn semantic_hash_partitions_the_key_space() {
-        // The same slot and bindings under an edited comp expression (or
-        // helper closure) must not hit entries recorded for the old one.
-        let store = TypeStore::new();
-        let mut cache = CompTypeCache::new();
-        let old = key_for_sem(&store, &Type::class_of("User"), 1);
-        cache.insert(old.clone(), Ok(Type::nominal("String")), &store);
-        let new = key_for_sem(&store, &Type::class_of("User"), 2);
-        assert!(cache.lookup(&new, &store).is_none());
-        assert!(cache.lookup(&old, &store).is_some());
+    fn only_a_slots_second_evaluation_engages_the_keyed_cache() {
+        let mut cache = CompTypeCache::default();
+        let (this, other) = (slot(), slot());
+        assert!(!cache.note_evaluation(&this));
+        assert!(cache.note_evaluation(&this));
+        assert!(!cache.note_evaluation(&other));
+        assert_eq!(cache.stats().misses, 2, "each first evaluation counts as a miss");
     }
 
     #[test]
@@ -311,23 +286,25 @@ mod tests {
         // Every call site allocates fresh ids for literal hashes; the cache
         // must still hit across sites when the *content* is identical.
         let mut store = TypeStore::new();
+        let slot = slot();
         let h1 = store.new_finite_hash(vec![(HashKey::Sym("id".into()), Type::int(1))]);
         let h2 = store.new_finite_hash(vec![(HashKey::Sym("id".into()), Type::int(1))]);
         assert_ne!(h1, h2, "distinct ids");
-        assert_eq!(key_for(&store, &h1), key_for(&store, &h2));
+        assert!(key_for(&slot, &store, &h1) == key_for(&slot, &store, &h2));
         // Mutating one of them changes its fingerprint, so it stops
         // matching entries recorded for the old content.
         let Type::FiniteHash(id) = h2 else { panic!() };
         store.weak_update_hash(id, HashKey::Sym("id".into()), Type::nominal("String"));
-        assert_ne!(key_for(&store, &h1), key_for(&store, &h2));
+        assert!(key_for(&slot, &store, &h1) != key_for(&slot, &store, &h2));
     }
 
     #[test]
     fn promotion_invalidates_store_backed_keys() {
         let mut store = TypeStore::new();
-        let mut cache = CompTypeCache::new();
+        let mut cache = CompTypeCache::default();
+        let slot = slot();
         let hash = store.new_finite_hash(vec![(HashKey::Sym("id".into()), Type::int(1))]);
-        let key = key_for(&store, &hash);
+        let key = key_for(&slot, &store, &hash);
         cache.insert(key.clone(), Ok(Type::nominal("Integer")), &store);
         assert!(cache.lookup(&key, &store).is_some());
 
@@ -336,15 +313,16 @@ mod tests {
         store.promote_finite_hash(id);
         assert!(cache.lookup(&key, &store).is_none(), "stale entry survived promotion");
         assert_eq!(cache.stats().invalidations, 1);
-        assert_eq!(cache.len(), 0);
+        assert!(cache.entries.is_empty());
     }
 
     #[test]
     fn weak_update_invalidates_store_backed_results() {
         let mut store = TypeStore::new();
-        let mut cache = CompTypeCache::new();
+        let mut cache = CompTypeCache::default();
+        let slot = slot();
         // Key is store-free, but the *result* is a store-backed schema hash.
-        let key = key_for(&store, &Type::class_of("User"));
+        let key = key_for(&slot, &store, &Type::class_of("User"));
         let schema = store.new_finite_hash(vec![(HashKey::Sym("id".into()), Type::int(1))]);
         cache.insert(key.clone(), Ok(schema.clone()), &store);
         assert!(cache.lookup(&key, &store).is_some());
@@ -357,8 +335,9 @@ mod tests {
     #[test]
     fn store_free_entries_survive_mutations() {
         let mut store = TypeStore::new();
-        let mut cache = CompTypeCache::new();
-        let key = key_for(&store, &Type::class_of("User"));
+        let mut cache = CompTypeCache::default();
+        let slot = slot();
+        let key = key_for(&slot, &store, &Type::class_of("User"));
         cache.insert(key.clone(), Ok(Type::nominal("Integer")), &store);
         let t = store.new_tuple(vec![Type::int(1)]);
         let Type::Tuple(id) = t else { panic!() };
@@ -372,8 +351,9 @@ mod tests {
     #[test]
     fn errors_are_cached_too() {
         let store = TypeStore::new();
-        let mut cache = CompTypeCache::new();
-        let key = key_for(&store, &Type::nominal("String"));
+        let mut cache = CompTypeCache::default();
+        let slot = slot();
+        let key = key_for(&slot, &store, &Type::nominal("String"));
         cache.insert(key.clone(), Err(TlcError::new("boom")), &store);
         assert_eq!(cache.lookup(&key, &store), Some(Err(TlcError::new("boom"))));
     }

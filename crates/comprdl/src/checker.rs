@@ -16,7 +16,7 @@
 //!   implicit casts that *would* be required when precision is lost
 //!   (used to reproduce the "Casts" vs "Casts (RDL)" columns of Table 2).
 
-use crate::cache::{CacheKey, CacheStats, CompPosition, CompTypeCache};
+use crate::cache::{CacheKey, CacheStats, CompTypeCache};
 use crate::env::CompRdl;
 use crate::runtime::{ConsistencyCheck, InsertedCheck};
 use crate::termination::{
@@ -249,11 +249,7 @@ pub struct TypeChecker<'a> {
     options: CheckOptions,
     store: TypeStore,
     termination: TerminationChecker,
-    cache: CompTypeCache,
-    /// Memoized [`crate::semdep::comp_semantic_hash`] per comp-type slot.
-    /// The expression and helper registry are immutable for the lifetime of
-    /// a run, so the hash is computed once per slot, not once per call site.
-    slot_semantics: HashMap<(String, String, CompPosition), u64>,
+    cache: CompTypeCache<'a>,
 }
 
 struct MethodCtx {
@@ -281,8 +277,7 @@ impl<'a> TypeChecker<'a> {
             options,
             store: TypeStore::new(),
             termination: TerminationChecker::new(EffectEnv::from_explicit(explicit_effects(env))),
-            cache: CompTypeCache::new(),
-            slot_semantics: HashMap::new(),
+            cache: CompTypeCache::default(),
         }
     }
 
@@ -340,22 +335,6 @@ impl<'a> TypeChecker<'a> {
             ));
         }
         out
-    }
-
-    fn slot_semantic_hash(
-        &mut self,
-        owner: &str,
-        method: &str,
-        position: CompPosition,
-        expr: &Expr,
-    ) -> u64 {
-        let key = (owner.to_string(), method.to_string(), position);
-        if let Some(&h) = self.slot_semantics.get(&key) {
-            return h;
-        }
-        let h = crate::semdep::comp_semantic_hash(expr, &self.env.helpers);
-        self.slot_semantics.insert(key, h);
-        h
     }
 
     /// The methods a `check_labeled(label)` run selects, in program order.
@@ -1000,17 +979,13 @@ impl<'a> TypeChecker<'a> {
     }
 
     /// The signature a call of `name` on `recv_ty` is checked against, with
-    /// its declaring class and kind.  Both are borrowed from the env, which
-    /// outlives the checker, so a call site copies nothing.
-    fn lookup_signature(
-        &mut self,
-        recv_ty: &Type,
-        name: &str,
-    ) -> Option<(&'a str, MethodKind, &'a MethodSig)> {
+    /// its declaring class.  Both are borrowed from the env, which outlives
+    /// the checker, so a call site copies nothing.
+    fn lookup_signature(&mut self, recv_ty: &Type, name: &str) -> Option<(&'a str, &'a MethodSig)> {
         let env = self.env;
         let (class, kind) = self.receiver_class(recv_ty)?;
-        if let Some((owner, sig)) = env.annotations.lookup(&env.classes, &class, kind, name) {
-            return Some((owner, kind, sig));
+        if let Some(found) = env.annotations.lookup(&env.classes, &class, kind, name) {
+            return Some(found);
         }
         // DB query methods: a model class's singleton methods and a
         // `Table<T>` relation's instance methods are both typed via the
@@ -1020,10 +995,10 @@ impl<'a> TypeChecker<'a> {
         let is_table = class == "Table" || class == "Sequel::Dataset";
         if is_model_class || is_table {
             for dsl in ["Table", "Sequel::Dataset"] {
-                if let Some((owner, sig)) =
+                if let Some(found) =
                     env.annotations.lookup(&env.classes, dsl, MethodKind::Instance, name)
                 {
-                    return Some((owner, MethodKind::Instance, sig));
+                    return Some(found);
                 }
             }
         }
@@ -1059,8 +1034,8 @@ impl<'a> TypeChecker<'a> {
         let sig = self.lookup_signature(&recv_ty, name);
 
         let result = match sig {
-            Some((owner, kind, sig)) => self.check_against_signature(
-                ctx, expr, owner, kind, name, sig, &recv_ty, args, &arg_types, block,
+            Some((owner, sig)) => self.check_against_signature(
+                ctx, expr, owner, name, sig, &recv_ty, args, &arg_types, block,
             ),
             None => {
                 // Unannotated method: if the program defines it, treat the
@@ -1136,57 +1111,84 @@ impl<'a> TypeChecker<'a> {
         ) || matches!(recv, Type::Nominal(n) if ["String", "Integer", "Float", "Symbol", "Array", "Hash"].contains(&n.as_str()))
     }
 
-    /// Evaluates a comp-type expression, answering from the evaluation cache
-    /// when an identical evaluation (same method slot, same resolved
-    /// receiver / argument types) was already performed.  See
-    /// [`crate::cache`] for the key and invalidation rules.
-    fn eval_comp_cached(
-        &mut self,
-        owner: &str,
-        method: &str,
-        position: CompPosition,
-        bindings: &HashMap<String, TlcValue>,
-        expr: &Expr,
-    ) -> Result<Type, TlcError> {
-        if !self.options.use_eval_cache || !self.cache.note_evaluation(owner, method, position) {
-            return eval_comp_type(
-                &mut self.store,
-                &self.env.classes,
-                &self.env.helpers,
-                bindings.clone(),
-                expr,
-            );
-        }
-        let semantic = self.slot_semantic_hash(owner, method, position, expr);
-        let key = CacheKey::build(owner, method, position, semantic, bindings, &self.store);
-        if let Some(key) = &key {
-            if let Some(cached) = self.cache.lookup(key, &self.store) {
-                // Store-backed parts of a cached result are re-interned into
-                // fresh ids: handing out the original ids would alias
-                // mutable state across call sites, so a weak update at one
-                // site would silently change another site's type.  The
-                // copies start constraint-free, exactly like the ids a
-                // fresh evaluation would have allocated.
-                return cached.map(|t| {
-                    if t.contains_store_backed() {
-                        self.store.deep_copy(&t)
-                    } else {
-                        t
-                    }
-                });
+    /// The bindings the comp types of `sig` run under at a call: `tself`
+    /// bound to the resolved receiver type, then each binder bound to its
+    /// argument's resolved type (`nil` for a missing argument).
+    fn comp_bindings(
+        &self,
+        sig: &'a MethodSig,
+        recv_ty: &Type,
+        arg_types: &[Type],
+    ) -> Vec<(&'a str, Type)> {
+        let mut bindings = vec![("tself", self.store.resolve(recv_ty))];
+        for (i, p) in sig.params.iter().enumerate() {
+            if let Some(binder) = &p.binder {
+                let at = arg_types.get(i).map_or_else(Type::nil, |t| self.store.resolve(t));
+                bindings.push((binder.as_str(), at));
             }
         }
-        let result = eval_comp_type(
-            &mut self.store,
-            &self.env.classes,
-            &self.env.helpers,
-            bindings.clone(),
-            expr,
-        );
-        if let Some(key) = key {
-            self.cache.insert(key, result.clone(), &self.store);
+        bindings
+    }
+
+    /// Evaluates the comp type `slot` at the call `call` under `bindings`
+    /// (see [`TypeChecker::comp_bindings`]).  It runs the termination check
+    /// and answers from the evaluation cache when the slot was already
+    /// evaluated under structurally equal bindings (see [`crate::cache`]).
+    /// A failed evaluation is reported as a `TYP0009` error when SQL failed
+    /// to check and as `TYP0005` otherwise, and yields `None`.
+    fn eval_comp(
+        &mut self,
+        ctx: &mut MethodCtx,
+        call: &Expr,
+        args: &[Expr],
+        slot: &'a Expr,
+        bindings: &[(&str, Type)],
+    ) -> Option<Type> {
+        self.run_termination_check(ctx, call.span, slot);
+        let key = (self.options.use_eval_cache && self.cache.note_evaluation(slot))
+            .then(|| CacheKey::build(slot, bindings.iter().map(|(_, t)| t), &self.store));
+        let cached = key.as_ref().and_then(|key| self.cache.lookup(key, &self.store));
+        let result = match cached {
+            // Store-backed parts of a cached result are re-interned into
+            // fresh ids: handing out the original ids would alias mutable
+            // state across call sites, so a weak update at one site would
+            // silently change another site's type.  The copies start
+            // constraint-free, exactly like the ids a fresh evaluation would
+            // have allocated.
+            Some(cached) => {
+                cached.map(|t| if t.contains_store_backed() { self.store.deep_copy(&t) } else { t })
+            }
+            None => {
+                let env = bindings
+                    .iter()
+                    .map(|(name, t)| (name.to_string(), TlcValue::Type(t.clone())))
+                    .collect();
+                let result = eval_comp_type(
+                    &mut self.store,
+                    &self.env.classes,
+                    &self.env.helpers,
+                    env,
+                    slot,
+                );
+                if let Some(key) = key {
+                    self.cache.insert(key, result.clone(), &self.store);
+                }
+                result
+            }
+        };
+        match result {
+            Ok(t) => Some(t),
+            Err(e) => {
+                let category = if e.message.contains("SQL") {
+                    ErrorCategory::Sql
+                } else {
+                    ErrorCategory::CompType
+                };
+                let span = self.comp_error_span(&e, call.span, args);
+                self.error(ctx, category, span, e.message);
+                None
+            }
         }
-        result
     }
 
     /// The source span to report a failed comp-type evaluation at.  SQL
@@ -1220,9 +1222,8 @@ impl<'a> TypeChecker<'a> {
         ctx: &mut MethodCtx,
         expr: &Expr,
         owner: &str,
-        _kind: MethodKind,
         name: &str,
-        sig: &MethodSig,
+        sig: &'a MethodSig,
         recv_ty: &Type,
         args: &[Expr],
         arg_types: &[Type],
@@ -1245,17 +1246,10 @@ impl<'a> TypeChecker<'a> {
         // Build the generic substitution from the receiver (e.g. `Hash<k,v>`).
         let substitution = self.generic_substitution(recv_ty);
 
-        let use_comp = self.options.use_comp_types && sig.is_comp();
-
-        // Bindings available to comp types: tself plus each binder.
-        let mut bindings: HashMap<String, TlcValue> = HashMap::new();
-        bindings.insert("tself".to_string(), TlcValue::Type(self.store.resolve(recv_ty)));
-        for (i, p) in sig.params.iter().enumerate() {
-            if let Some(binder) = &p.binder {
-                let at = arg_types.get(i).cloned().unwrap_or_else(Type::nil);
-                bindings.insert(binder.clone(), TlcValue::Type(self.store.resolve(&at)));
-            }
-        }
+        // The comp types' bindings, resolved before any argument check can
+        // promote an argument, and only for a signature with comp types.
+        let bindings = (self.options.use_comp_types && sig.is_comp())
+            .then(|| self.comp_bindings(sig, recv_ty, arg_types));
 
         // Parameter types.
         let mut param_types = Vec::with_capacity(sig.params.len());
@@ -1265,29 +1259,9 @@ impl<'a> TypeChecker<'a> {
                 TypeExpr::Optional(t) | TypeExpr::Vararg(t) => t.as_ref(),
                 other => other,
             };
-            let t = match (inner_ty, use_comp) {
-                (TypeExpr::Comp(spec), true) => {
-                    self.run_termination_check(ctx, expr.span, &spec.expr);
-                    let i = param_types.len();
-                    match self.eval_comp_cached(
-                        owner,
-                        name,
-                        CompPosition::Param(i.min(u8::MAX as usize) as u8),
-                        &bindings,
-                        &spec.expr,
-                    ) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            let category = if e.message.contains("SQL") {
-                                ErrorCategory::Sql
-                            } else {
-                                ErrorCategory::CompType
-                            };
-                            let span = self.comp_error_span(&e, expr.span, args);
-                            self.error(ctx, category, span, e.message.clone());
-                            Type::Dynamic
-                        }
-                    }
+            let t = match (inner_ty, &bindings) {
+                (TypeExpr::Comp(spec), Some(bindings)) => {
+                    self.eval_comp(ctx, expr, args, &spec.expr, bindings).unwrap_or(Type::Dynamic)
                 }
                 _ => {
                     let t = self.instantiate_param(p);
@@ -1298,7 +1272,6 @@ impl<'a> TypeChecker<'a> {
         }
 
         // Check arguments against parameters.
-        let sub = Subtyper::new(&self.env.classes);
         for (i, at) in arg_types.iter().enumerate() {
             let Some(pt) = param_types.get(i).or_else(|| param_types.last()) else { continue };
             if pt.free_vars().is_empty() {
@@ -1326,18 +1299,16 @@ impl<'a> TypeChecker<'a> {
                 }
             }
         }
-        let _ = sub;
 
         // Block body.
         let block_elem = self.block_element_type(recv_ty);
         self.infer_block_body(ctx, block, &block_elem);
 
         // Return type.
-        let (ret_ty, consistency) = match (&sig.ret, use_comp) {
-            (TypeExpr::Comp(spec), true) => {
-                self.run_termination_check(ctx, expr.span, &spec.expr);
-                match self.eval_comp_cached(owner, name, CompPosition::Ret, &bindings, &spec.expr) {
-                    Ok(t) => {
+        let (ret_ty, consistency) = match (&sig.ret, &bindings) {
+            (TypeExpr::Comp(spec), Some(bindings)) => {
+                match self.eval_comp(ctx, expr, args, &spec.expr, bindings) {
+                    Some(t) => {
                         let consistency = ConsistencyCheck {
                             ret_expr: spec.expr.clone(),
                             binders: sig.params.iter().map(|p| p.binder.clone()).collect(),
@@ -1345,16 +1316,7 @@ impl<'a> TypeChecker<'a> {
                         };
                         (t, Some(consistency))
                     }
-                    Err(e) => {
-                        let category = if e.message.contains("SQL") {
-                            ErrorCategory::Sql
-                        } else {
-                            ErrorCategory::CompType
-                        };
-                        let span = self.comp_error_span(&e, expr.span, args);
-                        self.error(ctx, category, span, e.message.clone());
-                        (Type::Dynamic, None)
-                    }
+                    None => (Type::Dynamic, None),
                 }
             }
             _ => {

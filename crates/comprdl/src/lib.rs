@@ -55,7 +55,7 @@ pub mod stdlib;
 pub mod termination;
 pub mod tlc;
 
-pub use cache::{CacheKey, CacheStats, CompPosition, CompTypeCache};
+pub use cache::CacheStats;
 pub use checker::{
     CheckOptions, ErrorCategory, MethodCheckResult, ProgramCheckResult, TypeChecker, TypeErrorInfo,
 };
@@ -66,7 +66,7 @@ pub use runtime::{
     make_hook, make_hook_shared, type_of_value, value_fingerprint, value_matches, BlameDiagnostic,
     CheckConfig, CompRdlHook, ConsistencyCheck, InsertedCheck,
 };
-pub use semdep::{comp_semantic_hash, env_hash, DepGraph};
+pub use semdep::{env_hash, DepGraph};
 pub use termination::{
     annotation_conflicts, builtin_effects, explicit_effects, EffectEnv, EffectSource,
     EffectViolation, ExplicitEffects, InferredEffect, TerminationChecker, ViolationKind,

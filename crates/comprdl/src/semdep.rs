@@ -366,49 +366,6 @@ fn collect_helper_refs(expr: &Expr, helpers: &HelperRegistry, out: &mut BTreeSet
     });
 }
 
-/// The semantic hash of one comp-type expression *including* the bodies of
-/// every helper it transitively references.  This is the `semantic` field of
-/// [`crate::cache::CacheKey`]: a cached comp-type evaluation is only valid
-/// while the expression and its helper closure are unchanged.
-pub fn comp_semantic_hash(expr: &Expr, helpers: &HelperRegistry) -> u64 {
-    let mut seen = BTreeSet::new();
-    collect_helper_refs(expr, helpers, &mut seen);
-    let mut todo: Vec<String> = seen.iter().cloned().collect();
-    // Chase helper → helper references to a fixpoint.
-    while let Some(name) = todo.pop() {
-        if let Some((def, _)) = helpers.ruby_helper(&name) {
-            let mut refs = BTreeSet::new();
-            collect_helper_refs_in_def(def, helpers, &mut refs);
-            for r in refs {
-                if seen.insert(r.clone()) {
-                    todo.push(r);
-                }
-            }
-        }
-    }
-    let mut h = SemHasher::new();
-    h.write_str("comp-expr");
-    h.write_u64(ruby_syntax::expr_hash(expr));
-    h.write_usize(seen.len());
-    for name in &seen {
-        h.write_str(name);
-        let body =
-            helpers.ruby_helper(name).map_or(u64::from(NATIVE_HELPER_REVISION), |(_, hash)| hash);
-        h.write_u64(body);
-    }
-    h.finish()
-}
-
-fn collect_helper_refs_in_def(
-    def: &MethodDef,
-    helpers: &HelperRegistry,
-    out: &mut BTreeSet<String>,
-) {
-    for e in &def.body {
-        collect_helper_refs(e, helpers, out);
-    }
-}
-
 /// Digest of the checking environment *excluding helper bodies*: the class
 /// hierarchy and every method / ivar / gvar annotation.  A persisted check
 /// cache is only replayable against an environment with the same hash;
@@ -532,24 +489,6 @@ mod tests {
         .unwrap();
         let g2 = DepGraph::build(&env, &noisy);
         assert_eq!(g1.method_merkles(), g2.method_merkles());
-    }
-
-    #[test]
-    fn comp_semantic_hash_tracks_helper_closure() {
-        let env = env_with_helpers();
-        let expr = ruby_syntax::parse_expr("top(targs[0])").unwrap();
-        let h1 = comp_semantic_hash(&expr, &env.helpers);
-
-        let mut env2 = env_with_helpers();
-        env2.register_helpers_ruby("def leaf(x)\n  x + 0\nend\n");
-        let h2 = comp_semantic_hash(&expr, &env2.helpers);
-        assert_ne!(h1, h2, "transitive helper edit must move the comp hash");
-
-        // An unrelated helper does not.
-        let mut env3 = env_with_helpers();
-        env3.register_helpers_ruby("def unrelated(x)\n  x\nend\n");
-        let h3 = comp_semantic_hash(&expr, &env3.helpers);
-        assert_eq!(h1, h3);
     }
 
     #[test]
