@@ -2,6 +2,7 @@
 
 use comprdl::CompRdl;
 use db_types::DbRegistry;
+use std::sync::Arc;
 
 /// A synthetic subject program, standing in for one of the six apps the
 /// paper evaluates (Wikipedia client, Twitter gem, Discourse, Huginn,
@@ -13,8 +14,8 @@ pub struct App {
     /// Applications"), mirroring Table 2's grouping.
     pub group: &'static str,
     /// The database schema / associations the app uses (`None` for the API
-    /// client libraries).
-    pub db: Option<DbRegistry>,
+    /// client libraries), shared by every environment built for the app.
+    pub db: Option<Arc<DbRegistry>>,
     /// App-specific annotations: the signatures (with `typecheck: "app"`
     /// labels) of the methods selected for checking, plus the "extra
     /// annotations" for globals, instance variables and helper methods.
@@ -103,12 +104,13 @@ impl App {
     /// The core library and the DB DSL annotation sets are parsed once per
     /// process and shared with every other environment (see
     /// [`CompRdl::merge_library`]); the model classes, the DB helpers over
-    /// this app's schema and the app's own annotations are built per call.
+    /// this app's schema and the app's own annotations are built per call,
+    /// and the helpers share the app's schema rather than copying it.
     pub fn build_env(&self) -> CompRdl {
         let mut env = CompRdl::new();
         comprdl::stdlib::register_all(&mut env);
         if let Some(db) = &self.db {
-            db_types::register_all(&mut env, std::sync::Arc::new(db.clone()));
+            db_types::register_all(&mut env, Arc::clone(db));
         }
         (self.annotate)(&mut env);
         env

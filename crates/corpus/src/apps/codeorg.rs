@@ -6,6 +6,7 @@
 use crate::app::App;
 use comprdl::CompRdl;
 use db_types::{ColumnType, DbRegistry};
+use std::sync::Arc;
 
 const SOURCE: &str = r#"
 class Section < ActiveRecord::Base
@@ -118,7 +119,7 @@ pub fn app() -> App {
     App {
         name: "Code.org",
         group: "Rails Applications",
-        db: Some(schema()),
+        db: Some(Arc::new(schema())),
         annotate,
         source: SOURCE,
         test_suite: TEST_SUITE,

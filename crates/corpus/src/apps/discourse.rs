@@ -5,6 +5,7 @@
 use crate::app::App;
 use comprdl::CompRdl;
 use db_types::{ColumnType, DbRegistry};
+use std::sync::Arc;
 
 const SOURCE: &str = r#"
 class User < ActiveRecord::Base
@@ -195,7 +196,7 @@ pub fn app() -> App {
     App {
         name: "Discourse",
         group: "Rails Applications",
-        db: Some(schema()),
+        db: Some(Arc::new(schema())),
         annotate,
         source: SOURCE,
         test_suite: TEST_SUITE,

@@ -4,6 +4,7 @@
 use crate::app::App;
 use comprdl::CompRdl;
 use db_types::{ColumnType, DbRegistry};
+use std::sync::Arc;
 
 const SOURCE: &str = r#"
 class Agent < ActiveRecord::Base
@@ -99,7 +100,7 @@ pub fn app() -> App {
     App {
         name: "Huginn",
         group: "Rails Applications",
-        db: Some(schema()),
+        db: Some(Arc::new(schema())),
         annotate,
         source: SOURCE,
         test_suite: TEST_SUITE,

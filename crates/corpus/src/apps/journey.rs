@@ -7,6 +7,7 @@
 use crate::app::App;
 use comprdl::CompRdl;
 use db_types::{ColumnType, DbRegistry};
+use std::sync::Arc;
 
 const SOURCE: &str = r#"
 class Question < ActiveRecord::Base
@@ -133,7 +134,7 @@ pub fn app() -> App {
     App {
         name: "Journey",
         group: "Rails Applications",
-        db: Some(schema()),
+        db: Some(Arc::new(schema())),
         annotate,
         source: SOURCE,
         test_suite: TEST_SUITE,

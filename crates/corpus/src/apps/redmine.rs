@@ -11,6 +11,7 @@
 use crate::app::App;
 use comprdl::CompRdl;
 use db_types::{ColumnType, DbRegistry};
+use std::sync::Arc;
 
 const SOURCE: &str = r#"
 class Issue < ActiveRecord::Base
@@ -186,7 +187,7 @@ pub fn app() -> App {
     App {
         name: "Redmine",
         group: "Rails Applications",
-        db: Some(schema()),
+        db: Some(Arc::new(schema())),
         annotate,
         source: SOURCE,
         test_suite: TEST_SUITE,

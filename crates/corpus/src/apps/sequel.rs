@@ -24,6 +24,7 @@ use crate::app::App;
 use comprdl::{CompRdl, TlcValue};
 use db_types::{ColumnType, DbRegistry};
 use rdl_types::{SingVal, Type};
+use std::sync::Arc;
 
 const SOURCE: &str = r#"
 class Track < Sequel::Model
@@ -221,7 +222,7 @@ pub fn app() -> App {
     App {
         name: "Sequel",
         group: "Rails Applications",
-        db: Some(schema()),
+        db: Some(Arc::new(schema())),
         annotate,
         source: SOURCE,
         test_suite: TEST_SUITE,

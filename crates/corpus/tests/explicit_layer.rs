@@ -81,7 +81,7 @@ fn a_dense_env_matches_the_reference_layer() {
     let discourse = corpus::apps::discourse::app();
     let mut env = CompRdl::new();
     stdlib::register_all(&mut env);
-    db_types::register_all(&mut env, Arc::new(discourse.db.clone().unwrap()));
+    db_types::register_all(&mut env, discourse.db.clone().unwrap());
     for i in 0..300 {
         let model = if i % 2 == 0 { "User" } else { "Topic" };
         env.type_sig_singleton(model, &format!("m{i}"), "(String, Integer) -> %bool", Some("app"));
@@ -144,7 +144,7 @@ fn merging_a_library_twice_matches_the_reference_layer() {
         let mut env = app.build_env();
         stdlib::register_all(&mut env);
         if let Some(db) = &app.db {
-            db_types::register_all(&mut env, Arc::new(db.clone()));
+            db_types::register_all(&mut env, Arc::clone(db));
         }
         assert_layer_matches(app.name, &env);
     }

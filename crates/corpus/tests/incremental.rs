@@ -10,7 +10,7 @@ use corpus::{
     evaluate_app_incremental, stable_report, table2_incremental, with_layout_noise,
     with_method_edit, App,
 };
-use db_types::ColumnType;
+use db_types::{ColumnType, DbRegistry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -458,13 +458,13 @@ fn var_type_edit_rechecks_every_method() {
 
 /// `app` with one column of its DB schema retyped.
 fn with_column_type(app: &App, table: &str, column: &str, ty: ColumnType) -> App {
-    let mut db = app.db.clone().expect("a DB-backed app");
+    let mut db = DbRegistry::clone(app.db.as_deref().expect("a DB-backed app"));
     let columns = db.columns(table).expect("a known table").to_vec();
     assert!(columns.iter().any(|(c, t)| c == column && *t != ty), "{table}.{column} must change");
     let retyped: Vec<(&str, ColumnType)> =
         columns.iter().map(|(c, t)| (c.as_str(), if c == column { ty } else { *t })).collect();
     db.add_table(table, &retyped);
-    App { db: Some(db), ..*app }
+    App { db: Some(Arc::new(db)), ..*app }
 }
 
 /// A DB schema edit invalidates cached verdicts like any other input.  The

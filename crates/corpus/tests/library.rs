@@ -31,7 +31,7 @@ fn reference_env(app: &App) -> CompRdl {
         for model in db.model_names() {
             env.add_model_class(&model, "ActiveRecord::Base");
         }
-        db_types::helpers::register_helpers(&mut env, Arc::new(db.clone()));
+        db_types::helpers::register_helpers(&mut env, Arc::clone(db));
         db_types::activerecord::register(&mut env);
         db_types::sequel::register(&mut env);
     }
