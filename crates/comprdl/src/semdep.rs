@@ -50,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 /// Bump when the behaviour of any *native* (Rust) helper changes in a way
 /// that affects check verdicts.  Native helpers have no AST to hash, so this
 /// tag is their stand-in body hash.
-pub const NATIVE_HELPER_REVISION: u32 = 1;
+pub const NATIVE_HELPER_REVISION: u32 = 2;
 
 /// The identity of a program method: `(owner class, name, singleton?)`.
 pub type MethodId = (String, String, bool);

@@ -14,8 +14,10 @@ pub mod numeric;
 pub mod string;
 
 use crate::env::CompRdl;
-use crate::tlc::{TlcError, TlcValue};
+use crate::runtime::type_of_value;
+use crate::tlc::{TlcCtx, TlcError, TlcResult, TlcValue};
 use rdl_types::{SingVal, Type};
+use ruby_interp::Value;
 use std::sync::OnceLock;
 
 /// Shared type-level helper methods written in the Ruby subset.  These are
@@ -142,163 +144,108 @@ end
 
 /// Registers the native helpers (constant folding and const-string
 /// operations) into `env`.
+///
+/// Each one folds by running the interpreter's own native method
+/// ([`ruby_interp::call_native`]) on the values its constant operand types
+/// stand for, and types the result with [`type_of_value`], so a folded type
+/// is the type of what the program computes at run time.  When an operand
+/// is not a constant, or the method raises (division by zero, an Integer
+/// overflow), the helper returns its fallback type.
 pub fn register_native_helpers(env: &mut CompRdl) {
     // Numeric constant folding (§2.4 "Constant Folding"): when both operand
     // types are integer/float singletons, compute the singleton result.
-    env.register_helper_native("fold", |_ctx, args| {
-        let get = |v: &TlcValue| -> Option<f64> {
-            match v {
-                TlcValue::Type(Type::Singleton(SingVal::Int(i))) => Some(*i as f64),
-                TlcValue::Type(Type::Singleton(SingVal::FloatBits(b))) => Some(f64::from_bits(*b)),
-                _ => None,
-            }
+    env.register_helper_native("fold", |ctx, args| {
+        let op = symbol_arg(args, 2, "fold requires an operator symbol")?;
+        let (a, b) = (args.first(), args.get(1));
+        let is = |v: Option<&TlcValue>, class: &str| match v {
+            Some(TlcValue::Type(Type::Singleton(s))) => s.class_of() == class,
+            Some(TlcValue::Type(Type::Nominal(n))) => n == class,
+            _ => false,
         };
-        let is_float = |v: &TlcValue| {
-            matches!(v, TlcValue::Type(Type::Singleton(SingVal::FloatBits(_))))
-                || matches!(v, TlcValue::Type(Type::Nominal(n)) if n == "Float")
-        };
-        let is_int = |v: &TlcValue| {
-            matches!(v, TlcValue::Type(Type::Singleton(SingVal::Int(_))))
-                || matches!(v, TlcValue::Type(Type::Nominal(n)) if n == "Integer")
-        };
-        let (a, b, op) = (args.first(), args.get(1), args.get(2));
-        let op = match op {
-            Some(TlcValue::Sym(s)) => s.clone(),
-            _ => return Err(TlcError::new("fold requires an operator symbol")),
-        };
-        let av = a.unwrap_or(&TlcValue::Nil);
-        let bv = b.unwrap_or(&TlcValue::Nil);
-        let fallback = if is_float(av) || is_float(bv) {
-            TlcValue::Type(Type::nominal("Float"))
-        } else if is_int(av) && is_int(bv) {
-            TlcValue::Type(Type::nominal("Integer"))
+        let fallback = if is(a, "Float") || is(b, "Float") {
+            Type::nominal("Float")
+        } else if is(a, "Integer") && is(b, "Integer") {
+            Type::nominal("Integer")
         } else {
-            TlcValue::Type(Type::union([Type::nominal("Integer"), Type::nominal("Float")]))
+            Type::union([Type::nominal("Integer"), Type::nominal("Float")])
         };
-        let (Some(x), Some(y)) = (a.and_then(get), b.and_then(get)) else {
-            return Ok(fallback);
-        };
-        let result = match op.as_str() {
-            "+" => x + y,
-            "-" => x - y,
-            "*" => x * y,
-            "/" => {
-                if y == 0.0 {
-                    return Ok(fallback);
-                }
-                x / y
-            }
-            "%" => {
-                if y == 0.0 {
-                    return Ok(fallback);
-                }
-                x % y
-            }
-            "**" => x.powf(y),
-            _ => return Ok(fallback),
-        };
-        let both_int = matches!(a, Some(TlcValue::Type(Type::Singleton(SingVal::Int(_)))))
-            && matches!(b, Some(TlcValue::Type(Type::Singleton(SingVal::Int(_)))));
-        if both_int && result.fract() == 0.0 {
-            Ok(TlcValue::Type(Type::int(result as i64)))
-        } else {
-            Ok(TlcValue::Type(Type::Singleton(SingVal::float(result))))
-        }
+        fold(ctx, numeric_value(a), op, &[numeric_value(b)], fallback)
     });
 
     // Comparison folding: singleton operands yield singleton booleans.
-    env.register_helper_native("fold_cmp", |_ctx, args| {
-        let get = |v: Option<&TlcValue>| -> Option<f64> {
-            match v {
-                Some(TlcValue::Type(Type::Singleton(SingVal::Int(i)))) => Some(*i as f64),
-                Some(TlcValue::Type(Type::Singleton(SingVal::FloatBits(b)))) => {
-                    Some(f64::from_bits(*b))
-                }
-                _ => None,
-            }
-        };
-        let op = match args.get(2) {
-            Some(TlcValue::Sym(s)) => s.clone(),
-            _ => return Err(TlcError::new("fold_cmp requires an operator symbol")),
-        };
-        let (Some(x), Some(y)) = (get(args.first()), get(args.get(1))) else {
-            return Ok(TlcValue::Type(Type::Bool));
-        };
-        let result = match op.as_str() {
-            "<" => x < y,
-            ">" => x > y,
-            "<=" => x <= y,
-            ">=" => x >= y,
-            "==" => x == y,
-            _ => return Ok(TlcValue::Type(Type::Bool)),
-        };
-        Ok(TlcValue::Type(Type::Singleton(if result { SingVal::True } else { SingVal::False })))
+    env.register_helper_native("fold_cmp", |ctx, args| {
+        let op = symbol_arg(args, 2, "fold_cmp requires an operator symbol")?;
+        fold(ctx, numeric_value(args.first()), op, &[numeric_value(args.get(1))], Type::Bool)
     });
 
     // Const-string operations (§2.2): when the receiver is a const string
     // with a known value, compute the resulting const string; otherwise fall
     // back to String.
     env.register_helper_native("str_op", |ctx, args| {
-        let value = match args.first() {
-            Some(TlcValue::Type(Type::ConstString(id))) => {
-                ctx.store.const_string_value(*id).map(|s| s.to_string())
-            }
-            _ => None,
-        };
-        let op = match args.get(1) {
-            Some(TlcValue::Sym(s)) => s.clone(),
-            _ => return Err(TlcError::new("str_op requires an operation symbol")),
-        };
-        match value {
-            None => Ok(TlcValue::Type(Type::nominal("String"))),
-            Some(s) => {
-                let out = match op.as_str() {
-                    "upcase" => s.to_uppercase(),
-                    "downcase" => s.to_lowercase(),
-                    "strip" => s.trim().to_string(),
-                    "reverse" => s.chars().rev().collect(),
-                    "capitalize" => {
-                        let mut cs = s.chars();
-                        match cs.next() {
-                            Some(c) => c.to_uppercase().collect::<String>() + cs.as_str(),
-                            None => String::new(),
-                        }
-                    }
-                    "chomp" => s.trim_end_matches('\n').to_string(),
-                    "freeze" | "dup" | "to_s" | "to_str" => s,
-                    _ => return Ok(TlcValue::Type(Type::nominal("String"))),
-                };
-                Ok(TlcValue::Type(ctx.store.new_const_string(out)))
-            }
-        }
+        let op = symbol_arg(args, 1, "str_op requires an operation symbol")?;
+        let recv = string_value(ctx, args.first());
+        fold(ctx, recv, op, &[], Type::nominal("String"))
     });
 
     // Const-string concatenation.
     env.register_helper_native("str_concat", |ctx, args| {
-        let get = |v: Option<&TlcValue>, ctx: &crate::tlc::TlcCtx<'_>| -> Option<String> {
-            match v {
-                Some(TlcValue::Type(Type::ConstString(id))) => {
-                    ctx.store.const_string_value(*id).map(|s| s.to_string())
-                }
-                _ => None,
-            }
-        };
-        let a = get(args.first(), ctx);
-        let b = get(args.get(1), ctx);
-        match (a, b) {
-            (Some(x), Some(y)) => Ok(TlcValue::Type(ctx.store.new_const_string(format!("{x}{y}")))),
-            _ => Ok(TlcValue::Type(Type::nominal("String"))),
-        }
+        let (a, b) = (string_value(ctx, args.first()), string_value(ctx, args.get(1)));
+        fold(ctx, a, "+", &[b], Type::nominal("String"))
     });
 
-    // String length / emptiness on const strings.
-    env.register_helper_native("str_len", |ctx, args| match args.first() {
-        Some(TlcValue::Type(Type::ConstString(id))) => match ctx.store.const_string_value(*id) {
-            Some(s) => Ok(TlcValue::Type(Type::int(s.chars().count() as i64))),
-            None => Ok(TlcValue::Type(Type::nominal("Integer"))),
-        },
-        _ => Ok(TlcValue::Type(Type::nominal("Integer"))),
+    // String length on const strings.
+    env.register_helper_native("str_len", |ctx, args| {
+        let recv = string_value(ctx, args.first());
+        fold(ctx, recv, "length", &[], Type::nominal("Integer"))
     });
+}
+
+/// The symbol a helper takes as its argument `i`.
+fn symbol_arg<'v>(args: &'v [TlcValue], i: usize, missing: &str) -> Result<&'v str, TlcError> {
+    match args.get(i) {
+        Some(TlcValue::Sym(s)) => Ok(s),
+        _ => Err(TlcError::new(missing)),
+    }
+}
+
+/// The value an Integer or Float singleton type stands for.
+fn numeric_value(v: Option<&TlcValue>) -> Option<Value> {
+    match v? {
+        TlcValue::Type(Type::Singleton(SingVal::Int(i))) => Some(Value::Int(*i)),
+        TlcValue::Type(Type::Singleton(SingVal::FloatBits(b))) => {
+            Some(Value::Float(f64::from_bits(*b)))
+        }
+        _ => None,
+    }
+}
+
+/// The value a const string type stands for, while it has a known one.
+fn string_value(ctx: &TlcCtx<'_>, v: Option<&TlcValue>) -> Option<Value> {
+    match v? {
+        TlcValue::Type(Type::ConstString(id)) => ctx.store.const_string_value(*id).map(Value::str),
+        _ => None,
+    }
+}
+
+/// The type of `recv.name(*args)` as the interpreter computes it, or
+/// `fallback` when an operand is not a constant (`None`) or the call raises
+/// or finds no native method.
+fn fold(
+    ctx: &mut TlcCtx<'_>,
+    recv: Option<Value>,
+    name: &str,
+    args: &[Option<Value>],
+    fallback: Type,
+) -> TlcResult {
+    let args: Option<Vec<Value>> = args.iter().cloned().collect();
+    let ty = match (recv, args) {
+        (Some(recv), Some(args)) => match ruby_interp::call_native(&recv, name, &args) {
+            Ok(Some(value)) => type_of_value(&value, ctx.store),
+            _ => fallback,
+        },
+        _ => fallback,
+    };
+    Ok(TlcValue::Type(ty))
 }
 
 /// Registers every core-library annotation set plus the shared helpers.

@@ -151,7 +151,12 @@ const FLOAT_ONLY: &[(&str, &str)] = &[
 
 const BLOCKDEP: &[&str] = &["times", "upto", "downto", "step", "tap", "then"];
 
-/// Registers the Integer and Float annotation sets into `env`.
+/// Unary minus (`-x` parses as `x.-@`), annotated once on the common
+/// superclass: it folds like `0 - x`.
+const UNARY_MINUS: &str = "() -> «fold(Singleton.new(0), tself, :-)»";
+
+/// Registers the Integer and Float annotation sets, and unary minus on
+/// `Numeric`, into `env`.
 pub fn register(env: &mut CompRdl) {
     for (class, extra) in [("Integer", INTEGER_ONLY), ("Float", FLOAT_ONLY)] {
         for (name, sig) in ARITH.iter().chain(extra.iter()) {
@@ -160,6 +165,13 @@ pub fn register(env: &mut CompRdl) {
             env.type_sig_with_effects(class, name, sig, term, PurityEffect::Pure);
         }
     }
+    env.type_sig_with_effects(
+        "Numeric",
+        "-@",
+        UNARY_MINUS,
+        TermEffect::Terminates,
+        PurityEffect::Pure,
+    );
 }
 
 #[cfg(test)]

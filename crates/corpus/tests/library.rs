@@ -119,14 +119,14 @@ fn merkle_pin(app: &App) -> (u64, usize) {
 #[test]
 fn merkle_hashes_are_pinned_per_app() {
     let pins: [(&str, u64, usize, u64); 8] = [
-        ("Wikipedia", 0xcaec79f18ba7d8ca, 14, 0x6e9e711a0fa8e49a),
-        ("Twitter", 0xcafa43c480cc14b0, 6, 0x9812392de37f7d36),
-        ("Discourse", 0xe8d7e788a994ebb5, 22, 0xc0ad0314193e0354),
-        ("Huginn", 0xfe139ce61eda716d, 10, 0xb061a4e7733a7c47),
-        ("Code.org", 0x8cc919e14734272b, 11, 0x5e57d6a12574089b),
-        ("Journey", 0xcf706233662642b5, 13, 0xddf3a83abec7b94a),
-        ("Redmine", 0x75041070bef41482, 18, 0xe701b40f3887a8c0),
-        ("Sequel", 0x9717e0de8bd8684a, 20, 0x203b429bb8c2a18a),
+        ("Wikipedia", 0x1a27ae63ce6bb97c, 14, 0xe6407468fcc3d1d2),
+        ("Twitter", 0x374ee39cf1f93939, 6, 0x55e33caa8a07f840),
+        ("Discourse", 0x33269112324afcfe, 22, 0x880ff5da0305e906),
+        ("Huginn", 0x9c913464961df5f1, 10, 0x83f32939a86303a4),
+        ("Code.org", 0xc07ba6e6cef0e42e, 11, 0x1af14c305b1fa07a),
+        ("Journey", 0x281cb05c523eebb4, 13, 0x7697669da4c86bab),
+        ("Redmine", 0x01977aaac7498e99, 18, 0x0bd1c67fab0df1d9),
+        ("Sequel", 0x799371c715d2f9e8, 20, 0x78c801cb68e190c8),
     ];
     let apps = corpus::apps::all();
     assert_eq!(apps.len(), pins.len());

@@ -28,21 +28,60 @@ pub fn dispatch(
     args: &[Value],
     block: Option<&Closure>,
 ) -> EvalResult<Option<Value>> {
-    // Type-specific methods first, then the generic object protocol.
+    // The methods that call blocks or ask the interpreter first, then the
+    // rest: type-specific methods, then the generic object protocol.
     let specific = match recv {
         Value::Array(_) => array_method(interp, span, recv, name, args, block)?,
         Value::Hash(_) => hash_method(interp, span, recv, name, args, block)?,
-        Value::Str(_) => string_method(span, recv, name, args)?,
-        Value::Int(_) | Value::Float(_) => numeric_method(span, recv, name, args, interp, block)?,
-        Value::Sym(_) => symbol_method(recv, name)?,
-        Value::Nil => nil_method(recv, name)?,
+        Value::Int(_) | Value::Float(_) => numeric_iterator(interp, span, recv, name, args, block)?,
         Value::Lambda(l) => lambda_method(interp, span, l, name, args)?,
         _ => None,
     };
     if specific.is_some() {
         return Ok(specific);
     }
-    object_method(interp, span, recv, name, args)
+    match name {
+        "is_a?" | "kind_of?" | "instance_of?" => Ok(Some(Value::Bool(match arg(args, 0) {
+            Value::Class(c) => interp.value_is_a(recv, &c),
+            _ => false,
+        }))),
+        _ => native_method(span, recv, name, args),
+    }
+}
+
+/// Calls the native method `name` of `recv` when it takes no block and
+/// needs no interpreter: the String, Integer, Float, Symbol and `nil`
+/// methods and the object protocol except `is_a?`, exactly as
+/// [`crate::Interpreter`] runs them.  Returns `Ok(None)` when the receiver
+/// has no such method.  Type-level constant folding evaluates operators
+/// through this entry, so a folded type is the type of what the program
+/// computes.
+///
+/// # Errors
+///
+/// Returns the error the method raises (e.g. `divided by 0`, or an
+/// Integer result that overflows `i64`).
+pub fn call_native(recv: &Value, name: &str, args: &[Value]) -> EvalResult<Option<Value>> {
+    native_method(Span::dummy(), recv, name, args)
+}
+
+fn native_method(
+    span: Span,
+    recv: &Value,
+    name: &str,
+    args: &[Value],
+) -> EvalResult<Option<Value>> {
+    let specific = match recv {
+        Value::Str(_) => string_method(span, recv, name, args)?,
+        Value::Int(_) | Value::Float(_) => numeric_method(span, recv, name, args)?,
+        Value::Sym(_) => symbol_method(recv, name)?,
+        Value::Nil => nil_method(recv, name)?,
+        _ => None,
+    };
+    if specific.is_some() {
+        return Ok(specific);
+    }
+    Ok(object_method(recv, name, args))
 }
 
 fn arg(args: &[Value], i: usize) -> Value {
@@ -65,22 +104,14 @@ fn int_arg(args: &[Value], i: usize, span: Span) -> EvalResult<i64> {
 // Object protocol
 // ---------------------------------------------------------------------------
 
-fn object_method(
-    interp: &Interpreter,
-    _span: Span,
-    recv: &Value,
-    name: &str,
-    args: &[Value],
-) -> EvalResult<Option<Value>> {
+/// The object protocol, bar `is_a?` and its aliases, which [`dispatch`]
+/// answers.
+fn object_method(recv: &Value, name: &str, args: &[Value]) -> Option<Value> {
     let v = match name {
         "==" => Value::Bool(recv.ruby_eq(&arg(args, 0))),
         "!=" => Value::Bool(!recv.ruby_eq(&arg(args, 0))),
         "equal?" => Value::Bool(recv.identical(&arg(args, 0))),
         "nil?" => Value::Bool(matches!(recv, Value::Nil)),
-        "is_a?" | "kind_of?" | "instance_of?" => match arg(args, 0) {
-            Value::Class(c) => Value::Bool(interp.value_is_a(recv, &c)),
-            _ => Value::Bool(false),
-        },
         "class" => Value::Class(recv.object_class().unwrap_or_else(|| recv.class_name().into())),
         "to_s" => Value::str(recv.to_display_string()),
         "inspect" => Value::str(recv.inspect()),
@@ -106,9 +137,9 @@ fn object_method(
             Value::Bool(b) => !*b,
             _ => false,
         }),
-        _ => return Ok(None),
+        _ => return None,
     };
-    Ok(Some(v))
+    Some(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -715,12 +746,21 @@ fn string_method(
 // Numerics
 // ---------------------------------------------------------------------------
 
+/// `a op b` for the arithmetic operators.  Two Integers compute exactly in
+/// `i64` ([`int_binop`]), except that `**` with a negative exponent is a
+/// Float, as the subset has no Rational.  Any other numeric pair computes
+/// in Float.
 fn numeric_binop(a: &Value, b: &Value, op: &str, span: Span) -> EvalResult {
     let as_f = |v: &Value| match v {
         Value::Int(i) => Some(*i as f64),
         Value::Float(f) => Some(*f),
         _ => None,
     };
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        if op != "**" || *y >= 0 {
+            return int_binop(*x, *y, op, span);
+        }
+    }
     let (Some(x), Some(y)) = (as_f(a), as_f(b)) else {
         return Err(Control::error(
             ErrorKind::Type,
@@ -728,39 +768,48 @@ fn numeric_binop(a: &Value, b: &Value, op: &str, span: Span) -> EvalResult {
             span,
         ));
     };
-    let both_int = matches!((a, b), (Value::Int(_), Value::Int(_)));
     let result = match op {
         "+" => x + y,
         "-" => x - y,
         "*" => x * y,
-        "/" => {
-            if both_int {
-                if y == 0.0 {
-                    return Err(Control::error(ErrorKind::Raised, "divided by 0", span));
-                }
-                return Ok(Value::Int((x as i64).div_euclid(y as i64)));
-            }
-            x / y
-        }
-        "%" => {
-            if both_int {
-                if y == 0.0 {
-                    return Err(Control::error(ErrorKind::Raised, "divided by 0", span));
-                }
-                return Ok(Value::Int((x as i64).rem_euclid(y as i64)));
-            }
-            x % y
-        }
+        "/" => x / y,
+        "%" => x % y,
         "**" => x.powf(y),
-        _ => {
-            return Err(Control::error(ErrorKind::NoMethod, format!("unknown operator {op}"), span))
-        }
+        _ => return Err(unknown_operator(op, span)),
     };
-    if both_int && result.fract() == 0.0 && result.abs() < 9e15 {
-        Ok(Value::Int(result as i64))
-    } else {
-        Ok(Value::Float(result))
+    Ok(Value::Float(result))
+}
+
+/// `x op y` on Integers, as Ruby computes it: `/` rounds toward negative
+/// infinity and `%` takes the divisor's sign.  The subset has no big
+/// integers, so a result outside `i64` raises, as `Integer#<<` does.
+fn int_binop(x: i64, y: i64, op: &str, span: Span) -> EvalResult {
+    if y == 0 && matches!(op, "/" | "%") {
+        return Err(Control::error(ErrorKind::Raised, "divided by 0", span));
     }
+    // Truncated division leaves a remainder with the sign of `x`
+    // (`wrapping_rem` gives `i64::MIN % -1` as 0); flooring moves a nonzero
+    // one to the sign of `y`.
+    let rem = || x.wrapping_rem(y);
+    let floors = |rem: i64| rem != 0 && (rem < 0) != (y < 0);
+    let result = match op {
+        "+" => x.checked_add(y),
+        "-" => x.checked_sub(y),
+        "*" => x.checked_mul(y),
+        "/" => x.checked_div(y).map(|q| q - i64::from(floors(rem()))),
+        "%" => Some(if floors(rem()) { rem() + y } else { rem() }),
+        // An exponent beyond `u32` keeps its parity, which is all a base of
+        // 0, 1 or -1 needs; any other base overflows.
+        "**" => x.checked_pow(u32::try_from(y).unwrap_or(u32::MAX - (y % 2 == 0) as u32)),
+        _ => return Err(unknown_operator(op, span)),
+    };
+    result.map(Value::Int).ok_or_else(|| {
+        Control::error(ErrorKind::Raised, format!("{x} {op} {y} overflows Integer"), span)
+    })
+}
+
+fn unknown_operator(op: &str, span: Span) -> Control {
+    Control::error(ErrorKind::NoMethod, format!("unknown operator {op}"), span)
 }
 
 /// `Integer#<<`: `a` shifted left by `n` bits, or right for a negative
@@ -775,13 +824,44 @@ fn shift_left(a: i64, n: i64, span: Span) -> EvalResult {
     }
 }
 
+/// The receiver of an Integer method: an Integer itself, a Float
+/// truncated.
+fn int_value(v: &Value) -> i64 {
+    match v {
+        Value::Int(i) => *i,
+        Value::Float(f) => *f as i64,
+        _ => 0,
+    }
+}
+
+/// The block-taking Integer methods.
+fn numeric_iterator(
+    interp: &Interpreter,
+    span: Span,
+    recv: &Value,
+    name: &str,
+    args: &[Value],
+    block: Option<&Closure>,
+) -> EvalResult<Option<Value>> {
+    if !matches!(name, "times" | "upto") {
+        return Ok(None);
+    }
+    let block = require_block(block, span, name)?;
+    let (from, to) = match name {
+        "times" => (0, int_value(recv).saturating_sub(1)),
+        _ => (int_value(recv), int_arg(args, 0, span)?),
+    };
+    for i in from..=to {
+        interp.call_closure(block, &[Value::Int(i)], span)?;
+    }
+    Ok(Some(recv.clone()))
+}
+
 fn numeric_method(
     span: Span,
     recv: &Value,
     name: &str,
     args: &[Value],
-    interp: &Interpreter,
-    block: Option<&Closure>,
 ) -> EvalResult<Option<Value>> {
     let as_f = |v: &Value| match v {
         Value::Int(i) => *i as f64,
@@ -789,62 +869,50 @@ fn numeric_method(
         _ => 0.0,
     };
     let x = as_f(recv);
+    // Integers compare exactly; anything else compares as a Float.
+    let cmp = |other: &Value| match (recv, other) {
+        (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+        _ => x.partial_cmp(&as_f(other)),
+    };
+    // An Integer converts to itself, a Float rounds with `round`.
+    let to_int = |round: fn(f64) -> f64| match recv {
+        Value::Int(i) => Value::Int(*i),
+        _ => Value::Int(round(x) as i64),
+    };
+    use std::cmp::Ordering::{Equal, Greater, Less};
     let v = match name {
         "+" | "-" | "*" | "/" | "%" | "**" => numeric_binop(recv, &arg(args, 0), name, span)?,
-        "<" => Value::Bool(x < as_f(&arg(args, 0))),
-        ">" => Value::Bool(x > as_f(&arg(args, 0))),
-        "<=" => Value::Bool(x <= as_f(&arg(args, 0))),
-        ">=" => Value::Bool(x >= as_f(&arg(args, 0))),
-        "<=>" => {
-            let y = as_f(&arg(args, 0));
-            Value::Int(if x < y {
-                -1
-            } else if x > y {
-                1
-            } else {
-                0
-            })
-        }
+        "-@" => match recv {
+            Value::Int(i) => int_binop(0, *i, "-", span)?,
+            _ => Value::Float(-x),
+        },
+        "<" => Value::Bool(cmp(&arg(args, 0)) == Some(Less)),
+        ">" => Value::Bool(cmp(&arg(args, 0)) == Some(Greater)),
+        "<=" => Value::Bool(matches!(cmp(&arg(args, 0)), Some(Less | Equal))),
+        ">=" => Value::Bool(matches!(cmp(&arg(args, 0)), Some(Greater | Equal))),
+        "<=>" => cmp(&arg(args, 0)).map_or(Value::Nil, |o| Value::Int(o as i64)),
         "==" => Value::Bool(recv.ruby_eq(&arg(args, 0))),
         "<<" => match recv {
             Value::Int(a) => shift_left(*a, int_arg(args, 0, span)?, span)?,
             _ => return Ok(None),
         },
         "abs" => match recv {
-            Value::Int(i) => Value::Int(i.abs()),
+            Value::Int(i) if *i < 0 => int_binop(0, *i, "-", span)?,
+            Value::Int(_) => recv.clone(),
             _ => Value::Float(x.abs()),
         },
         "zero?" => Value::Bool(x == 0.0),
         "positive?" => Value::Bool(x > 0.0),
         "negative?" => Value::Bool(x < 0.0),
-        "even?" => Value::Bool((x as i64) % 2 == 0),
-        "odd?" => Value::Bool((x as i64) % 2 != 0),
-        "to_i" | "to_int" | "floor" | "truncate" => Value::Int(x.floor() as i64),
-        "ceil" => Value::Int(x.ceil() as i64),
-        "round" => Value::Int(x.round() as i64),
+        "even?" => Value::Bool(int_value(recv) % 2 == 0),
+        "odd?" => Value::Bool(int_value(recv) % 2 != 0),
+        "to_i" | "to_int" | "truncate" => to_int(f64::trunc),
+        "floor" => to_int(f64::floor),
+        "ceil" => to_int(f64::ceil),
+        "round" => to_int(f64::round),
         "to_f" => Value::Float(x),
         "to_s" => Value::str(recv.to_display_string()),
-        "succ" | "next" => Value::Int(x as i64 + 1),
-        "times" => {
-            let block = require_block(block, span, "times")?;
-            let n = x as i64;
-            let mut i = 0;
-            while i < n {
-                interp.call_closure(block, &[Value::Int(i)], span)?;
-                i += 1;
-            }
-            recv.clone()
-        }
-        "upto" => {
-            let block = require_block(block, span, "upto")?;
-            let hi = int_arg(args, 0, span)?;
-            let mut i = x as i64;
-            while i <= hi {
-                interp.call_closure(block, &[Value::Int(i)], span)?;
-                i += 1;
-            }
-            recv.clone()
-        }
+        "succ" | "next" => int_binop(int_value(recv), 1, "+", span)?,
         _ => return Ok(None),
     };
     Ok(Some(v))
@@ -990,6 +1058,56 @@ mod tests {
         assert_eq!(run("3.7.floor()"), Value::Int(3));
         assert_eq!(run("total = 0\n3.times { |i| total = total + i }\ntotal"), Value::Int(3));
         assert_eq!(run("1 <=> 2"), Value::Int(-1));
+    }
+
+    /// Integer arithmetic computes exactly in `i64` with Ruby's floored
+    /// division; what leaves `i64` raises.  Float math, `**` with a
+    /// negative exponent and division by zero keep their behaviour.
+    #[test]
+    fn integer_arithmetic_follows_ruby() {
+        let cases = [
+            ("7 / 2", Value::Int(3)),
+            ("-7 / 2", Value::Int(-4)),
+            ("7 / -2", Value::Int(-4)),
+            ("-7 / -2", Value::Int(3)),
+            ("7 % 2", Value::Int(1)),
+            ("-7 % 2", Value::Int(1)),
+            ("7 % -2", Value::Int(-1)),
+            ("-7 % -2", Value::Int(-1)),
+            ("(0 - 9223372036854775807 - 1) % -1", Value::Int(0)),
+            ("9007199254740993 + 0", Value::Int(9_007_199_254_740_993)),
+            ("9000000000000000 + 1", Value::Int(9_000_000_000_000_001)),
+            ("3037000499 * 3037000499", Value::Int(9_223_372_030_926_249_001)),
+            ("2 ** 62", Value::Int(1 << 62)),
+            ("(0 - 1) ** 9999999999", Value::Int(-1)),
+            ("2 ** -1", Value::Float(0.5)),
+            ("7.0 / 2", Value::Float(3.5)),
+            ("1.0 / 0", Value::Float(f64::INFINITY)),
+            ("9007199254740993 > 9007199254740992", Value::Bool(true)),
+            ("(-2.5).to_i()", Value::Int(-2)),
+            ("(-2.5).truncate()", Value::Int(-2)),
+            ("(-2.5).floor()", Value::Int(-3)),
+            ("9007199254740993.to_i()", Value::Int(9_007_199_254_740_993)),
+            ("x = 5\n-x", Value::Int(-5)),
+            ("x = 2.5\n-x", Value::Float(-2.5)),
+            ("-2 ** 2", Value::Int(-4)),
+        ];
+        for (src, want) in cases {
+            assert_eq!(run(src), want, "{src}");
+        }
+        for (src, message) in [
+            ("9223372036854775807 + 1", "overflows Integer"),
+            ("3037000500 * 3037000500", "overflows Integer"),
+            ("2 ** 63", "overflows Integer"),
+            ("(0 - 9223372036854775807 - 1) / -1", "overflows Integer"),
+            ("x = 0 - 9223372036854775807 - 1\n-x", "overflows Integer"),
+            ("7 / 0", "divided by 0"),
+            ("7 % 0", "divided by 0"),
+        ] {
+            let prog = parse_program_strict(src).expect("parse");
+            let err = Interpreter::new(prog).eval_program().expect_err(src);
+            assert!(err.message.contains(message), "{src}: {err}");
+        }
     }
 
     #[test]

@@ -31,7 +31,11 @@
 //! steps, so a cycle ends the walk), `Numeric` for `Integer` and `Float`,
 //! then `Object`.  A builtin receiver (`3`, `"s"`, `[]`, ...) sees only
 //! methods that user code defines on its own class.  A call no user method
-//! matches goes to the native core library.  No lookup allocates.  The
+//! matches goes to the native core library; [`call_native`] runs its
+//! block-free methods without an interpreter, which is how type-level
+//! constant folding computes what a program would.  Integers compute
+//! exactly in `i64` with Ruby's floored `/` and `%`, and a result outside
+//! `i64` raises (the subset has no big integers).  No lookup allocates.  The
 //! native Array, Hash and String methods borrow their receiver; only the
 //! block-taking ones iterate over a copy, because the block may mutate the
 //! receiver.  Closures share their resolved block with the program (`Rc`)
@@ -62,6 +66,7 @@ mod resolve;
 mod value;
 
 pub use contracts::DynamicCheckHook;
+pub use corelib::call_native;
 pub use error::{Control, ErrorKind, EvalResult, RubyError};
 pub use interp::Interpreter;
 pub use resolve::ResolvedProgram;
