@@ -49,7 +49,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Bump when the behaviour of any *native* (Rust) helper changes in a way
 /// that affects check verdicts.  Native helpers have no AST to hash, so this
-/// tag is their stand-in body hash.
+/// tag is their stand-in body hash.  `crates/corpus/tests/native_helpers.rs`
+/// pins this revision together with a digest of every native helper's
+/// outputs over a fixed input table: a change to what a native helper
+/// computes fails there until this is bumped and both are re-pinned.
 pub const NATIVE_HELPER_REVISION: u32 = 2;
 
 /// The identity of a program method: `(owner class, name, singleton?)`.

@@ -398,6 +398,15 @@ impl HelperRegistry {
         out
     }
 
+    /// Names of the registered native helpers, sorted.  A native helper
+    /// has no AST to hash, so [`crate::semdep::NATIVE_HELPER_REVISION`]
+    /// stands in for its behaviour.
+    pub fn native_names(&self) -> Vec<&str> {
+        let mut out: Vec<&str> = self.native.keys().map(String::as_str).collect();
+        out.sort_unstable();
+        out
+    }
+
     /// Lines of Ruby helper code registered.
     pub fn ruby_loc(&self) -> usize {
         self.ruby_loc
