@@ -28,24 +28,37 @@ pub fn dispatch(
     args: &[Value],
     block: Option<&Closure>,
 ) -> EvalResult<Option<Value>> {
-    // The methods that call blocks or ask the interpreter first, then the
-    // rest: type-specific methods, then the generic object protocol.
-    let specific = match recv {
+    // Type-specific methods first, then the generic object protocol.
+    let found = match recv {
         Value::Array(_) => array_method(interp, span, recv, name, args, block)?,
         Value::Hash(_) => hash_method(interp, span, recv, name, args, block)?,
-        Value::Int(_) | Value::Float(_) => numeric_iterator(interp, span, recv, name, args, block)?,
         Value::Lambda(l) => lambda_method(interp, span, l, name, args)?,
         _ => None,
     };
-    if specific.is_some() {
-        return Ok(specific);
+    if found.is_some() {
+        return Ok(found);
     }
-    match name {
-        "is_a?" | "kind_of?" | "instance_of?" => Ok(Some(Value::Bool(match arg(args, 0) {
+    if let Some(v) = native_method(span, recv, name, args)? {
+        return Ok(Some(v));
+    }
+    // The rest calls a block or asks the interpreter.
+    match (recv, name) {
+        (Value::Int(_) | Value::Float(_), "times" | "upto") => {
+            let block = require_block(block, span, name)?;
+            let (from, to) = match name {
+                "times" => (0, int_value(recv).saturating_sub(1)),
+                _ => (int_value(recv), int_arg(args, 0, span)?),
+            };
+            for i in from..=to {
+                interp.call_closure(block, &[Value::Int(i)], span)?;
+            }
+            Ok(Some(recv.clone()))
+        }
+        (_, "is_a?" | "kind_of?" | "instance_of?") => Ok(Some(Value::Bool(match arg(args, 0) {
             Value::Class(c) => interp.value_is_a(recv, &c),
             _ => false,
         }))),
-        _ => native_method(span, recv, name, args),
+        _ => Ok(None),
     }
 }
 
@@ -104,8 +117,8 @@ fn int_arg(args: &[Value], i: usize, span: Span) -> EvalResult<i64> {
 // Object protocol
 // ---------------------------------------------------------------------------
 
-/// The object protocol, bar `is_a?` and its aliases, which [`dispatch`]
-/// answers.
+/// The object protocol, bar `is_a?` and its aliases, which need the
+/// interpreter.
 fn object_method(recv: &Value, name: &str, args: &[Value]) -> Option<Value> {
     let v = match name {
         "==" => Value::Bool(recv.ruby_eq(&arg(args, 0))),
@@ -832,29 +845,6 @@ fn int_value(v: &Value) -> i64 {
         Value::Float(f) => *f as i64,
         _ => 0,
     }
-}
-
-/// The block-taking Integer methods.
-fn numeric_iterator(
-    interp: &Interpreter,
-    span: Span,
-    recv: &Value,
-    name: &str,
-    args: &[Value],
-    block: Option<&Closure>,
-) -> EvalResult<Option<Value>> {
-    if !matches!(name, "times" | "upto") {
-        return Ok(None);
-    }
-    let block = require_block(block, span, name)?;
-    let (from, to) = match name {
-        "times" => (0, int_value(recv).saturating_sub(1)),
-        _ => (int_value(recv), int_arg(args, 0, span)?),
-    };
-    for i in from..=to {
-        interp.call_closure(block, &[Value::Int(i)], span)?;
-    }
-    Ok(Some(recv.clone()))
 }
 
 fn numeric_method(
