@@ -116,7 +116,7 @@ struct CacheEntry {
 }
 
 /// Hit / miss / invalidation / eviction counters of the comp-type cache and
-/// of the run-time check memo ([`crate::SharedMemo`]), exposed so benches
+/// of the run-time check memo ([`crate::SharedMemo`]), exposed so perfbench
 /// and tests can verify a cache is actually doing work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {

@@ -364,14 +364,12 @@ pub struct ConsistencyCheck {
     pub expected: Type,
 }
 
-/// Configuration for which categories of checks the hook enforces and how
-/// they execute; used by the ablation and overhead benchmarks.
+/// How the hook executes its checks.  It always runs both kinds the
+/// checker inserts: the return check ([`BLAME_RETURN`]) and, where a comp
+/// type computed the return type, the §4 consistency check
+/// ([`BLAME_CONSISTENCY`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckConfig {
-    /// Check returned values against the computed return type.
-    pub return_checks: bool,
-    /// Re-evaluate comp types at run time and compare (heap-mutation guard).
-    pub consistency_checks: bool,
     /// Memoize per-site check outcomes keyed on value fingerprints (see the
     /// module docs).  Disable to get the paper's pay-at-every-hit baseline
     /// that `corpus::table2_overhead` measures against.
@@ -384,12 +382,7 @@ pub struct CheckConfig {
 
 impl Default for CheckConfig {
     fn default() -> Self {
-        CheckConfig {
-            return_checks: true,
-            consistency_checks: true,
-            memoize: true,
-            raise_blame: true,
-        }
+        CheckConfig { memoize: true, raise_blame: true }
     }
 }
 
@@ -721,9 +714,6 @@ impl DynamicCheckHook for CompRdlHook {
     }
 
     fn before_call(&self, site: Span, recv: &Value, args: &[Value]) -> Result<(), String> {
-        if !self.config.consistency_checks {
-            return Ok(());
-        }
         let Some(check) = self.checks.get(&site) else { return Ok(()) };
         let Some(consistency) = &check.consistency else { return Ok(()) };
 
@@ -773,9 +763,6 @@ impl DynamicCheckHook for CompRdlHook {
     }
 
     fn after_call(&self, site: Span, ret: &Value) -> Result<(), String> {
-        if !self.config.return_checks {
-            return Ok(());
-        }
         let Some(check) = self.checks.get(&site) else { return Ok(()) };
 
         let key = self.config.memoize.then(|| (site, value_fingerprint(ret)));
@@ -1180,7 +1167,7 @@ mod tests {
                 TypeStore::new(),
                 classes(),
                 HelperRegistry::new(),
-                CheckConfig { memoize, raise_blame: false, ..CheckConfig::default() },
+                CheckConfig { memoize, raise_blame: false },
             )
         };
         let memoized = mk(true);
@@ -1279,29 +1266,6 @@ mod tests {
         assert!(!hook.has_check(site_other), "same offsets, different file");
         assert!(hook.after_call(site_other, &Value::str("wrong")).is_ok());
         assert!(hook.after_call(site_app, &Value::str("wrong")).is_err());
-    }
-
-    #[test]
-    fn check_config_disables_categories() {
-        let site = Span::new(5, 6, 1);
-        let check = InsertedCheck {
-            site,
-            description: "Array#first".to_string(),
-            expected_return: Type::nominal("Integer"),
-            consistency: None,
-        };
-        let hook = CompRdlHook::new(
-            vec![check],
-            TypeStore::new(),
-            classes(),
-            HelperRegistry::new(),
-            CheckConfig {
-                return_checks: false,
-                consistency_checks: false,
-                ..CheckConfig::default()
-            },
-        );
-        assert!(hook.after_call(site, &Value::str("wrong type")).is_ok());
     }
 
     fn simple_check(site: Span) -> InsertedCheck {

@@ -372,7 +372,7 @@ pub fn evaluate_overhead(app: &App, memo: &Arc<SharedMemo>) -> Result<OverheadRo
     let suite = Rc::new(ResolvedProgram::new(&program));
     let no_hook = run_plain_suite(app, &suite)?;
     let checked_run = |memoize: bool| {
-        let config = CheckConfig { memoize, raise_blame: false, ..CheckConfig::default() };
+        let config = CheckConfig { memoize, raise_blame: false };
         run_checked_suite(app, &env, &suite, &comp, memo, config)
     };
     let unmemoized = checked_run(false)?;

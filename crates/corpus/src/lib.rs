@@ -258,11 +258,7 @@ mod tests {
             comp.store.clone(),
             env.classes.clone(),
             env.helpers.clone(),
-            comprdl::CheckConfig {
-                memoize: false,
-                raise_blame: false,
-                ..comprdl::CheckConfig::default()
-            },
+            comprdl::CheckConfig { memoize: false, raise_blame: false },
         );
         let mut interp = ruby_interp::Interpreter::new(program.clone());
         interp.set_hook(hook.clone());

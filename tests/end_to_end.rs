@@ -42,35 +42,3 @@ fn table1_totals_are_in_the_papers_ballpark() {
     assert!((450..=800).contains(&total), "total annotations {total}");
     assert!((20..=150).contains(&helpers), "helpers {helpers}");
 }
-
-#[test]
-fn disabling_consistency_checks_still_catches_return_violations() {
-    use comprdl::{CheckConfig, CheckOptions, CompRdl, TypeChecker};
-    use ruby_interp::Interpreter;
-
-    let mut env = CompRdl::new();
-    comprdl::stdlib::register_all(&mut env);
-    env.type_sig("Object", "data", "() -> { count: Integer }", None);
-    env.type_sig("Object", "reads", "() -> Integer", Some("app"));
-    let src = "def data()\n  { count: 41 }\nend\ndef reads()\n  data()[:count] + 1\nend\nassert_equal(42, reads())\n";
-    let program = ruby_syntax::parse_program_strict(src).unwrap();
-    let result = TypeChecker::new(&env, &program, CheckOptions::default()).check_labeled("app");
-    assert!(result.errors().is_empty());
-
-    for config in [
-        CheckConfig { return_checks: true, consistency_checks: true, ..CheckConfig::default() },
-        CheckConfig { return_checks: true, consistency_checks: false, ..CheckConfig::default() },
-        CheckConfig { return_checks: false, consistency_checks: false, ..CheckConfig::default() },
-    ] {
-        let hook = comprdl::make_hook(
-            result.checks(),
-            result.store.clone(),
-            env.classes.clone(),
-            env.helpers.clone(),
-            config,
-        );
-        let mut interp = Interpreter::new(program.clone());
-        interp.set_hook(hook);
-        interp.eval_program().expect("suite passes under every check configuration");
-    }
-}

@@ -104,7 +104,7 @@ fn hook_with(memoize: bool) -> (CompRdlHook, Vec<Span>) {
         TypeStore::new(),
         classes(),
         helpers,
-        CheckConfig { memoize, raise_blame: false, ..CheckConfig::default() },
+        CheckConfig { memoize, raise_blame: false },
     );
     (hook, sites)
 }
@@ -190,7 +190,7 @@ fn schema_hook(memoize: bool) -> (CompRdlHook, Type) {
         store,
         classes(),
         helpers,
-        CheckConfig { memoize, raise_blame: false, ..CheckConfig::default() },
+        CheckConfig { memoize, raise_blame: false },
     );
     (hook, schema)
 }
@@ -271,7 +271,7 @@ fn mutation_during_evaluation_is_not_replayed_as_valid() {
             store,
             classes(),
             helpers,
-            CheckConfig { memoize, raise_blame: false, ..CheckConfig::default() },
+            CheckConfig { memoize, raise_blame: false },
         )
     };
     let site = Span::new(1, 2, 1);

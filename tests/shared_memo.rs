@@ -104,7 +104,7 @@ fn workload() -> (Vec<InsertedCheck>, HelperRegistry) {
 }
 
 fn config(memoize: bool) -> CheckConfig {
-    CheckConfig { memoize, raise_blame: false, ..CheckConfig::default() }
+    CheckConfig { memoize, raise_blame: false }
 }
 
 fn hook_sharing(memo: &Arc<SharedMemo>, namespace: u64, memoize: bool) -> (CompRdlHook, Vec<Span>) {
