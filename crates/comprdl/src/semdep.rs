@@ -53,7 +53,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 /// pins this revision together with a digest of every native helper's
 /// outputs over a fixed input table: a change to what a native helper
 /// computes fails there until this is bumped and both are re-pinned.
-pub const NATIVE_HELPER_REVISION: u32 = 2;
+pub const NATIVE_HELPER_REVISION: u32 = 3;
 
 /// The identity of a program method: `(owner class, name, singleton?)`.
 pub type MethodId = (String, String, bool);

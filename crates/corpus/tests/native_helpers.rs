@@ -18,11 +18,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// `(NATIVE_HELPER_REVISION, digest of the rendered table)`.
-const PIN: (u32, u64) = (2, 0xee7f7b5e925acfcf);
+const PIN: (u32, u64) = (3, 0xae96cd8730b44fca);
 
 /// Every native helper with the comp expressions it is evaluated over,
-/// under the bindings of [`bindings`] (type-level code has no Float
-/// literals, so `f` is the Float operand).
+/// under the bindings of [`bindings`] (`f` is the Float operand).
 const TABLE: &[(&str, &[&str])] = &[
     (
         "fold",

@@ -762,7 +762,7 @@ fn string_method(
 /// `a op b` for the arithmetic operators.  Two Integers compute exactly in
 /// `i64` ([`int_binop`]), except that `**` with a negative exponent is a
 /// Float, as the subset has no Rational.  Any other numeric pair computes
-/// in Float.
+/// in Float, where `%` also takes the divisor's sign.
 fn numeric_binop(a: &Value, b: &Value, op: &str, span: Span) -> EvalResult {
     let as_f = |v: &Value| match v {
         Value::Int(i) => Some(*i as f64),
@@ -786,7 +786,16 @@ fn numeric_binop(a: &Value, b: &Value, op: &str, span: Span) -> EvalResult {
         "-" => x - y,
         "*" => x * y,
         "/" => x / y,
-        "%" => x % y,
+        // Rust's `%` truncates; Ruby moves a remainder whose sign differs
+        // from the divisor's by one divisor, as C Ruby's `flodivmod` does.
+        "%" => {
+            let rem = x % y;
+            if y * rem < 0.0 {
+                rem + y
+            } else {
+                rem
+            }
+        }
         "**" => x.powf(y),
         _ => return Err(unknown_operator(op, span)),
     };
@@ -1098,6 +1107,27 @@ mod tests {
             let err = Interpreter::new(prog).eval_program().expect_err(src);
             assert!(err.message.contains(message), "{src}: {err}");
         }
+    }
+
+    /// Float `%` floors as Integer `%` does: a nonzero remainder takes the
+    /// divisor's sign, for every pair of operand signs and for an Integer
+    /// on either side.
+    #[test]
+    fn float_modulo_takes_the_divisors_sign() {
+        let cases = [
+            ("7.0 % 2.5", 2.0),
+            ("-7.0 % 2.5", 0.5),
+            ("7.0 % -2.5", -0.5),
+            ("-7.0 % -2.5", -2.0),
+            ("-7 % 2.5", 0.5),
+            ("7.5 % -2", -0.5),
+            ("-5.0 % 2.5", 0.0),
+            ("0.0 % -2.5", 0.0),
+        ];
+        for (src, want) in cases {
+            assert_eq!(run(src), Value::Float(want), "{src}");
+        }
+        assert!(matches!(run("7.0 % 0.0"), Value::Float(f) if f.is_nan()));
     }
 
     #[test]
