@@ -63,8 +63,12 @@ use std::path::Path;
 /// interprocedural through taint summaries); v4 added the whole-file
 /// FNV-1a checksum trailer, so random byte corruption anywhere in the file
 /// (not just in the header) degrades to an empty load — a silent cold
-/// re-check — instead of risking a structurally-parseable-but-wrong replay.
-pub const FORMAT_VERSION: u32 = 4;
+/// re-check — instead of risking a structurally-parseable-but-wrong replay;
+/// v5 keeps v4's layout and retires verdicts of the type-level evaluator
+/// before it took Float literals, Integer, Float, String and Symbol methods
+/// from the interpreter and typed an out-of-range tuple index as `nil` (no
+/// hash covers the evaluator itself, so only the version can).
+pub const FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"CRDLCHK\x01";
 

@@ -16,6 +16,7 @@ use crate::termination::{EffectEnv, ExplicitEffects, TerminationChecker};
 use rdl_types::{
     ClassTable, HashKey, PurityEffect, SingVal, Subtyper, TermEffect, Type, TypeStore,
 };
+use ruby_interp::Value;
 use ruby_syntax::{BinOp, Expr, ExprKind, MethodDef, Span};
 use std::collections::HashMap;
 use std::fmt;
@@ -144,6 +145,8 @@ pub enum TlcValue {
     Bool(bool),
     /// An integer.
     Int(i64),
+    /// A float.
+    Float(f64),
     /// A string.
     Str(String),
     /// A symbol.
@@ -168,7 +171,7 @@ impl TlcValue {
 
     /// Converts the value to an RDL type, if it denotes one.  Hashes of
     /// `symbol => type` convert to finite hash types; class references
-    /// convert to nominal types; symbols/integers/strings convert to
+    /// convert to nominal types; symbols, numbers and strings convert to
     /// singleton / const-string types.
     pub fn into_type(self, store: &mut TypeStore) -> TlcResult<Type> {
         match self {
@@ -176,6 +179,7 @@ impl TlcValue {
             TlcValue::ClassRef(name) => Ok(class_ref_type(&name)),
             TlcValue::Sym(s) => Ok(Type::sym(s)),
             TlcValue::Int(i) => Ok(Type::int(i)),
+            TlcValue::Float(f) => Ok(Type::Singleton(SingVal::float(f))),
             TlcValue::Str(s) => Ok(store.new_const_string(s)),
             TlcValue::Bool(true) => Ok(Type::Singleton(SingVal::True)),
             TlcValue::Bool(false) => Ok(Type::Singleton(SingVal::False)),
@@ -523,7 +527,7 @@ impl<'a> TlcCtx<'a> {
             ExprKind::True => Ok(TlcValue::Bool(true)),
             ExprKind::False => Ok(TlcValue::Bool(false)),
             ExprKind::Int(i) => Ok(TlcValue::Int(*i)),
-            ExprKind::Float(f) => Ok(TlcValue::Int(*f as i64)),
+            ExprKind::Float(f) => Ok(TlcValue::Float(*f)),
             ExprKind::Str(s) => Ok(TlcValue::Str(s.clone())),
             ExprKind::Sym(s) => Ok(TlcValue::Sym(s.clone())),
             ExprKind::Array(items) => {
@@ -716,19 +720,9 @@ impl<'a> TlcCtx<'a> {
             TlcValue::Type(t) => self.type_method(t, name, args),
             TlcValue::Hash(pairs) => self.hash_method(pairs, name, args),
             TlcValue::Array(items) => self.array_method(items, name, args),
-            TlcValue::Str(s) => self.string_method(s, name, args),
-            TlcValue::Sym(s) => match name {
-                "to_s" => Ok(TlcValue::Str(s.clone())),
-                "to_sym" => Ok(recv.clone()),
-                _ => Err(TlcError::new(format!("unknown method `{name}` on symbol"))),
-            },
-            TlcValue::Int(i) => match name {
-                "+" => Ok(TlcValue::Int(i + expect_int(args, 0)?)),
-                "-" => Ok(TlcValue::Int(i - expect_int(args, 0)?)),
-                "*" => Ok(TlcValue::Int(i * expect_int(args, 0)?)),
-                "to_s" => Ok(TlcValue::Str(i.to_string())),
-                _ => Err(TlcError::new(format!("unknown method `{name}` on integer"))),
-            },
+            TlcValue::Int(_) | TlcValue::Float(_) | TlcValue::Str(_) | TlcValue::Sym(_) => {
+                scalar_method(recv, name, args)
+            }
             TlcValue::MetaClass(kind) => self.metaclass_method(*kind, name, args),
             TlcValue::ClassRef(class) => match name {
                 "new" => Err(TlcError::new(format!(
@@ -778,6 +772,7 @@ impl<'a> TlcCtx<'a> {
             (TlcValue::Sym(_), TlcValue::ClassRef(c)) => c == "Symbol",
             (TlcValue::Str(_), TlcValue::ClassRef(c)) => c == "String",
             (TlcValue::Int(_), TlcValue::ClassRef(c)) => c == "Integer" || c == "Numeric",
+            (TlcValue::Float(_), TlcValue::ClassRef(c)) => c == "Float" || c == "Numeric",
             (TlcValue::Hash(_), TlcValue::ClassRef(c)) => c == "Hash",
             (TlcValue::Array(_), TlcValue::ClassRef(c)) => c == "Array",
             _ => false,
@@ -799,6 +794,7 @@ impl<'a> TlcCtx<'a> {
                 let t = match arg {
                     TlcValue::Sym(s) => Type::sym(s),
                     TlcValue::Int(i) => Type::int(i),
+                    TlcValue::Float(f) => Type::Singleton(SingVal::float(f)),
                     TlcValue::Str(s) => self.store.new_const_string(s),
                     TlcValue::ClassRef(c) => Type::class_of(c),
                     TlcValue::Bool(true) => Type::Singleton(SingVal::True),
@@ -867,9 +863,7 @@ impl<'a> TlcCtx<'a> {
                 Type::Singleton(SingVal::True) => Ok(TlcValue::Bool(true)),
                 Type::Singleton(SingVal::False) => Ok(TlcValue::Bool(false)),
                 Type::Singleton(SingVal::Nil) => Ok(TlcValue::Nil),
-                Type::Singleton(SingVal::FloatBits(b)) => {
-                    Ok(TlcValue::Int(f64::from_bits(*b) as i64))
-                }
+                Type::Singleton(SingVal::FloatBits(b)) => Ok(TlcValue::Float(f64::from_bits(*b))),
                 Type::ConstString(id) => match self.store.const_string_value(*id) {
                     Some(s) => Ok(TlcValue::Str(s.to_string())),
                     None => Err(TlcError::new("const string no longer has a known value")),
@@ -1101,12 +1095,9 @@ impl<'a> TlcCtx<'a> {
             }
             Type::Tuple(id) => match key {
                 TlcValue::Int(i) | TlcValue::Type(Type::Singleton(SingVal::Int(i))) => {
-                    let data = self.store.tuple(*id);
-                    let idx = if i < 0 { data.elems.len() as i64 + i } else { i };
-                    match data.elems.get(idx.max(0) as usize) {
-                        Some(t) => Ok(TlcValue::Type(t.clone())),
-                        None => Ok(TlcValue::Type(Type::nil())),
-                    }
+                    let elems = &self.store.tuple(*id).elems;
+                    let elem = position(elems.len(), i).and_then(|p| elems.get(p));
+                    Ok(TlcValue::Type(elem.cloned().unwrap_or_else(Type::nil)))
                 }
                 other => Err(TlcError::new(format!("invalid tuple index {other:?}"))),
             },
@@ -1163,9 +1154,8 @@ impl<'a> TlcCtx<'a> {
     fn array_method(&mut self, items: &[TlcValue], name: &str, args: &[TlcValue]) -> TlcResult {
         match name {
             "[]" | "at" => {
-                let i = expect_int(args, 0)?;
-                let idx = if i < 0 { items.len() as i64 + i } else { i };
-                Ok(items.get(idx.max(0) as usize).cloned().unwrap_or(TlcValue::Nil))
+                let item = position(items.len(), expect_int(args, 0)?).and_then(|p| items.get(p));
+                Ok(item.cloned().unwrap_or(TlcValue::Nil))
             }
             "first" => Ok(items.first().cloned().unwrap_or(TlcValue::Nil)),
             "last" => Ok(items.last().cloned().unwrap_or(TlcValue::Nil)),
@@ -1185,25 +1175,65 @@ impl<'a> TlcCtx<'a> {
             other => Err(TlcError::new(format!("unknown method `{other}` on type-level array"))),
         }
     }
+}
 
-    fn string_method(&mut self, s: &str, name: &str, args: &[TlcValue]) -> TlcResult {
-        match name {
-            "to_sym" => Ok(TlcValue::Sym(s.to_string())),
-            "to_s" => Ok(TlcValue::Str(s.to_string())),
-            "upcase" => Ok(TlcValue::Str(s.to_uppercase())),
-            "downcase" => Ok(TlcValue::Str(s.to_lowercase())),
-            "length" | "size" => Ok(TlcValue::Int(s.chars().count() as i64)),
-            "include?" => match args.first() {
-                Some(TlcValue::Str(n)) => Ok(TlcValue::Bool(s.contains(n))),
-                _ => Ok(TlcValue::Bool(false)),
-            },
-            "+" => match args.first() {
-                Some(TlcValue::Str(o)) => Ok(TlcValue::Str(format!("{s}{o}"))),
-                _ => Err(TlcError::new("String#+ requires a string")),
-            },
-            other => Err(TlcError::new(format!("unknown method `{other}` on type-level string"))),
+/// The position index `i` names in a sequence of `len` elements, counting
+/// back from the end when `i` is negative, as `Array#[]` does.  `None`
+/// when `i` is before the start; an index past the end gives a position
+/// that `get` misses.
+fn position(len: usize, i: i64) -> Option<usize> {
+    usize::try_from(if i < 0 { len as i64 + i } else { i }).ok()
+}
+
+/// Runs the Integer, Float, String or Symbol method `name` of a scalar
+/// as the interpreter does ([`ruby_interp::call_native`]), so type-level
+/// code computes what the program would.
+fn scalar_method(recv: &TlcValue, name: &str, args: &[TlcValue]) -> TlcResult {
+    let recv = to_value(recv)?;
+    let args = args.iter().map(to_value).collect::<TlcResult<Vec<_>>>()?;
+    match ruby_interp::call_native(&recv, name, &args) {
+        Ok(Some(v)) => from_value(&v),
+        Ok(None) => Err(TlcError::new(format!(
+            "unknown method `{name}` on type-level {}",
+            recv.class_name()
+        ))),
+        Err(ruby_interp::Control::Error(e)) => {
+            Err(TlcError::new(format!("{}#{name} raised: {}", recv.class_name(), e.message)))
         }
+        Err(other) => Err(TlcError::new(format!("{}#{name}: {other:?}", recv.class_name()))),
     }
+}
+
+/// The interpreter value a type-level scalar stands for.
+fn to_value(v: &TlcValue) -> TlcResult<Value> {
+    Ok(match v {
+        TlcValue::Nil => Value::Nil,
+        TlcValue::Bool(b) => Value::Bool(*b),
+        TlcValue::Int(i) => Value::Int(*i),
+        TlcValue::Float(f) => Value::Float(*f),
+        TlcValue::Str(s) => Value::str(s.as_str()),
+        TlcValue::Sym(s) => Value::Sym(s.as_str().into()),
+        other => return Err(TlcError::new(format!("{other:?} has no run-time value"))),
+    })
+}
+
+/// The type-level value of what a scalar method returned.
+fn from_value(v: &Value) -> TlcResult {
+    Ok(match v {
+        Value::Nil => TlcValue::Nil,
+        Value::Bool(b) => TlcValue::Bool(*b),
+        Value::Int(i) => TlcValue::Int(*i),
+        Value::Float(f) => TlcValue::Float(*f),
+        Value::Str(s) => TlcValue::Str(s.borrow().clone()),
+        Value::Sym(s) => TlcValue::Sym(s.to_string()),
+        Value::Array(items) => {
+            TlcValue::Array(items.borrow().iter().map(from_value).collect::<TlcResult<_>>()?)
+        }
+        Value::Class(c) => TlcValue::ClassRef(c.to_string()),
+        other => {
+            return Err(TlcError::new(format!("{} is not a type-level value", other.class_name())))
+        }
+    })
 }
 
 fn expect_int(args: &[TlcValue], i: usize) -> TlcResult<i64> {
@@ -1548,5 +1578,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t, Type::nominal("String"));
+    }
+
+    #[test]
+    fn a_float_literal_is_a_float() {
+        let helpers = HelperRegistry::new();
+        let mut store = TypeStore::new();
+        let t = eval_with(vec![], &helpers, &mut store, "Singleton.new(2.5)").unwrap();
+        assert_eq!(t, Type::Singleton(SingVal::float(2.5)));
+    }
+
+    #[test]
+    fn a_float_singletons_val_is_its_float() {
+        let helpers = HelperRegistry::new();
+        let mut store = TypeStore::new();
+        let f = TlcValue::Type(Type::Singleton(SingVal::float(2.5)));
+        let src =
+            "if t.val.is_a?(Float) then Singleton.new(t.val * 2) else Nominal.new(Integer) end";
+        let t = eval_with(vec![("t", f)], &helpers, &mut store, src).unwrap();
+        assert_eq!(t, Type::Singleton(SingVal::float(5.0)));
+    }
+
+    #[test]
+    fn integer_overflow_in_type_level_code_is_an_error() {
+        let helpers = HelperRegistry::new();
+        let mut store = TypeStore::new();
+        let src = "Singleton.new(Singleton.new(9223372036854775807).val + 1)";
+        let err = eval_with(vec![], &helpers, &mut store, src).unwrap_err();
+        assert!(err.message.contains("overflows Integer"), "{err}");
     }
 }

@@ -67,7 +67,7 @@ fn folded_types_are_the_types_of_what_the_interpreter_computes() {
     let numbers: Vec<Value> = [7, -7, 2, -2, 0, 3, 9_007_199_254_740_993, i64::MAX, i64::MIN]
         .into_iter()
         .map(Value::Int)
-        .chain([2.5, -0.5, 0.0].into_iter().map(Value::Float))
+        .chain([2.5, -0.5, 0.0, -7.5].into_iter().map(Value::Float))
         .collect();
     for a in &numbers {
         for b in &numbers {
@@ -164,4 +164,20 @@ fn unary_minus_is_typed_folded_and_checked() {
     assert_eq!(messages, ["body has type `-4` but the method is declared to return `String`"]);
     assert_eq!(run("x = 5\n-x"), Some(Value::Int(-5)));
     assert_eq!(run("-2 ** 2"), Some(Value::Int(-4)));
+}
+
+#[test]
+fn a_tuple_index_out_of_range_from_either_end_is_nil() {
+    let mut env = core_env();
+    // `Array#[]`'s comp type indexes a tuple through the `idx` helper.
+    let tuple = Value::array(vec![Value::Int(1), Value::str("a")]);
+    for i in [-10, -3, -2, -1, 0, 1, 2, 10] {
+        let operands = [("a", &tuple), ("i", &Value::Int(i))];
+        assert_folds(&env, "idx(a, i)", "a[i]", &operands, "nil");
+    }
+    env.type_sig("Object", "far", "() -> Integer", Some("app"));
+    let src = "def far()\n  [1, 'a'][-10]\nend\nassert_equal(nil, far())\n";
+    let (errors, blames) = check_and_run(&env, src);
+    assert!(errors.is_empty(), "{errors:?}");
+    assert!(blames.is_empty(), "{blames:?}");
 }
