@@ -1,6 +1,11 @@
 //! Run-time side of CompRDL: mapping interpreter values to RDL types,
 //! checking values against types, and the [`CompRdlHook`] that enforces the
 //! dynamic checks inserted by the static checker (paper §2.4, §3, §4).
+//! The hook runs both kinds at every checked call site: before the call,
+//! the consistency check re-evaluates a comp type over the run-time
+//! argument types and compares the result with the type-check-time one
+//! ([`BLAME_CONSISTENCY`]); after it, the return check tests the returned
+//! value against the computed return type ([`BLAME_RETURN`]).
 //!
 //! ## The run-time check memo
 //!

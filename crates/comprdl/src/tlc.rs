@@ -10,7 +10,10 @@
 //! The evaluator interprets the Ruby-subset expression with a small value
 //! universe in which RDL [`Type`]s are first-class values, and dispatches
 //! helper calls either to native Rust helpers or to helpers written in the
-//! Ruby subset and registered with the [`HelperRegistry`].
+//! Ruby subset and registered with the [`HelperRegistry`].  The methods of
+//! Integer, Float, String and Symbol values run in the interpreter's own
+//! core library ([`ruby_interp::call_native`]), so type-level code computes
+//! what the program would, and a method that raises is a [`TlcError`].
 
 use crate::termination::{EffectEnv, ExplicitEffects, TerminationChecker};
 use rdl_types::{
