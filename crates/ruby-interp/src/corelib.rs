@@ -1060,8 +1060,9 @@ mod tests {
     }
 
     /// Integer arithmetic computes exactly in `i64` with Ruby's floored
-    /// division; what leaves `i64` raises.  Float math, `**` with a
-    /// negative exponent and division by zero keep their behaviour.
+    /// division; what leaves `i64` raises.  Float `%` floors too, for
+    /// every pair of operand signs.  Float math, `**` with a negative
+    /// exponent and division by zero keep their behaviour.
     #[test]
     fn integer_arithmetic_follows_ruby() {
         let cases = [
@@ -1081,6 +1082,13 @@ mod tests {
             ("(0 - 1) ** 9999999999", Value::Int(-1)),
             ("2 ** -1", Value::Float(0.5)),
             ("7.0 / 2", Value::Float(3.5)),
+            ("7.0 % 2.5", Value::Float(2.0)),
+            ("-7.0 % 2.5", Value::Float(0.5)),
+            ("7.0 % -2.5", Value::Float(-0.5)),
+            ("-7.0 % -2.5", Value::Float(-2.0)),
+            ("-7 % 2.5", Value::Float(0.5)),
+            ("7.5 % -2", Value::Float(-0.5)),
+            ("-5.0 % 2.5", Value::Float(-0.0)),
             ("1.0 / 0", Value::Float(f64::INFINITY)),
             ("9007199254740993 > 9007199254740992", Value::Bool(true)),
             ("(-2.5).to_i()", Value::Int(-2)),
@@ -1107,27 +1115,6 @@ mod tests {
             let err = Interpreter::new(prog).eval_program().expect_err(src);
             assert!(err.message.contains(message), "{src}: {err}");
         }
-    }
-
-    /// Float `%` floors as Integer `%` does: a nonzero remainder takes the
-    /// divisor's sign, for every pair of operand signs and for an Integer
-    /// on either side.
-    #[test]
-    fn float_modulo_takes_the_divisors_sign() {
-        let cases = [
-            ("7.0 % 2.5", 2.0),
-            ("-7.0 % 2.5", 0.5),
-            ("7.0 % -2.5", -0.5),
-            ("-7.0 % -2.5", -2.0),
-            ("-7 % 2.5", 0.5),
-            ("7.5 % -2", -0.5),
-            ("-5.0 % 2.5", 0.0),
-            ("0.0 % -2.5", 0.0),
-        ];
-        for (src, want) in cases {
-            assert_eq!(run(src), Value::Float(want), "{src}");
-        }
-        assert!(matches!(run("7.0 % 0.0"), Value::Float(f) if f.is_nan()));
     }
 
     #[test]
