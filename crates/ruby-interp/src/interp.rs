@@ -6,9 +6,9 @@ use crate::corelib;
 use crate::error::{Control, ErrorKind, EvalResult, RubyError};
 use crate::resolve::{Block, Method, Node, NodeKind, ResolvedProgram, Slots, Target};
 use crate::value::{Closure, Ivars, Value};
-use ruby_syntax::{BinOp, Program, Span};
+use ruby_syntax::{BinOp, FxHashMap, Program, Span};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::ops::Deref;
 use std::rc::Rc;
 
 /// Default evaluation fuel (one unit per AST node evaluated).
@@ -43,10 +43,10 @@ impl Frame {
 /// The Ruby-subset interpreter.
 pub struct Interpreter {
     program: Rc<ResolvedProgram>,
-    globals: RefCell<HashMap<Rc<str>, Value>>,
-    constants: RefCell<HashMap<Rc<str>, Value>>,
+    globals: RefCell<FxHashMap<Rc<str>, Value>>,
+    constants: RefCell<FxHashMap<Rc<str>, Value>>,
     /// Class-level instance variables: class → ivar → value.
-    class_ivars: RefCell<HashMap<Rc<str>, Ivars>>,
+    class_ivars: RefCell<FxHashMap<Rc<str>, Ivars>>,
     hook: Option<Rc<dyn DynamicCheckHook>>,
     fuel: Cell<u64>,
     checks_performed: Cell<u64>,
@@ -67,9 +67,9 @@ impl Interpreter {
     pub fn with_program(program: Rc<ResolvedProgram>) -> Self {
         Interpreter {
             program,
-            globals: RefCell::new(HashMap::new()),
-            constants: RefCell::new(HashMap::new()),
-            class_ivars: RefCell::new(HashMap::new()),
+            globals: RefCell::default(),
+            constants: RefCell::default(),
+            class_ivars: RefCell::default(),
             hook: None,
             fuel: Cell::new(DEFAULT_FUEL),
             checks_performed: Cell::new(0),
@@ -159,13 +159,9 @@ impl Interpreter {
                 Some(v) => Ok(v),
                 // Not a bound local: a call on `self` that passes the
                 // current method's block along.
-                None => self.invoke_method(
-                    expr.span,
-                    &frame.self_val,
-                    name,
-                    vec![],
-                    frame.block.clone(),
-                ),
+                None => {
+                    self.invoke_method(expr.span, &frame.self_val, name, &[], frame.block.clone())
+                }
             },
             NodeKind::IVar(name) => Ok(self.read_ivar(&frame.self_val, name)),
             NodeKind::GVar(name) => {
@@ -189,7 +185,7 @@ impl Interpreter {
                     }
                     other => {
                         let rhs = self.eval(frame, value)?;
-                        self.invoke_method(expr.span, &current, other, vec![rhs], None)?
+                        self.invoke_method(expr.span, &current, other, &[rhs], None)?
                     }
                 };
                 self.assign(frame, expr.span, target, new.clone())?;
@@ -201,10 +197,7 @@ impl Interpreter {
                     Some(r) => Some(self.eval(frame, r)?),
                     None => None,
                 };
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_vals.push(self.eval(frame, a)?);
-                }
+                let arg_vals = self.eval_args(frame, args)?;
                 let closure = block.as_ref().map(|b| self.make_closure(frame, b));
                 let checked = self.hook.as_ref().map(|h| h.has_check(expr.span)).unwrap_or(false);
                 if checked {
@@ -218,8 +211,8 @@ impl Interpreter {
                     // When there is no explicit receiver and no matching
                     // method, fall back to kernel-level helpers (puts,
                     // raise, assert...).
-                    None => self.invoke_self_call(expr.span, frame, name, arg_vals, closure),
-                    Some(recv) => self.invoke_method(expr.span, recv, name, arg_vals, closure),
+                    None => self.invoke_self_call(expr.span, frame, name, &arg_vals, closure),
+                    Some(recv) => self.invoke_method(expr.span, recv, name, &arg_vals, closure),
                 };
                 // A `break` in the block literal ends the call the block
                 // was passed to, with the break's value as its result.
@@ -301,10 +294,7 @@ impl Interpreter {
                 Err(Control::Return(value))
             }
             NodeKind::Yield(args) => {
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_vals.push(self.eval(frame, a)?);
-                }
+                let arg_vals = self.eval_args(frame, args)?;
                 match &frame.block {
                     Some(closure) => self.call_closure(closure, &arg_vals, expr.span),
                     None => {
@@ -317,6 +307,23 @@ impl Interpreter {
             NodeKind::Lambda(block) => Ok(Value::Lambda(self.make_closure(frame, block))),
             NodeKind::TypeCast(inner) => self.eval(frame, inner),
         }
+    }
+
+    /// Evaluates call or `yield` arguments in order: up to
+    /// [`INLINE_ARGS`] into an array on the stack, more into a `Vec`.
+    fn eval_args(&self, frame: &Frame, args: &[Node]) -> EvalResult<ArgVals> {
+        if args.len() > INLINE_ARGS {
+            return args
+                .iter()
+                .map(|a| self.eval(frame, a))
+                .collect::<EvalResult<_>>()
+                .map(ArgVals::Heap);
+        }
+        let mut values = [Value::Nil, Value::Nil, Value::Nil, Value::Nil];
+        for (value, a) in values.iter_mut().zip(args) {
+            *value = self.eval(frame, a)?;
+        }
+        Ok(ArgVals::Inline(values, args.len()))
     }
 
     fn eval_body(&self, frame: &Frame, body: &[Node]) -> EvalResult {
@@ -409,11 +416,11 @@ impl Interpreter {
             Target::Index { recv, index } => {
                 let r = self.eval(frame, recv)?;
                 let i = self.eval(frame, index)?;
-                self.invoke_method(span, &r, "[]", vec![i], None)
+                self.invoke_method(span, &r, "[]", &[i], None)
             }
             Target::Attr { recv, reader, .. } => {
                 let r = self.eval(frame, recv)?;
-                self.invoke_method(span, &r, reader, vec![], None)
+                self.invoke_method(span, &r, reader, &[], None)
             }
         }
     }
@@ -431,11 +438,11 @@ impl Interpreter {
             Target::Index { recv, index } => {
                 let r = self.eval(frame, recv)?;
                 let i = self.eval(frame, index)?;
-                self.invoke_method(span, &r, "[]=", vec![i, value], None)?;
+                self.invoke_method(span, &r, "[]=", &[i, value], None)?;
             }
             Target::Attr { recv, writer, .. } => {
                 let r = self.eval(frame, recv)?;
-                self.invoke_method(span, &r, writer, vec![value], None)?;
+                self.invoke_method(span, &r, writer, &[value], None)?;
             }
         }
         Ok(())
@@ -448,15 +455,15 @@ impl Interpreter {
         span: Span,
         frame: &Frame,
         name: &str,
-        args: Vec<Value>,
+        args: &[Value],
         block: Option<Rc<Closure>>,
     ) -> EvalResult {
         // Kernel-level helpers take priority only when the receiver class
         // does not define the method.
         let recv = &frame.self_val;
-        match self.try_invoke(span, recv, name, &args, &block)? {
+        match self.try_invoke(span, recv, name, args, &block)? {
             Some(v) => Ok(v),
-            None => match self.kernel_call(span, name, &args, &block)? {
+            None => match self.kernel_call(span, name, args, &block)? {
                 Some(v) => Ok(v),
                 None => Err(Control::error(
                     ErrorKind::NoMethod,
@@ -473,14 +480,14 @@ impl Interpreter {
         span: Span,
         recv: &Value,
         name: &str,
-        args: Vec<Value>,
+        args: &[Value],
         block: Option<Rc<Closure>>,
     ) -> EvalResult {
-        match self.try_invoke(span, recv, name, &args, &block)? {
+        match self.try_invoke(span, recv, name, args, &block)? {
             Some(v) => Ok(v),
             None => {
                 if let Value::Object(_) | Value::Class(_) = recv {
-                    if let Some(v) = self.kernel_call(span, name, &args, &block)? {
+                    if let Some(v) = self.kernel_call(span, name, args, &block)? {
                         return Ok(v);
                     }
                 }
@@ -693,6 +700,28 @@ impl Interpreter {
         match value {
             Value::Object(o) => table.is_a(&o.borrow().class, class),
             builtin => builtin.builtin_class_name().is_some_and(|c| table.is_a(c, class)),
+        }
+    }
+}
+
+/// How many call arguments [`Interpreter::eval_args`] evaluates into an
+/// array on the stack; a call with more puts them in a `Vec`.
+const INLINE_ARGS: usize = 4;
+
+/// Evaluated call arguments, read as a slice.
+enum ArgVals {
+    /// The first `.1` values; the rest are `nil` placeholders.
+    Inline([Value; INLINE_ARGS], usize),
+    Heap(Vec<Value>),
+}
+
+impl Deref for ArgVals {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match self {
+            ArgVals::Inline(values, len) => &values[..*len],
+            ArgVals::Heap(values) => values,
         }
     }
 }

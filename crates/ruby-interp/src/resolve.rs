@@ -22,7 +22,7 @@
 //! evaluated) is unchanged by resolving.
 
 use crate::value::Value;
-use ruby_syntax::{self as ast, BinOp, ExprKind, Item, LValue, Span};
+use ruby_syntax::{self as ast, BinOp, ExprKind, FxHashMap, Item, LValue, Span};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -175,11 +175,11 @@ struct ClassEntry {
     /// declares this name.
     superclass: Option<String>,
     /// Instance methods by name.
-    instance: HashMap<String, Method>,
+    instance: FxHashMap<String, Method>,
     /// Singleton (`def self.`) methods by name.
-    singleton: HashMap<String, Method>,
+    singleton: FxHashMap<String, Method>,
     /// `attr_*` declarations by attribute, with the attribute's ivar handle.
-    accessors: HashMap<String, (AccessorKind, Rc<str>)>,
+    accessors: FxHashMap<String, (AccessorKind, Rc<str>)>,
 }
 
 /// The user-defined classes, methods and accessors of a program.  The table
@@ -188,7 +188,7 @@ struct ClassEntry {
 #[derive(Default)]
 pub(crate) struct MethodTable {
     /// Per-class definitions.
-    classes: HashMap<String, ClassEntry>,
+    classes: FxHashMap<String, ClassEntry>,
 }
 
 impl MethodTable {

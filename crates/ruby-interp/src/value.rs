@@ -1,8 +1,8 @@
 //! Runtime values of the Ruby-subset interpreter.
 
 use crate::resolve::{Block, Slots};
+use ruby_syntax::FxHashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -16,7 +16,7 @@ pub type HashRef = Rc<RefCell<Vec<(Value, Value)>>>;
 pub type ObjectRef = Rc<RefCell<ObjectData>>;
 /// Instance variables (`@x` → value), keyed by the handles the resolved
 /// program holds, so a write copies no name.
-pub(crate) type Ivars = HashMap<Rc<str>, Value>;
+pub(crate) type Ivars = FxHashMap<Rc<str>, Value>;
 
 /// The instance state of a user-defined object.  The type is public only
 /// so that [`Value::Object`] can be matched outside this crate; no path
@@ -122,7 +122,7 @@ impl Value {
     pub fn new_object(class: impl Into<Rc<str>>) -> Value {
         Value::Object(Rc::new(RefCell::new(ObjectData {
             class: class.into(),
-            ivars: HashMap::new(),
+            ivars: Ivars::default(),
         })))
     }
 
