@@ -240,7 +240,7 @@ mod tests {
     fn slot() -> Expr {
         let sig = rdl_types::parse_method_sig("(t<:Object) -> «idx(tself, t)»").unwrap();
         let TypeExpr::Comp(spec) = sig.ret else { panic!("a comp return type") };
-        spec.expr
+        Expr::clone(&spec.expr)
     }
 
     fn key_for<'a>(slot: &'a Expr, store: &TypeStore, tself: &Type) -> CacheKey<'a> {

@@ -30,6 +30,7 @@ use ruby_syntax::{BinOp, Expr, ExprKind, LValue, MethodDef, Program, Span};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// What kind of type error was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1310,7 +1311,7 @@ impl<'a> TypeChecker<'a> {
                 match self.eval_comp(ctx, expr, args, &spec.expr, bindings) {
                     Some(t) => {
                         let consistency = ConsistencyCheck {
-                            ret_expr: spec.expr.clone(),
+                            ret_expr: Arc::clone(&spec.expr),
                             binders: sig.params.iter().map(|p| p.binder.clone()).collect(),
                             expected: t.clone(),
                         };

@@ -40,7 +40,7 @@
 use crate::cache::CacheStats;
 use crate::runtime::BlameDiagnostic;
 use rdl_types::Fingerprint;
-use ruby_syntax::Span;
+use ruby_syntax::{FxHashMap, Span};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -97,7 +97,7 @@ struct Entry {
 /// A namespace's verdicts and counters, guarded together by one lock.
 #[derive(Debug, Default)]
 struct Table {
-    entries: HashMap<(MemoTable, Span, u64), Entry>,
+    entries: FxHashMap<(MemoTable, Span, u64), Entry>,
     stats: CacheStats,
 }
 

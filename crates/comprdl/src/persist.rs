@@ -51,6 +51,7 @@ use rdl_types::{
 use ruby_syntax::{method_span_nodes, Expr, MethodDef, SemHasher, Span};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Bump on any change to the binary layout; older files load as empty.
 ///
@@ -1016,14 +1017,13 @@ fn thaw(tree: &TypeTree, store: &mut TypeStore) -> Type {
 fn rebuild_consistency_shape(
     env: &CompRdl,
     description: &str,
-) -> Option<(Expr, Vec<Option<String>>)> {
+) -> Option<(Arc<Expr>, Vec<Option<String>>)> {
     let (owner, method) = description.split_once('#')?;
-    let mut found: Option<(Expr, Vec<Option<String>>)> = None;
+    let mut found: Option<(Arc<Expr>, Vec<Option<String>>)> = None;
     for kind in [MethodKind::Instance, MethodKind::Singleton] {
         let Some(sig) = env.annotations.get_exact(owner, kind, method) else { continue };
         let TypeExpr::Comp(spec) = &sig.ret else { continue };
-        let shape =
-            (spec.expr.clone(), sig.params.iter().map(|p| p.binder.clone()).collect::<Vec<_>>());
+        let shape = (Arc::clone(&spec.expr), sig.params.iter().map(|p| p.binder.clone()).collect());
         match &found {
             None => found = Some(shape),
             Some(prev) => {

@@ -74,7 +74,7 @@ use crate::tlc::{eval_comp_type, HelperRegistry, TlcValue};
 use diagnostics::Diagnostic;
 use rdl_types::{ClassTable, Fingerprint, HashKey, SingVal, Subtyper, Type, TypeStore};
 use ruby_interp::{DynamicCheckHook, Value};
-use ruby_syntax::Span;
+use ruby_syntax::{Expr, FxHashMap, Span};
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -360,8 +360,9 @@ pub struct InsertedCheck {
 /// Re-evaluation data for the comp-type consistency check.
 #[derive(Debug, Clone)]
 pub struct ConsistencyCheck {
-    /// The comp-type expression for the return position.
-    pub ret_expr: ruby_syntax::Expr,
+    /// The comp-type expression for the return position, shared with the
+    /// annotation it came from.
+    pub ret_expr: Arc<Expr>,
     /// Binder names of the parameters, in positional order (bound to the
     /// run-time types of the arguments when re-evaluating).
     pub binders: Vec<Option<String>>,
@@ -458,7 +459,7 @@ struct CachedValueType {
 /// but [`CompRdlHook::with_shared_memo`] lets many hooks — across threads
 /// and across warm re-runs — share a single table (see the module docs).
 pub struct CompRdlHook {
-    checks: HashMap<Span, InsertedCheck>,
+    checks: FxHashMap<Span, InsertedCheck>,
     store: RefCell<TypeStore>,
     classes: ClassTable,
     helpers: HelperRegistry,
@@ -471,7 +472,7 @@ pub struct CompRdlHook {
     /// Value-fingerprint → cached type.  Per-hook, *not* shared: the cached
     /// [`Type`]s hold ids of this hook's own store, which mean nothing to a
     /// sibling hook's store.
-    value_types: RefCell<HashMap<u64, CachedValueType>>,
+    value_types: RefCell<FxHashMap<u64, CachedValueType>>,
     /// This hook's own hit / miss / invalidation counters (the shared memo
     /// additionally aggregates across hooks).
     stats: Cell<CacheStats>,
@@ -522,7 +523,7 @@ impl CompRdlHook {
             config,
             blames: RefCell::new(Vec::new()),
             ns,
-            value_types: RefCell::new(HashMap::new()),
+            value_types: RefCell::default(),
             stats: Cell::new(CacheStats::default()),
         }
     }
@@ -994,7 +995,7 @@ mod tests {
             description: "Table#where".to_string(),
             expected_return: Type::object(),
             consistency: Some(ConsistencyCheck {
-                ret_expr: expr,
+                ret_expr: Arc::new(expr),
                 binders: vec![],
                 expected: Type::nominal("Integer"),
             }),
@@ -1214,7 +1215,7 @@ mod tests {
             description: "Table#where".to_string(),
             expected_return: Type::object(),
             consistency: Some(ConsistencyCheck {
-                ret_expr: ruby_syntax::parse_expr("schema_marker()").unwrap(),
+                ret_expr: Arc::new(ruby_syntax::parse_expr("schema_marker()").unwrap()),
                 binders: vec![],
                 expected: Type::nominal("Integer"),
             }),
@@ -1438,7 +1439,7 @@ mod tests {
             description: "Table#where".to_string(),
             expected_return: Type::object(),
             consistency: Some(ConsistencyCheck {
-                ret_expr: ruby_syntax::parse_expr("bump_once()").unwrap(),
+                ret_expr: Arc::new(ruby_syntax::parse_expr("bump_once()").unwrap()),
                 binders: vec![],
                 expected: Type::nominal("Integer"),
             }),

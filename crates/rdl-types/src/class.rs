@@ -4,8 +4,13 @@
 //! subtype relation on nominal types follows the subclass relation, with
 //! `Object` at the top (the paper's λC similarly assumes the classes form a
 //! lattice with `Obj` as top).
+//!
+//! The table is shared copy-on-write behind an [`Arc`]: cloning it (as every
+//! run-time check hook does with its environment's table) copies a pointer,
+//! and a write copies the map only while another clone still shares it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Information recorded about a class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,21 +34,25 @@ impl Default for ClassInfo {
 /// How many superclass steps [`ClassTable::ancestors`] takes at most.
 const MAX_SUPERCLASS_STEPS: usize = 64;
 
-/// The class hierarchy: class name → [`ClassInfo`].
+/// The class hierarchy: class name → [`ClassInfo`], shared copy-on-write
+/// (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassTable {
-    classes: BTreeMap<String, ClassInfo>,
+    classes: Arc<BTreeMap<String, ClassInfo>>,
 }
 
 impl ClassTable {
     /// An empty class table containing only `Object`.
     pub fn new() -> Self {
         let mut ct = ClassTable::default();
-        ct.classes.insert(
-            "Object".to_string(),
-            ClassInfo { superclass: None, type_params: vec![], is_model: false },
-        );
+        ct.insert("Object", ClassInfo { superclass: None, type_params: vec![], is_model: false });
         ct
+    }
+
+    /// Adds (or replaces) `name`, copying the map first if another clone
+    /// shares it.
+    fn insert(&mut self, name: &str, info: ClassInfo) {
+        Arc::make_mut(&mut self.classes).insert(name.to_string(), info);
     }
 
     /// A class table pre-populated with the Ruby core classes CompRDL's
@@ -97,8 +106,8 @@ impl ClassTable {
 
     /// Adds (or replaces) a class.
     pub fn add_class(&mut self, name: &str, superclass: Option<&str>) {
-        self.classes.insert(
-            name.to_string(),
+        self.insert(
+            name,
             ClassInfo {
                 superclass: superclass.map(|s| s.to_string()),
                 type_params: vec![],
@@ -109,8 +118,8 @@ impl ClassTable {
 
     /// Adds a class with generic type parameters.
     pub fn add_generic_class(&mut self, name: &str, superclass: Option<&str>, params: &[&str]) {
-        self.classes.insert(
-            name.to_string(),
+        self.insert(
+            name,
             ClassInfo {
                 superclass: superclass.map(|s| s.to_string()),
                 type_params: params.iter().map(|p| p.to_string()).collect(),
@@ -121,8 +130,8 @@ impl ClassTable {
 
     /// Marks a class as a DB-backed model class.
     pub fn add_model_class(&mut self, name: &str, superclass: &str) {
-        self.classes.insert(
-            name.to_string(),
+        self.insert(
+            name,
             ClassInfo {
                 superclass: Some(superclass.to_string()),
                 type_params: vec![],
@@ -214,6 +223,16 @@ mod tests {
         let ct = ClassTable::with_builtins();
         assert!(ct.is_subclass("SomethingUnknown", "Object"));
         assert_eq!(chain(&ct, "SomethingUnknown"), ["SomethingUnknown", "Object"]);
+    }
+
+    #[test]
+    fn clones_share_the_map_until_one_writes() {
+        let base = ClassTable::with_builtins();
+        let mut app = base.clone();
+        assert!(Arc::ptr_eq(&base.classes, &app.classes));
+        app.add_model_class("User", "ActiveRecord::Base");
+        assert!(!Arc::ptr_eq(&base.classes, &app.classes));
+        assert!(app.is_model("User") && !base.contains("User"));
     }
 
     #[test]

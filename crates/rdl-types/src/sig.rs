@@ -178,8 +178,9 @@ fn join_effects(
 /// checking to produce a type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompSpec {
-    /// The parsed type-level expression.
-    pub expr: Expr,
+    /// The parsed type-level expression, shared with every run-time check
+    /// that re-evaluates it.
+    pub expr: Arc<Expr>,
     /// The original source text between `«` and `»`.
     pub source: String,
     /// A static fallback bound used when comp-type evaluation is disabled
@@ -753,7 +754,7 @@ mod tests {
     #[test]
     fn comp_detection() {
         let comp = TypeExpr::Comp(CompSpec {
-            expr: ruby_syntax::parse_expr("schema_type(tself)").unwrap(),
+            expr: Arc::new(ruby_syntax::parse_expr("schema_type(tself)").unwrap()),
             source: "schema_type(tself)".into(),
             bound: Box::new(TypeExpr::nominal("Object")),
         });

@@ -11,6 +11,7 @@ use comprdl::{
 use rdl_types::{ClassTable, HashKey, Type, TypeStore};
 use ruby_interp::{DynamicCheckHook, Value};
 use ruby_syntax::Span;
+use std::sync::Arc;
 use test_rng::Rng;
 
 fn classes() -> ClassTable {
@@ -85,7 +86,7 @@ fn workload_checks() -> (Vec<InsertedCheck>, HelperRegistry) {
             description: "Table#where".to_string(),
             expected_return: Type::Top,
             consistency: Some(ConsistencyCheck {
-                ret_expr: ruby_syntax::parse_expr("recv_kind()").unwrap(),
+                ret_expr: Arc::new(ruby_syntax::parse_expr("recv_kind()").unwrap()),
                 // The binder makes every call intern its argument's type —
                 // the store-growth path the memo must keep bounded.
                 binders: vec![Some("targ".to_string())],
@@ -180,7 +181,7 @@ fn schema_hook(memoize: bool) -> (CompRdlHook, Type) {
         description: "Table#insert".to_string(),
         expected_return: Type::Top,
         consistency: Some(ConsistencyCheck {
-            ret_expr: ruby_syntax::parse_expr("schema_width()").unwrap(),
+            ret_expr: Arc::new(ruby_syntax::parse_expr("schema_width()").unwrap()),
             binders: vec![],
             expected: Type::int(1),
         }),
@@ -261,7 +262,7 @@ fn mutation_during_evaluation_is_not_replayed_as_valid() {
             description: "Table#migrate".to_string(),
             expected_return: Type::Top,
             consistency: Some(ConsistencyCheck {
-                ret_expr: ruby_syntax::parse_expr("flaky_schema()").unwrap(),
+                ret_expr: Arc::new(ruby_syntax::parse_expr("flaky_schema()").unwrap()),
                 binders: vec![],
                 expected: Type::nominal("Integer"),
             }),

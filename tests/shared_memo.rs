@@ -94,7 +94,7 @@ fn workload() -> (Vec<InsertedCheck>, HelperRegistry) {
             description: "Table#where".to_string(),
             expected_return: Type::Top,
             consistency: Some(ConsistencyCheck {
-                ret_expr: ruby_syntax::parse_expr("mode_type()").unwrap(),
+                ret_expr: Arc::new(ruby_syntax::parse_expr("mode_type()").unwrap()),
                 binders: vec![Some("targ".to_string())],
                 expected: Type::nominal("Integer"),
             }),
