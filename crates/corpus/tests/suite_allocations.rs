@@ -2,9 +2,12 @@
 //! global allocator (per thread, so the test harness's own threads do not
 //! count) sums the allocations and reallocations made inside
 //! `eval_program` over every corpus app, in Table 2 order: for each app the
-//! plain run, then the checked run.  Unlike a timing gate, the count
-//! repeats exactly from run to run, so a change that makes the interpreter
-//! copy values or names again fails here on any machine.
+//! plain run, then the checked run.  It also sums what building each
+//! checked run's hook allocates.  Unlike a timing gate, the counts repeat
+//! exactly from run to run, so a change that makes the interpreter copy
+//! values, names or argument lists again, or makes a hook copy the class
+//! table or the checks' comp-type expressions again, fails here on any
+//! machine.
 
 use comprdl::{CheckConfig, CheckOptions, SharedMemo, TypeChecker};
 use ruby_interp::Interpreter;
@@ -37,22 +40,41 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations `f` makes on this thread, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
 /// Allocations `interp.eval_program()` makes on this thread; the suite must
 /// pass.
 fn suite_allocations(interp: &Interpreter, app: &str) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    interp.eval_program().unwrap_or_else(|e| panic!("{app}: suite fails: {e}"));
-    ALLOCATIONS.with(Cell::get) - before
+    counted(|| interp.eval_program().unwrap_or_else(|e| panic!("{app}: suite fails: {e}"))).0
 }
 
-/// The most allocations both suite runs of all eight apps may make.
-const MAX_SUITE_ALLOCATIONS: u64 = 45_000;
+/// The most allocations both suite runs of all eight apps may make: 15%
+/// above the 26,238 they make.
+const MAX_SUITE_ALLOCATIONS: u64 = 30_170;
 
-#[test]
-fn the_suite_runs_stay_under_their_allocation_bound() {
+/// The most allocations the eight checked runs' hook builds may make (the
+/// checks taken from the checking result, and `make_hook_shared` with its
+/// arguments): 15% above the 1,549 they make.
+const MAX_HOOK_BUILD_ALLOCATIONS: u64 = 1_780;
+
+/// What the eight apps' Table 2 suite runs allocate, in Table 2 order.
+struct Counts {
+    /// Both suite runs of all eight apps.
+    suites: u64,
+    /// The eight hook builds.
+    hook_builds: u64,
+    /// Per app: (plain run, hook build, checked run).
+    per_app: Vec<(&'static str, u64, u64, u64)>,
+}
+
+fn count_table2_runs() -> Counts {
     let memo = Arc::new(SharedMemo::new());
-    let mut total = 0;
-    let mut per_app = Vec::new();
+    let mut counts = Counts { suites: 0, hook_builds: 0, per_app: Vec::new() };
     for app in corpus::apps::all() {
         let env = app.build_env();
         let (program, _, _) = app.parse();
@@ -62,25 +84,44 @@ fn the_suite_runs_stay_under_their_allocation_bound() {
         let plain_count = suite_allocations(&plain, app.name);
 
         // Blame is collected, not raised: the Sequel suite blames by design.
-        let hook = comprdl::make_hook_shared(
-            comp.checks(),
-            comp.store.clone(),
-            env.classes.clone(),
-            env.helpers.clone(),
-            CheckConfig { raise_blame: false, ..CheckConfig::default() },
-            memo.clone(),
-            memo.register_namespace(app.name),
-        );
+        let (hook_count, hook) = counted(|| {
+            comprdl::make_hook_shared(
+                comp.checks(),
+                comp.store.clone(),
+                env.classes.clone(),
+                env.helpers.clone(),
+                CheckConfig { raise_blame: false, ..CheckConfig::default() },
+                memo.clone(),
+                memo.register_namespace(app.name),
+            )
+        });
         let mut checked = Interpreter::new(program);
         checked.set_hook(hook);
         let checked_count = suite_allocations(&checked, app.name);
 
-        total += plain_count + checked_count;
-        per_app.push((app.name, plain_count, checked_count));
+        counts.suites += plain_count + checked_count;
+        counts.hook_builds += hook_count;
+        counts.per_app.push((app.name, plain_count, hook_count, checked_count));
     }
+    counts
+}
+
+#[test]
+fn the_suite_runs_stay_under_their_allocation_bound() {
+    let Counts { suites, per_app, .. } = count_table2_runs();
     assert!(
-        total <= MAX_SUITE_ALLOCATIONS,
-        "the suite runs made {total} allocations (bound {MAX_SUITE_ALLOCATIONS}); \
-         per app (plain, checked): {per_app:?}"
+        suites <= MAX_SUITE_ALLOCATIONS,
+        "the suite runs made {suites} allocations (bound {MAX_SUITE_ALLOCATIONS}); \
+         per app (plain, hook build, checked): {per_app:?}"
+    );
+}
+
+#[test]
+fn the_hook_builds_stay_under_their_allocation_bound() {
+    let Counts { hook_builds, per_app, .. } = count_table2_runs();
+    assert!(
+        hook_builds <= MAX_HOOK_BUILD_ALLOCATIONS,
+        "the hook builds made {hook_builds} allocations (bound {MAX_HOOK_BUILD_ALLOCATIONS}); \
+         per app (plain, hook build, checked): {per_app:?}"
     );
 }
