@@ -37,9 +37,11 @@
 //! methods that reach a schema-reading helper.
 //!
 //! [`env_hash`] digests the rest of the environment (class hierarchy,
-//! method/ivar/gvar annotations).  Helper *bodies* are intentionally
-//! excluded from it: a helper edit must invalidate only the methods that
-//! reach the helper through the graph, not the whole environment.
+//! method/ivar/gvar annotations) and [`TLC_REVISION`], the revision of the
+//! type-level evaluator every comp type runs on.  Helper *bodies* are
+//! intentionally excluded from it: a helper edit must invalidate only the
+//! methods that reach the helper through the graph, not the whole
+//! environment.
 
 use crate::env::CompRdl;
 use crate::tlc::HelperRegistry;
@@ -54,6 +56,16 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 /// outputs over a fixed input table: a change to what a native helper
 /// computes fails there until this is bumped and both are re-pinned.
 pub const NATIVE_HELPER_REVISION: u32 = 3;
+
+/// Bump in any change to what the type-level evaluator ([`crate::tlc`])
+/// computes, or to what the [`ruby_interp::call_native`] methods it
+/// reaches compute.  The evaluator has no AST to hash either, and every
+/// comp type runs on it, so [`env_hash`] covers this revision: a bump makes
+/// every cached verdict miss, and the cache re-checks instead of replaying
+/// a verdict the change could alter.  Revision 1: `==`, `!=`, `case`/`when`
+/// and `Array#include?` compare Integer, Float, String and Symbol values as
+/// Ruby's `==` does (`2 == 2.0`).
+pub const TLC_REVISION: u32 = 1;
 
 /// The identity of a program method: `(owner class, name, singleton?)`.
 pub type MethodId = (String, String, bool);
@@ -369,14 +381,16 @@ fn collect_helper_refs(expr: &Expr, helpers: &HelperRegistry, out: &mut BTreeSet
     });
 }
 
-/// Digest of the checking environment *excluding helper bodies*: the class
-/// hierarchy and every method / ivar / gvar annotation.  A persisted check
-/// cache is only replayable against an environment with the same hash;
-/// helper edits are tracked at method granularity by [`DepGraph`] instead.
-/// Method annotations enter as their stored digests, sorted as integers.
+/// Digest of the checking environment *excluding helper bodies*: the
+/// type-level evaluator's [`TLC_REVISION`], the class hierarchy and every
+/// method / ivar / gvar annotation.  A persisted check cache is only
+/// replayable against an environment with the same hash; helper edits are
+/// tracked at method granularity by [`DepGraph`] instead.  Method
+/// annotations enter as their stored digests, sorted as integers.
 pub fn env_hash(env: &CompRdl) -> u64 {
     let mut h = SemHasher::new();
     h.write_str("env");
+    h.write_u64(u64::from(TLC_REVISION));
     let class_names: Vec<&str> = env.classes.names().collect();
     h.write_usize(class_names.len());
     for name in &class_names {

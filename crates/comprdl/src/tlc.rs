@@ -216,8 +216,22 @@ impl TlcValue {
         }
     }
 
-    fn type_equal(&self, other: &TlcValue) -> bool {
+    /// Ruby's `eql?`: structural equality, which finite-hash keys use, so
+    /// `2` and `2.0` are different keys.
+    fn eql(&self, other: &TlcValue) -> bool {
         self == other
+    }
+
+    /// Ruby's `==`: two Integer, Float, String or Symbol values compare as
+    /// the interpreter's `==` does ([`ruby_interp::call_native`]), so
+    /// `2 == 2.0`; any other pair compares structurally.
+    fn ruby_eq(&self, other: &TlcValue) -> bool {
+        match (scalar_value(self), scalar_value(other)) {
+            (Some(a), Some(b)) => {
+                matches!(ruby_interp::call_native(&a, "==", &[b]), Ok(Some(Value::Bool(true))))
+            }
+            _ => self == other,
+        }
     }
 }
 
@@ -607,7 +621,7 @@ impl<'a> TlcCtx<'a> {
                 let s = self.eval(subject)?;
                 for arm in arms {
                     let c = self.eval(&arm.cond)?;
-                    if c.type_equal(&s) {
+                    if c.ruby_eq(&s) {
                         return self.eval_body(&arm.body);
                     }
                 }
@@ -713,8 +727,8 @@ impl<'a> TlcCtx<'a> {
 
     fn call_method(&mut self, recv: &TlcValue, name: &str, args: &[TlcValue]) -> TlcResult {
         match name {
-            "==" => return Ok(TlcValue::Bool(recv.type_equal(&args[0].clone()))),
-            "!=" => return Ok(TlcValue::Bool(!recv.type_equal(&args[0].clone()))),
+            "==" => return Ok(TlcValue::Bool(recv.ruby_eq(&args[0]))),
+            "!=" => return Ok(TlcValue::Bool(!recv.ruby_eq(&args[0]))),
             "nil?" => return Ok(TlcValue::Bool(matches!(recv, TlcValue::Nil))),
             "is_a?" | "kind_of?" | "instance_of?" => return self.is_a(recv, args),
             _ => {}
@@ -1125,7 +1139,7 @@ impl<'a> TlcCtx<'a> {
                 let key = args.first().cloned().unwrap_or(TlcValue::Nil);
                 Ok(pairs
                     .iter()
-                    .find(|(k, _)| k.type_equal(&key))
+                    .find(|(k, _)| k.eql(&key))
                     .map(|(_, v)| v.clone())
                     .unwrap_or(TlcValue::Nil))
             }
@@ -1133,7 +1147,7 @@ impl<'a> TlcCtx<'a> {
                 let mut out = pairs.to_vec();
                 if let Some(TlcValue::Hash(other)) = args.first() {
                     for (k, v) in other {
-                        match out.iter_mut().find(|(ek, _)| ek.type_equal(k)) {
+                        match out.iter_mut().find(|(ek, _)| ek.eql(k)) {
                             Some(slot) => slot.1 = v.clone(),
                             None => out.push((k.clone(), v.clone())),
                         }
@@ -1145,7 +1159,7 @@ impl<'a> TlcCtx<'a> {
             "values" => Ok(TlcValue::Array(pairs.iter().map(|(_, v)| v.clone()).collect())),
             "key?" | "has_key?" | "include?" => {
                 let key = args.first().cloned().unwrap_or(TlcValue::Nil);
-                Ok(TlcValue::Bool(pairs.iter().any(|(k, _)| k.type_equal(&key))))
+                Ok(TlcValue::Bool(pairs.iter().any(|(k, _)| k.eql(&key))))
             }
             "size" | "length" => Ok(TlcValue::Int(pairs.len() as i64)),
             "empty?" => Ok(TlcValue::Bool(pairs.is_empty())),
@@ -1166,7 +1180,7 @@ impl<'a> TlcCtx<'a> {
             "empty?" => Ok(TlcValue::Bool(items.is_empty())),
             "include?" => {
                 let target = args.first().cloned().unwrap_or(TlcValue::Nil);
-                Ok(TlcValue::Bool(items.iter().any(|i| i.type_equal(&target))))
+                Ok(TlcValue::Bool(items.iter().any(|i| i.ruby_eq(&target))))
             }
             "union_type" => {
                 let mut types = Vec::new();
@@ -1204,6 +1218,17 @@ fn scalar_method(recv: &TlcValue, name: &str, args: &[TlcValue]) -> TlcResult {
             Err(TlcError::new(format!("{}#{name} raised: {}", recv.class_name(), e.message)))
         }
         Err(other) => Err(TlcError::new(format!("{}#{name}: {other:?}", recv.class_name()))),
+    }
+}
+
+/// The interpreter value of an Integer, Float, String or Symbol; `None`
+/// for any other type-level value.
+fn scalar_value(v: &TlcValue) -> Option<Value> {
+    match v {
+        TlcValue::Int(_) | TlcValue::Float(_) | TlcValue::Str(_) | TlcValue::Sym(_) => {
+            to_value(v).ok()
+        }
+        _ => None,
     }
 }
 
@@ -1600,6 +1625,27 @@ mod tests {
             "if t.val.is_a?(Float) then Singleton.new(t.val * 2) else Nominal.new(Integer) end";
         let t = eval_with(vec![("t", f)], &helpers, &mut store, src).unwrap();
         assert_eq!(t, Type::Singleton(SingVal::float(5.0)));
+    }
+
+    #[test]
+    fn scalar_equality_follows_ruby_and_hash_keys_stay_eql() {
+        let helpers = HelperRegistry::new();
+        let mut store = TypeStore::new();
+        let cases = [
+            ("Singleton.new(2 == 2.0)", Type::Singleton(SingVal::True)),
+            ("Singleton.new(2.0 != 2)", Type::Singleton(SingVal::False)),
+            ("Singleton.new(:a == 'a')", Type::Singleton(SingVal::False)),
+            ("Singleton.new('ab' == 'ab')", Type::Singleton(SingVal::True)),
+            ("case 2.0\nwhen 1\n :one\nwhen 2\n :two\nelse\n :other\nend", Type::sym("two")),
+            ("Singleton.new([1, 2].include?(2.0))", Type::Singleton(SingVal::True)),
+            // Hash keys compare as `eql?` does: `2` and `2.0` are apart.
+            ("Singleton.new({2 => :a}.key?(2.0))", Type::Singleton(SingVal::False)),
+            ("Singleton.new({2 => :a}[2])", Type::sym("a")),
+            ("Singleton.new({2 => :a}[2.0])", Type::nil()),
+        ];
+        for (src, want) in cases {
+            assert_eq!(eval_with(vec![], &helpers, &mut store, src), Ok(want), "{src}");
+        }
     }
 
     #[test]

@@ -119,14 +119,14 @@ fn merkle_pin(app: &App) -> (u64, usize) {
 #[test]
 fn merkle_hashes_are_pinned_per_app() {
     let pins: [(&str, u64, usize, u64); 8] = [
-        ("Wikipedia", 0x1461ef2e157461f7, 14, 0xe6407468fcc3d1d2),
-        ("Twitter", 0xf3a554203494ed3e, 6, 0x55e33caa8a07f840),
-        ("Discourse", 0xce169cd1f7e17754, 22, 0x880ff5da0305e906),
-        ("Huginn", 0xd957b3958e054e98, 10, 0x83f32939a86303a4),
-        ("Code.org", 0xaaae0aa102727e9e, 11, 0x1af14c305b1fa07a),
-        ("Journey", 0xf9dae93e5d9969b1, 13, 0x7697669da4c86bab),
-        ("Redmine", 0xe5c706396ee72af8, 18, 0x0bd1c67fab0df1d9),
-        ("Sequel", 0x95c4c8de31ff86a8, 20, 0x78c801cb68e190c8),
+        ("Wikipedia", 0x1461ef2e157461f7, 14, 0x6ada7985ce99ffde),
+        ("Twitter", 0xf3a554203494ed3e, 6, 0x9757589256e796fd),
+        ("Discourse", 0xce169cd1f7e17754, 22, 0x0e524ae305249179),
+        ("Huginn", 0xd957b3958e054e98, 10, 0x65bd4e160b1aa71d),
+        ("Code.org", 0xaaae0aa102727e9e, 11, 0x902587aa3a727bd7),
+        ("Journey", 0xf9dae93e5d9969b1, 13, 0x87ea19a0ecf2ba85),
+        ("Redmine", 0xe5c706396ee72af8, 18, 0x5b95d5ea0b86d633),
+        ("Sequel", 0x95c4c8de31ff86a8, 20, 0x6167ea8116cc8794),
     ];
     let apps = corpus::apps::all();
     assert_eq!(apps.len(), pins.len());
