@@ -1,7 +1,7 @@
 //! The evaluation harness: reproduces Table 1 and Table 2 of the paper.
 
 use crate::app::App;
-use crate::driver::{evaluate_app, run_checked_suite, run_plain_suite};
+use crate::driver::{evaluate_app, run_checked_suite, run_plain_suite, CheckedRun};
 use crate::fault::FaultPlan;
 use comprdl::{BlameDiagnostic, CheckConfig, CheckOptions, CompRdl, SharedMemo, TypeChecker};
 use diagnostics::{Diagnostic, DiagnosticBag};
@@ -275,84 +275,130 @@ fn ice_row(app: &App, payload: &(dyn std::any::Any + Send)) -> Table2Row {
     }
 }
 
+/// How many times [`evaluate_overhead`] times each app's no-hook run and
+/// its cold memoized run.  One run of a suite takes well under a
+/// millisecond, so a single timing says as much about the machine as about
+/// the checks; the overhead rows report the median and quartiles of these
+/// runs instead.
+pub const OVERHEAD_RUNS: usize = 7;
+
 /// One row of the Table 2 **overhead** evaluation: the app's test-suite
 /// wall-clock under four configurations (no dynamic checks at all, the
 /// paper's pay-at-every-hit checks, the memoized fast path against a cold
-/// shared memo, and a **warm** re-run against the now-populated memo), plus
-/// the correctness evidence that makes the timings comparable — identical
+/// memo, and a **warm** re-run against a populated memo), plus the
+/// correctness evidence that makes the timings comparable — identical
 /// check counts and byte-identical blame *sequences* across every checked
-/// run.
+/// run.  The no-hook and cold memoized configurations run
+/// [`OVERHEAD_RUNS`] times each.
 #[derive(Debug, Clone)]
 pub struct OverheadRow {
     /// Program name.
     pub program: String,
-    /// Test-suite time with no hook installed.
-    pub no_hook: Duration,
+    /// Test-suite times with no hook installed, in run order.
+    pub no_hook: Vec<Duration>,
     /// Test-suite time with `CompRdlHook`, memoization off (the paper's
     /// baseline: every hit pays the full re-evaluation).
     pub unmemoized: Duration,
-    /// Test-suite time with `CompRdlHook`, memoization on (cold memo).
-    pub memoized: Duration,
-    /// Test-suite time of a second memoized run against the same shared
-    /// memo (warm: the run replays the first run's verdicts).
+    /// Test-suite times with `CompRdlHook`, memoization on, each against a
+    /// fresh (cold) memo, in run order.
+    pub memoized: Vec<Duration>,
+    /// Test-suite time of a memoized run against a memo that a cold run
+    /// just populated (warm: the run replays the cold run's verdicts).
     pub memoized_warm: Duration,
     /// Dynamic checks executed (identical across all checked runs).
     pub checks_run: u64,
     /// Blame diagnostics produced (byte-identical sequence across all
     /// checked runs; 0 for every app whose suite does not migrate).
     pub blames: usize,
-    /// Memo counters from the cold memoized run.
+    /// Memo counters from the cold run the warm run replays.
     pub memo_stats: comprdl::CacheStats,
     /// Memo counters from the warm memoized run (mostly hits, unless a
     /// mid-suite migration forces re-validation).
     pub warm_memo_stats: comprdl::CacheStats,
     /// Store-backed types interned after the unmemoized run.
     pub store_unmemoized: usize,
-    /// Store-backed types interned after the memoized run (bounded by the
-    /// number of distinct value shapes, not by hit count).
+    /// Store-backed types interned after a cold memoized run (bounded by
+    /// the number of distinct value shapes, not by hit count).
     pub store_memoized: usize,
 }
 
 impl OverheadRow {
     /// Dynamic-check overhead of the unmemoized hook as a fraction of the
-    /// no-hook baseline.
+    /// median no-hook time.
     pub fn overhead_unmemoized(&self) -> f64 {
-        overhead_fraction(self.no_hook, self.unmemoized)
+        overhead_fraction(Spread::of(&self.no_hook).median, secs(self.unmemoized))
     }
 
     /// Dynamic-check overhead of the memoized hook as a fraction of the
-    /// no-hook baseline.
+    /// no-hook time, both medians.
     pub fn overhead_memoized(&self) -> f64 {
-        overhead_fraction(self.no_hook, self.memoized)
+        overhead_fraction(Spread::of(&self.no_hook).median, Spread::of(&self.memoized).median)
     }
 
     /// Dynamic-check overhead of the warm memoized run as a fraction of the
-    /// no-hook baseline.
+    /// median no-hook time.
     pub fn overhead_memoized_warm(&self) -> f64 {
-        overhead_fraction(self.no_hook, self.memoized_warm)
+        overhead_fraction(Spread::of(&self.no_hook).median, secs(self.memoized_warm))
     }
 }
 
-fn overhead_fraction(base: Duration, with: Duration) -> f64 {
-    let base = base.as_secs_f64();
+fn secs(d: Duration) -> f64 {
+    d.as_secs_f64()
+}
+
+fn overhead_fraction(base: f64, with: f64) -> f64 {
     if base == 0.0 {
         return 0.0;
     }
-    (with.as_secs_f64() - base) / base
+    (with - base) / base
+}
+
+/// The median and quartiles of a set of timings, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Spread {
+    /// The spread of `times`; all zeros when there are none.  Quartiles
+    /// interpolate linearly between the two nearest sorted samples.
+    pub fn of(times: &[Duration]) -> Spread {
+        let mut sorted: Vec<f64> = times.iter().map(|d| d.as_secs_f64()).collect();
+        sorted.sort_by(f64::total_cmp);
+        let at = |p: f64| {
+            let Some(last) = sorted.len().checked_sub(1) else { return 0.0 };
+            let pos = p * last as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+        };
+        Spread { q1: at(0.25), median: at(0.5), q3: at(0.75) }
+    }
+
+    /// `median [q1–q3]` in milliseconds.
+    fn render_ms(&self) -> String {
+        format!("{:.3} [{:.3}–{:.3}]", self.median * 1e3, self.q1 * 1e3, self.q3 * 1e3)
+    }
 }
 
 /// Runs one app's test suite under the four Table 2 overhead
-/// configurations — no hook, pay-at-every-hit, memoized against the given
-/// (cold for this app) [`SharedMemo`], and a **warm** memoized re-run
-/// against the same memo — through the same two suite runs as
-/// [`evaluate_app`], and gates the result on run-to-run agreement:
+/// configurations through the same two suite runs as [`evaluate_app`]:
+/// the no-hook run and a memoized run against a fresh [`SharedMemo`],
+/// alternately, [`OVERHEAD_RUNS`] times each; one pay-at-every-hit run;
+/// then a cold memoized run against the given memo (cold for this app)
+/// and a **warm** re-run against the same memo.  Every run is gated on
+/// agreement:
 ///
-/// * the memoized and unmemoized runs must execute the same number of
-///   checks and produce **byte-identical blame sequences** (not just sets:
-///   replay order is part of observable behaviour), and
-/// * the warm run must agree with the cold one on both — a divergence means
-///   the shared memo leaked a verdict across runs (cross-talk), and the row
-///   is an error, not a measurement.
+/// * each memoized run must execute the same number of checks as the
+///   unmemoized run and produce a **byte-identical blame sequence** (not
+///   just a set: replay order is part of observable behaviour), and
+/// * the warm run must agree with the cold one it replays on both — a
+///   divergence means the shared memo leaked a verdict across runs
+///   (cross-talk), and the row is an error, not a measurement.
 ///
 /// Blame is collected rather than raised (`CheckConfig::raise_blame` off)
 /// so the comparison always sees the complete sequence.
@@ -368,48 +414,60 @@ pub fn evaluate_overhead(app: &App, memo: &Arc<SharedMemo>) -> Result<OverheadRo
     let env = app.build_env();
     let (program, _sources, _parse_diags) = app.parse();
     let comp = TypeChecker::new(&env, &program, CheckOptions::default()).check_labeled("app");
-    // All four runs share one resolved program.
+    // Every run shares one resolved program.
     let suite = Rc::new(ResolvedProgram::new(&program));
-    let no_hook = run_plain_suite(app, &suite)?;
-    let checked_run = |memoize: bool| {
+    let checked_run = |memoize: bool, memo: &Arc<SharedMemo>| {
         let config = CheckConfig { memoize, raise_blame: false };
         run_checked_suite(app, &env, &suite, &comp, memo, config)
     };
-    let unmemoized = checked_run(false)?;
-    let memoized = checked_run(true)?;
+    let unmemoized = checked_run(false, &Arc::new(SharedMemo::new()))?;
 
     // The correctness gate: memoization must not change observable
-    // behaviour.
-    if unmemoized.checks != memoized.checks {
-        return Err(err(format!(
-            "memoized run executed {} dynamic checks, unmemoized {}",
-            memoized.checks, unmemoized.checks
-        )));
-    }
-    if unmemoized.blames != memoized.blames {
-        return Err(err(blame_divergence(
-            "unmemoized",
-            &unmemoized.blames,
-            "memoized",
-            &memoized.blames,
-        )));
+    // behaviour, in any run.
+    let agrees_with_unmemoized = |memoized: &CheckedRun| {
+        if unmemoized.checks != memoized.checks {
+            return Err(err(format!(
+                "memoized run executed {} dynamic checks, unmemoized {}",
+                memoized.checks, unmemoized.checks
+            )));
+        }
+        if unmemoized.blames != memoized.blames {
+            return Err(err(blame_divergence(
+                "unmemoized",
+                &unmemoized.blames,
+                "memoized",
+                &memoized.blames,
+            )));
+        }
+        Ok(())
+    };
+
+    let mut no_hook = Vec::with_capacity(OVERHEAD_RUNS);
+    let mut memoized = Vec::with_capacity(OVERHEAD_RUNS);
+    for _ in 0..OVERHEAD_RUNS {
+        no_hook.push(run_plain_suite(app, &suite)?);
+        let cold = checked_run(true, &Arc::new(SharedMemo::new()))?;
+        agrees_with_unmemoized(&cold)?;
+        memoized.push(cold.time);
     }
 
-    // The warm-run gate: a second memoized run against the now-populated
-    // shared memo must reproduce the cold run exactly.  A divergence here
-    // means a verdict leaked across runs or namespaces (shared-memo
+    // The warm-run gate: a memoized run against a memo that a cold run has
+    // just populated must reproduce the cold run exactly.  A divergence
+    // here means a verdict leaked across runs or namespaces (shared-memo
     // cross-talk) and fails loudly.
-    let warm = checked_run(true)?;
-    if warm.checks != memoized.checks {
+    let cold = checked_run(true, memo)?;
+    agrees_with_unmemoized(&cold)?;
+    let warm = checked_run(true, memo)?;
+    if warm.checks != cold.checks {
         return Err(err(format!(
             "shared-memo cross-talk: warm run executed {} dynamic checks, cold run {}",
-            warm.checks, memoized.checks
+            warm.checks, cold.checks
         )));
     }
-    if warm.blames != memoized.blames {
+    if warm.blames != cold.blames {
         return Err(err(format!(
             "shared-memo cross-talk: {}",
-            blame_divergence("cold", &memoized.blames, "warm", &warm.blames)
+            blame_divergence("cold", &cold.blames, "warm", &warm.blames)
         )));
     }
 
@@ -417,14 +475,14 @@ pub fn evaluate_overhead(app: &App, memo: &Arc<SharedMemo>) -> Result<OverheadRo
         program: app.name.to_string(),
         no_hook,
         unmemoized: unmemoized.time,
-        memoized: memoized.time,
+        memoized,
         memoized_warm: warm.time,
-        checks_run: memoized.checks,
-        blames: memoized.blames.len(),
-        memo_stats: memoized.memo_stats,
+        checks_run: cold.checks,
+        blames: cold.blames.len(),
+        memo_stats: cold.memo_stats,
         warm_memo_stats: warm.memo_stats,
         store_unmemoized: unmemoized.store_size,
-        store_memoized: memoized.store_size,
+        store_memoized: cold.store_size,
     })
 }
 
@@ -503,22 +561,27 @@ pub fn format_memo_stats(memo: &SharedMemo) -> String {
 }
 
 /// Renders the overhead rows in roughly the layout of the paper's Table 2
-/// overhead columns, extended with the memoized fast path (cold and warm
-/// against the shared memo) and the memo's evidence (hit counts, store
-/// sizes).
+/// overhead columns, extended with the memoized fast path (cold and warm)
+/// and the memo's evidence (hit counts, store sizes).  The no-hook and cold
+/// memoized columns read `median [q1–q3]` over their [`OVERHEAD_RUNS`]
+/// runs, and so does the corpus total of each: its run *i* sums every
+/// app's run *i*.  The corpus overheads and the checked/plain ratio divide
+/// by the median no-hook total.
 pub fn format_overhead(rows: &[OverheadRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Table 2 (overhead). Test-suite time under dynamic checks.\n");
+    let mut out = format!(
+        "Table 2 (overhead). Test-suite time under dynamic checks, in ms; NoHook and Memo read \
+         median [q1–q3] over {OVERHEAD_RUNS} runs.\n"
+    );
     out.push_str(&format!(
-        "{:<12} {:>7} {:>10} {:>11} {:>7} {:>11} {:>7} {:>9} {:>7} {:>9} {:>13} {:>6}\n",
+        "{:<12} {:>7} {:>25} {:>9} {:>7} {:>25} {:>7} {:>8} {:>7} {:>9} {:>13} {:>6}\n",
         "Program",
         "DynChk",
-        "NoHook(ms)",
-        "Unmemo(ms)",
+        "NoHook",
+        "Unmemo",
         "Ovh%",
-        "Memo(ms)",
+        "Memo",
         "Ovh%",
-        "Warm(ms)",
+        "Warm",
         "Ovh%",
         "Hits(c/w)",
         "Store(un/me)",
@@ -526,16 +589,16 @@ pub fn format_overhead(rows: &[OverheadRow]) -> String {
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:<12} {:>7} {:>10.3} {:>11.3} {:>7.1} {:>11.3} {:>7.1} {:>9.3} {:>7.1} \
+            "{:<12} {:>7} {:>25} {:>9.3} {:>7.1} {:>25} {:>7.1} {:>8.3} {:>7.1} \
              {:>4}/{:<4} {:>6}/{:<6} {:>6}\n",
             r.program,
             r.checks_run,
-            r.no_hook.as_secs_f64() * 1000.0,
-            r.unmemoized.as_secs_f64() * 1000.0,
+            Spread::of(&r.no_hook).render_ms(),
+            secs(r.unmemoized) * 1e3,
             r.overhead_unmemoized() * 100.0,
-            r.memoized.as_secs_f64() * 1000.0,
+            Spread::of(&r.memoized).render_ms(),
             r.overhead_memoized() * 100.0,
-            r.memoized_warm.as_secs_f64() * 1000.0,
+            secs(r.memoized_warm) * 1e3,
             r.overhead_memoized_warm() * 100.0,
             r.memo_stats.hits,
             r.warm_memo_stats.hits,
@@ -544,16 +607,31 @@ pub fn format_overhead(rows: &[OverheadRow]) -> String {
             r.blames
         ));
     }
-    let total_un: f64 = rows.iter().map(|r| r.unmemoized.as_secs_f64()).sum();
-    let total_memo: f64 = rows.iter().map(|r| r.memoized.as_secs_f64()).sum();
-    let total_warm: f64 = rows.iter().map(|r| r.memoized_warm.as_secs_f64()).sum();
-    let total_base: f64 = rows.iter().map(|r| r.no_hook.as_secs_f64()).sum();
-    if total_base > 0.0 {
+    // Run i of the corpus: every app's run i.
+    let totals = |runs: fn(&OverheadRow) -> &[Duration]| {
+        let runs_per_app = rows.iter().map(|r| runs(r).len()).min().unwrap_or(0);
+        let totals: Vec<Duration> =
+            (0..runs_per_app).map(|i| rows.iter().map(|r| runs(r)[i]).sum()).collect();
+        Spread::of(&totals)
+    };
+    let base = totals(|r| &r.no_hook);
+    let memo = totals(|r| &r.memoized);
+    if base.median > 0.0 {
+        let total = |d: fn(&OverheadRow) -> Duration| rows.iter().map(|r| secs(d(r))).sum::<f64>();
+        out.push_str(&format!(
+            "Corpus total: no hook {}, memoized {}\n",
+            base.render_ms(),
+            memo.render_ms()
+        ));
         out.push_str(&format!(
             "Overhead across the corpus: {:.1}% unmemoized, {:.1}% memoized, {:.1}% warm\n",
-            (total_un - total_base) / total_base * 100.0,
-            (total_memo - total_base) / total_base * 100.0,
-            (total_warm - total_base) / total_base * 100.0
+            overhead_fraction(base.median, total(|r| r.unmemoized)) * 100.0,
+            overhead_fraction(base.median, memo.median) * 100.0,
+            overhead_fraction(base.median, total(|r| r.memoized_warm)) * 100.0
+        ));
+        out.push_str(&format!(
+            "Checked/plain ratio (memoized cold over no hook, corpus medians): {:.2}\n",
+            memo.median / base.median
         ));
     }
     out

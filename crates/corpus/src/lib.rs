@@ -147,12 +147,24 @@ mod tests {
     }
 
     #[test]
+    fn spread_reads_the_median_and_interpolated_quartiles() {
+        let ms = |n: u64| std::time::Duration::from_millis(n);
+        let spread = harness::Spread::of(&[ms(7), ms(1), ms(4), ms(2), ms(6), ms(3), ms(5)]);
+        assert_eq!((spread.q1, spread.median, spread.q3), (0.0025, 0.004, 0.0055));
+        let one = harness::Spread::of(&[ms(2)]);
+        assert_eq!((one.q1, one.median, one.q3), (0.002, 0.002, 0.002));
+        assert_eq!(harness::Spread::of(&[]).median, 0.0);
+    }
+
+    #[test]
     fn overhead_rows_cover_the_whole_corpus_and_pass_the_gate() {
         let memo = std::sync::Arc::new(comprdl::SharedMemo::new());
         let rows = table2_overhead(&memo).expect("overhead harness (includes the blame-set gate)");
         assert_eq!(rows.len(), 8, "eight apps: the paper's six plus Redmine and Sequel");
         for row in &rows {
             assert!(row.checks_run > 0, "{}: no dynamic checks executed", row.program);
+            let runs = (row.no_hook.len(), row.memoized.len());
+            assert_eq!(runs, (harness::OVERHEAD_RUNS, harness::OVERHEAD_RUNS), "{}", row.program);
             if row.program == "Sequel" {
                 // The migrating app blames by design — three post-migration
                 // hits of `amount_of`'s consistency check per run.
@@ -198,6 +210,7 @@ mod tests {
         let rendered = format_overhead(&rows);
         assert!(rendered.contains("Redmine"), "{rendered}");
         assert!(rendered.contains("Overhead across the corpus"), "{rendered}");
+        assert!(rendered.contains("Checked/plain ratio"), "{rendered}");
     }
 
     #[test]

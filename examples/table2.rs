@@ -40,10 +40,11 @@ fn main() {
         }
     }
 
-    // The run-time check overhead: each app's suite unchecked, checked the
-    // paper's way (pay at every hit), checked through a cold shared memo,
-    // and re-run warm.  The harness itself enforces that every checked run
-    // executes the same checks and produces byte-identical blame sequences.
+    // The run-time check overhead: each app's suite unchecked and checked
+    // through a cold memo, seven times each (reported as median [q1–q3]),
+    // checked the paper's way (pay at every hit), and re-run warm.  The
+    // harness itself enforces that every checked run executes the same
+    // checks and produces byte-identical blame sequences.
     let overhead = corpus::table2_overhead(&Arc::new(comprdl::SharedMemo::new()))
         .unwrap_or_else(|e| panic!("overhead gate: {e}"));
     println!("{}", corpus::format_overhead(&overhead));
