@@ -708,7 +708,7 @@ impl<'a> TlcCtx<'a> {
                 };
                 self.bindings.insert(p.name.clone(), v);
             }
-            let result = self.eval_body(&def.body.clone());
+            let result = self.eval_body(&def.body);
             self.bindings = saved;
             self.helper_stack.pop();
             self.depth -= 1;
