@@ -326,7 +326,7 @@ impl OverheadRow {
     /// Dynamic-check overhead of the unmemoized hook as a fraction of the
     /// median no-hook time.
     pub fn overhead_unmemoized(&self) -> f64 {
-        overhead_fraction(Spread::of(&self.no_hook).median, secs(self.unmemoized))
+        overhead_fraction(Spread::of(&self.no_hook).median, self.unmemoized.as_secs_f64())
     }
 
     /// Dynamic-check overhead of the memoized hook as a fraction of the
@@ -338,12 +338,8 @@ impl OverheadRow {
     /// Dynamic-check overhead of the warm memoized run as a fraction of the
     /// median no-hook time.
     pub fn overhead_memoized_warm(&self) -> f64 {
-        overhead_fraction(Spread::of(&self.no_hook).median, secs(self.memoized_warm))
+        overhead_fraction(Spread::of(&self.no_hook).median, self.memoized_warm.as_secs_f64())
     }
-}
-
-fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 fn overhead_fraction(base: f64, with: f64) -> f64 {
@@ -355,19 +351,16 @@ fn overhead_fraction(base: f64, with: f64) -> f64 {
 
 /// The median and quartiles of a set of timings, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Spread {
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
+pub(crate) struct Spread {
+    pub(crate) q1: f64,
+    pub(crate) median: f64,
+    pub(crate) q3: f64,
 }
 
 impl Spread {
     /// The spread of `times`; all zeros when there are none.  Quartiles
     /// interpolate linearly between the two nearest sorted samples.
-    pub fn of(times: &[Duration]) -> Spread {
+    pub(crate) fn of(times: &[Duration]) -> Spread {
         let mut sorted: Vec<f64> = times.iter().map(|d| d.as_secs_f64()).collect();
         sorted.sort_by(f64::total_cmp);
         let at = |p: f64| {
@@ -594,11 +587,11 @@ pub fn format_overhead(rows: &[OverheadRow]) -> String {
             r.program,
             r.checks_run,
             Spread::of(&r.no_hook).render_ms(),
-            secs(r.unmemoized) * 1e3,
+            r.unmemoized.as_secs_f64() * 1e3,
             r.overhead_unmemoized() * 100.0,
             Spread::of(&r.memoized).render_ms(),
             r.overhead_memoized() * 100.0,
-            secs(r.memoized_warm) * 1e3,
+            r.memoized_warm.as_secs_f64() * 1e3,
             r.overhead_memoized_warm() * 100.0,
             r.memo_stats.hits,
             r.warm_memo_stats.hits,
@@ -617,7 +610,7 @@ pub fn format_overhead(rows: &[OverheadRow]) -> String {
     let base = totals(|r| &r.no_hook);
     let memo = totals(|r| &r.memoized);
     if base.median > 0.0 {
-        let total = |d: fn(&OverheadRow) -> Duration| rows.iter().map(|r| secs(d(r))).sum::<f64>();
+        let total = |d: fn(&OverheadRow) -> Duration| rows.iter().map(d).sum::<Duration>();
         out.push_str(&format!(
             "Corpus total: no hook {}, memoized {}\n",
             base.render_ms(),
@@ -625,9 +618,9 @@ pub fn format_overhead(rows: &[OverheadRow]) -> String {
         ));
         out.push_str(&format!(
             "Overhead across the corpus: {:.1}% unmemoized, {:.1}% memoized, {:.1}% warm\n",
-            overhead_fraction(base.median, total(|r| r.unmemoized)) * 100.0,
+            overhead_fraction(base.median, total(|r| r.unmemoized).as_secs_f64()) * 100.0,
             overhead_fraction(base.median, memo.median) * 100.0,
-            overhead_fraction(base.median, total(|r| r.memoized_warm)) * 100.0
+            overhead_fraction(base.median, total(|r| r.memoized_warm).as_secs_f64()) * 100.0
         ));
         out.push_str(&format!(
             "Checked/plain ratio (memoized cold over no hook, corpus medians): {:.2}\n",

@@ -18,7 +18,7 @@
 //! check cache) keeps `RandomState`, so that two processes iterate it in
 //! different orders and an order-dependent digest shows up as a cache miss.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The multiplier Firefox's and rustc's Fx hash use.
@@ -93,9 +93,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// `FxHashMap::default()`.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` hashed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,7 +122,7 @@ mod tests {
     }
 
     #[test]
-    fn maps_and_sets_behave_as_std_ones() {
+    fn maps_behave_as_std_ones() {
         let mut map: FxHashMap<String, usize> = FxHashMap::default();
         for i in 0..1000 {
             map.insert(format!("m{i}"), i);
@@ -133,7 +130,5 @@ mod tests {
         assert_eq!(map.len(), 1000);
         assert!((0..1000).all(|i| map.get(&*format!("m{i}")) == Some(&i)));
         assert_eq!(map.get("m1000"), None);
-        let set: FxHashSet<u64> = (0..100).map(|i| i * 0x9e37_79b9).collect();
-        assert_eq!(set.len(), 100);
     }
 }

@@ -60,7 +60,7 @@ pub mod token;
 pub use ast::{
     BinOp, Block, ClassDef, CondArm, Expr, ExprKind, Item, LValue, MethodDef, Param, Program,
 };
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::FxHashMap;
 pub use lexer::{lex, lex_in_file, lex_in_file_strict, lex_strict, LexError, Lexer};
 pub use parser::{
     parse_expr, parse_program, parse_program_in_file, parse_program_in_file_strict,
