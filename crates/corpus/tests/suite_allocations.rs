@@ -54,8 +54,8 @@ fn suite_allocations(interp: &Interpreter, app: &str) -> u64 {
 }
 
 /// The most allocations both suite runs of all eight apps may make: 15%
-/// above the 26,238 they make.
-const MAX_SUITE_ALLOCATIONS: u64 = 30_170;
+/// above the 24,265 they make.
+const MAX_SUITE_ALLOCATIONS: u64 = 27_900;
 
 /// The most allocations the eight checked runs' hook builds may make (the
 /// checks taken from the checking result, and `make_hook_shared` with its
