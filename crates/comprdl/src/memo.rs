@@ -10,7 +10,11 @@
 //! A namespace is one program ([`memo_namespace`] of its name): every hook
 //! replaying that program shares its verdicts, and no other program ever
 //! sees them.  Each namespace's [`NamespaceState`] keeps its verdicts and
-//! counters behind one `Mutex`, next to its epoch.  A hook resolves its
+//! counters behind one `Mutex`, next to its epoch.  The verdict table is
+//! keyed by `(table, call site, value fingerprint)` and hashes with
+//! [`ruby_syntax::fxhash`]: the keys come from the program being checked,
+//! so SipHash's HashDoS resistance buys nothing, and a lookup is on the
+//! path of every checked call.  A hook resolves its
 //! namespace's state once, at construction, so a lookup or insert takes
 //! that namespace's lock and no other: not the [`SharedMemo`] registry's,
 //! not another namespace's.  The corpus harnesses run one thread per app,

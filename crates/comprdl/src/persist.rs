@@ -67,8 +67,10 @@ use std::sync::Arc;
 /// re-check — instead of risking a structurally-parseable-but-wrong replay;
 /// v5 keeps v4's layout and retires verdicts of the type-level evaluator
 /// before it took Float literals, Integer, Float, String and Symbol methods
-/// from the interpreter and typed an out-of-range tuple index as `nil` (no
-/// hash covers the evaluator itself, so only the version can).
+/// from the interpreter and typed an out-of-range tuple index as `nil`.
+/// Since then [`crate::semdep::TLC_REVISION`], which
+/// [`crate::semdep::env_hash`] digests, retires such verdicts, so a change
+/// to what the evaluator computes bumps that revision, not this version.
 pub const FORMAT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"CRDLCHK\x01";

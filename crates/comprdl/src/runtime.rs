@@ -29,6 +29,20 @@
 //! the store ids minted the first time instead of growing the store
 //! unboundedly across a run.
 //!
+//! ## What a hook copies and how it hashes
+//!
+//! A hook copies only what it writes: the [`TypeStore`] it interns
+//! run-time types into, and the checks' small fields.  The class table
+//! (copy-on-write behind an [`Arc`]), the helper registry's maps and each
+//! consistency check's comp-type expression ([`ConsistencyCheck::ret_expr`],
+//! the annotation's own `Arc<Expr>`) stay shared with the environment.
+//! The check map, keyed by call-site [`Span`] and probed at every call a
+//! checked run evaluates, and the value-type cache, keyed by value
+//! fingerprint, hash with [`ruby_syntax::fxhash`]: their keys come from the
+//! program being checked, so SipHash's HashDoS resistance buys nothing.
+//! The value fingerprint itself stays FNV-1a ([`Fingerprint`]), since
+//! verdict replay rests on it.
+//!
 //! ## Sharing the memo across hooks
 //!
 //! The memo itself lives in a [`SharedMemo`]: a `Send + Sync` registry
