@@ -14,11 +14,11 @@
 //! keyed by `(table, call site, value fingerprint)` and hashes with
 //! [`ruby_syntax::fxhash`]: the keys come from the program being checked,
 //! so SipHash's HashDoS resistance buys nothing, and a lookup is on the
-//! path of every checked call.  A hook resolves its
-//! namespace's state once, at construction, so a lookup or insert takes
-//! that namespace's lock and no other: not the [`SharedMemo`] registry's,
-//! not another namespace's.  The corpus harnesses run one thread per app,
-//! so two threads only meet on a lock when they replay the same program.
+//! path of every checked call.  A hook resolves its namespace's state
+//! once, at construction, so a lookup or insert takes that namespace's
+//! lock and no other: not the [`SharedMemo`] registry's, not another
+//! namespace's.  The corpus harnesses run one thread per app, so two
+//! threads only meet on a lock when they replay the same program.
 //!
 //! ## Per-namespace epochs
 //!
