@@ -39,6 +39,19 @@
 //! the keyed cache engages for a slot only from its second evaluation on;
 //! the first goes straight to the evaluator and counts as a miss.
 //!
+//! ## Hits
+//!
+//! A hit never hands out the cached result's store ids: finite hashes and
+//! tuples are mutable (§4), so two call sites sharing an id would see each
+//! other's weak updates.  The checker gives every hit fresh, constraint-free
+//! ids with [`TypeStore::deep_copy`], which copies no string and no content
+//! that holds no store-backed type: names are shared [`rdl_types::Name`]s,
+//! and a hash's entries or a tuple's elements are a copy-on-write `Arc`
+//! shared with the cached result until either side is weakly updated.  A
+//! hit on a flat `Table<{ … }>` therefore costs one store entry and the
+//! rebuilt `Table<…>` node, and only a level that holds a store-backed type
+//! (the joined schema of `joins`) is rebuilt around the copies.
+//!
 //! ## Invalidation
 //!
 //! Store-backed types (tuples, finite hashes, const strings) are mutable:

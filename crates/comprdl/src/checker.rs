@@ -24,7 +24,7 @@ use crate::termination::{
 };
 use crate::tlc::{eval_comp_type, TlcError, TlcValue};
 use rdl_types::{
-    HashKey, MethodKind, MethodSig, ParamSig, SingVal, Subtyper, Type, TypeExpr, TypeStore,
+    HashKey, MethodKind, MethodSig, Name, ParamSig, SingVal, Subtyper, Type, TypeExpr, TypeStore,
 };
 use ruby_syntax::{BinOp, Expr, ExprKind, LValue, MethodDef, Program, Span};
 use std::collections::HashMap;
@@ -804,8 +804,8 @@ impl<'a> TypeChecker<'a> {
         for (k, v) in pairs {
             let vt = self.infer(ctx, v);
             match &k.kind {
-                ExprKind::Sym(s) => entries.push((HashKey::Sym(s.clone()), vt.clone())),
-                ExprKind::Str(s) => entries.push((HashKey::Str(s.clone()), vt.clone())),
+                ExprKind::Sym(s) => entries.push((HashKey::Sym(s.into()), vt.clone())),
+                ExprKind::Str(s) => entries.push((HashKey::Str(s.into()), vt.clone())),
                 ExprKind::Int(i) => entries.push((HashKey::Int(*i), vt.clone())),
                 _ => {
                     literal_keys = false;
@@ -965,16 +965,16 @@ impl<'a> TypeChecker<'a> {
 
     /// Maps a receiver type to the (class, method kind) used for signature
     /// lookup.
-    fn receiver_class(&mut self, recv_ty: &Type) -> Option<(String, MethodKind)> {
+    fn receiver_class(&mut self, recv_ty: &Type) -> Option<(Name, MethodKind)> {
         match self.store.resolve(recv_ty) {
             Type::Singleton(SingVal::Class(c)) => Some((c, MethodKind::Singleton)),
-            Type::Singleton(v) => Some((v.class_of().to_string(), MethodKind::Instance)),
+            Type::Singleton(v) => Some((v.class_of().into(), MethodKind::Instance)),
             Type::Nominal(n) => Some((n, MethodKind::Instance)),
             Type::Generic { base, .. } => Some((base, MethodKind::Instance)),
-            Type::Tuple(_) => Some(("Array".to_string(), MethodKind::Instance)),
-            Type::FiniteHash(_) => Some(("Hash".to_string(), MethodKind::Instance)),
-            Type::ConstString(_) => Some(("String".to_string(), MethodKind::Instance)),
-            Type::Bool => Some(("Boolean".to_string(), MethodKind::Instance)),
+            Type::Tuple(_) => Some(("Array".into(), MethodKind::Instance)),
+            Type::FiniteHash(_) => Some(("Hash".into(), MethodKind::Instance)),
+            Type::ConstString(_) => Some(("String".into(), MethodKind::Instance)),
+            Type::Bool => Some(("Boolean".into(), MethodKind::Instance)),
             _ => None,
         }
     }
@@ -1150,12 +1150,13 @@ impl<'a> TypeChecker<'a> {
             .then(|| CacheKey::build(slot, bindings.iter().map(|(_, t)| t), &self.store));
         let cached = key.as_ref().and_then(|key| self.cache.lookup(key, &self.store));
         let result = match cached {
-            // Store-backed parts of a cached result are re-interned into
-            // fresh ids: handing out the original ids would alias mutable
-            // state across call sites, so a weak update at one site would
-            // silently change another site's type.  The copies start
-            // constraint-free, exactly like the ids a fresh evaluation would
-            // have allocated.
+            // Store-backed parts of a cached result get fresh ids: handing
+            // out the original ids would alias mutable state across call
+            // sites, so a weak update at one site would silently change
+            // another site's type.  The copies start constraint-free,
+            // exactly like the ids a fresh evaluation would have allocated,
+            // and share the cached content copy-on-write, so a hit costs a
+            // store entry per store-backed part, not a copy of the type.
             Some(cached) => {
                 cached.map(|t| if t.contains_store_backed() { self.store.deep_copy(&t) } else { t })
             }
@@ -1275,10 +1276,10 @@ impl<'a> TypeChecker<'a> {
         // Check arguments against parameters.
         for (i, at) in arg_types.iter().enumerate() {
             let Some(pt) = param_types.get(i).or_else(|| param_types.last()) else { continue };
-            if pt.free_vars().is_empty() {
+            if pt.is_ground() {
                 let ok = {
                     let sub = Subtyper::new(&self.env.classes);
-                    sub.constrain(&mut self.store, at, pt, &format!("argument {i} of {name}"))
+                    sub.constrain(&mut self.store, at, pt, format_args!("argument {i} of {name}"))
                 };
                 if !ok {
                     if self.is_imprecise(at) && self.options.count_implicit_casts {
@@ -1361,7 +1362,7 @@ impl<'a> TypeChecker<'a> {
         }
     }
 
-    fn generic_substitution(&mut self, recv_ty: &Type) -> HashMap<String, Type> {
+    fn generic_substitution(&mut self, recv_ty: &Type) -> HashMap<Name, Type> {
         let mut map = HashMap::new();
         if let Type::Generic { base, args } = self.store.resolve(recv_ty) {
             if let Some(info) = self.env.classes.get(&base) {
@@ -1374,13 +1375,13 @@ impl<'a> TypeChecker<'a> {
         match self.store.resolve(recv_ty) {
             Type::Tuple(id) => {
                 let elem = Type::union(self.store.tuple(id).elems.iter().cloned());
-                map.insert("a".to_string(), if elem == Type::Bot { Type::object() } else { elem });
+                map.insert("a".into(), if elem == Type::Bot { Type::object() } else { elem });
             }
             Type::FiniteHash(id) => {
-                let data = self.store.finite_hash(id).clone();
-                map.insert("k".to_string(), Type::nominal("Symbol"));
-                let vals = Type::union(data.entries.iter().map(|(_, v)| v.clone()));
-                map.insert("v".to_string(), if vals == Type::Bot { Type::object() } else { vals });
+                map.insert("k".into(), Type::nominal("Symbol"));
+                let entries = &self.store.finite_hash(id).entries;
+                let vals = Type::union(entries.iter().map(|(_, v)| v.clone()));
+                map.insert("v".into(), if vals == Type::Bot { Type::object() } else { vals });
             }
             Type::ConstString(_) | Type::Nominal(_) => {}
             _ => {}

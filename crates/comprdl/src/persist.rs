@@ -46,7 +46,7 @@ use crate::checker::{ErrorCategory, MethodCheckResult, TypeErrorInfo};
 use crate::env::CompRdl;
 use crate::runtime::{ConsistencyCheck, InsertedCheck};
 use rdl_types::{
-    HashKey, MethodKind, PurityEffect, SingVal, TermEffect, Type, TypeExpr, TypeStore,
+    HashKey, MethodKind, Name, PurityEffect, SingVal, TermEffect, Type, TypeExpr, TypeStore,
 };
 use ruby_syntax::{method_span_nodes, Expr, MethodDef, SemHasher, Span};
 use std::collections::BTreeMap;
@@ -128,13 +128,13 @@ enum TypeTree {
     Bot,
     Bool,
     Dynamic,
-    Nominal(String),
+    Nominal(Name),
     Singleton(SingVal),
-    Generic(String, Vec<TypeTree>),
+    Generic(Name, Vec<TypeTree>),
     Union(Vec<TypeTree>),
     Optional(Box<TypeTree>),
     Vararg(Box<TypeTree>),
-    Var(String),
+    Var(Name),
     Tuple(Vec<TypeTree>),
     FiniteHash(Vec<(HashKey, TypeTree)>),
     ConstString(String),
@@ -1274,7 +1274,7 @@ fn get_type(r: &mut Reader<'_>, depth: u32) -> Option<TypeTree> {
         1 => TypeTree::Bot,
         2 => TypeTree::Bool,
         3 => TypeTree::Dynamic,
-        4 => TypeTree::Nominal(r.get_str()?),
+        4 => TypeTree::Nominal(r.get_str()?.into()),
         5 => TypeTree::Singleton(get_singval(r)?),
         6 => {
             let base = r.get_str()?;
@@ -1283,7 +1283,7 @@ fn get_type(r: &mut Reader<'_>, depth: u32) -> Option<TypeTree> {
             for _ in 0..n {
                 args.push(get_type(r, depth + 1)?);
             }
-            TypeTree::Generic(base, args)
+            TypeTree::Generic(base.into(), args)
         }
         7 => {
             let n = r.get_u32()?;
@@ -1295,7 +1295,7 @@ fn get_type(r: &mut Reader<'_>, depth: u32) -> Option<TypeTree> {
         }
         8 => TypeTree::Optional(Box::new(get_type(r, depth + 1)?)),
         9 => TypeTree::Vararg(Box::new(get_type(r, depth + 1)?)),
-        10 => TypeTree::Var(r.get_str()?),
+        10 => TypeTree::Var(r.get_str()?.into()),
         11 => {
             let n = r.get_u32()?;
             let mut elems = Vec::with_capacity(n.min(1024) as usize);
@@ -1350,8 +1350,8 @@ fn get_singval(r: &mut Reader<'_>) -> Option<SingVal> {
         2 => SingVal::False,
         3 => SingVal::Int(r.get_u64()? as i64),
         4 => SingVal::FloatBits(r.get_u64()?),
-        5 => SingVal::Sym(r.get_str()?),
-        6 => SingVal::Class(r.get_str()?),
+        5 => SingVal::Sym(r.get_str()?.into()),
+        6 => SingVal::Class(r.get_str()?.into()),
         _ => return None,
     })
 }
@@ -1375,8 +1375,8 @@ fn put_hashkey(w: &mut Writer, k: &HashKey) {
 
 fn get_hashkey(r: &mut Reader<'_>) -> Option<HashKey> {
     Some(match r.get_u8()? {
-        0 => HashKey::Sym(r.get_str()?),
-        1 => HashKey::Str(r.get_str()?),
+        0 => HashKey::Sym(r.get_str()?.into()),
+        1 => HashKey::Str(r.get_str()?.into()),
         2 => HashKey::Int(r.get_u64()? as i64),
         _ => return None,
     })

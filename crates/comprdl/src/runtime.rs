@@ -148,8 +148,8 @@ fn type_of_value_on(value: &Value, store: &mut TypeStore, path: Option<&Path<'_>
             let mut irregular = false;
             for (k, v) in pairs.borrow().iter() {
                 let key = match k {
-                    Value::Sym(s) => HashKey::Sym(s.to_string()),
-                    Value::Str(s) => HashKey::Str(s.borrow().clone()),
+                    Value::Sym(s) => HashKey::Sym(s.as_ref().into()),
+                    Value::Str(s) => HashKey::Str(s.borrow().as_str().into()),
                     Value::Int(i) => HashKey::Int(*i),
                     _ => {
                         irregular = true;
@@ -891,7 +891,7 @@ mod tests {
         push(&a, a.clone());
         let ty = type_of_value(&a, &mut store);
         let Type::Tuple(id) = ty else { panic!("{ty}") };
-        assert_eq!(store.tuple(id).elems, [Type::int(1), Type::array(Type::object())]);
+        assert_eq!(*store.tuple(id).elems, [Type::int(1), Type::array(Type::object())]);
         assert!(value_matches(&a, &ty, &store, &classes));
         // h = {}; h[:a] = h
         let h = Value::hash(vec![]);

@@ -191,8 +191,8 @@ impl TlcValue {
                 let mut entries = Vec::with_capacity(pairs.len());
                 for (k, v) in pairs {
                     let key = match k {
-                        TlcValue::Sym(s) => HashKey::Sym(s),
-                        TlcValue::Str(s) => HashKey::Str(s),
+                        TlcValue::Sym(s) => HashKey::Sym(s.into()),
+                        TlcValue::Str(s) => HashKey::Str(s.into()),
                         TlcValue::Int(i) => HashKey::Int(i),
                         other => {
                             return Err(TlcError::new(format!(
@@ -831,7 +831,7 @@ impl<'a> TlcCtx<'a> {
                 for a in &args[1..] {
                     params.push(a.clone().into_type(self.store)?);
                 }
-                Ok(TlcValue::Type(Type::Generic { base, args: params }))
+                Ok(TlcValue::Type(Type::Generic { base: base.into(), args: params }))
             }
             MetaKind::FiniteHash => {
                 let arg = args.first().cloned().unwrap_or(TlcValue::Hash(vec![]));
@@ -874,9 +874,9 @@ impl<'a> TlcCtx<'a> {
         match name {
             // The singleton's underlying value.
             "val" | "value" => match &resolved {
-                Type::Singleton(SingVal::Sym(s)) => Ok(TlcValue::Sym(s.clone())),
+                Type::Singleton(SingVal::Sym(s)) => Ok(TlcValue::Sym(s.to_string())),
                 Type::Singleton(SingVal::Int(i)) => Ok(TlcValue::Int(*i)),
-                Type::Singleton(SingVal::Class(c)) => Ok(TlcValue::ClassRef(c.clone())),
+                Type::Singleton(SingVal::Class(c)) => Ok(TlcValue::ClassRef(c.to_string())),
                 Type::Singleton(SingVal::True) => Ok(TlcValue::Bool(true)),
                 Type::Singleton(SingVal::False) => Ok(TlcValue::Bool(false)),
                 Type::Singleton(SingVal::Nil) => Ok(TlcValue::Nil),
@@ -898,8 +898,8 @@ impl<'a> TlcCtx<'a> {
                         .iter()
                         .map(|(k, v)| {
                             let key = match k {
-                                HashKey::Sym(s) => TlcValue::Sym(s.clone()),
-                                HashKey::Str(s) => TlcValue::Str(s.clone()),
+                                HashKey::Sym(s) => TlcValue::Sym(s.to_string()),
+                                HashKey::Str(s) => TlcValue::Str(s.to_string()),
                                 HashKey::Int(i) => TlcValue::Int(*i),
                             };
                             (key, TlcValue::Type(v.clone()))
@@ -927,9 +927,9 @@ impl<'a> TlcCtx<'a> {
                 }
             },
             "base" => match &resolved {
-                Type::Generic { base, .. } => Ok(TlcValue::ClassRef(base.clone())),
-                Type::Nominal(n) => Ok(TlcValue::ClassRef(n.clone())),
-                Type::Singleton(SingVal::Class(c)) => Ok(TlcValue::ClassRef(c.clone())),
+                Type::Generic { base, .. } => Ok(TlcValue::ClassRef(base.to_string())),
+                Type::Nominal(n) => Ok(TlcValue::ClassRef(n.to_string())),
+                Type::Singleton(SingVal::Class(c)) => Ok(TlcValue::ClassRef(c.to_string())),
                 other => Err(TlcError::new(format!("`{}` has no base class", self.show(other)))),
             },
             // The union of a finite hash's value types / a Hash generic's
@@ -983,8 +983,8 @@ impl<'a> TlcCtx<'a> {
                         data.entries
                             .iter()
                             .map(|(k, _)| match k {
-                                HashKey::Sym(s) => TlcValue::Sym(s.clone()),
-                                HashKey::Str(s) => TlcValue::Str(s.clone()),
+                                HashKey::Sym(s) => TlcValue::Sym(s.to_string()),
+                                HashKey::Str(s) => TlcValue::Str(s.to_string()),
                                 HashKey::Int(i) => TlcValue::Int(*i),
                             })
                             .collect(),
@@ -1059,7 +1059,7 @@ impl<'a> TlcCtx<'a> {
 
     fn merge_types(&mut self, t: &Type, extra: TlcValue) -> TlcResult {
         let mut entries = match t {
-            Type::FiniteHash(id) => self.store.finite_hash(*id).entries.clone(),
+            Type::FiniteHash(id) => self.store.finite_hash(*id).entries.to_vec(),
             Type::Generic { base, .. } if base == "Hash" => Vec::new(),
             other => {
                 return Err(TlcError::new(format!(
@@ -1073,8 +1073,8 @@ impl<'a> TlcCtx<'a> {
                 let mut out = Vec::with_capacity(pairs.len());
                 for (k, v) in pairs {
                     let key = match k {
-                        TlcValue::Sym(s) => HashKey::Sym(s),
-                        TlcValue::Str(s) => HashKey::Str(s),
+                        TlcValue::Sym(s) => HashKey::Sym(s.into()),
+                        TlcValue::Str(s) => HashKey::Str(s.into()),
                         TlcValue::Int(i) => HashKey::Int(i),
                         other => return Err(TlcError::new(format!("invalid hash key {other:?}"))),
                     };
@@ -1082,7 +1082,7 @@ impl<'a> TlcCtx<'a> {
                 }
                 out
             }
-            TlcValue::Type(Type::FiniteHash(id)) => self.store.finite_hash(id).entries.clone(),
+            TlcValue::Type(Type::FiniteHash(id)) => self.store.finite_hash(id).entries.to_vec(),
             other => return Err(TlcError::new(format!("cannot merge {other:?} into a hash type"))),
         };
         for (k, v) in extra_entries {
@@ -1098,8 +1098,8 @@ impl<'a> TlcCtx<'a> {
         match t {
             Type::FiniteHash(id) => {
                 let hk = match &key {
-                    TlcValue::Sym(s) => HashKey::Sym(s.clone()),
-                    TlcValue::Str(s) => HashKey::Str(s.clone()),
+                    TlcValue::Sym(s) => HashKey::Sym(s.into()),
+                    TlcValue::Str(s) => HashKey::Str(s.into()),
                     TlcValue::Int(i) => HashKey::Int(*i),
                     TlcValue::Type(Type::Singleton(SingVal::Sym(s))) => HashKey::Sym(s.clone()),
                     TlcValue::Type(Type::Singleton(SingVal::Int(i))) => HashKey::Int(*i),

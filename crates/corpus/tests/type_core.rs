@@ -20,7 +20,7 @@ fn leaf(rng: &mut Rng) -> Type {
         8 => Type::int(7),
         9 => Type::nil(),
         10 => Type::Singleton(SingVal::True),
-        _ => Type::Var("t".to_string()),
+        _ => Type::Var("t".into()),
     }
 }
 
@@ -45,7 +45,7 @@ fn arb_type(rng: &mut Rng, store: &mut TypeStore, depth: u32) -> Type {
         4 => {
             let n = rng.below(3) as usize;
             let entries = (0..n)
-                .map(|i| (HashKey::Sym(format!("k{i}")), arb_type(rng, store, depth - 1)))
+                .map(|i| (HashKey::Sym(format!("k{i}").into()), arb_type(rng, store, depth - 1)))
                 .collect();
             store.new_finite_hash(entries)
         }
@@ -146,8 +146,8 @@ fn lub_edge_cases() {
 
     // Type variables: a variable joined with itself stays bound to the same
     // variable; distinct variables join to a union containing both.
-    let t = Type::Var("t".to_string());
-    let u = Type::Var("u".to_string());
+    let t = Type::Var("t".into());
+    let u = Type::Var("u".into());
     assert_eq!(sub.lub(&store, &t, &t), t);
     let tu = sub.lub(&store, &t, &u);
     assert!(sub.is_subtype(&store, &t, &tu), "t must flow into lub(t, u) = {tu}");

@@ -49,7 +49,7 @@ pub fn register_helpers(env: &mut CompRdl, db: Arc<DbRegistry>) {
         let name = match args.first() {
             Some(TlcValue::Sym(s)) => s.clone(),
             Some(TlcValue::Str(s)) => s.clone(),
-            Some(TlcValue::Type(Type::Singleton(SingVal::Sym(s)))) => s.clone(),
+            Some(TlcValue::Type(Type::Singleton(SingVal::Sym(s)))) => s.to_string(),
             _ => return Err(TlcError::new("db_schema expects a table name symbol")),
         };
         schema_hash(&registry, &registry.table_for_symbol(&name), ctx)
@@ -109,7 +109,7 @@ pub fn register_helpers(env: &mut CompRdl, db: Arc<DbRegistry>) {
         let assoc_schema = call_schema_type(ctx, &t)?;
         let joined = match (own_schema, &assoc_schema) {
             (Type::FiniteHash(id), _) => {
-                let mut entries = ctx.store.finite_hash(id).entries.clone();
+                let mut entries = ctx.store.finite_hash(id).entries.to_vec();
                 entries.push((
                     rdl_types::HashKey::Sym(assoc.clone()),
                     Type::Optional(Box::new(assoc_schema)),
@@ -176,7 +176,7 @@ fn schema_hash(
                 .iter()
                 .map(|(name, ty)| {
                     (
-                        rdl_types::HashKey::Sym(name.clone()),
+                        rdl_types::HashKey::Sym(name.into()),
                         Type::Optional(Box::new(ty.to_rdl_type())),
                     )
                 })

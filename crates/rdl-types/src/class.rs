@@ -9,6 +9,7 @@
 //! run-time check hook does with its environment's table) copies a pointer,
 //! and a write copies the map only while another clone still shares it.
 
+use crate::name::Name;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -16,10 +17,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassInfo {
     /// The superclass name (`None` only for `Object`).
-    pub superclass: Option<String>,
+    pub superclass: Option<Name>,
     /// Generic type parameter names declared for the class (e.g. `Array`
     /// has `["a"]`, `Hash` has `["k", "v"]`).
-    pub type_params: Vec<String>,
+    pub type_params: Vec<Name>,
     /// Whether the class models a Rails `ActiveRecord` / `Sequel` model
     /// backed by a DB table.
     pub is_model: bool,
@@ -27,7 +28,7 @@ pub struct ClassInfo {
 
 impl Default for ClassInfo {
     fn default() -> Self {
-        ClassInfo { superclass: Some("Object".to_string()), type_params: vec![], is_model: false }
+        ClassInfo { superclass: Some("Object".into()), type_params: vec![], is_model: false }
     }
 }
 
@@ -38,7 +39,7 @@ const MAX_SUPERCLASS_STEPS: usize = 64;
 /// (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClassTable {
-    classes: Arc<BTreeMap<String, ClassInfo>>,
+    classes: Arc<BTreeMap<Name, ClassInfo>>,
 }
 
 impl ClassTable {
@@ -52,7 +53,7 @@ impl ClassTable {
     /// Adds (or replaces) `name`, copying the map first if another clone
     /// shares it.
     fn insert(&mut self, name: &str, info: ClassInfo) {
-        Arc::make_mut(&mut self.classes).insert(name.to_string(), info);
+        Arc::make_mut(&mut self.classes).insert(name.into(), info);
     }
 
     /// A class table pre-populated with the Ruby core classes CompRDL's
@@ -109,7 +110,7 @@ impl ClassTable {
         self.insert(
             name,
             ClassInfo {
-                superclass: superclass.map(|s| s.to_string()),
+                superclass: superclass.map(Name::from),
                 type_params: vec![],
                 is_model: false,
             },
@@ -121,8 +122,8 @@ impl ClassTable {
         self.insert(
             name,
             ClassInfo {
-                superclass: superclass.map(|s| s.to_string()),
-                type_params: params.iter().map(|p| p.to_string()).collect(),
+                superclass: superclass.map(Name::from),
+                type_params: params.iter().map(|&p| p.into()).collect(),
                 is_model: false,
             },
         );
@@ -132,11 +133,7 @@ impl ClassTable {
     pub fn add_model_class(&mut self, name: &str, superclass: &str) {
         self.insert(
             name,
-            ClassInfo {
-                superclass: Some(superclass.to_string()),
-                type_params: vec![],
-                is_model: true,
-            },
+            ClassInfo { superclass: Some(superclass.into()), type_params: vec![], is_model: true },
         );
     }
 
@@ -186,11 +183,8 @@ impl ClassTable {
 
     /// The nearest common ancestor of two classes: the first of `a`'s
     /// ancestors that is also one of `b`'s, else `Object`.
-    pub fn common_ancestor(&self, a: &str, b: &str) -> String {
-        self.ancestors(a)
-            .find(|anc| self.ancestors(b).any(|x| x == *anc))
-            .unwrap_or("Object")
-            .to_string()
+    pub fn common_ancestor<'a>(&'a self, a: &'a str, b: &'a str) -> &'a str {
+        self.ancestors(a).find(|anc| self.ancestors(b).any(|x| x == *anc)).unwrap_or("Object")
     }
 }
 

@@ -34,6 +34,7 @@
 
 pub mod class;
 pub mod fingerprint;
+pub mod name;
 pub mod parse;
 pub mod sig;
 pub mod store;
@@ -42,6 +43,7 @@ pub mod ty;
 
 pub use class::{ClassInfo, ClassTable};
 pub use fingerprint::Fingerprint;
+pub use name::Name;
 pub use parse::{parse_method_sig, parse_type_expr, SigParseError};
 pub use sig::{
     AnnotationTable, CompSpec, EffectJoin, EffectLookup, EffectTable, MethodKind, MethodSig,

@@ -433,7 +433,7 @@ impl SigParser {
                     }
                     self.skip_ws();
                     self.expect('>')?;
-                    return Ok(TypeExpr::Generic(name, args));
+                    return Ok(TypeExpr::Generic(name.into(), args));
                 }
                 match name.as_str() {
                     "Boolean" => Ok(TypeExpr::Simple(Type::Bool)),
@@ -449,8 +449,8 @@ impl SigParser {
                     "nil" => Ok(TypeExpr::Simple(Type::nil())),
                     "true" => Ok(TypeExpr::Simple(Type::Singleton(SingVal::True))),
                     "false" => Ok(TypeExpr::Simple(Type::Singleton(SingVal::False))),
-                    "self" => Ok(TypeExpr::Simple(Type::Var("self".to_string()))),
-                    _ => Ok(TypeExpr::Simple(Type::Var(word))),
+                    "self" => Ok(TypeExpr::Simple(Type::Var("self".into()))),
+                    _ => Ok(TypeExpr::Simple(Type::Var(word.into()))),
                 }
             }
             Some(other) => Err(self.error(&format!("unexpected character `{other}` in type"))),
@@ -474,7 +474,7 @@ impl SigParser {
                 if !self.eat_str("=>") {
                     return Err(self.error("expected `=>` after string key"));
                 }
-                Ok(HashKey::Str(s))
+                Ok(HashKey::Str(s.into()))
             }
             Some(c) if c.is_ascii_digit() => {
                 let mut text = String::new();
@@ -494,7 +494,7 @@ impl SigParser {
                 }
                 self.skip_ws();
                 self.expect(':')?;
-                Ok(HashKey::Sym(word))
+                Ok(HashKey::Sym(word.into()))
             }
         }
     }

@@ -16,6 +16,7 @@
 //! they are used.
 
 use crate::class::ClassTable;
+use crate::name::Name;
 use crate::store::TypeStore;
 use crate::ty::{HashKey, Type};
 use ruby_syntax::{Expr, SemHasher};
@@ -195,7 +196,7 @@ pub enum TypeExpr {
     Simple(Type),
     /// A generic instantiation whose arguments may themselves need
     /// instantiation, e.g. `Table<{id: Integer}>`.
-    Generic(String, Vec<TypeExpr>),
+    Generic(Name, Vec<TypeExpr>),
     /// A union of type expressions.
     Union(Vec<TypeExpr>),
     /// An optional parameter type `?T`.

@@ -15,8 +15,10 @@
 //! recorded so it can be *replayed* after a weak update or promotion.
 
 use crate::fingerprint::Fingerprint;
+use crate::name::Name;
 use crate::ty::{ConstStringId, FiniteHashId, HashKey, SingVal, TupleId, Type};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A recorded subtyping constraint `lhs <= rhs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,15 +27,17 @@ pub struct Constraint {
     pub lhs: Type,
     /// The right-hand side of the constraint.
     pub rhs: Type,
-    /// A human readable description of where the constraint came from.
-    pub origin: String,
+    /// A human readable description of where the constraint came from,
+    /// shared by the records one assertion makes.
+    pub origin: Name,
 }
 
 /// Data backing a tuple type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TupleData {
-    /// Element types, in order.
-    pub elems: Vec<Type>,
+    /// Element types, in order; copy-on-write, shared by the deep copies
+    /// of this tuple until one of them is weakly updated.
+    pub elems: Arc<Vec<Type>>,
     /// If the tuple was promoted, the `Array<T>` type it was promoted to.
     pub promoted: Option<Type>,
     /// Constraints asserted against this tuple.
@@ -43,8 +47,9 @@ pub struct TupleData {
 /// Data backing a finite hash type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FiniteHashData {
-    /// Known entries in insertion order.
-    pub entries: Vec<(HashKey, Type)>,
+    /// Known entries in insertion order; copy-on-write, shared by the deep
+    /// copies of this hash until one of them is weakly updated.
+    pub entries: Arc<Vec<(HashKey, Type)>>,
     /// The "rest" type for open finite hashes (`{ a: X, **rest }`), if any.
     pub rest: Option<Box<Type>>,
     /// If the hash was promoted, the `Hash<K, V>` type it was promoted to.
@@ -149,7 +154,11 @@ impl TypeStore {
     /// Allocates a new tuple type with the given element types.
     pub fn new_tuple(&mut self, elems: Vec<Type>) -> Type {
         let id = TupleId(self.tuples.len() as u32);
-        self.tuples.push(TupleData { elems, promoted: None, constraints: Vec::new() });
+        self.tuples.push(TupleData {
+            elems: Arc::new(elems),
+            promoted: None,
+            constraints: Vec::new(),
+        });
         Type::Tuple(id)
     }
 
@@ -157,7 +166,7 @@ impl TypeStore {
     pub fn new_finite_hash(&mut self, entries: Vec<(HashKey, Type)>) -> Type {
         let id = FiniteHashId(self.hashes.len() as u32);
         self.hashes.push(FiniteHashData {
-            entries,
+            entries: Arc::new(entries),
             rest: None,
             promoted: None,
             constraints: Vec::new(),
@@ -285,14 +294,16 @@ impl TypeStore {
         };
         for t in other.tuples {
             self.tuples.push(TupleData {
-                elems: t.elems.iter().map(|e| shift.apply(e)).collect(),
+                elems: Arc::new(t.elems.iter().map(|e| shift.apply(e)).collect()),
                 promoted: t.promoted.as_ref().map(|p| shift.apply(p)),
                 constraints: t.constraints.iter().map(|c| shift.apply_constraint(c)).collect(),
             });
         }
         for h in other.hashes {
             self.hashes.push(FiniteHashData {
-                entries: h.entries.iter().map(|(k, v)| (k.clone(), shift.apply(v))).collect(),
+                entries: Arc::new(
+                    h.entries.iter().map(|(k, v)| (k.clone(), shift.apply(v))).collect(),
+                ),
                 rest: h.rest.as_ref().map(|r| Box::new(shift.apply(r))),
                 promoted: h.promoted.as_ref().map(|p| shift.apply(p)),
                 constraints: h.constraints.iter().map(|c| shift.apply_constraint(c)).collect(),
@@ -333,81 +344,108 @@ impl TypeStore {
     /// comp-type cache on hits: handing out the originally cached ids would
     /// alias mutable state across call sites (a weak update at one site
     /// would change another site's type).
+    ///
+    /// A copy shares its source's content wherever it can: a level that
+    /// holds no store-backed type (the entries of a flat hash, the elements
+    /// of a tuple of plain types) is the source's copy-on-write `Arc`, which
+    /// the first weak update of either side un-shares, and only a level
+    /// that holds a store-backed type is rebuilt around the copies of those.
+    /// An id reached twice maps to one copy, so aliasing inside `ty`
+    /// survives; copying a type with one store-backed part allocates no
+    /// table of copies, only its fresh store entry.
     pub fn deep_copy(&mut self, ty: &Type) -> Type {
-        let mut memo = std::collections::HashMap::new();
-        self.deep_copy_inner(ty, &mut memo)
+        self.deep_copy_inner(ty, &mut Copies::default())
     }
 
-    fn deep_copy_inner(
-        &mut self,
-        ty: &Type,
-        memo: &mut std::collections::HashMap<Type, Type>,
-    ) -> Type {
+    fn deep_copy_inner(&mut self, ty: &Type, copies: &mut Copies) -> Type {
+        match ty {
+            Type::Tuple(_) | Type::FiniteHash(_) | Type::ConstString(_) => match copies.get(ty) {
+                Some(copy) => copy.clone(),
+                None => self.copy_store_backed(ty, copies),
+            },
+            Type::Generic { base, args } => Type::Generic {
+                base: base.clone(),
+                args: args.iter().map(|a| self.deep_copy_inner(a, copies)).collect(),
+            },
+            Type::Union(ts) => {
+                Type::Union(ts.iter().map(|t| self.deep_copy_inner(t, copies)).collect())
+            }
+            Type::Optional(t) => Type::Optional(Box::new(self.deep_copy_inner(t, copies))),
+            Type::Vararg(t) => Type::Vararg(Box::new(self.deep_copy_inner(t, copies))),
+            other => other.clone(),
+        }
+    }
+
+    /// The fresh copy of one store-backed `ty` (see [`TypeStore::deep_copy`]).
+    /// The entry is allocated, sharing the source's content, and noted in
+    /// `copies` before its children are visited, so self-referential data
+    /// maps to the new id instead of recursing forever.
+    fn copy_store_backed(&mut self, ty: &Type, copies: &mut Copies) -> Type {
         match ty {
             Type::Tuple(id) => {
-                if let Some(copied) = memo.get(ty) {
-                    return copied.clone();
+                let data = &self.tuples[id.0 as usize];
+                let (elems, promoted) = (Arc::clone(&data.elems), data.promoted.clone());
+                let new_id = TupleId(self.tuples.len() as u32);
+                self.tuples.push(TupleData {
+                    elems: Arc::clone(&elems),
+                    promoted: None,
+                    constraints: Vec::new(),
+                });
+                copies.insert(ty.clone(), Type::Tuple(new_id));
+                if elems.iter().any(Type::contains_store_backed) {
+                    let copied = elems.iter().map(|e| self.deep_copy_inner(e, copies)).collect();
+                    self.tuples[new_id.0 as usize].elems = Arc::new(copied);
                 }
-                // Allocate the copy first so self-referential data maps to
-                // the new id instead of recursing forever.
-                let copy = self.new_tuple(Vec::new());
-                memo.insert(ty.clone(), copy.clone());
-                let data = self.tuple(*id).clone();
-                let elems = data.elems.iter().map(|e| self.deep_copy_inner(e, memo)).collect();
-                let promoted = data.promoted.as_ref().map(|p| self.deep_copy_inner(p, memo));
-                let Type::Tuple(new_id) = copy else { unreachable!("new_tuple returns a tuple") };
-                self.tuples[new_id.0 as usize].elems = elems;
-                self.tuples[new_id.0 as usize].promoted = promoted;
+                self.tuples[new_id.0 as usize].promoted = self.copy_promoted(promoted, copies);
                 Type::Tuple(new_id)
             }
             Type::FiniteHash(id) => {
-                if let Some(copied) = memo.get(ty) {
-                    return copied.clone();
+                let data = &self.hashes[id.0 as usize];
+                let (entries, rest, promoted) =
+                    (Arc::clone(&data.entries), data.rest.clone(), data.promoted.clone());
+                let new_id = FiniteHashId(self.hashes.len() as u32);
+                self.hashes.push(FiniteHashData {
+                    entries: Arc::clone(&entries),
+                    rest: None,
+                    promoted: None,
+                    constraints: Vec::new(),
+                });
+                copies.insert(ty.clone(), Type::FiniteHash(new_id));
+                if entries.iter().any(|(_, v)| v.contains_store_backed()) {
+                    let copied = entries
+                        .iter()
+                        .map(|(k, v)| (k.clone(), self.deep_copy_inner(v, copies)))
+                        .collect();
+                    self.hashes[new_id.0 as usize].entries = Arc::new(copied);
                 }
-                let copy = self.new_finite_hash(Vec::new());
-                memo.insert(ty.clone(), copy.clone());
-                let data = self.finite_hash(*id).clone();
-                let entries = data
-                    .entries
-                    .iter()
-                    .map(|(k, v)| (k.clone(), self.deep_copy_inner(v, memo)))
-                    .collect();
-                let rest = data.rest.as_ref().map(|r| Box::new(self.deep_copy_inner(r, memo)));
-                let promoted = data.promoted.as_ref().map(|p| self.deep_copy_inner(p, memo));
-                let Type::FiniteHash(new_id) = copy else {
-                    unreachable!("new_finite_hash returns a finite hash")
-                };
-                self.hashes[new_id.0 as usize].entries = entries;
+                let rest = rest.map(|r| {
+                    if r.contains_store_backed() {
+                        Box::new(self.deep_copy_inner(&r, copies))
+                    } else {
+                        r
+                    }
+                });
                 self.hashes[new_id.0 as usize].rest = rest;
-                self.hashes[new_id.0 as usize].promoted = promoted;
+                self.hashes[new_id.0 as usize].promoted = self.copy_promoted(promoted, copies);
                 Type::FiniteHash(new_id)
             }
             Type::ConstString(id) => {
-                if let Some(copied) = memo.get(ty) {
-                    return copied.clone();
-                }
-                let data = self.const_string(*id).clone();
+                let data = &self.strings[id.0 as usize];
+                let (value, promoted) = (data.value.clone(), data.promoted);
                 let new_id = ConstStringId(self.strings.len() as u32);
-                self.strings.push(ConstStringData {
-                    value: data.value,
-                    promoted: data.promoted,
-                    constraints: Vec::new(),
-                });
-                let copy = Type::ConstString(new_id);
-                memo.insert(ty.clone(), copy.clone());
-                copy
+                self.strings.push(ConstStringData { value, promoted, constraints: Vec::new() });
+                copies.insert(ty.clone(), Type::ConstString(new_id));
+                Type::ConstString(new_id)
             }
-            Type::Generic { base, args } => Type::Generic {
-                base: base.clone(),
-                args: args.iter().map(|a| self.deep_copy_inner(a, memo)).collect(),
-            },
-            Type::Union(ts) => {
-                Type::Union(ts.iter().map(|t| self.deep_copy_inner(t, memo)).collect())
-            }
-            Type::Optional(t) => Type::Optional(Box::new(self.deep_copy_inner(t, memo))),
-            Type::Vararg(t) => Type::Vararg(Box::new(self.deep_copy_inner(t, memo))),
-            other => other.clone(),
+            other => unreachable!("`{other}` is not store-backed"),
         }
+    }
+
+    /// The copy of a promoted view: itself unless it holds a store-backed
+    /// type.
+    fn copy_promoted(&mut self, promoted: Option<Type>, copies: &mut Copies) -> Option<Type> {
+        promoted
+            .map(|p| if p.contains_store_backed() { self.deep_copy_inner(&p, copies) } else { p })
     }
 
     // ---- display --------------------------------------------------------
@@ -600,7 +638,7 @@ impl TypeStore {
                 fp.write_u8(11);
                 let data = self.tuple(*id);
                 fp.write_usize(data.elems.len());
-                for e in &data.elems {
+                for e in data.elems.iter() {
                     let d = self.digest_of(e, visiting);
                     fp.write_u64(d);
                 }
@@ -611,7 +649,7 @@ impl TypeStore {
                 fp.write_u8(12);
                 let data = self.finite_hash(*id);
                 fp.write_usize(data.entries.len());
-                for (k, v) in &data.entries {
+                for (k, v) in data.entries.iter() {
                     match k {
                         HashKey::Sym(s) => {
                             fp.write_u8(0);
@@ -660,8 +698,8 @@ impl TypeStore {
     /// replayed after weak updates (§4: "we use this same mechanism to
     /// replay previous constraints on these types whenever they are
     /// mutated").
-    pub fn record_constraint(&mut self, on: &Type, lhs: Type, rhs: Type, origin: &str) {
-        let c = Constraint { lhs, rhs, origin: origin.to_string() };
+    pub fn record_constraint(&mut self, on: &Type, lhs: Type, rhs: Type, origin: impl Into<Name>) {
+        let c = Constraint { lhs, rhs, origin: origin.into() };
         match on {
             Type::Tuple(id) => self.tuples[id.0 as usize].constraints.push(c),
             Type::FiniteHash(id) => self.hashes[id.0 as usize].constraints.push(c),
@@ -695,7 +733,7 @@ impl TypeStore {
         }
         let mut key_types: Vec<Type> = Vec::new();
         let mut val_types: Vec<Type> = Vec::new();
-        for (k, v) in &data.entries {
+        for (k, v) in data.entries.iter() {
             key_types.push(match k {
                 HashKey::Sym(_) => Type::nominal("Symbol"),
                 HashKey::Str(_) => Type::nominal("String"),
@@ -747,11 +785,12 @@ impl TypeStore {
         new_ty: Type,
     ) -> Vec<Constraint> {
         let data = &mut self.tuples[id.0 as usize];
-        if index < data.elems.len() {
-            let old = data.elems[index].clone();
-            data.elems[index] = Type::union([old, new_ty]);
+        let elems = Arc::make_mut(&mut data.elems);
+        if index < elems.len() {
+            let old = elems[index].clone();
+            elems[index] = Type::union([old, new_ty]);
         } else {
-            data.elems.push(new_ty);
+            elems.push(new_ty);
         }
         if data.promoted.is_some() {
             // Keep the promoted view in sync.
@@ -772,12 +811,13 @@ impl TypeStore {
         new_ty: Type,
     ) -> Vec<Constraint> {
         let data = &mut self.hashes[id.0 as usize];
-        match data.entries.iter_mut().find(|(k, _)| *k == key) {
+        let entries = Arc::make_mut(&mut data.entries);
+        match entries.iter_mut().find(|(k, _)| *k == key) {
             Some((_, v)) => {
                 let old = v.clone();
                 *v = Type::union([old, new_ty]);
             }
-            None => data.entries.push((key, new_ty)),
+            None => entries.push((key, new_ty)),
         }
         if data.promoted.is_some() {
             let vals = Type::union(data.entries.iter().map(|(_, v)| v.clone()));
@@ -798,6 +838,28 @@ impl TypeStore {
         let constraints = data.constraints.clone();
         self.bump_generation();
         constraints
+    }
+}
+
+/// The copies one [`TypeStore::deep_copy`] made so far, source → copy.  The
+/// first is kept inline, so copying a type with one store-backed part
+/// allocates no table.
+#[derive(Default)]
+struct Copies {
+    first: Option<(Type, Type)>,
+    rest: Vec<(Type, Type)>,
+}
+
+impl Copies {
+    fn get(&self, source: &Type) -> Option<&Type> {
+        self.first.iter().chain(&self.rest).find(|(s, _)| s == source).map(|(_, copy)| copy)
+    }
+
+    fn insert(&mut self, source: Type, copy: Type) {
+        match self.first {
+            None => self.first = Some((source, copy)),
+            Some(_) => self.rest.push((source, copy)),
+        }
     }
 }
 

@@ -6,6 +6,7 @@
 //! promotion or weak update is seen by the very next query.
 
 use crate::class::ClassTable;
+use crate::name::Name;
 use crate::store::{Constraint, TypeStore};
 use crate::ty::{HashKey, SingVal, Type};
 
@@ -135,13 +136,25 @@ impl<'a> Subtyper<'a> {
 
     /// Asserts `sub <= sup`, recording the constraint against any
     /// store-backed types involved so it can be replayed after weak updates.
-    /// Returns whether the constraint currently holds.
-    pub fn constrain(&self, store: &mut TypeStore, sub: &Type, sup: &Type, origin: &str) -> bool {
-        if sub.is_store_backed() {
-            store.record_constraint(sub, sub.clone(), sup.clone(), origin);
-        }
-        if sup.is_store_backed() && sup != sub {
-            store.record_constraint(sup, sub.clone(), sup.clone(), origin);
+    /// Returns whether the constraint currently holds.  The two records
+    /// share one `origin`, converted only when one is made.
+    pub fn constrain(
+        &self,
+        store: &mut TypeStore,
+        sub: &Type,
+        sup: &Type,
+        origin: impl Into<Name>,
+    ) -> bool {
+        let on_sub = sub.is_store_backed();
+        let on_sup = sup.is_store_backed() && sup != sub;
+        if on_sub || on_sup {
+            let origin = origin.into();
+            if on_sub {
+                store.record_constraint(sub, sub.clone(), sup.clone(), origin.clone());
+            }
+            if on_sup {
+                store.record_constraint(sup, sub.clone(), sup.clone(), origin);
+            }
         }
         self.is_subtype(store, sub, sup)
     }
@@ -167,7 +180,7 @@ impl<'a> Subtyper<'a> {
             (Type::Nominal(x), Type::Nominal(y)) => {
                 let anc = self.classes.common_ancestor(x, y);
                 if anc != "Object" {
-                    return Type::Nominal(anc);
+                    return Type::nominal(anc);
                 }
                 Type::union([ra.clone(), rb.clone()])
             }

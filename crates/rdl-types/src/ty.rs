@@ -13,6 +13,7 @@
 //! rather than inline data, so that aliases share a single entry exactly as
 //! RDL's Ruby objects do.
 
+use crate::name::Name;
 use std::fmt;
 
 /// Index of a tuple type in the [`TypeStore`](crate::store::TypeStore).
@@ -41,9 +42,9 @@ pub enum SingVal {
     /// A float constant, stored by bit pattern so the type is `Eq`/`Hash`.
     FloatBits(u64),
     /// A symbol such as `:emails`.
-    Sym(String),
+    Sym(Name),
     /// A class object such as `User` (the receiver of `User.exists?`).
-    Class(String),
+    Class(Name),
 }
 
 impl SingVal {
@@ -84,9 +85,9 @@ impl fmt::Display for SingVal {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HashKey {
     /// A symbol key (`{ info: ... }`).
-    Sym(String),
+    Sym(Name),
     /// A string key.
-    Str(String),
+    Str(Name),
     /// An integer key.
     Int(i64),
 }
@@ -113,13 +114,13 @@ pub enum Type {
     /// `%dyn` — the dynamic type, compatible in both directions.
     Dynamic,
     /// A nominal class type such as `String`.
-    Nominal(String),
+    Nominal(Name),
     /// A singleton type containing exactly one value.
     Singleton(SingVal),
     /// A generic instantiation such as `Array<String>` or `Table<{...}>`.
     Generic {
         /// The base class name.
-        base: String,
+        base: Name,
         /// The type arguments.
         args: Vec<Type>,
     },
@@ -130,7 +131,7 @@ pub enum Type {
     /// A vararg type `*T` (only meaningful in parameter position).
     Vararg(Box<Type>),
     /// A type variable such as `t`, `k`, `v`.
-    Var(String),
+    Var(Name),
     /// A tuple (heterogeneous array) type, stored in the type store.
     Tuple(TupleId),
     /// A finite hash (heterogeneous hash) type, stored in the type store.
@@ -142,16 +143,16 @@ pub enum Type {
 impl Type {
     /// The nominal `Object` type.
     pub fn object() -> Type {
-        Type::Nominal("Object".to_string())
+        Type::Nominal("Object".into())
     }
 
     /// A nominal type with the given class name.
-    pub fn nominal(name: impl Into<String>) -> Type {
+    pub fn nominal(name: impl Into<Name>) -> Type {
         Type::Nominal(name.into())
     }
 
     /// The singleton type of a symbol.
-    pub fn sym(name: impl Into<String>) -> Type {
+    pub fn sym(name: impl Into<Name>) -> Type {
         Type::Singleton(SingVal::Sym(name.into()))
     }
 
@@ -161,7 +162,7 @@ impl Type {
     }
 
     /// The singleton type of a class object.
-    pub fn class_of(name: impl Into<String>) -> Type {
+    pub fn class_of(name: impl Into<Name>) -> Type {
         Type::Singleton(SingVal::Class(name.into()))
     }
 
@@ -172,17 +173,17 @@ impl Type {
 
     /// `Array<elem>`.
     pub fn array(elem: Type) -> Type {
-        Type::Generic { base: "Array".to_string(), args: vec![elem] }
+        Type::Generic { base: "Array".into(), args: vec![elem] }
     }
 
     /// `Hash<key, value>`.
     pub fn hash(key: Type, value: Type) -> Type {
-        Type::Generic { base: "Hash".to_string(), args: vec![key, value] }
+        Type::Generic { base: "Hash".into(), args: vec![key, value] }
     }
 
     /// `Table<schema>` — the generic DB table type introduced in §2.1.
     pub fn table(schema: Type) -> Type {
-        Type::Generic { base: "Table".to_string(), args: vec![schema] }
+        Type::Generic { base: "Table".into(), args: vec![schema] }
     }
 
     /// Builds a normalized union of the given types: flattens nested unions,
@@ -256,7 +257,7 @@ impl Type {
     }
 
     /// Returns the type variables that occur free in this type.
-    pub fn free_vars(&self) -> Vec<String> {
+    pub fn free_vars(&self) -> Vec<Name> {
         let mut out = Vec::new();
         self.collect_vars(&mut out);
         out.sort();
@@ -264,7 +265,7 @@ impl Type {
         out
     }
 
-    fn collect_vars(&self, out: &mut Vec<String>) {
+    fn collect_vars(&self, out: &mut Vec<Name>) {
         match self {
             Type::Var(v) => out.push(v.clone()),
             Type::Generic { args, .. } => {
@@ -284,7 +285,12 @@ impl Type {
 
     /// True if the type mentions no type variables.
     pub fn is_ground(&self) -> bool {
-        self.free_vars().is_empty()
+        match self {
+            Type::Var(_) => false,
+            Type::Generic { args: ts, .. } | Type::Union(ts) => ts.iter().all(Type::is_ground),
+            Type::Optional(t) | Type::Vararg(t) => t.is_ground(),
+            _ => true,
+        }
     }
 
     /// Substitutes type variables using `lookup` (variables with no mapping
