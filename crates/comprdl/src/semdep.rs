@@ -64,8 +64,10 @@ pub const NATIVE_HELPER_REVISION: u32 = 3;
 /// every cached verdict miss, and the cache re-checks instead of replaying
 /// a verdict the change could alter.  Revision 1: `==`, `!=`, `case`/`when`
 /// and `Array#include?` compare Integer, Float, String and Symbol values as
-/// Ruby's `==` does (`2 == 2.0`).
-pub const TLC_REVISION: u32 = 1;
+/// Ruby's `==` does (`2 == 2.0`).  Revision 2: a Ruby helper's body sees
+/// only its own parameters and locals, not the calling comp type's `tself`
+/// and binders.
+pub const TLC_REVISION: u32 = 2;
 
 /// The identity of a program method: `(owner class, name, singleton?)`.
 pub type MethodId = (String, String, bool);

@@ -695,26 +695,34 @@ impl<'a> TlcCtx<'a> {
                 ))
                 .with_span(def.span));
             }
+            // A helper is a Ruby method: its body sees its own parameters
+            // and locals, not the caller's bindings.  The caller's scope is
+            // restored on every exit, a failed default argument included.
             self.depth += 1;
             self.helper_stack.push((name.to_string(), def.span));
-            let saved = self.bindings.clone();
-            for (i, p) in def.params.iter().enumerate() {
-                let v = match args.get(i) {
-                    Some(v) => v.clone(),
-                    None => match &p.default {
-                        Some(d) => self.eval(d)?,
-                        None => TlcValue::Nil,
-                    },
-                };
-                self.bindings.insert(p.name.clone(), v);
-            }
-            let result = self.eval_body(&def.body);
-            self.bindings = saved;
+            let caller = std::mem::take(&mut self.bindings);
+            let result = self.bind_params(def, args).and_then(|()| self.eval_body(&def.body));
+            self.bindings = caller;
             self.helper_stack.pop();
             self.depth -= 1;
             return result;
         }
         Err(TlcError::new(format!("unknown helper method `{name}` in type-level code")))
+    }
+
+    /// Binds a Ruby helper's parameters in the current scope: each to its
+    /// argument, else to its default evaluated in that scope (so it sees the
+    /// parameters before it), else to `nil`.
+    fn bind_params(&mut self, def: &MethodDef, args: &[TlcValue]) -> TlcResult<()> {
+        for (i, p) in def.params.iter().enumerate() {
+            let v = match (args.get(i), &p.default) {
+                (Some(v), _) => v.clone(),
+                (None, Some(default)) => self.eval(default)?,
+                (None, None) => TlcValue::Nil,
+            };
+            self.bindings.insert(p.name.clone(), v);
+        }
+        Ok(())
     }
 
     // ---- methods on type-level values -----------------------------------
@@ -1485,6 +1493,32 @@ mod tests {
             .unwrap(),
             Type::nominal("Object")
         );
+    }
+
+    #[test]
+    fn ruby_helpers_do_not_see_the_callers_bindings() {
+        let mut helpers = HelperRegistry::new();
+        helpers.register_ruby("def peek()\n  tself\nend\n").unwrap();
+        let mut store = TypeStore::new();
+        let tself = vec![("tself", TlcValue::Type(Type::int(3)))];
+        let err = eval_with(tself, &helpers, &mut store, "peek()").unwrap_err();
+        assert!(err.message.contains("`tself`"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_failed_default_argument_restores_the_callers_scope() {
+        let mut helpers = HelperRegistry::new();
+        helpers.register_ruby("def pair(a, b = a.length)\n  [a, b]\nend\n").unwrap();
+        let classes = ClassTable::with_builtins();
+        let mut store = TypeStore::new();
+        let caller: HashMap<String, TlcValue> = [("tself".to_string(), TlcValue::Int(1))].into();
+        let mut ctx = TlcCtx::new(&mut store, &classes, &helpers, caller.clone());
+        assert!(ctx.call_helper("pair", &[TlcValue::Nil]).is_err(), "nil has no `length`");
+        assert_eq!(ctx.bindings, caller);
+        assert_eq!((ctx.depth, ctx.helper_stack.len()), (0, 0));
+        // The default sees the parameters before it.
+        let pair = ctx.call_helper("pair", &[TlcValue::Str("abc".into())]).unwrap();
+        assert_eq!(pair, TlcValue::Array(vec![TlcValue::Str("abc".into()), TlcValue::Int(3)]));
     }
 
     #[test]

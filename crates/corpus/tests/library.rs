@@ -119,14 +119,14 @@ fn merkle_pin(app: &App) -> (u64, usize) {
 #[test]
 fn merkle_hashes_are_pinned_per_app() {
     let pins: [(&str, u64, usize, u64); 8] = [
-        ("Wikipedia", 0x1461ef2e157461f7, 14, 0x6ada7985ce99ffde),
-        ("Twitter", 0xf3a554203494ed3e, 6, 0x9757589256e796fd),
-        ("Discourse", 0xce169cd1f7e17754, 22, 0x0e524ae305249179),
-        ("Huginn", 0xd957b3958e054e98, 10, 0x65bd4e160b1aa71d),
-        ("Code.org", 0xaaae0aa102727e9e, 11, 0x902587aa3a727bd7),
-        ("Journey", 0xf9dae93e5d9969b1, 13, 0x87ea19a0ecf2ba85),
-        ("Redmine", 0xe5c706396ee72af8, 18, 0x5b95d5ea0b86d633),
-        ("Sequel", 0x95c4c8de31ff86a8, 20, 0x6167ea8116cc8794),
+        ("Wikipedia", 0x1461ef2e157461f7, 14, 0xd4ee17695d4d668b),
+        ("Twitter", 0xf3a554203494ed3e, 6, 0x4efe8a4a1d5e98ac),
+        ("Discourse", 0xce169cd1f7e17754, 22, 0x2ec1f34fafb7e258),
+        ("Huginn", 0xd957b3958e054e98, 10, 0x260903592e824208),
+        ("Code.org", 0xaaae0aa102727e9e, 11, 0xa7c6aba3015dd829),
+        ("Journey", 0xf9dae93e5d9969b1, 13, 0x7ed21dff0df739b1),
+        ("Redmine", 0xe5c706396ee72af8, 18, 0x2b82b994f9ea9a35),
+        ("Sequel", 0x95c4c8de31ff86a8, 20, 0x82b98fe4a2e4a0e5),
     ];
     let apps = corpus::apps::all();
     assert_eq!(apps.len(), pins.len());
