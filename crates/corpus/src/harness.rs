@@ -75,15 +75,6 @@ impl Table2Row {
     pub fn lint_warnings(&self) -> usize {
         self.lints.warning_count()
     }
-
-    /// The dynamic-check overhead as a fraction (e.g. `0.016` for 1.6%).
-    pub fn overhead(&self) -> f64 {
-        let base = self.test_time_no_chk.as_secs_f64();
-        if base == 0.0 {
-            return 0.0;
-        }
-        (self.test_time_with_chk.as_secs_f64() - base) / base
-    }
 }
 
 /// An error produced while evaluating an app (parse failure, runtime blame in
@@ -775,11 +766,5 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
     ));
     let ratio = if totals.3 > 0 { totals.4 as f64 / totals.3 as f64 } else { f64::INFINITY };
     out.push_str(&format!("Cast reduction (RDL / CompRDL): {ratio:.2}x\n"));
-    if totals.7 > 0.0 {
-        out.push_str(&format!(
-            "Dynamic check overhead: {:.1}%\n",
-            (totals.8 - totals.7) / totals.7 * 100.0
-        ));
-    }
     out
 }
