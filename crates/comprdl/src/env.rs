@@ -13,6 +13,7 @@ use rdl_types::{
     parse_method_sig, parse_type_expr, AnnotationTable, ClassTable, MethodSig, PurityEffect,
     TermEffect,
 };
+use std::sync::OnceLock;
 
 /// The assembled CompRDL environment.
 #[derive(Debug, Clone, Default)]
@@ -30,10 +31,13 @@ pub struct CompRdl {
 
 impl CompRdl {
     /// A fresh environment with the builtin class hierarchy and no
-    /// annotations.
+    /// annotations.  The hierarchy is built once per process and shared
+    /// copy-on-write, so an env's first class declaration copies the map's
+    /// nodes and reference counts, not its names.
     pub fn new() -> Self {
+        static BUILTIN_CLASSES: OnceLock<ClassTable> = OnceLock::new();
         CompRdl {
-            classes: ClassTable::with_builtins(),
+            classes: BUILTIN_CLASSES.get_or_init(ClassTable::with_builtins).clone(),
             annotations: AnnotationTable::new(),
             helpers: HelperRegistry::new(),
             loc_per_library: Default::default(),

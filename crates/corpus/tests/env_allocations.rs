@@ -5,8 +5,9 @@
 //! `App::build_env` plus the three `comprdl::explicit_effects` calls a
 //! Table 2 evaluation makes per app (the summary seed and the two checking
 //! passes).  The core library and the DB DSLs are parsed, digested and
-//! joined once per process, so what remains should track the app: its
-//! model classes, schema helpers and own annotations.  Unlike a timing
+//! joined once per process, and the builtin class hierarchy is built once
+//! and shared, so what remains should track the app: its model classes,
+//! schema helpers and own annotations.  Unlike a timing
 //! gate, the count repeats exactly from run to run, so a change that copies
 //! library maps or names per app again fails here on any machine.
 
@@ -39,8 +40,8 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The most allocations the eight apps' env builds and explicit layers may
-/// make together.
-const MAX_ENV_ALLOCATIONS: u64 = 2_800;
+/// make together: 15% above the 1,719 they make.
+const MAX_ENV_ALLOCATIONS: u64 = 1_970;
 
 #[test]
 fn env_builds_and_explicit_layers_stay_under_their_allocation_bound() {
