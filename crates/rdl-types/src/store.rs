@@ -1084,6 +1084,68 @@ mod tests {
         assert_eq!(store.fingerprint(&s), 0xc0a6ae7c1b2c25bb);
     }
 
+    /// Weakly updates every store-backed level of `ty`: a new key on each
+    /// finite hash, a widened first element on each tuple.
+    fn weak_update_every_level(store: &mut TypeStore, ty: &Type) {
+        match ty {
+            Type::FiniteHash(id) => {
+                let entries = store.finite_hash(*id).entries.clone();
+                for (_, v) in entries.iter() {
+                    weak_update_every_level(store, v);
+                }
+                store.weak_update_hash(*id, HashKey::Sym("added".into()), Type::nil());
+            }
+            Type::Tuple(id) => {
+                store.weak_update_tuple(*id, 0, Type::nominal("String"));
+            }
+            _ => {}
+        }
+    }
+
+    /// What a weak update may change: the top level's content, the digest
+    /// and the rendering of every level.
+    fn observed(store: &TypeStore, ty: &Type) -> (String, u64, String) {
+        let content = match ty {
+            Type::FiniteHash(id) => format!("{:?}", store.finite_hash(*id).entries),
+            Type::Tuple(id) => format!("{:?}", store.tuple(*id).elems),
+            other => panic!("{other} is not a hash or tuple"),
+        };
+        (content, store.fingerprint(ty), store.render(ty))
+    }
+
+    #[test]
+    fn a_deep_copy_and_its_source_unshare_on_weak_update() {
+        let mut store = TypeStore::new();
+        let flat = store.new_finite_hash(vec![
+            (HashKey::Sym("id".into()), Type::nominal("Integer")),
+            (HashKey::Str("name".into()), Type::nominal("String")),
+        ]);
+        let emails =
+            store.new_finite_hash(vec![(HashKey::Sym("email".into()), Type::nominal("String"))]);
+        let nested = store.new_finite_hash(vec![
+            (HashKey::Sym("id".into()), Type::nominal("Integer")),
+            (HashKey::Sym("emails".into()), Type::Optional(Box::new(emails.clone()))),
+            (HashKey::Sym("primary".into()), emails),
+        ]);
+        let tuple = store.new_tuple(vec![Type::int(1), Type::sym("a")]);
+        for original in [flat, nested, tuple] {
+            // Weak-update the copy, then the original.
+            for update_copy in [true, false] {
+                let copy = store.deep_copy(&original);
+                assert_ne!(copy, original, "a copy gets a fresh id");
+                let (_, fp, render) = observed(&store, &original);
+                assert_eq!(observed(&store, &copy).1, fp);
+                assert_eq!(observed(&store, &copy).2, render);
+                let (updated, kept) =
+                    if update_copy { (&copy, &original) } else { (&original, &copy) };
+                let before = observed(&store, kept);
+                weak_update_every_level(&mut store, updated);
+                assert_eq!(observed(&store, kept), before, "{render}: the other side moved");
+                assert_ne!(observed(&store, updated).1, before.1, "{render}: no update");
+            }
+        }
+    }
+
     #[test]
     fn named_slots_bump_generation_only_on_change() {
         let mut store = TypeStore::new();

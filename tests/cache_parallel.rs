@@ -4,6 +4,8 @@
 //! the cached / parallel runs must produce **byte-identical** output to the
 //! uncached / sequential baseline.
 
+mod scale;
+
 use comprdl::{CheckCache, CheckOptions, SharedMemo, TypeChecker};
 use diagnostics::DiagnosticBag;
 use std::sync::Arc;
@@ -152,63 +154,10 @@ fn evaluate_app_rows_render_identically_for_any_thread_count() {
     assert!(parallel_merges > 0, "some edit must mix replay with a parallel re-check");
 }
 
-/// A Discourse-schema workload with `methods` checked methods, each making
-/// four DB query calls whose comp types evaluate over a small set of
-/// distinct query shapes.  The corpus apps have a handful of call sites
-/// each; this models the density of a real Rails app, where the same
-/// `where` / `exists?` comp types are evaluated at hundreds of call sites,
-/// which is what the evaluation cache and per-method threading are for.
-fn scale_workload(methods: usize) -> (comprdl::CompRdl, ruby_syntax::Program) {
-    use db_types::{ColumnType, DbRegistry};
-
-    let mut db = DbRegistry::new();
-    db.add_table(
-        "users",
-        &[
-            ("id", ColumnType::Integer),
-            ("username", ColumnType::String),
-            ("staged", ColumnType::Boolean),
-        ],
-    );
-    db.add_table(
-        "emails",
-        &[
-            ("id", ColumnType::Integer),
-            ("email", ColumnType::String),
-            ("user_id", ColumnType::Integer),
-        ],
-    );
-    db.add_model("User", "users");
-    db.add_model("Email", "emails");
-    db.add_association("User", "emails", "emails");
-
-    let mut env = comprdl::CompRdl::new();
-    comprdl::stdlib::register_all(&mut env);
-    db_types::register_all(&mut env, Arc::new(db));
-
-    let mut src = String::from("class User < ActiveRecord::Base\n");
-    for i in 0..methods {
-        env.type_sig_singleton("User", &format!("m{i}"), "(String) -> %bool", Some("app"));
-        // Four query call sites per method, including a raw-SQL `where`
-        // whose comp type runs the embedded SQL type checker, the most
-        // expensive evaluation the cache saves.
-        src.push_str(&format!(
-            "  def self.m{i}(name)\n    \
-             a = User.exists?({{ username: name }})\n    \
-             b = User.where({{ staged: true }}).exists?({{ username: name }})\n    \
-             c = User.joins(:emails).exists?({{ username: name, emails: {{ email: name }} }})\n    \
-             d = User.where('username = ? AND id IN (SELECT user_id FROM emails WHERE email = ?)', name, name).exists?()\n    \
-             a || b || c || d\n  end\n"
-        ));
-    }
-    src.push_str("end\n");
-    let program = ruby_syntax::parse_program_strict(&src).expect("generated workload parses");
-    (env, program)
-}
-
 #[test]
 fn the_eval_cache_agrees_with_uncached_checking_and_hits_on_the_scale_workload() {
-    let (env, program) = scale_workload(40);
+    let (env, source) = scale::scale_workload(40);
+    let program = ruby_syntax::parse_program_strict(&source).expect("generated workload parses");
     let check = |options| TypeChecker::new(&env, &program, options).check_labeled("app");
     let cached = check(CheckOptions::default());
     let uncached = check(CheckOptions { use_eval_cache: false, ..CheckOptions::default() });
