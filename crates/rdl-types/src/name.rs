@@ -36,12 +36,6 @@ impl Deref for Name {
     }
 }
 
-impl AsRef<str> for Name {
-    fn as_ref(&self) -> &str {
-        &self.0
-    }
-}
-
 impl Borrow<str> for Name {
     fn borrow(&self) -> &str {
         &self.0
@@ -71,12 +65,6 @@ impl From<String> for Name {
 impl From<fmt::Arguments<'_>> for Name {
     fn from(args: fmt::Arguments<'_>) -> Self {
         Name::from(fmt::format(args))
-    }
-}
-
-impl From<&Name> for Name {
-    fn from(n: &Name) -> Self {
-        n.clone()
     }
 }
 
