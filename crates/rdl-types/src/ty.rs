@@ -256,33 +256,6 @@ impl Type {
         matches!(self, Type::Singleton(_) | Type::ConstString(_))
     }
 
-    /// Returns the type variables that occur free in this type.
-    pub fn free_vars(&self) -> Vec<Name> {
-        let mut out = Vec::new();
-        self.collect_vars(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_vars(&self, out: &mut Vec<Name>) {
-        match self {
-            Type::Var(v) => out.push(v.clone()),
-            Type::Generic { args, .. } => {
-                for a in args {
-                    a.collect_vars(out);
-                }
-            }
-            Type::Union(ts) => {
-                for t in ts {
-                    t.collect_vars(out);
-                }
-            }
-            Type::Optional(t) | Type::Vararg(t) => t.collect_vars(out),
-            _ => {}
-        }
-    }
-
     /// True if the type mentions no type variables.
     pub fn is_ground(&self) -> bool {
         match self {
@@ -389,8 +362,8 @@ mod tests {
             base: "Hash".into(),
             args: vec![Type::Var("k".into()), Type::Var("v".into())],
         };
-        assert_eq!(t.free_vars(), vec!["k".to_string(), "v".to_string()]);
         assert!(!t.is_ground());
+        assert!(!Type::union([Type::nominal("String"), Type::Var("t".into())]).is_ground());
         let s = t.subst(&|v| {
             if v == "k" {
                 Some(Type::nominal("Symbol"))
