@@ -121,6 +121,9 @@ struct LocalFacts {
     calls: Vec<String>,
     /// Non-local writes in walk order, as blame tokens (`@x=`, `$g=`, …).
     writes: Vec<String>,
+    /// Every local the body assigns anywhere: the taint walk reads these
+    /// names as locals, never as calls, exactly as the call graph does.
+    locals: BTreeSet<String>,
 }
 
 /// Whether a block or lambda parameter in scope (`shadow`, innermost last,
@@ -146,8 +149,13 @@ fn assigned_locals(body: &[Expr]) -> BTreeSet<String> {
 }
 
 fn collect_facts(def: &MethodDef) -> LocalFacts {
-    let mut facts =
-        LocalFacts { has_while: false, has_yield: false, calls: Vec::new(), writes: Vec::new() };
+    let mut facts = LocalFacts {
+        has_while: false,
+        has_yield: false,
+        calls: Vec::new(),
+        writes: Vec::new(),
+        locals: BTreeSet::new(),
+    };
     // A poisoned body is a recovery placeholder, not the user's code, so
     // nothing can be proven about it.  The pseudo-callee `<unparsed>` can
     // never resolve (it is not a lexable identifier), which routes both
@@ -166,6 +174,7 @@ fn collect_facts(def: &MethodDef) -> LocalFacts {
     for e in defaults.chain(&def.body) {
         walk_facts(e, &locals, &params, &mut shadow, &mut seen_calls, &mut facts);
     }
+    facts.locals = locals;
     facts
 }
 
@@ -495,7 +504,7 @@ impl ProgramSummaries {
                 &methods, facts, &edges, &scc_of, s, members, cyclic, &resolved, &mut out,
             );
             // Taint: least fixpoint from the empty transfer inside the SCC.
-            Self::solve_taint(&methods, members, &by_name, &mut out);
+            Self::solve_taint(&methods, facts, members, &by_name, &mut out);
         }
 
         let mut index = BTreeMap::new();
@@ -676,6 +685,7 @@ impl ProgramSummaries {
 
     fn solve_taint(
         methods: &[(String, &MethodDef)],
+        facts: &[LocalFacts],
         members: &[usize],
         by_name: &BTreeMap<String, Vec<usize>>,
         out: &mut [Option<MethodSummary>],
@@ -694,7 +704,7 @@ impl ProgramSummaries {
                     }
                     Some(joined)
                 };
-                let fresh = method_taint(def, &lookup);
+                let fresh = method_taint(def, &facts[m].locals, &lookup);
                 let slot = &mut out[m].as_mut().expect("summary present").taint;
                 if *slot != fresh {
                     *slot = fresh;
@@ -853,6 +863,10 @@ type Origins = BTreeSet<Origin>;
 /// One method's taint state; names are borrowed from its body (`'d`).
 struct TaintCtx<'c, 'd> {
     params: BTreeMap<&'d str, usize>,
+    /// Every parameter name, block parameters included.
+    all_params: &'d [ruby_syntax::Param],
+    /// Every local the body assigns anywhere ([`LocalFacts::locals`]).
+    assigned: &'c BTreeSet<String>,
     locals: BTreeMap<&'d str, Origins>,
     sink: Origins,
     ret: Origins,
@@ -863,7 +877,11 @@ struct TaintCtx<'c, 'd> {
 /// (current) summaries of called program methods.  Flow-insensitive: the
 /// body is re-walked until the local origin sets stop growing, which makes
 /// the result a may-over-approximation on loops and branches.
-fn method_taint(def: &MethodDef, lookup: &dyn Fn(&str) -> Option<TaintSummary>) -> TaintSummary {
+fn method_taint(
+    def: &MethodDef,
+    assigned: &BTreeSet<String>,
+    lookup: &dyn Fn(&str) -> Option<TaintSummary>,
+) -> TaintSummary {
     // Unknown body ⇒ conservative pass-through: every argument and the
     // receiver may reach the return value.  Sinks stay clear — claiming a
     // SQL sink inside unparsed code would manufacture phantom LINT0105
@@ -891,6 +909,8 @@ fn method_taint(def: &MethodDef, lookup: &dyn Fn(&str) -> Option<TaintSummary>) 
         .collect();
     let mut ctx = TaintCtx {
         params,
+        all_params: &def.params,
+        assigned,
         locals: BTreeMap::new(),
         sink: Origins::new(),
         ret: Origins::new(),
@@ -932,15 +952,20 @@ fn taint_origins<'d>(
     shadow: &mut Vec<&'d [String]>,
 ) -> Origins {
     match &e.kind {
+        // A bare identifier resolves as `walk_facts` resolves it, so every
+        // name looked up as a call is a call-graph edge: a parameter (block
+        // parameters included), else a local assigned anywhere in the body
+        // (even one not yet assigned in walk order), else a call on `self`.
         ExprKind::Ident(n) => {
             if shadowed(shadow, n) {
                 Origins::new()
             } else if let Some(&i) = ctx.params.get(n.as_str()) {
                 [Origin::Param(i)].into()
-            } else if let Some(o) = ctx.locals.get(n.as_str()) {
-                o.clone()
+            } else if ctx.all_params.iter().any(|p| p.name == *n) {
+                Origins::new()
+            } else if ctx.assigned.contains(n) {
+                ctx.locals.get(n.as_str()).cloned().unwrap_or_default()
             } else {
-                // A bare call on `self`.
                 call_result(None, n, &[], ctx)
             }
         }
@@ -1382,6 +1407,27 @@ mod tests {
         let t = s.taint_for_name("go").unwrap();
         assert!(t.params_to_sink.contains(&0));
         assert!(s.taint_for_name("nonexistent").is_none());
+    }
+
+    /// A bare identifier that names a block parameter, or a local read
+    /// before its assignment in walk order, is not a call: the call graph
+    /// has no edge for it, so a same-named method may be summarized later
+    /// and must not be looked up.
+    #[test]
+    fn identifiers_the_call_graph_does_not_call_are_not_looked_up() {
+        for (src, ret) in [
+            ("def m(x)\n  z = y\n  y = x\n  z\nend\ndef y()\n  1\nend\n", vec![0usize]),
+            ("def m(&blk)\n  blk\nend\ndef blk()\n  1\nend\n", vec![]),
+        ] {
+            let p = parse_program_strict(src).expect("parse");
+            let sums = ProgramSummaries::infer(&p, &seed(), 1);
+            let m = sums.get("Object", "m", false).unwrap();
+            assert_eq!(m.term, TermEffect::Terminates, "{src:?}: {m:?}");
+            assert_eq!(m.taint.params_to_return, ret.into_iter().collect(), "{src:?}: {m:?}");
+            assert_eq!(sums.render(), ProgramSummaries::infer(&p, &seed(), 4).render());
+            let lints = crate::lint_methods(&p.methods(), Some(&sums), 1);
+            assert_eq!(lints.len(), 2, "{src:?}");
+        }
     }
 
     #[test]
