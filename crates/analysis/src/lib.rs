@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod bits;
 pub mod cfg;
 pub mod dataflow;
 pub mod lints;

@@ -34,16 +34,13 @@
 //! Locals spelled with a leading underscore (`_tmp`) are the conventional
 //! "intentionally unused" form and are exempt from `LINT0102`/`LINT0103`.
 
+use crate::bits::Bits;
 use crate::cfg::Cfg;
 use crate::dataflow::{solve, DataflowProblem, Direction};
-use crate::summaries::ProgramSummaries;
+use crate::summaries::{ProgramSummaries, RECV};
 use diagnostics::{Diagnostic, Span};
 use ruby_syntax::{method_hash, Expr, ExprKind, LValue, MethodDef};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A dataflow fact: a set of local names borrowed from the method body.
-type Names<'a> = BTreeSet<&'a str>;
 
 /// Use before definition.
 pub const USE_BEFORE_DEF: &str = "LINT0101";
@@ -248,69 +245,128 @@ fn walk_names<'a>(e: &'a Expr, shadow: &mut Shadow<'a>, sink: &mut dyn NameSink<
     }
 }
 
-/// Every local assigned anywhere in the body, with the span of its first
-/// assignment, in walk order.
-fn assigned_locals(body: &[Expr]) -> BTreeMap<&str, Span> {
-    struct Defs<'a>(BTreeMap<&'a str, Span>);
-    impl<'a> NameSink<'a> for Defs<'a> {
-        fn on_def(&mut self, e: &'a Expr, name: &'a str) {
-            self.0.entry(name).or_insert(e.span);
-        }
-    }
-    let mut sink = Defs(BTreeMap::new());
-    for stmt in body {
-        walk_names(stmt, &mut Vec::new(), &mut sink);
-    }
-    sink.0
+/// A method's local-name slots: its parameters, every local it assigns and
+/// every identifier it reads, sorted.  A dataflow fact is a [`Bits`] set
+/// over these slots.
+///
+/// The table comes from the same [`walk_names`] walk that the transfer
+/// functions make, so every name they meet has a slot.  Only a sink
+/// argument's scratch evaluation ([`reads_tainted`]), which ignores block
+/// scopes, can meet a name without one (a block parameter); such a name
+/// reads as absent and is never added.
+struct Slots<'a> {
+    names: Vec<&'a str>,
 }
 
-/// Every local read anywhere in the body.
-fn used_locals(body: &[Expr]) -> Names<'_> {
-    struct Uses<'a>(Names<'a>);
-    impl<'a> NameSink<'a> for Uses<'a> {
-        fn on_use(&mut self, _e: &'a Expr, name: &'a str) {
-            self.0.insert(name);
+impl Slots<'_> {
+    fn of(&self, name: &str) -> Option<usize> {
+        self.names.binary_search(&name).ok()
+    }
+
+    fn contains(&self, fact: &Bits, name: &str) -> bool {
+        self.of(name).is_some_and(|i| fact.contains(i))
+    }
+
+    fn insert(&self, fact: &mut Bits, name: &str) {
+        if let Some(i) = self.of(name) {
+            fact.insert(i);
         }
     }
-    let mut sink = Uses(Names::new());
-    for stmt in body {
-        walk_names(stmt, &mut Vec::new(), &mut sink);
+
+    fn remove(&self, fact: &mut Bits, name: &str) {
+        if let Some(i) = self.of(name) {
+            fact.remove(i);
+        }
     }
-    sink.0
+}
+
+/// What one walk over a method body finds out about its names.
+struct MethodNames<'a> {
+    slots: Slots<'a>,
+    /// Every parameter, block parameters included.
+    params: Bits,
+    /// Every local read anywhere in the body.
+    used: Bits,
+    /// Every local assigned anywhere in the body.
+    assigned: Bits,
+    /// Each assigned local with the span of its first assignment, in walk
+    /// order.
+    first_defs: Vec<(usize, Span)>,
+}
+
+impl<'a> MethodNames<'a> {
+    fn of(def: &'a MethodDef) -> MethodNames<'a> {
+        #[derive(Default)]
+        struct Walk<'a> {
+            uses: Vec<&'a str>,
+            defs: Vec<(&'a str, Span)>,
+        }
+        impl<'a> NameSink<'a> for Walk<'a> {
+            fn on_use(&mut self, _e: &'a Expr, name: &'a str) {
+                self.uses.push(name);
+            }
+            fn on_def(&mut self, e: &'a Expr, name: &'a str) {
+                self.defs.push((name, e.span));
+            }
+        }
+        let mut walk = Walk::default();
+        for stmt in &def.body {
+            walk_names(stmt, &mut Vec::new(), &mut walk);
+        }
+        let mut names: Vec<&str> = def.params.iter().map(|p| p.name.as_str()).collect();
+        names.extend(&walk.uses);
+        names.extend(walk.defs.iter().map(|(n, _)| *n));
+        names.sort_unstable();
+        names.dedup();
+        let slots = Slots { names };
+        let slot = |name: &str| slots.of(name).expect("the walk's names have slots");
+        let params = def.params.iter().map(|p| slot(&p.name)).collect();
+        let used = walk.uses.iter().map(|n| slot(n)).collect();
+        let mut assigned = Bits::new();
+        let mut first_defs = Vec::new();
+        for (name, span) in walk.defs {
+            let i = slot(name);
+            if assigned.insert(i) {
+                first_defs.push((i, span));
+            }
+        }
+        MethodNames { slots, params, used, assigned, first_defs }
+    }
 }
 
 // ---------------------------------------------------------------------------
 // LINT0101: definite assignment (forward must-analysis)
 // ---------------------------------------------------------------------------
 
-struct DefiniteAssign<'a> {
-    universe: Names<'a>,
-    params: Names<'a>,
+struct DefiniteAssign<'s, 'a> {
+    slots: &'s Slots<'a>,
+    universe: Bits,
+    params: Bits,
 }
 
-struct InsertDefs<'f, 'a>(&'f mut Names<'a>);
-impl<'a> NameSink<'a> for InsertDefs<'_, 'a> {
+struct InsertDefs<'f, 's, 'a>(&'s Slots<'a>, &'f mut Bits);
+impl<'a> NameSink<'a> for InsertDefs<'_, '_, 'a> {
     fn on_def(&mut self, _e: &'a Expr, name: &'a str) {
-        self.0.insert(name);
+        self.0.insert(self.1, name);
     }
 }
 
-impl<'a> DataflowProblem<'a> for DefiniteAssign<'a> {
-    type Fact = Names<'a>;
+impl<'a> DataflowProblem<'a> for DefiniteAssign<'_, 'a> {
+    type Fact = Bits;
     fn direction(&self) -> Direction {
         Direction::Forward
     }
-    fn boundary(&self) -> Names<'a> {
+    fn boundary(&self) -> Bits {
         self.params.clone()
     }
-    fn top(&self) -> Names<'a> {
+    fn top(&self) -> Bits {
         self.universe.clone()
     }
-    fn join(&self, into: &mut Names<'a>, from: &Names<'a>) {
-        into.retain(|n| from.contains(n));
+    fn join(&self, into: &mut Bits, from: &Bits) {
+        into.intersect(from);
     }
-    fn transfer(&self, stmt: &'a Expr, fact: &mut Names<'a>) {
-        walk_names(stmt, &mut Vec::new(), &mut InsertDefs(fact));
+    fn transfer(&self, stmt: &'a Expr, fact: &mut Bits) {
+        walk_names(stmt, &mut Vec::new(), &mut InsertDefs(self.slots, fact));
     }
 }
 
@@ -318,37 +374,39 @@ impl<'a> DataflowProblem<'a> for DefiniteAssign<'a> {
 // LINT0103: liveness (backward may-analysis)
 // ---------------------------------------------------------------------------
 
-struct Liveness;
+struct Liveness<'s, 'a> {
+    slots: &'s Slots<'a>,
+}
 
-struct InsertUses<'f, 'a>(&'f mut Names<'a>);
-impl<'a> NameSink<'a> for InsertUses<'_, 'a> {
+struct InsertUses<'f, 's, 'a>(&'s Slots<'a>, &'f mut Bits);
+impl<'a> NameSink<'a> for InsertUses<'_, '_, 'a> {
     fn on_use(&mut self, _e: &'a Expr, name: &'a str) {
-        self.0.insert(name);
+        self.0.insert(self.1, name);
     }
 }
 
-impl<'a> DataflowProblem<'a> for Liveness {
-    type Fact = Names<'a>;
+impl<'a> DataflowProblem<'a> for Liveness<'_, 'a> {
+    type Fact = Bits;
     fn direction(&self) -> Direction {
         Direction::Backward
     }
-    fn boundary(&self) -> Names<'a> {
-        Names::new()
+    fn boundary(&self) -> Bits {
+        Bits::new()
     }
-    fn top(&self) -> Names<'a> {
-        Names::new()
+    fn top(&self) -> Bits {
+        Bits::new()
     }
-    fn join(&self, into: &mut Names<'a>, from: &Names<'a>) {
-        into.extend(from.iter().copied());
+    fn join(&self, into: &mut Bits, from: &Bits) {
+        into.union(from);
     }
-    fn transfer(&self, stmt: &'a Expr, fact: &mut Names<'a>) {
+    fn transfer(&self, stmt: &'a Expr, fact: &mut Bits) {
         // Only a statement-position `x = v` kills `x`; nested assignments
         // conservatively leave liveness alone.
         if let ExprKind::Assign { target: LValue::Local(n), value } = &stmt.kind {
-            fact.remove(n.as_str());
-            walk_names(value, &mut Vec::new(), &mut InsertUses(fact));
+            self.slots.remove(fact, n);
+            walk_names(value, &mut Vec::new(), &mut InsertUses(self.slots, fact));
         } else {
-            walk_names(stmt, &mut Vec::new(), &mut InsertUses(fact));
+            walk_names(stmt, &mut Vec::new(), &mut InsertUses(self.slots, fact));
         }
     }
 }
@@ -357,190 +415,202 @@ impl<'a> DataflowProblem<'a> for Liveness {
 // LINT0105: SQL interpolation taint (forward may-analysis)
 // ---------------------------------------------------------------------------
 
-struct TaintWithParams<'s, 'a> {
-    params: Names<'a>,
+/// What a taint evaluation reads besides the fact: the method's slots and,
+/// for interprocedural `LINT0105`, the program's effect summaries.
+#[derive(Clone, Copy)]
+struct TaintCx<'s, 'a> {
+    slots: &'s Slots<'a>,
     summaries: Option<&'s ProgramSummaries>,
 }
 
+struct TaintWithParams<'s, 'a> {
+    params: Bits,
+    cx: TaintCx<'s, 'a>,
+}
+
 impl<'a> DataflowProblem<'a> for TaintWithParams<'_, 'a> {
-    type Fact = Names<'a>;
+    type Fact = Bits;
     fn direction(&self) -> Direction {
         Direction::Forward
     }
-    fn boundary(&self) -> Names<'a> {
+    fn boundary(&self) -> Bits {
         self.params.clone()
     }
-    fn top(&self) -> Names<'a> {
-        Names::new()
+    fn top(&self) -> Bits {
+        Bits::new()
     }
-    fn join(&self, into: &mut Names<'a>, from: &Names<'a>) {
-        into.extend(from.iter().copied());
+    fn join(&self, into: &mut Bits, from: &Bits) {
+        into.union(from);
     }
-    fn transfer(&self, stmt: &'a Expr, fact: &mut Names<'a>) {
-        taint_eval(stmt, fact, &mut Vec::new(), self.summaries, &mut |_, _, _| {});
+    fn transfer(&self, stmt: &'a Expr, fact: &mut Bits) {
+        taint_eval(stmt, fact, self.cx, &mut Vec::new(), &mut |_, _, _| {});
     }
 }
 
 /// Evaluates `e` for taint: returns whether its value is derived from a
 /// tainted name, updates `fact` across assignments, and invokes
 /// `on_sink(call, arg_index, fact)` on every sink argument — the first
-/// argument of a literal SQL-sink call, plus (when `summaries` are
-/// supplied) every argument a callee's summary routes into a sink.
+/// argument of a literal SQL-sink call, plus (when `cx` has summaries)
+/// every argument a callee's summary routes into a sink.
 fn taint_eval<'a>(
     e: &'a Expr,
-    fact: &mut Names<'a>,
+    fact: &mut Bits,
+    cx: TaintCx<'_, 'a>,
     shadow: &mut Shadow<'a>,
-    summaries: Option<&ProgramSummaries>,
-    on_sink: &mut dyn FnMut(&'a Expr, usize, &Names<'a>),
+    on_sink: &mut dyn FnMut(&'a Expr, usize, &Bits),
 ) -> bool {
     match &e.kind {
-        ExprKind::Ident(n) => !shadowed(shadow, n) && fact.contains(n.as_str()),
+        ExprKind::Ident(n) => !shadowed(shadow, n) && cx.slots.contains(fact, n),
         ExprKind::Array(items) => {
             let mut t = false;
             for item in items {
-                t |= taint_eval(item, fact, shadow, summaries, on_sink);
+                t |= taint_eval(item, fact, cx, shadow, on_sink);
             }
             t
         }
         ExprKind::Hash(pairs) => {
             let mut t = false;
             for (k, v) in pairs {
-                t |= taint_eval(k, fact, shadow, summaries, on_sink);
-                t |= taint_eval(v, fact, shadow, summaries, on_sink);
+                t |= taint_eval(k, fact, cx, shadow, on_sink);
+                t |= taint_eval(v, fact, cx, shadow, on_sink);
             }
             t
         }
         ExprKind::Assign { target, value } => {
             match target {
                 LValue::Index { recv, index } => {
-                    taint_eval(recv, fact, shadow, summaries, on_sink);
-                    taint_eval(index, fact, shadow, summaries, on_sink);
+                    taint_eval(recv, fact, cx, shadow, on_sink);
+                    taint_eval(index, fact, cx, shadow, on_sink);
                 }
                 LValue::Attr { recv, .. } => {
-                    taint_eval(recv, fact, shadow, summaries, on_sink);
+                    taint_eval(recv, fact, cx, shadow, on_sink);
                 }
                 _ => {}
             }
-            let t = taint_eval(value, fact, shadow, summaries, on_sink);
+            let t = taint_eval(value, fact, cx, shadow, on_sink);
             if let LValue::Local(n) = target {
                 if !shadowed(shadow, n) {
                     if t {
-                        fact.insert(n);
+                        cx.slots.insert(fact, n);
                     } else {
-                        fact.remove(n.as_str());
+                        cx.slots.remove(fact, n);
                     }
                 }
             }
             t
         }
         ExprKind::OpAssign { target, value, .. } => {
-            let mut t = taint_eval(value, fact, shadow, summaries, on_sink);
+            let mut t = taint_eval(value, fact, cx, shadow, on_sink);
             if let LValue::Local(n) = target {
                 if !shadowed(shadow, n) {
-                    t |= fact.contains(n.as_str());
+                    t |= cx.slots.contains(fact, n);
                     if t {
-                        fact.insert(n);
+                        cx.slots.insert(fact, n);
                     }
                 }
             }
             t
         }
         ExprKind::Call { recv, name, args, block } => {
-            let recv_t =
-                recv.as_ref().is_some_and(|r| taint_eval(r, fact, shadow, summaries, on_sink));
-            let arg_t: Vec<bool> =
-                args.iter().map(|a| taint_eval(a, fact, shadow, summaries, on_sink)).collect();
+            let recv_t = recv.as_ref().is_some_and(|r| taint_eval(r, fact, cx, shadow, on_sink));
+            let mut arg_t = Bits::new();
+            for (i, arg) in args.iter().enumerate() {
+                if taint_eval(arg, fact, cx, shadow, on_sink) {
+                    arg_t.insert(i);
+                }
+            }
             if let Some(b) = block {
                 shadow.push(&b.params);
                 for stmt in &b.body {
-                    taint_eval(stmt, fact, shadow, summaries, on_sink);
+                    taint_eval(stmt, fact, cx, shadow, on_sink);
                 }
                 shadow.pop();
             }
             // Sink positions: argument 0 of a literal SQL sink, plus every
-            // argument the callee's taint summary routes into a sink.
-            let mut sink_args = BTreeSet::new();
+            // argument the callee's taint summary routes into a sink.  A
+            // transfer's bit `i + 1` is argument `i`.
+            let mut sink_args = Bits::new();
             if SQL_SINKS.contains(&name.as_str()) && !args.is_empty() {
-                sink_args.insert(0usize);
+                sink_args.insert(0);
             }
-            let summary = summaries.and_then(|s| s.taint_for_name(name));
-            if let Some(ts) = &summary {
-                for &i in &ts.params_to_sink {
+            let callee = cx.summaries.and_then(|s| s.transfer_for_name(name));
+            if let Some(t) = &callee {
+                for i in t.sink.iter().filter(|&b| b != RECV).map(|b| b - 1) {
                     if i < args.len() {
                         sink_args.insert(i);
                     }
                 }
             }
-            for &i in &sink_args {
+            for i in sink_args.iter() {
                 on_sink(e, i, fact);
             }
-            match &summary {
+            match &callee {
                 // A summarized callee: taint flows to the result exactly
                 // along the inferred return transfer.
-                Some(ts) => {
-                    ts.params_to_return.iter().any(|&i| arg_t.get(i).copied().unwrap_or(false))
-                        || (ts.self_to_return && recv_t)
+                Some(t) => {
+                    t.ret.iter().any(|b| b != RECV && arg_t.contains(b - 1))
+                        || (t.ret.contains(RECV) && recv_t)
                 }
                 // Unknown callee: conservatively derive from every input.
-                None => recv_t || arg_t.iter().any(|&t| t),
+                None => recv_t || !arg_t.is_empty(),
             }
         }
         ExprKind::BoolOp { lhs, rhs, .. } => {
-            let l = taint_eval(lhs, fact, shadow, summaries, on_sink);
-            let r = taint_eval(rhs, fact, shadow, summaries, on_sink);
+            let l = taint_eval(lhs, fact, cx, shadow, on_sink);
+            let r = taint_eval(rhs, fact, cx, shadow, on_sink);
             l || r
         }
         ExprKind::Not(inner) | ExprKind::TypeCast { expr: inner, .. } => {
-            taint_eval(inner, fact, shadow, summaries, on_sink)
+            taint_eval(inner, fact, cx, shadow, on_sink)
         }
         ExprKind::If { arms, else_body } => {
             let mut t = false;
             for arm in arms {
-                taint_eval(&arm.cond, fact, shadow, summaries, on_sink);
+                taint_eval(&arm.cond, fact, cx, shadow, on_sink);
                 for stmt in &arm.body {
-                    t |= taint_eval(stmt, fact, shadow, summaries, on_sink);
+                    t |= taint_eval(stmt, fact, cx, shadow, on_sink);
                 }
             }
             for stmt in else_body {
-                t |= taint_eval(stmt, fact, shadow, summaries, on_sink);
+                t |= taint_eval(stmt, fact, cx, shadow, on_sink);
             }
             t
         }
         ExprKind::Case { subject, arms, else_body } => {
-            taint_eval(subject, fact, shadow, summaries, on_sink);
+            taint_eval(subject, fact, cx, shadow, on_sink);
             let mut t = false;
             for arm in arms {
-                taint_eval(&arm.cond, fact, shadow, summaries, on_sink);
+                taint_eval(&arm.cond, fact, cx, shadow, on_sink);
                 for stmt in &arm.body {
-                    t |= taint_eval(stmt, fact, shadow, summaries, on_sink);
+                    t |= taint_eval(stmt, fact, cx, shadow, on_sink);
                 }
             }
             for stmt in else_body {
-                t |= taint_eval(stmt, fact, shadow, summaries, on_sink);
+                t |= taint_eval(stmt, fact, cx, shadow, on_sink);
             }
             t
         }
         ExprKind::While { cond, body } => {
-            taint_eval(cond, fact, shadow, summaries, on_sink);
+            taint_eval(cond, fact, cx, shadow, on_sink);
             for stmt in body {
-                taint_eval(stmt, fact, shadow, summaries, on_sink);
+                taint_eval(stmt, fact, cx, shadow, on_sink);
             }
             false
         }
         ExprKind::Return(Some(v)) => {
-            taint_eval(v, fact, shadow, summaries, on_sink);
+            taint_eval(v, fact, cx, shadow, on_sink);
             false
         }
         ExprKind::Yield(args) => {
             for arg in args {
-                taint_eval(arg, fact, shadow, summaries, on_sink);
+                taint_eval(arg, fact, cx, shadow, on_sink);
             }
             false
         }
         ExprKind::Lambda(b) => {
             shadow.push(&b.params);
             for stmt in &b.body {
-                taint_eval(stmt, fact, shadow, summaries, on_sink);
+                taint_eval(stmt, fact, cx, shadow, on_sink);
             }
             shadow.pop();
             false
@@ -564,19 +634,19 @@ fn concat_parts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
 /// Whether `e`'s value derives from a tainted name — evaluated with the
 /// same summary-aware rules as the taint facts themselves, against a
 /// scratch copy of `fact` so sink callbacks and assignments don't reenter.
-fn reads_tainted(e: &Expr, fact: &Names<'_>, summaries: Option<&ProgramSummaries>) -> bool {
+fn reads_tainted<'a>(e: &'a Expr, fact: &Bits, cx: TaintCx<'_, 'a>) -> bool {
     let mut scratch = fact.clone();
-    taint_eval(e, &mut scratch, &mut Vec::new(), summaries, &mut |_, _, _| {})
+    taint_eval(e, &mut scratch, cx, &mut Vec::new(), &mut |_, _, _| {})
 }
 
 /// Inspects one sink argument and pushes a `LINT0105` finding if a tainted
 /// non-literal part is concatenated with SQL text that `sql_tc` can parse
 /// as a condition.
-fn check_sql_sink(
-    call: &Expr,
+fn check_sql_sink<'a>(
+    call: &'a Expr,
     arg: usize,
-    fact: &Names<'_>,
-    summaries: Option<&ProgramSummaries>,
+    fact: &Bits,
+    cx: TaintCx<'_, 'a>,
     findings: &mut Vec<LintFinding>,
 ) {
     let ExprKind::Call { args, .. } = &call.kind else { return };
@@ -596,7 +666,7 @@ fn check_sql_sink(
                 fragment.push_str(s);
             }
             _ => {
-                has_tainted |= reads_tainted(part, fact, summaries);
+                has_tainted |= reads_tainted(part, fact, cx);
                 fragment.push('?');
             }
         }
@@ -661,20 +731,18 @@ pub fn lint_method_with_summaries(
     let cfg = Cfg::build(&def.body);
     let reachable = cfg.reachable();
     let mut findings = Vec::new();
-
-    let params: Names = def.params.iter().map(|p| p.name.as_str()).collect();
-    let assigned = assigned_locals(&def.body);
-    let used = used_locals(&def.body);
+    let MethodNames { slots, params, used, assigned, first_defs } = MethodNames::of(def);
 
     // LINT0102: assigned but never read.  A leading underscore is the
     // conventional "intentionally unused" spelling and stays quiet.
-    for (name, span) in &assigned {
-        if !used.contains(name) && !params.contains(name) && !name.starts_with('_') {
+    for &(i, span) in &first_defs {
+        let name = slots.names[i];
+        if !used.contains(i) && !params.contains(i) && !name.starts_with('_') {
             findings.push(LintFinding {
                 code: UNUSED_VARIABLE.to_string(),
                 message: format!("local variable `{name}` is never used"),
                 label: "assigned here but never read".to_string(),
-                span: *span,
+                span,
             });
         }
     }
@@ -684,22 +752,24 @@ pub fn lint_method_with_summaries(
     // identifier that is never assigned is a method call on `self` in this
     // subset, not a variable.
     {
-        let mut universe: Names = assigned.keys().copied().collect();
-        universe.extend(params.iter().copied());
-        let sol = solve(&cfg, &DefiniteAssign { universe, params: params.clone() });
+        let mut universe = assigned.clone();
+        universe.union(&params);
+        let sol = solve(&cfg, &DefiniteAssign { slots: &slots, universe, params: params.clone() });
         struct Report<'x, 'a> {
-            fact: Names<'a>,
-            assigned: &'x BTreeMap<&'a str, Span>,
-            params: &'x Names<'a>,
-            reported: Names<'a>,
+            slots: &'x Slots<'a>,
+            fact: Bits,
+            assigned: &'x Bits,
+            params: &'x Bits,
+            reported: Bits,
             findings: Vec<LintFinding>,
         }
         impl<'a> NameSink<'a> for Report<'_, 'a> {
             fn on_use(&mut self, e: &'a Expr, name: &'a str) {
-                if self.assigned.contains_key(name)
-                    && !self.params.contains(name)
-                    && !self.fact.contains(name)
-                    && self.reported.insert(name)
+                let Some(i) = self.slots.of(name) else { return };
+                if self.assigned.contains(i)
+                    && !self.params.contains(i)
+                    && !self.fact.contains(i)
+                    && self.reported.insert(i)
                 {
                     self.findings.push(LintFinding {
                         code: USE_BEFORE_DEF.to_string(),
@@ -710,14 +780,15 @@ pub fn lint_method_with_summaries(
                 }
             }
             fn on_def(&mut self, _e: &'a Expr, name: &'a str) {
-                self.fact.insert(name);
+                self.slots.insert(&mut self.fact, name);
             }
         }
         let mut report = Report {
-            fact: Names::new(),
+            slots: &slots,
+            fact: Bits::new(),
             assigned: &assigned,
             params: &params,
-            reported: Names::new(),
+            reported: Bits::new(),
             findings: Vec::new(),
         };
         for (b, block) in cfg.blocks.iter().enumerate() {
@@ -736,7 +807,7 @@ pub fn lint_method_with_summaries(
     // can observe.  The method's tail statement is its implicit return
     // value, so it is exempt; names never read at all are LINT0102's job.
     {
-        let sol = solve(&cfg, &Liveness);
+        let sol = solve(&cfg, &Liveness { slots: &slots });
         let tail: Option<*const Expr> = def.body.last().map(|e| e as *const Expr);
         for (b, block) in cfg.blocks.iter().enumerate() {
             if !reachable[b] {
@@ -745,8 +816,8 @@ pub fn lint_method_with_summaries(
             let mut live = sol.block_out[b].clone();
             for stmt in block.stmts.iter().rev() {
                 if let ExprKind::Assign { target: LValue::Local(n), value } = &stmt.kind {
-                    if used.contains(n.as_str())
-                        && !live.contains(n.as_str())
+                    if slots.contains(&used, n)
+                        && !slots.contains(&live, n)
                         && !n.starts_with('_')
                         && Some(*stmt as *const Expr) != tail
                     {
@@ -758,10 +829,10 @@ pub fn lint_method_with_summaries(
                             span: stmt.span,
                         });
                     }
-                    live.remove(n.as_str());
-                    walk_names(value, &mut Vec::new(), &mut InsertUses(&mut live));
+                    slots.remove(&mut live, n);
+                    walk_names(value, &mut Vec::new(), &mut InsertUses(&slots, &mut live));
                 } else {
-                    walk_names(stmt, &mut Vec::new(), &mut InsertUses(&mut live));
+                    walk_names(stmt, &mut Vec::new(), &mut InsertUses(&slots, &mut live));
                 }
             }
         }
@@ -785,10 +856,15 @@ pub fn lint_method_with_summaries(
     }
 
     // LINT0105: parameter-derived values concatenated into SQL fragments.
-    let taint_seed: Names =
-        def.params.iter().filter(|p| !p.block).map(|p| p.name.as_str()).collect();
+    let taint_seed: Bits = def
+        .params
+        .iter()
+        .filter(|p| !p.block)
+        .map(|p| slots.of(&p.name).expect("parameters have slots"))
+        .collect();
     if !taint_seed.is_empty() {
-        let sol = solve(&cfg, &TaintWithParams { params: taint_seed, summaries });
+        let cx = TaintCx { slots: &slots, summaries };
+        let sol = solve(&cfg, &TaintWithParams { params: taint_seed, cx });
         let mut sink_findings = Vec::new();
         for (b, block) in cfg.blocks.iter().enumerate() {
             if !reachable[b] {
@@ -796,8 +872,8 @@ pub fn lint_method_with_summaries(
             }
             let mut fact = sol.block_in[b].clone();
             for stmt in &block.stmts {
-                taint_eval(stmt, &mut fact, &mut Vec::new(), summaries, &mut |call, arg, fact| {
-                    check_sql_sink(call, arg, fact, summaries, &mut sink_findings);
+                taint_eval(stmt, &mut fact, cx, &mut Vec::new(), &mut |call, arg, fact| {
+                    check_sql_sink(call, arg, fact, cx, &mut sink_findings);
                 });
             }
         }

@@ -43,8 +43,9 @@
 //! [`infer`]: ProgramSummaries::infer
 //! [`render`]: ProgramSummaries::render
 
+use crate::bits::Bits;
 use rdl_types::{EffectLookup, PurityEffect, TermEffect};
-use ruby_syntax::{Expr, ExprKind, LValue, MethodDef, Program};
+use ruby_syntax::{Expr, ExprKind, LValue, MethodDef, Param, Program};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -66,15 +67,6 @@ pub struct TaintSummary {
     pub self_to_return: bool,
     /// The receiver may flow into a SQL sink.
     pub self_to_sink: bool,
-}
-
-impl TaintSummary {
-    fn join(&mut self, other: &TaintSummary) {
-        self.params_to_return.extend(&other.params_to_return);
-        self.params_to_sink.extend(&other.params_to_sink);
-        self.self_to_return |= other.self_to_return;
-        self.self_to_sink |= other.self_to_sink;
-    }
 }
 
 /// The inferred effects of one method.
@@ -394,6 +386,8 @@ pub struct ProgramSummaries {
     /// Name-resolved method→method call edges, deduplicated and sorted by
     /// `(owner, name, singleton)` id pairs (self-edges included).
     call_edges: Vec<(MethodId, MethodId)>,
+    /// Each summary's taint transfer as bit sets, in `methods` order.
+    transfers: Vec<Transfer>,
 }
 
 impl ProgramSummaries {
@@ -403,7 +397,8 @@ impl ProgramSummaries {
     /// atomic work claiming, results merged in method-index order), so
     /// every thread count renders byte-identically.
     pub fn infer(program: &Program, seed: &dyn EffectLookup, threads: usize) -> ProgramSummaries {
-        Self::solve(program, seed, &collect_all_facts(program, threads), &BTreeMap::new()).0
+        let methods = program.methods();
+        Self::solve(&methods, seed, &collect_all_facts(&methods, threads), &BTreeMap::new()).0
     }
 
     /// Incremental inference: summaries in `fixed` (keyed by
@@ -422,16 +417,16 @@ impl ProgramSummaries {
         seed: &dyn EffectLookup,
         fixed: &BTreeMap<(String, String, bool), MethodSummary>,
     ) -> (ProgramSummaries, usize) {
-        Self::solve(program, seed, &collect_all_facts(program, 1), fixed)
+        let methods = program.methods();
+        Self::solve(&methods, seed, &collect_all_facts(&methods, 1), fixed)
     }
 
     fn solve(
-        program: &Program,
+        methods: &[(String, &MethodDef)],
         seed: &dyn EffectLookup,
         facts: &[LocalFacts],
         fixed: &BTreeMap<(String, String, bool), MethodSummary>,
     ) -> (ProgramSummaries, usize) {
-        let methods = program.methods();
         let n = methods.len();
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (i, (_, def)) in methods.iter().enumerate() {
@@ -477,6 +472,7 @@ impl ProgramSummaries {
         }
 
         let mut out: Vec<Option<MethodSummary>> = (0..n).map(|_| None).collect();
+        let mut transfers: Vec<Transfer> = vec![Transfer::default(); n];
         let mut summarized = 0usize;
         for (s, members) in sccs.iter().enumerate() {
             // Replay: a whole component is installed from `fixed` only when
@@ -492,6 +488,7 @@ impl ProgramSummaries {
                     let (owner, def) = &methods[m];
                     let mut sum = fixed[&(owner.clone(), def.name.clone(), def.singleton)].clone();
                     sum.scc = s;
+                    transfers[m] = Transfer::from_summary(&sum.taint);
                     out[m] = Some(sum);
                 }
                 continue;
@@ -501,10 +498,13 @@ impl ProgramSummaries {
 
             // Termination + purity, component at a time.
             Self::solve_term_purity(
-                &methods, facts, &edges, &scc_of, s, members, cyclic, &resolved, &mut out,
+                methods, facts, &edges, &scc_of, s, members, cyclic, &resolved, &mut out,
             );
             // Taint: least fixpoint from the empty transfer inside the SCC.
-            Self::solve_taint(&methods, facts, members, &by_name, &mut out);
+            solve_taint(methods, facts, members, cyclic, &by_name, &mut transfers);
+            for &m in members {
+                out[m].as_mut().expect("summary present").taint = transfers[m].to_summary();
+            }
         }
 
         let mut index = BTreeMap::new();
@@ -530,6 +530,7 @@ impl ProgramSummaries {
                 by_name,
                 scc_count: sccs.len(),
                 call_edges: call_edges.into_iter().collect(),
+                transfers,
             },
             summarized,
         )
@@ -683,40 +684,6 @@ impl ProgramSummaries {
         }
     }
 
-    fn solve_taint(
-        methods: &[(String, &MethodDef)],
-        facts: &[LocalFacts],
-        members: &[usize],
-        by_name: &BTreeMap<String, Vec<usize>>,
-        out: &mut [Option<MethodSummary>],
-    ) {
-        // Iterate the component to a least fixpoint: member summaries start
-        // empty (set above) and only grow, so this converges.
-        loop {
-            let mut changed = false;
-            for &m in members {
-                let (_, def) = &methods[m];
-                let lookup = |name: &str| -> Option<TaintSummary> {
-                    let targets = by_name.get(name)?;
-                    let mut joined = TaintSummary::default();
-                    for &t in targets {
-                        joined.join(&out[t].as_ref().expect("summary present").taint);
-                    }
-                    Some(joined)
-                };
-                let fresh = method_taint(def, &facts[m].locals, &lookup);
-                let slot = &mut out[m].as_mut().expect("summary present").taint;
-                if *slot != fresh {
-                    *slot = fresh;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
     /// The summary for one method, if the program defines it.
     pub fn get(&self, owner: &str, name: &str, singleton: bool) -> Option<&MethodSummary> {
         let key = (owner.to_string(), name.to_string(), singleton);
@@ -756,12 +723,12 @@ impl ProgramSummaries {
     /// same-named method — calls are name-resolved), or `None` when the
     /// program does not define the name.
     pub fn taint_for_name(&self, name: &str) -> Option<TaintSummary> {
-        let targets = self.by_name.get(name)?;
-        let mut joined = TaintSummary::default();
-        for &t in targets {
-            joined.join(&self.methods[t].taint);
-        }
-        Some(joined)
+        self.transfer_for_name(name).map(|t| t.to_summary())
+    }
+
+    /// [`taint_for_name`](Self::taint_for_name) as bit sets.
+    pub(crate) fn transfer_for_name(&self, name: &str) -> Option<Transfer> {
+        Some(joined_transfer(self.by_name.get(name)?, &self.transfers))
     }
 
     /// A stable, human-readable rendering of every summary — the
@@ -815,8 +782,45 @@ impl ProgramSummaries {
     }
 }
 
-fn collect_all_facts(program: &Program, threads: usize) -> Vec<LocalFacts> {
-    let methods = program.methods();
+/// The union of the transfers of `targets`, every same-named method.
+fn joined_transfer(targets: &[usize], transfers: &[Transfer]) -> Transfer {
+    let mut joined = Transfer::default();
+    for &t in targets {
+        joined.join(&transfers[t]);
+    }
+    joined
+}
+
+/// Solves the taint transfers of one component's `members` into
+/// `transfers`, where every earlier component's transfer is final.  A
+/// cyclic component iterates to a least fixpoint from the empty transfer
+/// (members only grow, so this converges).  An acyclic one reads only
+/// earlier components, so one walk is exact.
+fn solve_taint(
+    methods: &[(String, &MethodDef)],
+    facts: &[LocalFacts],
+    members: &[usize],
+    cyclic: bool,
+    by_name: &BTreeMap<String, Vec<usize>>,
+    transfers: &mut [Transfer],
+) {
+    loop {
+        let mut changed = false;
+        for &m in members {
+            let lookup = |name: &str| Some(joined_transfer(by_name.get(name)?, transfers));
+            let fresh = method_taint(methods[m].1, &facts[m], &lookup);
+            if transfers[m] != fresh {
+                transfers[m] = fresh;
+                changed = true;
+            }
+        }
+        if !cyclic || !changed {
+            break;
+        }
+    }
+}
+
+fn collect_all_facts(methods: &[(String, &MethodDef)], threads: usize) -> Vec<LocalFacts> {
     if threads <= 1 || methods.len() <= 1 {
         return methods.iter().map(|(_, def)| collect_facts(def)).collect();
     }
@@ -849,28 +853,87 @@ fn collect_all_facts(program: &Program, threads: usize) -> Vec<LocalFacts> {
 // Per-method taint transfer
 // ---------------------------------------------------------------------------
 
-/// A taint origin within one method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Origin {
-    /// The i-th parameter.
-    Param(usize),
-    /// The receiver / instance state (`self`, `@ivar`).
-    Recv,
+/// A method's taint origins: bit [`RECV`] is the receiver (`self`,
+/// instance state), bit `i + 1` is parameter `i`.
+type Origins = Bits;
+
+/// The receiver's bit in [`Origins`].
+pub(crate) const RECV: usize = 0;
+
+/// A taint transfer over [`Origins`] bits: which of a method's inputs may
+/// reach its return value and which a SQL sink.  [`TaintSummary`] is the
+/// same function with parameter indices; inference and `LINT0105` compute
+/// on this form.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Transfer {
+    /// Inputs that may flow into the return value.
+    pub(crate) ret: Origins,
+    /// Inputs that may flow into a SQL sink.
+    pub(crate) sink: Origins,
 }
 
-type Origins = BTreeSet<Origin>;
+impl Transfer {
+    fn from_summary(t: &TaintSummary) -> Transfer {
+        let bits = |params: &BTreeSet<usize>, recv: bool| -> Origins {
+            let mut o: Origins = params.iter().map(|i| i + 1).collect();
+            if recv {
+                o.insert(RECV);
+            }
+            o
+        };
+        Transfer {
+            ret: bits(&t.params_to_return, t.self_to_return),
+            sink: bits(&t.params_to_sink, t.self_to_sink),
+        }
+    }
+
+    fn to_summary(&self) -> TaintSummary {
+        let params = |o: &Origins| o.iter().filter(|&b| b != RECV).map(|b| b - 1).collect();
+        TaintSummary {
+            params_to_return: params(&self.ret),
+            params_to_sink: params(&self.sink),
+            self_to_return: self.ret.contains(RECV),
+            self_to_sink: self.sink.contains(RECV),
+        }
+    }
+
+    fn join(&mut self, other: &Transfer) {
+        self.ret.union(&other.ret);
+        self.sink.union(&other.sink);
+    }
+}
 
 /// One method's taint state; names are borrowed from its body (`'d`).
 struct TaintCtx<'c, 'd> {
-    params: BTreeMap<&'d str, usize>,
-    /// Every parameter name, block parameters included.
-    all_params: &'d [ruby_syntax::Param],
-    /// Every local the body assigns anywhere ([`LocalFacts::locals`]).
-    assigned: &'c BTreeSet<String>,
-    locals: BTreeMap<&'d str, Origins>,
+    params: &'d [Param],
+    /// One slot per local the body assigns anywhere
+    /// ([`LocalFacts::locals`]), sorted by name.
+    locals: Vec<(&'c str, Origins)>,
     sink: Origins,
     ret: Origins,
-    lookup: &'c dyn Fn(&str) -> Option<TaintSummary>,
+    /// Whether a local, the sink or the return set grew in this walk.
+    changed: bool,
+    lookup: &'c dyn Fn(&str) -> Option<Transfer>,
+}
+
+impl TaintCtx<'_, '_> {
+    fn local(&self, name: &str) -> Option<usize> {
+        self.locals.binary_search_by(|(n, _)| (*n).cmp(name)).ok()
+    }
+
+    /// The non-block parameter `name`'s index; the last one wins if two
+    /// share a name.
+    fn param(&self, name: &str) -> Option<usize> {
+        self.params.iter().rposition(|p| !p.block && p.name == name)
+    }
+
+    fn grow_sink(&mut self, o: &Origins) {
+        self.changed |= self.sink.union(o);
+    }
+
+    fn grow_ret(&mut self, o: &Origins) {
+        self.changed |= self.ret.union(o);
+    }
 }
 
 /// Computes the taint transfer of one method body given `lookup` for the
@@ -879,71 +942,42 @@ struct TaintCtx<'c, 'd> {
 /// the result a may-over-approximation on loops and branches.
 fn method_taint(
     def: &MethodDef,
-    assigned: &BTreeSet<String>,
-    lookup: &dyn Fn(&str) -> Option<TaintSummary>,
-) -> TaintSummary {
+    facts: &LocalFacts,
+    lookup: &dyn Fn(&str) -> Option<Transfer>,
+) -> Transfer {
     // Unknown body ⇒ conservative pass-through: every argument and the
     // receiver may reach the return value.  Sinks stay clear — claiming a
     // SQL sink inside unparsed code would manufacture phantom LINT0105
     // findings in every caller.
     if def.poisoned {
-        return TaintSummary {
-            params_to_return: def
-                .params
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.block)
-                .map(|(i, _)| i)
-                .collect(),
-            params_to_sink: BTreeSet::new(),
-            self_to_return: true,
-            self_to_sink: false,
-        };
+        let mut ret: Origins =
+            def.params.iter().enumerate().filter(|(_, p)| !p.block).map(|(i, _)| i + 1).collect();
+        ret.insert(RECV);
+        return Transfer { ret, sink: Origins::new() };
     }
-    let params = def
-        .params
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| !p.block)
-        .map(|(i, p)| (p.name.as_str(), i))
-        .collect();
     let mut ctx = TaintCtx {
-        params,
-        all_params: &def.params,
-        assigned,
-        locals: BTreeMap::new(),
+        params: &def.params,
+        locals: facts.locals.iter().map(|n| (n.as_str(), Origins::new())).collect(),
         sink: Origins::new(),
         ret: Origins::new(),
+        changed: false,
         lookup,
     };
     loop {
-        let (locals, sink, ret) = (ctx.locals.clone(), ctx.sink.clone(), ctx.ret.clone());
+        ctx.changed = false;
         let mut shadow = Vec::new();
         for (i, stmt) in def.body.iter().enumerate() {
             let o = taint_origins(stmt, &mut ctx, &mut shadow);
             if i + 1 == def.body.len() {
                 // The tail statement is the implicit return value.
-                ctx.ret.extend(o);
+                ctx.grow_ret(&o);
             }
         }
-        if ctx.locals == locals && ctx.sink == sink && ctx.ret == ret {
+        if !ctx.changed {
             break;
         }
     }
-    TaintSummary {
-        params_to_return: ctx
-            .ret
-            .iter()
-            .filter_map(|o| if let Origin::Param(i) = o { Some(*i) } else { None })
-            .collect(),
-        params_to_sink: ctx
-            .sink
-            .iter()
-            .filter_map(|o| if let Origin::Param(i) = o { Some(*i) } else { None })
-            .collect(),
-        self_to_return: ctx.ret.contains(&Origin::Recv),
-        self_to_sink: ctx.sink.contains(&Origin::Recv),
-    }
+    Transfer { ret: ctx.ret, sink: ctx.sink }
 }
 
 fn taint_origins<'d>(
@@ -959,29 +993,29 @@ fn taint_origins<'d>(
         ExprKind::Ident(n) => {
             if shadowed(shadow, n) {
                 Origins::new()
-            } else if let Some(&i) = ctx.params.get(n.as_str()) {
-                [Origin::Param(i)].into()
-            } else if ctx.all_params.iter().any(|p| p.name == *n) {
+            } else if let Some(i) = ctx.param(n) {
+                Origins::single(i + 1)
+            } else if ctx.params.iter().any(|p| p.name == *n) {
                 Origins::new()
-            } else if ctx.assigned.contains(n) {
-                ctx.locals.get(n.as_str()).cloned().unwrap_or_default()
+            } else if let Some(slot) = ctx.local(n) {
+                ctx.locals[slot].1.clone()
             } else {
-                call_result(None, n, &[], ctx)
+                call_origins(None, n, &[], ctx, shadow)
             }
         }
-        ExprKind::SelfExpr | ExprKind::IVar(_) => [Origin::Recv].into(),
+        ExprKind::SelfExpr | ExprKind::IVar(_) => Origins::single(RECV),
         ExprKind::Array(items) => {
             let mut o = Origins::new();
             for item in items {
-                o.extend(taint_origins(item, ctx, shadow));
+                o.union(&taint_origins(item, ctx, shadow));
             }
             o
         }
         ExprKind::Hash(pairs) => {
             let mut o = Origins::new();
             for (k, v) in pairs {
-                o.extend(taint_origins(k, ctx, shadow));
-                o.extend(taint_origins(v, ctx, shadow));
+                o.union(&taint_origins(k, ctx, shadow));
+                o.union(&taint_origins(v, ctx, shadow));
             }
             o
         }
@@ -994,11 +1028,11 @@ fn taint_origins<'d>(
             let mut o = taint_origins(value, ctx, shadow);
             if let LValue::Local(n) = target {
                 if !shadowed(shadow, n) {
-                    if let Some(prev) = ctx.locals.get(n.as_str()) {
-                        o.extend(prev.iter().copied());
+                    if let Some(slot) = ctx.local(n) {
+                        o.union(&ctx.locals[slot].1);
                     }
-                    if let Some(&i) = ctx.params.get(n.as_str()) {
-                        o.insert(Origin::Param(i));
+                    if let Some(i) = ctx.param(n) {
+                        o.insert(i + 1);
                     }
                 }
             }
@@ -1007,7 +1041,7 @@ fn taint_origins<'d>(
         }
         ExprKind::Call { recv, name, args, block } => {
             let recv_o = recv.as_ref().map(|r| taint_origins(r, ctx, shadow));
-            let arg_o: Vec<Origins> = args.iter().map(|a| taint_origins(a, ctx, shadow)).collect();
+            let o = call_origins(recv_o, name, args, ctx, shadow);
             if let Some(b) = block {
                 shadow.push(&b.params);
                 for stmt in &b.body {
@@ -1015,16 +1049,11 @@ fn taint_origins<'d>(
                 }
                 shadow.pop();
             }
-            if SQL_SINKS.contains(&name.as_str()) {
-                if let Some(first) = arg_o.first() {
-                    ctx.sink.extend(first.iter().copied());
-                }
-            }
-            call_result(recv_o, name, &arg_o, ctx)
+            o
         }
         ExprKind::BoolOp { lhs, rhs, .. } => {
             let mut o = taint_origins(lhs, ctx, shadow);
-            o.extend(taint_origins(rhs, ctx, shadow));
+            o.union(&taint_origins(rhs, ctx, shadow));
             o
         }
         ExprKind::Not(inner) | ExprKind::TypeCast { expr: inner, .. } => {
@@ -1040,14 +1069,14 @@ fn taint_origins<'d>(
                 for (i, stmt) in arm.body.iter().enumerate() {
                     let so = taint_origins(stmt, ctx, shadow);
                     if i + 1 == arm.body.len() {
-                        o.extend(so);
+                        o.union(&so);
                     }
                 }
             }
             for (i, stmt) in else_body.iter().enumerate() {
                 let so = taint_origins(stmt, ctx, shadow);
                 if i + 1 == else_body.len() {
-                    o.extend(so);
+                    o.union(&so);
                 }
             }
             o
@@ -1061,7 +1090,7 @@ fn taint_origins<'d>(
         }
         ExprKind::Return(Some(v)) => {
             let o = taint_origins(v, ctx, shadow);
-            ctx.ret.extend(o);
+            ctx.grow_ret(&o);
             Origins::new()
         }
         ExprKind::Yield(args) => {
@@ -1090,64 +1119,54 @@ fn assign_target<'d>(
 ) {
     if let LValue::Local(n) = target {
         if !shadowed(shadow, n) {
-            ctx.locals.entry(n).or_default().extend(origins.iter().copied());
+            let slot = ctx.local(n).expect("every assigned local has a slot");
+            ctx.changed |= ctx.locals[slot].1.union(origins);
         }
     }
 }
 
-/// The origins of a call's result, plus its summary-driven sink flows.
-fn call_result(
+/// Walks a call's arguments, adds its sink flows and returns the origins
+/// of its result.  A summarized callee moves each input exactly along its
+/// transfer; any other callee (unknown or core library) derives its result
+/// from every input.  `recv` is the walked receiver; a call without one
+/// targets `self`, so the callee's receiver flows are this method's.
+fn call_origins<'d>(
     recv: Option<Origins>,
     name: &str,
-    args: &[Origins],
-    ctx: &mut TaintCtx<'_, '_>,
+    args: &'d [Expr],
+    ctx: &mut TaintCtx<'_, 'd>,
+    shadow: &mut Vec<&'d [String]>,
 ) -> Origins {
-    match (ctx.lookup)(name) {
-        Some(sum) => {
-            // A call without an explicit receiver targets `self`, so the
-            // callee's receiver flows are this method's receiver flows.
-            for &i in &sum.params_to_sink {
-                if let Some(a) = args.get(i) {
-                    ctx.sink.extend(a.iter().copied());
-                }
+    let sql_sink = SQL_SINKS.contains(&name);
+    let Some(callee) = (ctx.lookup)(name) else {
+        let mut o = recv.unwrap_or_default();
+        for (i, arg) in args.iter().enumerate() {
+            let a = taint_origins(arg, ctx, shadow);
+            if sql_sink && i == 0 {
+                ctx.grow_sink(&a);
             }
-            if sum.self_to_sink {
-                match &recv {
-                    Some(r) => ctx.sink.extend(r.iter().copied()),
-                    None => {
-                        ctx.sink.insert(Origin::Recv);
-                    }
-                }
-            }
-            let mut o = Origins::new();
-            for &i in &sum.params_to_return {
-                if let Some(a) = args.get(i) {
-                    o.extend(a.iter().copied());
-                }
-            }
-            if sum.self_to_return {
-                match &recv {
-                    Some(r) => o.extend(r.iter().copied()),
-                    None => {
-                        o.insert(Origin::Recv);
-                    }
-                }
-            }
-            o
+            o.union(&a);
         }
-        None => {
-            // Unknown (or core-library) callee: taint flows through
-            // conservatively — the result is derived from every input.
-            let mut o = Origins::new();
-            if let Some(r) = recv {
-                o.extend(r);
-            }
-            for a in args {
-                o.extend(a.iter().copied());
-            }
-            o
+        return o;
+    };
+    let recv = recv.unwrap_or_else(|| Origins::single(RECV));
+    let mut o = Origins::new();
+    if callee.sink.contains(RECV) {
+        ctx.grow_sink(&recv);
+    }
+    if callee.ret.contains(RECV) {
+        o.union(&recv);
+    }
+    for (i, arg) in args.iter().enumerate() {
+        let a = taint_origins(arg, ctx, shadow);
+        if (sql_sink && i == 0) || callee.sink.contains(i + 1) {
+            ctx.grow_sink(&a);
+        }
+        if callee.ret.contains(i + 1) {
+            o.union(&a);
         }
     }
+    o
 }
 
 #[cfg(test)]
