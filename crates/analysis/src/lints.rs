@@ -8,18 +8,21 @@
 //! | `LINT0104` | unreachable code after `return`/`raise`/`break`/`next`     |
 //! | `LINT0105` | parameter-derived value concatenated into a SQL fragment   |
 //!
-//! Dataflow facts are `BTreeSet<&str>`s of local names borrowed from the
-//! method body, and block-parameter scopes are borrowed parameter lists,
-//! so building, joining and comparing facts copies no name.
+//! Each method gets a slot table: its parameters, the locals it assigns
+//! and every identifier it reads, sorted, all borrowed from the method
+//! body.  Dataflow facts are bit sets over those slots (`bits::Bits`: one
+//! inline word, a tail only past 64 names), and block-parameter scopes are
+//! borrowed parameter lists, so building, joining and comparing facts
+//! copies no name and, below 64 names, allocates nothing.
 //!
-//! Every lint is deterministic: facts are `BTreeSet`s (a `&str` set
-//! iterates in the same order as a `String` set), blocks are scanned in id
-//! order, and findings are sorted with the same span-then-code key as
+//! Every lint is deterministic: a slot is a name's rank in the sorted
+//! table, so a fact means the same names on every run and iterates in
+//! slot order; blocks are scanned in id order; and findings are sorted
+//! with the same span-then-code key as
 //! [`diagnostics::DiagnosticBag::sort_by_span_then_code`], so a sequential
-//! and a parallel run render byte-identical output.  Findings
-//! carry the method's [`semhash`](ruby_syntax::method_hash) so the corpus
-//! pipeline can freeze them into the on-disk check cache and replay them
-//! without re-linting (see `comprdl::persist`).
+//! and a parallel run render byte-identical output.  The corpus pipeline
+//! freezes findings into the on-disk check cache and replays them without
+//! re-linting (see `comprdl::persist`), under a key it computes itself.
 //!
 //! `LINT0105` is optionally *interprocedural*: given the program's
 //! [effect summaries](crate::summaries::ProgramSummaries), a call to a
@@ -29,7 +32,7 @@
 //! the conservative any-argument rule used for unknown callees).  Because
 //! findings then depend on *callee* bodies, the corpus pipeline keys
 //! persisted lint verdicts on the dependency-closure Merkle hash rather
-//! than the intra-method `semhash`.
+//! than the intra-method [`ruby_syntax::method_hash`].
 //!
 //! Locals spelled with a leading underscore (`_tmp`) are the conventional
 //! "intentionally unused" form and are exempt from `LINT0102`/`LINT0103`.
@@ -39,7 +42,7 @@ use crate::cfg::Cfg;
 use crate::dataflow::{solve, DataflowProblem, Direction};
 use crate::summaries::{ProgramSummaries, RECV};
 use diagnostics::{Diagnostic, Span};
-use ruby_syntax::{method_hash, Expr, ExprKind, LValue, MethodDef};
+use ruby_syntax::{Expr, ExprKind, LValue, MethodDef};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Use before definition.
@@ -76,7 +79,7 @@ pub struct LintFinding {
     pub span: Span,
 }
 
-/// All findings for one method, keyed by its semantic identity.
+/// All findings for one method.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MethodLints {
     /// Enclosing class (`"Object"` for top-level methods).
@@ -85,8 +88,6 @@ pub struct MethodLints {
     pub name: String,
     /// Whether it is a `def self.` method.
     pub singleton: bool,
-    /// The method's layout-invariant semantic hash.
-    pub semhash: u64,
     /// Findings in canonical span-then-code order.
     pub findings: Vec<LintFinding>,
 }
@@ -717,14 +718,13 @@ pub fn lint_method_with_summaries(
     // A poisoned method's body is a recovery placeholder, not the user's
     // code: linting it would report phantom unused/undefined variables on
     // top of the parse diagnostic.  Its (empty) verdict still occupies its
-    // slot — and its semhash covers the poison flag — so incremental replay
-    // stays aligned with `Program::methods()` order.
+    // slot, so incremental replay stays aligned with `Program::methods()`
+    // order.
     if def.poisoned {
         return MethodLints {
             owner: owner.to_string(),
             name: def.name.clone(),
             singleton: def.singleton,
-            semhash: method_hash(def),
             findings: Vec::new(),
         };
     }
@@ -885,7 +885,6 @@ pub fn lint_method_with_summaries(
         owner: owner.to_string(),
         name: def.name.clone(),
         singleton: def.singleton,
-        semhash: method_hash(def),
         findings,
     }
 }
