@@ -314,7 +314,8 @@ impl<'a> MethodNames<'a> {
         for stmt in &def.body {
             walk_names(stmt, &mut Vec::new(), &mut walk);
         }
-        let mut names: Vec<&str> = def.params.iter().map(|p| p.name.as_str()).collect();
+        let mut names = Vec::with_capacity(def.params.len() + walk.uses.len() + walk.defs.len());
+        names.extend(def.params.iter().map(|p| p.name.as_str()));
         names.extend(&walk.uses);
         names.extend(walk.defs.iter().map(|(n, _)| *n));
         names.sort_unstable();

@@ -8,7 +8,10 @@
 //! each stage on the test thread; every stage runs sequentially.  Unlike a
 //! timing gate, the count repeats exactly from run to run, so a change that
 //! copies names, store content or constraints per cache hit again fails
-//! here on any machine.
+//! here on any machine.  The effect summaries and the lints have bounds of
+//! their own: their dataflow facts are bit sets that allocate nothing below
+//! 64 names, so a change that builds name sets or copies origin sets per
+//! walk fails here too.
 
 mod scale;
 
@@ -42,8 +45,14 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The most allocations one static pass over `scale_workload(40)` may make:
-/// 15% above the 29,893 it makes.
-const MAX_PASS_ALLOCATIONS: u64 = 34_370;
+/// 15% above the 20,689 it makes.
+const MAX_PASS_ALLOCATIONS: u64 = 23_792;
+
+/// The most allocations its effect-summary stage may make: 15% above 1,437.
+const MAX_SUMMARIES_ALLOCATIONS: u64 = 1_652;
+
+/// The most allocations its lint stage may make: 15% above 1,926.
+const MAX_LINTS_ALLOCATIONS: u64 = 2_214;
 
 /// Runs `f`, adding the allocations it makes on this thread to `stages`.
 fn counted<T>(
@@ -97,6 +106,12 @@ fn a_static_pass_over_the_scale_workload_stays_under_its_allocation_bound() {
         println!("{stage:>12}: {n}");
     }
     println!("{:>12}: {total}", "total");
+    for (stage, bound) in
+        [("summaries", MAX_SUMMARIES_ALLOCATIONS), ("lints", MAX_LINTS_ALLOCATIONS)]
+    {
+        let n = stages.iter().find(|(s, _)| *s == stage).expect("stage counted").1;
+        assert!(n <= bound, "the {stage} stage made {n} allocations (bound {bound})");
+    }
     assert!(
         total <= MAX_PASS_ALLOCATIONS,
         "one static pass made {total} allocations (bound {MAX_PASS_ALLOCATIONS}); per stage: \
