@@ -24,7 +24,9 @@
 //!      every extra-component callee is pure,
 //!    * **taint** — which parameters (or the receiver) may flow into a SQL
 //!      sink or into the return value, iterated to a least fixpoint inside
-//!      each SCC starting from the empty transfer.
+//!      each cyclic SCC starting from the empty transfer; an acyclic
+//!      one-method component reads only earlier, final components, so one
+//!      walk is exact.
 //!
 //! Verdicts use `rdl_types`' effect vocabulary ([`TermEffect`],
 //! [`PurityEffect`]).  The seed, the trusted effects of names the program
@@ -33,12 +35,20 @@
 //! reference.  It is only looked up, never iterated, so no hash order can
 //! reach the output.
 //!
+//! The taint walk computes on bit sets (`bits::Bits`): an origin set has
+//! bit 0 for the receiver and bit `i + 1` for parameter `i`, and a method's
+//! locals are a vector of `(name, origins)` slots sorted by name, so the
+//! walk copies no name and its origin sets allocate nothing below 64
+//! parameters.
+//!
 //! Every non-`Terminates`/non-`Pure` verdict carries a *blame chain*: the
 //! call path from the method to the root cause, rendered as
-//! `a → b → @x=` by [`render_blame`].  All containers are `BTree`-ordered
-//! and SCCs are processed in Tarjan emission order, so two runs (or a
-//! sequential and a parallel run) produce byte-identical [`render`]
-//! output.
+//! `a → b → @x=` by [`render_blame`].  Determinism rests on positions, not
+//! on hash order: origin bits are parameter positions and iterate in
+//! ascending order, local slots are sorted by name, the name-keyed maps
+//! are `BTree`-ordered, methods keep `Program::methods()` order and SCCs
+//! are processed in Tarjan emission order, so two runs (or a sequential
+//! and a parallel run) produce byte-identical [`render`] output.
 //!
 //! [`infer`]: ProgramSummaries::infer
 //! [`render`]: ProgramSummaries::render
