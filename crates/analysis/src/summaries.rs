@@ -510,7 +510,7 @@ impl ProgramSummaries {
             Self::solve_term_purity(
                 methods, facts, &edges, &scc_of, s, members, cyclic, &resolved, &mut out,
             );
-            // Taint: least fixpoint from the empty transfer inside the SCC.
+            // Taint: a least fixpoint inside a cyclic SCC, one walk otherwise.
             solve_taint(methods, facts, members, cyclic, &by_name, &mut transfers);
             for &m in members {
                 out[m].as_mut().expect("summary present").taint = transfers[m].to_summary();
