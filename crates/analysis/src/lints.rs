@@ -40,7 +40,7 @@
 use crate::bits::Bits;
 use crate::cfg::Cfg;
 use crate::dataflow::{solve, DataflowProblem, Direction};
-use crate::summaries::{ProgramSummaries, RECV};
+use crate::summaries::ProgramSummaries;
 use diagnostics::{Diagnostic, Span};
 use ruby_syntax::{Expr, ExprKind, LValue, MethodDef};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -529,15 +529,14 @@ fn taint_eval<'a>(
                 shadow.pop();
             }
             // Sink positions: argument 0 of a literal SQL sink, plus every
-            // argument the callee's taint summary routes into a sink.  A
-            // transfer's bit `i + 1` is argument `i`.
+            // argument the callee's taint summary routes into a sink.
             let mut sink_args = Bits::new();
             if SQL_SINKS.contains(&name.as_str()) && !args.is_empty() {
                 sink_args.insert(0);
             }
             let callee = cx.summaries.and_then(|s| s.transfer_for_name(name));
             if let Some(t) = &callee {
-                for i in t.sink.iter().filter(|&b| b != RECV).map(|b| b - 1) {
+                for i in t.params_to_sink() {
                     if i < args.len() {
                         sink_args.insert(i);
                     }
@@ -550,8 +549,8 @@ fn taint_eval<'a>(
                 // A summarized callee: taint flows to the result exactly
                 // along the inferred return transfer.
                 Some(t) => {
-                    t.ret.iter().any(|b| b != RECV && arg_t.contains(b - 1))
-                        || (t.ret.contains(RECV) && recv_t)
+                    t.params_to_return().any(|i| arg_t.contains(i))
+                        || (t.self_to_return() && recv_t)
                 }
                 // Unknown callee: conservatively derive from every input.
                 None => recv_t || !arg_t.is_empty(),

@@ -396,8 +396,6 @@ pub struct ProgramSummaries {
     /// Name-resolved method→method call edges, deduplicated and sorted by
     /// `(owner, name, singleton)` id pairs (self-edges included).
     call_edges: Vec<(MethodId, MethodId)>,
-    /// Each summary's taint transfer as bit sets, in `methods` order.
-    transfers: Vec<Transfer>,
 }
 
 impl ProgramSummaries {
@@ -540,7 +538,6 @@ impl ProgramSummaries {
                 by_name,
                 scc_count: sccs.len(),
                 call_edges: call_edges.into_iter().collect(),
-                transfers,
             },
             summarized,
         )
@@ -738,7 +735,11 @@ impl ProgramSummaries {
 
     /// [`taint_for_name`](Self::taint_for_name) as bit sets.
     pub(crate) fn transfer_for_name(&self, name: &str) -> Option<Transfer> {
-        Some(joined_transfer(self.by_name.get(name)?, &self.transfers))
+        let mut joined = Transfer::default();
+        for &t in self.by_name.get(name)? {
+            joined.join(&Transfer::from_summary(&self.methods[t].taint));
+        }
+        Some(joined)
     }
 
     /// A stable, human-readable rendering of every summary — the
@@ -792,15 +793,6 @@ impl ProgramSummaries {
     }
 }
 
-/// The union of the transfers of `targets`, every same-named method.
-fn joined_transfer(targets: &[usize], transfers: &[Transfer]) -> Transfer {
-    let mut joined = Transfer::default();
-    for &t in targets {
-        joined.join(&transfers[t]);
-    }
-    joined
-}
-
 /// Solves the taint transfers of one component's `members` into
 /// `transfers`, where every earlier component's transfer is final.  A
 /// cyclic component iterates to a least fixpoint from the empty transfer
@@ -817,7 +809,14 @@ fn solve_taint(
     loop {
         let mut changed = false;
         for &m in members {
-            let lookup = |name: &str| Some(joined_transfer(by_name.get(name)?, transfers));
+            // Calls are name-resolved: join every same-named method.
+            let lookup = |name: &str| {
+                let mut joined = Transfer::default();
+                for &t in by_name.get(name)? {
+                    joined.join(&transfers[t]);
+                }
+                Some(joined)
+            };
             let fresh = method_taint(methods[m].1, &facts[m], &lookup);
             if transfers[m] != fresh {
                 transfers[m] = fresh;
@@ -868,7 +867,12 @@ fn collect_all_facts(methods: &[(String, &MethodDef)], threads: usize) -> Vec<Lo
 type Origins = Bits;
 
 /// The receiver's bit in [`Origins`].
-pub(crate) const RECV: usize = 0;
+const RECV: usize = 0;
+
+/// The parameter indices among `o`'s members.
+fn params(o: &Origins) -> impl Iterator<Item = usize> + '_ {
+    o.iter().filter(|&b| b != RECV).map(|b| b - 1)
+}
 
 /// A taint transfer over [`Origins`] bits: which of a method's inputs may
 /// reach its return value and which a SQL sink.  [`TaintSummary`] is the
@@ -877,9 +881,9 @@ pub(crate) const RECV: usize = 0;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Transfer {
     /// Inputs that may flow into the return value.
-    pub(crate) ret: Origins,
+    ret: Origins,
     /// Inputs that may flow into a SQL sink.
-    pub(crate) sink: Origins,
+    sink: Origins,
 }
 
 impl Transfer {
@@ -898,13 +902,27 @@ impl Transfer {
     }
 
     fn to_summary(&self) -> TaintSummary {
-        let params = |o: &Origins| o.iter().filter(|&b| b != RECV).map(|b| b - 1).collect();
         TaintSummary {
-            params_to_return: params(&self.ret),
-            params_to_sink: params(&self.sink),
-            self_to_return: self.ret.contains(RECV),
+            params_to_return: self.params_to_return().collect(),
+            params_to_sink: self.params_to_sink().collect(),
+            self_to_return: self.self_to_return(),
             self_to_sink: self.sink.contains(RECV),
         }
+    }
+
+    /// Parameter indices that may flow into the return value, ascending.
+    pub(crate) fn params_to_return(&self) -> impl Iterator<Item = usize> + '_ {
+        params(&self.ret)
+    }
+
+    /// Parameter indices that may flow into a SQL sink, ascending.
+    pub(crate) fn params_to_sink(&self) -> impl Iterator<Item = usize> + '_ {
+        params(&self.sink)
+    }
+
+    /// Whether the receiver may flow into the return value.
+    pub(crate) fn self_to_return(&self) -> bool {
+        self.ret.contains(RECV)
     }
 
     fn join(&mut self, other: &Transfer) {
