@@ -888,8 +888,8 @@ pub(crate) struct Transfer {
 
 impl Transfer {
     fn from_summary(t: &TaintSummary) -> Transfer {
-        let bits = |params: &BTreeSet<usize>, recv: bool| -> Origins {
-            let mut o: Origins = params.iter().map(|i| i + 1).collect();
+        let bits = |indices: &BTreeSet<usize>, recv: bool| -> Origins {
+            let mut o: Origins = indices.iter().map(|i| i + 1).collect();
             if recv {
                 o.insert(RECV);
             }
