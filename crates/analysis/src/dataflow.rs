@@ -117,18 +117,18 @@ pub fn solve<'a, P: DataflowProblem<'a>>(cfg: &Cfg<'a>, problem: &P) -> Solution
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruby_syntax::{parse_program_strict, ExprKind, LValue};
+    use ruby_syntax::{parse_program_strict, ExprKind, LValue, Name};
     use std::collections::BTreeSet;
 
     /// A toy definite-assignment problem: a name is "defined" after any
     /// statement-position assignment to it.
     struct Defined {
-        universe: BTreeSet<String>,
-        params: BTreeSet<String>,
+        universe: BTreeSet<Name>,
+        params: BTreeSet<Name>,
     }
 
     impl<'a> DataflowProblem<'a> for Defined {
-        type Fact = BTreeSet<String>;
+        type Fact = BTreeSet<Name>;
         fn direction(&self) -> Direction {
             Direction::Forward
         }
@@ -159,8 +159,8 @@ mod tests {
         .expect("parse");
         let def = p.methods()[0].1;
         let cfg = Cfg::build(&def.body);
-        let universe: BTreeSet<String> = ["a", "b", "c"].into_iter().map(str::to_string).collect();
-        let params: BTreeSet<String> = ["c".to_string()].into();
+        let universe: BTreeSet<Name> = ["a", "b", "c"].into_iter().map(Name::from).collect();
+        let params: BTreeSet<Name> = [Name::from("c")].into();
         let sol = solve(&cfg, &Defined { universe, params });
         let at_exit = &sol.block_in[cfg.exit];
         assert!(at_exit.contains("a"), "assigned on every path: {at_exit:?}");
@@ -173,7 +173,7 @@ mod tests {
     struct Live;
 
     impl<'a> DataflowProblem<'a> for Live {
-        type Fact = BTreeSet<String>;
+        type Fact = BTreeSet<Name>;
         fn direction(&self) -> Direction {
             Direction::Backward
         }
@@ -249,8 +249,8 @@ mod tests {
             .expect("parse");
         let def = p.methods()[0].1;
         let cfg = Cfg::build(&def.body);
-        let universe: BTreeSet<String> = ["n", "x"].into_iter().map(str::to_string).collect();
-        let params: BTreeSet<String> = ["n".to_string()].into();
+        let universe: BTreeSet<Name> = ["n", "x"].into_iter().map(Name::from).collect();
+        let params: BTreeSet<Name> = [Name::from("n")].into();
         let sol = solve(&cfg, &Defined { universe, params });
         assert!(
             !sol.block_in[cfg.exit].contains("x"),

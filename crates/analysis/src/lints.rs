@@ -42,7 +42,7 @@ use crate::cfg::Cfg;
 use crate::dataflow::{solve, DataflowProblem, Direction};
 use crate::summaries::ProgramSummaries;
 use diagnostics::{Diagnostic, Span};
-use ruby_syntax::{Expr, ExprKind, LValue, MethodDef};
+use ruby_syntax::{Expr, ExprKind, LValue, MethodDef, Name};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Use before definition.
@@ -135,9 +135,9 @@ trait NameSink<'a> {
 
 /// The block and lambda parameter lists in scope, innermost last, each
 /// borrowed from its block.
-type Shadow<'a> = Vec<&'a [String]>;
+type Shadow<'a> = Vec<&'a [Name]>;
 
-fn shadowed(shadow: &[&[String]], name: &str) -> bool {
+fn shadowed(shadow: &[&[Name]], name: &str) -> bool {
     shadow.iter().any(|frame| frame.iter().any(|p| p == name))
 }
 

@@ -55,7 +55,7 @@
 
 use crate::bits::Bits;
 use rdl_types::{EffectLookup, PurityEffect, TermEffect};
-use ruby_syntax::{Expr, ExprKind, LValue, MethodDef, Param, Program};
+use ruby_syntax::{Expr, ExprKind, LValue, MethodDef, Name, Param, Program};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -120,23 +120,23 @@ struct LocalFacts {
     has_yield: bool,
     /// Called names in first-occurrence walk order (calls, operator
     /// assignments and bare identifiers that are not locals).
-    calls: Vec<String>,
+    calls: Vec<Name>,
     /// Non-local writes in walk order, as blame tokens (`@x=`, `$g=`, …).
     writes: Vec<String>,
     /// Every local the body assigns anywhere: the taint walk reads these
     /// names as locals, never as calls, exactly as the call graph does.
-    locals: BTreeSet<String>,
+    locals: BTreeSet<Name>,
 }
 
 /// Whether a block or lambda parameter in scope (`shadow`, innermost last,
 /// each list borrowed from its block) hides the method local `name`.
-fn shadowed(shadow: &[&[String]], name: &str) -> bool {
+fn shadowed(shadow: &[&[Name]], name: &str) -> bool {
     shadow.iter().any(|frame| frame.iter().any(|p| p == name))
 }
 
 /// Every local assigned anywhere in the body (ignoring shadowing — the
 /// same optimistic rule the lint suite uses to tell locals from calls).
-fn assigned_locals(body: &[Expr]) -> BTreeSet<String> {
+fn assigned_locals(body: &[Expr]) -> BTreeSet<Name> {
     let mut out = BTreeSet::new();
     for stmt in body {
         stmt.walk(&mut |e| {
@@ -164,11 +164,11 @@ fn collect_facts(def: &MethodDef) -> LocalFacts {
     // termination and purity to the conservative `Unknown`-callee verdict
     // with a self-explanatory blame chain.
     if def.poisoned {
-        facts.calls.push("<unparsed>".to_string());
+        facts.calls.push(Name::from("<unparsed>"));
         return facts;
     }
     let locals = assigned_locals(&def.body);
-    let params: BTreeSet<String> = def.params.iter().map(|p| p.name.clone()).collect();
+    let params: BTreeSet<Name> = def.params.iter().map(|p| p.name.clone()).collect();
     let mut shadow = Vec::new();
     let mut seen_calls = BTreeSet::new();
     // Parameter defaults run before the body, on every call that omits them.
@@ -182,23 +182,23 @@ fn collect_facts(def: &MethodDef) -> LocalFacts {
 
 fn walk_facts<'d>(
     e: &'d Expr,
-    locals: &BTreeSet<String>,
-    params: &BTreeSet<String>,
-    shadow: &mut Vec<&'d [String]>,
-    seen: &mut BTreeSet<String>,
+    locals: &BTreeSet<Name>,
+    params: &BTreeSet<Name>,
+    shadow: &mut Vec<&'d [Name]>,
+    seen: &mut BTreeSet<Name>,
     facts: &mut LocalFacts,
 ) {
     let walk_all = |exprs: &'d [Expr],
-                    shadow: &mut Vec<&'d [String]>,
-                    seen: &mut BTreeSet<String>,
+                    shadow: &mut Vec<&'d [Name]>,
+                    seen: &mut BTreeSet<Name>,
                     facts: &mut LocalFacts| {
         for e in exprs {
             walk_facts(e, locals, params, shadow, seen, facts);
         }
     };
-    let call = |name: &str, seen: &mut BTreeSet<String>, facts: &mut LocalFacts| {
-        if seen.insert(name.to_string()) {
-            facts.calls.push(name.to_string());
+    let call = |name: &Name, seen: &mut BTreeSet<Name>, facts: &mut LocalFacts| {
+        if seen.insert(name.clone()) {
+            facts.calls.push(name.clone());
         }
     };
     let write = |token: String, facts: &mut LocalFacts| {
@@ -446,7 +446,7 @@ impl ProgramSummaries {
         for (i, f) in facts.iter().enumerate() {
             let mut out = BTreeSet::new();
             for name in &f.calls {
-                if let Some(targets) = by_name.get(name) {
+                if let Some(targets) = by_name.get(name.as_str()) {
                     out.extend(targets.iter().copied());
                 }
             }
@@ -462,13 +462,13 @@ impl ProgramSummaries {
         }
 
         // Pre-resolve every called name once, deterministically.
-        let mut resolved: BTreeMap<String, Resolved> = BTreeMap::new();
+        let mut resolved: BTreeMap<Name, Resolved> = BTreeMap::new();
         for f in facts {
             for name in &f.calls {
                 if resolved.contains_key(name) {
                     continue;
                 }
-                let r = match by_name.get(name) {
+                let r = match by_name.get(name.as_str()) {
                     Some(targets) => Resolved::Methods(targets.clone()),
                     None => match seed.effects(name) {
                         Some((term, purity)) => Resolved::Seed(term, purity),
@@ -552,7 +552,7 @@ impl ProgramSummaries {
         s: usize,
         members: &[usize],
         cyclic: bool,
-        resolved: &BTreeMap<String, Resolved>,
+        resolved: &BTreeMap<Name, Resolved>,
         out: &mut [Option<MethodSummary>],
     ) {
         // --- termination -------------------------------------------------
@@ -1011,7 +1011,7 @@ fn method_taint(
 fn taint_origins<'d>(
     e: &'d Expr,
     ctx: &mut TaintCtx<'_, 'd>,
-    shadow: &mut Vec<&'d [String]>,
+    shadow: &mut Vec<&'d [Name]>,
 ) -> Origins {
     match &e.kind {
         // A bare identifier resolves as `walk_facts` resolves it, so every
@@ -1143,7 +1143,7 @@ fn assign_target<'d>(
     target: &'d LValue,
     origins: &Origins,
     ctx: &mut TaintCtx<'_, 'd>,
-    shadow: &[&[String]],
+    shadow: &[&[Name]],
 ) {
     if let LValue::Local(n) = target {
         if !shadowed(shadow, n) {
@@ -1163,7 +1163,7 @@ fn call_origins<'d>(
     name: &str,
     args: &'d [Expr],
     ctx: &mut TaintCtx<'_, 'd>,
-    shadow: &mut Vec<&'d [String]>,
+    shadow: &mut Vec<&'d [Name]>,
 ) -> Origins {
     let sql_sink = SQL_SINKS.contains(&name);
     let Some(callee) = (ctx.lookup)(name) else {

@@ -257,13 +257,13 @@ struct MethodCtx {
     class: String,
     method: String,
     singleton: bool,
-    locals: HashMap<String, Type>,
+    locals: HashMap<Name, Type>,
     errors: Vec<TypeErrorInfo>,
     explicit_casts: usize,
     implicit_casts: usize,
     checks: Vec<InsertedCheck>,
     return_types: Vec<Type>,
-    block_param_types: HashMap<String, Type>,
+    block_param_types: HashMap<Name, Type>,
 }
 
 impl<'a> TypeChecker<'a> {
@@ -667,7 +667,10 @@ impl<'a> TypeChecker<'a> {
                 None => Type::Dynamic,
             },
             ExprKind::Const(path) => {
-                let joined = path.join("::");
+                let joined = match &path[..] {
+                    [name] => name.clone(),
+                    _ => Name::from(path.join("::")),
+                };
                 if self.env.classes.contains(&joined) || self.program_defines_class(&joined) {
                     Type::class_of(joined)
                 } else {
@@ -804,7 +807,7 @@ impl<'a> TypeChecker<'a> {
         for (k, v) in pairs {
             let vt = self.infer(ctx, v);
             match &k.kind {
-                ExprKind::Sym(s) => entries.push((HashKey::Sym(s.into()), vt.clone())),
+                ExprKind::Sym(s) => entries.push((HashKey::Sym(s.clone()), vt.clone())),
                 ExprKind::Str(s) => entries.push((HashKey::Str(s.into()), vt.clone())),
                 ExprKind::Int(i) => entries.push((HashKey::Int(*i), vt.clone())),
                 _ => {
@@ -845,7 +848,7 @@ impl<'a> TypeChecker<'a> {
                 let call = Expr::new(
                     ExprKind::Call {
                         recv: Some(r),
-                        name: "[]".to_string(),
+                        name: Name::from("[]"),
                         args: vec![(*i).clone()],
                         block: None,
                     },
@@ -1411,7 +1414,7 @@ impl<'a> TypeChecker<'a> {
         elem_ty: &Type,
     ) {
         if let Some(b) = block {
-            let saved: Vec<(String, Option<Type>)> = b
+            let saved: Vec<(Name, Option<Type>)> = b
                 .params
                 .iter()
                 .map(|p| (p.clone(), ctx.block_param_types.get(p).cloned()))

@@ -46,7 +46,7 @@
 use crate::env::CompRdl;
 use crate::tlc::HelperRegistry;
 use rdl_types::{MethodSig, TypeExpr};
-use ruby_syntax::{method_hash, Expr, ExprKind, MethodDef, Program, SemHasher};
+use ruby_syntax::{method_hash, Expr, ExprKind, MethodDef, Name, Program, SemHasher};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Bump when the behaviour of any *native* (Rust) helper changes in a way
@@ -122,7 +122,7 @@ impl DepGraph {
         for ((_, name, _), &idx) in &method_idx {
             by_name.entry(name.as_str()).or_default().push(idx);
         }
-        let called: HashSet<&str> = calls.iter().flatten().map(String::as_str).collect();
+        let called: HashSet<&str> = calls.iter().flatten().map(Name::as_str).collect();
         for ((_, _, name), sig, digest) in env.annotations.iter_digests() {
             if !called.contains(name) {
                 continue;
@@ -314,7 +314,7 @@ pub(crate) fn native_helper_hash(name: &str, state: Option<u64>) -> u64 {
 /// against the set of names that actually resolve, so the over-approximation
 /// only ever adds edges for name collisions — sound, at worst one spurious
 /// re-check.
-fn called_names(def: &MethodDef) -> BTreeSet<String> {
+fn called_names(def: &MethodDef) -> BTreeSet<Name> {
     let mut out = BTreeSet::new();
     let mut visit = |e: &Expr| match &e.kind {
         ExprKind::Call { name, .. } => {
@@ -374,7 +374,7 @@ fn for_each_comp_in_type(te: &TypeExpr, f: &mut impl FnMut(&Expr)) {
 
 /// Collects every helper name the expression references (as a call or bare
 /// identifier), filtered to names registered in `helpers`.
-fn collect_helper_refs(expr: &Expr, helpers: &HelperRegistry, out: &mut BTreeSet<String>) {
+fn collect_helper_refs(expr: &Expr, helpers: &HelperRegistry, out: &mut BTreeSet<Name>) {
     expr.walk(&mut |e| match &e.kind {
         ExprKind::Call { name, .. } | ExprKind::Ident(name) if helpers.contains(name) => {
             out.insert(name.clone());

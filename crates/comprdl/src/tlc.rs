@@ -546,7 +546,7 @@ impl<'a> TlcCtx<'a> {
             ExprKind::Int(i) => Ok(TlcValue::Int(*i)),
             ExprKind::Float(f) => Ok(TlcValue::Float(*f)),
             ExprKind::Str(s) => Ok(TlcValue::Str(s.clone())),
-            ExprKind::Sym(s) => Ok(TlcValue::Sym(s.clone())),
+            ExprKind::Sym(s) => Ok(TlcValue::Sym(s.to_string())),
             ExprKind::Array(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for i in items {
@@ -567,7 +567,7 @@ impl<'a> TlcCtx<'a> {
                 .cloned()
                 .ok_or_else(|| TlcError::new("`self` is not bound in type-level code")),
             ExprKind::Ident(name) => {
-                if let Some(v) = self.bindings.get(name) {
+                if let Some(v) = self.bindings.get(name.as_str()) {
                     return Ok(v.clone());
                 }
                 self.call_helper(name, &[])
@@ -632,7 +632,7 @@ impl<'a> TlcCtx<'a> {
             ExprKind::Assign { target, value } => {
                 let v = self.eval(value)?;
                 if let ruby_syntax::LValue::Local(name) = target {
-                    self.bindings.insert(name.clone(), v.clone());
+                    self.bindings.insert(name.to_string(), v.clone());
                     Ok(v)
                 } else {
                     Err(TlcError::new(
@@ -720,7 +720,7 @@ impl<'a> TlcCtx<'a> {
                 (None, Some(default)) => self.eval(default)?,
                 (None, None) => TlcValue::Nil,
             };
-            self.bindings.insert(p.name.clone(), v);
+            self.bindings.insert(p.name.to_string(), v);
         }
         Ok(())
     }

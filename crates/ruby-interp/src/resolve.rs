@@ -201,8 +201,8 @@ impl MethodTable {
                 methods.insert(m.name.clone(), method);
             }
             Item::Class(c) => {
-                self.classes.entry(c.name.clone()).or_default().superclass =
-                    Some(c.superclass.clone().unwrap_or_else(|| "Object".to_string()));
+                self.classes.entry(c.name.to_string()).or_default().superclass =
+                    Some(c.superclass.as_deref().unwrap_or("Object").to_string());
                 for member in &c.body {
                     match member {
                         Item::Expr(e) => self.add_accessors(&c.name, e),
@@ -227,7 +227,7 @@ impl MethodTable {
         for arg in args {
             if let ExprKind::Sym(attr) = &arg.kind {
                 let entry = self.classes.entry(class.to_string()).or_default();
-                entry.accessors.insert(attr.clone(), (kind, Rc::from(attr.as_str())));
+                entry.accessors.insert(attr.to_string(), (kind, Rc::from(attr.as_str())));
             }
         }
     }

@@ -6,7 +6,11 @@
 //! class methods), classes, conditionals, `while` loops, boolean operators,
 //! method calls with optional blocks, assignments (including index and
 //! attribute assignment) and `return`.
+//!
+//! Every name in the tree except [`MethodDef::name`] is a [`Name`] shared
+//! by all its occurrences in one parsed file (see [`crate::name`]).
 
+use crate::name::Name;
 use crate::span::Span;
 use std::sync::Arc;
 
@@ -87,9 +91,9 @@ pub enum Item {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassDef {
     /// The class name.
-    pub name: String,
+    pub name: Name,
     /// The optional superclass path (joined with `::`).
-    pub superclass: Option<String>,
+    pub superclass: Option<Name>,
     /// The class body.
     pub body: Vec<Item>,
     /// Source span of the `class` keyword through `end`.
@@ -99,7 +103,8 @@ pub struct ClassDef {
 /// A method definition `def name(params) ... end`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MethodDef {
-    /// The method name (may end in `?`, `!` or `=`).
+    /// The method name (may end in `?`, `!` or `=`).  Unlike the tree's
+    /// other names it is an owned `String`: callers collect it as one.
     pub name: String,
     /// Whether this is a class-level (`def self.name`) method.
     pub singleton: bool,
@@ -129,7 +134,7 @@ impl MethodDef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Parameter name.
-    pub name: String,
+    pub name: Name,
     /// Optional default value expression.
     pub default: Option<Expr>,
     /// Whether this is a block parameter (`&blk`).
@@ -138,7 +143,7 @@ pub struct Param {
 
 impl Param {
     /// A plain required parameter.
-    pub fn required(name: impl Into<String>) -> Self {
+    pub fn required(name: impl Into<Name>) -> Self {
         Param { name: name.into(), default: None, block: false }
     }
 }
@@ -148,24 +153,24 @@ impl Param {
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// A local variable.
-    Local(String),
+    Local(Name),
     /// An instance variable `@x`.
-    IVar(String),
+    IVar(Name),
     /// A global variable `$x`.
-    GVar(String),
+    GVar(Name),
     /// A constant.
-    Const(String),
+    Const(Name),
     /// An index assignment `recv[index] = value` (desugars to `[]=`).
     Index { recv: Box<Expr>, index: Box<Expr> },
     /// An attribute assignment `recv.name = value` (desugars to `name=`).
-    Attr { recv: Box<Expr>, name: String },
+    Attr { recv: Box<Expr>, name: Name },
 }
 
 /// A block argument attached to a method call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Block parameter names.
-    pub params: Vec<String>,
+    pub params: Vec<Name>,
     /// Block body.
     pub body: Vec<Expr>,
 }
@@ -208,7 +213,7 @@ pub enum ExprKind {
     /// String literal.
     Str(String),
     /// Symbol literal `:name`.
-    Sym(String),
+    Sym(Name),
     /// Array literal.
     Array(Vec<Expr>),
     /// Hash literal; keys are arbitrary expressions (symbols for labels).
@@ -217,23 +222,23 @@ pub enum ExprKind {
     SelfExpr,
     /// A bare lower-case identifier: a local variable if one is in scope,
     /// otherwise a call to a method on `self`.
-    Ident(String),
+    Ident(Name),
     /// An instance variable read.
-    IVar(String),
+    IVar(Name),
     /// A global variable read.
-    GVar(String),
+    GVar(Name),
     /// A constant read; segments of `A::B::C`.
-    Const(Vec<String>),
+    Const(Vec<Name>),
     /// An assignment.
     Assign { target: LValue, value: Box<Expr> },
     /// An `x op= v` assignment kept in sugared form (`+=`, `-=`, `||=`).
-    OpAssign { target: LValue, op: String, value: Box<Expr> },
+    OpAssign { target: LValue, op: Name, value: Box<Expr> },
     /// A method call `recv.name(args) { |params| body }`.
     Call {
         /// Explicit receiver; `None` means a call on `self`.
         recv: Option<Box<Expr>>,
         /// Method name.
-        name: String,
+        name: Name,
         /// Positional arguments.
         args: Vec<Expr>,
         /// Optional literal block, shared (not copied) by clones of the tree.
@@ -303,7 +308,7 @@ impl Expr {
     }
 
     /// Convenience constructor for a call on an explicit receiver.
-    pub fn call(recv: Expr, name: impl Into<String>, args: Vec<Expr>) -> Self {
+    pub fn call(recv: Expr, name: impl Into<Name>, args: Vec<Expr>) -> Self {
         Expr::synth(ExprKind::Call {
             recv: Some(Box::new(recv)),
             name: name.into(),
@@ -313,7 +318,7 @@ impl Expr {
     }
 
     /// Convenience constructor for a symbol literal.
-    pub fn sym(name: impl Into<String>) -> Self {
+    pub fn sym(name: impl Into<Name>) -> Self {
         Expr::synth(ExprKind::Sym(name.into()))
     }
 

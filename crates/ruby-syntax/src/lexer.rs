@@ -10,40 +10,18 @@
 //! stream.  Each error site records a span-carrying `LEX0001`
 //! [`diagnostics::Diagnostic`] and substitutes a placeholder (or skips the
 //! offending byte), so the parser always receives a complete,
-//! `Eof`-terminated stream.  Use [`lex_strict`] when the first error should
-//! fail hard instead.
+//! `Eof`-terminated stream.
+//!
+//! The lexer allocates nothing per token: a token is a kind and a span, and
+//! the parser slices a name out of the source ([`Token::text`]) and decodes
+//! a string literal's escapes from its span ([`string_value`]).
 
 use crate::span::Span;
 use crate::token::{Kw, Token, TokenKind};
 use diagnostics::Diagnostic;
-use std::fmt;
-
-/// An error produced while lexing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
-    /// Human readable description.
-    pub message: String,
-    /// Where the error occurred.
-    pub span: Span,
-}
-
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lex error at {}: {}", self.span, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
-
-impl From<LexError> for diagnostics::Diagnostic {
-    fn from(e: LexError) -> Self {
-        diagnostics::Diagnostic::error("LEX0001", e.message.clone())
-            .with_label(e.span, "lexed here")
-    }
-}
 
 /// Converts Ruby subset source text into a token stream.
-pub struct Lexer<'src> {
+pub(crate) struct Lexer<'src> {
     src: &'src str,
     bytes: &'src [u8],
     pos: usize,
@@ -56,11 +34,6 @@ pub struct Lexer<'src> {
 }
 
 impl<'src> Lexer<'src> {
-    /// Creates a lexer over `src` (file id `0`, the single-file default).
-    pub fn new(src: &'src str) -> Self {
-        Lexer::in_file(src, 0)
-    }
-
     /// Creates a lexer over `src` stamping every token span with `file`, so
     /// multi-file programs keep their spans distinguishable (see
     /// [`diagnostics::Span::file`]).
@@ -185,7 +158,7 @@ impl<'src> Lexer<'src> {
                     | TokenKind::LBracket
                     | TokenKind::LBrace
                     | TokenKind::Pipe
-                    | TokenKind::Label(_)
+                    | TokenKind::Label
                     | TokenKind::Keyword(Kw::And)
                     | TokenKind::Keyword(Kw::Or)
                     | TokenKind::Keyword(Kw::Not)
@@ -221,16 +194,17 @@ impl<'src> Lexer<'src> {
         self.tokens.push(Token::new(kind, span));
     }
 
+    /// Skips a string literal, escapes and all, to just past its closing
+    /// quote; the parser decodes it from the token's span
+    /// ([`string_value`]).  Every newline inside counts as a line.
     fn lex_string(&mut self, quote: u8) {
         let start = self.pos;
         let line = self.line;
         self.pos += 1;
-        let mut out = String::new();
         loop {
             match self.bytes.get(self.pos) {
                 None => {
-                    // Recovery: keep what was collected as the literal's
-                    // content so the rest of the (empty) input still lexes.
+                    // Recovery: the literal runs to the end of the input.
                     let span = self.span_from(start, line);
                     self.error("unterminated string literal", span);
                     break;
@@ -240,48 +214,15 @@ impl<'src> Lexer<'src> {
                     break;
                 }
                 Some(b'\\') if quote == b'"' => {
-                    let esc = self.bytes.get(self.pos + 1).copied();
-                    match esc {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'0') => out.push('\0'),
-                        Some(b'e') => out.push('\u{1b}'),
-                        Some(b's') => out.push(' '),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'"') => out.push('"'),
-                        Some(b'\'') => out.push('\''),
-                        // A backslash before a real newline elides it (line
-                        // continuation inside the literal), but the line
-                        // counter must still advance or every span after the
-                        // literal reports the wrong line.
-                        Some(b'\n') => self.line += 1,
-                        Some(other) => {
-                            out.push('\\');
-                            out.push(other as char);
-                        }
-                        None => out.push('\\'),
-                    }
-                    self.pos += 2;
+                    self.pos += 1 + self.bytes.get(self.pos + 1).map_or(1, |&c| utf8_len(c));
                 }
-                Some(b'\\') if self.bytes.get(self.pos + 1) == Some(&b'\'') => {
-                    out.push('\'');
-                    self.pos += 2;
-                }
-                Some(&b'\n') => {
-                    out.push('\n');
-                    self.line += 1;
-                    self.pos += 1;
-                }
-                Some(&c) => {
-                    // Collect a full UTF-8 character.
-                    let ch_start = self.pos;
-                    let ch_len = utf8_len(c);
-                    self.pos += ch_len;
-                    out.push_str(&self.src[ch_start..self.pos.min(self.src.len())]);
-                }
+                Some(b'\\') if self.bytes.get(self.pos + 1) == Some(&quote) => self.pos += 2,
+                Some(&c) => self.pos += utf8_len(c),
             }
         }
-        self.push(TokenKind::Str(out), start, line);
+        let end = self.pos.min(self.bytes.len());
+        self.line += self.bytes[start..end].iter().filter(|&&b| b == b'\n').count() as u32;
+        self.push(TokenKind::Str, start, line);
     }
 
     fn lex_number(&mut self) {
@@ -309,7 +250,14 @@ impl<'src> Lexer<'src> {
                 self.pos += 1;
             }
         }
-        let text: String = self.src[start..self.pos].chars().filter(|c| *c != '_').collect();
+        let source = &self.src[start..self.pos];
+        let stripped;
+        let text = if source.contains('_') {
+            stripped = source.replace('_', "");
+            stripped.as_str()
+        } else {
+            source
+        };
         let kind = if is_float {
             match text.parse::<f64>() {
                 Ok(v) => TokenKind::Float(v),
@@ -332,7 +280,8 @@ impl<'src> Lexer<'src> {
         self.push(kind, start, line);
     }
 
-    fn ident_tail(&mut self) -> String {
+    /// Skips the identifier characters at the cursor, returning how many.
+    fn ident_tail(&mut self) -> usize {
         let start = self.pos;
         while matches!(
             self.bytes.get(self.pos),
@@ -340,34 +289,32 @@ impl<'src> Lexer<'src> {
         ) {
             self.pos += 1;
         }
-        self.src[start..self.pos].to_string()
+        self.pos - start
     }
 
     fn lex_ivar(&mut self) {
         let start = self.pos;
         let line = self.line;
         self.pos += 1;
-        let name = self.ident_tail();
-        if name.is_empty() {
+        if self.ident_tail() == 0 {
             // Recovery: drop the bare sigil and continue with the next byte.
             let span = self.span_from(start, line);
             self.error("expected instance variable name after `@`", span);
             return;
         }
-        self.push(TokenKind::IVar(name), start, line);
+        self.push(TokenKind::IVar, start, line);
     }
 
     fn lex_gvar(&mut self) {
         let start = self.pos;
         let line = self.line;
         self.pos += 1;
-        let name = self.ident_tail();
-        if name.is_empty() {
+        if self.ident_tail() == 0 {
             let span = self.span_from(start, line);
             self.error("expected global variable name after `$`", span);
             return;
         }
-        self.push(TokenKind::GVar(name), start, line);
+        self.push(TokenKind::GVar, start, line);
     }
 
     fn lex_colon(&mut self) {
@@ -383,9 +330,8 @@ impl<'src> Lexer<'src> {
         match self.bytes.get(self.pos + 1) {
             Some(b'a'..=b'z') | Some(b'A'..=b'Z') | Some(b'_') => {
                 self.pos += 1;
-                let mut name = self.ident_tail();
+                self.ident_tail();
                 if matches!(self.bytes.get(self.pos), Some(b'?') | Some(b'!')) {
-                    name.push(self.bytes[self.pos] as char);
                     self.pos += 1;
                 }
                 if self.bytes.get(self.pos) == Some(&b'=')
@@ -393,19 +339,13 @@ impl<'src> Lexer<'src> {
                     && self.bytes.get(self.pos + 1) != Some(&b'>')
                 {
                     // attribute-writer symbols such as :name=
-                    name.push('=');
                     self.pos += 1;
                 }
-                self.push(TokenKind::Symbol(name), start, line);
+                self.push(TokenKind::Symbol, start, line);
             }
             Some(b'[') if self.bytes.get(self.pos + 2) == Some(&b']') => {
-                if self.bytes.get(self.pos + 3) == Some(&b'=') {
-                    self.pos += 4;
-                    self.push(TokenKind::Symbol("[]=".to_string()), start, line);
-                } else {
-                    self.pos += 3;
-                    self.push(TokenKind::Symbol("[]".to_string()), start, line);
-                }
+                self.pos += if self.bytes.get(self.pos + 3) == Some(&b'=') { 4 } else { 3 };
+                self.push(TokenKind::Symbol, start, line);
             }
             // Operator symbols such as :+, :**, :<=, :==, :<=>, :<<.
             Some(b'+') | Some(b'-') | Some(b'*') | Some(b'/') | Some(b'%') | Some(b'<')
@@ -418,7 +358,7 @@ impl<'src> Lexer<'src> {
                 match op {
                     Some(op) => {
                         self.pos += 1 + op.len();
-                        self.push(TokenKind::Symbol(op.to_string()), start, line);
+                        self.push(TokenKind::Symbol, start, line);
                     }
                     None => {
                         self.pos += 1;
@@ -436,39 +376,35 @@ impl<'src> Lexer<'src> {
     fn lex_ident(&mut self) {
         let start = self.pos;
         let line = self.line;
-        let mut name = self.ident_tail();
-        if matches!(self.bytes.get(self.pos), Some(b'?') | Some(b'!')) {
-            name.push(self.bytes[self.pos] as char);
+        self.ident_tail();
+        let predicate = matches!(self.bytes.get(self.pos), Some(b'?') | Some(b'!'));
+        if predicate {
             self.pos += 1;
         }
+        let keyword = Kw::from_source(&self.src[start..self.pos]);
         // A label `name:` (not followed by another `:`).
         if self.bytes.get(self.pos) == Some(&b':')
             && self.bytes.get(self.pos + 1) != Some(&b':')
-            && !name.ends_with('?')
-            && !name.ends_with('!')
-            && Kw::from_source(&name).is_none()
+            && !predicate
+            && keyword.is_none()
         {
             self.pos += 1;
-            self.push(TokenKind::Label(name), start, line);
+            self.push(TokenKind::Label, start, line);
             return;
         }
-        let kind = match Kw::from_source(&name) {
-            Some(kw) => TokenKind::Keyword(kw),
-            None => TokenKind::Ident(name),
-        };
-        self.push(kind, start, line);
+        self.push(keyword.map_or(TokenKind::Ident, TokenKind::Keyword), start, line);
     }
 
     fn lex_const(&mut self) {
         let start = self.pos;
         let line = self.line;
-        let name = self.ident_tail();
+        self.ident_tail();
         if self.bytes.get(self.pos) == Some(&b':') && self.bytes.get(self.pos + 1) != Some(&b':') {
             self.pos += 1;
-            self.push(TokenKind::Label(name), start, line);
+            self.push(TokenKind::Label, start, line);
             return;
         }
-        self.push(TokenKind::Const(name), start, line);
+        self.push(TokenKind::Const, start, line);
     }
 
     fn lex_operator(&mut self) {
@@ -552,49 +488,63 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// Convenience wrapper: lexes `src` into tokens plus recovery diagnostics.
-/// The token stream is always complete (malformed constructs become
-/// placeholders); the diagnostics are empty exactly when the input was
-/// well formed.
-///
-/// # Examples
-///
-/// ```
-/// let (toks, diags) = ruby_syntax::lex("a = 1 + 2");
-/// assert!(toks.len() > 4);
-/// assert!(diags.is_empty());
-/// ```
-pub fn lex(src: &str) -> (Vec<Token>, Vec<Diagnostic>) {
-    Lexer::new(src).tokenize()
-}
-
-/// Like [`lex`], but stamps every token span (and any diagnostic span) with
-/// the given source-file id, for multi-file programs.
-pub fn lex_in_file(src: &str, file: u32) -> (Vec<Token>, Vec<Diagnostic>) {
-    Lexer::in_file(src, file).tokenize()
-}
-
-/// Fail-stop lexing: like [`lex`], but the first malformed construct is
-/// returned as a [`LexError`] instead of being recovered from.
-///
-/// # Errors
-///
-/// Returns a [`LexError`] describing the first recovery diagnostic.
-pub fn lex_strict(src: &str) -> Result<Vec<Token>, LexError> {
-    lex_in_file_strict(src, 0)
-}
-
-/// [`lex_strict`] with an explicit source-file id.
-///
-/// # Errors
-///
-/// See [`lex_strict`].
-pub fn lex_in_file_strict(src: &str, file: u32) -> Result<Vec<Token>, LexError> {
-    let (tokens, diags) = Lexer::in_file(src, file).tokenize();
-    match diags.into_iter().next() {
-        None => Ok(tokens),
-        Some(d) => Err(LexError { message: d.message.clone(), span: d.primary_span() }),
+/// The value of the string literal whose source text is `literal`, opening
+/// quote first: a double-quoted literal's escapes decoded, a single-quoted
+/// one's `\'` unescaped, up to the closing quote or the end of the text
+/// (a literal left open).  The lexer found where the literal ends; this
+/// reads it again the same way.
+pub(crate) fn string_value(literal: &str) -> String {
+    let bytes = literal.as_bytes();
+    let Some(&quote) = bytes.first() else { return String::new() };
+    let body = &literal[1..];
+    // Most literals hold no backslash: their value is their body.
+    match body.bytes().position(|b| b == quote || b == b'\\') {
+        Some(i) if bytes[1 + i] == quote => return body[..i].to_string(),
+        None => return body.to_string(),
+        Some(_) => {}
     }
+    let mut out = String::new();
+    let mut pos = 1;
+    loop {
+        match bytes.get(pos) {
+            None => break,
+            Some(&c) if c == quote => break,
+            Some(b'\\') if quote == b'"' => {
+                match bytes.get(pos + 1) {
+                    Some(b'n') => out.push('\n'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'0') => out.push('\0'),
+                    Some(b'e') => out.push('\u{1b}'),
+                    Some(b's') => out.push(' '),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'"') => out.push('"'),
+                    Some(b'\'') => out.push('\''),
+                    // A backslash before a real newline elides it (line
+                    // continuation inside the literal).
+                    Some(b'\n') => {}
+                    // Any other escape stays verbatim, backslash included.
+                    Some(_) => {
+                        let ch = literal[pos + 1..].chars().next().expect("a character follows");
+                        out.push('\\');
+                        out.push(ch);
+                        pos += ch.len_utf8() - 1;
+                    }
+                    None => out.push('\\'),
+                }
+                pos += 2;
+            }
+            Some(b'\\') if bytes.get(pos + 1) == Some(&b'\'') => {
+                out.push('\'');
+                pos += 2;
+            }
+            Some(_) => {
+                let ch = literal[pos..].chars().next().expect("a character starts here");
+                out.push(ch);
+                pos += ch.len_utf8();
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -602,10 +552,22 @@ mod tests {
     use super::*;
     use crate::token::TokenKind as T;
 
-    fn kinds(src: &str) -> Vec<T> {
+    fn lex(src: &str) -> (Vec<Token>, Vec<Diagnostic>) {
+        Lexer::in_file(src, 0).tokenize()
+    }
+
+    /// Each token's kind and the text it slices out of `src`
+    /// ([`Token::text`]), for a source that lexes cleanly.
+    fn kinds(src: &str) -> Vec<(T, &str)> {
         let (toks, diags) = lex(src);
         assert!(diags.is_empty(), "{diags:?}");
-        toks.into_iter().map(|t| t.kind).collect()
+        toks.iter().map(|t| (t.kind, t.text(src))).collect()
+    }
+
+    /// The value of every string literal in `src`, in order.
+    fn strings(src: &str) -> Vec<String> {
+        let (toks, _) = lex(src);
+        toks.iter().filter(|t| t.kind == T::Str).map(|t| string_value(t.source(src))).collect()
     }
 
     #[test]
@@ -614,33 +576,35 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                T::Ident("a".into()),
-                T::Assign,
-                T::Int(1),
-                T::Plus,
-                T::Int(2),
-                T::Newline,
-                T::Eof
+                (T::Ident, "a"),
+                (T::Assign, "="),
+                (T::Int(1), "1"),
+                (T::Plus, "+"),
+                (T::Int(2), "2"),
+                (T::Newline, ""),
+                (T::Eof, "")
             ]
         );
     }
 
     #[test]
     fn lexes_symbols_and_labels() {
-        let k = kinds("{ name: 'Alice', age: 30 }");
-        assert!(k.contains(&T::Label("name".into())));
-        assert!(k.contains(&T::Label("age".into())));
-        let k = kinds("joins(:emails)");
-        assert!(k.contains(&T::Symbol("emails".into())));
+        let k = kinds("{ name: 'Alice', Age: 30 }");
+        assert!(k.contains(&(T::Label, "name")), "{k:?}");
+        assert!(k.contains(&(T::Label, "Age")), "{k:?}");
+        let k = kinds("joins(:emails) :exists? :name=");
+        assert!(k.contains(&(T::Symbol, "emails")), "{k:?}");
+        assert!(k.contains(&(T::Symbol, "exists?")), "{k:?}");
+        assert!(k.contains(&(T::Symbol, "name=")), "{k:?}");
     }
 
     #[test]
     fn lexes_operator_symbols() {
         let k = kinds(":[] :[]= :+ :-");
-        assert!(k.contains(&T::Symbol("[]".into())));
-        assert!(k.contains(&T::Symbol("[]=".into())));
-        assert!(k.contains(&T::Symbol("+".into())));
-        assert!(k.contains(&T::Symbol("-".into())));
+        assert!(k.contains(&(T::Symbol, "[]")));
+        assert!(k.contains(&(T::Symbol, "[]=")));
+        assert!(k.contains(&(T::Symbol, "+")));
+        assert!(k.contains(&(T::Symbol, "-")));
     }
 
     #[test]
@@ -649,19 +613,19 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                T::Ident("a".into()),
-                T::Shl,
-                T::Ident("b".into()),
-                T::Lt,
-                T::Ident("c".into()),
-                T::Le,
-                T::Ident("d".into()),
-                T::Spaceship,
-                T::Ident("e".into()),
-                T::Symbol("<<".into()),
-                T::Symbol("<".into()),
-                T::Newline,
-                T::Eof
+                (T::Ident, "a"),
+                (T::Shl, "<<"),
+                (T::Ident, "b"),
+                (T::Lt, "<"),
+                (T::Ident, "c"),
+                (T::Le, "<="),
+                (T::Ident, "d"),
+                (T::Spaceship, "<=>"),
+                (T::Ident, "e"),
+                (T::Symbol, "<<"),
+                (T::Symbol, "<"),
+                (T::Newline, ""),
+                (T::Eof, "")
             ]
         );
     }
@@ -669,74 +633,102 @@ mod tests {
     #[test]
     fn lexes_ivar_gvar() {
         let k = kinds("@page = $schema");
-        assert_eq!(k[0], T::IVar("page".into()));
-        assert_eq!(k[2], T::GVar("schema".into()));
+        assert_eq!(k[0], (T::IVar, "page"));
+        assert_eq!(k[2], (T::GVar, "schema"));
     }
 
     #[test]
     fn lexes_strings_with_escapes() {
-        let k = kinds(r#"x = "a\nb" + 'c'"#);
-        assert!(k.contains(&T::Str("a\nb".into())));
-        assert!(k.contains(&T::Str("c".into())));
+        let src = r#"x = "a\nb" + 'c'"#;
+        let k = kinds(src);
+        assert!(k.contains(&(T::Str, r#""a\nb""#)), "the token slices the literal: {k:?}");
+        assert_eq!(strings(src), ["a\nb", "c"]);
     }
 
     #[test]
     fn decodes_the_full_escape_set() {
-        let k = kinds(r#""a\\b" "q\"q" "z\0\e\sz" "keep\qkeep""#);
-        assert!(k.contains(&T::Str("a\\b".into())), "{k:?}");
-        assert!(k.contains(&T::Str("q\"q".into())), "{k:?}");
-        assert!(k.contains(&T::Str("z\0\u{1b} z".into())), "{k:?}");
+        let k = strings(r#""a\\b" "q\"q" "z\0\e\sz" "keep\qkeep" 'it\'s' 'back\slash'"#);
+        assert!(k.contains(&"a\\b".to_string()), "{k:?}");
+        assert!(k.contains(&"q\"q".to_string()), "{k:?}");
+        assert!(k.contains(&"z\0\u{1b} z".to_string()), "{k:?}");
         // Unknown escapes pass through backslash-verbatim, as before.
-        assert!(k.contains(&T::Str("keep\\qkeep".into())), "{k:?}");
+        assert!(k.contains(&"keep\\qkeep".to_string()), "{k:?}");
+        // A single-quoted literal unescapes only its quote.
+        assert!(k.contains(&"it's".to_string()), "{k:?}");
+        assert!(k.contains(&"back\\slash".to_string()), "{k:?}");
+    }
+
+    #[test]
+    fn an_escaped_multibyte_character_stays_whole() {
+        let src = "x = \"\\é→😀\" + 'é\\x'\ny";
+        let (toks, diags) = lex(src);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(strings(src), ["\\é→😀", "é\\x"]);
+        let y = toks.iter().find(|t| t.kind == T::Ident).unwrap();
+        assert_eq!((y.text(src), y.span.line), ("x", 1));
+        let y = toks.iter().rev().find(|t| t.kind == T::Ident).unwrap();
+        assert_eq!((y.text(src), y.span.line), ("y", 2));
     }
 
     #[test]
     fn escaped_newline_in_string_elides_it_and_keeps_lines_correct() {
-        let toks = lex_strict("x = \"a\\\nb\"\ny").unwrap();
-        let str_tok = toks.iter().find(|t| matches!(t.kind, T::Str(_))).unwrap();
-        assert_eq!(str_tok.kind, T::Str("ab".into()), "backslash-newline is a continuation");
+        let src = "x = \"a\\\nb\"\ny";
+        let (toks, diags) = lex(src);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(strings(src), ["ab"], "backslash-newline is a continuation");
         // `y` sits on line 3 of the source; before the fix the lexer lost
         // the count at the escaped newline and reported line 2.
-        let y = toks.iter().find(|t| t.kind == T::Ident("y".into())).unwrap();
+        let y = toks.iter().find(|t| t.kind == T::Ident && t.text(src) == "y").unwrap();
         assert_eq!(y.span.line, 3, "{toks:?}");
     }
 
     #[test]
     fn raw_newline_in_string_still_counts_lines() {
-        let toks = lex_strict("x = \"a\nb\"\ny").unwrap();
-        let y = toks.iter().find(|t| t.kind == T::Ident("y".into())).unwrap();
+        let src = "x = \"a\nb\"\ny";
+        let (toks, diags) = lex(src);
+        assert!(diags.is_empty(), "{diags:?}");
+        let y = toks.iter().find(|t| t.kind == T::Ident && t.text(src) == "y").unwrap();
         assert_eq!(y.span.line, 3, "{toks:?}");
     }
 
     #[test]
     fn file_id_is_stamped_on_every_token() {
-        let (toks, diags) = lex_in_file("a = 1", 3);
+        let (toks, diags) = Lexer::in_file("a = 1", 3).tokenize();
         assert!(diags.is_empty(), "{diags:?}");
         assert!(toks.iter().all(|t| t.span.file == 3), "{toks:?}");
-        let err = lex_in_file_strict("x = 'oops", 5).unwrap_err();
-        assert_eq!(err.span.file, 5);
+        let (_, diags) = Lexer::in_file("x = 'oops", 5).tokenize();
+        assert_eq!(diags[0].primary_span().file, 5);
     }
 
     #[test]
     fn unterminated_string_recovers_with_a_diagnostic() {
-        let (toks, diags) = lex("x = 'oops");
+        let src = "x = 'oops";
+        let (toks, diags) = lex(src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "LEX0001");
         assert!(diags[0].message.contains("unterminated string"), "{diags:?}");
         // The collected content survives as a placeholder literal and the
         // stream is still Newline+Eof terminated.
-        assert!(toks.iter().any(|t| t.kind == T::Str("oops".into())), "{toks:?}");
+        assert_eq!(strings(src), ["oops"]);
         assert_eq!(toks.last().unwrap().kind, T::Eof);
-        assert!(lex_strict("x = 'oops").is_err());
+        // A backslash at the very end leaves a span past the input, which
+        // every reader of the token clamps.
+        let src = "x = \"ab\\";
+        let (toks, diags) = lex(src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        let literal = toks.iter().find(|t| t.kind == T::Str).unwrap();
+        assert_eq!(literal.source(src), "\"ab\\");
+        assert_eq!(strings(src), ["ab\\"]);
     }
 
     #[test]
     fn stray_bytes_recover_and_keep_lexing() {
-        let (toks, diags) = lex("a = 1 ~ ` @\nb = 2");
+        let src = "a = 1 ~ ` @\nb = 2";
+        let (toks, diags) = lex(src);
         assert_eq!(diags.len(), 3, "{diags:?}");
         assert!(diags.iter().all(|d| d.code == "LEX0001"));
         // Everything after the junk still lexes.
-        assert!(toks.iter().any(|t| t.kind == T::Ident("b".into())), "{toks:?}");
+        assert!(toks.iter().any(|t| t.kind == T::Ident && t.text(src) == "b"), "{toks:?}");
         assert!(toks.iter().any(|t| t.kind == T::Int(2)));
     }
 
@@ -750,11 +742,12 @@ mod tests {
 
     #[test]
     fn lexes_floats_and_ints() {
-        let k = kinds("1 2.5 1_000 3e2");
-        assert_eq!(k[0], T::Int(1));
-        assert_eq!(k[1], T::Float(2.5));
-        assert_eq!(k[2], T::Int(1000));
-        assert_eq!(k[3], T::Float(300.0));
+        let k = kinds("1 2.5 1_000 3e2 1_0.2_5");
+        assert_eq!(k[0], (T::Int(1), "1"));
+        assert_eq!(k[1], (T::Float(2.5), "2.5"));
+        assert_eq!(k[2], (T::Int(1000), "1_000"));
+        assert_eq!(k[3], (T::Float(300.0), "3e2"));
+        assert_eq!(k[4], (T::Float(10.25), "1_0.2_5"));
     }
 
     #[test]
@@ -762,54 +755,57 @@ mod tests {
         let k = kinds("a # a comment\nb");
         assert_eq!(
             k,
-            vec![T::Ident("a".into()), T::Newline, T::Ident("b".into()), T::Newline, T::Eof]
+            vec![
+                (T::Ident, "a"),
+                (T::Newline, "\n"),
+                (T::Ident, "b"),
+                (T::Newline, ""),
+                (T::Eof, "")
+            ]
         );
     }
 
     #[test]
     fn newline_suppressed_inside_parens_and_after_comma() {
         let k = kinds("foo(1,\n 2)\n");
-        assert!(!k[..k.len() - 3].contains(&T::Newline));
+        assert!(!k[..k.len() - 3].iter().any(|(t, _)| *t == T::Newline));
         let k = kinds("a = [1,\n2,\n3]");
-        let newline_count = k.iter().filter(|t| **t == T::Newline).count();
+        let newline_count = k.iter().filter(|(t, _)| *t == T::Newline).count();
         assert_eq!(newline_count, 1);
     }
 
     #[test]
     fn newline_suppressed_before_leading_dot() {
         let k = kinds("Post.includes(:topic)\n  .where(x)\n");
-        let newline_count = k.iter().filter(|t| **t == T::Newline).count();
+        let newline_count = k.iter().filter(|(t, _)| *t == T::Newline).count();
         assert_eq!(newline_count, 1, "{k:?}");
     }
 
     #[test]
     fn keywords_are_recognized() {
         let k = kinds("if x then y else z end");
-        assert_eq!(k[0], T::Keyword(Kw::If));
-        assert_eq!(k[2], T::Keyword(Kw::Then));
-        assert_eq!(k[4], T::Keyword(Kw::Else));
-        assert_eq!(k[6], T::Keyword(Kw::End));
+        assert_eq!(k[0], (T::Keyword(Kw::If), "if"));
+        assert_eq!(k[2], (T::Keyword(Kw::Then), "then"));
+        assert_eq!(k[4], (T::Keyword(Kw::Else), "else"));
+        assert_eq!(k[6], (T::Keyword(Kw::End), "end"));
     }
 
     #[test]
     fn question_mark_methods() {
         let k = kinds("User.exists?(x)");
-        assert!(k.contains(&T::Ident("exists?".into())));
+        assert!(k.contains(&(T::Ident, "exists?")));
     }
 
     #[test]
     fn lexes_double_colon_paths() {
         let k = kinds("ActiveRecord::Base");
-        assert_eq!(
-            k[..3],
-            [T::Const("ActiveRecord".into()), T::ColonColon, T::Const("Base".into())]
-        );
+        assert_eq!(k[..3], [(T::Const, "ActiveRecord"), (T::ColonColon, "::"), (T::Const, "Base")]);
     }
 
     #[test]
     fn spaceship_and_pow() {
         let k = kinds("a <=> b ** c");
-        assert!(k.contains(&T::Spaceship));
-        assert!(k.contains(&T::Pow));
+        assert!(k.contains(&(T::Spaceship, "<=>")));
+        assert!(k.contains(&(T::Pow, "**")));
     }
 }

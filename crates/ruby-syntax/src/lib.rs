@@ -44,31 +44,48 @@
 //! ```
 //!
 //! Callers that want the old fail-stop behaviour (tests, signature parsing)
-//! use [`parse_program_strict`] / [`lex_strict`], which surface the first
-//! diagnostic as a [`ParseError`] / [`LexError`].
+//! use [`parse_program_strict`], which surfaces the first diagnostic as a
+//! [`ParseError`].
+//!
+//! ## Shared names
+//!
+//! The lexer allocates nothing per token: a token is a kind and a span, and
+//! the token stream stays inside the crate.  The parser slices each name
+//! out of the source and interns it in a table that lives as long as the
+//! parse, so every occurrence of a name in one file's AST shares one
+//! [`Name`], and later stages clone it instead of copying the text.
+//!
+//! ```
+//! use ruby_syntax::{parse_program_strict, ExprKind};
+//!
+//! let prog = parse_program_strict("def m(x)\n  x\nend\n").unwrap();
+//! let def = prog.methods()[0].1;
+//! let ExprKind::Ident(read) = &def.body[0].kind else { panic!("not a read") };
+//! assert!(std::ptr::eq(def.params[0].name.as_str(), read.as_str()));
+//! ```
 
 #![warn(missing_docs)]
 
 pub mod ast;
 pub mod fxhash;
-pub mod lexer;
+mod lexer;
+pub mod name;
 pub mod parser;
 pub mod semhash;
 pub mod span;
-pub mod token;
+mod token;
 
 pub use ast::{
     BinOp, Block, ClassDef, CondArm, Expr, ExprKind, Item, LValue, MethodDef, Param, Program,
 };
 pub use fxhash::FxHashMap;
-pub use lexer::{lex, lex_in_file, lex_in_file_strict, lex_strict, LexError, Lexer};
+pub use name::Name;
 pub use parser::{
     parse_expr, parse_program, parse_program_in_file, parse_program_in_file_strict,
     parse_program_strict, ParseError,
 };
 pub use semhash::{expr_hash, method_hash, method_span_nodes, MethodHash, SemHasher};
 pub use span::Span;
-pub use token::{Kw, Token, TokenKind};
 
 /// Counts the number of non-blank, non-comment source lines, mirroring how
 /// the paper reports `sloccount`-style LoC numbers for subject methods.

@@ -8,12 +8,20 @@
 //! statement boundary.  One broken method therefore still yields a fully
 //! parsed rest-of-file.  [`parse_program_strict`] restores fail-stop
 //! behaviour for callers that want a hard error.
+//!
+//! Every name the parser reads (a class, a method, a variable, a constant
+//! segment, a symbol, a label) is sliced out of the source and interned in
+//! a per-parse table, so all its occurrences in the AST share one
+//! [`Name`]; the table is dropped when the parse ends.
 
 use crate::ast::*;
-use crate::lexer::{lex_strict, LexError};
+use crate::fxhash::FxHashMap;
+use crate::lexer::{string_value, Lexer};
+use crate::name::Name;
 use crate::span::Span;
 use crate::token::{Kw, Token, TokenKind};
 use diagnostics::Diagnostic;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -34,9 +42,12 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError { message: e.message, span: e.span }
+impl ParseError {
+    /// The error a fail-stop entry point reports for the first recovery
+    /// diagnostic.
+    fn first_of(diags: &[Diagnostic]) -> Option<ParseError> {
+        let d = diags.first()?;
+        Some(ParseError { message: d.message.clone(), span: d.primary_span() })
     }
 }
 
@@ -72,8 +83,8 @@ pub fn parse_program(src: &str) -> (Program, Vec<Diagnostic>) {
 /// (merged with [`Program::merge`]) keep their call sites distinguishable
 /// even when byte offsets coincide across files.
 pub fn parse_program_in_file(src: &str, file: u32) -> (Program, Vec<Diagnostic>) {
-    let (tokens, mut diags) = crate::lexer::lex_in_file(src, file);
-    let mut p = Parser::new(tokens);
+    let (tokens, mut diags) = Lexer::in_file(src, file).tokenize();
+    let mut p = Parser::new(src, tokens);
     let program = p.parse_program_recovering();
     diags.append(&mut p.diags);
     (program, diags)
@@ -105,9 +116,9 @@ pub fn parse_program_strict(src: &str) -> Result<Program, ParseError> {
 /// See [`parse_program_strict`].
 pub fn parse_program_in_file_strict(src: &str, file: u32) -> Result<Program, ParseError> {
     let (program, diags) = parse_program_in_file(src, file);
-    match diags.into_iter().next() {
+    match ParseError::first_of(&diags) {
         None => Ok(program),
-        Some(d) => Err(ParseError { message: d.message.clone(), span: d.primary_span() }),
+        Some(e) => Err(e),
     }
 }
 
@@ -124,8 +135,11 @@ pub fn parse_program_in_file_strict(src: &str, file: u32) -> Result<Program, Par
 /// assert!(matches!(e.kind, ruby_syntax::ExprKind::Call { .. }));
 /// ```
 pub fn parse_expr(src: &str) -> PResult<Expr> {
-    let tokens = lex_strict(src)?;
-    let mut p = Parser::new(tokens);
+    let (tokens, diags) = Lexer::in_file(src, 0).tokenize();
+    if let Some(e) = ParseError::first_of(&diags) {
+        return Err(e);
+    }
+    let mut p = Parser::new(src, tokens);
     p.skip_newlines();
     let e = p.parse_stmt()?;
     p.skip_newlines();
@@ -147,15 +161,46 @@ fn binding(token: &TokenKind) -> Option<u8> {
     })
 }
 
-struct Parser {
+struct Parser<'src> {
+    src: &'src str,
     tokens: Vec<Token>,
     pos: usize,
     diags: Vec<Diagnostic>,
+    /// This parse's names: each distinct text is allocated once, and every
+    /// occurrence clones its `Name`.
+    names: FxHashMap<&'src str, Name>,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0, diags: Vec::new() }
+impl<'src> Parser<'src> {
+    fn new(src: &'src str, tokens: Vec<Token>) -> Self {
+        Parser { src, tokens, pos: 0, diags: Vec::new(), names: FxHashMap::default() }
+    }
+
+    /// The shared [`Name`] spelling `text`, made on its first use.
+    fn intern(&mut self, text: &'src str) -> Name {
+        self.names.entry(text).or_insert_with(|| Name::from(text)).clone()
+    }
+
+    /// [`Self::intern`] for a name the parser may have had to build, such
+    /// as `name=` spelled with a space before its `=`.  A built text that
+    /// is not yet in the table gets a `Name` of its own.
+    fn intern_cow(&mut self, text: Cow<'src, str>) -> Name {
+        match text {
+            Cow::Borrowed(text) => self.intern(text),
+            Cow::Owned(text) => match self.names.get(text.as_str()) {
+                Some(name) => name.clone(),
+                None => Name::from(text),
+            },
+        }
+    }
+
+    /// The shared [`Name`] a name-like token spells ([`Token::text`]).
+    fn name(&mut self, token: Token) -> Name {
+        self.intern(token.text(self.src))
+    }
+
+    fn current(&self) -> Token {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
     fn peek(&self) -> &TokenKind {
@@ -180,7 +225,7 @@ impl Parser {
     }
 
     fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+        let t = self.current();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
@@ -217,11 +262,7 @@ impl Parser {
         if self.check(kind) {
             Ok(self.advance())
         } else {
-            Err(self.error(format!(
-                "expected {}, found {}",
-                kind.describe(),
-                self.peek().describe()
-            )))
+            Err(self.expected(&kind.describe(""), self.current()))
         }
     }
 
@@ -229,7 +270,7 @@ impl Parser {
         if self.check_kw(kw) {
             Ok(self.advance())
         } else {
-            Err(self.error(format!("expected keyword `{kw}`, found {}", self.peek().describe())))
+            Err(self.expected(&format!("keyword `{kw}`"), self.current()))
         }
     }
 
@@ -238,12 +279,17 @@ impl Parser {
         if matches!(self.peek(), TokenKind::Eof) {
             Ok(())
         } else {
-            Err(self.error(format!("unexpected {}", self.peek().describe())))
+            Err(self.error(format!("unexpected {}", self.current().describe(self.src))))
         }
     }
 
     fn error(&self, message: String) -> ParseError {
         ParseError { message, span: self.span() }
+    }
+
+    /// "expected `what`, found" `found`, at the current token.
+    fn expected(&self, what: &str, found: Token) -> ParseError {
+        self.error(format!("expected {what}, found {}", found.describe(self.src)))
     }
 
     fn skip_newlines(&mut self) {
@@ -307,12 +353,13 @@ impl Parser {
         let def_span = self.span();
         self.advance(); // the `def` keyword
         let mut singleton = false;
-        if self.check_kw(Kw::SelfKw) && matches!(self.peek_at(1), TokenKind::Dot) {
+        if self.check_kw(Kw::SelfValue) && matches!(self.peek_at(1), TokenKind::Dot) {
             self.advance();
             self.advance();
             singleton = true;
         }
-        let name = self.parse_method_name().unwrap_or_else(|_| "<invalid>".to_string());
+        let name =
+            self.parse_method_name().map_or_else(|_| "<invalid>".to_string(), Cow::into_owned);
         let end_span = self.resync_to_matching_end();
         self.diags.push(
             Diagnostic::error(
@@ -400,19 +447,24 @@ impl Parser {
                 k => {
                     after_expr = matches!(
                         k,
-                        TokenKind::Ident(_)
-                            | TokenKind::Const(_)
-                            | TokenKind::IVar(_)
-                            | TokenKind::GVar(_)
-                            | TokenKind::Symbol(_)
+                        TokenKind::Ident
+                            | TokenKind::Const
+                            | TokenKind::IVar
+                            | TokenKind::GVar
+                            | TokenKind::Symbol
                             | TokenKind::Int(_)
                             | TokenKind::Float(_)
-                            | TokenKind::Str(_)
+                            | TokenKind::Str
                             | TokenKind::RParen
                             | TokenKind::RBracket
                             | TokenKind::RBrace
                             | TokenKind::Keyword(
-                                Kw::SelfKw | Kw::Nil | Kw::True | Kw::False | Kw::Break | Kw::Next
+                                Kw::SelfValue
+                                    | Kw::Nil
+                                    | Kw::True
+                                    | Kw::False
+                                    | Kw::Break
+                                    | Kw::Next
                             )
                     );
                     self.advance();
@@ -470,20 +522,16 @@ impl Parser {
             | TokenKind::Keyword(Kw::Else)
             | TokenKind::Keyword(Kw::Elsif)
             | TokenKind::Keyword(Kw::When) => Ok(()),
-            other => {
-                Err(self.error(format!("expected end of statement, found {}", other.describe())))
-            }
+            _ => Err(self.expected("end of statement", self.current())),
         }
     }
 
     fn parse_class(&mut self) -> PResult<ClassDef> {
         let start = self.span();
         self.advance(); // class | module
-        let name = match self.advance().kind {
-            TokenKind::Const(name) => name,
-            other => {
-                return Err(self.error(format!("expected class name, found {}", other.describe())))
-            }
+        let name = match self.advance() {
+            token if token.kind == TokenKind::Const => self.name(token),
+            other => return Err(self.expected("class name", other)),
         };
         let superclass =
             if self.eat(&TokenKind::Lt) { Some(self.parse_const_path()?) } else { None };
@@ -502,31 +550,40 @@ impl Parser {
         Ok(ClassDef { name, superclass, body, span: start.to(end) })
     }
 
-    fn parse_const_path(&mut self) -> PResult<String> {
+    /// A constant path such as `ActiveRecord::Base`, as one name joined
+    /// with `::`.
+    fn parse_const_path(&mut self) -> PResult<Name> {
         let mut parts = Vec::new();
         loop {
-            match self.advance().kind {
-                TokenKind::Const(name) => parts.push(name),
-                other => {
-                    return Err(self.error(format!("expected constant, found {}", other.describe())))
-                }
+            match self.advance() {
+                token if token.kind == TokenKind::Const => parts.push(token),
+                other => return Err(self.expected("constant", other)),
             }
             if !self.eat(&TokenKind::ColonColon) {
                 break;
             }
         }
-        Ok(parts.join("::"))
+        let (first, last) = (parts[0].span, parts[parts.len() - 1].span);
+        let written = &self.src[first.start..last.end];
+        let joined_len = parts.iter().map(|t| t.span.len()).sum::<usize>() + 2 * (parts.len() - 1);
+        // Written without spaces, the path is its own source text.
+        Ok(if written.len() == joined_len {
+            self.intern(written)
+        } else {
+            let joined: Vec<&str> = parts.iter().map(|t| t.text(self.src)).collect();
+            self.intern_cow(Cow::Owned(joined.join("::")))
+        })
     }
 
     fn parse_def(&mut self) -> PResult<MethodDef> {
         let start = self.expect_kw(Kw::Def)?.span;
         let mut singleton = false;
-        if self.check_kw(Kw::SelfKw) && matches!(self.peek_at(1), TokenKind::Dot) {
+        if self.check_kw(Kw::SelfValue) && matches!(self.peek_at(1), TokenKind::Dot) {
             self.advance();
             self.advance();
             singleton = true;
         }
-        let name = self.parse_method_name()?;
+        let name = self.parse_method_name()?.into_owned();
         let params = self.parse_params()?;
         self.skip_newlines();
         let body = self.parse_body(&[Kw::End])?;
@@ -534,18 +591,16 @@ impl Parser {
         Ok(MethodDef { name, singleton, params, body, span: start.to(end), poisoned: false })
     }
 
-    fn parse_method_name(&mut self) -> PResult<String> {
+    /// The name after `def` or after a call's `.`: borrowed from the source
+    /// (or a keyword's or operator's spelling) unless it is a writer's
+    /// `name =` spelled with a space.
+    fn parse_method_name(&mut self) -> PResult<Cow<'src, str>> {
         let tok = self.advance();
-        let mut name = match tok.kind {
-            TokenKind::Ident(name) => name,
-            TokenKind::Const(name) => name,
-            TokenKind::Keyword(kw) => kw.as_str().to_string(),
+        let name = match tok.kind {
+            TokenKind::Ident | TokenKind::Const => tok.text(self.src),
+            TokenKind::Keyword(kw) => kw.as_str(),
             TokenKind::LBracket if self.eat(&TokenKind::RBracket) => {
-                let mut n = "[]".to_string();
-                if self.eat(&TokenKind::Assign) {
-                    n.push('=');
-                }
-                return Ok(n);
+                return Ok(Cow::Borrowed(if self.eat(&TokenKind::Assign) { "[]=" } else { "[]" }));
             }
             op @ (TokenKind::EqEq
             | TokenKind::Plus
@@ -559,17 +614,19 @@ impl Parser {
             | TokenKind::Le
             | TokenKind::Ge
             | TokenKind::Spaceship
-            | TokenKind::Shl) => return Ok(op.symbol_str().to_string()),
-            other => {
-                return Err(self.error(format!("expected method name, found {}", other.describe())))
-            }
+            | TokenKind::Shl) => return Ok(Cow::Borrowed(op.symbol_str())),
+            _ => return Err(self.expected("method name", tok)),
         };
         // `def name=(v)` attribute writer.
         if self.check(&TokenKind::Assign) && matches!(self.peek_at(1), TokenKind::LParen) {
-            self.advance();
-            name.push('=');
+            let assign = self.advance().span;
+            return Ok(if assign.start == tok.span.end {
+                Cow::Borrowed(&self.src[tok.span.start..assign.end])
+            } else {
+                Cow::Owned(format!("{name}="))
+            });
         }
-        Ok(name)
+        Ok(Cow::Borrowed(name))
     }
 
     fn parse_params(&mut self) -> PResult<Vec<Param>> {
@@ -577,12 +634,9 @@ impl Parser {
         if self.eat(&TokenKind::LParen) {
             while !self.check(&TokenKind::RParen) {
                 let block = self.eat(&TokenKind::Amp);
-                let name = match self.advance().kind {
-                    TokenKind::Ident(name) => name,
-                    other => {
-                        return Err(self
-                            .error(format!("expected parameter name, found {}", other.describe())))
-                    }
+                let name = match self.advance() {
+                    token if token.kind == TokenKind::Ident => self.name(token),
+                    other => return Err(self.expected("parameter name", other)),
                 };
                 let default =
                     if self.eat(&TokenKind::Assign) { Some(self.parse_expr()?) } else { None };
@@ -698,14 +752,15 @@ impl Parser {
         // Assignment (right associative) when the left side is an lvalue.
         let op = match self.peek() {
             TokenKind::Assign => Some(None),
-            TokenKind::PlusAssign => Some(Some("+".to_string())),
-            TokenKind::MinusAssign => Some(Some("-".to_string())),
-            TokenKind::OrOrAssign => Some(Some("||".to_string())),
+            TokenKind::PlusAssign => Some(Some("+")),
+            TokenKind::MinusAssign => Some(Some("-")),
+            TokenKind::OrOrAssign => Some(Some("||")),
             _ => None,
         };
         if let Some(op) = op {
             if let Some(target) = Self::as_lvalue(&lhs) {
                 self.advance();
+                let op = op.map(|op| self.intern(op));
                 let value = self.parse_expr()?;
                 let span = lhs.span.to(value.span);
                 let kind = match op {
@@ -777,7 +832,7 @@ impl Parser {
             let eq = Expr::new(
                 ExprKind::Call {
                     recv: Some(Box::new(lhs)),
-                    name: "==".to_string(),
+                    name: self.intern("=="),
                     args: vec![rhs],
                     block: None,
                 },
@@ -795,7 +850,8 @@ impl Parser {
     fn parse_binary(&mut self, min: u8) -> PResult<Expr> {
         let mut lhs = self.parse_unary()?;
         while let Some(prec) = binding(self.peek()).filter(|&p| p >= min) {
-            let name = self.advance().kind.symbol_str().to_string();
+            let op = self.advance().kind.symbol_str();
+            let name = self.intern(op);
             let rhs = self.parse_binary(prec + 1)?;
             let span = lhs.span.to(rhs.span);
             lhs = Expr::new(
@@ -824,7 +880,7 @@ impl Parser {
                     _ => Ok(Expr::new(
                         ExprKind::Call {
                             recv: Some(Box::new(e)),
-                            name: "-@".to_string(),
+                            name: self.intern("-@"),
                             args: vec![],
                             block: None,
                         },
@@ -844,7 +900,7 @@ impl Parser {
             return Ok(Expr::new(
                 ExprKind::Call {
                     recv: Some(Box::new(lhs)),
-                    name: "**".to_string(),
+                    name: self.intern("**"),
                     args: vec![rhs],
                     block: None,
                 },
@@ -861,6 +917,7 @@ impl Parser {
                 TokenKind::Dot => {
                     self.advance();
                     let name = self.parse_method_name()?;
+                    let name = self.intern_cow(name);
                     let args = if self.check(&TokenKind::LParen) {
                         self.parse_call_args()?
                     } else {
@@ -875,14 +932,9 @@ impl Parser {
                     if let ExprKind::Const(path) = &e.kind {
                         let mut path = path.clone();
                         self.advance();
-                        match self.advance().kind {
-                            TokenKind::Const(name) => path.push(name),
-                            other => {
-                                return Err(self.error(format!(
-                                    "expected constant after `::`, found {}",
-                                    other.describe()
-                                )))
-                            }
+                        match self.advance() {
+                            token if token.kind == TokenKind::Const => path.push(self.name(token)),
+                            other => return Err(self.expected("constant after `::`", other)),
                         }
                         let span = e.span.to(self.prev_span());
                         e = Expr::new(ExprKind::Const(path), span);
@@ -906,7 +958,7 @@ impl Parser {
                     e = Expr::new(
                         ExprKind::Call {
                             recv: Some(Box::new(e)),
-                            name: "[]".to_string(),
+                            name: self.intern("[]"),
                             args,
                             block: None,
                         },
@@ -922,7 +974,7 @@ impl Parser {
     fn make_call(
         &self,
         recv: Option<Box<Expr>>,
-        name: String,
+        name: Name,
         args: Vec<Expr>,
         block: Option<Arc<Block>>,
         span: Span,
@@ -930,7 +982,8 @@ impl Parser {
         // Recognize `RDL.type_cast(e, "T")` so the checker can count casts.
         if name == "type_cast" && block.is_none() && args.len() >= 2 {
             if let Some(recv) = &recv {
-                if matches!(&recv.kind, ExprKind::Const(path) if path == &["RDL".to_string()]) {
+                if matches!(&recv.kind, ExprKind::Const(path) if path.len() == 1 && path[0] == "RDL")
+                {
                     if let ExprKind::Str(ty) = &args[1].kind {
                         return Expr::new(
                             ExprKind::TypeCast { expr: Box::new(args[0].clone()), ty: ty.clone() },
@@ -950,7 +1003,7 @@ impl Parser {
         while !self.check(&TokenKind::RParen) {
             // Support bare label arguments as an implicit trailing hash:
             // `where(name: x, age: y)`.
-            if matches!(self.peek(), TokenKind::Label(_)) {
+            if matches!(self.peek(), TokenKind::Label) {
                 let pairs = self.parse_hash_pairs(&TokenKind::RParen)?;
                 let span = self.span();
                 args.push(Expr::new(ExprKind::Hash(pairs), span));
@@ -987,19 +1040,14 @@ impl Parser {
         Ok(None)
     }
 
-    fn parse_block_params(&mut self) -> PResult<Vec<String>> {
+    fn parse_block_params(&mut self) -> PResult<Vec<Name>> {
         let mut params = Vec::new();
         self.skip_newlines();
         if self.eat(&TokenKind::Pipe) {
             while !self.check(&TokenKind::Pipe) {
-                match self.advance().kind {
-                    TokenKind::Ident(name) => params.push(name),
-                    other => {
-                        return Err(self.error(format!(
-                            "expected block parameter, found {}",
-                            other.describe()
-                        )))
-                    }
+                match self.advance() {
+                    token if token.kind == TokenKind::Ident => params.push(self.name(token)),
+                    other => return Err(self.expected("block parameter", other)),
                 }
                 if !self.eat(&TokenKind::Comma) {
                     break;
@@ -1014,10 +1062,10 @@ impl Parser {
         let mut pairs = Vec::new();
         self.skip_newlines();
         while !self.check(terminator) {
-            let key = match self.peek().clone() {
-                TokenKind::Label(name) => {
-                    let span = self.advance().span;
-                    Expr::new(ExprKind::Sym(name), span)
+            let key = match self.peek() {
+                TokenKind::Label => {
+                    let token = self.advance();
+                    Expr::new(ExprKind::Sym(self.name(token)), token.span)
                 }
                 _ => {
                     let key = self.parse_expr()?;
@@ -1038,8 +1086,9 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> PResult<Expr> {
-        let span = self.span();
-        match self.peek().clone() {
+        let token = self.current();
+        let span = token.span;
+        match token.kind {
             TokenKind::Keyword(Kw::Nil) => {
                 self.advance();
                 Ok(Expr::new(ExprKind::Nil, span))
@@ -1052,7 +1101,7 @@ impl Parser {
                 self.advance();
                 Ok(Expr::new(ExprKind::False, span))
             }
-            TokenKind::Keyword(Kw::SelfKw) => {
+            TokenKind::Keyword(Kw::SelfValue) => {
                 self.advance();
                 Ok(Expr::new(ExprKind::SelfExpr, span))
             }
@@ -1097,28 +1146,29 @@ impl Parser {
                 self.advance();
                 Ok(Expr::new(ExprKind::Float(f), span))
             }
-            TokenKind::Str(s) => {
+            TokenKind::Str => {
                 self.advance();
-                Ok(Expr::new(ExprKind::Str(s), span))
+                Ok(Expr::new(ExprKind::Str(string_value(token.source(self.src))), span))
             }
-            TokenKind::Symbol(s) => {
+            TokenKind::Symbol => {
                 self.advance();
-                Ok(Expr::new(ExprKind::Sym(s), span))
+                Ok(Expr::new(ExprKind::Sym(self.name(token)), span))
             }
-            TokenKind::IVar(name) => {
+            TokenKind::IVar => {
                 self.advance();
-                Ok(Expr::new(ExprKind::IVar(name), span))
+                Ok(Expr::new(ExprKind::IVar(self.name(token)), span))
             }
-            TokenKind::GVar(name) => {
+            TokenKind::GVar => {
                 self.advance();
-                Ok(Expr::new(ExprKind::GVar(name), span))
+                Ok(Expr::new(ExprKind::GVar(self.name(token)), span))
             }
-            TokenKind::Const(name) => {
+            TokenKind::Const => {
                 self.advance();
-                Ok(Expr::new(ExprKind::Const(vec![name]), span))
+                Ok(Expr::new(ExprKind::Const(vec![self.name(token)]), span))
             }
-            TokenKind::Ident(name) => {
+            TokenKind::Ident => {
                 self.advance();
+                let name = self.name(token);
                 if self.check(&TokenKind::LParen) {
                     let args = self.parse_call_args()?;
                     let block = self.parse_optional_block()?;
@@ -1167,14 +1217,11 @@ impl Parser {
                 let mut params = Vec::new();
                 if self.eat(&TokenKind::LParen) {
                     while !self.check(&TokenKind::RParen) {
-                        match self.advance().kind {
-                            TokenKind::Ident(name) => params.push(name),
-                            other => {
-                                return Err(self.error(format!(
-                                    "expected lambda parameter, found {}",
-                                    other.describe()
-                                )))
+                        match self.advance() {
+                            token if token.kind == TokenKind::Ident => {
+                                params.push(self.name(token));
                             }
+                            other => return Err(self.expected("lambda parameter", other)),
                         }
                         if !self.eat(&TokenKind::Comma) {
                             break;
@@ -1188,7 +1235,7 @@ impl Parser {
                 let end = self.expect(&TokenKind::RBrace)?.span;
                 Ok(Expr::new(ExprKind::Lambda(Arc::new(Block { params, body })), span.to(end)))
             }
-            other => Err(self.error(format!("unexpected {}", other.describe()))),
+            _ => Err(self.error(format!("unexpected {}", token.describe(self.src)))),
         }
     }
 
@@ -1597,6 +1644,34 @@ end
     fn parses_attr_assignment() {
         let e = parse_expr("user.name = 'bob'").unwrap();
         assert!(matches!(e.kind, ExprKind::Assign { target: LValue::Attr { .. }, .. }));
+    }
+
+    #[test]
+    fn one_parse_allocates_each_name_once() {
+        let src = "def a(x)\n  x = x + 1\n  helper(x)\nend\ndef b()\n  helper(2)\nend\n";
+        let prog = parse_program_strict(src).unwrap();
+        let methods = prog.methods();
+        let (a, b) = (methods[0].1, methods[1].1);
+        // The parameter, the assignment to it and both reads of it.
+        let mut xs = vec![a.params[0].name.as_ptr()];
+        let mut helpers = Vec::new();
+        for e in a.body.iter().chain(&b.body) {
+            e.walk(&mut |e| match &e.kind {
+                ExprKind::Ident(n) | ExprKind::Assign { target: LValue::Local(n), .. } => {
+                    xs.push(n.as_ptr());
+                }
+                ExprKind::Call { name, .. } if name == "helper" => helpers.push(name.as_ptr()),
+                _ => {}
+            });
+        }
+        assert_eq!(xs.len(), 4, "{xs:?}");
+        assert!(xs.iter().all(|&x| std::ptr::eq(x, xs[0])), "one allocation for `x`: {xs:?}");
+        // The calls to `helper` from `a` and from `b`.
+        assert_eq!(helpers.len(), 2);
+        assert!(std::ptr::eq(helpers[0], helpers[1]), "one allocation for `helper`");
+        // Another parse has a table of its own.
+        let again = parse_program_strict(src).unwrap();
+        assert!(!std::ptr::eq(again.methods()[0].1.params[0].name.as_ptr(), xs[0]));
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Tokens produced by the [`Lexer`](crate::lexer::Lexer).
+//! Tokens produced by the [`Lexer`](crate::lexer::Lexer): a kind and a span,
+//! no text.  Without its source a token means nothing, so the stream stays
+//! inside the crate; [`crate::parse_program_in_file`] is the way in.
 
 use crate::span::Span;
 use std::fmt;
@@ -6,7 +8,7 @@ use std::fmt;
 /// Reserved words of the Ruby subset.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Kw {
+pub(crate) enum Kw {
     Def,
     End,
     Class,
@@ -19,7 +21,7 @@ pub enum Kw {
     Do,
     Then,
     Return,
-    SelfKw,
+    SelfValue,
     Nil,
     True,
     False,
@@ -49,7 +51,7 @@ impl Kw {
             "do" => Kw::Do,
             "then" => Kw::Then,
             "return" => Kw::Return,
-            "self" => Kw::SelfKw,
+            "self" => Kw::SelfValue,
             "nil" => Kw::Nil,
             "true" => Kw::True,
             "false" => Kw::False,
@@ -80,7 +82,7 @@ impl Kw {
             Kw::Do => "do",
             Kw::Then => "then",
             Kw::Return => "return",
-            Kw::SelfKw => "self",
+            Kw::SelfValue => "self",
             Kw::Nil => "nil",
             Kw::True => "true",
             Kw::False => "false",
@@ -104,29 +106,32 @@ impl fmt::Display for Kw {
 
 /// The kind of a lexed token.
 ///
-/// Punctuation variants are named after their symbol and carry no payload.
+/// A token carries no text: a name, symbol, label or string literal is the
+/// slice of the source its span covers ([`Token::text`]), which the parser
+/// reads and interns.  Punctuation variants are named after their symbol.
 #[allow(missing_docs)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum TokenKind {
     /// A lower-case identifier (method or local variable name), possibly
     /// ending in `?` or `!`.
-    Ident(String),
+    Ident,
     /// An upper-case constant name.
-    Const(String),
+    Const,
     /// An instance variable such as `@page`.
-    IVar(String),
+    IVar,
     /// A global variable such as `$schema`.
-    GVar(String),
+    GVar,
     /// A symbol literal such as `:emails`.
-    Symbol(String),
+    Symbol,
     /// A hash label such as `name:` in `{ name: "Alice" }`.
-    Label(String),
+    Label,
     /// An integer literal.
     Int(i64),
     /// A floating point literal.
     Float(f64),
-    /// A string literal (single or double quoted; no interpolation).
-    Str(String),
+    /// A string literal (single or double quoted; no interpolation), its
+    /// escapes still undecoded in the source ([`crate::lexer::string_value`]).
+    Str,
     /// A reserved word.
     Keyword(Kw),
 
@@ -176,18 +181,20 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// A short human readable description used in parse errors.
-    pub fn describe(&self) -> String {
+    /// A short human readable description used in parse errors.  `text` is
+    /// the token's source text ([`Token::source`]); only a name, symbol,
+    /// label or string token reads it.
+    pub(crate) fn describe(&self, text: &str) -> String {
         match self {
-            TokenKind::Ident(s) => format!("identifier `{s}`"),
-            TokenKind::Const(s) => format!("constant `{s}`"),
-            TokenKind::IVar(s) => format!("instance variable `@{s}`"),
-            TokenKind::GVar(s) => format!("global variable `${s}`"),
-            TokenKind::Symbol(s) => format!("symbol `:{s}`"),
-            TokenKind::Label(s) => format!("label `{s}:`"),
+            TokenKind::Ident => format!("identifier `{text}`"),
+            TokenKind::Const => format!("constant `{text}`"),
+            TokenKind::IVar => format!("instance variable `{text}`"),
+            TokenKind::GVar => format!("global variable `{text}`"),
+            TokenKind::Symbol => format!("symbol `{text}`"),
+            TokenKind::Label => format!("label `{text}`"),
             TokenKind::Int(i) => format!("integer `{i}`"),
             TokenKind::Float(x) => format!("float `{x}`"),
-            TokenKind::Str(s) => format!("string {s:?}"),
+            TokenKind::Str => format!("string {:?}", crate::lexer::string_value(text)),
             TokenKind::Keyword(k) => format!("keyword `{k}`"),
             TokenKind::Newline => "end of line".to_string(),
             TokenKind::Eof => "end of input".to_string(),
@@ -238,9 +245,9 @@ impl TokenKind {
     }
 }
 
-/// A token together with its source span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+/// A token: its kind and the span of source it was lexed from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,
     /// Where in the source it came from.
@@ -252,6 +259,30 @@ impl Token {
     pub fn new(kind: TokenKind, span: Span) -> Self {
         Token { kind, span }
     }
+
+    /// The source text the token was lexed from.  The span of a string
+    /// literal left open at the end of the input can run past it, so the
+    /// slice is clamped to the source.
+    pub fn source<'src>(&self, src: &'src str) -> &'src str {
+        &src[self.span.start.min(src.len())..self.span.end.min(src.len())]
+    }
+
+    /// The name a name-like token spells: an identifier or constant as
+    /// written, an instance or global variable and a symbol without their
+    /// sigil, a label without its colon.  Any other token's source text.
+    pub fn text<'src>(&self, src: &'src str) -> &'src str {
+        let source = self.source(src);
+        match self.kind {
+            TokenKind::IVar | TokenKind::GVar | TokenKind::Symbol => &source[1..],
+            TokenKind::Label => &source[..source.len() - 1],
+            _ => source,
+        }
+    }
+
+    /// [`TokenKind::describe`] of this token's source text.
+    pub fn describe(&self, src: &str) -> String {
+        self.kind.describe(self.source(src))
+    }
 }
 
 #[cfg(test)]
@@ -260,7 +291,7 @@ mod tests {
 
     #[test]
     fn keyword_roundtrip() {
-        for kw in [Kw::Def, Kw::End, Kw::If, Kw::Return, Kw::SelfKw, Kw::Yield] {
+        for kw in [Kw::Def, Kw::End, Kw::If, Kw::Return, Kw::SelfValue, Kw::Yield] {
             assert_eq!(Kw::from_source(kw.as_str()), Some(kw));
         }
         assert_eq!(Kw::from_source("frobnicate"), None);
@@ -268,8 +299,23 @@ mod tests {
 
     #[test]
     fn describe_is_informative() {
-        assert!(TokenKind::Ident("foo".into()).describe().contains("foo"));
-        assert!(TokenKind::Symbol("emails".into()).describe().contains("emails"));
-        assert_eq!(TokenKind::Plus.describe(), "`+`");
+        assert!(TokenKind::Ident.describe("foo").contains("foo"));
+        assert_eq!(TokenKind::Symbol.describe(":emails"), "symbol `:emails`");
+        assert_eq!(TokenKind::IVar.describe("@page"), "instance variable `@page`");
+        assert_eq!(TokenKind::Label.describe("name:"), "label `name:`");
+        assert_eq!(TokenKind::Str.describe("\"a\\nb\""), "string \"a\\nb\"");
+        assert_eq!(TokenKind::Plus.describe(""), "`+`");
+    }
+
+    #[test]
+    fn a_token_slices_its_name_out_of_the_source() {
+        let src = "@page :emails name: $g x";
+        let token = |kind, start, end| Token::new(kind, Span::new(start, end, 1));
+        assert_eq!(token(TokenKind::IVar, 0, 5).text(src), "page");
+        assert_eq!(token(TokenKind::Symbol, 6, 13).text(src), "emails");
+        assert_eq!(token(TokenKind::Label, 14, 19).text(src), "name");
+        assert_eq!(token(TokenKind::GVar, 20, 22).text(src), "g");
+        assert_eq!(token(TokenKind::Ident, 23, 24).text(src), "x");
+        assert_eq!(token(TokenKind::Str, 23, 40).source(src), "x", "clamped to the source");
     }
 }

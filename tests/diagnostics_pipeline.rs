@@ -8,8 +8,8 @@ use diagnostics::{render, Diagnostic, DiagnosticBag, Severity, SourceMap};
 #[test]
 fn lex_error_converts_with_span() {
     let src = "x = \"unterminated";
-    let err = ruby_syntax::lex_strict(src).expect_err("lexing fails");
-    let d = Diagnostic::from(err);
+    let (_, diags) = ruby_syntax::parse_program_in_file(src, 0);
+    let d = diags.into_iter().next().expect("lexing fails");
     assert_eq!(d.code, "LEX0001");
     assert_eq!(d.severity, Severity::Error);
     assert!(!d.primary_span().is_dummy());
