@@ -251,10 +251,8 @@ fn walk_names<'a>(e: &'a Expr, shadow: &mut Shadow<'a>, sink: &mut dyn NameSink<
 /// over these slots.
 ///
 /// The table comes from the same [`walk_names`] walk that the transfer
-/// functions make, so every name they meet has a slot.  Only a sink
-/// argument's scratch evaluation ([`reads_tainted`]), which ignores block
-/// scopes, can meet a name without one (a block parameter); such a name
-/// reads as absent and is never added.
+/// functions make, under the same block scopes, so every name they meet
+/// has a slot.  A name without one reads as absent and is never added.
 struct Slots<'a> {
     names: Vec<&'a str>,
 }
@@ -445,21 +443,22 @@ impl<'a> DataflowProblem<'a> for TaintWithParams<'_, 'a> {
         into.union(from);
     }
     fn transfer(&self, stmt: &'a Expr, fact: &mut Bits) {
-        taint_eval(stmt, fact, self.cx, &mut Vec::new(), &mut |_, _, _| {});
+        taint_eval(stmt, fact, self.cx, &mut Vec::new(), &mut |_, _, _, _| {});
     }
 }
 
 /// Evaluates `e` for taint: returns whether its value is derived from a
 /// tainted name, updates `fact` across assignments, and invokes
-/// `on_sink(call, arg_index, fact)` on every sink argument — the first
-/// argument of a literal SQL-sink call, plus (when `cx` has summaries)
-/// every argument a callee's summary routes into a sink.
+/// `on_sink(call, arg_index, fact, shadow)` on every sink argument, with
+/// the block scopes in force at the call — the first argument of a literal
+/// SQL-sink call, plus (when `cx` has summaries) every argument a callee's
+/// summary routes into a sink.
 fn taint_eval<'a>(
     e: &'a Expr,
     fact: &mut Bits,
     cx: TaintCx<'_, 'a>,
     shadow: &mut Shadow<'a>,
-    on_sink: &mut dyn FnMut(&'a Expr, usize, &Bits),
+    on_sink: &mut dyn FnMut(&'a Expr, usize, &Bits, &mut Shadow<'a>),
 ) -> bool {
     match &e.kind {
         ExprKind::Ident(n) => !shadowed(shadow, n) && cx.slots.contains(fact, n),
@@ -543,7 +542,7 @@ fn taint_eval<'a>(
                 }
             }
             for i in sink_args.iter() {
-                on_sink(e, i, fact);
+                on_sink(e, i, fact, shadow);
             }
             match &callee {
                 // A summarized callee: taint flows to the result exactly
@@ -633,21 +632,31 @@ fn concat_parts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
 }
 
 /// Whether `e`'s value derives from a tainted name — evaluated with the
-/// same summary-aware rules as the taint facts themselves, against a
-/// scratch copy of `fact` so sink callbacks and assignments don't reenter.
-fn reads_tainted<'a>(e: &'a Expr, fact: &Bits, cx: TaintCx<'_, 'a>) -> bool {
+/// same summary-aware rules as the taint facts themselves, under the block
+/// scopes in force where `e` sits (`shadow`, left as it was found), against
+/// a scratch copy of `fact` so sink callbacks and assignments don't
+/// reenter.
+fn reads_tainted<'a>(
+    e: &'a Expr,
+    fact: &Bits,
+    cx: TaintCx<'_, 'a>,
+    shadow: &mut Shadow<'a>,
+) -> bool {
     let mut scratch = fact.clone();
-    taint_eval(e, &mut scratch, cx, &mut Vec::new(), &mut |_, _, _| {})
+    taint_eval(e, &mut scratch, cx, shadow, &mut |_, _, _, _| {})
 }
 
 /// Inspects one sink argument and pushes a `LINT0105` finding if a tainted
 /// non-literal part is concatenated with SQL text that `sql_tc` can parse
-/// as a condition.
+/// as a condition.  Each part reads its names under `shadow`, the block
+/// scopes in force at the sink, so a block parameter hides a tainted method
+/// parameter of the same name.
 fn check_sql_sink<'a>(
     call: &'a Expr,
     arg: usize,
     fact: &Bits,
     cx: TaintCx<'_, 'a>,
+    shadow: &mut Shadow<'a>,
     findings: &mut Vec<LintFinding>,
 ) {
     let ExprKind::Call { args, .. } = &call.kind else { return };
@@ -667,7 +676,7 @@ fn check_sql_sink<'a>(
                 fragment.push_str(s);
             }
             _ => {
-                has_tainted |= reads_tainted(part, fact, cx);
+                has_tainted |= reads_tainted(part, fact, cx, shadow);
                 fragment.push('?');
             }
         }
@@ -872,8 +881,8 @@ pub fn lint_method_with_summaries(
             }
             let mut fact = sol.block_in[b].clone();
             for stmt in &block.stmts {
-                taint_eval(stmt, &mut fact, cx, &mut Vec::new(), &mut |call, arg, fact| {
-                    check_sql_sink(call, arg, fact, cx, &mut sink_findings);
+                taint_eval(stmt, &mut fact, cx, &mut Vec::new(), &mut |call, arg, fact, shadow| {
+                    check_sql_sink(call, arg, fact, cx, shadow, &mut sink_findings);
                 });
             }
         }
@@ -1050,6 +1059,20 @@ mod tests {
         // so this stays quiet — the assignment form is covered by the test
         // above when inlined.
         assert!(codes(&f).is_empty() || codes(&f) == vec![SQL_TAINT], "{f:?}");
+    }
+
+    #[test]
+    fn sql_taint_reads_a_sink_under_its_block_scopes() {
+        // The block's `q` hides the tainted method parameter `q`, at a
+        // singleton and at an instance method alike.
+        for head in ["def self.m(q, xs)", "def m(q, xs)"] {
+            let src = format!("{head}\n  xs.each {{ |q| Topic.where('a = ' + q) }}\nend\n");
+            let f = lint_src(&src);
+            assert!(codes(&f).is_empty(), "{src:?}: {f:?}");
+        }
+        // A method parameter the block does not hide still taints the sink.
+        let f = lint_src("def m(q, xs)\n  xs.each { |p| Topic.where('a = ' + q) }\nend\n");
+        assert_eq!(codes(&f), vec![SQL_TAINT], "{f:?}");
     }
 
     #[test]
