@@ -28,6 +28,40 @@ fn fresh_memo() -> Arc<comprdl::SharedMemo> {
     Arc::new(comprdl::SharedMemo::new())
 }
 
+/// Parses one mutant of `app` both ways and checks the recovery contract:
+/// nothing panics, downstream hashing survives the recovered tree, and the
+/// recovering parse reports (only error-severity `PARSE`/`LEX`)
+/// diagnostics exactly when the strict parse fails.  Returns whether the
+/// mutant was diagnosed.
+fn assert_recovers(app: &App, seed: u64, mutated: &str) -> bool {
+    // The recovering entry points must survive arbitrary garbage...
+    let (program, diags) = ruby_syntax::parse_program(mutated);
+    // ...and so must everything downstream that walks the
+    // recovered tree (placeholder nodes included).
+    let _ = program.method_hashes();
+    for (_, def) in &program.methods() {
+        let _ = ruby_syntax::method_hash(def);
+    }
+
+    let strict_ok = ruby_syntax::parse_program_strict(mutated).is_ok();
+    assert_eq!(
+        diags.is_empty(),
+        strict_ok,
+        "{} seed {seed}: recovery diagnostics disagree with the strict parse",
+        app.name
+    );
+    for d in &diags {
+        assert!(d.is_error(), "{}: recovery diagnostic must be an error: {d}", app.name);
+        assert!(
+            d.code.starts_with("PARSE") || d.code.starts_with("LEX"),
+            "{}: unexpected recovery code {}",
+            app.name,
+            d.code
+        );
+    }
+    !diags.is_empty()
+}
+
 /// Satellite (a): seeded byte-level mutations of every corpus source must
 /// never panic the lexer or parser, and whenever a mutation actually breaks
 /// the syntax the recovering parse must say so with at least one
@@ -52,45 +86,47 @@ fn seeded_byte_mutations_never_panic_and_are_always_diagnosed() {
                 continue;
             }
             mutants += 1;
-
-            // The recovering entry points must survive arbitrary garbage...
-            let (program, diags) = ruby_syntax::parse_program(&mutated);
-            // ...and so must everything downstream that walks the
-            // recovered tree (placeholder nodes included).
-            let _ = program.method_hashes();
-            for (_, def) in &program.methods() {
-                let _ = ruby_syntax::method_hash(def);
-            }
-
-            let strict_ok = ruby_syntax::parse_program_strict(&mutated).is_ok();
-            assert_eq!(
-                diags.is_empty(),
-                strict_ok,
-                "{} seed {seed}: recovery diagnostics disagree with the strict parse",
-                app.name
-            );
-            if !diags.is_empty() {
-                diagnosed += 1;
-                for d in &diags {
-                    assert!(
-                        d.is_error(),
-                        "{}: recovery diagnostic must be an error: {d}",
-                        app.name
-                    );
-                    assert!(
-                        d.code.starts_with("PARSE") || d.code.starts_with("LEX"),
-                        "{}: unexpected recovery code {}",
-                        app.name,
-                        d.code
-                    );
-                }
-            }
+            diagnosed += usize::from(assert_recovers(app, seed, &mutated));
         }
     }
     assert!(mutants > 100, "the mutation loop must actually produce mutants: {mutants}");
     assert!(
         diagnosed * 10 >= mutants,
         "random byte damage should regularly break syntax: {diagnosed}/{mutants} diagnosed"
+    );
+}
+
+/// The byte mutations above write only ASCII, but tokens are byte ranges
+/// sliced out of the source, so the front end must also survive
+/// multi-byte text anywhere: each mutant replaces whole characters, at
+/// character boundaries, with a 2-, 3- or 4-byte one, under the same
+/// contract.
+#[test]
+fn seeded_multibyte_mutations_never_panic_and_are_always_diagnosed() {
+    let mut mutants = 0usize;
+    let mut diagnosed = 0usize;
+    for (app_idx, app) in corpus::apps::all().iter().enumerate() {
+        let original = app.full_source();
+        for seed in 0..24u64 {
+            let mut rng = test_rng::Rng::new(((app_idx as u64) << 32) | (seed << 1) | 1);
+            let mut chars: Vec<char> = original.chars().collect();
+            let edits = 1 + rng.below(3) as usize;
+            for _ in 0..edits {
+                let pos = rng.below(chars.len() as u64) as usize;
+                chars[pos] = ['é', '→', '😀'][rng.below(3) as usize];
+            }
+            let mutated: String = chars.into_iter().collect();
+            if mutated == original {
+                continue;
+            }
+            mutants += 1;
+            diagnosed += usize::from(assert_recovers(app, seed, &mutated));
+        }
+    }
+    assert!(mutants > 100, "the mutation loop must actually produce mutants: {mutants}");
+    assert!(
+        diagnosed * 10 >= mutants,
+        "multi-byte damage should regularly break syntax: {diagnosed}/{mutants} diagnosed"
     );
 }
 
