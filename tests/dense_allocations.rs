@@ -8,10 +8,14 @@
 //! each stage on the test thread; every stage runs sequentially.  Unlike a
 //! timing gate, the count repeats exactly from run to run, so a change that
 //! copies names, store content or constraints per cache hit again fails
-//! here on any machine.  The effect summaries and the lints have bounds of
-//! their own: their dataflow facts are bit sets that allocate nothing below
-//! 64 names, so a change that builds name sets or copies origin sets per
-//! walk fails here too.
+//! here on any machine.  Every stage also has a bound of its own.  The
+//! parse allocates each distinct name of the file once and tokens own no
+//! text, so a change that copies names per token or per occurrence fails
+//! at the parse stage; the checks and the effect summaries share those
+//! names, so one that copies them back into strings fails there; the
+//! effect summaries' and the lints' dataflow facts are bit sets that
+//! allocate nothing below 64 names, so one that builds name sets or copies
+//! origin sets per walk fails there too.
 
 mod scale;
 
@@ -45,14 +49,25 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The most allocations one static pass over `scale_workload(40)` may make:
-/// 15% above the 20,689 it makes.
-const MAX_PASS_ALLOCATIONS: u64 = 23_792;
+/// 15% above the 14,014 it makes.
+const MAX_PASS_ALLOCATIONS: u64 = 16_116;
 
-/// The most allocations its effect-summary stage may make: 15% above 1,437.
-const MAX_SUMMARIES_ALLOCATIONS: u64 = 1_652;
+/// The most allocations its parse stage may make: 15% above 1,515.
+const MAX_PARSE_ALLOCATIONS: u64 = 1_742;
+
+/// The most allocations its effect-summary stage may make: 15% above 834.
+const MAX_SUMMARIES_ALLOCATIONS: u64 = 959;
+
+/// The most allocations its comp-type check stage may make: 15% above
+/// 6,517.
+const MAX_COMP_CHECK_ALLOCATIONS: u64 = 7_494;
 
 /// The most allocations its lint stage may make: 15% above 1,926.
 const MAX_LINTS_ALLOCATIONS: u64 = 2_214;
+
+/// The most allocations its plain-RDL check stage may make: 15% above
+/// 3,222.
+const MAX_PLAIN_CHECK_ALLOCATIONS: u64 = 3_705;
 
 /// Runs `f`, adding the allocations it makes on this thread to `stages`.
 fn counted<T>(
@@ -106,9 +121,13 @@ fn a_static_pass_over_the_scale_workload_stays_under_its_allocation_bound() {
         println!("{stage:>12}: {n}");
     }
     println!("{:>12}: {total}", "total");
-    for (stage, bound) in
-        [("summaries", MAX_SUMMARIES_ALLOCATIONS), ("lints", MAX_LINTS_ALLOCATIONS)]
-    {
+    for (stage, bound) in [
+        ("parse", MAX_PARSE_ALLOCATIONS),
+        ("summaries", MAX_SUMMARIES_ALLOCATIONS),
+        ("comp check", MAX_COMP_CHECK_ALLOCATIONS),
+        ("lints", MAX_LINTS_ALLOCATIONS),
+        ("plain check", MAX_PLAIN_CHECK_ALLOCATIONS),
+    ] {
         let n = stages.iter().find(|(s, _)| *s == stage).expect("stage counted").1;
         assert!(n <= bound, "the {stage} stage made {n} allocations (bound {bound})");
     }
