@@ -306,16 +306,4 @@ mod tests {
         assert_eq!(TokenKind::Str.describe("\"a\\nb\""), "string \"a\\nb\"");
         assert_eq!(TokenKind::Plus.describe(""), "`+`");
     }
-
-    #[test]
-    fn a_token_slices_its_name_out_of_the_source() {
-        let src = "@page :emails name: $g x";
-        let token = |kind, start, end| Token::new(kind, Span::new(start, end, 1));
-        assert_eq!(token(TokenKind::IVar, 0, 5).text(src), "page");
-        assert_eq!(token(TokenKind::Symbol, 6, 13).text(src), "emails");
-        assert_eq!(token(TokenKind::Label, 14, 19).text(src), "name");
-        assert_eq!(token(TokenKind::GVar, 20, 22).text(src), "g");
-        assert_eq!(token(TokenKind::Ident, 23, 24).text(src), "x");
-        assert_eq!(token(TokenKind::Str, 23, 40).source(src), "x", "clamped to the source");
-    }
 }
