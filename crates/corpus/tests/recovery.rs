@@ -58,6 +58,17 @@ fn assert_recovers(app: &App, seed: u64, mutated: &str) -> bool {
             app.name,
             d.code
         );
+        for label in &d.labels {
+            let span = label.span;
+            assert!(
+                span.start <= span.end && span.end <= mutated.len(),
+                "{} seed {seed}: span {}..{} lies outside the {}-byte source: {d}",
+                app.name,
+                span.start,
+                span.end,
+                mutated.len()
+            );
+        }
     }
     !diags.is_empty()
 }

@@ -214,14 +214,15 @@ impl<'src> Lexer<'src> {
                     break;
                 }
                 Some(b'\\') if quote == b'"' => {
-                    self.pos += 1 + self.bytes.get(self.pos + 1).map_or(1, |&c| utf8_len(c));
+                    // A backslash that ends the input escapes nothing, so
+                    // the literal stops at the end of the input.
+                    self.pos += 1 + self.bytes.get(self.pos + 1).map_or(0, |&c| utf8_len(c));
                 }
                 Some(b'\\') if self.bytes.get(self.pos + 1) == Some(&quote) => self.pos += 2,
                 Some(&c) => self.pos += utf8_len(c),
             }
         }
-        let end = self.pos.min(self.bytes.len());
-        self.line += self.bytes[start..end].iter().filter(|&&b| b == b'\n').count() as u32;
+        self.line += self.bytes[start..self.pos].iter().filter(|&&b| b == b'\n').count() as u32;
         self.push(TokenKind::Str, start, line);
     }
 
@@ -711,14 +712,23 @@ mod tests {
         // stream is still Newline+Eof terminated.
         assert_eq!(strings(src), ["oops"]);
         assert_eq!(toks.last().unwrap().kind, T::Eof);
-        // A backslash at the very end leaves a span past the input, which
-        // every reader of the token clamps.
+        // A backslash at the very end escapes nothing: the literal, its
+        // diagnostic and the end of the stream all stop at the input's end.
         let src = "x = \"ab\\";
         let (toks, diags) = lex(src);
         assert_eq!(diags.len(), 1, "{diags:?}");
+        let span = diags[0].primary_span();
+        assert_eq!((span.start, span.end), (4, src.len()));
         let literal = toks.iter().find(|t| t.kind == T::Str).unwrap();
+        assert_eq!((literal.span.start, literal.span.end), (4, src.len()));
+        assert!(toks.iter().all(|t| t.span.end <= src.len()), "{toks:?}");
         assert_eq!(literal.source(src), "\"ab\\");
         assert_eq!(strings(src), ["ab\\"]);
+        // So does the parse error of the method the literal breaks.
+        let src = "def m\n  \"a\\";
+        let (_, diags) = crate::parse_program(src);
+        assert!(!diags.is_empty());
+        assert!(diags.iter().flat_map(|d| &d.labels).all(|l| l.span.end <= src.len()), "{diags:?}");
     }
 
     #[test]
