@@ -420,7 +420,7 @@ impl<'a> DataflowProblem<'a> for Liveness<'_, 'a> {
 #[derive(Clone, Copy)]
 struct TaintCx<'s, 'a> {
     slots: &'s Slots<'a>,
-    summaries: Option<&'s ProgramSummaries>,
+    summaries: Option<&'s ProgramSummaries<'s>>,
 }
 
 struct TaintWithParams<'s, 'a> {
@@ -899,22 +899,22 @@ pub fn lint_method_with_summaries(
 }
 
 /// Lints the given `(owner, def)` methods — typically
-/// [`ruby_syntax::Program::methods`] or the subset an incremental driver
-/// could not replay — threading the program's effect summaries into
+/// [`ruby_syntax::ProgramIndex::methods`] or the subset an incremental
+/// driver could not replay — threading the program's effect summaries into
 /// `LINT0105` (see [`lint_method_with_summaries`]).  With `threads > 1` the
 /// work is claimed from an atomic index (the same scheme as
 /// `comprdl::TypeChecker::check_methods_parallel`) and results are merged
 /// back in `methods` order, so the output is byte-identical to a sequential
 /// run regardless of scheduling.
-pub fn lint_methods(
-    methods: &[(String, &MethodDef)],
+pub fn lint_methods<O: AsRef<str> + Sync>(
+    methods: &[(O, &MethodDef)],
     summaries: Option<&ProgramSummaries>,
     threads: usize,
 ) -> Vec<MethodLints> {
     if threads <= 1 || methods.len() <= 1 {
         return methods
             .iter()
-            .map(|(owner, def)| lint_method_with_summaries(owner, def, summaries))
+            .map(|(owner, def)| lint_method_with_summaries(owner.as_ref(), def, summaries))
             .collect();
     }
     let next = AtomicUsize::new(0);
@@ -927,7 +927,7 @@ pub fn lint_methods(
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some((owner, def)) = methods.get(i) else { break };
-                        out.push((i, lint_method_with_summaries(owner, def, summaries)));
+                        out.push((i, lint_method_with_summaries(owner.as_ref(), def, summaries)));
                     }
                     out
                 })

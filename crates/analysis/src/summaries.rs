@@ -55,7 +55,9 @@
 
 use crate::bits::Bits;
 use rdl_types::{EffectLookup, PurityEffect, TermEffect};
-use ruby_syntax::{Expr, ExprKind, LValue, MethodDef, Name, Param, Program};
+use ruby_syntax::{
+    Expr, ExprKind, LValue, MethodDef, MethodId, Name, Param, Program, ProgramIndex,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -368,45 +370,54 @@ fn tarjan_sccs(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
 
 /// How a called name resolves during inference: program methods shadow
 /// seeds, seeds shadow nothing, and everything else is unknown.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Resolved {
-    /// Program methods with that bare name (indices into the method list).
-    Methods(Vec<usize>),
+    /// Program methods with that bare name
+    /// ([`ProgramIndex::definitions_named`]).
+    Methods,
     /// A trusted seed effect.
     Seed(TermEffect, PurityEffect),
     /// Neither defined nor seeded — assumed diverging and impure.
     Unknown,
 }
 
-/// Method identity as shared with the dependency graph:
-/// `(owner, name, singleton)`.
-pub type MethodId = (String, String, bool);
-
-/// Inferred summaries for every method of one program.
-#[derive(Debug, Clone, Default)]
-pub struct ProgramSummaries {
-    /// Summaries in `Program::methods()` order.
-    methods: Vec<MethodSummary>,
-    /// `(owner, name, singleton)` → index into `methods`.
-    index: BTreeMap<MethodId, usize>,
-    /// Bare name → indices of every method with that name.
-    by_name: BTreeMap<String, Vec<usize>>,
-    /// Number of SCCs in the condensed call graph.
-    scc_count: usize,
-    /// Name-resolved method→method call edges, deduplicated and sorted by
-    /// `(owner, name, singleton)` id pairs (self-edges included).
-    call_edges: Vec<(MethodId, MethodId)>,
+impl Resolved {
+    fn of(index: &ProgramIndex, seed: &dyn EffectLookup, name: &str) -> Resolved {
+        if index.defines_name(name) {
+            return Resolved::Methods;
+        }
+        match seed.effects(name) {
+            Some((term, purity)) => Resolved::Seed(term, purity),
+            None => Resolved::Unknown,
+        }
+    }
 }
 
-impl ProgramSummaries {
+/// Inferred summaries for every method of one program, with the program's
+/// index, which resolves their by-name lookups.
+#[derive(Debug, Clone, Default)]
+pub struct ProgramSummaries<'p> {
+    /// The program's methods, identities and by-name call targets.
+    index: ProgramIndex<'p>,
+    /// Summaries in `Program::methods()` order.
+    methods: Vec<MethodSummary>,
+    /// Each method's name-resolved callees (indices into `methods`,
+    /// ascending, self-edges included).
+    edges: Vec<Vec<usize>>,
+    /// Number of SCCs in the condensed call graph.
+    scc_count: usize,
+}
+
+impl<'p> ProgramSummaries<'p> {
     /// Infers summaries for every method of `program`, trusting `seed` for
     /// names the program does not define.  Per-method local facts are
     /// extracted on `threads` worker threads (1 = on the calling thread;
     /// atomic work claiming, results merged in method-index order), so
     /// every thread count renders byte-identically.
-    pub fn infer(program: &Program, seed: &dyn EffectLookup, threads: usize) -> ProgramSummaries {
-        let methods = program.methods();
-        Self::solve(&methods, seed, &collect_all_facts(&methods, threads), &BTreeMap::new()).0
+    pub fn infer(program: &'p Program, seed: &dyn EffectLookup, threads: usize) -> Self {
+        let index = ProgramIndex::new(program);
+        let facts = collect_all_facts(index.methods(), threads);
+        Self::solve(index, seed, &facts, &BTreeMap::new()).0
     }
 
     /// Incremental inference: summaries in `fixed` (keyed by
@@ -421,37 +432,35 @@ impl ProgramSummaries {
     /// SCC ids are always recomputed from the current program, so a warm
     /// run renders byte-identically to a cold run.
     pub fn infer_with_baseline(
-        program: &Program,
+        program: &'p Program,
         seed: &dyn EffectLookup,
-        fixed: &BTreeMap<(String, String, bool), MethodSummary>,
-    ) -> (ProgramSummaries, usize) {
-        let methods = program.methods();
-        Self::solve(&methods, seed, &collect_all_facts(&methods, 1), fixed)
+        fixed: &BTreeMap<MethodId, MethodSummary>,
+    ) -> (Self, usize) {
+        let index = ProgramIndex::new(program);
+        let facts = collect_all_facts(index.methods(), 1);
+        Self::solve(index, seed, &facts, fixed)
     }
 
     fn solve(
-        methods: &[(String, &MethodDef)],
+        index: ProgramIndex<'p>,
         seed: &dyn EffectLookup,
         facts: &[LocalFacts],
-        fixed: &BTreeMap<(String, String, bool), MethodSummary>,
-    ) -> (ProgramSummaries, usize) {
+        fixed: &BTreeMap<MethodId, MethodSummary>,
+    ) -> (Self, usize) {
+        let methods = index.methods();
         let n = methods.len();
-        let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, (_, def)) in methods.iter().enumerate() {
-            by_name.entry(def.name.clone()).or_default().push(i);
-        }
         // Name-resolved call edges: one edge per same-named program method
         // (self-edges kept — they are real recursion).
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, f) in facts.iter().enumerate() {
-            let mut out = BTreeSet::new();
-            for name in &f.calls {
-                if let Some(targets) = by_name.get(name.as_str()) {
-                    out.extend(targets.iter().copied());
-                }
-            }
-            edges[i] = out.into_iter().collect();
-        }
+        let edges: Vec<Vec<usize>> = facts
+            .iter()
+            .map(|f| {
+                let mut out: Vec<usize> =
+                    f.calls.iter().flat_map(|name| index.definitions_named(name)).collect();
+                out.sort_unstable();
+                out.dedup();
+                out
+            })
+            .collect();
         let sccs = tarjan_sccs(n, &edges);
 
         let mut scc_of = vec![0usize; n];
@@ -461,21 +470,18 @@ impl ProgramSummaries {
             }
         }
 
-        // Pre-resolve every called name once, deterministically.
-        let mut resolved: BTreeMap<Name, Resolved> = BTreeMap::new();
-        for f in facts {
-            for name in &f.calls {
-                if resolved.contains_key(name) {
-                    continue;
+        // The baseline's summaries by method; every definition of a fixed
+        // identity gets its summary.  Nothing to probe without a baseline.
+        let mut fixed_of: Vec<Option<&MethodSummary>> = Vec::new();
+        if !fixed.is_empty() {
+            fixed_of.resize(n, None);
+            for ((owner, name, singleton), summary) in fixed {
+                for i in index.definitions_named(name) {
+                    let (o, def) = methods[i];
+                    if o == owner && def.singleton == *singleton {
+                        fixed_of[i] = Some(summary);
+                    }
                 }
-                let r = match by_name.get(name.as_str()) {
-                    Some(targets) => Resolved::Methods(targets.clone()),
-                    None => match seed.effects(name) {
-                        Some((term, purity)) => Resolved::Seed(term, purity),
-                        None => Resolved::Unknown,
-                    },
-                };
-                resolved.insert(name.clone(), r);
             }
         }
 
@@ -487,14 +493,10 @@ impl ProgramSummaries {
             // every member is covered (a partial hit could hide a changed
             // cycle peer — impossible under Merkle keying, but cheap to
             // enforce).
-            let all_fixed = members.iter().all(|&m| {
-                let (owner, def) = &methods[m];
-                fixed.contains_key(&(owner.clone(), def.name.clone(), def.singleton))
-            });
+            let all_fixed = !fixed_of.is_empty() && members.iter().all(|&m| fixed_of[m].is_some());
             if all_fixed {
                 for &m in members {
-                    let (owner, def) = &methods[m];
-                    let mut sum = fixed[&(owner.clone(), def.name.clone(), def.singleton)].clone();
+                    let mut sum = fixed_of[m].expect("fixed above").clone();
                     sum.scc = s;
                     transfers[m] = Transfer::from_summary(&sum.taint);
                     out[m] = Some(sum);
@@ -506,55 +508,33 @@ impl ProgramSummaries {
 
             // Termination + purity, component at a time.
             Self::solve_term_purity(
-                methods, facts, &edges, &scc_of, s, members, cyclic, &resolved, &mut out,
+                &index, seed, facts, &edges, &scc_of, s, members, cyclic, &mut out,
             );
             // Taint: a least fixpoint inside a cyclic SCC, one walk otherwise.
-            solve_taint(methods, facts, members, cyclic, &by_name, &mut transfers);
+            solve_taint(&index, facts, members, cyclic, &mut transfers);
             for &m in members {
                 out[m].as_mut().expect("summary present").taint = transfers[m].to_summary();
             }
         }
 
-        let mut index = BTreeMap::new();
-        for (i, (owner, def)) in methods.iter().enumerate() {
-            index.insert((owner.clone(), def.name.clone(), def.singleton), i);
-        }
-        let id_of = |i: usize| {
-            let (owner, def) = &methods[i];
-            (owner.clone(), def.name.clone(), def.singleton)
-        };
-        let call_edges: BTreeSet<_> = edges
-            .iter()
-            .enumerate()
-            .flat_map(|(from, tos)| tos.iter().map(move |&to| (from, to)))
-            .map(|(from, to)| (id_of(from), id_of(to)))
-            .collect();
         let methods: Vec<MethodSummary> =
             out.into_iter().map(|m| m.expect("every method summarized")).collect();
-        (
-            ProgramSummaries {
-                methods,
-                index,
-                by_name,
-                scc_count: sccs.len(),
-                call_edges: call_edges.into_iter().collect(),
-            },
-            summarized,
-        )
+        (ProgramSummaries { index, methods, edges, scc_count: sccs.len() }, summarized)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn solve_term_purity(
-        methods: &[(String, &MethodDef)],
+        index: &ProgramIndex,
+        seed: &dyn EffectLookup,
         facts: &[LocalFacts],
         edges: &[Vec<usize>],
         scc_of: &[usize],
         s: usize,
         members: &[usize],
         cyclic: bool,
-        resolved: &BTreeMap<Name, Resolved>,
         out: &mut [Option<MethodSummary>],
     ) {
+        let methods = index.methods();
         // --- termination -------------------------------------------------
         // A cycle is pessimistically non-terminating: without a size-change
         // argument recursion cannot be proven to bottom out.
@@ -581,9 +561,9 @@ impl ProgramSummaries {
                     Vec::new(),
                 );
                 'calls: for name in &f.calls {
-                    match &resolved[name.as_str()] {
-                        Resolved::Methods(targets) => {
-                            for &t in targets {
+                    match Resolved::of(index, seed, name) {
+                        Resolved::Methods => {
+                            for t in index.definitions_named(name) {
                                 let callee = out[t].as_ref().expect("callee SCC emitted first");
                                 if callee.term == TermEffect::MayDiverge {
                                     let mut blame = vec![def.name.clone()];
@@ -595,7 +575,7 @@ impl ProgramSummaries {
                         }
                         // A `:blockdep` iterator's block is part of this
                         // body, so its loops and calls are already walked.
-                        Resolved::Seed(term, _) if *term != TermEffect::MayDiverge => {}
+                        Resolved::Seed(term, _) if term != TermEffect::MayDiverge => {}
                         Resolved::Seed(..) => {
                             verdict = (
                                 TermEffect::MayDiverge,
@@ -633,9 +613,9 @@ impl ProgramSummaries {
                 break 'scan;
             }
             for name in &f.calls {
-                match &resolved[name.as_str()] {
-                    Resolved::Methods(targets) => {
-                        for &t in targets {
+                match Resolved::of(index, seed, name) {
+                    Resolved::Methods => {
+                        for t in index.definitions_named(name) {
                             if scc_of[t] == s {
                                 continue; // intra-component: refined away
                             }
@@ -678,7 +658,7 @@ impl ProgramSummaries {
                 }
             };
             out[m] = Some(MethodSummary {
-                owner: owner.clone(),
+                owner: owner.to_string(),
                 name: def.name.clone(),
                 singleton: def.singleton,
                 term,
@@ -692,9 +672,9 @@ impl ProgramSummaries {
     }
 
     /// The summary for one method, if the program defines it.
+    /// A redefined method's summary is its last definition's.
     pub fn get(&self, owner: &str, name: &str, singleton: bool) -> Option<&MethodSummary> {
-        let key = (owner.to_string(), name.to_string(), singleton);
-        self.index.get(&key).map(|&i| &self.methods[i])
+        self.index.identity(owner, name, singleton).map(|d| &self.methods[d.last])
     }
 
     /// All summaries, in `Program::methods()` order.
@@ -719,11 +699,22 @@ impl ProgramSummaries {
 
     /// The name-resolved method→method call edges inference propagated
     /// along, as deduplicated sorted `(caller, callee)` id pairs
-    /// (`(owner, name, singleton)` each; self-edges included).  Exposed so
-    /// callers can cross-check this call graph against an independently
-    /// built dependency graph (e.g. `comprdl::semdep::DepGraph`).
-    pub fn call_edges(&self) -> &[(MethodId, MethodId)] {
-        &self.call_edges
+    /// (`(owner, name, singleton)` each; self-edges included), computed on
+    /// demand.  Exposed so callers can cross-check this call graph against
+    /// the dependency graph (`comprdl::semdep::DepGraph`).
+    pub fn call_edges(&self) -> Vec<(MethodId, MethodId)> {
+        let id = |i: usize| {
+            let m = &self.methods[i];
+            (m.owner.clone(), m.name.clone(), m.singleton)
+        };
+        let edges: BTreeSet<_> = self
+            .edges
+            .iter()
+            .enumerate()
+            .flat_map(|(from, tos)| tos.iter().map(move |&to| (from, to)))
+            .map(|(from, to)| (id(from), id(to)))
+            .collect();
+        edges.into_iter().collect()
     }
 
     /// The joined taint transfer for a bare name (the union over every
@@ -735,8 +726,11 @@ impl ProgramSummaries {
 
     /// [`taint_for_name`](Self::taint_for_name) as bit sets.
     pub(crate) fn transfer_for_name(&self, name: &str) -> Option<Transfer> {
+        if !self.index.defines_name(name) {
+            return None;
+        }
         let mut joined = Transfer::default();
-        for &t in self.by_name.get(name)? {
+        for t in self.index.definitions_named(name) {
             joined.join(&Transfer::from_summary(&self.methods[t].taint));
         }
         Some(joined)
@@ -799,11 +793,10 @@ impl ProgramSummaries {
 /// (members only grow, so this converges).  An acyclic one reads only
 /// earlier components, so one walk is exact.
 fn solve_taint(
-    methods: &[(String, &MethodDef)],
+    index: &ProgramIndex,
     facts: &[LocalFacts],
     members: &[usize],
     cyclic: bool,
-    by_name: &BTreeMap<String, Vec<usize>>,
     transfers: &mut [Transfer],
 ) {
     loop {
@@ -811,13 +804,16 @@ fn solve_taint(
         for &m in members {
             // Calls are name-resolved: join every same-named method.
             let lookup = |name: &str| {
+                if !index.defines_name(name) {
+                    return None;
+                }
                 let mut joined = Transfer::default();
-                for &t in by_name.get(name)? {
+                for t in index.definitions_named(name) {
                     joined.join(&transfers[t]);
                 }
                 Some(joined)
             };
-            let fresh = method_taint(methods[m].1, &facts[m], &lookup);
+            let fresh = method_taint(index.methods()[m].1, &facts[m], &lookup);
             if transfers[m] != fresh {
                 transfers[m] = fresh;
                 changed = true;
@@ -829,7 +825,7 @@ fn solve_taint(
     }
 }
 
-fn collect_all_facts(methods: &[(String, &MethodDef)], threads: usize) -> Vec<LocalFacts> {
+fn collect_all_facts(methods: &[(&str, &MethodDef)], threads: usize) -> Vec<LocalFacts> {
     if threads <= 1 || methods.len() <= 1 {
         return methods.iter().map(|(_, def)| collect_facts(def)).collect();
     }
@@ -1213,9 +1209,11 @@ mod tests {
         s
     }
 
-    fn infer_src(src: &str) -> ProgramSummaries {
-        let p = parse_program_strict(src).expect("parse");
-        ProgramSummaries::infer(&p, &seed(), 1)
+    /// The summaries of `src`, whose program lives as long as the test
+    /// process (summaries borrow the program they index).
+    fn infer_src(src: &str) -> ProgramSummaries<'static> {
+        let p = Box::leak(Box::new(parse_program_strict(src).expect("parse")));
+        ProgramSummaries::infer(p, &seed(), 1)
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::tlc::{eval_comp_type, TlcError, TlcValue};
 use rdl_types::{
     HashKey, MethodKind, MethodSig, Name, ParamSig, SingVal, Subtyper, Type, TypeExpr, TypeStore,
 };
-use ruby_syntax::{BinOp, Expr, ExprKind, LValue, MethodDef, Program, Span};
+use ruby_syntax::{BinOp, Expr, ExprKind, LValue, MethodDef, Program, ProgramIndex, Span};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -246,7 +246,7 @@ impl ProgramCheckResult {
 /// and merges the per-worker stores afterwards.
 pub struct TypeChecker<'a> {
     env: &'a CompRdl,
-    program: &'a Program,
+    program: ProgramIndex<'a>,
     options: CheckOptions,
     store: TypeStore,
     termination: TerminationChecker,
@@ -274,7 +274,7 @@ impl<'a> TypeChecker<'a> {
     pub fn new(env: &'a CompRdl, program: &'a Program, options: CheckOptions) -> Self {
         TypeChecker {
             env,
-            program,
+            program: ProgramIndex::new(program),
             options,
             store: TypeStore::new(),
             termination: TerminationChecker::new(EffectEnv::from_explicit(explicit_effects(env))),
@@ -313,21 +313,23 @@ impl<'a> TypeChecker<'a> {
     ) -> Vec<EffectViolation> {
         let mut inferred = EffectEnv::new();
         inferred.install_inferred(effects.iter().cloned());
-        // Probe the annotation table once per program method, so the cost
-        // tracks the program rather than the shared libraries.
-        let methods = program.methods();
-        let mut annotated: Vec<_> = methods
+        // Probe the annotation table once per program method identity, at
+        // its first definition, so the cost tracks the program rather than
+        // the shared libraries.
+        let index = ProgramIndex::new(program);
+        let mut annotated: Vec<_> = index
+            .methods()
             .iter()
-            .filter_map(|(owner, def)| {
+            .enumerate()
+            .filter_map(|(i, &(owner, def))| {
+                let key = (owner, def.name.as_str(), def.singleton);
+                index.identity(key.0, key.1, key.2).filter(|d| d.first == i)?;
                 let kind = if def.singleton { MethodKind::Singleton } else { MethodKind::Instance };
                 let sig = env.annotations.get_exact(owner, kind, &def.name)?;
-                Some(((owner.as_str(), def.name.as_str(), def.singleton), sig, def.span))
+                Some((key, sig, def.span))
             })
             .collect();
-        // The sort is stable, so among redefinitions of one identity the
-        // first definition stays first and survives the dedup.
-        annotated.sort_by_key(|(key, ..)| *key);
-        annotated.dedup_by_key(|(key, ..)| *key);
+        annotated.sort_unstable_by_key(|(key, ..)| *key);
         let mut out = Vec::new();
         for ((_, name, _), sig, span) in annotated {
             let Some(inf) = inferred.inferred(name) else { continue };
@@ -351,20 +353,30 @@ impl<'a> TypeChecker<'a> {
         program: &'p Program,
         label: &str,
     ) -> Vec<(String, &'p MethodDef)> {
-        program
-            .methods()
-            .into_iter()
-            .filter(|(owner, def)| {
-                if def.poisoned {
-                    return false;
-                }
-                let kind = if def.singleton { MethodKind::Singleton } else { MethodKind::Instance };
-                env.annotations
-                    .lookup(&env.classes, owner, kind, &def.name)
-                    .map(|(_, sig)| sig.typecheck_label.as_deref() == Some(label))
-                    .unwrap_or(false)
-            })
-            .collect()
+        Self::labeled_in(env, &ProgramIndex::new(program), label)
+    }
+
+    /// [`TypeChecker::labeled_methods`] over an index of the program.
+    fn labeled_in<'p>(
+        env: &CompRdl,
+        index: &ProgramIndex<'p>,
+        label: &str,
+    ) -> Vec<(String, &'p MethodDef)> {
+        let mut selected = Vec::with_capacity(index.methods().len());
+        for &(owner, def) in index.methods() {
+            if def.poisoned {
+                continue;
+            }
+            let kind = if def.singleton { MethodKind::Singleton } else { MethodKind::Instance };
+            let labeled = env
+                .annotations
+                .lookup(&env.classes, owner, kind, &def.name)
+                .is_some_and(|(_, sig)| sig.typecheck_label.as_deref() == Some(label));
+            if labeled {
+                selected.push((owner.to_string(), def));
+            }
+        }
+        selected
     }
 
     /// Checks exactly the given `(owner, def)` methods, in the given order.
@@ -384,7 +396,7 @@ impl<'a> TypeChecker<'a> {
     /// Checks every method in the program that carries a `typecheck:` label
     /// in its annotation, mirroring `RDL.do_typecheck`.
     pub fn check_labeled(self, label: &str) -> ProgramCheckResult {
-        let selected = Self::labeled_methods(self.env, self.program, label);
+        let selected = Self::labeled_in(self.env, &self.program, label);
         self.check_methods(&selected)
     }
 
@@ -450,13 +462,14 @@ impl<'a> TypeChecker<'a> {
     /// Poisoned methods are skipped, as in `check_labeled`.
     pub fn check_all_annotated(mut self) -> ProgramCheckResult {
         let mut methods = Vec::new();
-        for (owner, def) in self.program.methods() {
+        for i in 0..self.program.methods().len() {
+            let (owner, def) = self.program.methods()[i];
             if def.poisoned {
                 continue;
             }
             let kind = if def.singleton { MethodKind::Singleton } else { MethodKind::Instance };
-            if self.env.annotations.lookup(&self.env.classes, &owner, kind, &def.name).is_some() {
-                methods.push(self.check_method_def(&owner, def));
+            if self.env.annotations.lookup(&self.env.classes, owner, kind, &def.name).is_some() {
+                methods.push(self.check_method_def(owner, def));
             }
         }
         ProgramCheckResult { methods, store: self.store, cache_stats: self.cache.stats() }
@@ -671,7 +684,7 @@ impl<'a> TypeChecker<'a> {
                     [name] => name.clone(),
                     _ => Name::from(path.join("::")),
                 };
-                if self.env.classes.contains(&joined) || self.program_defines_class(&joined) {
+                if self.env.classes.contains(&joined) || self.program.defines_class(&joined) {
                     Type::class_of(joined)
                 } else {
                     self.error(
@@ -958,10 +971,6 @@ impl<'a> TypeChecker<'a> {
         }
     }
 
-    fn program_defines_class(&self, name: &str) -> bool {
-        self.program.classes().iter().any(|c| c.name == name)
-    }
-
     // ------------------------------------------------------------------
     // Method calls
     // ------------------------------------------------------------------
@@ -1086,23 +1095,7 @@ impl<'a> TypeChecker<'a> {
     /// ordinary user code.
     fn call_target_defined(&mut self, recv_ty: &Type, name: &str) -> bool {
         let Some((class, kind)) = self.receiver_class(recv_ty) else { return false };
-        let singleton = kind == MethodKind::Singleton;
-        let methods = self.program.methods();
-        let classes = self.program.classes();
-        // Walk program classes and their superclasses.
-        let mut current = Some(class.as_str());
-        for _ in 0..16 {
-            let Some(c) = current else { break };
-            if methods
-                .iter()
-                .any(|(owner, m)| owner == c && m.name == name && m.singleton == singleton)
-            {
-                return true;
-            }
-            current =
-                classes.iter().find(|cd| cd.name == c).and_then(|cd| cd.superclass.as_deref());
-        }
-        false
+        self.program.defines_in_chain(&class, name, kind == MethodKind::Singleton)
     }
 
     /// True when the receiver is a core structural type (tuple, finite hash,

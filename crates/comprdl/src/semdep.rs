@@ -46,7 +46,9 @@
 use crate::env::CompRdl;
 use crate::tlc::HelperRegistry;
 use rdl_types::{MethodSig, TypeExpr};
-use ruby_syntax::{method_hash, Expr, ExprKind, MethodDef, Name, Program, SemHasher};
+use ruby_syntax::{
+    method_hash, Expr, ExprKind, MethodDef, MethodId, Name, Program, ProgramIndex, SemHasher,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Bump when the behaviour of any *native* (Rust) helper changes in a way
@@ -69,9 +71,6 @@ pub const NATIVE_HELPER_REVISION: u32 = 3;
 /// and binders.
 pub const TLC_REVISION: u32 = 2;
 
-/// The identity of a program method: `(owner class, name, singleton?)`.
-pub type MethodId = (String, String, bool);
-
 /// One node of the graph — a program method, an annotated library-method
 /// signature, or a comp-type helper.  The three kinds share a
 /// representation; what distinguishes them is which index map
@@ -89,8 +88,10 @@ struct Node {
 /// environment.  See the module docs for the invalidation model.
 #[derive(Debug)]
 pub struct DepGraph {
-    /// Program method nodes come first: indices `0..merkles.len()`.
+    /// Program method nodes come first, one per definition in program
+    /// order: indices `0..merkles.len()`.
     nodes: Vec<Node>,
+    /// The node of every method identity the program defines exactly once.
     methods: BTreeMap<MethodId, usize>,
     /// The helpers some program method reaches.
     helpers: BTreeMap<String, usize>,
@@ -103,25 +104,24 @@ impl DepGraph {
     pub fn build(env: &CompRdl, program: &Program) -> DepGraph {
         let mut b = Builder { registry: &env.helpers, nodes: Vec::new(), helpers: BTreeMap::new() };
 
-        // Program method nodes, with the names each body may call.
-        let methods = program.methods();
-        let mut method_idx = BTreeMap::new();
-        let mut calls = Vec::with_capacity(methods.len());
-        for (owner, def) in &methods {
-            let idx = b.add_node(method_hash(def));
-            method_idx.insert((owner.clone(), def.name.clone(), def.singleton), idx);
-            calls.push(called_names(def));
-        }
+        // Program method nodes, one per definition, with the names each
+        // body may call.
+        let index = ProgramIndex::new(program);
+        let calls: Vec<BTreeSet<Name>> = index
+            .methods()
+            .iter()
+            .map(|&(_, def)| {
+                b.add_node(method_hash(def));
+                called_names(def)
+            })
+            .collect();
         let method_count = b.nodes.len();
 
-        // Called-name → candidate-node index.  Only annotations whose method
+        // Called-name → annotation nodes.  Only annotations whose method
         // name some body calls are reachable, so only they get nodes.  An
         // annotation's base is its stored digest; its edges point at every
         // helper its comp exprs mention.
-        let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
-        for ((_, name, _), &idx) in &method_idx {
-            by_name.entry(name.as_str()).or_default().push(idx);
-        }
+        let mut annotations: HashMap<&str, Vec<usize>> = HashMap::new();
         let called: HashSet<&str> = calls.iter().flatten().map(Name::as_str).collect();
         for ((_, _, name), sig, digest) in env.annotations.iter_digests() {
             if !called.contains(name) {
@@ -136,20 +136,34 @@ impl DepGraph {
                 let to = b.helper(&hn).expect("collected helper refs are registered");
                 b.nodes[idx].deps.push(to);
             }
-            by_name.entry(name).or_default().push(idx);
+            annotations.entry(name).or_default().push(idx);
         }
 
-        // Name-based call edges.
-        for ((owner, def), callees) in methods.iter().zip(&calls) {
-            let from = method_idx[&(owner.clone(), def.name.clone(), def.singleton)];
+        // Name-based call edges: to every definition of the called name, on
+        // any owner, and to every annotation of it.
+        for (from, callees) in calls.iter().enumerate() {
             for callee in callees {
-                for &to in by_name.get(callee.as_str()).into_iter().flatten() {
+                let annotated = annotations.get(callee.as_str()).into_iter().flatten().copied();
+                for to in index.definitions_named(callee).chain(annotated) {
                     if to != from {
                         b.nodes[from].deps.push(to);
                     }
                 }
             }
         }
+
+        // A redefined identity gets no Merkle hash: its definitions have
+        // different dependencies, and a verdict keyed by the identity could
+        // replay one definition's verdict for the other.
+        let method_idx = index
+            .methods()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(owner, def))| {
+                index.identity(owner, &def.name, def.singleton).is_some_and(|d| d.count == 1)
+            })
+            .map(|(i, &(owner, def))| ((owner.to_string(), def.name.clone(), def.singleton), i))
+            .collect();
 
         let mut g = DepGraph {
             merkles: Vec::new(),
@@ -188,16 +202,16 @@ impl DepGraph {
         h.finish()
     }
 
-    /// The Merkle hash of a program method, or `None` if the program has no
-    /// such method.
+    /// The Merkle hash of a program method, or `None` if the program does
+    /// not define it exactly once.
     pub fn merkle(&self, owner: &str, name: &str, singleton: bool) -> Option<u64> {
         self.methods
             .get(&(owner.to_string(), name.to_string(), singleton))
             .map(|&i| self.merkles[i])
     }
 
-    /// Every program method with its Merkle hash, in `(owner, name,
-    /// singleton)` order.
+    /// Every program method defined exactly once, with its Merkle hash, in
+    /// `(owner, name, singleton)` order.
     pub fn method_merkles(&self) -> Vec<(MethodId, u64)> {
         self.methods.iter().map(|(id, &i)| (id.clone(), self.merkles[i])).collect()
     }

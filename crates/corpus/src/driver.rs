@@ -40,7 +40,7 @@
 
 use crate::app::App;
 use crate::harness::{HarnessError, Table2Row};
-use analysis::ProgramSummaries;
+use analysis::{MethodSummary, ProgramSummaries};
 use comprdl::persist::content_hash;
 use comprdl::semdep::{env_hash, DepGraph};
 use comprdl::{
@@ -51,15 +51,12 @@ use diagnostics::{Diagnostic, DiagnosticBag};
 use rdl_types::TypeStore;
 use ruby_interp::{Interpreter, ResolvedProgram, RubyError};
 use ruby_syntax::ast::MethodDef;
-use ruby_syntax::Program;
+use ruby_syntax::{MethodId, Program, ProgramIndex};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A method's identity: `(owner, name, singleton)`.
-type MethodId = (String, String, bool);
 
 /// How much of one layer was replayed from the cache versus computed for
 /// real.
@@ -78,10 +75,13 @@ pub struct RecheckStats {
 impl RecheckStats {
     /// The counters of a layer over `methods` whose `misses` (indices into
     /// `methods`) were computed for real.
-    fn new(methods: &[(String, &MethodDef)], misses: &[usize]) -> Self {
+    fn new<O: AsRef<str>>(methods: &[(O, &MethodDef)], misses: &[usize]) -> Self {
         let checked_methods = misses
             .iter()
-            .map(|&i| (methods[i].0.clone(), methods[i].1.name.clone(), methods[i].1.singleton))
+            .map(|&i| {
+                let (owner, def) = &methods[i];
+                (owner.as_ref().to_string(), def.name.clone(), def.singleton)
+            })
             .collect();
         let replayed = methods.len() - misses.len();
         RecheckStats { total: methods.len(), replayed, checked_methods }
@@ -134,7 +134,9 @@ impl AppRecheck {
 
 /// A cached run's cache plus the validators it replays against: the content
 /// hashes of both files (indexed by span file id: app = 0, tests = 1), the
-/// environment hash, and the Merkle dependency hash of every method.
+/// environment hash, and the Merkle dependency hash of every method.  A
+/// method without a Merkle hash (one the program defines more than once) is
+/// a miss in every layer and is never recorded.
 struct Replay<'c> {
     cache: &'c mut CheckCache,
     env_h: u64,
@@ -145,12 +147,6 @@ struct Replay<'c> {
 impl Replay<'_> {
     fn merkle(&self, owner: &str, def: &MethodDef) -> Option<u64> {
         self.graph.merkle(owner, &def.name, def.singleton)
-    }
-
-    /// The key a lint verdict is stored under: the Merkle hash, or the
-    /// method's own semantic hash when the graph does not know it.
-    fn lint_key(&self, owner: &str, def: &MethodDef) -> u64 {
-        self.merkle(owner, def).unwrap_or_else(|| ruby_syntax::method_hash(def))
     }
 
     /// Records one checking pass's verdicts under `key`, replacing any
@@ -164,8 +160,8 @@ impl Replay<'_> {
         let verdicts: Vec<_> = selected
             .iter()
             .zip(&result.methods)
-            .map(|((owner, def), verdict)| {
-                (owner.clone(), *def, self.merkle(owner, def).unwrap_or(0), verdict)
+            .filter_map(|((owner, def), verdict)| {
+                Some((owner.clone(), *def, self.merkle(owner, def)?, verdict))
             })
             .collect();
         self.cache.record_app(key, self.env_h, self.files.clone(), &verdicts, &result.store);
@@ -175,21 +171,22 @@ impl Replay<'_> {
 /// Phase A of a layer: asks `replay` for every method's cached verdict and
 /// returns one slot per method (`None` for a miss) plus the misses' indices.
 /// Without a cache `replay` always answers `None`.
-fn replay_phase<T>(
-    methods: &[(String, &MethodDef)],
+fn replay_phase<O: AsRef<str>, T>(
+    methods: &[(O, &MethodDef)],
     mut replay: impl FnMut(&str, &MethodDef) -> Option<T>,
 ) -> (Vec<Option<T>>, Vec<usize>) {
-    let slots: Vec<Option<T>> = methods.iter().map(|(owner, def)| replay(owner, def)).collect();
+    let slots: Vec<Option<T>> =
+        methods.iter().map(|(owner, def)| replay(owner.as_ref(), def)).collect();
     let misses = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
     (slots, misses)
 }
 
 /// The methods phase B computes for real; `methods` itself, uncopied, when
 /// nothing replayed.
-fn missed<'m, 'p>(
-    methods: &'m [(String, &'p MethodDef)],
+fn missed<'m, 'p, O: Clone>(
+    methods: &'m [(O, &'p MethodDef)],
     misses: &[usize],
-) -> Cow<'m, [(String, &'p MethodDef)]> {
+) -> Cow<'m, [(O, &'p MethodDef)]> {
     if misses.len() == methods.len() {
         Cow::Borrowed(methods)
     } else {
@@ -198,40 +195,34 @@ fn missed<'m, 'p>(
 }
 
 /// What every static layer of one app's evaluation shares.
-struct Layers<'a> {
+struct Layers<'a, 'p> {
     env: &'a CompRdl,
-    program: &'a Program,
+    program: &'p Program,
     threads: usize,
     replay: Option<&'a Replay<'a>>,
 }
 
-impl Layers<'_> {
+impl<'p> Layers<'_, 'p> {
     /// Effect summaries: cached summaries whose Merkle hash still matches
     /// form the baseline and everything else is inferred against it, whole
     /// SCCs at a time.  Without a cache the baseline is empty, which is
     /// plain inference.
-    fn summarize(&self, key: &str) -> (ProgramSummaries, RecheckStats) {
+    fn summarize(&self, key: &str) -> (ProgramSummaries<'p>, RecheckStats) {
         let seed = crate::effects::seed_map(self.env);
         let fixed = match self.replay {
             Some(r) => crate::effects::replay_baseline(r.cache, key, self.program, &r.graph),
             None => BTreeMap::new(),
         };
         let (summaries, _) = ProgramSummaries::infer_with_baseline(self.program, &seed, &fixed);
-        let ids: Vec<MethodId> =
-            summaries.iter().map(|s| (s.owner.clone(), s.name.clone(), s.singleton)).collect();
+        let id = |s: &MethodSummary| (s.owner.clone(), s.name.clone(), s.singleton);
         // A method is re-summarized when any member of its SCC missed.
         let stale: BTreeSet<usize> = summaries
             .iter()
-            .zip(&ids)
-            .filter(|(_, id)| !fixed.contains_key(*id))
-            .map(|(s, _)| s.scc)
+            .filter(|s| fixed.is_empty() || !fixed.contains_key(&id(s)))
+            .map(|s| s.scc)
             .collect();
-        let checked_methods: Vec<MethodId> = summaries
-            .iter()
-            .zip(ids)
-            .filter(|(s, _)| stale.contains(&s.scc))
-            .map(|(_, id)| id)
-            .collect();
+        let checked_methods: Vec<MethodId> =
+            summaries.iter().filter(|s| stale.contains(&s.scc)).map(id).collect();
         let replayed = summaries.len() - checked_methods.len();
         let stats = RecheckStats { total: summaries.len(), replayed, checked_methods };
         (summaries, stats)
@@ -289,12 +280,12 @@ impl Layers<'_> {
     fn lint(
         &self,
         key: &str,
-        methods: &[(String, &MethodDef)],
+        methods: &[(&str, &MethodDef)],
         summaries: &ProgramSummaries,
     ) -> (DiagnosticBag, RecheckStats, Vec<Vec<LintRecord>>) {
         let (slots, misses) = replay_phase(methods, |owner, def| {
             let r = self.replay?;
-            r.cache.replay_lints(key, &r.files, owner, def, r.lint_key(owner, def))
+            r.cache.replay_lints(key, &r.files, owner, def, r.merkle(owner, def)?)
         });
         let mut fresh =
             analysis::lint_methods(&missed(methods, &misses), Some(summaries), self.threads)
@@ -359,7 +350,8 @@ pub fn evaluate_app(
         files: vec![content_hash(source), content_hash(app.test_suite)],
         graph: DepGraph::build(&env, &program),
     });
-    let methods = program.methods();
+    let index = ProgramIndex::new(&program);
+    let methods = index.methods();
     let selected = TypeChecker::labeled_methods(&env, &program, "app");
     let plain_key = format!("{}::plain", app.name);
     let layers = Layers { env: &env, program: &program, threads, replay: replay.as_ref() };
@@ -372,7 +364,7 @@ pub fn evaluate_app(
     let started = Instant::now();
     let (comp, comp_stats) = layers.check(app.name, CheckOptions::default(), &selected, &inferred);
     let check_time = started.elapsed();
-    let (lints, lint_stats, lint_verdicts) = layers.lint(app.name, &methods, &summaries);
+    let (lints, lint_stats, lint_verdicts) = layers.lint(app.name, methods, &summaries);
     let plain_options = CheckOptions { use_comp_types: false, ..CheckOptions::default() };
     let (rdl, plain_stats) = layers.check(&plain_key, plain_options, &selected, &inferred);
 
@@ -387,7 +379,9 @@ pub fn evaluate_app(
         let lint_records: Vec<_> = methods
             .iter()
             .zip(lint_verdicts)
-            .map(|((owner, def), records)| (owner.clone(), *def, r.lint_key(owner, def), records))
+            .filter_map(|(&(owner, def), records)| {
+                Some((owner.to_string(), def, r.merkle(owner, def)?, records))
+            })
             .collect();
         r.cache.record_lints(app.name, r.files.clone(), &lint_records);
         r.cache

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use analysis::{MethodSummary, ProgramSummaries, TaintSummary};
 use comprdl::{CompRdl, EffectRecord, ExplicitEffects, InferredEffect};
 use rdl_types::EffectLookup;
-use ruby_syntax::Program;
+use ruby_syntax::{MethodId, Program, ProgramIndex};
 
 /// The trusted seed effects for summary inference: the explicit layer
 /// [`comprdl::explicit_effects`] hands the type checker, read by reference.
@@ -34,11 +34,11 @@ pub fn seed_map(env: &CompRdl) -> ExplicitEffects {
 /// Infers summaries for every method of `program` with `threads` workers
 /// (1 = sequential).  The parallel fact extraction is output-invisible:
 /// the fixpoint itself is deterministic over the condensed call graph.
-pub fn effects_pass(
-    program: &Program,
+pub fn effects_pass<'p>(
+    program: &'p Program,
     seed: &dyn EffectLookup,
     threads: usize,
-) -> ProgramSummaries {
+) -> ProgramSummaries<'p> {
     ProgramSummaries::infer(program, seed, threads)
 }
 
@@ -121,19 +121,23 @@ pub fn summaries_to_records(
 /// Builds the `fixed` baseline for incremental inference: every cached
 /// record whose identity *and* Merkle hash still match the current
 /// program replays verbatim; everything else is left for the fixpoint to
-/// recompute.  Returns the baseline keyed the way
+/// recompute.  A method the program defines more than once has no Merkle
+/// hash, so it never replays.  Returns the baseline keyed the way
 /// [`ProgramSummaries::infer_with_baseline`] expects.
 pub fn replay_baseline(
     cache: &comprdl::CheckCache,
     app: &str,
     program: &Program,
     graph: &comprdl::DepGraph,
-) -> BTreeMap<(String, String, bool), MethodSummary> {
+) -> BTreeMap<MethodId, MethodSummary> {
     let mut fixed = BTreeMap::new();
-    for (owner, def) in program.methods() {
-        let Some(merkle) = graph.merkle(&owner, &def.name, def.singleton) else { continue };
-        if let Some(rec) = cache.replay_effects(app, &owner, &def.name, def.singleton, merkle) {
-            fixed.insert((owner.clone(), def.name.clone(), def.singleton), record_to_summary(&rec));
+    for &(owner, def) in ProgramIndex::new(program).methods() {
+        let Some(merkle) = graph.merkle(owner, &def.name, def.singleton) else { continue };
+        if let Some(rec) = cache.replay_effects(app, owner, &def.name, def.singleton, merkle) {
+            fixed.insert(
+                (owner.to_string(), def.name.clone(), def.singleton),
+                record_to_summary(&rec),
+            );
         }
     }
     fixed

@@ -17,7 +17,7 @@
 use analysis::{LintFinding, MethodLints};
 use comprdl::LintRecord;
 use diagnostics::{Diagnostic, DiagnosticBag};
-use ruby_syntax::Program;
+use ruby_syntax::{Program, ProgramIndex};
 
 /// Converts one method's findings into persistable [`LintRecord`]s.
 pub fn findings_to_records(m: &MethodLints) -> Vec<LintRecord> {
@@ -67,7 +67,7 @@ pub fn lint_pass_with_summaries(
     summaries: Option<&analysis::ProgramSummaries>,
     threads: usize,
 ) -> Vec<MethodLints> {
-    analysis::lint_methods(&program.methods(), summaries, threads)
+    analysis::lint_methods(ProgramIndex::new(program).methods(), summaries, threads)
 }
 
 #[cfg(test)]

@@ -4,10 +4,11 @@
 //! library directly into a fresh `CompRdl`, down to the Table 1 LoC and the
 //! hashes the on-disk check cache keys on.
 
-use comprdl::semdep::{env_hash, DepGraph, MethodId};
+use comprdl::semdep::{env_hash, DepGraph};
 use comprdl::{stdlib, CompRdl};
 use corpus::App;
 use rdl_types::{MethodKind, MethodSig};
+use ruby_syntax::MethodId;
 use ruby_syntax::{Expr, ExprKind, MethodDef, SemHasher};
 use std::collections::BTreeSet;
 use std::sync::Arc;

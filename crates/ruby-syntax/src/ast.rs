@@ -10,6 +10,7 @@
 //! Every name in the tree except [`MethodDef::name`] is a [`Name`] shared
 //! by all its occurrences in one parsed file (see [`crate::name`]).
 
+use crate::index::ProgramIndex;
 use crate::name::Name;
 use crate::span::Span;
 use std::sync::Arc;
@@ -27,41 +28,17 @@ impl Program {
         Program { items: Vec::new() }
     }
 
-    /// Iterates over every class definition (recursively, in source order).
+    /// Every class definition (nested ones included, in source order); a
+    /// view of [`ProgramIndex::classes`].
     pub fn classes(&self) -> Vec<&ClassDef> {
-        fn walk<'a>(items: &'a [Item], out: &mut Vec<&'a ClassDef>) {
-            for item in items {
-                if let Item::Class(c) = item {
-                    out.push(c);
-                    walk(&c.body, out);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.items, &mut out);
-        out
+        ProgramIndex::new(self).classes().to_vec()
     }
 
-    /// Iterates over every method definition along with the name of its
-    /// enclosing class (`"Object"` for top-level methods).
+    /// Every method definition along with the name of its enclosing class
+    /// (`"Object"` for top-level methods), in source order; a view of
+    /// [`ProgramIndex::methods`] with owned owners.
     pub fn methods(&self) -> Vec<(String, &MethodDef)> {
-        fn walk<'a>(owner: &str, items: &'a [Item], out: &mut Vec<(String, &'a MethodDef)>) {
-            for item in items {
-                match item {
-                    Item::Method(m) => out.push((owner.to_string(), m)),
-                    Item::Class(c) => walk(&c.name, &c.body, out),
-                    Item::Expr(_) => {}
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk("Object", &self.items, &mut out);
-        out
-    }
-
-    /// Finds a method definition by owner class and name.
-    pub fn find_method(&self, owner: &str, name: &str) -> Option<&MethodDef> {
-        self.methods().into_iter().find(|(o, m)| o == owner && m.name == name).map(|(_, m)| m)
+        ProgramIndex::new(self).methods().iter().map(|&(owner, m)| (owner.to_string(), m)).collect()
     }
 
     /// Appends `other`'s items after this program's, producing the combined
@@ -437,8 +414,6 @@ mod tests {
         let methods = p.methods();
         assert_eq!(methods.len(), 1);
         assert_eq!(methods[0].0, "User");
-        assert!(p.find_method("User", "available?").is_some());
-        assert!(p.find_method("User", "missing").is_none());
     }
 
     #[test]

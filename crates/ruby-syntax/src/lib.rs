@@ -68,6 +68,7 @@
 
 pub mod ast;
 pub mod fxhash;
+pub mod index;
 mod lexer;
 pub mod name;
 pub mod parser;
@@ -79,6 +80,7 @@ pub use ast::{
     BinOp, Block, ClassDef, CondArm, Expr, ExprKind, Item, LValue, MethodDef, Param, Program,
 };
 pub use fxhash::FxHashMap;
+pub use index::{Definitions, MethodId, ProgramIndex, SUPERCLASS_STEPS};
 pub use name::Name;
 pub use parser::{
     parse_expr, parse_program, parse_program_in_file, parse_program_in_file_strict,

@@ -1327,6 +1327,12 @@ impl<'src> Parser<'src> {
 mod tests {
     use super::*;
 
+    /// The first definition of `owner`'s method `name`, of either kind.
+    fn find_method<'p>(prog: &'p Program, owner: &str, name: &str) -> Option<&'p MethodDef> {
+        let index = crate::ProgramIndex::new(prog);
+        index.methods().iter().find(|(o, m)| *o == owner && m.name == name).map(|&(_, m)| m)
+    }
+
     #[test]
     fn parses_figure1_method() {
         let src = r#"
@@ -1343,7 +1349,7 @@ end
         assert_eq!(classes.len(), 1);
         assert_eq!(classes[0].name, "User");
         assert_eq!(classes[0].superclass.as_deref(), Some("ActiveRecord::Base"));
-        let m = prog.find_method("User", "available?").unwrap();
+        let m = find_method(&prog, "User", "available?").unwrap();
         assert!(m.singleton);
         assert_eq!(m.params.len(), 2);
         assert_eq!(m.body.len(), 3);
@@ -1357,7 +1363,7 @@ def image_url()
 end
 "#;
         let prog = parse_program_strict(src).unwrap();
-        let m = prog.find_method("Object", "image_url").unwrap();
+        let m = find_method(&prog, "Object", "image_url").unwrap();
         assert_eq!(m.body.len(), 1);
         match &m.body[0].kind {
             ExprKind::Call { name, recv, .. } => {
@@ -1568,13 +1574,13 @@ end
         assert!(diags[0].message.contains("`bad`"), "{diags:?}");
         let methods = prog.methods();
         assert_eq!(methods.len(), 3, "{methods:?}");
-        let bad = prog.find_method("Object", "bad").unwrap();
+        let bad = find_method(&prog, "Object", "bad").unwrap();
         assert!(bad.poisoned);
         assert!(matches!(bad.body[..], [Expr { kind: ExprKind::Error, .. }]));
-        let good = prog.find_method("Object", "good").unwrap();
+        let good = find_method(&prog, "Object", "good").unwrap();
         assert!(!good.poisoned);
         assert_eq!(good.body.len(), 1);
-        let tail = prog.find_method("Object", "tail").unwrap();
+        let tail = find_method(&prog, "Object", "tail").unwrap();
         assert!(!tail.poisoned, "recovery must resynchronize before `tail`");
         assert_eq!(tail.body.len(), 1);
     }
@@ -1585,9 +1591,9 @@ end
         let (prog, diags) = parse_program(src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(prog.classes().len(), 1);
-        assert!(prog.find_method("C", "b").unwrap().poisoned);
-        assert!(!prog.find_method("C", "a").unwrap().poisoned);
-        assert!(!prog.find_method("C", "c").unwrap().poisoned);
+        assert!(find_method(&prog, "C", "b").unwrap().poisoned);
+        assert!(!find_method(&prog, "C", "a").unwrap().poisoned);
+        assert!(!find_method(&prog, "C", "c").unwrap().poisoned);
     }
 
     #[test]
@@ -1598,7 +1604,7 @@ end
         let (prog, diags) = parse_program(src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(prog.methods().len(), 2, "{:?}", prog.methods());
-        assert!(!prog.find_method("Object", "after").unwrap().poisoned);
+        assert!(!find_method(&prog, "Object", "after").unwrap().poisoned);
     }
 
     #[test]
@@ -1617,8 +1623,8 @@ end
         let (prog, diags) = parse_program("def a()\n 1\nend\ndef b()\n x =\n");
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(prog.methods().len(), 2);
-        assert!(!prog.find_method("Object", "a").unwrap().poisoned);
-        assert!(prog.find_method("Object", "b").unwrap().poisoned);
+        assert!(!find_method(&prog, "Object", "a").unwrap().poisoned);
+        assert!(find_method(&prog, "Object", "b").unwrap().poisoned);
     }
 
     #[test]
@@ -1636,8 +1642,8 @@ end
         let prog = parse_program_strict(src).unwrap();
         assert_eq!(prog.classes().len(), 2);
         assert_eq!(prog.methods().len(), 2);
-        assert!(prog.find_method("B", "m").is_some());
-        assert!(prog.find_method("A", "n").is_some());
+        assert!(find_method(&prog, "B", "m").is_some());
+        assert!(find_method(&prog, "A", "n").is_some());
     }
 
     #[test]
@@ -1677,7 +1683,7 @@ end
     #[test]
     fn parses_yield_and_break() {
         let prog = parse_program_strict("def each_page()\n yield(1)\n break\nend").unwrap();
-        let m = prog.find_method("Object", "each_page").unwrap();
+        let m = find_method(&prog, "Object", "each_page").unwrap();
         assert_eq!(m.body.len(), 2);
     }
 }
