@@ -4,13 +4,14 @@
 //! byte-identical output across fresh loads.
 
 use comprdl::persist::content_hash;
-use comprdl::semdep::{env_hash, DepGraph, MethodId};
+use comprdl::semdep::{env_hash, DepGraph};
 use comprdl::{CheckCache, CheckOptions, TypeChecker};
 use corpus::{
     evaluate_app_incremental, stable_report, table2_incremental, with_layout_noise,
     with_method_edit, App,
 };
 use db_types::{ColumnType, DbRegistry};
+use ruby_syntax::MethodId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -530,4 +531,99 @@ fn db_schema_edit_rechecks_the_methods_that_read_the_schema() {
     for ((id, m1), (_, m2)) in merkles {
         assert_eq!(m1 != m2, readers.contains(&id), "{id:?} moves iff it reads the schema");
     }
+}
+
+/// `Shop`'s annotations: its one labeled method `m`.
+fn annotate_shop(env: &mut comprdl::CompRdl) {
+    env.add_class("Shop", "Object");
+    env.type_sig("Shop", "m", "(Integer) -> Integer", Some("app"));
+}
+
+/// A one-class app whose source defines `Shop#m` twice.
+const SHOP: &str = "class Shop\n  def m(x)\n    x + 1\n  end\n  def m(x)\n    x + 2\n  end\nend\n";
+
+fn shop() -> App {
+    App {
+        name: "Shop",
+        group: "API client libraries",
+        db: None,
+        annotate: annotate_shop,
+        source: SHOP,
+        test_suite: "",
+        extra_annotations: 0,
+        expected_errors: 0,
+    }
+}
+
+/// `source` with the first `x + 1` (the first definition of `m`'s body)
+/// replaced by `body`.
+fn first_m_as(source: &str, body: &str) -> String {
+    source.replacen("x + 1", body, 1)
+}
+
+/// Evaluates `source` as `Shop` with `cache` and, from scratch, without
+/// one; returns the two rows' stable reports and the cached run's counters.
+fn cached_and_uncached(
+    source: &str,
+    cache: &mut CheckCache,
+) -> (String, String, corpus::driver::AppRecheck) {
+    let memo = || Arc::new(comprdl::SharedMemo::new());
+    let app = shop();
+    let (cached, stats) =
+        corpus::evaluate_app(&app, Some(source), 1, &memo(), Some(cache)).expect("cached run");
+    let (uncached, _) = corpus::evaluate_app(&app, Some(source), 1, &memo(), None).expect("run");
+    (stable_report(&[cached]), stable_report(&[uncached]), stats)
+}
+
+/// An edit to the first of two definitions of one identity re-checks both
+/// and reports what an uncached run reports: a redefined identity has no
+/// Merkle hash, so no layer replays it.
+#[test]
+fn an_edit_to_the_first_of_two_definitions_rechecks_both() {
+    let mut cache = CheckCache::new();
+    cached_and_uncached(SHOP, &mut cache);
+    let edited = first_m_as(SHOP, "x + 'a'");
+    let (warm, uncached, stats) = cached_and_uncached(&edited, &mut cache);
+    assert!(uncached.contains("TYP0003") && uncached.contains("(line 3)"), "{uncached}");
+    assert_eq!(warm, uncached, "the cached run diverged from an uncached one");
+    assert_eq!((stats.comp.checked(), stats.comp.total), (2, 2), "{stats:?}");
+    assert_eq!(stats.lint.checked(), 2, "{stats:?}");
+}
+
+/// Two definitions of one identity never share a cached verdict: with the
+/// first definition ill-typed, a warm run reports its error once, at its
+/// own line, as an uncached run does.
+#[test]
+fn a_redefinition_never_replays_the_other_definitions_verdict() {
+    let broken = first_m_as(SHOP, "x + 'a'");
+    let mut cache = CheckCache::new();
+    cached_and_uncached(&broken, &mut cache);
+    let (warm, uncached, stats) = cached_and_uncached(&broken, &mut cache);
+    assert_eq!(warm, uncached, "the cached run diverged from an uncached one");
+    assert_eq!(stats.comp.replayed, 0, "{stats:?}");
+}
+
+/// An edit that makes the first of two definitions of `m` loop re-infers
+/// `m` and its caller `k` from a cache of the original: `m` has no Merkle
+/// hash, and `k`'s by-name edge reaches both definitions of `m`, so its
+/// hash moves.
+#[test]
+fn an_edit_to_a_redefined_callee_resummarizes_its_callers() {
+    let source = SHOP.replace("end\nend\n", "end\n  def k(x)\n    m(x)\n  end\nend\n");
+    let mut cache = CheckCache::new();
+    cached_and_uncached(&source, &mut cache);
+    let edited = first_m_as(&source, "while true\n      x = x\n    end\n    x");
+    let app = shop();
+    let env = app.build_env();
+    let (program, _, _) = app.parse_with_source(&edited);
+    let graph = DepGraph::build(&env, &program);
+    let seed = corpus::seed_map(&env);
+    let fixed = corpus::replay_baseline(&cache, app.name, &program, &graph);
+    let (warm, _) = analysis::ProgramSummaries::infer_with_baseline(&program, &seed, &fixed);
+    let cold = corpus::effects_pass(&program, &seed, 1);
+    let diverges = |name: &str| {
+        cold.iter().any(|s| s.name == name && s.term == rdl_types::TermEffect::MayDiverge)
+    };
+    assert!(diverges("m") && diverges("k"), "{}", cold.render());
+    assert_eq!(warm.render(), cold.render(), "the replayed summaries diverged from a cold run");
 }

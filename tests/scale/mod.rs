@@ -1,7 +1,10 @@
-//! The scale workload shared by the root test binaries: a synthetic
-//! Rails-style app whose call sites evaluate the same DB comp types over
-//! and over (`cache_parallel.rs` checks the eval cache against it,
-//! `dense_allocations.rs` bounds the allocations of one static pass).
+//! The generated workloads shared by the root test binaries.
+//! `scale_workload` is a synthetic Rails-style app whose call sites
+//! evaluate the same DB comp types over and over; `call_workload` is a
+//! program whose methods call each other.  `cache_parallel.rs` checks the
+//! eval cache and the threaded checker against them, and
+//! `dense_allocations.rs` bounds the allocations of one static pass over
+//! each.
 
 use std::sync::Arc;
 
@@ -55,6 +58,32 @@ pub fn scale_workload(methods: usize) -> (comprdl::CompRdl, String) {
              d = User.where('username = ? AND id IN (SELECT user_id FROM emails WHERE email = ?)', name, name).exists?()\n    \
              a || b || c || d\n  end\n"
         ));
+    }
+    src.push_str("end\n");
+    (env, src)
+}
+
+/// A call-structured workload: one class, `Shop`, with `methods` labeled
+/// singleton methods `m{i}(x)`, typed `(Integer) -> Integer`, each calling
+/// three of `methods` unannotated singleton helpers `h{j}(x)`.  A call to a
+/// method without an annotation makes the checker look its target up in
+/// the program, so this is the shape on which that lookup's cost shows.
+/// Returns the environment and the program source, unparsed.
+pub fn call_workload(methods: usize) -> (comprdl::CompRdl, String) {
+    let mut env = comprdl::CompRdl::new();
+    comprdl::stdlib::register_all(&mut env);
+    env.add_class("Shop", "Object");
+
+    let mut src = String::from("class Shop\n");
+    for i in 0..methods {
+        env.type_sig_singleton("Shop", &format!("m{i}"), "(Integer) -> Integer", Some("app"));
+        let [a, b, c] = [i, (7 * i + 1) % methods, (13 * i + 2) % methods];
+        src.push_str(&format!(
+            "  def self.m{i}(x)\n    y = h{a}(x)\n    h{b}(y)\n    h{c}(x)\n    x + {i}\n  end\n"
+        ));
+    }
+    for j in 0..methods {
+        src.push_str(&format!("  def self.h{j}(x)\n    x + {j}\n  end\n"));
     }
     src.push_str("end\n");
     (env, src)
