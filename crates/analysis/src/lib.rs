@@ -15,15 +15,17 @@
 //! a warm incremental run re-lints nothing (see `comprdl::persist` and
 //! `corpus::driver`).  A verdict is keyed by the method's Merkle hash
 //! from `comprdl::semdep`, which covers everything the method calls
-//! (`LINT0105` follows taint through calls); [`ruby_syntax::method_hash`]
-//! keys only a method the dependency graph lacks.
+//! (`LINT0105` follows taint through calls).  A method the program defines
+//! more than once has no Merkle hash, so it is linted afresh every run and
+//! never recorded.
 //!
 //! ```
 //! let p = ruby_syntax::parse_program_strict(
 //!     "def m(c)\n  if c\n    x = 1\n  end\n  x + 1\nend\n",
 //! )
 //! .unwrap();
-//! let lints = analysis::lint_methods(&p.methods(), None, 1);
+//! let index = ruby_syntax::ProgramIndex::new(&p);
+//! let lints = analysis::lint_methods(index.methods(), None, 1);
 //! assert_eq!(lints[0].findings[0].code, analysis::USE_BEFORE_DEF);
 //! ```
 

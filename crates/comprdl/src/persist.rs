@@ -338,7 +338,8 @@ impl CheckCache {
     }
 
     /// Records (replacing any previous lint section) one app's lint
-    /// verdicts, keyed by each method's plain semantic hash.
+    /// verdicts, each keyed by the hash its entry carries (the corpus
+    /// driver passes the method's Merkle hash).
     ///
     /// Every method is recorded — including those with zero findings — so
     /// that a warm run replays the empty verdict instead of re-linting.
@@ -386,7 +387,7 @@ impl CheckCache {
 
     /// Replays the stored lint verdict for one method, with every finding
     /// span re-anchored against the current parse, or `None` when the
-    /// method is unknown or its semantic hash moved.
+    /// method is unknown or its key moved.
     pub fn replay_lints(
         &self,
         app: &str,

@@ -188,24 +188,3 @@ fn the_eval_cache_agrees_with_uncached_checking_and_hits_on_the_scale_workload()
     assert_eq!(shape(&parallel), sequential, "4-thread checking changed the result");
     assert!(cached.cache_stats.hits > cached.cache_stats.misses, "{:?}", cached.cache_stats);
 }
-
-/// On a program whose methods call unannotated methods of the program,
-/// every worker resolves those calls through its own index of the program,
-/// and the threaded check matches the sequential one.
-#[test]
-fn parallel_checking_of_the_call_workload_is_byte_identical_to_sequential() {
-    let (env, source) = scale::call_workload(40);
-    let program = ruby_syntax::parse_program_strict(&source).expect("generated workload parses");
-    let sequential = TypeChecker::new(&env, &program, CheckOptions::default()).check_labeled("app");
-    assert_eq!((sequential.methods_checked(), sequential.errors().len()), (40, 0));
-    let selected = TypeChecker::labeled_methods(&env, &program, "app");
-    let parallel = TypeChecker::check_methods_parallel(
-        &env,
-        &program,
-        CheckOptions::default(),
-        &selected,
-        4,
-        &[],
-    );
-    assert_eq!(fingerprint(&parallel), fingerprint(&sequential));
-}

@@ -2,7 +2,7 @@
 //! `scale_workload` is a synthetic Rails-style app whose call sites
 //! evaluate the same DB comp types over and over; `call_workload` is a
 //! program whose methods call each other.  `cache_parallel.rs` checks the
-//! eval cache and the threaded checker against them, and
+//! eval cache and the threaded checker against the first, and
 //! `dense_allocations.rs` bounds the allocations of one static pass over
 //! each.
 
@@ -69,6 +69,7 @@ pub fn scale_workload(methods: usize) -> (comprdl::CompRdl, String) {
 /// method without an annotation makes the checker look its target up in
 /// the program, so this is the shape on which that lookup's cost shows.
 /// Returns the environment and the program source, unparsed.
+#[allow(dead_code)] // `cache_parallel.rs` includes this module too
 pub fn call_workload(methods: usize) -> (comprdl::CompRdl, String) {
     let mut env = comprdl::CompRdl::new();
     comprdl::stdlib::register_all(&mut env);
