@@ -368,31 +368,6 @@ fn tarjan_sccs(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
 // ProgramSummaries
 // ---------------------------------------------------------------------------
 
-/// How a called name resolves during inference: program methods shadow
-/// seeds, seeds shadow nothing, and everything else is unknown.
-#[derive(Debug, Clone, Copy)]
-enum Resolved {
-    /// Program methods with that bare name
-    /// ([`ProgramIndex::definitions_named`]).
-    Methods,
-    /// A trusted seed effect.
-    Seed(TermEffect, PurityEffect),
-    /// Neither defined nor seeded — assumed diverging and impure.
-    Unknown,
-}
-
-impl Resolved {
-    fn of(index: &ProgramIndex, seed: &dyn EffectLookup, name: &str) -> Resolved {
-        if index.defines_name(name) {
-            return Resolved::Methods;
-        }
-        match seed.effects(name) {
-            Some((term, purity)) => Resolved::Seed(term, purity),
-            None => Resolved::Unknown,
-        }
-    }
-}
-
 /// Inferred summaries for every method of one program, with the program's
 /// index, which resolves their by-name lookups.
 #[derive(Debug, Clone, Default)]
@@ -560,23 +535,26 @@ impl<'p> ProgramSummaries<'p> {
                     if f.has_yield { TermEffect::BlockDep } else { TermEffect::Terminates },
                     Vec::new(),
                 );
+                // A called name resolves to the program's methods of that
+                // name, else to the seed, else to nothing (unknown).
                 'calls: for name in &f.calls {
-                    match Resolved::of(index, seed, name) {
-                        Resolved::Methods => {
-                            for t in index.definitions_named(name) {
-                                let callee = out[t].as_ref().expect("callee SCC emitted first");
-                                if callee.term == TermEffect::MayDiverge {
-                                    let mut blame = vec![def.name.clone()];
-                                    blame.extend(callee.term_blame.iter().cloned());
-                                    verdict = (TermEffect::MayDiverge, blame);
-                                    break 'calls;
-                                }
+                    if index.defines_name(name) {
+                        for t in index.definitions_named(name) {
+                            let callee = out[t].as_ref().expect("callee SCC emitted first");
+                            if callee.term == TermEffect::MayDiverge {
+                                let mut blame = vec![def.name.clone()];
+                                blame.extend(callee.term_blame.iter().cloned());
+                                verdict = (TermEffect::MayDiverge, blame);
+                                break 'calls;
                             }
                         }
+                        continue;
+                    }
+                    match seed.effects(name) {
                         // A `:blockdep` iterator's block is part of this
                         // body, so its loops and calls are already walked.
-                        Resolved::Seed(term, _) if term != TermEffect::MayDiverge => {}
-                        Resolved::Seed(..) => {
+                        Some((term, _)) if term != TermEffect::MayDiverge => {}
+                        Some(_) => {
                             verdict = (
                                 TermEffect::MayDiverge,
                                 vec![
@@ -586,7 +564,7 @@ impl<'p> ProgramSummaries<'p> {
                             );
                             break 'calls;
                         }
-                        Resolved::Unknown => {
+                        None => {
                             verdict = (
                                 TermEffect::MayDiverge,
                                 vec![def.name.clone(), format!("`{name}` (unknown)")],
@@ -613,30 +591,31 @@ impl<'p> ProgramSummaries<'p> {
                 break 'scan;
             }
             for name in &f.calls {
-                match Resolved::of(index, seed, name) {
-                    Resolved::Methods => {
-                        for t in index.definitions_named(name) {
-                            if scc_of[t] == s {
-                                continue; // intra-component: refined away
-                            }
-                            let callee = out[t].as_ref().expect("callee SCC emitted first");
-                            if callee.purity == PurityEffect::Impure {
-                                let mut blame = vec![def.name.clone()];
-                                blame.extend(callee.purity_blame.iter().cloned());
-                                cause = Some((m, blame));
-                                break 'scan;
-                            }
+                if index.defines_name(name) {
+                    for t in index.definitions_named(name) {
+                        if scc_of[t] == s {
+                            continue; // intra-component: refined away
+                        }
+                        let callee = out[t].as_ref().expect("callee SCC emitted first");
+                        if callee.purity == PurityEffect::Impure {
+                            let mut blame = vec![def.name.clone()];
+                            blame.extend(callee.purity_blame.iter().cloned());
+                            cause = Some((m, blame));
+                            break 'scan;
                         }
                     }
-                    Resolved::Seed(_, PurityEffect::Pure) => {}
-                    Resolved::Seed(..) => {
+                    continue;
+                }
+                match seed.effects(name) {
+                    Some((_, PurityEffect::Pure)) => {}
+                    Some(_) => {
                         cause = Some((
                             m,
                             vec![def.name.clone(), format!("`{name}` (annotated impure)")],
                         ));
                         break 'scan;
                     }
-                    Resolved::Unknown => {
+                    None => {
                         cause = Some((m, vec![def.name.clone(), format!("`{name}` (unknown)")]));
                         break 'scan;
                     }

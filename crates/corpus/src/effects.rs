@@ -104,8 +104,8 @@ fn record_to_summary(r: &EffectRecord) -> MethodSummary {
 }
 
 /// Converts every summary into a persistable record, Merkle-stamped from
-/// `graph` (methods the dependency graph does not know are skipped — it is
-/// built from the same program, so this does not happen in practice).
+/// `graph`.  A method without a Merkle hash (one the program defines more
+/// than once) is skipped: it could never replay.
 pub fn summaries_to_records(
     summaries: &ProgramSummaries,
     graph: &comprdl::DepGraph,

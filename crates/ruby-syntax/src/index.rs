@@ -52,16 +52,13 @@ pub struct Definitions {
 /// docs.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramIndex<'p> {
-    /// Every method definition in program order, with its owner.
     methods: Vec<(&'p str, &'p MethodDef)>,
     /// For each definition, the next one with the same name ([`NONE`] at
     /// the end), so the definitions of a name chain in program order.
     next_named: Vec<usize>,
     /// Each method name's first and last definition.
     names: FxHashMap<&'p str, (usize, usize)>,
-    /// Each identity's definitions.
     identities: FxHashMap<(&'p str, &'p str, bool), Definitions>,
-    /// Every class definition in program order, reopenings included.
     classes: Vec<&'p ClassDef>,
     /// Each class name's first definition, which supplies its superclass.
     class_named: FxHashMap<&'p str, &'p ClassDef>,
@@ -92,12 +89,11 @@ impl<'p> ProgramIndex<'p> {
         let (mut methods, mut classes) = (Vec::new(), Vec::new());
         walk("Object", &program.items, &mut methods, &mut classes);
 
-        let n = methods.len();
-        let mut next_named = vec![NONE; n];
+        let mut next_named = vec![NONE; methods.len()];
         let mut names: FxHashMap<&str, (usize, usize)> = FxHashMap::default();
         let mut identities: FxHashMap<_, Definitions> = FxHashMap::default();
-        names.reserve(n);
-        identities.reserve(n);
+        names.reserve(methods.len());
+        identities.reserve(methods.len());
         for (i, &(owner, def)) in methods.iter().enumerate() {
             let name = def.name.as_str();
             match names.get_mut(name) {
@@ -118,9 +114,8 @@ impl<'p> ProgramIndex<'p> {
                 .or_insert(Definitions { first: i, last: i, count: 1 });
         }
         let mut class_named = FxHashMap::default();
-        class_named.reserve(classes.len());
-        for &c in &classes {
-            class_named.entry(c.name.as_str()).or_insert(c);
+        for &c in classes.iter().rev() {
+            class_named.insert(c.name.as_str(), c);
         }
         ProgramIndex { methods, next_named, names, identities, classes, class_named }
     }
