@@ -240,13 +240,16 @@ impl ProgramCheckResult {
 /// The type checker.
 ///
 /// The environment (`env`) and program are shared, immutable inputs; the
-/// store, termination checker and comp-type cache are the run's mutable
-/// state.  A parallel run ([`TypeChecker::check_methods_parallel`]) gives
-/// every worker thread its own `TypeChecker` over the same shared inputs
-/// and merges the per-worker stores afterwards.
+/// checker indexes the program once ([`ProgramIndex`]), so resolving a
+/// call to a program method is a hash probe.  The store, termination
+/// checker and comp-type cache are the run's mutable state.  A parallel run
+/// ([`TypeChecker::check_methods_parallel`]) gives every worker thread its
+/// own `TypeChecker` over the same shared inputs and merges the per-worker
+/// stores afterwards.
 pub struct TypeChecker<'a> {
     env: &'a CompRdl,
-    program: ProgramIndex<'a>,
+    /// The program's methods and classes.
+    index: ProgramIndex<'a>,
     options: CheckOptions,
     store: TypeStore,
     termination: TerminationChecker,
@@ -274,7 +277,7 @@ impl<'a> TypeChecker<'a> {
     pub fn new(env: &'a CompRdl, program: &'a Program, options: CheckOptions) -> Self {
         TypeChecker {
             env,
-            program: ProgramIndex::new(program),
+            index: ProgramIndex::new(program),
             options,
             store: TypeStore::new(),
             termination: TerminationChecker::new(EffectEnv::from_explicit(explicit_effects(env))),
@@ -396,7 +399,7 @@ impl<'a> TypeChecker<'a> {
     /// Checks every method in the program that carries a `typecheck:` label
     /// in its annotation, mirroring `RDL.do_typecheck`.
     pub fn check_labeled(self, label: &str) -> ProgramCheckResult {
-        let selected = Self::labeled_in(self.env, &self.program, label);
+        let selected = Self::labeled_in(self.env, &self.index, label);
         self.check_methods(&selected)
     }
 
@@ -462,8 +465,8 @@ impl<'a> TypeChecker<'a> {
     /// Poisoned methods are skipped, as in `check_labeled`.
     pub fn check_all_annotated(mut self) -> ProgramCheckResult {
         let mut methods = Vec::new();
-        for i in 0..self.program.methods().len() {
-            let (owner, def) = self.program.methods()[i];
+        for i in 0..self.index.methods().len() {
+            let (owner, def) = self.index.methods()[i];
             if def.poisoned {
                 continue;
             }
@@ -684,7 +687,7 @@ impl<'a> TypeChecker<'a> {
                     [name] => name.clone(),
                     _ => Name::from(path.join("::")),
                 };
-                if self.env.classes.contains(&joined) || self.program.defines_class(&joined) {
+                if self.env.classes.contains(&joined) || self.index.defines_class(&joined) {
                     Type::class_of(joined)
                 } else {
                     self.error(
@@ -1095,7 +1098,7 @@ impl<'a> TypeChecker<'a> {
     /// ordinary user code.
     fn call_target_defined(&mut self, recv_ty: &Type, name: &str) -> bool {
         let Some((class, kind)) = self.receiver_class(recv_ty) else { return false };
-        self.program.defines_in_chain(&class, name, kind == MethodKind::Singleton)
+        self.index.defines_in_chain(&class, name, kind == MethodKind::Singleton)
     }
 
     /// True when the receiver is a core structural type (tuple, finite hash,
