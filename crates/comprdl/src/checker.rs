@@ -356,14 +356,15 @@ impl<'a> TypeChecker<'a> {
         program: &'p Program,
         label: &str,
     ) -> Vec<(String, &'p MethodDef)> {
-        Self::labeled_in(env, &ProgramIndex::new(program), label)
+        Self::labeled_in(env, &ProgramIndex::new(program), Some(label))
     }
 
-    /// [`TypeChecker::labeled_methods`] over an index of the program.
+    /// The unpoisoned annotated methods of `index` whose annotation has
+    /// `label` (any label for `None`), in program order.
     fn labeled_in<'p>(
         env: &CompRdl,
         index: &ProgramIndex<'p>,
-        label: &str,
+        label: Option<&str>,
     ) -> Vec<(String, &'p MethodDef)> {
         let mut selected = Vec::with_capacity(index.methods().len());
         for &(owner, def) in index.methods() {
@@ -374,7 +375,7 @@ impl<'a> TypeChecker<'a> {
             let labeled = env
                 .annotations
                 .lookup(&env.classes, owner, kind, &def.name)
-                .is_some_and(|(_, sig)| sig.typecheck_label.as_deref() == Some(label));
+                .is_some_and(|(_, sig)| label.is_none() || sig.typecheck_label.as_deref() == label);
             if labeled {
                 selected.push((owner.to_string(), def));
             }
@@ -399,7 +400,7 @@ impl<'a> TypeChecker<'a> {
     /// Checks every method in the program that carries a `typecheck:` label
     /// in its annotation, mirroring `RDL.do_typecheck`.
     pub fn check_labeled(self, label: &str) -> ProgramCheckResult {
-        let selected = Self::labeled_in(self.env, &self.index, label);
+        let selected = Self::labeled_in(self.env, &self.index, Some(label));
         self.check_methods(&selected)
     }
 
@@ -463,19 +464,9 @@ impl<'a> TypeChecker<'a> {
 
     /// Checks all annotated methods defined in the program (any label).
     /// Poisoned methods are skipped, as in `check_labeled`.
-    pub fn check_all_annotated(mut self) -> ProgramCheckResult {
-        let mut methods = Vec::new();
-        for i in 0..self.index.methods().len() {
-            let (owner, def) = self.index.methods()[i];
-            if def.poisoned {
-                continue;
-            }
-            let kind = if def.singleton { MethodKind::Singleton } else { MethodKind::Instance };
-            if self.env.annotations.lookup(&self.env.classes, owner, kind, &def.name).is_some() {
-                methods.push(self.check_method_def(owner, def));
-            }
-        }
-        ProgramCheckResult { methods, store: self.store, cache_stats: self.cache.stats() }
+    pub fn check_all_annotated(self) -> ProgramCheckResult {
+        let selected = Self::labeled_in(self.env, &self.index, None);
+        self.check_methods(&selected)
     }
 
     fn check_method_def(&mut self, owner: &str, def: &MethodDef) -> MethodCheckResult {

@@ -56,8 +56,8 @@ pub struct ProgramIndex<'p> {
     /// For each definition, the next one with the same name ([`NONE`] at
     /// the end), so the definitions of a name chain in program order.
     next_named: Vec<usize>,
-    /// Each method name's first and last definition.
-    names: FxHashMap<&'p str, (usize, usize)>,
+    /// Each method name's first definition.
+    names: FxHashMap<&'p str, usize>,
     identities: FxHashMap<(&'p str, &'p str, bool), Definitions>,
     classes: Vec<&'p ClassDef>,
     /// Each class name's first definition, which supplies its superclass.
@@ -89,26 +89,20 @@ impl<'p> ProgramIndex<'p> {
         let (mut methods, mut classes) = (Vec::new(), Vec::new());
         walk("Object", &program.items, &mut methods, &mut classes);
 
+        // Walking backwards, inserting a definition into `names` returns
+        // the next definition with its name in program order; the map ends
+        // holding each name's first definition.
         let mut next_named = vec![NONE; methods.len()];
-        let mut names: FxHashMap<&str, (usize, usize)> = FxHashMap::default();
+        let mut names = FxHashMap::default();
         let mut identities: FxHashMap<_, Definitions> = FxHashMap::default();
         names.reserve(methods.len());
         identities.reserve(methods.len());
-        for (i, &(owner, def)) in methods.iter().enumerate() {
-            let name = def.name.as_str();
-            match names.get_mut(name) {
-                Some((_, last)) => {
-                    next_named[*last] = i;
-                    *last = i;
-                }
-                None => {
-                    names.insert(name, (i, i));
-                }
-            }
+        for (i, &(owner, def)) in methods.iter().enumerate().rev() {
+            next_named[i] = names.insert(def.name.as_str(), i).unwrap_or(NONE);
             identities
-                .entry((owner, name, def.singleton))
+                .entry((owner, def.name.as_str(), def.singleton))
                 .and_modify(|d| {
-                    d.last = i;
+                    d.first = i;
                     d.count += 1;
                 })
                 .or_insert(Definitions { first: i, last: i, count: 1 });
@@ -129,7 +123,7 @@ impl<'p> ProgramIndex<'p> {
     /// [`ProgramIndex::methods`] in program order.  These are the targets
     /// of a by-name call.
     pub fn definitions_named(&self, name: &str) -> impl Iterator<Item = usize> + '_ {
-        let first = self.names.get(name).map(|&(first, _)| first);
+        let first = self.names.get(name).copied();
         std::iter::successors(first, |&i| Some(self.next_named[i]).filter(|&next| next != NONE))
     }
 
