@@ -45,9 +45,10 @@
 //! call path from the method to the root cause, rendered as
 //! `a → b → @x=` by [`render_blame`].  Determinism rests on positions, not
 //! on hash order: origin bits are parameter positions and iterate in
-//! ascending order, local slots are sorted by name, the name-keyed maps
-//! are `BTree`-ordered, methods keep `Program::methods()` order and SCCs
-//! are processed in Tarjan emission order, so two runs (or a sequential
+//! ascending order, local slots are sorted by name, a name's call targets
+//! come in program order (`ProgramIndex::definitions_named`; the index's
+//! hash maps are only probed), methods keep `Program::methods()` order and
+//! SCCs are processed in Tarjan emission order, so two runs (or a sequential
 //! and a parallel run) produce byte-identical [`render`] output.
 //!
 //! [`infer`]: ProgramSummaries::infer

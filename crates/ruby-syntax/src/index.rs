@@ -107,6 +107,7 @@ impl<'p> ProgramIndex<'p> {
                 })
                 .or_insert(Definitions { first: i, last: i, count: 1 });
         }
+        // Backwards too, so a class's first definition is inserted last.
         let mut class_named = FxHashMap::default();
         for &c in classes.iter().rev() {
             class_named.insert(c.name.as_str(), c);
