@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-mod bits;
 pub mod cfg;
 pub mod dataflow;
 pub mod lints;
@@ -44,3 +43,42 @@ pub use lints::{
     DEAD_ASSIGNMENT, SQL_TAINT, UNREACHABLE_CODE, UNUSED_VARIABLE, USE_BEFORE_DEF,
 };
 pub use summaries::{render_blame, MethodSummary, ProgramSummaries, TaintSummary};
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Maps `f` over `items` on `threads` worker threads (1 = on the calling
+/// thread).  Workers claim items from an atomic index and the results are
+/// merged back in `items` order, so every thread count returns the same
+/// vector.
+fn map_claimed<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(items.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        out.push((i, f(item)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, r) in worker.join().expect("worker panicked") {
+                slots[i] = Some(r);
+            }
+        }
+    });
+    slots.into_iter().map(|r| r.expect("every item claimed")).collect()
+}

@@ -8,12 +8,15 @@
 //! | `LINT0104` | unreachable code after `return`/`raise`/`break`/`next`     |
 //! | `LINT0105` | parameter-derived value concatenated into a SQL fragment   |
 //!
-//! Each method gets a slot table: its parameters, the locals it assigns
-//! and every identifier it reads, sorted, all borrowed from the method
-//! body.  Dataflow facts are bit sets over those slots (`bits::Bits`: one
-//! inline word, a tail only past 64 names), and block-parameter scopes are
-//! borrowed parameter lists, so building, joining and comparing facts
-//! copies no name and, below 64 names, allocates nothing.
+//! Each method's names come from the one identifier walk
+//! ([`ruby_syntax::walk_names`]) and its slot table
+//! ([`ruby_syntax::Locals`]: the parameters and the locals it assigns,
+//! sorted and borrowed from the method).  Dataflow facts are bit sets over
+//! those slots ([`ruby_syntax::Bits`]: one inline word, a tail only past 64
+//! names), and block-parameter scopes are borrowed parameter lists, so
+//! building, joining and comparing facts copies no name and, below 64
+//! names, allocates nothing.  An identifier that is neither a parameter
+//! nor an assigned local is a call on `self` and has no slot.
 //!
 //! Every lint is deterministic: a slot is a name's rank in the sorted
 //! table, so a fact means the same names on every run and iterates in
@@ -37,13 +40,11 @@
 //! Locals spelled with a leading underscore (`_tmp`) are the conventional
 //! "intentionally unused" form and are exempt from `LINT0102`/`LINT0103`.
 
-use crate::bits::Bits;
 use crate::cfg::Cfg;
 use crate::dataflow::{solve, DataflowProblem, Direction};
 use crate::summaries::ProgramSummaries;
 use diagnostics::{Diagnostic, Span};
-use ruby_syntax::{Expr, ExprKind, LValue, MethodDef, Name};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use ruby_syntax::{walk_names, Bits, Event, Expr, ExprKind, LValue, Locals, MethodDef, Scope};
 
 /// Use before definition.
 pub const USE_BEFORE_DEF: &str = "LINT0101";
@@ -124,167 +125,23 @@ impl From<LintFinding> for Diagnostic {
 }
 
 // ---------------------------------------------------------------------------
-// Name walking with block-parameter shadowing
+// A method's names, from the identifier walk
 // ---------------------------------------------------------------------------
 
-/// Receives local-variable uses and definitions during an in-order walk.
-trait NameSink<'a> {
-    fn on_use(&mut self, _e: &'a Expr, _name: &'a str) {}
-    fn on_def(&mut self, _e: &'a Expr, _name: &'a str) {}
-}
-
-/// The block and lambda parameter lists in scope, innermost last, each
-/// borrowed from its block.
-type Shadow<'a> = Vec<&'a [Name]>;
-
-fn shadowed(shadow: &[&[Name]], name: &str) -> bool {
-    shadow.iter().any(|frame| frame.iter().any(|p| p == name))
-}
-
-/// Walks one statement in evaluation order, reporting local uses and
-/// (optimistically, including nested ones) local definitions.  Block and
-/// lambda parameters shadow method locals of the same name for the
-/// duration of their body.
-fn walk_names<'a>(e: &'a Expr, shadow: &mut Shadow<'a>, sink: &mut dyn NameSink<'a>) {
-    let walk_all = |exprs: &'a [Expr], shadow: &mut Shadow<'a>, sink: &mut dyn NameSink<'a>| {
-        for e in exprs {
-            walk_names(e, shadow, sink);
-        }
-    };
-    match &e.kind {
-        ExprKind::Ident(n) if !shadowed(shadow, n) => sink.on_use(e, n),
-        ExprKind::Ident(_) => {}
-        ExprKind::Assign { target, value } => {
-            match target {
-                LValue::Index { recv, index } => {
-                    walk_names(recv, shadow, sink);
-                    walk_names(index, shadow, sink);
-                }
-                LValue::Attr { recv, .. } => walk_names(recv, shadow, sink),
-                _ => {}
-            }
-            walk_names(value, shadow, sink);
-            if let LValue::Local(n) = target {
-                if !shadowed(shadow, n) {
-                    sink.on_def(e, n);
-                }
-            }
-        }
-        ExprKind::OpAssign { target, op, value } => {
-            match target {
-                // `x ||= v` is a definition even when `x` was never
-                // assigned (the nil-guard idiom), so only the arithmetic
-                // forms count as a prior use.
-                LValue::Local(n) if !shadowed(shadow, n) && op != "||" => {
-                    sink.on_use(e, n);
-                }
-                LValue::Index { recv, index } => {
-                    walk_names(recv, shadow, sink);
-                    walk_names(index, shadow, sink);
-                }
-                LValue::Attr { recv, .. } => walk_names(recv, shadow, sink),
-                _ => {}
-            }
-            walk_names(value, shadow, sink);
-            if let LValue::Local(n) = target {
-                if !shadowed(shadow, n) {
-                    sink.on_def(e, n);
-                }
-            }
-        }
-        ExprKind::Call { recv, args, block, .. } => {
-            if let Some(r) = recv {
-                walk_names(r, shadow, sink);
-            }
-            walk_all(args, shadow, sink);
-            if let Some(b) = block {
-                shadow.push(&b.params);
-                walk_all(&b.body, shadow, sink);
-                shadow.pop();
-            }
-        }
-        ExprKind::Lambda(b) => {
-            shadow.push(&b.params);
-            walk_all(&b.body, shadow, sink);
-            shadow.pop();
-        }
-        ExprKind::Array(items) => walk_all(items, shadow, sink),
-        ExprKind::Hash(pairs) => {
-            for (k, v) in pairs {
-                walk_names(k, shadow, sink);
-                walk_names(v, shadow, sink);
-            }
-        }
-        ExprKind::BoolOp { lhs, rhs, .. } => {
-            walk_names(lhs, shadow, sink);
-            walk_names(rhs, shadow, sink);
-        }
-        ExprKind::Not(inner) => walk_names(inner, shadow, sink),
-        ExprKind::If { arms, else_body } => {
-            for arm in arms {
-                walk_names(&arm.cond, shadow, sink);
-                walk_all(&arm.body, shadow, sink);
-            }
-            walk_all(else_body, shadow, sink);
-        }
-        ExprKind::Case { subject, arms, else_body } => {
-            walk_names(subject, shadow, sink);
-            for arm in arms {
-                walk_names(&arm.cond, shadow, sink);
-                walk_all(&arm.body, shadow, sink);
-            }
-            walk_all(else_body, shadow, sink);
-        }
-        ExprKind::While { cond, body } => {
-            walk_names(cond, shadow, sink);
-            walk_all(body, shadow, sink);
-        }
-        ExprKind::Return(Some(v)) => walk_names(v, shadow, sink),
-        ExprKind::Yield(args) => walk_all(args, shadow, sink),
-        ExprKind::TypeCast { expr, .. } => walk_names(expr, shadow, sink),
-        _ => {}
-    }
-}
-
-/// A method's local-name slots: its parameters, every local it assigns and
-/// every identifier it reads, sorted.  A dataflow fact is a [`Bits`] set
-/// over these slots.
-///
-/// The table comes from the same [`walk_names`] walk that the transfer
-/// functions make, under the same block scopes, so every name they meet
-/// has a slot.  A name without one reads as absent and is never added.
-struct Slots<'a> {
-    names: Vec<&'a str>,
-}
-
-impl Slots<'_> {
-    fn of(&self, name: &str) -> Option<usize> {
-        self.names.binary_search(&name).ok()
-    }
-
-    fn contains(&self, fact: &Bits, name: &str) -> bool {
-        self.of(name).is_some_and(|i| fact.contains(i))
-    }
-
-    fn insert(&self, fact: &mut Bits, name: &str) {
-        if let Some(i) = self.of(name) {
-            fact.insert(i);
-        }
-    }
-
-    fn remove(&self, fact: &mut Bits, name: &str) {
-        if let Some(i) = self.of(name) {
-            fact.remove(i);
-        }
+/// The slot a walk event reads, if it reads a parameter or a local: an
+/// identifier, or an operator assignment's target.
+fn read_slot(event: Event<'_>) -> Option<(&Expr, usize)> {
+    match event {
+        Event::Read(e, _, resolved) => Some((e, resolved.slot()?)),
+        Event::OpRead(e, _, slot) => Some((e, slot?)),
+        _ => None,
     }
 }
 
 /// What one walk over a method body finds out about its names.
 struct MethodNames<'a> {
-    slots: Slots<'a>,
-    /// Every parameter, block parameters included.
-    params: Bits,
-    /// Every local read anywhere in the body.
+    locals: Locals<'a>,
+    /// Every parameter or local read anywhere in the body.
     used: Bits,
     /// Every local assigned anywhere in the body.
     assigned: Bits,
@@ -295,42 +152,22 @@ struct MethodNames<'a> {
 
 impl<'a> MethodNames<'a> {
     fn of(def: &'a MethodDef) -> MethodNames<'a> {
-        #[derive(Default)]
-        struct Walk<'a> {
-            uses: Vec<&'a str>,
-            defs: Vec<(&'a str, Span)>,
-        }
-        impl<'a> NameSink<'a> for Walk<'a> {
-            fn on_use(&mut self, _e: &'a Expr, name: &'a str) {
-                self.uses.push(name);
-            }
-            fn on_def(&mut self, e: &'a Expr, name: &'a str) {
-                self.defs.push((name, e.span));
-            }
-        }
-        let mut walk = Walk::default();
+        let locals = Locals::of(def);
+        let (mut used, mut assigned, mut first_defs) = (Bits::new(), Bits::new(), Vec::new());
+        let mut scope = Scope::new(&locals);
         for stmt in &def.body {
-            walk_names(stmt, &mut Vec::new(), &mut walk);
+            walk_names(stmt, &mut scope, &mut |event| {
+                if let Some((_, i)) = read_slot(event) {
+                    used.insert(i);
+                } else if let Event::Assign(e, _, slot) = event {
+                    let i = slot.expect("the walk's locals have slots");
+                    if assigned.insert(i) {
+                        first_defs.push((i, e.span));
+                    }
+                }
+            });
         }
-        let mut names = Vec::with_capacity(def.params.len() + walk.uses.len() + walk.defs.len());
-        names.extend(def.params.iter().map(|p| p.name.as_str()));
-        names.extend(&walk.uses);
-        names.extend(walk.defs.iter().map(|(n, _)| *n));
-        names.sort_unstable();
-        names.dedup();
-        let slots = Slots { names };
-        let slot = |name: &str| slots.of(name).expect("the walk's names have slots");
-        let params = def.params.iter().map(|p| slot(&p.name)).collect();
-        let used = walk.uses.iter().map(|n| slot(n)).collect();
-        let mut assigned = Bits::new();
-        let mut first_defs = Vec::new();
-        for (name, span) in walk.defs {
-            let i = slot(name);
-            if assigned.insert(i) {
-                first_defs.push((i, span));
-            }
-        }
-        MethodNames { slots, params, used, assigned, first_defs }
+        MethodNames { locals, used, assigned, first_defs }
     }
 }
 
@@ -339,16 +176,9 @@ impl<'a> MethodNames<'a> {
 // ---------------------------------------------------------------------------
 
 struct DefiniteAssign<'s, 'a> {
-    slots: &'s Slots<'a>,
+    locals: &'s Locals<'a>,
     universe: Bits,
     params: Bits,
-}
-
-struct InsertDefs<'f, 's, 'a>(&'s Slots<'a>, &'f mut Bits);
-impl<'a> NameSink<'a> for InsertDefs<'_, '_, 'a> {
-    fn on_def(&mut self, _e: &'a Expr, name: &'a str) {
-        self.0.insert(self.1, name);
-    }
 }
 
 impl<'a> DataflowProblem<'a> for DefiniteAssign<'_, 'a> {
@@ -366,7 +196,11 @@ impl<'a> DataflowProblem<'a> for DefiniteAssign<'_, 'a> {
         into.intersect(from);
     }
     fn transfer(&self, stmt: &'a Expr, fact: &mut Bits) {
-        walk_names(stmt, &mut Vec::new(), &mut InsertDefs(self.slots, fact));
+        walk_names(stmt, &mut Scope::new(self.locals), &mut |event| {
+            if let Event::Assign(_, _, Some(i)) = event {
+                fact.insert(i);
+            }
+        });
     }
 }
 
@@ -375,14 +209,7 @@ impl<'a> DataflowProblem<'a> for DefiniteAssign<'_, 'a> {
 // ---------------------------------------------------------------------------
 
 struct Liveness<'s, 'a> {
-    slots: &'s Slots<'a>,
-}
-
-struct InsertUses<'f, 's, 'a>(&'s Slots<'a>, &'f mut Bits);
-impl<'a> NameSink<'a> for InsertUses<'_, '_, 'a> {
-    fn on_use(&mut self, _e: &'a Expr, name: &'a str) {
-        self.0.insert(self.1, name);
-    }
+    locals: &'s Locals<'a>,
 }
 
 impl<'a> DataflowProblem<'a> for Liveness<'_, 'a> {
@@ -402,12 +229,18 @@ impl<'a> DataflowProblem<'a> for Liveness<'_, 'a> {
     fn transfer(&self, stmt: &'a Expr, fact: &mut Bits) {
         // Only a statement-position `x = v` kills `x`; nested assignments
         // conservatively leave liveness alone.
+        let mut read = stmt;
         if let ExprKind::Assign { target: LValue::Local(n), value } = &stmt.kind {
-            self.slots.remove(fact, n);
-            walk_names(value, &mut Vec::new(), &mut InsertUses(self.slots, fact));
-        } else {
-            walk_names(stmt, &mut Vec::new(), &mut InsertUses(self.slots, fact));
+            if let Some(i) = self.locals.slot(n) {
+                fact.remove(i);
+            }
+            read = value;
         }
+        walk_names(read, &mut Scope::new(self.locals), &mut |event| {
+            if let Some((_, i)) = read_slot(event) {
+                fact.insert(i);
+            }
+        });
     }
 }
 
@@ -415,17 +248,13 @@ impl<'a> DataflowProblem<'a> for Liveness<'_, 'a> {
 // LINT0105: SQL interpolation taint (forward may-analysis)
 // ---------------------------------------------------------------------------
 
-/// What a taint evaluation reads besides the fact: the method's slots and,
-/// for interprocedural `LINT0105`, the program's effect summaries.
-#[derive(Clone, Copy)]
-struct TaintCx<'s, 'a> {
-    slots: &'s Slots<'a>,
-    summaries: Option<&'s ProgramSummaries<'s>>,
-}
+/// The program's effect summaries, for interprocedural `LINT0105`.
+type Summaries<'s> = Option<&'s ProgramSummaries<'s>>;
 
 struct TaintWithParams<'s, 'a> {
     params: Bits,
-    cx: TaintCx<'s, 'a>,
+    locals: &'s Locals<'a>,
+    summaries: Summaries<'s>,
 }
 
 impl<'a> DataflowProblem<'a> for TaintWithParams<'_, 'a> {
@@ -443,89 +272,93 @@ impl<'a> DataflowProblem<'a> for TaintWithParams<'_, 'a> {
         into.union(from);
     }
     fn transfer(&self, stmt: &'a Expr, fact: &mut Bits) {
-        taint_eval(stmt, fact, self.cx, &mut Vec::new(), &mut |_, _, _, _| {});
+        let mut scope = Scope::new(self.locals);
+        taint_eval(stmt, fact, self.summaries, &mut scope, &mut |_, _, _, _| {});
     }
 }
 
 /// Evaluates `e` for taint: returns whether its value is derived from a
 /// tainted name, updates `fact` across assignments, and invokes
-/// `on_sink(call, arg_index, fact, shadow)` on every sink argument, with
+/// `on_sink(call, arg_index, fact, scope)` on every sink argument, with
 /// the block scopes in force at the call — the first argument of a literal
-/// SQL-sink call, plus (when `cx` has summaries) every argument a callee's
-/// summary routes into a sink.
-fn taint_eval<'a>(
+/// SQL-sink call, plus (given summaries) every argument a callee's summary
+/// routes into a sink.
+fn taint_eval<'s, 'a>(
     e: &'a Expr,
     fact: &mut Bits,
-    cx: TaintCx<'_, 'a>,
-    shadow: &mut Shadow<'a>,
-    on_sink: &mut dyn FnMut(&'a Expr, usize, &Bits, &mut Shadow<'a>),
+    summaries: Summaries<'_>,
+    scope: &mut Scope<'s, 'a>,
+    on_sink: &mut dyn FnMut(&'a Expr, usize, &Bits, &mut Scope<'s, 'a>),
 ) -> bool {
     match &e.kind {
-        ExprKind::Ident(n) => !shadowed(shadow, n) && cx.slots.contains(fact, n),
+        // An identifier that calls a method on `self` passes it no
+        // argument, so its result is clean.
+        ExprKind::Ident(n) => scope.resolve(n).slot().is_some_and(|i| fact.contains(i)),
         ExprKind::Array(items) => {
             let mut t = false;
             for item in items {
-                t |= taint_eval(item, fact, cx, shadow, on_sink);
+                t |= taint_eval(item, fact, summaries, scope, on_sink);
             }
             t
         }
         ExprKind::Hash(pairs) => {
             let mut t = false;
             for (k, v) in pairs {
-                t |= taint_eval(k, fact, cx, shadow, on_sink);
-                t |= taint_eval(v, fact, cx, shadow, on_sink);
+                t |= taint_eval(k, fact, summaries, scope, on_sink);
+                t |= taint_eval(v, fact, summaries, scope, on_sink);
             }
             t
         }
         ExprKind::Assign { target, value } => {
             match target {
                 LValue::Index { recv, index } => {
-                    taint_eval(recv, fact, cx, shadow, on_sink);
-                    taint_eval(index, fact, cx, shadow, on_sink);
+                    taint_eval(recv, fact, summaries, scope, on_sink);
+                    taint_eval(index, fact, summaries, scope, on_sink);
                 }
                 LValue::Attr { recv, .. } => {
-                    taint_eval(recv, fact, cx, shadow, on_sink);
+                    taint_eval(recv, fact, summaries, scope, on_sink);
                 }
                 _ => {}
             }
-            let t = taint_eval(value, fact, cx, shadow, on_sink);
+            let t = taint_eval(value, fact, summaries, scope, on_sink);
             if let LValue::Local(n) = target {
-                if !shadowed(shadow, n) {
+                if let Some(i) = scope.assign(n) {
                     if t {
-                        cx.slots.insert(fact, n);
+                        fact.insert(i);
                     } else {
-                        cx.slots.remove(fact, n);
+                        fact.remove(i);
                     }
                 }
             }
             t
         }
         ExprKind::OpAssign { target, value, .. } => {
-            let mut t = taint_eval(value, fact, cx, shadow, on_sink);
+            let mut t = taint_eval(value, fact, summaries, scope, on_sink);
             if let LValue::Local(n) = target {
-                if !shadowed(shadow, n) {
-                    t |= cx.slots.contains(fact, n);
+                if let Some(i) = scope.assign(n) {
+                    t |= fact.contains(i);
                     if t {
-                        cx.slots.insert(fact, n);
+                        fact.insert(i);
                     }
                 }
             }
             t
         }
         ExprKind::Call { recv, name, args, block } => {
-            let recv_t = recv.as_ref().is_some_and(|r| taint_eval(r, fact, cx, shadow, on_sink));
+            let recv_t =
+                recv.as_ref().is_some_and(|r| taint_eval(r, fact, summaries, scope, on_sink));
             let mut arg_t = Bits::new();
             for (i, arg) in args.iter().enumerate() {
-                if taint_eval(arg, fact, cx, shadow, on_sink) {
+                if taint_eval(arg, fact, summaries, scope, on_sink) {
                     arg_t.insert(i);
                 }
             }
             if let Some(b) = block {
-                shadow.push(&b.params);
+                scope.enter_block(&b.params);
                 for stmt in &b.body {
-                    taint_eval(stmt, fact, cx, shadow, on_sink);
+                    taint_eval(stmt, fact, summaries, scope, on_sink);
                 }
-                shadow.pop();
+                scope.leave_block();
             }
             // Sink positions: argument 0 of a literal SQL sink, plus every
             // argument the callee's taint summary routes into a sink.
@@ -533,7 +366,7 @@ fn taint_eval<'a>(
             if SQL_SINKS.contains(&name.as_str()) && !args.is_empty() {
                 sink_args.insert(0);
             }
-            let callee = cx.summaries.and_then(|s| s.transfer_for_name(name));
+            let callee = summaries.and_then(|s| s.transfer_for_name(name));
             if let Some(t) = &callee {
                 for i in t.params_to_sink() {
                     if i < args.len() {
@@ -542,7 +375,7 @@ fn taint_eval<'a>(
                 }
             }
             for i in sink_args.iter() {
-                on_sink(e, i, fact, shadow);
+                on_sink(e, i, fact, scope);
             }
             match &callee {
                 // A summarized callee: taint flows to the result exactly
@@ -556,63 +389,63 @@ fn taint_eval<'a>(
             }
         }
         ExprKind::BoolOp { lhs, rhs, .. } => {
-            let l = taint_eval(lhs, fact, cx, shadow, on_sink);
-            let r = taint_eval(rhs, fact, cx, shadow, on_sink);
+            let l = taint_eval(lhs, fact, summaries, scope, on_sink);
+            let r = taint_eval(rhs, fact, summaries, scope, on_sink);
             l || r
         }
         ExprKind::Not(inner) | ExprKind::TypeCast { expr: inner, .. } => {
-            taint_eval(inner, fact, cx, shadow, on_sink)
+            taint_eval(inner, fact, summaries, scope, on_sink)
         }
         ExprKind::If { arms, else_body } => {
             let mut t = false;
             for arm in arms {
-                taint_eval(&arm.cond, fact, cx, shadow, on_sink);
+                taint_eval(&arm.cond, fact, summaries, scope, on_sink);
                 for stmt in &arm.body {
-                    t |= taint_eval(stmt, fact, cx, shadow, on_sink);
+                    t |= taint_eval(stmt, fact, summaries, scope, on_sink);
                 }
             }
             for stmt in else_body {
-                t |= taint_eval(stmt, fact, cx, shadow, on_sink);
+                t |= taint_eval(stmt, fact, summaries, scope, on_sink);
             }
             t
         }
         ExprKind::Case { subject, arms, else_body } => {
-            taint_eval(subject, fact, cx, shadow, on_sink);
+            taint_eval(subject, fact, summaries, scope, on_sink);
             let mut t = false;
             for arm in arms {
-                taint_eval(&arm.cond, fact, cx, shadow, on_sink);
+                taint_eval(&arm.cond, fact, summaries, scope, on_sink);
                 for stmt in &arm.body {
-                    t |= taint_eval(stmt, fact, cx, shadow, on_sink);
+                    t |= taint_eval(stmt, fact, summaries, scope, on_sink);
                 }
             }
             for stmt in else_body {
-                t |= taint_eval(stmt, fact, cx, shadow, on_sink);
+                t |= taint_eval(stmt, fact, summaries, scope, on_sink);
             }
             t
         }
         ExprKind::While { cond, body } => {
-            taint_eval(cond, fact, cx, shadow, on_sink);
+            taint_eval(cond, fact, summaries, scope, on_sink);
             for stmt in body {
-                taint_eval(stmt, fact, cx, shadow, on_sink);
+                taint_eval(stmt, fact, summaries, scope, on_sink);
             }
             false
         }
         ExprKind::Return(Some(v)) => {
-            taint_eval(v, fact, cx, shadow, on_sink);
+            taint_eval(v, fact, summaries, scope, on_sink);
             false
         }
         ExprKind::Yield(args) => {
             for arg in args {
-                taint_eval(arg, fact, cx, shadow, on_sink);
+                taint_eval(arg, fact, summaries, scope, on_sink);
             }
             false
         }
         ExprKind::Lambda(b) => {
-            shadow.push(&b.params);
+            scope.enter_block(&b.params);
             for stmt in &b.body {
-                taint_eval(stmt, fact, cx, shadow, on_sink);
+                taint_eval(stmt, fact, summaries, scope, on_sink);
             }
-            shadow.pop();
+            scope.leave_block();
             false
         }
         _ => false,
@@ -633,30 +466,30 @@ fn concat_parts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
 
 /// Whether `e`'s value derives from a tainted name — evaluated with the
 /// same summary-aware rules as the taint facts themselves, under the block
-/// scopes in force where `e` sits (`shadow`, left as it was found), against
+/// scopes in force where `e` sits (`scope`, left as it was found), against
 /// a scratch copy of `fact` so sink callbacks and assignments don't
 /// reenter.
-fn reads_tainted<'a>(
+fn reads_tainted<'s, 'a>(
     e: &'a Expr,
     fact: &Bits,
-    cx: TaintCx<'_, 'a>,
-    shadow: &mut Shadow<'a>,
+    summaries: Summaries<'_>,
+    scope: &mut Scope<'s, 'a>,
 ) -> bool {
     let mut scratch = fact.clone();
-    taint_eval(e, &mut scratch, cx, shadow, &mut |_, _, _, _| {})
+    taint_eval(e, &mut scratch, summaries, scope, &mut |_, _, _, _| {})
 }
 
 /// Inspects one sink argument and pushes a `LINT0105` finding if a tainted
 /// non-literal part is concatenated with SQL text that `sql_tc` can parse
-/// as a condition.  Each part reads its names under `shadow`, the block
+/// as a condition.  Each part reads its names under `scope`, the block
 /// scopes in force at the sink, so a block parameter hides a tainted method
 /// parameter of the same name.
-fn check_sql_sink<'a>(
+fn check_sql_sink<'s, 'a>(
     call: &'a Expr,
     arg: usize,
     fact: &Bits,
-    cx: TaintCx<'_, 'a>,
-    shadow: &mut Shadow<'a>,
+    summaries: Summaries<'_>,
+    scope: &mut Scope<'s, 'a>,
     findings: &mut Vec<LintFinding>,
 ) {
     let ExprKind::Call { args, .. } = &call.kind else { return };
@@ -676,7 +509,7 @@ fn check_sql_sink<'a>(
                 fragment.push_str(s);
             }
             _ => {
-                has_tainted |= reads_tainted(part, fact, cx, shadow);
+                has_tainted |= reads_tainted(part, fact, summaries, scope);
                 fragment.push('?');
             }
         }
@@ -740,12 +573,13 @@ pub fn lint_method_with_summaries(
     let cfg = Cfg::build(&def.body);
     let reachable = cfg.reachable();
     let mut findings = Vec::new();
-    let MethodNames { slots, params, used, assigned, first_defs } = MethodNames::of(def);
+    let MethodNames { locals, used, assigned, first_defs } = MethodNames::of(def);
+    let params = locals.params();
 
     // LINT0102: assigned but never read.  A leading underscore is the
     // conventional "intentionally unused" spelling and stays quiet.
     for &(i, span) in &first_defs {
-        let name = slots.names[i];
+        let name = locals.names()[i];
         if !used.contains(i) && !params.contains(i) && !name.starts_with('_') {
             findings.push(LintFinding {
                 code: UNUSED_VARIABLE.to_string(),
@@ -762,61 +596,47 @@ pub fn lint_method_with_summaries(
     // subset, not a variable.
     {
         let mut universe = assigned.clone();
-        universe.union(&params);
-        let sol = solve(&cfg, &DefiniteAssign { slots: &slots, universe, params: params.clone() });
-        struct Report<'x, 'a> {
-            slots: &'x Slots<'a>,
-            fact: Bits,
-            assigned: &'x Bits,
-            params: &'x Bits,
-            reported: Bits,
-            findings: Vec<LintFinding>,
-        }
-        impl<'a> NameSink<'a> for Report<'_, 'a> {
-            fn on_use(&mut self, e: &'a Expr, name: &'a str) {
-                let Some(i) = self.slots.of(name) else { return };
-                if self.assigned.contains(i)
-                    && !self.params.contains(i)
-                    && !self.fact.contains(i)
-                    && self.reported.insert(i)
-                {
-                    self.findings.push(LintFinding {
-                        code: USE_BEFORE_DEF.to_string(),
-                        message: format!("`{name}` may be used before it is assigned"),
-                        label: "used here before any unconditional assignment".to_string(),
-                        span: e.span,
-                    });
-                }
-            }
-            fn on_def(&mut self, _e: &'a Expr, name: &'a str) {
-                self.slots.insert(&mut self.fact, name);
-            }
-        }
-        let mut report = Report {
-            slots: &slots,
-            fact: Bits::new(),
-            assigned: &assigned,
-            params: &params,
-            reported: Bits::new(),
-            findings: Vec::new(),
-        };
+        universe.union(params);
+        let sol =
+            solve(&cfg, &DefiniteAssign { locals: &locals, universe, params: params.clone() });
+        let mut reported = Bits::new();
         for (b, block) in cfg.blocks.iter().enumerate() {
             if !reachable[b] {
                 continue;
             }
-            report.fact = sol.block_in[b].clone();
+            let mut fact = sol.block_in[b].clone();
             for stmt in &block.stmts {
-                walk_names(stmt, &mut Vec::new(), &mut report);
+                walk_names(stmt, &mut Scope::new(&locals), &mut |event| {
+                    if let Some((e, i)) = read_slot(event) {
+                        if assigned.contains(i)
+                            && !params.contains(i)
+                            && !fact.contains(i)
+                            && reported.insert(i)
+                        {
+                            findings.push(LintFinding {
+                                code: USE_BEFORE_DEF.to_string(),
+                                message: format!(
+                                    "`{}` may be used before it is assigned",
+                                    locals.names()[i]
+                                ),
+                                label: "used here before any unconditional assignment".to_string(),
+                                span: e.span,
+                            });
+                        }
+                    } else if let Event::Assign(_, _, Some(i)) = event {
+                        fact.insert(i);
+                    }
+                });
             }
         }
-        findings.append(&mut report.findings);
     }
 
     // LINT0103: a statement-position assignment whose value no later read
     // can observe.  The method's tail statement is its implicit return
     // value, so it is exempt; names never read at all are LINT0102's job.
     {
-        let sol = solve(&cfg, &Liveness { slots: &slots });
+        let liveness = Liveness { locals: &locals };
+        let sol = solve(&cfg, &liveness);
         let tail: Option<*const Expr> = def.body.last().map(|e| e as *const Expr);
         for (b, block) in cfg.blocks.iter().enumerate() {
             if !reachable[b] {
@@ -824,9 +644,8 @@ pub fn lint_method_with_summaries(
             }
             let mut live = sol.block_out[b].clone();
             for stmt in block.stmts.iter().rev() {
-                if let ExprKind::Assign { target: LValue::Local(n), value } = &stmt.kind {
-                    if slots.contains(&used, n)
-                        && !slots.contains(&live, n)
+                if let ExprKind::Assign { target: LValue::Local(n), .. } = &stmt.kind {
+                    if locals.slot(n).is_some_and(|i| used.contains(i) && !live.contains(i))
                         && !n.starts_with('_')
                         && Some(*stmt as *const Expr) != tail
                     {
@@ -838,11 +657,8 @@ pub fn lint_method_with_summaries(
                             span: stmt.span,
                         });
                     }
-                    slots.remove(&mut live, n);
-                    walk_names(value, &mut Vec::new(), &mut InsertUses(&slots, &mut live));
-                } else {
-                    walk_names(stmt, &mut Vec::new(), &mut InsertUses(&slots, &mut live));
                 }
+                liveness.transfer(stmt, &mut live);
             }
         }
     }
@@ -869,24 +685,28 @@ pub fn lint_method_with_summaries(
         .params
         .iter()
         .filter(|p| !p.block)
-        .map(|p| slots.of(&p.name).expect("parameters have slots"))
+        .map(|p| locals.slot(&p.name).expect("parameters have slots"))
         .collect();
     if !taint_seed.is_empty() {
-        let cx = TaintCx { slots: &slots, summaries };
-        let sol = solve(&cfg, &TaintWithParams { params: taint_seed, cx });
-        let mut sink_findings = Vec::new();
+        let sol = solve(&cfg, &TaintWithParams { params: taint_seed, locals: &locals, summaries });
         for (b, block) in cfg.blocks.iter().enumerate() {
             if !reachable[b] {
                 continue;
             }
             let mut fact = sol.block_in[b].clone();
             for stmt in &block.stmts {
-                taint_eval(stmt, &mut fact, cx, &mut Vec::new(), &mut |call, arg, fact, shadow| {
-                    check_sql_sink(call, arg, fact, cx, shadow, &mut sink_findings);
-                });
+                let mut scope = Scope::new(&locals);
+                taint_eval(
+                    stmt,
+                    &mut fact,
+                    summaries,
+                    &mut scope,
+                    &mut |call, arg, fact, scope| {
+                        check_sql_sink(call, arg, fact, summaries, scope, &mut findings);
+                    },
+                );
             }
         }
-        findings.append(&mut sink_findings);
     }
 
     sort_findings(&mut findings);
@@ -911,35 +731,9 @@ pub fn lint_methods<O: AsRef<str> + Sync>(
     summaries: Option<&ProgramSummaries>,
     threads: usize,
 ) -> Vec<MethodLints> {
-    if threads <= 1 || methods.len() <= 1 {
-        return methods
-            .iter()
-            .map(|(owner, def)| lint_method_with_summaries(owner.as_ref(), def, summaries))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<MethodLints>> = methods.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.min(methods.len()))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((owner, def)) = methods.get(i) else { break };
-                        out.push((i, lint_method_with_summaries(owner.as_ref(), def, summaries)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for worker in workers {
-            for (i, lints) in worker.join().expect("lint worker panicked") {
-                slots[i] = Some(lints);
-            }
-        }
-    });
-    slots.into_iter().map(|m| m.expect("every method linted")).collect()
+    crate::map_claimed(methods, threads, |(owner, def)| {
+        lint_method_with_summaries(owner.as_ref(), def, summaries)
+    })
 }
 
 #[cfg(test)]

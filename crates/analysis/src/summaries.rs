@@ -7,8 +7,11 @@
 //! unknown method defaulted to impure/non-terminating.  [`infer`] replaces
 //! the default with a bottom-up, summary-based analysis:
 //!
-//! 1. build the name-resolved call graph of the program (a call edge to
-//!    every same-named method, mirroring `comprdl::semdep::DepGraph`),
+//! 1. build the name-resolved call graph of the program from the identifier
+//!    walk ([`ruby_syntax::walk_method`]) that `comprdl::semdep::DepGraph`
+//!    hashes too: a method calls the names it calls, its operators and each
+//!    identifier the walk resolves as a possible call; a called name has an
+//!    edge to every same-named method,
 //! 2. condense it into strongly connected components (Tarjan), and
 //! 3. walk the SCCs in emission order (callees before callers) computing a
 //!    [`MethodSummary`] per method:
@@ -35,11 +38,13 @@
 //! reference.  It is only looked up, never iterated, so no hash order can
 //! reach the output.
 //!
-//! The taint walk computes on bit sets (`bits::Bits`): an origin set has
-//! bit 0 for the receiver and bit `i + 1` for parameter `i`, and a method's
-//! locals are a vector of `(name, origins)` slots sorted by name, so the
-//! walk copies no name and its origin sets allocate nothing below 64
-//! parameters.
+//! The taint walk computes on bit sets ([`ruby_syntax::Bits`]): an origin
+//! set has bit 0 for the receiver and bit `i + 1` for parameter `i`, and a
+//! method's locals hold their origin sets by their slot in the method's
+//! [`Locals`] table, so the walk copies no name and its origin sets
+//! allocate nothing below 64 parameters.  It resolves each identifier with
+//! [`Scope::resolve`], the walk's own resolver, so every name it looks up
+//! as a call is a call-graph edge.
 //!
 //! Every non-`Terminates`/non-`Pure` verdict carries a *blame chain*: the
 //! call path from the method to the root cause, rendered as
@@ -54,13 +59,12 @@
 //! [`infer`]: ProgramSummaries::infer
 //! [`render`]: ProgramSummaries::render
 
-use crate::bits::Bits;
 use rdl_types::{EffectLookup, PurityEffect, TermEffect};
 use ruby_syntax::{
-    Expr, ExprKind, LValue, MethodDef, MethodId, Name, Param, Program, ProgramIndex,
+    walk_method, walk_names, Bits, Event, Expr, ExprKind, LValue, Locals, MethodDef, MethodId,
+    Param, Program, ProgramIndex, Resolved, Scope,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Method names treated as SQL sinks (their first argument is a SQL
 /// condition fragment) — kept in sync with the `LINT0105` sink list.
@@ -114,190 +118,71 @@ pub fn render_blame(chain: &[String]) -> String {
 // Per-method local facts (the parallel-extractable part)
 // ---------------------------------------------------------------------------
 
-/// One observed call site: the bare callee name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct LocalFacts {
+/// What one walk of a method finds out about its effects, with the local
+/// table the taint walk resolves against; names are borrowed from it.
+#[derive(Debug, Clone)]
+struct LocalFacts<'p> {
     /// `while` anywhere in the body (including nested blocks).
     has_while: bool,
     /// `yield` anywhere in the body — makes the method `:blockdep`.
     has_yield: bool,
-    /// Called names in first-occurrence walk order (calls, operator
-    /// assignments and bare identifiers that are not locals).
-    calls: Vec<Name>,
-    /// Non-local writes in walk order, as blame tokens (`@x=`, `$g=`, …).
-    writes: Vec<String>,
-    /// Every local the body assigns anywhere: the taint walk reads these
-    /// names as locals, never as calls, exactly as the call graph does.
-    locals: BTreeSet<Name>,
+    /// Called names in first-occurrence walk order: calls, operator
+    /// assignments and the identifier reads the walk resolves as calls.
+    calls: Vec<&'p str>,
+    /// The first non-local write in walk order.
+    first_write: Option<&'p LValue>,
+    /// The method's parameters and assigned locals.
+    locals: Locals<'p>,
 }
 
-/// Whether a block or lambda parameter in scope (`shadow`, innermost last,
-/// each list borrowed from its block) hides the method local `name`.
-fn shadowed(shadow: &[&[Name]], name: &str) -> bool {
-    shadow.iter().any(|frame| frame.iter().any(|p| p == name))
+/// A non-local write as a blame token: `@x=`, `$g=`, `C=`, `[]=` or
+/// `.name=`.
+fn write_token(target: &LValue) -> String {
+    match target {
+        LValue::IVar(n) => format!("@{n}="),
+        LValue::GVar(n) => format!("${n}="),
+        LValue::Const(n) | LValue::Local(n) => format!("{n}="),
+        LValue::Index { .. } => "[]=".to_string(),
+        LValue::Attr { name, .. } => format!(".{name}="),
+    }
 }
 
-/// Every local assigned anywhere in the body (ignoring shadowing — the
-/// same optimistic rule the lint suite uses to tell locals from calls).
-fn assigned_locals(body: &[Expr]) -> BTreeSet<Name> {
-    let mut out = BTreeSet::new();
-    for stmt in body {
-        stmt.walk(&mut |e| {
-            if let ExprKind::Assign { target, .. } | ExprKind::OpAssign { target, .. } = &e.kind {
-                if let LValue::Local(n) = target {
-                    out.insert(n.clone());
+fn collect_facts(def: &MethodDef) -> LocalFacts<'_> {
+    let locals = Locals::of(def);
+    let (mut has_while, mut has_yield) = (false, false);
+    let (mut calls, mut first_write) = (Vec::new(), None);
+    if def.poisoned {
+        // A poisoned body is a recovery placeholder, not the user's code,
+        // so nothing can be proven about it.  The pseudo-callee
+        // `<unparsed>` can never resolve (it is not a lexable identifier),
+        // which routes both termination and purity to the conservative
+        // `Unknown`-callee verdict with a self-explanatory blame chain.
+        calls.push("<unparsed>");
+    } else {
+        walk_method(def, &mut Scope::new(&locals), &mut |event| {
+            let name = match event {
+                Event::Read(_, name, resolved) if resolved.calls() => name,
+                Event::Call(name) => name,
+                Event::Write(target) => {
+                    first_write.get_or_insert(target);
+                    return;
                 }
+                Event::While => {
+                    has_while = true;
+                    return;
+                }
+                Event::Yield => {
+                    has_yield = true;
+                    return;
+                }
+                _ => return,
+            };
+            if !calls.contains(&name.as_str()) {
+                calls.push(name.as_str());
             }
         });
     }
-    out
-}
-
-fn collect_facts(def: &MethodDef) -> LocalFacts {
-    let mut facts = LocalFacts {
-        has_while: false,
-        has_yield: false,
-        calls: Vec::new(),
-        writes: Vec::new(),
-        locals: BTreeSet::new(),
-    };
-    // A poisoned body is a recovery placeholder, not the user's code, so
-    // nothing can be proven about it.  The pseudo-callee `<unparsed>` can
-    // never resolve (it is not a lexable identifier), which routes both
-    // termination and purity to the conservative `Unknown`-callee verdict
-    // with a self-explanatory blame chain.
-    if def.poisoned {
-        facts.calls.push(Name::from("<unparsed>"));
-        return facts;
-    }
-    let locals = assigned_locals(&def.body);
-    let params: BTreeSet<Name> = def.params.iter().map(|p| p.name.clone()).collect();
-    let mut shadow = Vec::new();
-    let mut seen_calls = BTreeSet::new();
-    // Parameter defaults run before the body, on every call that omits them.
-    let defaults = def.params.iter().filter_map(|p| p.default.as_ref());
-    for e in defaults.chain(&def.body) {
-        walk_facts(e, &locals, &params, &mut shadow, &mut seen_calls, &mut facts);
-    }
-    facts.locals = locals;
-    facts
-}
-
-fn walk_facts<'d>(
-    e: &'d Expr,
-    locals: &BTreeSet<Name>,
-    params: &BTreeSet<Name>,
-    shadow: &mut Vec<&'d [Name]>,
-    seen: &mut BTreeSet<Name>,
-    facts: &mut LocalFacts,
-) {
-    let walk_all = |exprs: &'d [Expr],
-                    shadow: &mut Vec<&'d [Name]>,
-                    seen: &mut BTreeSet<Name>,
-                    facts: &mut LocalFacts| {
-        for e in exprs {
-            walk_facts(e, locals, params, shadow, seen, facts);
-        }
-    };
-    let call = |name: &Name, seen: &mut BTreeSet<Name>, facts: &mut LocalFacts| {
-        if seen.insert(name.clone()) {
-            facts.calls.push(name.clone());
-        }
-    };
-    let write = |token: String, facts: &mut LocalFacts| {
-        facts.writes.push(token);
-    };
-    match &e.kind {
-        // A bare identifier that is neither a local nor a parameter is a
-        // call on `self` in this subset.
-        ExprKind::Ident(n)
-            if !locals.contains(n) && !params.contains(n) && !shadowed(shadow, n) =>
-        {
-            call(n, seen, facts);
-        }
-        ExprKind::Assign { target, value } | ExprKind::OpAssign { target, value, .. } => {
-            if let ExprKind::OpAssign { op, .. } = &e.kind {
-                // `x += 1` desugars to a call to `+`; `||=`/`&&=` are
-                // control flow, not method calls.
-                if op != "||" && op != "&&" {
-                    call(op, seen, facts);
-                }
-            }
-            match target {
-                LValue::Local(_) => {}
-                LValue::IVar(n) => write(format!("@{n}="), facts),
-                LValue::GVar(n) => write(format!("${n}="), facts),
-                LValue::Const(n) => write(format!("{n}="), facts),
-                LValue::Index { recv, index } => {
-                    write("[]=".to_string(), facts);
-                    walk_facts(recv, locals, params, shadow, seen, facts);
-                    walk_facts(index, locals, params, shadow, seen, facts);
-                }
-                LValue::Attr { recv, name } => {
-                    write(format!(".{name}="), facts);
-                    walk_facts(recv, locals, params, shadow, seen, facts);
-                }
-            }
-            walk_facts(value, locals, params, shadow, seen, facts);
-        }
-        ExprKind::Call { recv, name, args, block } => {
-            call(name, seen, facts);
-            if let Some(r) = recv {
-                walk_facts(r, locals, params, shadow, seen, facts);
-            }
-            walk_all(args, shadow, seen, facts);
-            if let Some(b) = block {
-                shadow.push(&b.params);
-                walk_all(&b.body, shadow, seen, facts);
-                shadow.pop();
-            }
-        }
-        ExprKind::Lambda(b) => {
-            shadow.push(&b.params);
-            walk_all(&b.body, shadow, seen, facts);
-            shadow.pop();
-        }
-        ExprKind::While { cond, body } => {
-            facts.has_while = true;
-            walk_facts(cond, locals, params, shadow, seen, facts);
-            walk_all(body, shadow, seen, facts);
-        }
-        ExprKind::Yield(args) => {
-            facts.has_yield = true;
-            walk_all(args, shadow, seen, facts);
-        }
-        ExprKind::Array(items) => walk_all(items, shadow, seen, facts),
-        ExprKind::Hash(pairs) => {
-            for (k, v) in pairs {
-                walk_facts(k, locals, params, shadow, seen, facts);
-                walk_facts(v, locals, params, shadow, seen, facts);
-            }
-        }
-        ExprKind::BoolOp { lhs, rhs, .. } => {
-            walk_facts(lhs, locals, params, shadow, seen, facts);
-            walk_facts(rhs, locals, params, shadow, seen, facts);
-        }
-        ExprKind::Not(inner) | ExprKind::TypeCast { expr: inner, .. } => {
-            walk_facts(inner, locals, params, shadow, seen, facts);
-        }
-        ExprKind::If { arms, else_body } => {
-            for arm in arms {
-                walk_facts(&arm.cond, locals, params, shadow, seen, facts);
-                walk_all(&arm.body, shadow, seen, facts);
-            }
-            walk_all(else_body, shadow, seen, facts);
-        }
-        ExprKind::Case { subject, arms, else_body } => {
-            walk_facts(subject, locals, params, shadow, seen, facts);
-            for arm in arms {
-                walk_facts(&arm.cond, locals, params, shadow, seen, facts);
-                walk_all(&arm.body, shadow, seen, facts);
-            }
-            walk_all(else_body, shadow, seen, facts);
-        }
-        ExprKind::Return(Some(v)) => walk_facts(v, locals, params, shadow, seen, facts),
-        _ => {}
-    }
+    LocalFacts { has_while, has_yield, calls, first_write, locals }
 }
 
 // ---------------------------------------------------------------------------
@@ -392,7 +277,7 @@ impl<'p> ProgramSummaries<'p> {
     /// every thread count renders byte-identically.
     pub fn infer(program: &'p Program, seed: &dyn EffectLookup, threads: usize) -> Self {
         let index = ProgramIndex::new(program);
-        let facts = collect_all_facts(index.methods(), threads);
+        let facts = crate::map_claimed(index.methods(), threads, |&(_, def)| collect_facts(def));
         Self::solve(index, seed, &facts, &BTreeMap::new()).0
     }
 
@@ -413,7 +298,7 @@ impl<'p> ProgramSummaries<'p> {
         fixed: &BTreeMap<MethodId, MethodSummary>,
     ) -> (Self, usize) {
         let index = ProgramIndex::new(program);
-        let facts = collect_all_facts(index.methods(), 1);
+        let facts: Vec<_> = index.methods().iter().map(|&(_, def)| collect_facts(def)).collect();
         Self::solve(index, seed, &facts, fixed)
     }
 
@@ -587,8 +472,8 @@ impl<'p> ProgramSummaries<'p> {
         'scan: for &m in members {
             let (_, def) = &methods[m];
             let f = &facts[m];
-            if let Some(token) = f.writes.first() {
-                cause = Some((m, vec![def.name.clone(), token.clone()]));
+            if let Some(target) = f.first_write {
+                cause = Some((m, vec![def.name.clone(), write_token(target)]));
                 break 'scan;
             }
             for name in &f.calls {
@@ -793,7 +678,7 @@ fn solve_taint(
                 }
                 Some(joined)
             };
-            let fresh = method_taint(index.methods()[m].1, &facts[m], &lookup);
+            let fresh = method_taint(index.methods()[m].1, &facts[m].locals, &lookup);
             if transfers[m] != fresh {
                 transfers[m] = fresh;
                 changed = true;
@@ -803,35 +688,6 @@ fn solve_taint(
             break;
         }
     }
-}
-
-fn collect_all_facts(methods: &[(&str, &MethodDef)], threads: usize) -> Vec<LocalFacts> {
-    if threads <= 1 || methods.len() <= 1 {
-        return methods.iter().map(|(_, def)| collect_facts(def)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<LocalFacts>> = methods.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.min(methods.len()))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((_, def)) = methods.get(i) else { break };
-                        out.push((i, collect_facts(def)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for worker in workers {
-            for (i, facts) in worker.join().expect("facts worker panicked") {
-                slots[i] = Some(facts);
-            }
-        }
-    });
-    slots.into_iter().map(|f| f.expect("every method visited")).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -910,9 +766,8 @@ impl Transfer {
 /// One method's taint state; names are borrowed from its body (`'d`).
 struct TaintCtx<'c, 'd> {
     params: &'d [Param],
-    /// One slot per local the body assigns anywhere
-    /// ([`LocalFacts::locals`]), sorted by name.
-    locals: Vec<(&'c str, Origins)>,
+    /// Each slot's origins, by its slot in the method's [`Locals`] table.
+    locals: Vec<Origins>,
     sink: Origins,
     ret: Origins,
     /// Whether a local, the sink or the return set grew in this walk.
@@ -921,10 +776,6 @@ struct TaintCtx<'c, 'd> {
 }
 
 impl TaintCtx<'_, '_> {
-    fn local(&self, name: &str) -> Option<usize> {
-        self.locals.binary_search_by(|(n, _)| (*n).cmp(name)).ok()
-    }
-
     /// The non-block parameter `name`'s index; the last one wins if two
     /// share a name.
     fn param(&self, name: &str) -> Option<usize> {
@@ -946,7 +797,7 @@ impl TaintCtx<'_, '_> {
 /// the result a may-over-approximation on loops and branches.
 fn method_taint(
     def: &MethodDef,
-    facts: &LocalFacts,
+    locals: &Locals,
     lookup: &dyn Fn(&str) -> Option<Transfer>,
 ) -> Transfer {
     // Unknown body ⇒ conservative pass-through: every argument and the
@@ -961,7 +812,7 @@ fn method_taint(
     }
     let mut ctx = TaintCtx {
         params: &def.params,
-        locals: facts.locals.iter().map(|n| (n.as_str(), Origins::new())).collect(),
+        locals: vec![Origins::new(); locals.names().len()],
         sink: Origins::new(),
         ret: Origins::new(),
         changed: false,
@@ -969,9 +820,14 @@ fn method_taint(
     };
     loop {
         ctx.changed = false;
-        let mut shadow = Vec::new();
+        // Parameter defaults run first.  Their taint is not followed; they
+        // are walked only for the locals they assign.
+        let mut scope = Scope::new(locals);
+        for default in def.params.iter().filter_map(|p| p.default.as_ref()) {
+            walk_names(default, &mut scope, &mut |_| {});
+        }
         for (i, stmt) in def.body.iter().enumerate() {
-            let o = taint_origins(stmt, &mut ctx, &mut shadow);
+            let o = taint_origins(stmt, &mut ctx, &mut scope);
             if i + 1 == def.body.len() {
                 // The tail statement is the implicit return value.
                 ctx.grow_ret(&o);
@@ -987,98 +843,104 @@ fn method_taint(
 fn taint_origins<'d>(
     e: &'d Expr,
     ctx: &mut TaintCtx<'_, 'd>,
-    shadow: &mut Vec<&'d [Name]>,
+    scope: &mut Scope<'_, 'd>,
 ) -> Origins {
     match &e.kind {
-        // A bare identifier resolves as `walk_facts` resolves it, so every
-        // name looked up as a call is a call-graph edge: a parameter (block
-        // parameters included), else a local assigned anywhere in the body
-        // (even one not yet assigned in walk order), else a call on `self`.
-        ExprKind::Ident(n) => {
-            if shadowed(shadow, n) {
-                Origins::new()
-            } else if let Some(i) = ctx.param(n) {
-                Origins::single(i + 1)
-            } else if ctx.params.iter().any(|p| p.name == *n) {
-                Origins::new()
-            } else if let Some(slot) = ctx.local(n) {
-                ctx.locals[slot].1.clone()
-            } else {
-                call_origins(None, n, &[], ctx, shadow)
+        // A bare identifier resolves as the call graph's walk resolves it,
+        // so every name looked up as a call is a call-graph edge.  A local
+        // read before its first assignment joins the local's origins with
+        // the call's.
+        ExprKind::Ident(n) => match scope.resolve(n) {
+            Resolved::Shadowed => Origins::new(),
+            Resolved::Param(_) => {
+                ctx.param(n).map_or_else(Origins::new, |i| Origins::single(i + 1))
             }
-        }
+            Resolved::Local { slot, call } => {
+                let mut o = ctx.locals[slot].clone();
+                if call {
+                    o.union(&call_origins(None, n, &[], ctx, scope));
+                }
+                o
+            }
+            Resolved::Call => call_origins(None, n, &[], ctx, scope),
+        },
         ExprKind::SelfExpr | ExprKind::IVar(_) => Origins::single(RECV),
         ExprKind::Array(items) => {
             let mut o = Origins::new();
             for item in items {
-                o.union(&taint_origins(item, ctx, shadow));
+                o.union(&taint_origins(item, ctx, scope));
             }
             o
         }
         ExprKind::Hash(pairs) => {
             let mut o = Origins::new();
             for (k, v) in pairs {
-                o.union(&taint_origins(k, ctx, shadow));
-                o.union(&taint_origins(v, ctx, shadow));
+                o.union(&taint_origins(k, ctx, scope));
+                o.union(&taint_origins(v, ctx, scope));
             }
             o
         }
-        ExprKind::Assign { target, value } => {
-            let o = taint_origins(value, ctx, shadow);
-            assign_target(target, &o, ctx, shadow);
-            o
-        }
-        ExprKind::OpAssign { target, value, .. } => {
-            let mut o = taint_origins(value, ctx, shadow);
+        ExprKind::Assign { target, value } | ExprKind::OpAssign { target, value, .. } => {
+            // A write into a container or an attribute is not followed; its
+            // receiver and index are walked only for the locals they
+            // assign, so later reads resolve as the call graph's do.
+            if let LValue::Index { recv, index } = target {
+                walk_names(recv, scope, &mut |_| {});
+                walk_names(index, scope, &mut |_| {});
+            } else if let LValue::Attr { recv, .. } = target {
+                walk_names(recv, scope, &mut |_| {});
+            }
+            let mut o = taint_origins(value, ctx, scope);
             if let LValue::Local(n) = target {
-                if !shadowed(shadow, n) {
-                    if let Some(slot) = ctx.local(n) {
-                        o.union(&ctx.locals[slot].1);
+                if let Some(slot) = scope.assign(n) {
+                    if let ExprKind::OpAssign { .. } = e.kind {
+                        // `x op= v` reads `x` too.
+                        o.union(&ctx.locals[slot]);
+                        if let Some(i) = ctx.param(n) {
+                            o.insert(i + 1);
+                        }
                     }
-                    if let Some(i) = ctx.param(n) {
-                        o.insert(i + 1);
-                    }
+                    ctx.changed |= ctx.locals[slot].union(&o);
                 }
             }
-            assign_target(target, &o, ctx, shadow);
             o
         }
         ExprKind::Call { recv, name, args, block } => {
-            let recv_o = recv.as_ref().map(|r| taint_origins(r, ctx, shadow));
-            let o = call_origins(recv_o, name, args, ctx, shadow);
+            let recv_o = recv.as_ref().map(|r| taint_origins(r, ctx, scope));
+            let o = call_origins(recv_o, name, args, ctx, scope);
             if let Some(b) = block {
-                shadow.push(&b.params);
+                scope.enter_block(&b.params);
                 for stmt in &b.body {
-                    taint_origins(stmt, ctx, shadow);
+                    taint_origins(stmt, ctx, scope);
                 }
-                shadow.pop();
+                scope.leave_block();
             }
             o
         }
         ExprKind::BoolOp { lhs, rhs, .. } => {
-            let mut o = taint_origins(lhs, ctx, shadow);
-            o.union(&taint_origins(rhs, ctx, shadow));
+            let mut o = taint_origins(lhs, ctx, scope);
+            o.union(&taint_origins(rhs, ctx, scope));
             o
         }
         ExprKind::Not(inner) | ExprKind::TypeCast { expr: inner, .. } => {
-            taint_origins(inner, ctx, shadow)
+            taint_origins(inner, ctx, scope)
         }
         ExprKind::If { arms, else_body } | ExprKind::Case { subject: _, arms, else_body } => {
             if let ExprKind::Case { subject, .. } = &e.kind {
-                taint_origins(subject, ctx, shadow);
+                taint_origins(subject, ctx, scope);
             }
             let mut o = Origins::new();
             for arm in arms {
-                taint_origins(&arm.cond, ctx, shadow);
+                taint_origins(&arm.cond, ctx, scope);
                 for (i, stmt) in arm.body.iter().enumerate() {
-                    let so = taint_origins(stmt, ctx, shadow);
+                    let so = taint_origins(stmt, ctx, scope);
                     if i + 1 == arm.body.len() {
                         o.union(&so);
                     }
                 }
             }
             for (i, stmt) in else_body.iter().enumerate() {
-                let so = taint_origins(stmt, ctx, shadow);
+                let so = taint_origins(stmt, ctx, scope);
                 if i + 1 == else_body.len() {
                     o.union(&so);
                 }
@@ -1086,46 +948,32 @@ fn taint_origins<'d>(
             o
         }
         ExprKind::While { cond, body } => {
-            taint_origins(cond, ctx, shadow);
+            taint_origins(cond, ctx, scope);
             for stmt in body {
-                taint_origins(stmt, ctx, shadow);
+                taint_origins(stmt, ctx, scope);
             }
             Origins::new()
         }
         ExprKind::Return(Some(v)) => {
-            let o = taint_origins(v, ctx, shadow);
+            let o = taint_origins(v, ctx, scope);
             ctx.grow_ret(&o);
             Origins::new()
         }
         ExprKind::Yield(args) => {
             for arg in args {
-                taint_origins(arg, ctx, shadow);
+                taint_origins(arg, ctx, scope);
             }
             Origins::new()
         }
         ExprKind::Lambda(b) => {
-            shadow.push(&b.params);
+            scope.enter_block(&b.params);
             for stmt in &b.body {
-                taint_origins(stmt, ctx, shadow);
+                taint_origins(stmt, ctx, scope);
             }
-            shadow.pop();
+            scope.leave_block();
             Origins::new()
         }
         _ => Origins::new(),
-    }
-}
-
-fn assign_target<'d>(
-    target: &'d LValue,
-    origins: &Origins,
-    ctx: &mut TaintCtx<'_, 'd>,
-    shadow: &[&[Name]],
-) {
-    if let LValue::Local(n) = target {
-        if !shadowed(shadow, n) {
-            let slot = ctx.local(n).expect("every assigned local has a slot");
-            ctx.changed |= ctx.locals[slot].1.union(origins);
-        }
     }
 }
 
@@ -1139,13 +987,13 @@ fn call_origins<'d>(
     name: &str,
     args: &'d [Expr],
     ctx: &mut TaintCtx<'_, 'd>,
-    shadow: &mut Vec<&'d [Name]>,
+    scope: &mut Scope<'_, 'd>,
 ) -> Origins {
     let sql_sink = SQL_SINKS.contains(&name);
     let Some(callee) = (ctx.lookup)(name) else {
         let mut o = recv.unwrap_or_default();
         for (i, arg) in args.iter().enumerate() {
-            let a = taint_origins(arg, ctx, shadow);
+            let a = taint_origins(arg, ctx, scope);
             if sql_sink && i == 0 {
                 ctx.grow_sink(&a);
             }
@@ -1162,7 +1010,7 @@ fn call_origins<'d>(
         o.union(&recv);
     }
     for (i, arg) in args.iter().enumerate() {
-        let a = taint_origins(arg, ctx, shadow);
+        let a = taint_origins(arg, ctx, scope);
         if (sql_sink && i == 0) || callee.sink.contains(i + 1) {
             ctx.grow_sink(&a);
         }
@@ -1434,10 +1282,11 @@ mod tests {
         assert!(s.taint_for_name("nonexistent").is_none());
     }
 
-    /// A bare identifier that names a block parameter, or a local read
-    /// before its assignment in walk order, is not a call: the call graph
-    /// has no edge for it, so a same-named method may be summarized later
-    /// and must not be looked up.
+    /// A bare identifier that names a block parameter is not a call: the
+    /// call graph has no edge for it, so a same-named method may be
+    /// summarized later and must not be looked up.  A local read before its
+    /// assignment in walk order is a call and a local read at once, so the
+    /// local's flow still reaches the return.
     #[test]
     fn identifiers_the_call_graph_does_not_call_are_not_looked_up() {
         for (src, ret) in [
@@ -1453,6 +1302,27 @@ mod tests {
             let lints = crate::lint_methods(&p.methods(), Some(&sums), 1);
             assert_eq!(lints.len(), 2, "{src:?}");
         }
+    }
+
+    /// The interpreter calls `y()` at `z = y` while the local `y` is unset,
+    /// so the summary must see that call: a looping `y` makes `m` diverge.
+    /// A read after the assignment, or in a later trip round a loop, reads
+    /// the local and keeps its flow.
+    #[test]
+    fn a_local_read_before_its_first_assignment_is_a_call() {
+        let y = "def y()\n  while true\n    1\n  end\nend\n";
+        let s = infer_src(&format!("{y}def m(x)\n  z = y\n  y = x\n  z\nend\n"));
+        let m = s.get("Object", "m", false).unwrap();
+        assert_eq!(m.term, TermEffect::MayDiverge, "{m:?}");
+        assert_eq!(render_blame(&m.term_blame), "m \u{2192} y \u{2192} while loop");
+        let s = infer_src(&format!("{y}def m(x)\n  y = x\n  z = y\n  z\nend\n"));
+        let m = s.get("Object", "m", false).unwrap();
+        assert_eq!((m.term, m.taint.params_to_return.len()), (TermEffect::Terminates, 1), "{m:?}");
+        let s = infer_src(&format!(
+            "{y}def m(q, c)\n  while c\n    z = y\n    y = q\n  end\n  z\nend\n"
+        ));
+        let m = s.get("Object", "m", false).unwrap();
+        assert_eq!(m.taint.params_to_return, [0usize].into_iter().collect(), "{m:?}");
     }
 
     #[test]

@@ -47,7 +47,8 @@ use crate::env::CompRdl;
 use crate::tlc::HelperRegistry;
 use rdl_types::{MethodSig, TypeExpr};
 use ruby_syntax::{
-    method_hash, Expr, ExprKind, MethodDef, MethodId, Name, Program, ProgramIndex, SemHasher,
+    method_hash, walk_method, Event, Expr, ExprKind, Locals, MethodDef, MethodId, Name, Program,
+    ProgramIndex, Scope, SemHasher,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -217,10 +218,10 @@ impl DepGraph {
     }
 
     /// The name-resolved method→method call edges of the program, as
-    /// deduplicated `(caller, callee)` id pairs in sorted order.  These are
-    /// the same edges the `analysis` crate's effect-summary inference
-    /// resolves independently over the AST; exposing them lets the corpus
-    /// harness cross-check that the two call graphs agree.
+    /// deduplicated `(caller, callee)` id pairs in sorted order.  They are a
+    /// superset of the `analysis` crate's effect-summary call edges: both
+    /// come from the same identifier walk ([`ruby_syntax::walk_method`]),
+    /// and the summaries keep only the reads it resolves as calls.
     pub fn method_call_edges(&self) -> Vec<(MethodId, MethodId)> {
         let by_idx: BTreeMap<usize, &MethodId> =
             self.methods.iter().map(|(id, &i)| (i, id)).collect();
@@ -323,33 +324,20 @@ pub(crate) fn native_helper_hash(name: &str, state: Option<u64>) -> u64 {
     h.finish()
 }
 
-/// The names a method body may invoke: every `Call` name plus every bare
-/// `Ident` (which in Ruby can be a zero-argument self-call).  Callers filter
-/// against the set of names that actually resolve, so the over-approximation
-/// only ever adds edges for name collisions — sound, at worst one spurious
-/// re-check.
+/// The names a method may invoke, from the identifier walk
+/// ([`ruby_syntax::walk_method`]): every called name and every identifier
+/// read that no block parameter hides, parameters and locals included, so
+/// the walk runs under an empty table.  The checker resolves identifiers
+/// with a resolver of its own, and callers filter against the set of names
+/// that actually resolve, so the over-approximation only ever adds edges
+/// for name collisions — sound, at worst one spurious re-check.
 fn called_names(def: &MethodDef) -> BTreeSet<Name> {
     let mut out = BTreeSet::new();
-    let mut visit = |e: &Expr| match &e.kind {
-        ExprKind::Call { name, .. } => {
+    walk_method(def, &mut Scope::new(&Locals::default()), &mut |event| {
+        if let Event::Call(name) | Event::Read(_, name, _) = event {
             out.insert(name.clone());
         }
-        ExprKind::Ident(name) => {
-            out.insert(name.clone());
-        }
-        ExprKind::OpAssign { op, .. } => {
-            out.insert(op.clone());
-        }
-        _ => {}
-    };
-    for e in &def.body {
-        e.walk(&mut visit);
-    }
-    for p in &def.params {
-        if let Some(d) = &p.default {
-            d.walk(&mut visit);
-        }
-    }
+    });
     out
 }
 

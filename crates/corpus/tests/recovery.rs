@@ -35,7 +35,7 @@ fn fresh_memo() -> Arc<comprdl::SharedMemo> {
 /// mutant was diagnosed.
 fn assert_recovers(app: &App, seed: u64, mutated: &str) -> bool {
     // The recovering entry points must survive arbitrary garbage...
-    let (program, diags) = ruby_syntax::parse_program(mutated);
+    let (program, diags) = ruby_syntax::parse_program_in_file(mutated, 0);
     // ...and so must everything downstream that walks the
     // recovered tree (placeholder nodes included).
     let _ = program.method_hashes();
@@ -158,7 +158,7 @@ fn severity_partition_is_pinned_across_parse_ice_and_lint_codes() {
     assert_eq!(bag.len(), 5);
 
     // The parser really emits that partition.
-    let (_, diags) = ruby_syntax::parse_program("def m()\n  )\nend\n");
+    let (_, diags) = ruby_syntax::parse_program_in_file("def m()\n  )\nend\n", 0);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].code, "PARSE0002");
     assert!(diags[0].is_error());

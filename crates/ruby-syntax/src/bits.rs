@@ -1,7 +1,8 @@
-//! The set type every dataflow fact in this crate is built on.
+//! The set type that slot sets and dataflow facts are built on.
 //!
-//! A [`Bits`] is a set of small indices: local-name slots in the lints,
-//! taint origins in the effect summaries.  The first 64 members sit inline
+//! A [`Bits`] is a set of small indices: slots of a method's local table
+//! ([`crate::scope::Locals`]) in the scope walk and the lints, taint
+//! origins in the effect summaries.  The first 64 members sit inline
 //! in one word and the rest in a tail of words that stays empty, and so
 //! allocates nothing, while every member is below 64.  Iteration is in
 //! ascending index order, so a fact iterates the same way on every run.
@@ -10,7 +11,7 @@
 /// set that grew past 64 members and shrank again equals one that never
 /// did.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Bits {
+pub struct Bits {
     /// Members 0–63.
     head: u64,
     /// Members from 64 on, 64 to a word; never longer than it needs to be
@@ -22,17 +23,19 @@ const WORD: usize = u64::BITS as usize;
 
 impl Bits {
     /// The empty set.
-    pub(crate) fn new() -> Bits {
+    pub fn new() -> Bits {
         Bits::default()
     }
 
     /// The set `{i}`.
-    pub(crate) fn single(i: usize) -> Bits {
+    #[inline]
+    pub fn single(i: usize) -> Bits {
         let mut bits = Bits::new();
         bits.insert(i);
         bits
     }
 
+    #[inline]
     fn word(&self, w: usize) -> u64 {
         match w {
             0 => self.head,
@@ -40,6 +43,7 @@ impl Bits {
         }
     }
 
+    #[inline]
     fn word_mut(&mut self, w: usize) -> &mut u64 {
         if w == 0 {
             return &mut self.head;
@@ -51,12 +55,14 @@ impl Bits {
     }
 
     /// Whether `i` is a member.
-    pub(crate) fn contains(&self, i: usize) -> bool {
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
         self.word(i / WORD) >> (i % WORD) & 1 == 1
     }
 
     /// Adds `i`; returns whether it was not already a member.
-    pub(crate) fn insert(&mut self, i: usize) -> bool {
+    #[inline]
+    pub fn insert(&mut self, i: usize) -> bool {
         let word = self.word_mut(i / WORD);
         let bit = 1 << (i % WORD);
         let fresh = *word & bit == 0;
@@ -65,7 +71,8 @@ impl Bits {
     }
 
     /// Removes `i` if it is a member.
-    pub(crate) fn remove(&mut self, i: usize) {
+    #[inline]
+    pub fn remove(&mut self, i: usize) {
         let (w, bit) = (i / WORD, 1u64 << (i % WORD));
         match w {
             0 => self.head &= !bit,
@@ -78,7 +85,8 @@ impl Bits {
     }
 
     /// Adds every member of `other`; returns whether the set grew.
-    pub(crate) fn union(&mut self, other: &Bits) -> bool {
+    #[inline]
+    pub fn union(&mut self, other: &Bits) -> bool {
         let mut grew = other.head & !self.head != 0;
         self.head |= other.head;
         let used = other.tail.iter().rposition(|&w| w != 0).map_or(0, |last| last + 1);
@@ -93,7 +101,8 @@ impl Bits {
     }
 
     /// Keeps only the members that `other` also holds.
-    pub(crate) fn intersect(&mut self, other: &Bits) {
+    #[inline]
+    pub fn intersect(&mut self, other: &Bits) {
         self.head &= other.head;
         for (w, mine) in self.tail.iter_mut().enumerate() {
             *mine &= other.tail.get(w).copied().unwrap_or(0);
@@ -101,12 +110,12 @@ impl Bits {
     }
 
     /// Whether the set has no member.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.head == 0 && self.tail.iter().all(|&w| w == 0)
     }
 
     /// The members in ascending order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         std::iter::once(self.head).chain(self.tail.iter().copied()).enumerate().flat_map(
             |(w, mut word)| {
                 std::iter::from_fn(move || {

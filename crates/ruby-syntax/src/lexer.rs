@@ -726,7 +726,7 @@ mod tests {
         assert_eq!(strings(src), ["ab\\"]);
         // So does the parse error of the method the literal breaks.
         let src = "def m\n  \"a\\";
-        let (_, diags) = crate::parse_program(src);
+        let (_, diags) = crate::parse_program_in_file(src, 0);
         assert!(!diags.is_empty());
         assert!(diags.iter().flat_map(|d| &d.labels).all(|l| l.span.end <= src.len()), "{diags:?}");
     }

@@ -14,9 +14,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use ruby_syntax::{parse_expr, parse_program, ExprKind};
+//! use ruby_syntax::{parse_expr, parse_program_in_file, ExprKind};
 //!
-//! let (prog, diags) = parse_program("class User\n  def self.admin?(name)\n    name == \"root\"\n  end\nend\n");
+//! let src = "class User\n  def self.admin?(name)\n    name == \"root\"\n  end\nend\n";
+//! let (prog, diags) = parse_program_in_file(src, 0);
 //! assert!(diags.is_empty());
 //! assert_eq!(prog.classes()[0].name, "User");
 //!
@@ -28,15 +29,16 @@
 //!
 //! ## Error resilience
 //!
-//! `parse_program` never fails: malformed input produces a best-effort
-//! [`Program`] plus a list of [`diagnostics::Diagnostic`]s. A broken
-//! statement becomes an [`ExprKind::Error`] placeholder and parsing resumes
-//! at the next line; a broken method definition is *poisoned*
+//! [`parse_program_in_file`] never fails: malformed input produces a
+//! best-effort [`Program`] plus a list of [`diagnostics::Diagnostic`]s. A
+//! broken statement becomes an [`ExprKind::Error`] placeholder and parsing
+//! resumes at the next line; a broken method definition is *poisoned*
 //! ([`MethodDef::poisoned`]) and the parser resynchronizes at its matching
 //! `end`, so one bad method never hides the rest of the file.
 //!
 //! ```
-//! let (prog, diags) = ruby_syntax::parse_program("def bad()\n  1 +\nend\ndef good()\n  2\nend\n");
+//! let src = "def bad()\n  1 +\nend\ndef good()\n  2\nend\n";
+//! let (prog, diags) = ruby_syntax::parse_program_in_file(src, 0);
 //! assert_eq!(diags.len(), 1);
 //! assert_eq!(diags[0].code, "PARSE0002");
 //! assert!(prog.methods()[0].1.poisoned);
@@ -67,11 +69,13 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod bits;
 pub mod fxhash;
 pub mod index;
 mod lexer;
 pub mod name;
 pub mod parser;
+pub mod scope;
 pub mod semhash;
 pub mod span;
 mod token;
@@ -79,13 +83,12 @@ mod token;
 pub use ast::{
     BinOp, Block, ClassDef, CondArm, Expr, ExprKind, Item, LValue, MethodDef, Param, Program,
 };
+pub use bits::Bits;
 pub use fxhash::FxHashMap;
 pub use index::{Definitions, MethodId, ProgramIndex, SUPERCLASS_STEPS};
 pub use name::Name;
-pub use parser::{
-    parse_expr, parse_program, parse_program_in_file, parse_program_in_file_strict,
-    parse_program_strict, ParseError,
-};
+pub use parser::{parse_expr, parse_program_in_file, parse_program_strict, ParseError};
+pub use scope::{walk_method, walk_names, Event, Locals, Resolved, Scope};
 pub use semhash::{expr_hash, method_hash, method_span_nodes, MethodHash, SemHasher};
 pub use span::Span;
 

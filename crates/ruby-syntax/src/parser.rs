@@ -1,13 +1,14 @@
 //! Recursive-descent parser for the Ruby subset.
 //!
-//! Parsing is **error-resilient**: [`parse_program`] never fails.  A syntax
-//! error inside a `def` records one `PARSE0002` diagnostic, poisons that
-//! method ([`MethodDef::poisoned`]) and resynchronizes at the matching
-//! `end`; a syntax error elsewhere records a `PARSE0001` diagnostic, emits
-//! an [`ExprKind::Error`] placeholder item and resynchronizes at the next
-//! statement boundary.  One broken method therefore still yields a fully
-//! parsed rest-of-file.  [`parse_program_strict`] restores fail-stop
-//! behaviour for callers that want a hard error.
+//! Parsing is **error-resilient**: [`parse_program_in_file`] never fails.
+//! A syntax error inside a `def` records one `PARSE0002` diagnostic,
+//! poisons that method ([`MethodDef::poisoned`]) and resynchronizes at the
+//! matching `end`; a syntax error elsewhere records a `PARSE0001`
+//! diagnostic, emits an [`ExprKind::Error`] placeholder item and
+//! resynchronizes at the next statement boundary.  One broken method
+//! therefore still yields a fully parsed rest-of-file.
+//! [`parse_program_strict`] restores fail-stop behaviour for callers that
+//! want a hard error.
 //!
 //! Every name the parser reads (a class, a method, a variable, a constant
 //! segment, a symbol, a label) is sliced out of the source and interned in
@@ -65,23 +66,18 @@ type PResult<T> = Result<T, ParseError>;
 /// recovery diagnostic.  The diagnostics are empty exactly when the source
 /// was well formed; on error the AST still covers everything that parsed
 /// (broken methods come back poisoned, broken statements as
-/// [`ExprKind::Error`] placeholders).
+/// [`ExprKind::Error`] placeholders).  Every span in the AST and every
+/// diagnostic carries the source-file id `file`, so multi-file programs
+/// (merged with [`Program::merge`]) keep their call sites distinguishable
+/// even when byte offsets coincide across files.
 ///
 /// # Examples
 ///
 /// ```
-/// let (prog, diags) = ruby_syntax::parse_program("class A\n def m()\n 1\n end\nend\n");
+/// let (prog, diags) = ruby_syntax::parse_program_in_file("class A\n def m()\n 1\n end\nend\n", 0);
 /// assert_eq!(prog.classes().len(), 1);
 /// assert!(diags.is_empty());
 /// ```
-pub fn parse_program(src: &str) -> (Program, Vec<Diagnostic>) {
-    parse_program_in_file(src, 0)
-}
-
-/// Like [`parse_program`], but every span in the resulting AST (and every
-/// diagnostic) carries the given source-file id, so multi-file programs
-/// (merged with [`Program::merge`]) keep their call sites distinguishable
-/// even when byte offsets coincide across files.
 pub fn parse_program_in_file(src: &str, file: u32) -> (Program, Vec<Diagnostic>) {
     let (tokens, mut diags) = Lexer::in_file(src, file).tokenize();
     let mut p = Parser::new(src, tokens);
@@ -90,8 +86,9 @@ pub fn parse_program_in_file(src: &str, file: u32) -> (Program, Vec<Diagnostic>)
     (program, diags)
 }
 
-/// Fail-stop parsing: like [`parse_program`], but the first recovery
-/// diagnostic is returned as a [`ParseError`] instead of a recovered AST.
+/// Fail-stop parsing of file 0: like [`parse_program_in_file`], but the
+/// first recovery diagnostic is returned as a [`ParseError`] instead of a
+/// recovered AST.
 ///
 /// # Errors
 ///
@@ -106,16 +103,7 @@ pub fn parse_program_in_file(src: &str, file: u32) -> (Program, Vec<Diagnostic>)
 /// assert!(ruby_syntax::parse_program_strict("def broken(").is_err());
 /// ```
 pub fn parse_program_strict(src: &str) -> Result<Program, ParseError> {
-    parse_program_in_file_strict(src, 0)
-}
-
-/// [`parse_program_strict`] with an explicit source-file id.
-///
-/// # Errors
-///
-/// See [`parse_program_strict`].
-pub fn parse_program_in_file_strict(src: &str, file: u32) -> Result<Program, ParseError> {
-    let (program, diags) = parse_program_in_file(src, file);
+    let (program, diags) = parse_program_in_file(src, 0);
     match ParseError::first_of(&diags) {
         None => Ok(program),
         Some(e) => Err(e),
@@ -1568,7 +1556,7 @@ end
     #[test]
     fn broken_method_poisons_only_itself() {
         let src = "def good()\n  1\nend\ndef bad()\n  x = 1 +\nend\ndef tail()\n  2\nend\n";
-        let (prog, diags) = parse_program(src);
+        let (prog, diags) = parse_program_in_file(src, 0);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "PARSE0002");
         assert!(diags[0].message.contains("`bad`"), "{diags:?}");
@@ -1588,7 +1576,7 @@ end
     #[test]
     fn broken_method_in_class_spares_its_siblings() {
         let src = "class C\n  def a()\n    1\n  end\n  def b()\n    2 +\n  end\n  def c()\n    3\n  end\nend\n";
-        let (prog, diags) = parse_program(src);
+        let (prog, diags) = parse_program_in_file(src, 0);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(prog.classes().len(), 1);
         assert!(find_method(&prog, "C", "b").unwrap().poisoned);
@@ -1601,7 +1589,7 @@ end
         // The broken method contains nested well-formed `if`/`while`/`do`
         // blocks; their `end`s must not terminate the poison region early.
         let src = "def broken()\n  if x\n    while y\n      z\n    end\n  end\n  items.each do |i|\n    i\n  end\n  1 +\nend\ndef after()\n  4\nend\n";
-        let (prog, diags) = parse_program(src);
+        let (prog, diags) = parse_program_in_file(src, 0);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(prog.methods().len(), 2, "{:?}", prog.methods());
         assert!(!find_method(&prog, "Object", "after").unwrap().poisoned);
@@ -1610,7 +1598,7 @@ end
     #[test]
     fn broken_statement_recovers_at_the_next_line() {
         let src = "x = ]\ny = 2\n";
-        let (prog, diags) = parse_program(src);
+        let (prog, diags) = parse_program_in_file(src, 0);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "PARSE0001");
         assert_eq!(prog.items.len(), 2, "{prog:?}");
@@ -1620,7 +1608,7 @@ end
 
     #[test]
     fn unterminated_def_poisons_to_eof_without_losing_earlier_items() {
-        let (prog, diags) = parse_program("def a()\n 1\nend\ndef b()\n x =\n");
+        let (prog, diags) = parse_program_in_file("def a()\n 1\nend\ndef b()\n x =\n", 0);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(prog.methods().len(), 2);
         assert!(!find_method(&prog, "Object", "a").unwrap().poisoned);
@@ -1629,7 +1617,7 @@ end
 
     #[test]
     fn lex_errors_surface_as_parse_diagnostics_with_recovery() {
-        let (prog, diags) = parse_program("def m()\n  s = 'unterminated\nend\n");
+        let (prog, diags) = parse_program_in_file("def m()\n  s = 'unterminated\nend\n", 0);
         assert!(!diags.is_empty());
         assert!(diags.iter().any(|d| d.code == "LEX0001"), "{diags:?}");
         // The placeholder string still parses into a method body.

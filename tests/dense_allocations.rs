@@ -53,22 +53,22 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The most allocations one static pass over `scale_workload(40)` may make:
-/// 15% above the 13,703 it makes.
-const MAX_PASS_ALLOCATIONS: u64 = 15_758;
+/// 15% above the 13,503 it makes.
+const MAX_PASS_ALLOCATIONS: u64 = 15_528;
 
 /// The most allocations its parse stage may make: 15% above 1,515.
 const MAX_PARSE_ALLOCATIONS: u64 = 1_742;
 
-/// The most allocations its effect-summary stage may make: 15% above 546.
-const MAX_SUMMARIES_ALLOCATIONS: u64 = 627;
+/// The most allocations its effect-summary stage may make: 15% above 466.
+const MAX_SUMMARIES_ALLOCATIONS: u64 = 535;
 
 /// The most allocations its comp-type check stage may make: 15% above
 /// 6,517, the count it was set from.  It now makes 6,523: the checker's
 /// program index costs ten, and the labeled-method list four fewer.
 const MAX_COMP_CHECK_ALLOCATIONS: u64 = 7_494;
 
-/// The most allocations its lint stage may make: 15% above 1,891.
-const MAX_LINTS_ALLOCATIONS: u64 = 2_174;
+/// The most allocations its lint stage may make: 15% above 1,771.
+const MAX_LINTS_ALLOCATIONS: u64 = 2_036;
 
 /// The most allocations its plain-RDL check stage may make: 15% above
 /// 3,222, the count it was set from.  It now makes 3,228, for the same
@@ -76,15 +76,15 @@ const MAX_LINTS_ALLOCATIONS: u64 = 2_174;
 const MAX_PLAIN_CHECK_ALLOCATIONS: u64 = 3_705;
 
 /// The bounds of one static pass over `call_workload(40)`, each 15% above
-/// its count: parse 626, summaries 1,028, comp check 1,468, lints 1,852,
-/// plain check 817 and the pass 5,791.
+/// its count: parse 626, summaries 868, comp check 1,468, lints 1,732,
+/// plain check 817 and the pass 5,511.
 const CALL_PASS_BOUNDS: [(&str, u64); 6] = [
     ("parse", 719),
-    ("summaries", 1_182),
+    ("summaries", 998),
     ("comp check", 1_688),
-    ("lints", 2_129),
+    ("lints", 1_991),
     ("plain check", 939),
-    ("total", 6_659),
+    ("total", 6_337),
 ];
 
 /// Runs `f`, adding the allocations it makes on this thread to `stages`.
