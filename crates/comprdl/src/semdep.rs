@@ -326,11 +326,12 @@ pub(crate) fn native_helper_hash(name: &str, state: Option<u64>) -> u64 {
 
 /// The names a method may invoke, from the identifier walk
 /// ([`ruby_syntax::walk_method`]): every called name and every identifier
-/// read that no block parameter hides, parameters and locals included, so
-/// the walk runs under an empty table.  The checker resolves identifiers
-/// with a resolver of its own, and callers filter against the set of names
-/// that actually resolve, so the over-approximation only ever adds edges
-/// for name collisions — sound, at worst one spurious re-check.
+/// read, parameters, locals and block parameters included, so the walk runs
+/// under an empty table.  The checker resolves identifiers with a resolver
+/// of its own, which types a lambda parameter's read in the lambda's body
+/// as a call on `self`.  Callers filter against the set of names that
+/// actually resolve, so the over-approximation only ever adds edges for
+/// name collisions — sound, at worst one spurious re-check.
 fn called_names(def: &MethodDef) -> BTreeSet<Name> {
     let mut out = BTreeSet::new();
     walk_method(def, &mut Scope::new(&Locals::default()), &mut |event| {

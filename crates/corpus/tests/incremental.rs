@@ -561,17 +561,17 @@ fn first_m_as(source: &str, body: &str) -> String {
     source.replacen("x + 1", body, 1)
 }
 
-/// Evaluates `source` as `Shop` with `cache` and, from scratch, without
+/// Evaluates `source` as `app` with `cache` and, from scratch, without
 /// one; returns the two rows' stable reports and the cached run's counters.
 fn cached_and_uncached(
+    app: &App,
     source: &str,
     cache: &mut CheckCache,
 ) -> (String, String, corpus::driver::AppRecheck) {
     let memo = || Arc::new(comprdl::SharedMemo::new());
-    let app = shop();
     let (cached, stats) =
-        corpus::evaluate_app(&app, Some(source), 1, &memo(), Some(cache)).expect("cached run");
-    let (uncached, _) = corpus::evaluate_app(&app, Some(source), 1, &memo(), None).expect("run");
+        corpus::evaluate_app(app, Some(source), 1, &memo(), Some(cache)).expect("cached run");
+    let (uncached, _) = corpus::evaluate_app(app, Some(source), 1, &memo(), None).expect("run");
     (stable_report(&[cached]), stable_report(&[uncached]), stats)
 }
 
@@ -581,9 +581,9 @@ fn cached_and_uncached(
 #[test]
 fn an_edit_to_the_first_of_two_definitions_rechecks_both() {
     let mut cache = CheckCache::new();
-    cached_and_uncached(SHOP, &mut cache);
+    cached_and_uncached(&shop(), SHOP, &mut cache);
     let edited = first_m_as(SHOP, "x + 'a'");
-    let (warm, uncached, stats) = cached_and_uncached(&edited, &mut cache);
+    let (warm, uncached, stats) = cached_and_uncached(&shop(), &edited, &mut cache);
     assert!(uncached.contains("TYP0003") && uncached.contains("(line 3)"), "{uncached}");
     assert_eq!(warm, uncached, "the cached run diverged from an uncached one");
     assert_eq!((stats.comp.checked(), stats.comp.total), (2, 2), "{stats:?}");
@@ -597,8 +597,8 @@ fn an_edit_to_the_first_of_two_definitions_rechecks_both() {
 fn a_redefinition_never_replays_the_other_definitions_verdict() {
     let broken = first_m_as(SHOP, "x + 'a'");
     let mut cache = CheckCache::new();
-    cached_and_uncached(&broken, &mut cache);
-    let (warm, uncached, stats) = cached_and_uncached(&broken, &mut cache);
+    cached_and_uncached(&shop(), &broken, &mut cache);
+    let (warm, uncached, stats) = cached_and_uncached(&shop(), &broken, &mut cache);
     assert_eq!(warm, uncached, "the cached run diverged from an uncached one");
     assert_eq!(stats.comp.replayed, 0, "{stats:?}");
 }
@@ -611,7 +611,7 @@ fn a_redefinition_never_replays_the_other_definitions_verdict() {
 fn an_edit_to_a_redefined_callee_resummarizes_its_callers() {
     let source = SHOP.replace("end\nend\n", "end\n  def k(x)\n    m(x)\n  end\nend\n");
     let mut cache = CheckCache::new();
-    cached_and_uncached(&source, &mut cache);
+    cached_and_uncached(&shop(), &source, &mut cache);
     let edited = first_m_as(&source, "while true\n      x = x\n    end\n    x");
     let app = shop();
     let env = app.build_env();
@@ -626,4 +626,28 @@ fn an_edit_to_a_redefined_callee_resummarizes_its_callers() {
     };
     assert!(diverges("m") && diverges("k"), "{}", cold.render());
     assert_eq!(warm.render(), cold.render(), "the replayed summaries diverged from a cold run");
+}
+
+/// A labeled top-level method whose lambda reads its parameter `v`.
+const LAMBDA_READER: &str = "def m(x)\n  ->(v) { v }\n  x\nend\n";
+
+fn annotate_lambda_reader(env: &mut comprdl::CompRdl) {
+    env.type_sig("Object", "m", "(Integer) -> Integer", Some("app"));
+}
+
+/// The checker types a lambda's body without binding its parameters, so
+/// there a parameter's read is a call on `self`, here `Object`, and whether
+/// the program defines that method decides `m`'s verdict.  Defining `v`
+/// next to `m` re-checks `m` and reports what an uncached run reports.
+#[test]
+fn defining_a_method_a_lambda_parameter_names_rechecks_the_lambdas_method() {
+    let app =
+        App { name: "Lambda", annotate: annotate_lambda_reader, source: LAMBDA_READER, ..shop() };
+    let mut cache = CheckCache::new();
+    let (_, before, _) = cached_and_uncached(&app, LAMBDA_READER, &mut cache);
+    let edited = format!("{LAMBDA_READER}def v\n  1\nend\n");
+    let (warm, uncached, stats) = cached_and_uncached(&app, &edited, &mut cache);
+    assert_ne!(before, uncached, "defining `v` moved no verdict");
+    assert_eq!(warm, uncached, "the cached run diverged from an uncached one");
+    assert_eq!(stats.comp.replayed, 0, "{stats:?}");
 }

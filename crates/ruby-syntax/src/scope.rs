@@ -60,7 +60,8 @@ impl Resolved {
 /// One step of [`walk_names`], reported in evaluation order.
 #[derive(Debug, Clone, Copy)]
 pub enum Event<'a> {
-    /// A bare identifier that no block or lambda parameter hides.
+    /// A bare identifier, with what it names there ([`Resolved::Shadowed`]
+    /// where a block or lambda parameter hides it).
     Read(&'a Expr, &'a Name, Resolved),
     /// `x op= v` reads the local `x` before `v`, for every operator but
     /// `||`: `x ||= v` defines `x` without reading it.  With `x`'s slot, if
@@ -209,7 +210,7 @@ fn walk_all<'a>(exprs: &'a [Expr], scope: &mut Scope<'_, 'a>, sink: &mut impl Fn
 /// duration of their body.
 pub fn walk_names<'a>(e: &'a Expr, scope: &mut Scope<'_, 'a>, sink: &mut impl FnMut(Event<'a>)) {
     match &e.kind {
-        ExprKind::Ident(n) if !scope.hides(n) => sink(Event::Read(e, n, scope.resolve(n))),
+        ExprKind::Ident(n) => sink(Event::Read(e, n, scope.resolve(n))),
         ExprKind::Assign { target, value } | ExprKind::OpAssign { target, value, .. } => {
             let op = match &e.kind {
                 ExprKind::OpAssign { op, .. } => Some(op),
@@ -331,7 +332,7 @@ mod tests {
                     format!("{n}:local{slot}+call")
                 }
                 Event::Read(_, n, Resolved::Call) => format!("{n}:call"),
-                Event::Read(_, n, Resolved::Shadowed) => panic!("{n} is reported shadowed"),
+                Event::Read(_, n, Resolved::Shadowed) => format!("{n}:shadowed"),
                 Event::OpRead(_, n, slot) => format!("{n}:op-read{}", show(slot)),
                 Event::Assign(_, n, slot) => format!("{n}={}", show(slot)),
                 Event::Call(n) => format!("{n}()"),
@@ -360,15 +361,17 @@ mod tests {
                 "a* b*",
                 "while a:param0 @w= yield a:param0 $g= call() b:param1 a:param0",
             ),
-            // Block and lambda parameters hide method names in their body:
-            // `w` is assigned only while hidden, so it is no local and is a
-            // call once its block ends; `v` is a local assigned in a block
-            // and a lambda parameter inside the lambda.
+            // Block and lambda parameters hide method names in their body,
+            // where their reads are shadowed: `w` is assigned only while
+            // hidden, so it is no local and is a call once its block ends;
+            // `v` is a local assigned in a block and a lambda parameter
+            // inside the lambda.
             (
                 "def m(x, xs)\n  xs.each do |w|\n    w = x\n    v = w\n  end\n  \
                  ->(v) { xs.map { |x| x + v + w } }\n  v\nend\n",
                 "v x* xs*",
-                "each() xs:param2 x:param1 v=0 map() xs:param2 +() +() w:call v:local0",
+                "each() xs:param2 x:param1 w:shadowed v=0 map() xs:param2 +() +() \
+                 x:shadowed v:shadowed w:call v:local0",
             ),
             // A local read before its first assignment may be a call; after
             // it, it is the local.
