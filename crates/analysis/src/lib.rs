@@ -42,7 +42,8 @@ pub use lints::{
     lint_method, lint_method_with_summaries, lint_methods, note_for, LintFinding, MethodLints,
     DEAD_ASSIGNMENT, SQL_TAINT, UNREACHABLE_CODE, UNUSED_VARIABLE, USE_BEFORE_DEF,
 };
-pub use summaries::{render_blame, MethodSummary, ProgramSummaries, TaintSummary};
+pub use rdl_types::{render_blame, MethodSummary};
+pub use summaries::ProgramSummaries;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -366,7 +366,7 @@ fn taint_eval<'s, 'a>(
             if SQL_SINKS.contains(&name.as_str()) && !args.is_empty() {
                 sink_args.insert(0);
             }
-            let callee = summaries.and_then(|s| s.transfer_for_name(name));
+            let callee = summaries.and_then(|s| s.taint_for_name(name));
             if let Some(t) = &callee {
                 for i in t.params_to_sink() {
                     if i < args.len() {

@@ -14,7 +14,9 @@
 //!    edge to every same-named method,
 //! 2. condense it into strongly connected components (Tarjan), and
 //! 3. walk the SCCs in emission order (callees before callers) computing a
-//!    [`MethodSummary`] per method:
+//!    [`MethodSummary`] per method (`rdl_types`' record, which the type
+//!    checker installs and the check cache stores; the crate re-exports
+//!    it):
 //!
 //!    * **termination** — loop-free and every callee terminates;
 //!      `:blockdep` iterators are conditional on their block (which is part
@@ -38,11 +40,12 @@
 //! reference.  It is only looked up, never iterated, so no hash order can
 //! reach the output.
 //!
-//! The taint walk computes on bit sets ([`ruby_syntax::Bits`]): an origin
-//! set has bit 0 for the receiver and bit `i + 1` for parameter `i`, and a
-//! method's locals hold their origin sets by their slot in the method's
-//! [`Locals`] table, so the walk copies no name and its origin sets
-//! allocate nothing below 64 parameters.  It resolves each identifier with
+//! The taint walk computes on bit sets ([`ruby_syntax::Bits`]) in the
+//! summary's own encoding ([`Taint`]): an origin set has bit 0 for the
+//! receiver and bit `i + 1` for parameter `i`, and a method's locals hold
+//! their origin sets by their slot in the method's [`Locals`] table, so the
+//! walk copies no name and its origin sets allocate nothing below 64
+//! parameters.  It resolves each identifier with
 //! [`Scope::resolve`], the walk's own resolver, so every name it looks up
 //! as a call is a call-graph edge.
 //!
@@ -54,12 +57,14 @@
 //! come in program order (`ProgramIndex::definitions_named`; the index's
 //! hash maps are only probed), methods keep `Program::methods()` order and
 //! SCCs are processed in Tarjan emission order, so two runs (or a sequential
-//! and a parallel run) produce byte-identical [`render`] output.
+//! and a parallel run) produce byte-identical [`render`] output.  A
+//! method's SCC id belongs to the current program's call graph, so
+//! [`ProgramSummaries::scc_ids`] keeps it, not the summary.
 //!
 //! [`infer`]: ProgramSummaries::infer
 //! [`render`]: ProgramSummaries::render
 
-use rdl_types::{EffectLookup, PurityEffect, TermEffect};
+use rdl_types::{render_blame, EffectLookup, MethodSummary, PurityEffect, Taint, TermEffect};
 use ruby_syntax::{
     walk_method, walk_names, Bits, Event, Expr, ExprKind, LValue, Locals, MethodDef, MethodId,
     Param, Program, ProgramIndex, Resolved, Scope,
@@ -69,50 +74,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Method names treated as SQL sinks (their first argument is a SQL
 /// condition fragment) — kept in sync with the `LINT0105` sink list.
 pub const SQL_SINKS: &[&str] = &["where", "find_by_sql", "having", "filter", "exclude"];
-
-/// How values move through one method: which inputs may reach a SQL sink
-/// or the return value.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TaintSummary {
-    /// Parameter indices that may flow into the return value.
-    pub params_to_return: BTreeSet<usize>,
-    /// Parameter indices that may flow into a SQL sink (directly or via a
-    /// callee whose summary says so).
-    pub params_to_sink: BTreeSet<usize>,
-    /// The receiver (`self`, including instance state) may flow into the
-    /// return value.
-    pub self_to_return: bool,
-    /// The receiver may flow into a SQL sink.
-    pub self_to_sink: bool,
-}
-
-/// The inferred effects of one method.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MethodSummary {
-    /// Enclosing class (`"Object"` for top-level methods).
-    pub owner: String,
-    /// Method name.
-    pub name: String,
-    /// Whether it is a `def self.` method.
-    pub singleton: bool,
-    /// Inferred termination effect.
-    pub term: TermEffect,
-    /// Inferred purity effect.
-    pub purity: PurityEffect,
-    /// Call path to the divergence root cause (empty iff not `MayDiverge`).
-    pub term_blame: Vec<String>,
-    /// Call path to the impurity root cause (empty iff `Pure`).
-    pub purity_blame: Vec<String>,
-    /// Taint transfer function.
-    pub taint: TaintSummary,
-    /// The method's SCC id in Tarjan emission order (callees first).
-    pub scc: usize,
-}
-
-/// Renders a blame chain the way diagnostics quote it: `a → b → @x=`.
-pub fn render_blame(chain: &[String]) -> String {
-    chain.join(" \u{2192} ")
-}
 
 // ---------------------------------------------------------------------------
 // Per-method local facts (the parallel-extractable part)
@@ -265,8 +226,8 @@ pub struct ProgramSummaries<'p> {
     /// Each method's name-resolved callees (indices into `methods`,
     /// ascending, self-edges included).
     edges: Vec<Vec<usize>>,
-    /// Number of SCCs in the condensed call graph.
-    scc_count: usize,
+    /// Each method's SCC id in Tarjan emission order (callees first).
+    scc_ids: Vec<usize>,
 }
 
 impl<'p> ProgramSummaries<'p> {
@@ -290,7 +251,7 @@ impl<'p> ProgramSummaries<'p> {
     /// *transitive* dependency closure is unchanged (the corpus keys
     /// records on `semdep` Merkle hashes, which hash exactly that
     /// closure), so a fixed method can never depend on a recomputed one.
-    /// SCC ids are always recomputed from the current program, so a warm
+    /// SCC ids come from the current program's call graph alone, so a warm
     /// run renders byte-identically to a cold run.
     pub fn infer_with_baseline(
         program: &'p Program,
@@ -347,7 +308,6 @@ impl<'p> ProgramSummaries<'p> {
         }
 
         let mut out: Vec<Option<MethodSummary>> = (0..n).map(|_| None).collect();
-        let mut transfers: Vec<Transfer> = vec![Transfer::default(); n];
         let mut summarized = 0usize;
         for (s, members) in sccs.iter().enumerate() {
             // Replay: a whole component is installed from `fixed` only when
@@ -357,10 +317,7 @@ impl<'p> ProgramSummaries<'p> {
             let all_fixed = !fixed_of.is_empty() && members.iter().all(|&m| fixed_of[m].is_some());
             if all_fixed {
                 for &m in members {
-                    let mut sum = fixed_of[m].expect("fixed above").clone();
-                    sum.scc = s;
-                    transfers[m] = Transfer::from_summary(&sum.taint);
-                    out[m] = Some(sum);
+                    out[m] = fixed_of[m].cloned();
                 }
                 continue;
             }
@@ -372,15 +329,12 @@ impl<'p> ProgramSummaries<'p> {
                 &index, seed, facts, &edges, &scc_of, s, members, cyclic, &mut out,
             );
             // Taint: a least fixpoint inside a cyclic SCC, one walk otherwise.
-            solve_taint(&index, facts, members, cyclic, &mut transfers);
-            for &m in members {
-                out[m].as_mut().expect("summary present").taint = transfers[m].to_summary();
-            }
+            solve_taint(&index, facts, members, cyclic, &mut out);
         }
 
         let methods: Vec<MethodSummary> =
             out.into_iter().map(|m| m.expect("every method summarized")).collect();
-        (ProgramSummaries { index, methods, edges, scc_count: sccs.len() }, summarized)
+        (ProgramSummaries { index, methods, edges, scc_ids: scc_of }, summarized)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -530,8 +484,7 @@ impl<'p> ProgramSummaries<'p> {
                 purity,
                 term_blame,
                 purity_blame,
-                taint: TaintSummary::default(),
-                scc: s,
+                taint: Taint::default(),
             });
         }
     }
@@ -557,9 +510,16 @@ impl<'p> ProgramSummaries<'p> {
         self.methods.is_empty()
     }
 
+    /// Each method's SCC id in the condensed call graph, in
+    /// `Program::methods()` order (the order of [`iter`](Self::iter)).
+    /// Ids count from 0 in Tarjan emission order, callees first.
+    pub fn scc_ids(&self) -> &[usize] {
+        &self.scc_ids
+    }
+
     /// Number of SCCs in the condensed call graph.
     pub fn scc_count(&self) -> usize {
-        self.scc_count
+        self.scc_ids.iter().max().map_or(0, |&s| s + 1)
     }
 
     /// The name-resolved method→method call edges inference propagated
@@ -585,18 +545,13 @@ impl<'p> ProgramSummaries<'p> {
     /// The joined taint transfer for a bare name (the union over every
     /// same-named method — calls are name-resolved), or `None` when the
     /// program does not define the name.
-    pub fn taint_for_name(&self, name: &str) -> Option<TaintSummary> {
-        self.transfer_for_name(name).map(|t| t.to_summary())
-    }
-
-    /// [`taint_for_name`](Self::taint_for_name) as bit sets.
-    pub(crate) fn transfer_for_name(&self, name: &str) -> Option<Transfer> {
+    pub fn taint_for_name(&self, name: &str) -> Option<Taint> {
         if !self.index.defines_name(name) {
             return None;
         }
-        let mut joined = Transfer::default();
+        let mut joined = Taint::default();
         for t in self.index.definitions_named(name) {
-            joined.join(&Transfer::from_summary(&self.methods[t].taint));
+            joined.join(&self.methods[t].taint);
         }
         Some(joined)
     }
@@ -606,11 +561,12 @@ impl<'p> ProgramSummaries<'p> {
     /// cold-vs-warm gates.
     pub fn render(&self) -> String {
         let mut lines = Vec::with_capacity(self.methods.len());
-        let mut ordered: Vec<&MethodSummary> = self.methods.iter().collect();
-        ordered.sort_by(|a, b| {
+        let mut ordered: Vec<(&MethodSummary, usize)> =
+            self.methods.iter().zip(self.scc_ids.iter().copied()).collect();
+        ordered.sort_by(|(a, _), (b, _)| {
             (&a.owner, &a.name, a.singleton).cmp(&(&b.owner, &b.name, b.singleton))
         });
-        for m in ordered {
+        for (m, scc) in ordered {
             let sep = if m.singleton { "." } else { "#" };
             let term = match m.term {
                 TermEffect::Terminates => "+",
@@ -621,8 +577,9 @@ impl<'p> ProgramSummaries<'p> {
                 PurityEffect::Pure => "+",
                 PurityEffect::Impure => "-",
             };
-            let set =
-                |s: &BTreeSet<usize>| s.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(",");
+            let set = |params: &mut dyn Iterator<Item = usize>| {
+                params.map(|i| i.to_string()).collect::<Vec<_>>().join(",")
+            };
             let mut line = format!(
                 "{}{}{}: term={} pure={} ret={{{}}} sink={{{}}}",
                 m.owner,
@@ -630,16 +587,16 @@ impl<'p> ProgramSummaries<'p> {
                 m.name,
                 term,
                 purity,
-                set(&m.taint.params_to_return),
-                set(&m.taint.params_to_sink),
+                set(&mut m.taint.params_to_return()),
+                set(&mut m.taint.params_to_sink()),
             );
-            if m.taint.self_to_return {
+            if m.taint.self_to_return() {
                 line.push_str(" self>ret");
             }
-            if m.taint.self_to_sink {
+            if m.taint.self_to_sink() {
                 line.push_str(" self>sink");
             }
-            line.push_str(&format!(" scc={}", m.scc));
+            line.push_str(&format!(" scc={scc}"));
             if !m.term_blame.is_empty() {
                 line.push_str(&format!("\n  diverges via {}", render_blame(&m.term_blame)));
             }
@@ -652,9 +609,9 @@ impl<'p> ProgramSummaries<'p> {
     }
 }
 
-/// Solves the taint transfers of one component's `members` into
-/// `transfers`, where every earlier component's transfer is final.  A
-/// cyclic component iterates to a least fixpoint from the empty transfer
+/// Solves the taint of one component's `members`, whose summaries hold
+/// the empty transfer, where every earlier component's summary is final.
+/// A cyclic component iterates to a least fixpoint from the empty transfer
 /// (members only grow, so this converges).  An acyclic one reads only
 /// earlier components, so one walk is exact.
 fn solve_taint(
@@ -662,7 +619,7 @@ fn solve_taint(
     facts: &[LocalFacts],
     members: &[usize],
     cyclic: bool,
-    transfers: &mut [Transfer],
+    out: &mut [Option<MethodSummary>],
 ) {
     loop {
         let mut changed = false;
@@ -672,15 +629,16 @@ fn solve_taint(
                 if !index.defines_name(name) {
                     return None;
                 }
-                let mut joined = Transfer::default();
-                for t in index.definitions_named(name) {
-                    joined.join(&transfers[t]);
+                let mut joined = Taint::default();
+                for callee in index.definitions_named(name).filter_map(|t| out[t].as_ref()) {
+                    joined.join(&callee.taint);
                 }
                 Some(joined)
             };
             let fresh = method_taint(index.methods()[m].1, &facts[m].locals, &lookup);
-            if transfers[m] != fresh {
-                transfers[m] = fresh;
+            let taint = &mut out[m].as_mut().expect("summarized above").taint;
+            if *taint != fresh {
+                *taint = fresh;
                 changed = true;
             }
         }
@@ -694,74 +652,13 @@ fn solve_taint(
 // Per-method taint transfer
 // ---------------------------------------------------------------------------
 
-/// A method's taint origins: bit [`RECV`] is the receiver (`self`,
-/// instance state), bit `i + 1` is parameter `i`.
+/// A method's taint origins, encoded as a [`Taint`]'s sides: bit
+/// [`RECV`] is the receiver (`self`, instance state), bit `i + 1` is
+/// parameter `i`.
 type Origins = Bits;
 
 /// The receiver's bit in [`Origins`].
-const RECV: usize = 0;
-
-/// The parameter indices among `o`'s members.
-fn params(o: &Origins) -> impl Iterator<Item = usize> + '_ {
-    o.iter().filter(|&b| b != RECV).map(|b| b - 1)
-}
-
-/// A taint transfer over [`Origins`] bits: which of a method's inputs may
-/// reach its return value and which a SQL sink.  [`TaintSummary`] is the
-/// same function with parameter indices; inference and `LINT0105` compute
-/// on this form.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Transfer {
-    /// Inputs that may flow into the return value.
-    ret: Origins,
-    /// Inputs that may flow into a SQL sink.
-    sink: Origins,
-}
-
-impl Transfer {
-    fn from_summary(t: &TaintSummary) -> Transfer {
-        let bits = |indices: &BTreeSet<usize>, recv: bool| -> Origins {
-            let mut o: Origins = indices.iter().map(|i| i + 1).collect();
-            if recv {
-                o.insert(RECV);
-            }
-            o
-        };
-        Transfer {
-            ret: bits(&t.params_to_return, t.self_to_return),
-            sink: bits(&t.params_to_sink, t.self_to_sink),
-        }
-    }
-
-    fn to_summary(&self) -> TaintSummary {
-        TaintSummary {
-            params_to_return: self.params_to_return().collect(),
-            params_to_sink: self.params_to_sink().collect(),
-            self_to_return: self.self_to_return(),
-            self_to_sink: self.sink.contains(RECV),
-        }
-    }
-
-    /// Parameter indices that may flow into the return value, ascending.
-    pub(crate) fn params_to_return(&self) -> impl Iterator<Item = usize> + '_ {
-        params(&self.ret)
-    }
-
-    /// Parameter indices that may flow into a SQL sink, ascending.
-    pub(crate) fn params_to_sink(&self) -> impl Iterator<Item = usize> + '_ {
-        params(&self.sink)
-    }
-
-    /// Whether the receiver may flow into the return value.
-    pub(crate) fn self_to_return(&self) -> bool {
-        self.ret.contains(RECV)
-    }
-
-    fn join(&mut self, other: &Transfer) {
-        self.ret.union(&other.ret);
-        self.sink.union(&other.sink);
-    }
-}
+const RECV: usize = Taint::RECV;
 
 /// One method's taint state; names are borrowed from its body (`'d`).
 struct TaintCtx<'c, 'd> {
@@ -772,7 +669,7 @@ struct TaintCtx<'c, 'd> {
     ret: Origins,
     /// Whether a local, the sink or the return set grew in this walk.
     changed: bool,
-    lookup: &'c dyn Fn(&str) -> Option<Transfer>,
+    lookup: &'c dyn Fn(&str) -> Option<Taint>,
 }
 
 impl TaintCtx<'_, '_> {
@@ -795,11 +692,7 @@ impl TaintCtx<'_, '_> {
 /// (current) summaries of called program methods.  Flow-insensitive: the
 /// body is re-walked until the local origin sets stop growing, which makes
 /// the result a may-over-approximation on loops and branches.
-fn method_taint(
-    def: &MethodDef,
-    locals: &Locals,
-    lookup: &dyn Fn(&str) -> Option<Transfer>,
-) -> Transfer {
+fn method_taint(def: &MethodDef, locals: &Locals, lookup: &dyn Fn(&str) -> Option<Taint>) -> Taint {
     // Unknown body ⇒ conservative pass-through: every argument and the
     // receiver may reach the return value.  Sinks stay clear — claiming a
     // SQL sink inside unparsed code would manufacture phantom LINT0105
@@ -808,7 +701,7 @@ fn method_taint(
         let mut ret: Origins =
             def.params.iter().enumerate().filter(|(_, p)| !p.block).map(|(i, _)| i + 1).collect();
         ret.insert(RECV);
-        return Transfer { ret, sink: Origins::new() };
+        return Taint { ret, sink: Origins::new() };
     }
     let mut ctx = TaintCtx {
         params: &def.params,
@@ -837,7 +730,7 @@ fn method_taint(
             break;
         }
     }
-    Transfer { ret: ctx.ret, sink: ctx.sink }
+    Taint { ret: ctx.ret, sink: ctx.sink }
 }
 
 fn taint_origins<'d>(
@@ -1044,6 +937,21 @@ mod tests {
         ProgramSummaries::infer(p, &seed(), 1)
     }
 
+    /// The SCC id of the top-level method `name`.
+    fn scc(s: &ProgramSummaries, name: &str) -> usize {
+        s.scc_ids()[s.iter().position(|m| m.name == name).expect("summarized")]
+    }
+
+    /// The parameters that flow into `m`'s return value.
+    fn ret(m: &MethodSummary) -> Vec<usize> {
+        m.taint.params_to_return().collect()
+    }
+
+    /// The parameters that flow into a SQL sink inside `m`.
+    fn sink(m: &MethodSummary) -> Vec<usize> {
+        m.taint.params_to_sink().collect()
+    }
+
     #[test]
     fn straight_line_pure_method_terminates() {
         let s = infer_src("def m(x)\n  y = x + 1\n  y * 2\nend\n");
@@ -1091,7 +999,7 @@ mod tests {
         );
         let even = s.get("Object", "even", false).unwrap();
         let odd = s.get("Object", "odd", false).unwrap();
-        assert_eq!(even.scc, odd.scc, "mutual recursion is one component");
+        assert_eq!(scc(&s, "even"), scc(&s, "odd"), "mutual recursion is one component");
         assert_eq!(even.term, TermEffect::MayDiverge);
         assert_eq!(odd.term, TermEffect::MayDiverge);
         assert!(
@@ -1117,7 +1025,7 @@ mod tests {
         let s = infer_src("def a(x)\n  b(x)\nend\ndef b(x)\n  @log = x\n  a(x)\nend\n");
         let a = s.get("Object", "a", false).unwrap();
         let b = s.get("Object", "b", false).unwrap();
-        assert_eq!(a.scc, b.scc);
+        assert_eq!(scc(&s, "a"), scc(&s, "b"));
         assert_eq!(a.purity, PurityEffect::Impure);
         assert_eq!(b.purity, PurityEffect::Impure);
         assert_eq!(render_blame(&b.purity_blame), "b \u{2192} @log=");
@@ -1181,8 +1089,7 @@ mod tests {
     fn taint_param_to_return_through_concat() {
         let s = infer_src("def build(q)\n  'title = ' + q\nend\n");
         let m = s.get("Object", "build", false).unwrap();
-        assert!(m.taint.params_to_return.contains(&0), "{:?}", m.taint);
-        assert!(m.taint.params_to_sink.is_empty());
+        assert_eq!((ret(m), sink(m)), (vec![0], vec![]), "{:?}", m.taint);
     }
 
     #[test]
@@ -1191,10 +1098,11 @@ mod tests {
             "def self.apply(frag)\n  Topic.where(frag)\nend\ndef self.search(q)\n  apply('title = ' + q)\nend\n",
         );
         let apply = s.get("Object", "apply", true).unwrap();
-        assert!(apply.taint.params_to_sink.contains(&0), "{:?}", apply.taint);
+        assert_eq!(sink(apply), [0], "{:?}", apply.taint);
         let search = s.get("Object", "search", true).unwrap();
-        assert!(
-            search.taint.params_to_sink.contains(&0),
+        assert_eq!(
+            sink(search),
+            [0],
             "the sink transfer must propagate through the call: {:?}",
             search.taint
         );
@@ -1207,7 +1115,7 @@ mod tests {
         // any-arg rule.
         let s = infer_src("def constant(q)\n  42\nend\ndef m(q)\n  constant(q)\nend\n");
         let m = s.get("Object", "m", false).unwrap();
-        assert!(m.taint.params_to_return.is_empty(), "{:?}", m.taint);
+        assert_eq!(ret(m), [], "{:?}", m.taint);
     }
 
     #[test]
@@ -1216,16 +1124,16 @@ mod tests {
             "def pick(a, b, c)\n  if c\n    v = a\n  else\n    v = 'x'\n  end\n  v\nend\n",
         );
         let m = s.get("Object", "pick", false).unwrap();
-        assert_eq!(m.taint.params_to_return, [0usize].into_iter().collect());
+        assert_eq!(ret(m), [0]);
     }
 
     #[test]
     fn receiver_flows_are_tracked() {
         let s = infer_src("def frag()\n  @prefix + 'x'\nend\ndef m()\n  where(frag())\nend\n");
         let f = s.get("Object", "frag", false).unwrap();
-        assert!(f.taint.self_to_return);
+        assert!(f.taint.self_to_return());
         let m = s.get("Object", "m", false).unwrap();
-        assert!(m.taint.self_to_sink, "{:?}", m.taint);
+        assert!(m.taint.self_to_sink(), "{:?}", m.taint);
     }
 
     #[test]
@@ -1235,8 +1143,8 @@ mod tests {
         );
         let a = s.get("Object", "a", false).unwrap();
         let b = s.get("Object", "b", false).unwrap();
-        assert!(a.taint.params_to_return.contains(&0), "{:?}", a.taint);
-        assert!(b.taint.params_to_return.contains(&0), "{:?}", b.taint);
+        assert_eq!(ret(a), [0], "{:?}", a.taint);
+        assert_eq!(ret(b), [0], "{:?}", b.taint);
     }
 
     #[test]
@@ -1278,7 +1186,7 @@ mod tests {
         let src = "class A\n  def go(x)\n    x\n  end\nend\nclass B\n  def go(x)\n    @x = x\n    where('t = ' + x)\n  end\nend\n";
         let s = infer_src(src);
         let t = s.taint_for_name("go").unwrap();
-        assert!(t.params_to_sink.contains(&0));
+        assert!(t.params_to_sink().eq([0]));
         assert!(s.taint_for_name("nonexistent").is_none());
     }
 
@@ -1289,15 +1197,15 @@ mod tests {
     /// local's flow still reaches the return.
     #[test]
     fn identifiers_the_call_graph_does_not_call_are_not_looked_up() {
-        for (src, ret) in [
-            ("def m(x)\n  z = y\n  y = x\n  z\nend\ndef y()\n  1\nend\n", vec![0usize]),
+        for (src, want) in [
+            ("def m(x)\n  z = y\n  y = x\n  z\nend\ndef y()\n  1\nend\n", vec![0]),
             ("def m(&blk)\n  blk\nend\ndef blk()\n  1\nend\n", vec![]),
         ] {
             let p = parse_program_strict(src).expect("parse");
             let sums = ProgramSummaries::infer(&p, &seed(), 1);
             let m = sums.get("Object", "m", false).unwrap();
             assert_eq!(m.term, TermEffect::Terminates, "{src:?}: {m:?}");
-            assert_eq!(m.taint.params_to_return, ret.into_iter().collect(), "{src:?}: {m:?}");
+            assert_eq!(ret(m), want, "{src:?}: {m:?}");
             assert_eq!(sums.render(), ProgramSummaries::infer(&p, &seed(), 4).render());
             let lints = crate::lint_methods(&p.methods(), Some(&sums), 1);
             assert_eq!(lints.len(), 2, "{src:?}");
@@ -1317,12 +1225,12 @@ mod tests {
         assert_eq!(render_blame(&m.term_blame), "m \u{2192} y \u{2192} while loop");
         let s = infer_src(&format!("{y}def m(x)\n  y = x\n  z = y\n  z\nend\n"));
         let m = s.get("Object", "m", false).unwrap();
-        assert_eq!((m.term, m.taint.params_to_return.len()), (TermEffect::Terminates, 1), "{m:?}");
+        assert_eq!((m.term, ret(m)), (TermEffect::Terminates, vec![0]), "{m:?}");
         let s = infer_src(&format!(
             "{y}def m(q, c)\n  while c\n    z = y\n    y = q\n  end\n  z\nend\n"
         ));
         let m = s.get("Object", "m", false).unwrap();
-        assert_eq!(m.taint.params_to_return, [0usize].into_iter().collect(), "{m:?}");
+        assert_eq!(ret(m), [0], "{m:?}");
     }
 
     #[test]

@@ -19,12 +19,11 @@
 use crate::cache::{CacheKey, CacheStats, CompTypeCache};
 use crate::env::CompRdl;
 use crate::runtime::{ConsistencyCheck, InsertedCheck};
-use crate::termination::{
-    explicit_effects, EffectEnv, EffectViolation, InferredEffect, TerminationChecker,
-};
+use crate::termination::{explicit_effects, EffectEnv, EffectViolation, TerminationChecker};
 use crate::tlc::{eval_comp_type, TlcError, TlcValue};
 use rdl_types::{
-    HashKey, MethodKind, MethodSig, Name, ParamSig, SingVal, Subtyper, Type, TypeExpr, TypeStore,
+    HashKey, MethodKind, MethodSig, MethodSummary, Name, ParamSig, SingVal, Subtyper, Type,
+    TypeExpr, TypeStore,
 };
 use ruby_syntax::{BinOp, Expr, ExprKind, LValue, MethodDef, Program, ProgramIndex, Span};
 use std::collections::HashMap;
@@ -286,12 +285,12 @@ impl<'a> TypeChecker<'a> {
     }
 
     /// Installs interprocedural effect summaries (see
-    /// `termination::InferredEffect`) below the explicit layer of this
+    /// [`MethodSummary`]) below the explicit layer of this
     /// checker's effect environment: annotations, builtins and registered
     /// helpers still win, but un-annotated methods with a summary become
     /// callable from type-level code, and violations on summarized-bad
     /// methods render the inferred blame chain.
-    pub fn install_inferred_effects(&mut self, effects: &[InferredEffect]) {
+    pub fn install_inferred_effects(&mut self, effects: &[MethodSummary]) {
         self.termination.env_mut().install_inferred(effects.iter().cloned());
     }
 
@@ -312,7 +311,7 @@ impl<'a> TypeChecker<'a> {
     pub fn effect_conflicts(
         env: &CompRdl,
         program: &Program,
-        effects: &[InferredEffect],
+        effects: &[MethodSummary],
     ) -> Vec<EffectViolation> {
         let mut inferred = EffectEnv::new();
         inferred.install_inferred(effects.iter().cloned());
@@ -420,7 +419,7 @@ impl<'a> TypeChecker<'a> {
         options: CheckOptions,
         selected: &[(String, &MethodDef)],
         threads: usize,
-        effects: &[InferredEffect],
+        effects: &[MethodSummary],
     ) -> ProgramCheckResult {
         let workers = threads.clamp(1, selected.len().max(1));
         if workers == 1 {
@@ -1449,6 +1448,7 @@ const KERNEL_METHODS: &[&str] = &[
 mod tests {
     use super::*;
     use crate::env::CompRdl;
+    use crate::termination::tests::summary;
 
     fn env_with_stdlib() -> CompRdl {
         let mut env = CompRdl::new();
@@ -1508,13 +1508,12 @@ mod tests {
             "def fast()\n  while true\n    @n = 1\n  end\n  0\nend\n",
         )
         .expect("parse");
-        let effects = [InferredEffect {
-            name: "fast".into(),
-            term: rdl_types::TermEffect::MayDiverge,
-            purity: rdl_types::PurityEffect::Impure,
-            term_blame: vec!["fast".into(), "while loop".into()],
-            purity_blame: vec!["fast".into(), "@n=".into()],
-        }];
+        let effects = [summary(
+            "fast",
+            (TermEffect::MayDiverge, PurityEffect::Impure),
+            &["fast", "while loop"],
+            &["fast", "@n="],
+        )];
         let conflicts = TypeChecker::effect_conflicts(&env, &program, &effects);
         assert_eq!(conflicts.len(), 2, "{conflicts:?}");
         assert!(conflicts.iter().all(|v| v.kind == crate::ViolationKind::AnnotationConflict));
@@ -1524,13 +1523,7 @@ mod tests {
 
         // Annotations whose claims inference agrees with stay silent, as do
         // annotated methods with no summary at all.
-        let agreeing = [InferredEffect {
-            name: "fast".into(),
-            term: rdl_types::TermEffect::Terminates,
-            purity: rdl_types::PurityEffect::Pure,
-            term_blame: Vec::new(),
-            purity_blame: Vec::new(),
-        }];
+        let agreeing = [summary("fast", (TermEffect::Terminates, PurityEffect::Pure), &[], &[])];
         assert!(TypeChecker::effect_conflicts(&env, &program, &agreeing).is_empty());
         assert!(TypeChecker::effect_conflicts(&env, &program, &[]).is_empty());
     }
@@ -1564,20 +1557,13 @@ mod tests {
         )
         .expect("parse");
         let effects = [
-            InferredEffect {
-                name: "run".into(),
-                term: TermEffect::MayDiverge,
-                purity: PurityEffect::Impure,
-                term_blame: vec!["run".into(), "while loop".into()],
-                purity_blame: vec!["run".into(), "@n=".into()],
-            },
-            InferredEffect {
-                name: "save".into(),
-                term: TermEffect::Terminates,
-                purity: PurityEffect::Impure,
-                term_blame: Vec::new(),
-                purity_blame: vec!["save".into(), "@x=".into()],
-            },
+            summary(
+                "run",
+                (TermEffect::MayDiverge, PurityEffect::Impure),
+                &["run", "while loop"],
+                &["run", "@n="],
+            ),
+            summary("save", (TermEffect::Terminates, PurityEffect::Impure), &[], &["save", "@x="]),
         ];
         let rendered: Vec<String> = TypeChecker::effect_conflicts(&env, &program, &effects)
             .iter()

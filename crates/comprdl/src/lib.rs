@@ -62,6 +62,9 @@ pub use checker::{
 pub use env::CompRdl;
 pub use memo::{memo_namespace, MemoKey, MemoTable, NamespaceStats, SharedMemo};
 pub use persist::{corrupt, CheckCache, EffectRecord, LintRecord};
+/// The record of a method's inferred effects, under the name perfbench's
+/// recipe (`perfbench/src/recipe.rs`) imports it by.
+pub use rdl_types::MethodSummary as InferredEffect;
 pub use runtime::{
     make_hook, make_hook_shared, type_of_value, value_fingerprint, value_matches, BlameDiagnostic,
     CheckConfig, CompRdlHook, ConsistencyCheck, InsertedCheck,
@@ -69,6 +72,6 @@ pub use runtime::{
 pub use semdep::{env_hash, DepGraph};
 pub use termination::{
     annotation_conflicts, builtin_effects, explicit_effects, EffectEnv, EffectSource,
-    EffectViolation, ExplicitEffects, InferredEffect, TerminationChecker, ViolationKind,
+    EffectViolation, ExplicitEffects, TerminationChecker, ViolationKind,
 };
 pub use tlc::{eval_comp_type, HelperRegistry, MetaKind, TlcCtx, TlcError, TlcValue};

@@ -46,9 +46,10 @@ use crate::checker::{ErrorCategory, MethodCheckResult, TypeErrorInfo};
 use crate::env::CompRdl;
 use crate::runtime::{ConsistencyCheck, InsertedCheck};
 use rdl_types::{
-    HashKey, MethodKind, Name, PurityEffect, SingVal, TermEffect, Type, TypeExpr, TypeStore,
+    HashKey, MethodKind, MethodSummary, Name, PurityEffect, SingVal, Taint, TermEffect, Type,
+    TypeExpr, TypeStore,
 };
-use ruby_syntax::{method_span_nodes, Expr, MethodDef, SemHasher, Span};
+use ruby_syntax::{method_span_nodes, Bits, Expr, MethodDef, SemHasher, Span};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -208,42 +209,29 @@ struct LintMethodEntry {
     findings: Vec<LintFindingEntry>,
 }
 
-/// One interprocedural effect summary as frozen / replayed by the cache —
-/// plain data (like [`LintRecord`]) so the inference layer
-/// (`crates/analysis`) and this crate stay mutually independent; the corpus
-/// harness converts at the boundary.  Effects carry no spans, so unlike
-/// check and lint verdicts they need no re-anchoring: the blame chains are
-/// stable strings.
+/// One interprocedural effect summary as frozen / replayed by the cache:
+/// the summary itself, the record the inference computes and the checker
+/// installs, stamped with its replay key.  Effects carry no spans, so
+/// unlike check and lint verdicts they need no re-anchoring: the blame
+/// chains are stable strings.
+///
+/// The file holds the method's identity, the Merkle hash, the effects'
+/// tags, the two blame chains, each side of the taint as its ascending
+/// parameter indices (`u32`s) and then each side's receiver flag.  A
+/// stored parameter index at or above 65,536 makes the file malformed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EffectRecord {
-    /// Owner class of the summarized method.
-    pub owner: String,
-    /// Method name.
-    pub name: String,
-    /// Class-level (`def self.`) method?
-    pub singleton: bool,
     /// The method's Merkle hash at summary time; unchanged hash ⇔ unchanged
     /// transitive dependency closure ⇔ the summary is replayable.
     pub merkle: u64,
-    /// Termination verdict, stored as its [`TermEffect::tag`].
-    pub term: TermEffect,
-    /// Purity verdict, stored as its [`PurityEffect::tag`].
-    pub purity: PurityEffect,
-    /// Call chain to the divergence root cause (empty unless `term` is
-    /// [`TermEffect::MayDiverge`]).
-    pub term_blame: Vec<String>,
-    /// Call chain to the impurity root cause (empty when `purity` is
-    /// [`PurityEffect::Pure`]).
-    pub purity_blame: Vec<String>,
-    /// Parameter indices that flow into the return value.
-    pub taint_return: Vec<u32>,
-    /// Parameter indices that flow into a SQL sink inside the method.
-    pub taint_sink: Vec<u32>,
-    /// Receiver state flows into the return value.
-    pub self_to_return: bool,
-    /// Receiver state flows into a SQL sink.
-    pub self_to_sink: bool,
+    /// The summary.
+    pub summary: MethodSummary,
 }
+
+/// The bound on a stored parameter index: a record that names a parameter
+/// at or past it is not one this crate wrote, and would grow a replayed
+/// taint set to the index's size.
+const MAX_STORED_PARAM: u32 = 1 << 16;
 
 #[derive(Debug, Clone, Default, PartialEq)]
 struct AppEntry {
@@ -453,7 +441,8 @@ impl CheckCache {
             .effects
             .iter()
             .find(|e| {
-                e.owner == owner && e.name == name && e.singleton == singleton && e.merkle == merkle
+                let s = &e.summary;
+                s.owner == owner && s.name == name && s.singleton == singleton && e.merkle == merkle
             })
             .cloned()
     }
@@ -603,19 +592,19 @@ impl CheckCache {
                 }
             }
             w.put_u32(app.effects.len() as u32);
-            for e in &app.effects {
-                w.put_str(&e.owner);
-                w.put_str(&e.name);
-                w.put_u8(u8::from(e.singleton));
-                w.put_u64(e.merkle);
-                w.put_u8(e.term.tag());
-                w.put_u8(e.purity.tag());
-                put_str_list(&mut w, &e.term_blame);
-                put_str_list(&mut w, &e.purity_blame);
-                put_u32_list(&mut w, &e.taint_return);
-                put_u32_list(&mut w, &e.taint_sink);
-                w.put_u8(u8::from(e.self_to_return));
-                w.put_u8(u8::from(e.self_to_sink));
+            for EffectRecord { merkle, summary: s } in &app.effects {
+                w.put_str(&s.owner);
+                w.put_str(&s.name);
+                w.put_u8(u8::from(s.singleton));
+                w.put_u64(*merkle);
+                w.put_u8(s.term.tag());
+                w.put_u8(s.purity.tag());
+                put_str_list(&mut w, &s.term_blame);
+                put_str_list(&mut w, &s.purity_blame);
+                put_param_list(&mut w, s.taint.params_to_return());
+                put_param_list(&mut w, s.taint.params_to_sink());
+                w.put_u8(u8::from(s.taint.self_to_return()));
+                w.put_u8(u8::from(s.taint.self_to_sink()));
             }
         }
         // v4 trailer: FNV-1a checksum of every byte before it.
@@ -729,20 +718,25 @@ impl CheckCache {
                 let merkle = r.get_u64()?;
                 let term = TermEffect::from_tag(r.get_u8()?)?;
                 let purity = PurityEffect::from_tag(r.get_u8()?)?;
-                effects.push(EffectRecord {
+                let term_blame = get_str_list(&mut r)?;
+                let purity_blame = get_str_list(&mut r)?;
+                let (mut ret, mut sink) = (get_param_list(&mut r)?, get_param_list(&mut r)?);
+                for side in [&mut ret, &mut sink] {
+                    if r.get_u8()? != 0 {
+                        side.insert(Taint::RECV);
+                    }
+                }
+                let summary = MethodSummary {
                     owner,
                     name: ename,
                     singleton,
-                    merkle,
                     term,
                     purity,
-                    term_blame: get_str_list(&mut r)?,
-                    purity_blame: get_str_list(&mut r)?,
-                    taint_return: get_u32_list(&mut r)?,
-                    taint_sink: get_u32_list(&mut r)?,
-                    self_to_return: r.get_u8()? != 0,
-                    self_to_sink: r.get_u8()? != 0,
-                });
+                    term_blame,
+                    purity_blame,
+                    taint: Taint { ret, sink },
+                };
+                effects.push(EffectRecord { merkle, summary });
             }
             apps.insert(name, AppEntry { env_hash, files, methods, lints, effects });
         }
@@ -1143,20 +1137,31 @@ fn get_str_list(r: &mut Reader<'_>) -> Option<Vec<String>> {
     Some(out)
 }
 
-fn put_u32_list(w: &mut Writer, list: &[u32]) {
-    w.put_u32(list.len() as u32);
-    for v in list {
-        w.put_u32(*v);
+/// Writes parameter indices as a count and one `u32` each.
+fn put_param_list(w: &mut Writer, params: impl Iterator<Item = usize>) {
+    let count_at = w.bytes.len();
+    w.put_u32(0);
+    let mut count = 0u32;
+    for i in params {
+        w.put_u32(i as u32);
+        count += 1;
     }
+    w.bytes[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
-fn get_u32_list(r: &mut Reader<'_>) -> Option<Vec<u32>> {
+/// Reads parameter indices into the [`Taint`] bits that stand for them
+/// (`i + 1`); `None` for an index at or past [`MAX_STORED_PARAM`].
+fn get_param_list(r: &mut Reader<'_>) -> Option<Bits> {
     let n = r.get_u32()?;
-    let mut out = Vec::with_capacity(n.min(1024) as usize);
+    let mut bits = Bits::new();
     for _ in 0..n {
-        out.push(r.get_u32()?);
+        let i = r.get_u32()?;
+        if i >= MAX_STORED_PARAM {
+            return None;
+        }
+        bits.insert(i as usize + 1);
     }
-    Some(out)
+    Some(bits)
 }
 
 fn put_span(w: &mut Writer, s: &SpanRef) {
@@ -1742,30 +1747,29 @@ mod tests {
     }
 
     fn sample_effects() -> Vec<EffectRecord> {
+        let helper = MethodSummary {
+            owner: "Object".into(),
+            name: "helper".into(),
+            singleton: false,
+            term: TermEffect::Terminates,
+            purity: PurityEffect::Pure,
+            ..MethodSummary::default()
+        };
+        let spin = MethodSummary {
+            owner: "Talk".into(),
+            name: "spin".into(),
+            singleton: true,
+            term: TermEffect::MayDiverge,
+            purity: PurityEffect::Impure,
+            term_blame: vec!["spin".into(), "while loop".into()],
+            purity_blame: vec!["spin".into(), "inner".into(), "@x=".into()],
+            // Parameters 0 and 2 and the receiver reach the return value,
+            // parameter 1 a sink.
+            taint: Taint { ret: [Taint::RECV, 1, 3].into_iter().collect(), sink: Bits::single(2) },
+        };
         vec![
-            EffectRecord {
-                owner: "Object".into(),
-                name: "helper".into(),
-                singleton: false,
-                merkle: 0xdead_beef,
-                term: TermEffect::Terminates,
-                purity: PurityEffect::Pure,
-                ..EffectRecord::default()
-            },
-            EffectRecord {
-                owner: "Talk".into(),
-                name: "spin".into(),
-                singleton: true,
-                merkle: 42,
-                term: TermEffect::MayDiverge,
-                purity: PurityEffect::Impure,
-                term_blame: vec!["spin".into(), "while loop".into()],
-                purity_blame: vec!["spin".into(), "inner".into(), "@x=".into()],
-                taint_return: vec![0, 2],
-                taint_sink: vec![1],
-                self_to_return: true,
-                self_to_sink: false,
-            },
+            EffectRecord { merkle: 0xdead_beef, summary: helper },
+            EffectRecord { merkle: 42, summary: spin },
         ]
     }
 
@@ -1791,6 +1795,17 @@ mod tests {
         assert!(loaded.replay_effects("unit", "Talk", "spin", false, 42).is_none());
     }
 
+    /// Loads `bytes` with `with` written at `at` and the checksum
+    /// recomputed: the `unit` app's effect records, or `None` if the file
+    /// loads empty.
+    fn load_patched(bytes: &[u8], at: usize, with: &[u8]) -> Option<Vec<EffectRecord>> {
+        let mut body = bytes[..bytes.len() - CHECKSUM_LEN].to_vec();
+        body[at..at + with.len()].copy_from_slice(with);
+        let checksum = bytes_hash(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        CheckCache::from_bytes(&body).map(|c| c.apps["unit"].effects.clone())
+    }
+
     #[test]
     fn an_effect_record_with_an_unknown_tag_loads_empty() {
         let mut cache = CheckCache::new();
@@ -1799,19 +1814,73 @@ mod tests {
         assert_eq!(CheckCache::from_bytes(&bytes), Some(cache));
         // The record ends the body: its two tags, four empty lists and two
         // flags come right before the checksum.
-        let body_len = bytes.len() - CHECKSUM_LEN;
-        let term_at = body_len - 2 - 4 * 4 - 2;
-        let patched = |at: usize, tag: u8| {
-            let mut body = bytes[..body_len].to_vec();
-            body[at] = tag;
-            let checksum = bytes_hash(&body);
-            body.extend_from_slice(&checksum.to_le_bytes());
-            CheckCache::from_bytes(&body).map(|c| c.apps["unit"].effects[0].clone())
-        };
-        assert_eq!(patched(term_at, 1).map(|e| e.term), Some(TermEffect::BlockDep));
-        assert_eq!(patched(term_at + 1, 0).map(|e| e.purity), Some(PurityEffect::Pure));
+        let term_at = bytes.len() - CHECKSUM_LEN - 2 - 4 * 4 - 2;
+        let patched = |at: usize, tag: u8| load_patched(&bytes, at, &[tag]).map(|e| e[0].clone());
+        assert_eq!(patched(term_at, 1).map(|e| e.summary.term), Some(TermEffect::BlockDep));
+        assert_eq!(patched(term_at + 1, 0).map(|e| e.summary.purity), Some(PurityEffect::Pure));
         assert_eq!(patched(term_at, 3), None);
         assert_eq!(patched(term_at + 1, 2), None);
+    }
+
+    /// A parameter index no method has makes the file malformed, so it
+    /// loads empty instead of replaying a taint set that large.
+    #[test]
+    fn a_stored_parameter_index_past_the_bound_loads_empty() {
+        let mut cache = CheckCache::new();
+        cache.record_effects("unit", sample_effects());
+        let bytes = cache.to_bytes();
+        // The last record's sink list ends with parameter 1, right before
+        // its two flags.
+        let index_at = bytes.len() - CHECKSUM_LEN - 2 - 4;
+        let with_index = |i: u32| load_patched(&bytes, index_at, &i.to_le_bytes());
+        assert_eq!(with_index(1), Some(sample_effects()));
+        let below = with_index(MAX_STORED_PARAM - 1).expect("an index below the bound loads");
+        assert!(below[1].summary.taint.params_to_sink().eq([MAX_STORED_PARAM as usize - 1]));
+        assert_eq!(with_index(MAX_STORED_PARAM), None);
+        assert_eq!(with_index(u32::MAX), None);
+    }
+
+    /// `sample_effects()` encoded field by field, as format 5 first wrote
+    /// it: the bytes between the version word and the checksum trailer, in
+    /// hex.
+    const SAMPLE_EFFECT_SECTION: [&str; 27] = [
+        "01000000",                                                       // one app,
+        "04000000 756e6974",                                              // "unit",
+        "0000000000000000",                                               // its env hash,
+        "00000000",                                                       // no files,
+        "00000000",                                                       // no check verdicts,
+        "00000000",                                                       // no lint verdicts,
+        "02000000",                                                       // two effect records:
+        "06000000 4f626a656374",                                          // owner "Object",
+        "06000000 68656c706572",                                          // name "helper",
+        "00",                                                             // an instance method,
+        "efbeadde00000000",                                               // Merkle hash 0xdeadbeef,
+        "00 00",                                                          // terminates, pure,
+        "00000000",                                                       // no termination blame,
+        "00000000",                                                       // no purity blame,
+        "00000000",          // no parameter reaches the return value,
+        "00000000",          // no parameter reaches a sink,
+        "00 00",             // nor does the receiver;
+        "04000000 54616c6b", // owner "Talk",
+        "04000000 7370696e", // name "spin",
+        "01",                // a singleton method,
+        "2a00000000000000",  // Merkle hash 42,
+        "02 01",             // may diverge, impure,
+        "02000000 04000000 7370696e 0a000000 7768696c65206c6f6f70", // spin, while loop
+        "03000000 04000000 7370696e 05000000 696e6e6572 03000000 40783d", // spin, inner, @x=
+        "02000000 00000000 02000000", // parameters 0 and 2 reach the return value,
+        "01000000 01000000", // parameter 1 reaches a sink,
+        "01 00",             // the receiver reaches the return value only.
+    ];
+
+    #[test]
+    fn the_effect_section_layout_is_pinned() {
+        let mut cache = CheckCache::new();
+        cache.record_effects("unit", sample_effects());
+        let bytes = cache.to_bytes();
+        let section = &bytes[MAGIC.len() + 4..bytes.len() - CHECKSUM_LEN];
+        let hex: String = section.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, SAMPLE_EFFECT_SECTION.concat().replace(' ', ""));
     }
 
     #[test]

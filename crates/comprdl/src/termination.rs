@@ -12,7 +12,7 @@
 //!   by the evaluator's depth bound).
 //!
 //! The effect environment has two layers: *explicit* effects and
-//! *inferred* effects ([`InferredEffect`] summaries computed
+//! *inferred* effects ([`MethodSummary`] records computed
 //! interprocedurally by the `analysis` crate and installed via
 //! [`EffectEnv::install_inferred`]).  [`explicit_effects`] hands out the
 //! explicit layer, which the summary inference is seeded with too: the
@@ -30,7 +30,9 @@
 
 use crate::env::CompRdl;
 use crate::tlc::HelperRegistry;
-use rdl_types::{EffectJoin, EffectLookup, EffectTable, PurityEffect, TermEffect};
+use rdl_types::{
+    render_blame, EffectJoin, EffectLookup, EffectTable, MethodSummary, PurityEffect, TermEffect,
+};
 use ruby_syntax::{Expr, ExprKind, MethodDef, Span};
 use std::collections::HashMap;
 use std::fmt;
@@ -106,36 +108,6 @@ impl From<EffectViolation> for diagnostics::Diagnostic {
         };
         d.with_note("type-level computations must provably terminate and be pure (paper \u{a7}4)")
     }
-}
-
-/// An interprocedurally inferred effect summary for one method name, as
-/// produced by the `analysis` crate's call-graph fixpoint and handed to
-/// [`EffectEnv::install_inferred`].
-///
-/// The blame chains start with the method itself and end with the
-/// root-cause token (e.g. `["a", "b", "@x="]` renders as
-/// `a → b → @x=`); they are empty when the corresponding effect is the
-/// good verdict (terminates / pure).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InferredEffect {
-    /// Bare method name the summary applies to (worst-case joined over all
-    /// same-named definitions, matching how effects are looked up).
-    pub name: String,
-    /// Inferred termination effect.
-    pub term: TermEffect,
-    /// Inferred purity effect.
-    pub purity: PurityEffect,
-    /// Call chain to the divergence root cause (empty when `term` is not
-    /// [`TermEffect::MayDiverge`]).
-    pub term_blame: Vec<String>,
-    /// Call chain to the impurity root cause (empty when `purity` is
-    /// [`PurityEffect::Pure`]).
-    pub purity_blame: Vec<String>,
-}
-
-/// Renders a blame chain as `a → b → @x=`.
-fn render_chain(chain: &[String]) -> String {
-    chain.join(" \u{2192} ")
 }
 
 /// Where an effect verdict for a name came from.
@@ -353,7 +325,8 @@ pub struct EffectEnv {
     set: EffectTable,
     /// The explicit layer; `None` in an empty environment.
     explicit: Option<ExplicitEffects>,
-    inferred: HashMap<String, InferredEffect>,
+    /// Installed summaries by bare name, same-named ones joined.
+    inferred: HashMap<String, MethodSummary>,
 }
 
 impl EffectEnv {
@@ -384,10 +357,11 @@ impl EffectEnv {
         self.set.get(method).or_else(|| self.explicit.as_ref()?.get(method))
     }
 
-    /// Installs interprocedural effect summaries below the explicit layer.
-    /// A duplicate name is joined pessimistically (worse termination /
+    /// Installs interprocedural effect summaries below the explicit layer,
+    /// by bare name: effects are looked up by name, not by owner.  A
+    /// duplicate name is joined pessimistically (worse termination /
     /// purity wins, keeping the blame of the entry that forced it).
-    pub fn install_inferred(&mut self, effects: impl IntoIterator<Item = InferredEffect>) {
+    pub fn install_inferred(&mut self, effects: impl IntoIterator<Item = MethodSummary>) {
         for e in effects {
             match self.inferred.entry(e.name.clone()) {
                 std::collections::hash_map::Entry::Vacant(v) => {
@@ -439,7 +413,7 @@ impl EffectEnv {
 
     /// The installed inferred summary for `method`, if any (the explicit
     /// layer may still shadow it for lookups).
-    pub fn inferred(&self, method: &str) -> Option<&InferredEffect> {
+    pub fn inferred(&self, method: &str) -> Option<&MethodSummary> {
         self.inferred.get(method)
     }
 
@@ -459,7 +433,7 @@ pub fn annotation_conflicts(
     name: &str,
     claimed_term: TermEffect,
     claimed_purity: PurityEffect,
-    inferred: &InferredEffect,
+    inferred: &MethodSummary,
     span: Span,
 ) -> Vec<EffectViolation> {
     let mut out = Vec::new();
@@ -470,7 +444,7 @@ pub fn annotation_conflicts(
             message: format!(
                 "`{name}` is annotated `terminates: {claim}` but inferred non-terminating \
                  via {}",
-                render_chain(&inferred.term_blame)
+                render_blame(&inferred.term_blame)
             ),
             span,
         });
@@ -480,7 +454,7 @@ pub fn annotation_conflicts(
             kind: ViolationKind::AnnotationConflict,
             message: format!(
                 "`{name}` is annotated `pure: :+` but inferred impure via {}",
-                render_chain(&inferred.purity_blame)
+                render_blame(&inferred.purity_blame)
             ),
             span,
         });
@@ -562,7 +536,7 @@ impl TerminationChecker {
                             let chain = self
                                 .env
                                 .inferred(name)
-                                .map(|i| render_chain(&i.term_blame))
+                                .map(|i| render_blame(&i.term_blame))
                                 .unwrap_or_default();
                             format!("call to `{name}`, inferred non-terminating via {chain}")
                         }
@@ -634,7 +608,7 @@ impl TerminationChecker {
                         let chain = self
                             .env
                             .inferred(name)
-                            .map(|i| render_chain(&i.purity_blame))
+                            .map(|i| render_blame(&i.purity_blame))
                             .unwrap_or_default();
                         format!("calls `{name}`, inferred impure via {chain}")
                     }
@@ -648,9 +622,28 @@ impl TerminationChecker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ruby_syntax::{parse_expr, parse_program_strict};
+
+    /// An inferred summary of the top-level method `name`.
+    pub(crate) fn summary(
+        name: &str,
+        (term, purity): (TermEffect, PurityEffect),
+        term_blame: &[&str],
+        purity_blame: &[&str],
+    ) -> MethodSummary {
+        let chain = |c: &[&str]| c.iter().map(|s| s.to_string()).collect();
+        MethodSummary {
+            owner: "Object".into(),
+            name: name.into(),
+            term,
+            purity,
+            term_blame: chain(term_blame),
+            purity_blame: chain(purity_blame),
+            ..MethodSummary::default()
+        }
+    }
 
     fn checker() -> TerminationChecker {
         let mut c = TerminationChecker::with_builtins();
@@ -808,37 +801,15 @@ mod tests {
     #[test]
     fn inferred_effects_fill_in_below_explicit_annotations() {
         let mut c = checker();
+        use PurityEffect::{Impure, Pure};
+        use TermEffect::{MayDiverge, Terminates};
         c.env_mut().install_inferred([
-            InferredEffect {
-                name: "summed_helper".into(),
-                term: TermEffect::Terminates,
-                purity: PurityEffect::Pure,
-                term_blame: Vec::new(),
-                purity_blame: Vec::new(),
-            },
-            InferredEffect {
-                name: "writer".into(),
-                term: TermEffect::Terminates,
-                purity: PurityEffect::Impure,
-                term_blame: Vec::new(),
-                purity_blame: vec!["writer".into(), "@x=".into()],
-            },
-            InferredEffect {
-                name: "spinner".into(),
-                term: TermEffect::MayDiverge,
-                purity: PurityEffect::Pure,
-                term_blame: vec!["spinner".into(), "while loop".into()],
-                purity_blame: Vec::new(),
-            },
+            summary("summed_helper", (Terminates, Pure), &[], &[]),
+            summary("writer", (Terminates, Impure), &[], &["writer", "@x="]),
+            summary("spinner", (MayDiverge, Pure), &["spinner", "while loop"], &[]),
             // The explicit layer says m3 diverges; this optimistic summary
             // must NOT override it.
-            InferredEffect {
-                name: "m3".into(),
-                term: TermEffect::Terminates,
-                purity: PurityEffect::Pure,
-                term_blame: Vec::new(),
-                purity_blame: Vec::new(),
-            },
+            summary("m3", (Terminates, Pure), &[], &[]),
         ]);
 
         assert!(c.check_expr(&parse_expr("summed_helper()").unwrap()).is_empty());
@@ -867,20 +838,13 @@ mod tests {
     fn duplicate_inferred_installs_join_worst_case() {
         let mut env = EffectEnv::new();
         env.install_inferred([
-            InferredEffect {
-                name: "h".into(),
-                term: TermEffect::Terminates,
-                purity: PurityEffect::Pure,
-                term_blame: Vec::new(),
-                purity_blame: Vec::new(),
-            },
-            InferredEffect {
-                name: "h".into(),
-                term: TermEffect::MayDiverge,
-                purity: PurityEffect::Impure,
-                term_blame: vec!["h".into(), "while loop".into()],
-                purity_blame: vec!["h".into(), "$g=".into()],
-            },
+            summary("h", (TermEffect::Terminates, PurityEffect::Pure), &[], &[]),
+            summary(
+                "h",
+                (TermEffect::MayDiverge, PurityEffect::Impure),
+                &["h", "while loop"],
+                &["h", "$g="],
+            ),
         ]);
         assert_eq!(env.termination("h"), TermEffect::MayDiverge);
         assert_eq!(env.purity("h"), PurityEffect::Impure);
@@ -894,13 +858,12 @@ mod tests {
     /// inferred summary is surfaced as a *warning* with the inferred chain.
     #[test]
     fn annotation_conflicts_render_the_inferred_chain_as_term0004_warnings() {
-        let inferred = InferredEffect {
-            name: "a".into(),
-            term: TermEffect::MayDiverge,
-            purity: PurityEffect::Impure,
-            term_blame: vec!["a".into(), "b".into(), "while loop".into()],
-            purity_blame: vec!["a".into(), "b".into(), "@x=".into()],
-        };
+        let inferred = summary(
+            "a",
+            (TermEffect::MayDiverge, PurityEffect::Impure),
+            &["a", "b", "while loop"],
+            &["a", "b", "@x="],
+        );
         let span = Span::new(0, 1, 1);
         let vs =
             annotation_conflicts("a", TermEffect::Terminates, PurityEffect::Pure, &inferred, span);
@@ -922,13 +885,7 @@ mod tests {
         }
 
         // Agreement (or an annotation weaker than inference) is silent.
-        let good = InferredEffect {
-            name: "a".into(),
-            term: TermEffect::Terminates,
-            purity: PurityEffect::Pure,
-            term_blame: Vec::new(),
-            purity_blame: Vec::new(),
-        };
+        let good = summary("a", (TermEffect::Terminates, PurityEffect::Pure), &[], &[]);
         assert!(annotation_conflicts("a", TermEffect::Terminates, PurityEffect::Pure, &good, span)
             .is_empty());
         assert!(annotation_conflicts(

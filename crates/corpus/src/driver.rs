@@ -44,8 +44,8 @@ use analysis::{MethodSummary, ProgramSummaries};
 use comprdl::persist::content_hash;
 use comprdl::semdep::{env_hash, DepGraph};
 use comprdl::{
-    BlameDiagnostic, CacheStats, CheckCache, CheckConfig, CheckOptions, CompRdl, InferredEffect,
-    LintRecord, MethodCheckResult, ProgramCheckResult, SharedMemo, TypeChecker,
+    BlameDiagnostic, CacheStats, CheckCache, CheckConfig, CheckOptions, CompRdl, LintRecord,
+    MethodCheckResult, ProgramCheckResult, SharedMemo, TypeChecker,
 };
 use diagnostics::{Diagnostic, DiagnosticBag};
 use rdl_types::TypeStore;
@@ -215,14 +215,14 @@ impl<'p> Layers<'_, 'p> {
         };
         let (summaries, _) = ProgramSummaries::infer_with_baseline(self.program, &seed, &fixed);
         let id = |s: &MethodSummary| (s.owner.clone(), s.name.clone(), s.singleton);
+        let with_scc = || summaries.iter().zip(summaries.scc_ids().iter().copied());
         // A method is re-summarized when any member of its SCC missed.
-        let stale: BTreeSet<usize> = summaries
-            .iter()
-            .filter(|s| fixed.is_empty() || !fixed.contains_key(&id(s)))
-            .map(|s| s.scc)
+        let stale: BTreeSet<usize> = with_scc()
+            .filter(|(s, _)| fixed.is_empty() || !fixed.contains_key(&id(s)))
+            .map(|(_, scc)| scc)
             .collect();
         let checked_methods: Vec<MethodId> =
-            summaries.iter().filter(|s| stale.contains(&s.scc)).map(id).collect();
+            with_scc().filter(|(_, scc)| stale.contains(scc)).map(|(s, _)| id(s)).collect();
         let replayed = summaries.len() - checked_methods.len();
         let stats = RecheckStats { total: summaries.len(), replayed, checked_methods };
         (summaries, stats)
@@ -238,7 +238,7 @@ impl<'p> Layers<'_, 'p> {
         key: &str,
         options: CheckOptions,
         selected: &[(String, &MethodDef)],
-        effects: &[InferredEffect],
+        effects: &[MethodSummary],
     ) -> (ProgramCheckResult, RecheckStats) {
         let mut store = TypeStore::new();
         let (mut slots, misses) = replay_phase(selected, |owner, def| {

@@ -5,23 +5,24 @@
 //! for every method bottom-up over the condensed call graph.  It is seeded
 //! with the type checker's own explicit effect layer
 //! ([`comprdl::explicit_effects`]), so a method the checker already trusts
-//! is never "re-discovered" pessimistically.  Both sides speak
-//! `rdl_types`' effect vocabulary, so the one conversion left here is
-//! between [`analysis::MethodSummary`] and `comprdl`'s two views of it,
-//! which are field copies:
+//! is never "re-discovered" pessimistically.
 //!
-//! * [`comprdl::InferredEffect`] — installs the inferred layer *below* the
-//!   explicit one in the type checker, and
-//! * [`comprdl::EffectRecord`] — the persistence representation.  Records
-//!   are keyed on `semdep` Merkle hashes (hash of the method's transitive
+//! A method's inferred effects are one record, [`rdl_types::MethodSummary`],
+//! from the inference through the checker to the cache, so nothing here
+//! converts:
+//!
+//! * the checker installs the summaries as its inferred layer, *below* the
+//!   explicit one ([`summaries_to_inferred`]), and
+//! * the cache stores each summary as a [`comprdl::EffectRecord`], stamped
+//!   with its `semdep` Merkle hash (the hash of the method's transitive
 //!   dependency closure), which is precisely the soundness condition
-//!   [`ProgramSummaries::infer_with_baseline`] requires of fixed
-//!   summaries.
+//!   [`ProgramSummaries::infer_with_baseline`] requires of fixed summaries
+//!   ([`summaries_to_records`], [`replay_baseline`]).
 
 use std::collections::BTreeMap;
 
-use analysis::{MethodSummary, ProgramSummaries, TaintSummary};
-use comprdl::{CompRdl, EffectRecord, ExplicitEffects, InferredEffect};
+use analysis::{MethodSummary, ProgramSummaries};
+use comprdl::{CompRdl, EffectRecord, ExplicitEffects};
 use rdl_types::EffectLookup;
 use ruby_syntax::{MethodId, Program, ProgramIndex};
 
@@ -42,70 +43,18 @@ pub fn effects_pass<'p>(
     ProgramSummaries::infer(program, seed, threads)
 }
 
-/// Converts the inferred summaries into the checker-facing layer:
-/// one [`InferredEffect`] per summarized method.  Same-named methods on
-/// different owners each contribute an entry;
+/// The checker-facing layer: one summary per summarized method.
+/// Same-named methods on different owners each contribute an entry;
 /// [`comprdl::EffectEnv::install_inferred`] joins duplicates
 /// pessimistically, which matches the checker's name-keyed (not
 /// owner-keyed) effect lookups.
-pub fn summaries_to_inferred(summaries: &ProgramSummaries) -> Vec<InferredEffect> {
-    summaries
-        .iter()
-        .map(|s| InferredEffect {
-            name: s.name.clone(),
-            term: s.term,
-            purity: s.purity,
-            term_blame: s.term_blame.clone(),
-            purity_blame: s.purity_blame.clone(),
-        })
-        .collect()
+pub fn summaries_to_inferred(summaries: &ProgramSummaries) -> Vec<MethodSummary> {
+    summaries.iter().cloned().collect()
 }
 
-/// Converts one summary into its persistence representation, stamped with
-/// the method's `semdep` Merkle hash (the replay key).
-fn summary_to_record(s: &MethodSummary, merkle: u64) -> EffectRecord {
-    EffectRecord {
-        owner: s.owner.clone(),
-        name: s.name.clone(),
-        singleton: s.singleton,
-        merkle,
-        term: s.term,
-        purity: s.purity,
-        term_blame: s.term_blame.clone(),
-        purity_blame: s.purity_blame.clone(),
-        taint_return: s.taint.params_to_return.iter().map(|&i| i as u32).collect(),
-        taint_sink: s.taint.params_to_sink.iter().map(|&i| i as u32).collect(),
-        self_to_return: s.taint.self_to_return,
-        self_to_sink: s.taint.self_to_sink,
-    }
-}
-
-/// Reconstitutes a replayed record as a baseline summary for
-/// [`ProgramSummaries::infer_with_baseline`].  The SCC id is set to zero:
-/// baselines never carry SCC ids forward — inference always recomputes
-/// them from the current program so warm renders match cold ones.
-fn record_to_summary(r: &EffectRecord) -> MethodSummary {
-    MethodSummary {
-        owner: r.owner.clone(),
-        name: r.name.clone(),
-        singleton: r.singleton,
-        term: r.term,
-        purity: r.purity,
-        term_blame: r.term_blame.clone(),
-        purity_blame: r.purity_blame.clone(),
-        taint: TaintSummary {
-            params_to_return: r.taint_return.iter().map(|&i| i as usize).collect(),
-            params_to_sink: r.taint_sink.iter().map(|&i| i as usize).collect(),
-            self_to_return: r.self_to_return,
-            self_to_sink: r.self_to_sink,
-        },
-        scc: 0,
-    }
-}
-
-/// Converts every summary into a persistable record, Merkle-stamped from
-/// `graph`.  A method without a Merkle hash (one the program defines more
-/// than once) is skipped: it could never replay.
+/// Every summary as a persistable record, Merkle-stamped from `graph`.  A
+/// method without a Merkle hash (one the program defines more than once)
+/// is skipped: it could never replay.
 pub fn summaries_to_records(
     summaries: &ProgramSummaries,
     graph: &comprdl::DepGraph,
@@ -113,7 +62,8 @@ pub fn summaries_to_records(
     summaries
         .iter()
         .filter_map(|s| {
-            graph.merkle(&s.owner, &s.name, s.singleton).map(|m| summary_to_record(s, m))
+            let merkle = graph.merkle(&s.owner, &s.name, s.singleton)?;
+            Some(EffectRecord { merkle, summary: s.clone() })
         })
         .collect()
 }
@@ -134,10 +84,7 @@ pub fn replay_baseline(
     for &(owner, def) in ProgramIndex::new(program).methods() {
         let Some(merkle) = graph.merkle(owner, &def.name, def.singleton) else { continue };
         if let Some(rec) = cache.replay_effects(app, owner, &def.name, def.singleton, merkle) {
-            fixed.insert(
-                (owner.to_string(), def.name.clone(), def.singleton),
-                record_to_summary(&rec),
-            );
+            fixed.insert((owner.to_string(), def.name.clone(), def.singleton), rec.summary);
         }
     }
     fixed
@@ -208,22 +155,6 @@ mod tests {
         let seed = seed_map(&env);
         assert_eq!(seed["length"], (MayDiverge, Impure));
         assert_eq!(seed["my_helper"], (Terminates, Pure));
-    }
-
-    #[test]
-    fn record_round_trip_preserves_everything_but_scc() {
-        let program = sample_program();
-        let sums = effects_pass(&program, &EffectTable::new(), 1);
-        for s in sums.iter() {
-            let rec = summary_to_record(s, 42);
-            assert_eq!(rec.merkle, 42);
-            let back = record_to_summary(&rec);
-            assert_eq!(back.term, s.term);
-            assert_eq!(back.purity, s.purity);
-            assert_eq!(back.term_blame, s.term_blame);
-            assert_eq!(back.purity_blame, s.purity_blame);
-            assert_eq!(back.taint, s.taint);
-        }
     }
 
     #[test]

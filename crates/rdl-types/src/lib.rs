@@ -46,8 +46,8 @@ pub use fingerprint::Fingerprint;
 pub use name::Name;
 pub use parse::{parse_method_sig, parse_type_expr, SigParseError};
 pub use sig::{
-    AnnotationTable, CompSpec, EffectJoin, EffectLookup, EffectTable, MethodKind, MethodSig,
-    ParamSig, PurityEffect, TermEffect, TypeExpr,
+    render_blame, AnnotationTable, CompSpec, EffectJoin, EffectLookup, EffectTable, MethodKind,
+    MethodSig, MethodSummary, ParamSig, PurityEffect, Taint, TermEffect, TypeExpr,
 };
 pub use store::{ConstStringData, Constraint, FiniteHashData, StoreShift, TupleData, TypeStore};
 pub use subtype::Subtyper;

@@ -1,4 +1,5 @@
-//! Method signatures, comp types, effects and the annotation table.
+//! Method signatures, comp types, effects, inferred effect summaries and
+//! the annotation table.
 //!
 //! A CompRDL method annotation such as
 //!
@@ -19,7 +20,7 @@ use crate::class::ClassTable;
 use crate::name::Name;
 use crate::store::TypeStore;
 use crate::ty::{HashKey, Type};
-use ruby_syntax::{Expr, SemHasher};
+use ruby_syntax::{Bits, Expr, SemHasher};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -95,6 +96,88 @@ impl PurityEffect {
     pub fn join(self, other: PurityEffect) -> PurityEffect {
         self.max(other)
     }
+}
+
+/// How values move through one method: which of its inputs may reach a SQL
+/// sink and which its return value.  Each side is a set of inputs: bit
+/// [`Taint::RECV`] is the receiver (`self`, instance state included) and
+/// bit `i + 1` is parameter `i`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Taint {
+    /// Inputs that may flow into the return value.
+    pub ret: Bits,
+    /// Inputs that may flow into a SQL sink, directly or through a callee.
+    pub sink: Bits,
+}
+
+impl Taint {
+    /// The receiver's bit.
+    pub const RECV: usize = 0;
+
+    /// Parameter indices that may flow into the return value, ascending.
+    pub fn params_to_return(&self) -> impl Iterator<Item = usize> + '_ {
+        params(&self.ret)
+    }
+
+    /// Parameter indices that may flow into a SQL sink, ascending.
+    pub fn params_to_sink(&self) -> impl Iterator<Item = usize> + '_ {
+        params(&self.sink)
+    }
+
+    /// Whether the receiver may flow into the return value.
+    pub fn self_to_return(&self) -> bool {
+        self.ret.contains(Taint::RECV)
+    }
+
+    /// Whether the receiver may flow into a SQL sink.
+    pub fn self_to_sink(&self) -> bool {
+        self.sink.contains(Taint::RECV)
+    }
+
+    /// Adds every flow of `other`.
+    pub fn join(&mut self, other: &Taint) {
+        self.ret.union(&other.ret);
+        self.sink.union(&other.sink);
+    }
+}
+
+/// The parameter indices among `inputs`, ascending.
+fn params(inputs: &Bits) -> impl Iterator<Item = usize> + '_ {
+    inputs.iter().filter(|&b| b != Taint::RECV).map(|b| b - 1)
+}
+
+/// The inferred effects of one method: what the interprocedural summary
+/// inference computes, what a type checker's inferred effect layer installs
+/// below the explicit one, and what the check cache stores.
+///
+/// The blame chains start with the method itself and end with the
+/// root-cause token (`["a", "b", "@x="]` renders as `a → b → @x=`, see
+/// [`render_blame`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MethodSummary {
+    /// Enclosing class (`"Object"` for top-level methods).
+    pub owner: String,
+    /// Method name.
+    pub name: String,
+    /// Whether it is a `def self.` method.
+    pub singleton: bool,
+    /// Termination effect.
+    pub term: TermEffect,
+    /// Purity effect.
+    pub purity: PurityEffect,
+    /// Call path to the divergence root cause (empty unless `term` is
+    /// [`TermEffect::MayDiverge`]).
+    pub term_blame: Vec<String>,
+    /// Call path to the impurity root cause (empty when `purity` is
+    /// [`PurityEffect::Pure`]).
+    pub purity_blame: Vec<String>,
+    /// How its inputs flow.
+    pub taint: Taint,
+}
+
+/// Renders a blame chain the way diagnostics quote it: `a → b → @x=`.
+pub fn render_blame(chain: &[String]) -> String {
+    chain.join(" \u{2192} ")
 }
 
 /// Trusted effects keyed by bare method name, built one name at a time
