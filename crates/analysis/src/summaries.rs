@@ -66,8 +66,8 @@
 
 use rdl_types::{render_blame, EffectLookup, MethodSummary, PurityEffect, Taint, TermEffect};
 use ruby_syntax::{
-    walk_method, walk_names, Bits, Event, Expr, ExprKind, LValue, Locals, MethodDef, MethodId,
-    Param, Program, ProgramIndex, Resolved, Scope,
+    walk_method, Bits, Event, Expr, ExprKind, LValue, Locals, MethodDef, MethodId, Param, Program,
+    ProgramIndex, Resolved, Scope,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -713,11 +713,11 @@ fn method_taint(def: &MethodDef, locals: &Locals, lookup: &dyn Fn(&str) -> Optio
     };
     loop {
         ctx.changed = false;
-        // Parameter defaults run first.  Their taint is not followed; they
-        // are walked only for the locals they assign.
+        // Parameter defaults run first.  What a default evaluates to does
+        // not flow into its parameter, but its calls may reach a sink.
         let mut scope = Scope::new(locals);
         for default in def.params.iter().filter_map(|p| p.default.as_ref()) {
-            walk_names(default, &mut scope, &mut |_| {});
+            taint_origins(default, &mut ctx, &mut scope);
         }
         for (i, stmt) in def.body.iter().enumerate() {
             let o = taint_origins(stmt, &mut ctx, &mut scope);
@@ -774,14 +774,14 @@ fn taint_origins<'d>(
             o
         }
         ExprKind::Assign { target, value } | ExprKind::OpAssign { target, value, .. } => {
-            // A write into a container or an attribute is not followed; its
-            // receiver and index are walked only for the locals they
-            // assign, so later reads resolve as the call graph's do.
+            // What is written into a container or an attribute is not
+            // followed, but the target's receiver and index are evaluated
+            // first, and their calls may reach a sink.
             if let LValue::Index { recv, index } = target {
-                walk_names(recv, scope, &mut |_| {});
-                walk_names(index, scope, &mut |_| {});
+                taint_origins(recv, ctx, scope);
+                taint_origins(index, ctx, scope);
             } else if let LValue::Attr { recv, .. } = target {
-                walk_names(recv, scope, &mut |_| {});
+                taint_origins(recv, ctx, scope);
             }
             let mut o = taint_origins(value, ctx, scope);
             if let LValue::Local(n) = target {
@@ -1231,6 +1231,30 @@ mod tests {
         ));
         let m = s.get("Object", "m", false).unwrap();
         assert_eq!(ret(m), [0], "{m:?}");
+    }
+
+    /// An assignment target's receiver and index run before the write, and
+    /// a parameter default before the body, so a sink call in them reaches
+    /// the summary, and a caller that concatenates into the argument gets
+    /// `LINT0105`.
+    #[test]
+    fn sinks_in_assignment_targets_and_parameter_defaults_reach_the_summary() {
+        for f in [
+            "def self.f(frag)\n    Topic.where(frag).first.name = 1\n  end",
+            "def self.f(frag, h)\n    h[Topic.where(frag)] = 1\n  end",
+            "def self.f(frag, r = Topic.where(frag))\n    r\n  end",
+        ] {
+            let src =
+                format!("class Topic\n  {f}\n  def self.g(x)\n    f('a = ' + x)\n  end\nend\n");
+            let p = parse_program_strict(&src).expect("parse");
+            let sums = ProgramSummaries::infer(&p, &seed(), 1);
+            let summary = sums.get("Topic", "f", true).unwrap();
+            assert_eq!(sink(summary), [0], "{f}: {summary:?}");
+            let lints = crate::lint_methods(&p.methods(), Some(&sums), 1);
+            let g = lints.iter().find(|m| m.name == "g").unwrap();
+            let codes: Vec<&str> = g.findings.iter().map(|f| f.code.as_str()).collect();
+            assert_eq!(codes, [crate::SQL_TAINT], "{f}");
+        }
     }
 
     #[test]

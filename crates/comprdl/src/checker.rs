@@ -781,9 +781,7 @@ impl<'a> TypeChecker<'a> {
             }
             ExprKind::Break | ExprKind::Next => Type::nil(),
             ExprKind::Lambda(block) => {
-                for e in &block.body {
-                    self.infer(ctx, e);
-                }
+                self.infer_block_body(ctx, Some(block), &Type::Dynamic);
                 Type::nominal("Proc")
             }
             ExprKind::TypeCast { expr: inner, ty } => {
@@ -1393,6 +1391,8 @@ impl<'a> TypeChecker<'a> {
         }
     }
 
+    /// Infers a block's or a lambda's body with its parameters bound to
+    /// `elem_ty`.
     fn infer_block_body(
         &mut self,
         ctx: &mut MethodCtx,
@@ -1609,6 +1609,21 @@ mod tests {
         let res =
             check_src(&env, src, CheckOptions { use_comp_types: false, ..CheckOptions::default() });
         assert!(res.total_casts() >= 1, "expected an implicit cast, got {res:?}");
+    }
+
+    /// A lambda binds its parameters in its body, so a read of one there is
+    /// no call on `self` and costs no cast, with comp types or without.
+    #[test]
+    fn a_lambda_parameter_read_needs_no_cast() {
+        let mut env = env_with_stdlib();
+        env.type_sig("Object", "m", "(Integer) -> Integer", Some("app"));
+        let src = "def m(x)\n  ->(v) { v }\n  x\nend\n";
+        for use_comp_types in [true, false] {
+            let options = CheckOptions { use_comp_types, ..CheckOptions::default() };
+            let res = check_src(&env, src, options);
+            assert!(res.errors().is_empty(), "{:?}", res.errors());
+            assert_eq!(res.total_casts(), 0, "comp types {use_comp_types}: {res:?}");
+        }
     }
 
     #[test]

@@ -72,7 +72,16 @@ use std::sync::Arc;
 /// Since then [`crate::semdep::TLC_REVISION`], which
 /// [`crate::semdep::env_hash`] digests, retires such verdicts, so a change
 /// to what the evaluator computes bumps that revision, not this version.
-pub const FORMAT_VERSION: u32 = 5;
+/// v6 keeps v5's layout and retires summaries and verdicts computed under
+/// older inference and checker rules: the summaries call a local read
+/// before the method first assigns it (a rule that came without a bump)
+/// and follow taint through an assignment target's receiver and index and
+/// through parameter defaults, and the checker binds a lambda's parameters
+/// in its body.  Effect records replay on their Merkle hash alone and
+/// check verdicts on it and the environment hash; neither moves when a
+/// rule of the inference or the checker changes, so such a change bumps
+/// this version.
+pub const FORMAT_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 8] = b"CRDLCHK\x01";
 

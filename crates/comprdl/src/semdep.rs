@@ -48,7 +48,7 @@ use crate::tlc::HelperRegistry;
 use rdl_types::{MethodSig, TypeExpr};
 use ruby_syntax::{
     method_hash, walk_method, Event, Expr, ExprKind, Locals, MethodDef, MethodId, Name, Program,
-    ProgramIndex, Scope, SemHasher,
+    ProgramIndex, Resolved, Scope, SemHasher,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -326,18 +326,20 @@ pub(crate) fn native_helper_hash(name: &str, state: Option<u64>) -> u64 {
 
 /// The names a method may invoke, from the identifier walk
 /// ([`ruby_syntax::walk_method`]): every called name and every identifier
-/// read, parameters, locals and block parameters included, so the walk runs
-/// under an empty table.  The checker resolves identifiers with a resolver
-/// of its own, which types a lambda parameter's read in the lambda's body
-/// as a call on `self`.  Callers filter against the set of names that
+/// read, parameters and locals included, so the walk runs under an empty
+/// table.  A read that a block or lambda parameter hides is left out: the
+/// checker binds those parameters in the body too, so it never types such
+/// a read as a call.  Callers filter against the set of names that
 /// actually resolve, so the over-approximation only ever adds edges for
 /// name collisions — sound, at worst one spurious re-check.
 fn called_names(def: &MethodDef) -> BTreeSet<Name> {
     let mut out = BTreeSet::new();
-    walk_method(def, &mut Scope::new(&Locals::default()), &mut |event| {
-        if let Event::Call(name) | Event::Read(_, name, _) = event {
+    walk_method(def, &mut Scope::new(&Locals::default()), &mut |event| match event {
+        Event::Read(_, _, Resolved::Shadowed) => {}
+        Event::Call(name) | Event::Read(_, name, _) => {
             out.insert(name.clone());
         }
+        _ => {}
     });
     out
 }
