@@ -653,12 +653,9 @@ fn solve_taint(
 // ---------------------------------------------------------------------------
 
 /// A method's taint origins, encoded as a [`Taint`]'s sides: bit
-/// [`RECV`] is the receiver (`self`, instance state), bit `i + 1` is
-/// parameter `i`.
+/// [`Taint::RECV`] is the receiver (`self`, instance state), bit `i + 1`
+/// is parameter `i`.
 type Origins = Bits;
-
-/// The receiver's bit in [`Origins`].
-const RECV: usize = Taint::RECV;
 
 /// One method's taint state; names are borrowed from its body (`'d`).
 struct TaintCtx<'c, 'd> {
@@ -700,7 +697,7 @@ fn method_taint(def: &MethodDef, locals: &Locals, lookup: &dyn Fn(&str) -> Optio
     if def.poisoned {
         let mut ret: Origins =
             def.params.iter().enumerate().filter(|(_, p)| !p.block).map(|(i, _)| i + 1).collect();
-        ret.insert(RECV);
+        ret.insert(Taint::RECV);
         return Taint { ret, sink: Origins::new() };
     }
     let mut ctx = TaintCtx {
@@ -757,7 +754,7 @@ fn taint_origins<'d>(
             }
             Resolved::Call => call_origins(None, n, &[], ctx, scope),
         },
-        ExprKind::SelfExpr | ExprKind::IVar(_) => Origins::single(RECV),
+        ExprKind::SelfExpr | ExprKind::IVar(_) => Origins::single(Taint::RECV),
         ExprKind::Array(items) => {
             let mut o = Origins::new();
             for item in items {
@@ -894,12 +891,12 @@ fn call_origins<'d>(
         }
         return o;
     };
-    let recv = recv.unwrap_or_else(|| Origins::single(RECV));
+    let recv = recv.unwrap_or_else(|| Origins::single(Taint::RECV));
     let mut o = Origins::new();
-    if callee.sink.contains(RECV) {
+    if callee.sink.contains(Taint::RECV) {
         ctx.grow_sink(&recv);
     }
-    if callee.ret.contains(RECV) {
+    if callee.ret.contains(Taint::RECV) {
         o.union(&recv);
     }
     for (i, arg) in args.iter().enumerate() {
